@@ -4,12 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The chunk kernels are templated on a panel-operations policy (8-wide,
-// 4-wide, or masked tail) and on accumulate mode, mirroring the SpMV
-// kernel's structure: the per-step stream consumption is identical, but
-// the per-lane accumulator is a panel-row vector instead of a scalar, and
-// every record/tail write-back moves a whole register of columns. Records
-// are rare relative to steps, so their shared-row atomics stay scalar.
+// The panel kernel is templated on a panel-operations policy (8-wide,
+// 4-wide, or masked tail) and, like the SpMV kernels in CvrSpmv.cpp, on a
+// write-back policy (Store, Accumulate, or Fused). The per-step stream
+// consumption is the SpMV kernel's, but the per-lane accumulator is a
+// panel-row vector instead of a scalar, and every record/tail write-back
+// moves a whole register of columns. Records are rare relative to steps,
+// so their shared-row atomics stay scalar. The generic any-width panel
+// kernel takes the same write-back policies through finishRow().
 //
 //===----------------------------------------------------------------------===//
 
@@ -79,15 +81,102 @@ struct PanelTail {
   void spill(Vec V, double *Buf8) const { V.toArray(Buf8); }
 };
 
+/// Adds \p Bw partials into a chunk-boundary row. The neighbouring chunk
+/// writes the row too, so each add is atomic.
+inline void atomicAddRow(double *YRow, const double *V, int Bw) {
+  for (int J = 0; J < Bw; ++J) {
+#pragma omp atomic
+    YRow[J] += V[J];
+  }
+}
+
+/// The Store (Add = false) and Accumulate (Add = true) write-back
+/// policies, the panel counterparts of the SpMV ones in CvrSpmv.cpp: an
+/// exclusive row stores (or, in accumulate mode, adds) a whole register of
+/// columns; a chunk-boundary row spills and adds element-wise atomically,
+/// because the neighbouring chunk writes it too.
+template <bool Add> struct PanelScatterWriteBack {
+  double *Y;
+  std::size_t LdY;
+
+  double *row(std::int32_t Row) const {
+    return Y + static_cast<std::size_t>(Row) * LdY;
+  }
+
+  /// One finished row held as \p Bw scalars (the generic kernel). \p V is
+  /// mutable because the Fused policy transforms it in place.
+  void finishRow(std::int32_t Row, double *V, int Bw, bool Shared) const {
+    double *YRow = row(Row);
+    if (Shared) {
+      atomicAddRow(YRow, V, Bw);
+    } else if (Add) {
+      for (int J = 0; J < Bw; ++J)
+        YRow[J] += V[J];
+    } else {
+      for (int J = 0; J < Bw; ++J)
+        YRow[J] = V[J];
+    }
+  }
+
+  template <class Panel>
+  CVR_HOT void finish(const Panel &P, std::int32_t Row,
+                      typename Panel::Vec V, bool Shared) const {
+    if (Shared) {
+      alignas(64) double Buf[8];
+      P.spill(V, Buf);
+      atomicAddRow(row(Row), Buf, P.width());
+    } else if (Add) {
+      double *YRow = row(Row);
+      P.store(P.load(YRow).add(V), YRow);
+    } else {
+      P.store(V, row(Row));
+    }
+  }
+};
+
+using PanelStoreWriteBack = PanelScatterWriteBack<false>;
+using PanelAccumulateWriteBack = PanelScatterWriteBack<true>;
+
+/// The Fused write-back policy (no accumulate mode: blocked matrices
+/// compose). An exclusive row applies the per-column epilogue to the
+/// spilled row and stores the (possibly transformed) values; a boundary
+/// row accumulates raw partials for cvrSpmmFused's sequential cleanup pass.
+struct PanelFusedWriteBack {
+  double *Y;
+  std::size_t LdY;
+  const FusedBatchEpilogue *E;
+  int J0;
+  BatchEpilogueAccum *Acc;
+
+  void finishRow(std::int32_t Row, double *V, int Bw, bool Shared) const {
+    double *YRow = Y + static_cast<std::size_t>(Row) * LdY;
+    if (Shared) {
+      atomicAddRow(YRow, V, Bw);
+    } else {
+      batchRowApply(*E, Row, J0, Bw, V, *Acc);
+      for (int J = 0; J < Bw; ++J)
+        YRow[J] = V[J];
+    }
+  }
+
+  template <class Panel>
+  CVR_HOT void finish(const Panel &P, std::int32_t Row,
+                      typename Panel::Vec V, bool Shared) const {
+    alignas(64) double Buf[8];
+    P.spill(V, Buf);
+    finishRow(Row, Buf, P.width(), Shared);
+  }
+};
+
 /// One chunk of the register-blocked SpMM kernel: lane k accumulates a
 /// whole panel row in a vector register, fed by one contiguous load of
 /// X[Cols[step*8+k] * LdX .. +width) per element — no gathers. Structure
-/// (records, stealing, tails) mirrors runChunkAvx with scalar write-backs
-/// widened to panel rows.
-template <class Panel, bool Accumulate>
+/// (records, stealing, tails) mirrors runChunkAvx, with every write-back a
+/// panel row through the policy \p Out.
+template <class Panel, class WriteBack>
 CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
-                          const double *X, std::size_t LdX, double *Y,
-                          std::size_t LdY, Panel P, int PfDist) {
+                          const double *X, std::size_t LdX, Panel P,
+                          int PfDist, WriteBack Out) {
   constexpr int W = 8;
   const double *Vals = M.vals() + C.ElemBase;
   const std::int32_t *Cols = M.colIdx() + C.ElemBase;
@@ -101,25 +190,6 @@ CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
     TRes[K] = P.zero();
   }
 
-  // Finishes one row's panel block: exclusive rows store (or add, in
-  // accumulate mode) a whole register; chunk-boundary rows spill and add
-  // element-wise atomically because the neighbouring chunk writes them too.
-  auto Finish = [&](std::int32_t Row, typename Panel::Vec V, bool Shared) {
-    double *YRow = Y + static_cast<std::size_t>(Row) * LdY;
-    if (Shared) {
-      alignas(64) double Buf[W];
-      P.spill(V, Buf);
-      for (int J = 0; J < P.width(); ++J) {
-#pragma omp atomic
-        YRow[J] += Buf[J];
-      }
-    } else if (Accumulate) {
-      P.store(P.load(YRow).add(V), YRow);
-    } else {
-      P.store(V, YRow);
-    }
-  };
-
   auto ApplyRecords = [&](std::int64_t Limit) {
     do {
       const CvrRecord &R = Recs[RecIdx];
@@ -127,7 +197,7 @@ CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
       if (R.Steal)
         TRes[R.Wb] = TRes[R.Wb].add(VOut[Off]);
       else
-        Finish(R.Wb, VOut[Off], R.Shared != 0);
+        Out.finish(P, R.Wb, VOut[Off], R.Shared != 0);
       VOut[Off] = P.zero();
       ++RecIdx;
     } while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit);
@@ -163,16 +233,16 @@ CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
     std::int32_t Row = Tails[K];
     if (Row < 0)
       continue;
-    Finish(Row, TRes[K], Row == C.FirstRow || Row == C.LastRow);
+    Out.finish(P, Row, TRes[K], Row == C.FirstRow || Row == C.LastRow);
   }
 }
 
 /// Generic any-lane-width SpMM chunk (lane-count ablation / forced-generic
 /// matrices). Runtime lane and block widths; not performance-critical.
+template <class WriteBack>
 void runChunkSpmmGeneric(const CvrMatrix &M, const CvrChunk &C,
-                         const double *X, std::size_t LdX, double *Y,
-                         std::size_t LdY, int Bw, int PfDist,
-                         bool Accumulate) {
+                         const double *X, std::size_t LdX, int Bw,
+                         int PfDist, WriteBack Out) {
   const int W = M.lanes();
   const double *Vals = M.vals() + C.ElemBase;
   const std::int32_t *Cols = M.colIdx() + C.ElemBase;
@@ -184,22 +254,6 @@ void runChunkSpmmGeneric(const CvrMatrix &M, const CvrChunk &C,
   std::vector<double> VOut(static_cast<std::size_t>(W) * Bw, 0.0);
   std::vector<double> TRes(static_cast<std::size_t>(W) * Bw, 0.0);
 
-  auto Finish = [&](std::int32_t Row, const double *V, bool Shared) {
-    double *YRow = Y + static_cast<std::size_t>(Row) * LdY;
-    if (Shared) {
-      for (int J = 0; J < Bw; ++J) {
-#pragma omp atomic
-        YRow[J] += V[J];
-      }
-    } else if (Accumulate) {
-      for (int J = 0; J < Bw; ++J)
-        YRow[J] += V[J];
-    } else {
-      for (int J = 0; J < Bw; ++J)
-        YRow[J] = V[J];
-    }
-  };
-
   auto ApplyRecord = [&](const CvrRecord &R) {
     int Off = static_cast<int>(R.Pos % W);
     double *V = VOut.data() + static_cast<std::size_t>(Off) * Bw;
@@ -208,7 +262,7 @@ void runChunkSpmmGeneric(const CvrMatrix &M, const CvrChunk &C,
       for (int J = 0; J < Bw; ++J)
         T[J] += V[J];
     } else {
-      Finish(R.Wb, V, R.Shared != 0);
+      Out.finishRow(R.Wb, V, Bw, R.Shared != 0);
     }
     std::fill_n(V, Bw, 0.0);
   };
@@ -238,91 +292,8 @@ void runChunkSpmmGeneric(const CvrMatrix &M, const CvrChunk &C,
     std::int32_t Row = Tails[K];
     if (Row < 0)
       continue;
-    Finish(Row, TRes.data() + static_cast<std::size_t>(K) * Bw,
-           Row == C.FirstRow || Row == C.LastRow);
-  }
-}
-
-/// Fused twin of runChunkSpmm (no accumulate mode: blocked matrices
-/// compose). Exclusive finalize sites spill the register block, apply the
-/// per-column epilogue on the spilled row, and store the (possibly
-/// transformed) values; shared rows accumulate raw partials for the
-/// sequential cleanup pass.
-template <class Panel>
-CVR_HOT void runChunkSpmmFused(const CvrMatrix &M, const CvrChunk &C,
-                               const double *X, std::size_t LdX, double *Y,
-                               std::size_t LdY, Panel P, int PfDist,
-                               const FusedBatchEpilogue &E, int J0,
-                               BatchEpilogueAccum &Acc) {
-  constexpr int W = 8;
-  const double *Vals = M.vals() + C.ElemBase;
-  const std::int32_t *Cols = M.colIdx() + C.ElemBase;
-  const CvrRecord *Recs = M.recs();
-  std::int64_t RecIdx = C.RecBase;
-  const std::int64_t RecEnd = C.RecEnd;
-
-  typename Panel::Vec VOut[W], TRes[W];
-  for (int K = 0; K < W; ++K) {
-    VOut[K] = P.zero();
-    TRes[K] = P.zero();
-  }
-
-  auto Finish = [&](std::int32_t Row, typename Panel::Vec V, bool Shared) {
-    double *YRow = Y + static_cast<std::size_t>(Row) * LdY;
-    alignas(64) double Buf[W];
-    P.spill(V, Buf);
-    if (Shared) {
-      for (int J = 0; J < P.width(); ++J) {
-#pragma omp atomic
-        YRow[J] += Buf[J];
-      }
-    } else {
-      batchRowApply(E, Row, J0, P.width(), Buf, Acc);
-      for (int J = 0; J < P.width(); ++J)
-        YRow[J] = Buf[J];
-    }
-  };
-
-  auto ApplyRecords = [&](std::int64_t Limit) {
-    do {
-      const CvrRecord &R = Recs[RecIdx];
-      int Off = static_cast<int>(R.Pos & (W - 1));
-      if (R.Steal)
-        TRes[R.Wb] = TRes[R.Wb].add(VOut[Off]);
-      else
-        Finish(R.Wb, VOut[Off], R.Shared != 0);
-      VOut[Off] = P.zero();
-      ++RecIdx;
-    } while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit);
-  };
-
-  for (std::int64_t I = 0; I < C.NumSteps; ++I) {
-    if (RecIdx < RecEnd && Recs[RecIdx].Pos < (I + 1) * W)
-      ApplyRecords((I + 1) * W);
-
-    if (PfDist > 0 && I + PfDist < C.NumSteps) {
-      const std::int32_t *Pc = Cols + (I + PfDist) * W;
-      for (int K = 0; K < W; ++K)
-        __builtin_prefetch(X + static_cast<std::size_t>(Pc[K]) * LdX, 0, 1);
-      __builtin_prefetch(Vals + (I + PfDist) * W, 0, 0);
-    }
-
-    for (int K = 0; K < W; ++K) {
-      const double *XRow =
-          X + static_cast<std::size_t>(Cols[I * W + K]) * LdX;
-      VOut[K] = P.fmadd(VOut[K], Vals[I * W + K], XRow);
-    }
-  }
-
-  if (RecIdx < RecEnd)
-    ApplyRecords(std::numeric_limits<std::int64_t>::max());
-
-  const std::int32_t *Tails = M.tails() + C.TailBase;
-  for (int K = 0; K < W; ++K) {
-    std::int32_t Row = Tails[K];
-    if (Row < 0)
-      continue;
-    Finish(Row, TRes[K], Row == C.FirstRow || Row == C.LastRow);
+    Out.finishRow(Row, TRes.data() + static_cast<std::size_t>(K) * Bw, Bw,
+                  Row == C.FirstRow || Row == C.LastRow);
   }
 }
 
@@ -333,12 +304,13 @@ void zeroRowsSlice(const CvrMatrix &M, double *Y, std::size_t LdY, int Bw) {
     std::fill_n(Y + static_cast<std::size_t>(R) * LdY, Bw, 0.0);
 }
 
-/// Runs chunks [Begin, End) of one pass across M.runThreads() threads,
-/// dynamic schedule under over-decomposition (same policy as SpMV).
-template <bool Accumulate>
+/// Runs chunks [Begin, End) of one Bw-column pass across M.runThreads()
+/// threads, dynamic schedule under over-decomposition (same policy as
+/// SpMV). \p MakeOut maps a chunk index to that chunk's write-back policy.
+template <class MakeWriteBack>
 void runSpmmChunkRange(const CvrMatrix &M, int Begin, int End,
-                       const double *X, std::size_t LdX, double *Y,
-                       std::size_t LdY, int Bw, int PfDist) {
+                       const double *X, std::size_t LdX, int Bw, int PfDist,
+                       MakeWriteBack MakeOut) {
   const std::vector<CvrChunk> &Chunks = M.chunks();
   int N = End - Begin;
   int Threads = std::min(M.runThreads(), N);
@@ -346,19 +318,15 @@ void runSpmmChunkRange(const CvrMatrix &M, int Begin, int End,
 
   auto Body = [&](int T) {
     const CvrChunk &C = Chunks[Begin + T];
-    if (!UseAvx) {
-      runChunkSpmmGeneric(M, C, X, LdX, Y, LdY, Bw, PfDist, Accumulate);
-      return;
-    }
-    if (Bw == 8)
-      runChunkSpmm<Panel8, Accumulate>(M, C, X, LdX, Y, LdY, Panel8{},
-                                       PfDist);
+    auto Out = MakeOut(Begin + T);
+    if (!UseAvx)
+      runChunkSpmmGeneric(M, C, X, LdX, Bw, PfDist, Out);
+    else if (Bw == 8)
+      runChunkSpmm(M, C, X, LdX, Panel8{}, PfDist, Out);
     else if (Bw == 4)
-      runChunkSpmm<Panel4, Accumulate>(M, C, X, LdX, Y, LdY, Panel4{},
-                                       PfDist);
+      runChunkSpmm(M, C, X, LdX, Panel4{}, PfDist, Out);
     else
-      runChunkSpmm<PanelTail, Accumulate>(M, C, X, LdX, Y, LdY,
-                                          PanelTail(Bw), PfDist);
+      runChunkSpmm(M, C, X, LdX, PanelTail(Bw), PfDist, Out);
   };
   if (N > Threads)
     ompParallelForDynamic(N, Threads, Body);
@@ -376,12 +344,13 @@ void runSpmmPass(const CvrMatrix &M, const double *X, std::size_t LdX,
     for (std::int32_t R = 0; R < M.numRows(); ++R)
       std::fill_n(Y + static_cast<std::size_t>(R) * LdY, Bw, 0.0);
     for (const CvrBand &B : M.bands())
-      runSpmmChunkRange<true>(M, B.ChunkBegin, B.ChunkEnd, X, LdX, Y, LdY,
-                              Bw, PfDist);
+      runSpmmChunkRange(M, B.ChunkBegin, B.ChunkEnd, X, LdX, Bw, PfDist,
+                        [=](int) { return PanelAccumulateWriteBack{Y, LdY}; });
     return;
   }
   zeroRowsSlice(M, Y, LdY, Bw);
-  runSpmmChunkRange<false>(M, 0, M.numChunks(), X, LdX, Y, LdY, Bw, PfDist);
+  runSpmmChunkRange(M, 0, M.numChunks(), X, LdX, Bw, PfDist,
+                    [=](int) { return PanelStoreWriteBack{Y, LdY}; });
 }
 
 /// Validates one SpMM panel request; the release-build replacement for the
@@ -503,12 +472,10 @@ Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
     return cvrSpmm(M, X, LdX, Y, LdY, NumVectors, Opts);
   }
 
-  bool UseAvx = M.lanes() == simd::DoubleLanes && !M.forcesGenericKernel();
-  if (M.isBlocked() || !UseAvx || M.valueKind() != ValueKind::F64 ||
+  if (M.isBlocked() || M.valueKind() != ValueKind::F64 ||
       M.colIndexKind() != ColIndexKind::U32) {
-    // Accumulate mode finishes no row until the last band (the generic
-    // kernel has no fused finalize sites, and compressed streams take the
-    // composed path throughout); compose.
+    // Accumulate mode finishes no row until the last band, and compressed
+    // streams take the composed path throughout; compose.
     S = cvrSpmm(M, X, LdX, Y, LdY, NumVectors, Opts);
     if (!S.ok())
       return S;
@@ -522,10 +489,7 @@ Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
   Span.arg("cols", NumVectors);
   const int Rhs = snapRhsBlock(Opts.RhsBlock);
   const int Pf = snapPrefetchDistance(Opts.PrefetchDistance);
-
-  const std::vector<CvrChunk> &Chunks = M.chunks();
-  const int N = static_cast<int>(Chunks.size());
-  const int Threads = std::min(M.runThreads(), std::max(N, 1));
+  const int N = M.numChunks();
 
   // Per-chunk partial accumulators, merged in chunk index order per pass.
   // Stack storage keeps batched solver iterations allocation-free; heavy
@@ -542,27 +506,12 @@ Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
   int Passes = 0;
   for (int J0 = 0; J0 < NumVectors;) {
     const int Bw = std::min(Rhs, NumVectors - J0);
-    const double *Xp = X + J0;
     double *Yp = Y + J0;
     zeroRowsSlice(M, Yp, LdY, Bw);
-
-    auto Body = [&](int T) {
+    runSpmmChunkRange(M, 0, N, X + J0, LdX, Bw, Pf, [&](int T) {
       Accs[T] = BatchEpilogueAccum{};
-      const CvrChunk &C = Chunks[T];
-      if (Bw == 8)
-        runChunkSpmmFused<Panel8>(M, C, Xp, LdX, Yp, LdY, Panel8{}, Pf, E,
-                                  J0, Accs[T]);
-      else if (Bw == 4)
-        runChunkSpmmFused<Panel4>(M, C, Xp, LdX, Yp, LdY, Panel4{}, Pf, E,
-                                  J0, Accs[T]);
-      else
-        runChunkSpmmFused<PanelTail>(M, C, Xp, LdX, Yp, LdY, PanelTail(Bw),
-                                     Pf, E, J0, Accs[T]);
-    };
-    if (N > Threads)
-      ompParallelForDynamic(N, Threads, Body);
-    else
-      ompParallelFor(N, Threads, Body);
+      return PanelFusedWriteBack{Yp, LdY, &E, J0, &Accs[T]};
+    });
 
     BatchEpilogueAccum Total;
     for (int T = 0; T < N; ++T)

@@ -70,7 +70,7 @@ int snapRhsBlock(int B);
 /// parallel chunk sweep; chunk-boundary and empty rows are finished by a
 /// sequential cleanup pass in zero-row order, merged last, so accumulators
 /// reduce deterministically per matrix configuration. Column-blocked
-/// matrices and generic-lane matrices compose cvrSpmm with the scalar
+/// matrices and compressed-stream matrices compose cvrSpmm with the scalar
 /// batch-epilogue sweep instead.
 [[nodiscard]] Status cvrSpmmFused(const CvrMatrix &M, const double *X,
                                   std::size_t LdX, double *Y, std::size_t LdY,

@@ -4,10 +4,27 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Execution-engine variants: the chunk kernels are templated on the
-// software-prefetch distance (steps ahead at which x gather targets are
-// touched) and on accumulate mode (column-blocked matrices add each band's
-// partial products into y instead of storing finished rows). Chunk
+// Each chunk loop is written once and templated on a write-back policy. The
+// policy decides only how finished lanes leave the kernel:
+//
+//  - Store: an exclusive row takes one plain store (the plain SpMV).
+//  - Accumulate: an exclusive row adds into y. Column-blocked matrices use
+//    it; they clear y once and run their bands one after another.
+//  - Fused: an exclusive row runs the FusedEpilogue on its finished value
+//    and stores the result. The policy carries the chunk's EpilogueAccum.
+//
+// Under every policy a chunk-boundary row adds atomically, because the
+// neighbouring chunk contributes to it too. A policy provides finish() for
+// one finished row (a feed record or a tail flush), applyRecords() for the
+// records that fall into one step, and traceFinish() for the y and operand
+// traffic that finish() causes. With AVX-512, Store and Accumulate batch
+// the records of one step into one masked scatter; Fused, and every policy
+// without AVX-512, spills them one lane at a time.
+//
+// Three loops here instantiate the policies: the AVX-512 kernel (also
+// templated on prefetch distance and stream kinds), the generic any-width
+// kernel, and the traced serial sweep behind traceRun and traceRunFused.
+// CvrSpmm.cpp applies the same scheme to its panel kernel. Chunk
 // over-decomposition runs more chunks than threads under a dynamic
 // schedule. All variants compute the same y; the autotuner in src/engine
 // picks among them per matrix.
@@ -20,6 +37,7 @@
 #include "obs/Trace.h"
 #include "simd/Simd.h"
 #include "support/Annotations.h"
+#include "support/MemSink.h"
 #include "support/ParallelFor.h"
 
 #include <algorithm>
@@ -36,75 +54,15 @@ namespace cvr {
 
 namespace {
 
-/// Scatters a finished lane value to y (feed records and tail flushes).
-/// Chunk-boundary rows are accumulated atomically because the neighbouring
-/// chunk contributes to them too; every other row has exactly one writer
-/// within a band, so a plain store (or plain add, in accumulate mode —
-/// bands run sequentially) suffices.
-template <bool Accumulate>
-CVR_HOT inline void writeBack(double *Y, std::int32_t Row, double V,
-                              bool Shared) {
-  if (Shared) {
-#pragma omp atomic
-    Y[Row] += V;
-  } else if (Accumulate) {
-    Y[Row] += V;
-  } else {
-    Y[Row] = V;
-  }
-}
-
-/// Applies every record with Pos < Limit: feed records scatter the lane's
-/// finished dot product straight into y (one masked scatter for the common
-/// exclusive-row case; accumulate mode turns it into gather+add+scatter),
-/// steal records accumulate into the chunk's t_result slots, and the
-/// applied lanes are zeroed. Returns the updated v_out.
-template <bool Accumulate>
-CVR_HOT inline simd::VecD8 applyRecords(simd::VecD8 VOut,
-                                        const CvrRecord *Recs,
-                                std::int64_t &RecIdx, std::int64_t RecEnd,
-                                std::int64_t Limit, double *Y,
-                                double *TResult) {
-#if CVR_SIMD_AVX512
-  alignas(32) std::int32_t WbBuf[8];
-  __mmask8 FeedMask = 0, ClearMask = 0;
-  do {
-    const CvrRecord &R = Recs[RecIdx];
-    int Off = static_cast<int>(R.Pos & 7);
-    auto Bit = static_cast<__mmask8>(1U << Off);
-    if (!R.Steal && !R.Shared) {
-      WbBuf[Off] = R.Wb;
-      FeedMask |= Bit;
-    } else {
-      // Single-lane extraction via a masked horizontal add.
-      double V = _mm512_mask_reduce_add_pd(Bit, VOut.Reg);
-      if (R.Steal) {
-        TResult[R.Wb] += V;
-      } else {
-#pragma omp atomic
-        Y[R.Wb] += V;
-      }
-    }
-    ClearMask |= Bit;
-    ++RecIdx;
-  } while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit);
-  if (FeedMask) {
-    __m256i Idx =
-        _mm256_load_si256(reinterpret_cast<const __m256i *>(WbBuf));
-    __m512d Out = VOut.Reg;
-    if constexpr (Accumulate) {
-      // Distinct rows per batch (a row finishes once per chunk), so the
-      // gather+add+scatter never self-conflicts.
-      __m512d Old = _mm512_mask_i32gather_pd(_mm512_setzero_pd(), FeedMask,
-                                             Idx, Y, 8);
-      Out = _mm512_add_pd(Old, VOut.Reg);
-    }
-    _mm512_mask_i32scatter_pd(Y, FeedMask, Idx, Out, 8);
-  }
-  VOut.Reg = _mm512_maskz_mov_pd(static_cast<__mmask8>(~ClearMask),
-                                 VOut.Reg);
-  return VOut;
-#else
+/// Applies every record with Pos < Limit one lane at a time: steal records
+/// accumulate into the chunk's t_result slots, feed records go through
+/// \p Out.finish, and the applied lanes are zeroed. Returns the updated
+/// v_out.
+template <class WriteBack>
+CVR_HOT inline simd::VecD8
+spillRecords(const WriteBack &Out, simd::VecD8 VOut, const CvrRecord *Recs,
+             std::int64_t &RecIdx, std::int64_t RecEnd, std::int64_t Limit,
+             double *TResult) {
   alignas(64) double Buf[8];
   VOut.toArray(Buf);
   do {
@@ -113,12 +71,134 @@ CVR_HOT inline simd::VecD8 applyRecords(simd::VecD8 VOut,
     if (R.Steal)
       TResult[R.Wb] += Buf[Off];
     else
-      writeBack<Accumulate>(Y, R.Wb, Buf[Off], R.Shared);
+      Out.finish(R.Wb, Buf[Off], R.Shared);
     Buf[Off] = 0.0;
     ++RecIdx;
   } while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit);
   return simd::VecD8::fromArray(Buf);
+}
+
+/// The Store (Add = false) and Accumulate (Add = true) policies. Every row
+/// other than a chunk-boundary row has exactly one writer within a band, so
+/// a plain store, or a plain add in accumulate mode, suffices.
+template <bool Add> struct ScatterWriteBack {
+  double *Y;
+
+  CVR_HOT void finish(std::int32_t Row, double V, bool Shared) const {
+    if (Shared) {
+#pragma omp atomic
+      Y[Row] += V;
+    } else if (Add) {
+      Y[Row] += V;
+    } else {
+      Y[Row] = V;
+    }
+  }
+
+  /// Feed records scatter the lane's finished dot product straight into y:
+  /// one masked scatter for the common exclusive-row case, which accumulate
+  /// mode turns into gather+add+scatter.
+  CVR_HOT simd::VecD8 applyRecords(simd::VecD8 VOut, const CvrRecord *Recs,
+                                   std::int64_t &RecIdx, std::int64_t RecEnd,
+                                   std::int64_t Limit,
+                                   double *TResult) const {
+#if CVR_SIMD_AVX512
+    alignas(32) std::int32_t WbBuf[8];
+    __mmask8 FeedMask = 0, ClearMask = 0;
+    do {
+      const CvrRecord &R = Recs[RecIdx];
+      int Off = static_cast<int>(R.Pos & 7);
+      auto Bit = static_cast<__mmask8>(1U << Off);
+      if (!R.Steal && !R.Shared) {
+        WbBuf[Off] = R.Wb;
+        FeedMask |= Bit;
+      } else {
+        // Single-lane extraction via a masked horizontal add.
+        double V = _mm512_mask_reduce_add_pd(Bit, VOut.Reg);
+        if (R.Steal) {
+          TResult[R.Wb] += V;
+        } else {
+#pragma omp atomic
+          Y[R.Wb] += V;
+        }
+      }
+      ClearMask |= Bit;
+      ++RecIdx;
+    } while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit);
+    if (FeedMask) {
+      __m256i Idx =
+          _mm256_load_si256(reinterpret_cast<const __m256i *>(WbBuf));
+      __m512d Out = VOut.Reg;
+      if constexpr (Add) {
+        // Distinct rows per batch (a row finishes once per chunk), so the
+        // gather+add+scatter never self-conflicts.
+        __m512d Old = _mm512_mask_i32gather_pd(_mm512_setzero_pd(),
+                                               FeedMask, Idx, Y, 8);
+        Out = _mm512_add_pd(Old, VOut.Reg);
+      }
+      _mm512_mask_i32scatter_pd(Y, FeedMask, Idx, Out, 8);
+    }
+    VOut.Reg = _mm512_maskz_mov_pd(static_cast<__mmask8>(~ClearMask),
+                                   VOut.Reg);
+    return VOut;
+#else
+    return spillRecords(*this, VOut, Recs, RecIdx, RecEnd, Limit, TResult);
 #endif
+  }
+
+  void traceFinish(MemAccessSink &Sink, std::int32_t Row, bool Shared) const {
+    if (Shared || Add)
+      Sink.read(Y + Row, sizeof(double));
+    Sink.write(Y + Row, sizeof(double));
+  }
+};
+
+using StoreWriteBack = ScatterWriteBack<false>;
+using AccumulateWriteBack = ScatterWriteBack<true>;
+
+/// The Fused policy (no accumulate mode: blocked matrices compose instead).
+/// An exclusive row stores what the epilogue returns. A boundary row adds
+/// its raw partial atomically; cvrSpmvFused's sequential cleanup pass
+/// applies the epilogue to it. Records spill one lane at a time instead of
+/// batching into a scatter: the epilogue is a per-row scalar op anyway, and
+/// records are rare relative to steps.
+struct FusedWriteBack {
+  double *Y;
+  const FusedEpilogue *E;
+  const double *X;
+  EpilogueAccum *Acc;
+
+  CVR_HOT void finish(std::int32_t Row, double V, bool Shared) const {
+    if (Shared) {
+#pragma omp atomic
+      Y[Row] += V;
+    } else {
+      Y[Row] = fusedRowApply(*E, X, Row, V, *Acc);
+    }
+  }
+
+  CVR_HOT simd::VecD8 applyRecords(simd::VecD8 VOut, const CvrRecord *Recs,
+                                   std::int64_t &RecIdx, std::int64_t RecEnd,
+                                   std::int64_t Limit,
+                                   double *TResult) const {
+    return spillRecords(*this, VOut, Recs, RecIdx, RecEnd, Limit, TResult);
+  }
+
+  /// An exclusive row takes the epilogue on the register-resident value:
+  /// the operand traffic plus one y store. A boundary row is a
+  /// read-modify-write of its raw partial.
+  void traceFinish(MemAccessSink &Sink, std::int32_t Row, bool Shared) const {
+    if (Shared)
+      Sink.read(Y + Row, sizeof(double));
+    else
+      traceFusedRowOperands(Sink, *E, X, Row);
+    Sink.write(Y + Row, sizeof(double));
+  }
+};
+
+/// Band base of \p C, for the narrow-index kernels (0 otherwise).
+std::int32_t chunkBase(const CvrMatrix &M, const CvrChunk &C) {
+  return M.chunkColBase(static_cast<std::size_t>(&C - M.chunks().data()));
 }
 
 /// One chunk of the vectorized 8-lane kernel (Algorithm 4). PfDist > 0
@@ -131,11 +211,11 @@ CVR_HOT inline simd::VecD8 applyRecords(simd::VecD8 VOut,
 /// fp64 before the FMA) — the stream-compression axes. The loop structure
 /// — one index load per two steps, one value load and one gather per step
 /// — is identical across all four combinations; only the load width
-/// changes.
-template <int PfDist, bool Accumulate, bool NarrowIdx, bool NarrowVal>
+/// changes. \p Out is the write-back policy.
+template <int PfDist, bool NarrowIdx, bool NarrowVal, class WriteBack>
 CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
-                         const double *X,
-                 double *Y, std::int32_t ColBase) {
+                         const double *X, std::int32_t ColBase,
+                         WriteBack Out) {
   static_assert(PfDist % 2 == 0, "prefetch pairs with the double-pumped "
                                  "column loads, so the distance stays even");
   constexpr int W = 8;
@@ -156,8 +236,8 @@ CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
     // Write-back records that fall into this step (the lane's dot product
     // is complete just before the step's elements are consumed).
     if (RecIdx < RecEnd && Recs[RecIdx].Pos < (I + 1) * W)
-      VOut = applyRecords<Accumulate>(VOut, Recs, RecIdx, RecEnd,
-                                      (I + 1) * W, Y, TResult);
+      VOut = Out.applyRecords(VOut, Recs, RecIdx, RecEnd, (I + 1) * W,
+                              TResult);
 
     if constexpr (PfDist > 0) {
       if ((I & 1) == 0 && I + PfDist + 1 < C.NumSteps) {
@@ -203,9 +283,8 @@ CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
 
   // Trailing records (pieces that finish exactly at the stream end).
   if (RecIdx < RecEnd)
-    applyRecords<Accumulate>(VOut, Recs, RecIdx, RecEnd,
-                             std::numeric_limits<std::int64_t>::max(), Y,
-                             TResult);
+    Out.applyRecords(VOut, Recs, RecIdx, RecEnd,
+                     std::numeric_limits<std::int64_t>::max(), TResult);
 
   // Tail flush: t_result slots back to their rows (Algorithm 4 l.31-33).
   const std::int32_t *Tails = M.tails() + C.TailBase;
@@ -213,22 +292,21 @@ CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
     std::int32_t Row = Tails[K];
     if (Row < 0)
       continue;
-    bool Shared = Row == C.FirstRow || Row == C.LastRow;
-    writeBack<Accumulate>(Y, Row, TResult[K], Shared);
+    Out.finish(Row, TResult[K], Row == C.FirstRow || Row == C.LastRow);
   }
 }
 
-/// Generic any-width kernel (lane-count ablation / non-AVX hosts).
-/// Accumulate, the prefetch distance, and the stream kinds are runtime
-/// parameters here: this path is not performance-critical. The compressed
-/// streams decode per element — scalar widening of uint16 deltas (plus
-/// the chunk's band base) and fp32 values, with fp64 accumulation.
+/// Generic any-width kernel (lane-count ablation / non-AVX hosts). The
+/// prefetch distance and the stream kinds are runtime parameters here:
+/// this path is not performance-critical. The compressed streams decode
+/// per element — scalar widening of uint16 deltas (plus the chunk's band
+/// base) and fp32 values, with fp64 accumulation.
+template <class WriteBack>
 void runChunkGeneric(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                     double *Y, int PfDist, bool Accumulate) {
+                     int PfDist, WriteBack Out) {
   const int W = M.lanes();
   const std::int64_t EB = C.ElemBase;
-  const std::int32_t Base = M.chunkColBase(
-      static_cast<std::size_t>(&C - M.chunks().data()));
+  const std::int32_t Base = chunkBase(M, C);
   const CvrRecord *Recs = M.recs();
   std::int64_t RecIdx = C.RecBase;
   const std::int64_t RecEnd = C.RecEnd;
@@ -236,24 +314,18 @@ void runChunkGeneric(const CvrMatrix &M, const CvrChunk &C, const double *X,
   std::vector<double> TResult(W, 0.0);
   std::vector<double> VOut(W, 0.0);
 
-  auto Store = [&](std::int32_t Row, double V, bool Shared) {
-    if (Accumulate)
-      writeBack<true>(Y, Row, V, Shared);
+  auto ApplyRecord = [&](const CvrRecord &R) {
+    int Off = static_cast<int>(R.Pos % W);
+    if (R.Steal)
+      TResult[R.Wb] += VOut[Off];
     else
-      writeBack<false>(Y, Row, V, Shared);
+      Out.finish(R.Wb, VOut[Off], R.Shared);
+    VOut[Off] = 0.0;
   };
 
   for (std::int64_t I = 0; I < C.NumSteps; ++I) {
-    while (RecIdx < RecEnd && Recs[RecIdx].Pos < (I + 1) * W) {
-      const CvrRecord &R = Recs[RecIdx];
-      int Off = static_cast<int>(R.Pos % W);
-      if (R.Steal)
-        TResult[R.Wb] += VOut[Off];
-      else
-        Store(R.Wb, VOut[Off], R.Shared);
-      VOut[Off] = 0.0;
-      ++RecIdx;
-    }
+    while (RecIdx < RecEnd && Recs[RecIdx].Pos < (I + 1) * W)
+      ApplyRecord(Recs[RecIdx++]);
     if (PfDist > 0 && I + PfDist < C.NumSteps) {
       for (int K = 0; K < W; ++K)
         __builtin_prefetch(X + M.colAt(EB + (I + PfDist) * W + K, Base), 0,
@@ -263,204 +335,147 @@ void runChunkGeneric(const CvrMatrix &M, const CvrChunk &C, const double *X,
       VOut[K] +=
           M.valueAt(EB + I * W + K) * X[M.colAt(EB + I * W + K, Base)];
   }
+  while (RecIdx < RecEnd)
+    ApplyRecord(Recs[RecIdx++]);
 
-  for (; RecIdx < RecEnd; ++RecIdx) {
-    const CvrRecord &R = Recs[RecIdx];
-    int Off = static_cast<int>(R.Pos % W);
-    if (R.Steal)
-      TResult[R.Wb] += VOut[Off];
+  const std::int32_t *Tails = M.tails() + C.TailBase;
+  for (int K = 0; K < W; ++K) {
+    std::int32_t Row = Tails[K];
+    if (Row < 0)
+      continue;
+    Out.finish(Row, TResult[K], Row == C.FirstRow || Row == C.LastRow);
+  }
+}
+
+/// Prefetch-distance dispatch for one kind-resolved instantiation.
+template <bool NarrowIdx, bool NarrowVal, class WriteBack>
+void runChunkAvxPf(const CvrMatrix &M, const CvrChunk &C, const double *X,
+                   int PfDist, std::int32_t Base, WriteBack Out) {
+  switch (PfDist) {
+  case 2:
+    runChunkAvx<2, NarrowIdx, NarrowVal>(M, C, X, Base, Out);
+    break;
+  case 4:
+    runChunkAvx<4, NarrowIdx, NarrowVal>(M, C, X, Base, Out);
+    break;
+  case 8:
+    runChunkAvx<8, NarrowIdx, NarrowVal>(M, C, X, Base, Out);
+    break;
+  default:
+    runChunkAvx<0, NarrowIdx, NarrowVal>(M, C, X, Base, Out);
+    break;
+  }
+}
+
+/// Dispatches one chunk to the right kernel instantiation. The prefetch
+/// distance is snapped to the supported set by the callers.
+template <class WriteBack>
+void runChunk(const CvrMatrix &M, const CvrChunk &C, const double *X,
+              int PfDist, bool UseAvx, WriteBack Out) {
+  if (!UseAvx) {
+    runChunkGeneric(M, C, X, PfDist, Out);
+    return;
+  }
+  const std::int32_t Base = chunkBase(M, C);
+  const bool NI = M.colIndexKind() == ColIndexKind::U16Band;
+  const bool NV = M.valueKind() == ValueKind::F32x64;
+  if (NI) {
+    if (NV)
+      runChunkAvxPf<true, true>(M, C, X, PfDist, Base, Out);
     else
-      Store(R.Wb, VOut[Off], R.Shared);
-    VOut[Off] = 0.0;
-  }
-
-  const std::int32_t *Tails = M.tails() + C.TailBase;
-  for (int K = 0; K < W; ++K) {
-    std::int32_t Row = Tails[K];
-    if (Row < 0)
-      continue;
-    bool Shared = Row == C.FirstRow || Row == C.LastRow;
-    Store(Row, TResult[K], Shared);
+      runChunkAvxPf<true, false>(M, C, X, PfDist, Base, Out);
+  } else {
+    if (NV)
+      runChunkAvxPf<false, true>(M, C, X, PfDist, Base, Out);
+    else
+      runChunkAvxPf<false, false>(M, C, X, PfDist, Base, Out);
   }
 }
 
-/// Fused-path record application. Exclusive feed records apply the epilogue
-/// to the lane's finished dot product and store the result; shared feeds
-/// accumulate the raw partial atomically (the epilogue for boundary rows
-/// runs in cvrSpmvFused's sequential cleanup pass); steal records spill to
-/// t_result as usual. Scalar spill instead of the masked-scatter batching:
-/// the epilogue is a per-row scalar op anyway, and records are rare
-/// relative to steps.
-CVR_HOT inline simd::VecD8 applyRecordsFused(simd::VecD8 VOut,
-                                             const CvrRecord *Recs,
-                                     std::int64_t &RecIdx,
-                                     std::int64_t RecEnd, std::int64_t Limit,
-                                     double *Y, double *TResult,
-                                     const FusedEpilogue &E, const double *X,
-                                     EpilogueAccum &Acc) {
-  alignas(64) double Buf[8];
-  VOut.toArray(Buf);
-  do {
-    const CvrRecord &R = Recs[RecIdx];
-    int Off = static_cast<int>(R.Pos & 7);
-    if (R.Steal) {
-      TResult[R.Wb] += Buf[Off];
-    } else if (R.Shared) {
-#pragma omp atomic
-      Y[R.Wb] += Buf[Off];
-    } else {
-      Y[R.Wb] = fusedRowApply(E, X, R.Wb, Buf[Off], Acc);
-    }
-    Buf[Off] = 0.0;
-    ++RecIdx;
-  } while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit);
-  return simd::VecD8::fromArray(Buf);
+/// Runs the chunks [Begin, End) across M.runThreads() threads. With more
+/// chunks than threads (over-decomposition) the schedule turns dynamic so
+/// a thread that drew a light chunk picks up the next one. \p MakeOut maps
+/// a chunk index to that chunk's write-back policy.
+template <class MakeWriteBack>
+void runChunkRange(const CvrMatrix &M, int Begin, int End, const double *X,
+                   int PfDist, MakeWriteBack MakeOut) {
+  const std::vector<CvrChunk> &Chunks = M.chunks();
+  int N = End - Begin;
+  int Threads = std::min(M.runThreads(), N);
+  bool UseAvx = M.lanes() == simd::DoubleLanes && !M.forcesGenericKernel();
+
+  auto Body = [&](int T) {
+    runChunk(M, Chunks[Begin + T], X, PfDist, UseAvx, MakeOut(Begin + T));
+  };
+  if (N > Threads)
+    ompParallelForDynamic(N, Threads, Body);
+  else
+    ompParallelFor(N, Threads, Body);
 }
 
-/// Fused twin of runChunkAvx (no accumulate mode: blocked matrices compose
-/// instead). The streaming loop is identical; only the finalize sites
-/// differ. NarrowIdx/NarrowVal mirror runChunkAvx's compressed-stream
-/// loads.
-template <int PfDist, bool NarrowIdx, bool NarrowVal>
-CVR_HOT void runChunkAvxFused(const CvrMatrix &M, const CvrChunk &C,
-                              const double *X,
-                      double *Y, const FusedEpilogue &E, EpilogueAccum &Acc,
-                      std::int32_t ColBase) {
-  static_assert(PfDist % 2 == 0, "prefetch pairs with the double-pumped "
-                                 "column loads, so the distance stays even");
-  constexpr int W = 8;
-  const double *Vals = NarrowVal ? nullptr : M.vals() + C.ElemBase;
-  const float *Vals32 = NarrowVal ? M.vals32() + C.ElemBase : nullptr;
-  const std::int32_t *Cols = NarrowIdx ? nullptr : M.colIdx() + C.ElemBase;
-  const std::uint16_t *ColsN =
-      NarrowIdx ? M.colIdx16() + C.ElemBase : nullptr;
-  const CvrRecord *Recs = M.recs();
-  std::int64_t RecIdx = C.RecBase;
-  const std::int64_t RecEnd = C.RecEnd;
-
-  alignas(64) double TResult[W] = {0};
-  simd::VecD8 VOut = simd::VecD8::zero();
-  simd::VecI16 Cols16{};
-
-  for (std::int64_t I = 0; I < C.NumSteps; ++I) {
-    if (RecIdx < RecEnd && Recs[RecIdx].Pos < (I + 1) * W)
-      VOut = applyRecordsFused(VOut, Recs, RecIdx, RecEnd, (I + 1) * W, Y,
-                               TResult, E, X, Acc);
-
-    if constexpr (PfDist > 0) {
-      if ((I & 1) == 0 && I + PfDist + 1 < C.NumSteps) {
-        if constexpr (NarrowIdx) {
-          __builtin_prefetch(ColsN + (I + 2 * PfDist) * W, 0, 0);
-          const std::uint16_t *Pc = ColsN + (I + PfDist) * W;
-          for (int K = 0; K < 2 * W; ++K)
-            __builtin_prefetch(X + ColBase + Pc[K], 0, 1);
-        } else {
-          __builtin_prefetch(Cols + (I + 2 * PfDist) * W, 0, 0);
-          const std::int32_t *Pc = Cols + (I + PfDist) * W;
-          for (int K = 0; K < 2 * W; ++K)
-            __builtin_prefetch(X + Pc[K], 0, 1);
-        }
-        if constexpr (NarrowVal) {
-          __builtin_prefetch(Vals32 + (I + PfDist) * W, 0, 0);
-          __builtin_prefetch(Vals32 + (I + PfDist + 1) * W, 0, 0);
-        } else {
-          __builtin_prefetch(Vals + (I + PfDist) * W, 0, 0);
-          __builtin_prefetch(Vals + (I + PfDist + 1) * W, 0, 0);
-        }
-      }
-    }
-
-    if ((I & 1) == 0) {
-      if constexpr (NarrowIdx)
-        Cols16 = simd::VecI16::loadU16Widen(ColsN + I * W, ColBase);
-      else
-        Cols16 = simd::VecI16::loadAligned(Cols + I * W);
-    }
-    simd::VecI8 Idx = (I & 1) ? Cols16.hi() : Cols16.lo();
-
-    simd::VecD8 Xs = simd::VecD8::gather(X, Idx);
-    simd::VecD8 Vs = NarrowVal ? simd::VecD8::loadF32Widen(Vals32 + I * W)
-                               : simd::VecD8::loadAligned(Vals + I * W);
-    VOut = VOut.fmadd(Vs, Xs);
-  }
-
-  if (RecIdx < RecEnd)
-    applyRecordsFused(VOut, Recs, RecIdx, RecEnd,
-                      std::numeric_limits<std::int64_t>::max(), Y, TResult,
-                      E, X, Acc);
-
-  const std::int32_t *Tails = M.tails() + C.TailBase;
-  for (int K = 0; K < W; ++K) {
-    std::int32_t Row = Tails[K];
-    if (Row < 0)
-      continue;
-    if (Row == C.FirstRow || Row == C.LastRow) {
-#pragma omp atomic
-      Y[Row] += TResult[K];
-    } else {
-      Y[Row] = fusedRowApply(E, X, Row, TResult[K], Acc);
-    }
-  }
-}
-
-/// Fused twin of runChunkGeneric (any lane width, runtime prefetch, and
-/// runtime stream-kind decode like runChunkGeneric).
-void runChunkGenericFused(const CvrMatrix &M, const CvrChunk &C,
-                          const double *X, double *Y, int PfDist,
-                          const FusedEpilogue &E, EpilogueAccum &Acc) {
+/// The traced kernel: replays one chunk serially in scalar code and reports
+/// every memory reference to \p Sink, under the same write-back policy and
+/// in the same finalize order as the executing kernels. Stream element
+/// widths follow the kinds: the compressed streams read 2-byte index
+/// deltas and 4-byte fp32 values, which is exactly the traffic reduction
+/// the roofline model predicts.
+template <class WriteBack>
+void traceChunk(const CvrMatrix &M, const CvrChunk &C, MemAccessSink &Sink,
+                const double *X, WriteBack Out) {
   const int W = M.lanes();
+  const std::size_t IdxB = M.indexBytes();
+  const std::size_t ValB = M.valueBytes();
   const std::int64_t EB = C.ElemBase;
-  const std::int32_t Base = M.chunkColBase(
-      static_cast<std::size_t>(&C - M.chunks().data()));
-  const CvrRecord *Recs = M.recs();
+  const std::int32_t Base = chunkBase(M, C);
+  const char *ColsP =
+      M.colIndexKind() == ColIndexKind::U16Band
+          ? reinterpret_cast<const char *>(M.colIdx16() + EB)
+          : reinterpret_cast<const char *>(M.colIdx() + EB);
+  const char *ValsP =
+      M.valueKind() == ValueKind::F32x64
+          ? reinterpret_cast<const char *>(M.vals32() + EB)
+          : reinterpret_cast<const char *>(M.vals() + EB);
   std::int64_t RecIdx = C.RecBase;
-  const std::int64_t RecEnd = C.RecEnd;
-
-  std::vector<double> TResult(W, 0.0);
-  std::vector<double> VOut(W, 0.0);
+  std::vector<double> TResult(W, 0.0), VOut(W, 0.0);
 
   auto Finish = [&](std::int32_t Row, double V, bool Shared) {
-    if (Shared) {
-#pragma omp atomic
-      Y[Row] += V;
-    } else {
-      Y[Row] = fusedRowApply(E, X, Row, V, Acc);
-    }
+    Out.traceFinish(Sink, Row, Shared);
+    Out.finish(Row, V, Shared);
   };
-
-  for (std::int64_t I = 0; I < C.NumSteps; ++I) {
-    while (RecIdx < RecEnd && Recs[RecIdx].Pos < (I + 1) * W) {
-      const CvrRecord &R = Recs[RecIdx];
-      int Off = static_cast<int>(R.Pos % W);
-      if (R.Steal)
-        TResult[R.Wb] += VOut[Off];
-      else
-        Finish(R.Wb, VOut[Off], R.Shared);
-      VOut[Off] = 0.0;
-      ++RecIdx;
-    }
-    if (PfDist > 0 && I + PfDist < C.NumSteps) {
-      for (int K = 0; K < W; ++K)
-        __builtin_prefetch(X + M.colAt(EB + (I + PfDist) * W + K, Base), 0,
-                           1);
-    }
-    for (int K = 0; K < W; ++K)
-      VOut[K] +=
-          M.valueAt(EB + I * W + K) * X[M.colAt(EB + I * W + K, Base)];
-  }
-
-  for (; RecIdx < RecEnd; ++RecIdx) {
-    const CvrRecord &R = Recs[RecIdx];
+  auto ApplyRecord = [&](const CvrRecord &R) {
+    Sink.read(&R, sizeof(CvrRecord));
     int Off = static_cast<int>(R.Pos % W);
     if (R.Steal)
-      TResult[R.Wb] += VOut[Off];
+      TResult[R.Wb] += VOut[Off]; // t_result lives in registers/stack.
     else
       Finish(R.Wb, VOut[Off], R.Shared);
     VOut[Off] = 0.0;
+  };
+
+  for (std::int64_t I = 0; I < C.NumSteps; ++I) {
+    while (RecIdx < C.RecEnd && M.recs()[RecIdx].Pos < (I + 1) * W)
+      ApplyRecord(M.recs()[RecIdx++]);
+    // Column indices are double-pumped at width 8: one load of 16 indices
+    // per two steps (the step count is padded even, so both steps exist).
+    if (W == 8) {
+      if ((I & 1) == 0)
+        Sink.read(ColsP + I * W * IdxB, 16 * IdxB);
+    } else {
+      Sink.read(ColsP + I * W * IdxB, W * IdxB);
+    }
+    Sink.read(ValsP + I * W * ValB, W * ValB);
+    for (int K = 0; K < W; ++K) {
+      std::int32_t Col = M.colAt(EB + I * W + K, Base);
+      Sink.read(X + Col, sizeof(double));
+      VOut[K] += M.valueAt(EB + I * W + K) * X[Col];
+    }
   }
+  while (RecIdx < C.RecEnd)
+    ApplyRecord(M.recs()[RecIdx++]);
 
   const std::int32_t *Tails = M.tails() + C.TailBase;
   for (int K = 0; K < W; ++K) {
+    Sink.read(Tails + K, sizeof(std::int32_t));
     std::int32_t Row = Tails[K];
     if (Row < 0)
       continue;
@@ -468,123 +483,13 @@ void runChunkGenericFused(const CvrMatrix &M, const CvrChunk &C,
   }
 }
 
-/// Band base of \p C, for the narrow-index kernels (0 otherwise).
-std::int32_t chunkBase(const CvrMatrix &M, const CvrChunk &C) {
-  return M.chunkColBase(static_cast<std::size_t>(&C - M.chunks().data()));
-}
-
-/// Prefetch-distance dispatch for one fused (kind-resolved) instantiation.
-template <bool NarrowIdx, bool NarrowVal>
-void runChunkAvxFusedPf(const CvrMatrix &M, const CvrChunk &C,
-                        const double *X, double *Y, const FusedEpilogue &E,
-                        EpilogueAccum &Acc, int PfDist, std::int32_t Base) {
-  switch (PfDist) {
-  case 2:
-    runChunkAvxFused<2, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base);
-    break;
-  case 4:
-    runChunkAvxFused<4, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base);
-    break;
-  case 8:
-    runChunkAvxFused<8, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base);
-    break;
-  default:
-    runChunkAvxFused<0, NarrowIdx, NarrowVal>(M, C, X, Y, E, Acc, Base);
-    break;
-  }
-}
-
-/// Dispatches one chunk of the fused path.
-void runChunkFused(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                   double *Y, const FusedEpilogue &E, EpilogueAccum &Acc,
-                   int PfDist, bool UseAvx) {
-  if (!UseAvx) {
-    runChunkGenericFused(M, C, X, Y, PfDist, E, Acc);
-    return;
-  }
-  const std::int32_t Base = chunkBase(M, C);
-  const bool NI = M.colIndexKind() == ColIndexKind::U16Band;
-  const bool NV = M.valueKind() == ValueKind::F32x64;
-  if (NI) {
-    if (NV)
-      runChunkAvxFusedPf<true, true>(M, C, X, Y, E, Acc, PfDist, Base);
-    else
-      runChunkAvxFusedPf<true, false>(M, C, X, Y, E, Acc, PfDist, Base);
-  } else {
-    if (NV)
-      runChunkAvxFusedPf<false, true>(M, C, X, Y, E, Acc, PfDist, Base);
-    else
-      runChunkAvxFusedPf<false, false>(M, C, X, Y, E, Acc, PfDist, Base);
-  }
-}
-
-/// Prefetch-distance dispatch for one unfused (kind-resolved)
-/// instantiation.
-template <bool Accumulate, bool NarrowIdx, bool NarrowVal>
-void runChunkAvxPf(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                   double *Y, int PfDist, std::int32_t Base) {
-  switch (PfDist) {
-  case 2:
-    runChunkAvx<2, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base);
-    break;
-  case 4:
-    runChunkAvx<4, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base);
-    break;
-  case 8:
-    runChunkAvx<8, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base);
-    break;
-  default:
-    runChunkAvx<0, Accumulate, NarrowIdx, NarrowVal>(M, C, X, Y, Base);
-    break;
-  }
-}
-
-/// Dispatches one chunk to the right kernel instantiation. The prefetch
-/// distance is snapped to the supported set by cvrSpmv.
-template <bool Accumulate>
-void runChunk(const CvrMatrix &M, const CvrChunk &C, const double *X,
-              double *Y, int PfDist, bool UseAvx) {
-  if (!UseAvx) {
-    runChunkGeneric(M, C, X, Y, PfDist, Accumulate);
-    return;
-  }
-  const std::int32_t Base = chunkBase(M, C);
-  const bool NI = M.colIndexKind() == ColIndexKind::U16Band;
-  const bool NV = M.valueKind() == ValueKind::F32x64;
-  if (NI) {
-    if (NV)
-      runChunkAvxPf<Accumulate, true, true>(M, C, X, Y, PfDist, Base);
-    else
-      runChunkAvxPf<Accumulate, true, false>(M, C, X, Y, PfDist, Base);
-  } else {
-    if (NV)
-      runChunkAvxPf<Accumulate, false, true>(M, C, X, Y, PfDist, Base);
-    else
-      runChunkAvxPf<Accumulate, false, false>(M, C, X, Y, PfDist, Base);
-  }
-}
-
-/// Runs the chunks [Begin, End) across M.runThreads() threads. With more
-/// chunks than threads (over-decomposition) the schedule turns dynamic so
-/// a thread that drew a light chunk picks up the next one.
-void runChunkRange(const CvrMatrix &M, int Begin, int End, const double *X,
-                   double *Y, int PfDist, bool Accumulate) {
-  const std::vector<CvrChunk> &Chunks = M.chunks();
-  int N = End - Begin;
-  int Threads = std::min(M.runThreads(), N);
-  bool UseAvx = M.lanes() == simd::DoubleLanes && !M.forcesGenericKernel();
-
-  auto Body = [&](int T) {
-    const CvrChunk &C = Chunks[Begin + T];
-    if (Accumulate)
-      runChunk<true>(M, C, X, Y, PfDist, UseAvx);
-    else
-      runChunk<false>(M, C, X, Y, PfDist, UseAvx);
-  };
-  if (N > Threads)
-    ompParallelForDynamic(N, Threads, Body);
-  else
-    ompParallelFor(N, Threads, Body);
+/// The traced counterpart of runChunkRange: every chunk in index order, on
+/// one thread.
+template <class MakeWriteBack>
+void traceChunks(const CvrMatrix &M, MemAccessSink &Sink, const double *X,
+                 MakeWriteBack MakeOut) {
+  for (int T = 0; T < M.numChunks(); ++T)
+    traceChunk(M, M.chunks()[T], Sink, X, MakeOut(T));
 }
 
 } // namespace
@@ -642,8 +547,8 @@ void cvrSpmv(const CvrMatrix &M, const double *X, double *Y,
     // wide; chunks within a band run in parallel.
     std::memset(Y, 0, sizeof(double) * static_cast<std::size_t>(M.numRows()));
     for (const CvrBand &B : M.bands())
-      runChunkRange(M, B.ChunkBegin, B.ChunkEnd, X, Y, PfDist,
-                    /*Accumulate=*/true);
+      runChunkRange(M, B.ChunkBegin, B.ChunkEnd, X, PfDist,
+                    [Y](int) { return AccumulateWriteBack{Y}; });
     return;
   }
 
@@ -651,7 +556,8 @@ void cvrSpmv(const CvrMatrix &M, const double *X, double *Y,
   // (empty rows); all other rows receive exactly one plain store.
   for (std::int32_t R : M.zeroRows())
     Y[R] = 0.0;
-  runChunkRange(M, 0, M.numChunks(), X, Y, PfDist, /*Accumulate=*/false);
+  runChunkRange(M, 0, M.numChunks(), X, PfDist,
+                [Y](int) { return StoreWriteBack{Y}; });
 }
 
 void cvrSpmvFused(const CvrMatrix &M, const double *X, double *Y,
@@ -681,16 +587,12 @@ void cvrSpmvFused(const CvrMatrix &M, const double *X, double *Y,
   for (std::int32_t R : M.zeroRows())
     Y[R] = 0.0;
 
-  const std::vector<CvrChunk> &Chunks = M.chunks();
-  int N = static_cast<int>(Chunks.size());
-  int Threads = std::min(M.runThreads(), N);
-  bool UseAvx = M.lanes() == simd::DoubleLanes && !M.forcesGenericKernel();
-
   // Per-chunk partial accumulators, merged in chunk index order below so
   // the reduction is deterministic however the chunks were scheduled.
   // Stack storage keeps solver iterations allocation-free; matrices split
   // into more chunks than the cap (heavy over-decomposition) spill to the
   // heap once per call.
+  const int N = M.numChunks();
   constexpr int MaxStackChunks = 512;
   EpilogueAccum StackAccs[MaxStackChunks];
   std::vector<EpilogueAccum> HeapAccs;
@@ -700,14 +602,10 @@ void cvrSpmvFused(const CvrMatrix &M, const double *X, double *Y,
     Accs = HeapAccs.data();
   }
 
-  auto Body = [&](int T) {
+  runChunkRange(M, 0, N, X, PfDist, [&](int T) {
     Accs[T] = EpilogueAccum{};
-    runChunkFused(M, Chunks[T], X, Y, E, Accs[T], PfDist, UseAvx);
-  };
-  if (N > Threads)
-    ompParallelForDynamic(N, Threads, Body);
-  else
-    ompParallelFor(N, Threads, Body);
+    return FusedWriteBack{Y, &E, X, &Accs[T]};
+  });
 
   EpilogueAccum Total;
   for (int T = 0; T < N; ++T)
@@ -749,96 +647,20 @@ std::size_t CvrKernel::formatBytes() const { return M.formatBytes(); }
 
 bool CvrKernel::traceRun(MemAccessSink &Sink, const double *X,
                          double *Y) const {
-  const int W = M.lanes();
-  const bool Accumulate = M.isBlocked();
-  if (Accumulate) {
+  if (M.isBlocked()) {
     // The blocked kernel clears all of y before the bands accumulate.
     for (std::int32_t R = 0; R < M.numRows(); ++R) {
       Sink.write(Y + R, sizeof(double));
       Y[R] = 0.0;
     }
-  } else {
-    for (std::int32_t R : M.zeroRows()) {
-      Sink.write(Y + R, sizeof(double));
-      Y[R] = 0.0;
-    }
+    traceChunks(M, Sink, X, [Y](int) { return AccumulateWriteBack{Y}; });
+    return true;
   }
-
-  // Stream element widths by kind: the compressed streams read 2-byte
-  // index deltas / 4-byte fp32 values, which is exactly the traffic
-  // reduction the roofline model predicts.
-  const std::size_t IdxB = M.indexBytes();
-  const std::size_t ValB = M.valueBytes();
-  std::vector<double> TResult(W), VOut(W);
-  for (const CvrChunk &C : M.chunks()) {
-    std::fill(TResult.begin(), TResult.end(), 0.0);
-    std::fill(VOut.begin(), VOut.end(), 0.0);
-    const std::int64_t EB = C.ElemBase;
-    const std::int32_t Base = M.chunkColBase(
-        static_cast<std::size_t>(&C - M.chunks().data()));
-    const char *ColsP =
-        M.colIndexKind() == ColIndexKind::U16Band
-            ? reinterpret_cast<const char *>(M.colIdx16() + EB)
-            : reinterpret_cast<const char *>(M.colIdx() + EB);
-    const char *ValsP =
-        M.valueKind() == ValueKind::F32x64
-            ? reinterpret_cast<const char *>(M.vals32() + EB)
-            : reinterpret_cast<const char *>(M.vals() + EB);
-    std::int64_t RecIdx = C.RecBase;
-
-    auto Flush = [&](std::int32_t Row, double V, bool Shared) {
-      bool ReadsY = Shared || Accumulate;
-      if (ReadsY)
-        Sink.read(Y + Row, sizeof(double));
-      Sink.write(Y + Row, sizeof(double));
-      if (ReadsY)
-        Y[Row] += V;
-      else
-        Y[Row] = V;
-    };
-
-    auto ApplyRec = [&](const CvrRecord &R) {
-      Sink.read(&R, sizeof(CvrRecord));
-      int Off = static_cast<int>(R.Pos % W);
-      if (R.Steal)
-        TResult[R.Wb] += VOut[Off]; // t_result lives in registers/stack.
-      else
-        Flush(R.Wb, VOut[Off], R.Shared);
-      VOut[Off] = 0.0;
-    };
-
-    for (std::int64_t I = 0; I < C.NumSteps; ++I) {
-      while (RecIdx < C.RecEnd && M.recs()[RecIdx].Pos < (I + 1) * W)
-        ApplyRec(M.recs()[RecIdx++]);
-      // Column indices are double-pumped at width 8: one load of 16
-      // indices per two steps (the step count is padded even, so both
-      // steps exist).
-      if (W == 8) {
-        if ((I & 1) == 0)
-          Sink.read(ColsP + I * W * IdxB, 16 * IdxB);
-      } else {
-        Sink.read(ColsP + I * W * IdxB, W * IdxB);
-      }
-      Sink.read(ValsP + I * W * ValB, W * ValB);
-      for (int K = 0; K < W; ++K) {
-        std::int32_t Col = M.colAt(EB + I * W + K, Base);
-        Sink.read(X + Col, sizeof(double));
-        VOut[K] += M.valueAt(EB + I * W + K) * X[Col];
-      }
-    }
-    while (RecIdx < C.RecEnd)
-      ApplyRec(M.recs()[RecIdx++]);
-
-    const std::int32_t *Tails = M.tails() + C.TailBase;
-    for (int K = 0; K < W; ++K) {
-      Sink.read(Tails + K, sizeof(std::int32_t));
-      std::int32_t Row = Tails[K];
-      if (Row < 0)
-        continue;
-      bool Shared = Row == C.FirstRow || Row == C.LastRow;
-      Flush(Row, TResult[K], Shared);
-    }
+  for (std::int32_t R : M.zeroRows()) {
+    Sink.write(Y + R, sizeof(double));
+    Y[R] = 0.0;
   }
+  traceChunks(M, Sink, X, [Y](int) { return StoreWriteBack{Y}; });
   return true;
 }
 
@@ -856,90 +678,18 @@ bool CvrKernel::traceRunFused(MemAccessSink &Sink, const double *X,
     return true;
   }
 
-  const int W = M.lanes();
   for (std::int32_t R : M.zeroRows()) {
     Sink.write(Y + R, sizeof(double));
     Y[R] = 0.0;
   }
-
-  // Serial sweep in chunk order; per-chunk accumulators merged in the same
-  // order cvrSpmvFused uses, so the traced accumulators match runFused bit
-  // for bit.
-  const std::size_t IdxB = M.indexBytes();
-  const std::size_t ValB = M.valueBytes();
+  // Per-chunk accumulators merged in chunk order, as cvrSpmvFused does, so
+  // the traced accumulators match runFused bit for bit.
+  std::vector<EpilogueAccum> Accs(M.chunks().size());
+  traceChunks(M, Sink, X,
+              [&](int T) { return FusedWriteBack{Y, &E, X, &Accs[T]}; });
   EpilogueAccum Total;
-  std::vector<double> TResult(W), VOut(W);
-  for (const CvrChunk &C : M.chunks()) {
-    EpilogueAccum Acc;
-    std::fill(TResult.begin(), TResult.end(), 0.0);
-    std::fill(VOut.begin(), VOut.end(), 0.0);
-    const std::int64_t EB = C.ElemBase;
-    const std::int32_t Base = M.chunkColBase(
-        static_cast<std::size_t>(&C - M.chunks().data()));
-    const char *ColsP =
-        M.colIndexKind() == ColIndexKind::U16Band
-            ? reinterpret_cast<const char *>(M.colIdx16() + EB)
-            : reinterpret_cast<const char *>(M.colIdx() + EB);
-    const char *ValsP =
-        M.valueKind() == ValueKind::F32x64
-            ? reinterpret_cast<const char *>(M.vals32() + EB)
-            : reinterpret_cast<const char *>(M.vals() + EB);
-    std::int64_t RecIdx = C.RecBase;
-
-    // Exclusive rows take the epilogue on the register-resident value: one
-    // y store plus the operand traffic. Boundary rows accumulate raw
-    // partials (read-modify-write) and are finished by the cleanup pass.
-    auto Flush = [&](std::int32_t Row, double V, bool Shared) {
-      if (Shared) {
-        Sink.read(Y + Row, sizeof(double));
-        Sink.write(Y + Row, sizeof(double));
-        Y[Row] += V;
-      } else {
-        traceFusedRowOperands(Sink, E, X, Row);
-        Sink.write(Y + Row, sizeof(double));
-        Y[Row] = fusedRowApply(E, X, Row, V, Acc);
-      }
-    };
-
-    auto ApplyRec = [&](const CvrRecord &R) {
-      Sink.read(&R, sizeof(CvrRecord));
-      int Off = static_cast<int>(R.Pos % W);
-      if (R.Steal)
-        TResult[R.Wb] += VOut[Off];
-      else
-        Flush(R.Wb, VOut[Off], R.Shared != 0);
-      VOut[Off] = 0.0;
-    };
-
-    for (std::int64_t I = 0; I < C.NumSteps; ++I) {
-      while (RecIdx < C.RecEnd && M.recs()[RecIdx].Pos < (I + 1) * W)
-        ApplyRec(M.recs()[RecIdx++]);
-      if (W == 8) {
-        if ((I & 1) == 0)
-          Sink.read(ColsP + I * W * IdxB, 16 * IdxB);
-      } else {
-        Sink.read(ColsP + I * W * IdxB, W * IdxB);
-      }
-      Sink.read(ValsP + I * W * ValB, W * ValB);
-      for (int K = 0; K < W; ++K) {
-        std::int32_t Col = M.colAt(EB + I * W + K, Base);
-        Sink.read(X + Col, sizeof(double));
-        VOut[K] += M.valueAt(EB + I * W + K) * X[Col];
-      }
-    }
-    while (RecIdx < C.RecEnd)
-      ApplyRec(M.recs()[RecIdx++]);
-
-    const std::int32_t *Tails = M.tails() + C.TailBase;
-    for (int K = 0; K < W; ++K) {
-      Sink.read(Tails + K, sizeof(std::int32_t));
-      std::int32_t Row = Tails[K];
-      if (Row < 0)
-        continue;
-      Flush(Row, TResult[K], Row == C.FirstRow || Row == C.LastRow);
-    }
-    mergeAccum(E, Total, Acc);
-  }
+  for (const EpilogueAccum &A : Accs)
+    mergeAccum(E, Total, A);
 
   // Cleanup pass: the boundary/empty rows genuinely re-read y (their raw
   // partials left the registers when the chunks finished).

@@ -15,7 +15,9 @@
 ///
 /// Two kernels are provided behind one entry point: the AVX-512 kernel for
 /// 8-lane matrices, and a generic any-width kernel used by the lane-count
-/// ablation and on hosts without AVX-512.
+/// ablation and on hosts without AVX-512. Both are written once and
+/// instantiated per write-back policy (store, accumulate for blocked
+/// bands, fused epilogue), so cvrSpmv and cvrSpmvFused run the same loops.
 ///
 //===----------------------------------------------------------------------===//
 

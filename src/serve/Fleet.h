@@ -217,10 +217,13 @@ public:
   const FleetOptions &options() const { return Opts; }
 
   /// Times the {0, 2, 4, 8} prefetch variants of \p Entry's matrix and
-  /// returns the winner. Pure execution-time tuning: a few SpMV runs per
-  /// variant on scratch vectors. The deadline is checked between
-  /// variants; on expiry the best plan found so far is returned with
-  /// DEADLINE_EXCEEDED (the caller decides whether to use or discard it).
+  /// returns the winner. Pure execution-time tuning: one untimed warm-up
+  /// run (first touch of the scratch vectors and the mapped blob), then a
+  /// few back-to-back SpMV runs per variant, each variant scored by its
+  /// fastest run, so one run the host slowed cannot crown a slow plan. The
+  /// deadline is checked between variants; on expiry the best plan found so
+  /// far is returned with DEADLINE_EXCEEDED (the caller decides whether to
+  /// use or discard it).
   [[nodiscard]] Status tuneExec(const ServedMatrix &Entry, const Deadline &D,
                                 ExecPlan &Out);
 

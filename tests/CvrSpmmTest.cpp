@@ -216,25 +216,34 @@ struct FusedPanels {
 };
 
 TEST(CvrSpmmFused, DotPerColumn) {
-  FusedPanels P(genPowerLaw(350, 350, 5.0, 1.2, 91), 6);
-  std::vector<double> Z = randomPanel(P.Rows, P.K, P.K, 500);
-  std::vector<double> Acc1(P.K, -1.0), Acc2(P.K, -1.0);
-  std::vector<double> Y(P.Rows * P.LdY);
-  FusedBatchEpilogue E = FusedBatchEpilogue::dot(
-      P.K, /*WantYDotY=*/true, Acc1.data(), Z.data(), P.K, Acc2.data());
-  ASSERT_TRUE(
-      cvrSpmmFused(P.M, P.X.data(), P.LdX, Y.data(), P.LdY, P.K, E).ok());
-  for (int J = 0; J < P.K; ++J) {
-    double YdY = 0.0, ZdY = 0.0;
-    for (std::size_t I = 0; I < P.Rows; ++I) {
-      double Yi = P.YPlain[I * P.LdY + J];
-      // Shared boundary rows use atomic adds, so two runs may reassociate.
-      EXPECT_NEAR(Y[I * P.LdY + J], Yi, 1e-12 * (1.0 + std::abs(Yi)));
-      YdY += Yi * Yi;
-      ZdY += Z[I * P.K + J] * Yi;
+  // The 8-lane panel kernel, and the generic panel kernel at a non-AVX
+  // width and when forced.
+  CvrOptions Narrow, Forced;
+  Narrow.Lanes = 4;
+  Forced.ForceGenericKernel = true;
+  for (const CvrOptions &Opts : {CvrOptions{}, Narrow, Forced}) {
+    SCOPED_TRACE("lanes " + std::to_string(Opts.Lanes) + " forced " +
+                 std::to_string(Opts.ForceGenericKernel));
+    FusedPanels P(genPowerLaw(350, 350, 5.0, 1.2, 91), 6, 2, Opts);
+    std::vector<double> Z = randomPanel(P.Rows, P.K, P.K, 500);
+    std::vector<double> Acc1(P.K, -1.0), Acc2(P.K, -1.0);
+    std::vector<double> Y(P.Rows * P.LdY);
+    FusedBatchEpilogue E = FusedBatchEpilogue::dot(
+        P.K, /*WantYDotY=*/true, Acc1.data(), Z.data(), P.K, Acc2.data());
+    ASSERT_TRUE(
+        cvrSpmmFused(P.M, P.X.data(), P.LdX, Y.data(), P.LdY, P.K, E).ok());
+    for (int J = 0; J < P.K; ++J) {
+      double YdY = 0.0, ZdY = 0.0;
+      for (std::size_t I = 0; I < P.Rows; ++I) {
+        double Yi = P.YPlain[I * P.LdY + J];
+        // Shared boundary rows use atomic adds, so two runs may reassociate.
+        EXPECT_NEAR(Y[I * P.LdY + J], Yi, 1e-12 * (1.0 + std::abs(Yi)));
+        YdY += Yi * Yi;
+        ZdY += Z[I * P.K + J] * Yi;
+      }
+      EXPECT_NEAR(Acc1[J], YdY, 1e-9 * (1.0 + std::abs(YdY)));
+      EXPECT_NEAR(Acc2[J], ZdY, 1e-9 * (1.0 + std::abs(ZdY)));
     }
-    EXPECT_NEAR(Acc1[J], YdY, 1e-9 * (1.0 + std::abs(YdY)));
-    EXPECT_NEAR(Acc2[J], ZdY, 1e-9 * (1.0 + std::abs(ZdY)));
   }
 }
 

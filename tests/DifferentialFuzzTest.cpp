@@ -463,13 +463,27 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
               << Where << " pf " << Pf;
         }
 
-        // Fused path (blocked matrices compose internally).
+        // Fused path (blocked matrices compose internally), at the same
+        // prefetch distances as the plain path.
         std::vector<double> Z =
             randomVector(static_cast<std::size_t>(A.numRows()), Seed ^ 0x33);
-        FusedEpilogue E = FusedEpilogue::dot(true, false, Z.data());
-        std::vector<double> YF(static_cast<std::size_t>(A.numRows()), 0.5);
-        cvrSpmvFused(*M, X.data(), YF.data(), E);
-        EXPECT_LE(maxRelDiff(Expected, YF), kindTolerance(VK)) << Where;
+        double ZDotY = 0.0, ZDotYAbs = 0.0;
+        for (std::size_t I = 0; I < Z.size(); ++I) {
+          ZDotY += Z[I] * Expected[I];
+          ZDotYAbs += std::abs(Z[I] * Expected[I]);
+        }
+        // x.y gathers x at output rows, so it needs a square matrix.
+        const bool Square = A.numRows() == A.numCols();
+        for (int Pf : {0, 4}) {
+          FusedEpilogue E = FusedEpilogue::dot(Square, false, Z.data());
+          std::vector<double> YF(static_cast<std::size_t>(A.numRows()), 0.5);
+          cvrSpmvFused(*M, X.data(), YF.data(), E, Pf);
+          EXPECT_LE(maxRelDiff(Expected, YF), kindTolerance(VK))
+              << Where << " fused pf " << Pf;
+          EXPECT_LE(std::abs(E.Acc3 - ZDotY),
+                    kindTolerance(VK) * (1.0 + ZDotYAbs))
+              << Where << " fused pf " << Pf;
+        }
 
         // Serialization: both layouts round-trip the compressed streams.
         std::ostringstream OS;

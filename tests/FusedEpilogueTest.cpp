@@ -38,6 +38,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -166,35 +167,59 @@ TEST(FusedEpilogue, MatchesComposedOnIrregularMatrix) {
 }
 
 TEST(FusedEpilogue, TraceReplayMatchesExecutionBitForBit) {
-  // traceRunFused replays the kernel's exact finalize order serially, so
-  // for a fixed configuration its results are bitwise identical to the
-  // parallel execution (chunk accumulators merge in chunk index order
-  // regardless of which thread ran them).
+  // traceRun and traceRunFused replay the kernel's exact finalize order
+  // serially, so for a fixed configuration their results are bitwise
+  // identical to the parallel execution (chunk accumulators merge in chunk
+  // index order regardless of which thread ran them). Checked for the
+  // store path and the fused path, and for CVR under every stream kind.
   CsrMatrix A = genStencil5(20, 13); // Nx*Ny grid nodes: always square.
   ASSERT_EQ(A.numRows(), A.numCols());
   const std::size_t N = static_cast<std::size_t>(A.numRows());
   std::vector<double> X = randomVector(N, 7);
 
-  for (FormatId F : {FormatId::Mkl, FormatId::Cvr}) {
-    std::unique_ptr<SpmvKernel> K = makeKernel(F, 4);
-    K->prepare(A);
+  auto ExpectReplayBitwise = [&](SpmvKernel &K, const std::string &Where) {
+    K.prepare(A);
+
+    std::vector<double> YRun(N, 0.0), YTrace(N, 0.0);
+    K.run(X.data(), YRun.data());
+    CountingSink StoreSink;
+    ASSERT_TRUE(K.traceRun(StoreSink, X.data(), YTrace.data())) << Where;
+    EXPECT_GT(StoreSink.accesses(), 0u) << Where;
+    for (std::size_t I = 0; I < N; ++I)
+      ASSERT_EQ(YRun[I], YTrace[I]) << Where << " store row " << I;
 
     FusedEpilogue ERun = FusedEpilogue::dot(true, true, X.data());
-    std::vector<double> YRun(N, 0.0);
-    K->runFused(X.data(), YRun.data(), ERun);
+    std::fill(YRun.begin(), YRun.end(), 0.0);
+    K.runFused(X.data(), YRun.data(), ERun);
 
     FusedEpilogue ETrace = FusedEpilogue::dot(true, true, X.data());
-    std::vector<double> YTrace(N, 0.0);
-    CountingSink Sink;
-    ASSERT_TRUE(K->traceRunFused(Sink, X.data(), YTrace.data(), ETrace))
-        << formatName(F);
-    EXPECT_GT(Sink.accesses(), 0u);
+    std::fill(YTrace.begin(), YTrace.end(), 0.0);
+    CountingSink FusedSink;
+    ASSERT_TRUE(K.traceRunFused(FusedSink, X.data(), YTrace.data(), ETrace))
+        << Where;
+    EXPECT_GT(FusedSink.accesses(), 0u) << Where;
 
     for (std::size_t I = 0; I < N; ++I)
-      ASSERT_EQ(YRun[I], YTrace[I]) << formatName(F) << " row " << I;
-    EXPECT_EQ(ERun.Acc1, ETrace.Acc1) << formatName(F);
-    EXPECT_EQ(ERun.Acc2, ETrace.Acc2) << formatName(F);
-    EXPECT_EQ(ERun.Acc3, ETrace.Acc3) << formatName(F);
+      ASSERT_EQ(YRun[I], YTrace[I]) << Where << " fused row " << I;
+    EXPECT_EQ(ERun.Acc1, ETrace.Acc1) << Where;
+    EXPECT_EQ(ERun.Acc2, ETrace.Acc2) << Where;
+    EXPECT_EQ(ERun.Acc3, ETrace.Acc3) << Where;
+  };
+
+  ExpectReplayBitwise(*makeKernel(FormatId::Mkl, 4), formatName(FormatId::Mkl));
+  for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64}) {
+    for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
+      CvrOptions Opts;
+      Opts.NumThreads = 4;
+      Opts.Values = VK;
+      Opts.Indices = IK;
+      CvrKernel K(Opts);
+      ExpectReplayBitwise(K, "CVR vk " + std::to_string(static_cast<int>(VK)) +
+                                 " ik " +
+                                 std::to_string(static_cast<int>(IK)));
+      EXPECT_EQ(K.matrix().valueKind(), VK);
+      EXPECT_EQ(K.matrix().colIndexKind(), IK);
+    }
   }
 }
 
