@@ -102,7 +102,7 @@ void CheckedKernel::runFused(const double *X, double *Y,
     Inner->runFused(X, Y, E);
     return;
   }
-  // Reference: the checked run (shadow kernels for CVR) composed with the
+  // Reference: the checked run (cvrSpmvChecked for CVR) composed with the
   // scalar epilogue sweep, side outputs redirected into scratch so the
   // native path's writes stay authoritative.
   std::vector<double> YRef(static_cast<std::size_t>(N), 0.0);

@@ -7,7 +7,7 @@
 /// \file
 /// The CVR_CHECKED execution mode: a SpmvKernel decorator that validates a
 /// format's structure right after prepare() (InvariantChecker) and routes
-/// CVR execution through the bounds-checked shadow kernels (CheckedSpmv).
+/// CVR execution through the bounds-checked scalar loop (cvrSpmvChecked).
 /// checkedVariantsOf() mirrors the Registry's variant lists with every
 /// factory wrapped, so tests and `cvr_tool validate` can run any format
 /// configuration through checked mode by name.
@@ -42,8 +42,8 @@ public:
   /// Prepares the inner kernel, then structurally validates what it built.
   void prepare(const CsrMatrix &A) override;
 
-  /// CVR runs through the bounds-checked shadow kernels; other formats run
-  /// their production kernels (their structure was vetted in prepare()).
+  /// CVR runs through cvrSpmvChecked; other formats run their production
+  /// kernels (their structure was vetted in prepare()).
   void run(const double *X, double *Y) const override;
 
   std::int64_t preparedRows() const override {
@@ -56,7 +56,7 @@ public:
 
   /// Differentially verified SpMM: the inner kernel's runBatch runs for
   /// real, then every panel column is recomputed through the checked
-  /// single-vector path (shadow kernels for CVR) and compared. Mismatches
+  /// single-vector path (cvrSpmvChecked for CVR) and compared. Mismatches
   /// beyond the reassociation tolerance surface as "checked.spmm.y"
   /// violations located by row and column.
   [[nodiscard]] Status runBatch(const double *X, std::size_t LdX, double *Y,
@@ -64,7 +64,7 @@ public:
                                 int NumVectors) const override;
 
   /// Differentially verified fusion: the inner kernel's native fused path
-  /// runs for real, then a reference — the checked run (shadow kernels for
+  /// runs for real, then a reference — the checked run (cvrSpmvChecked for
   /// CVR) composed with the scalar epilogue sweep — recomputes y, the
   /// accumulators, and the side outputs into scratch. Mismatches beyond
   /// the reassociation tolerance surface as "checked.fused.*" violations.

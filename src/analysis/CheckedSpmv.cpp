@@ -1,4 +1,4 @@
-//===- analysis/CheckedSpmv.cpp - Bounds-checked CVR shadow kernels -------===//
+//===- analysis/CheckedSpmv.cpp - Bounds-checked CVR SpMV -----------------===//
 //
 // Part of the CVR reproduction project, under the MIT License.
 //
@@ -7,11 +7,10 @@
 #include "analysis/CheckedSpmv.h"
 
 #include "analysis/Introspect.h"
-#include "core/CvrFormat.h"
-#include "simd/Simd.h"
+#include "core/CvrChunkLoop.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <vector>
 
 namespace cvr {
@@ -19,328 +18,140 @@ namespace analysis {
 
 namespace {
 
-/// Capped violation sink shared by both shadows.
-class Sink {
+/// The bounds guard: the observer under which checked mode runs the scalar
+/// chunk loop (core/CvrChunkLoop.h). It vets each reference before the loop
+/// makes it, reports a bad one as a checked.cvr.* Violation and vetoes it:
+/// a bad chunk is skipped entirely (nothing it references can be trusted),
+/// a bad record leaves its lane untouched, a bad gather contributes 0 and a
+/// bad tail row is not written.
+class BoundsGuard {
 public:
-  explicit Sink(std::vector<Violation> &Out) : Out(Out) {}
+  explicit BoundsGuard(std::vector<Violation> &Out) : Out(&Out) {}
 
-  bool full() const { return Out.size() >= InvariantChecker::MaxViolations; }
-
-  void add(const char *Rule, int Chunk, std::int64_t Where, const char *What,
-           std::int64_t Bad, std::int64_t Limit) {
-    if (full())
+  /// Capped report against the current chunk (-1 before the first one:
+  /// the y prologue).
+  void report(const char *Rule, std::int64_t Where, const char *What,
+              std::int64_t Bad, std::int64_t Limit) {
+    if (Out->size() >= InvariantChecker::MaxViolations)
       return;
     char Loc[64], Msg[128];
     std::snprintf(Loc, sizeof(Loc), "chunk %d, offset %lld", Chunk,
                   static_cast<long long>(Where));
     std::snprintf(Msg, sizeof(Msg), "%s %lld outside [0, %lld)", What,
                   static_cast<long long>(Bad), static_cast<long long>(Limit));
-    Out.push_back({Rule, Loc, Msg});
+    Out->push_back({Rule, Loc, Msg});
+  }
+
+  /// Validates the chunk's stream/record/tail extents before the loop walks
+  /// them. The element range must fit the shorter of the value and index
+  /// streams.
+  bool chunk(const CvrMatrix &M, const CvrChunk &C) {
+    Chunk = static_cast<int>(&C - M.chunks().data());
+    W = M.lanes();
+    Rows = M.numRows();
+    Cols = M.numCols();
+    PosLimit = (C.NumSteps + 1) * W;
+    const std::int64_t NumElems = static_cast<std::int64_t>(std::min(
+        M.valueKind() == ValueKind::F32x64 ? Introspect::vals32(M).size()
+                                           : Introspect::vals(M).size(),
+        M.colIndexKind() == ColIndexKind::U16Band
+            ? Introspect::colIdx16(M).size()
+            : Introspect::colIdx(M).size()));
+    const std::int64_t NumRecs =
+        static_cast<std::int64_t>(Introspect::recs(M).size());
+    const std::int64_t NumTails =
+        static_cast<std::int64_t>(Introspect::tails(M).size());
+    bool Ok = true;
+    if (C.ElemBase < 0 || C.NumSteps < 0 ||
+        C.ElemBase + C.NumSteps * W > NumElems) {
+      report("checked.cvr.chunk", 0, "element range end",
+             C.ElemBase + C.NumSteps * W, NumElems);
+      Ok = false;
+    }
+    if (C.RecBase < 0 || C.RecEnd < C.RecBase || C.RecEnd > NumRecs) {
+      report("checked.cvr.chunk", 0, "record range end", C.RecEnd, NumRecs);
+      Ok = false;
+    }
+    if (C.TailBase < 0 || C.TailBase + W > NumTails) {
+      report("checked.cvr.chunk", 0, "tail base", C.TailBase, NumTails);
+      Ok = false;
+    }
+    return Ok;
+  }
+
+  /// Record positions must fall inside the chunk's stream; steal records
+  /// target the chunk's t_result slots, feed records rows of y.
+  bool record(const CvrRecord &R, std::int64_t RecIdx) {
+    if (R.Pos < 0 || R.Pos >= PosLimit) {
+      report("checked.cvr.rec-pos", RecIdx, "record position", R.Pos,
+             PosLimit);
+      return false;
+    }
+    if (R.Steal && (R.Wb < 0 || R.Wb >= W)) {
+      report("checked.cvr.tresult", RecIdx, "t_result slot", R.Wb, W);
+      return false;
+    }
+    if (!R.Steal && (R.Wb < 0 || R.Wb >= Rows)) {
+      report("checked.cvr.scatter", RecIdx, "feed row", R.Wb, Rows);
+      return false;
+    }
+    return true;
+  }
+
+  bool loads(std::int64_t) { return true; }
+
+  bool gather(const double *, std::int32_t Col, std::int64_t Elem) {
+    if (Col >= 0 && Col < Cols)
+      return true;
+    report("checked.cvr.gather", Elem, "gather column", Col, Cols);
+    return false;
+  }
+
+  template <class WriteBack>
+  bool finish(const WriteBack &, std::int32_t, bool) {
+    return true;
+  }
+
+  bool tail(const std::int32_t *Slot, int K) {
+    if (*Slot < Rows)
+      return true;
+    report("checked.cvr.tail", K, "tail row", *Slot, Rows);
+    return false;
   }
 
 private:
-  std::vector<Violation> &Out;
+  std::vector<Violation> *Out;
+  int Chunk = -1;
+  std::int64_t W = 0, Rows = 0, Cols = 0, PosLimit = 0;
 };
-
-/// Validates a chunk's stream/record/tail extents before the kernel walks
-/// them; a chunk that fails is skipped entirely (nothing it references can
-/// be trusted).
-bool chunkInBounds(const CvrMatrix &M, const CvrChunk &C, int W, int Idx,
-                   Sink &S) {
-  const std::int64_t NumElems = static_cast<std::int64_t>(
-      M.valueKind() == ValueKind::F32x64 ? Introspect::vals32(M).size()
-                                         : Introspect::vals(M).size());
-  const std::int64_t NumRecs =
-      static_cast<std::int64_t>(Introspect::recs(M).size());
-  const std::int64_t NumTails =
-      static_cast<std::int64_t>(Introspect::tails(M).size());
-  bool Ok = true;
-  if (C.ElemBase < 0 || C.NumSteps < 0 || C.ElemBase + C.NumSteps * W > NumElems) {
-    S.add("checked.cvr.chunk", Idx, 0, "element range end",
-          C.ElemBase + C.NumSteps * W, NumElems);
-    Ok = false;
-  }
-  if (C.RecBase < 0 || C.RecEnd < C.RecBase || C.RecEnd > NumRecs) {
-    S.add("checked.cvr.chunk", Idx, 0, "record range end", C.RecEnd, NumRecs);
-    Ok = false;
-  }
-  if (C.TailBase < 0 || C.TailBase + W > NumTails) {
-    S.add("checked.cvr.chunk", Idx, 0, "tail base", C.TailBase, NumTails);
-    Ok = false;
-  }
-  return Ok;
-}
-
-/// Validated record write-back shared by both shadows: steal records target
-/// the chunk's t_result slots, feed records scatter into y. Serial checked
-/// execution makes the Shared accumulate a plain +=; \p Accumulate mirrors
-/// the blocked kernels' per-band accumulation (every finished row adds).
-bool applyRecordChecked(const CvrRecord &R, double V, double *Y,
-                        double *TResult, int W, std::int32_t Rows, int Chunk,
-                        std::int64_t RecIdx, bool Accumulate, Sink &S) {
-  if (R.Steal) {
-    if (R.Wb < 0 || R.Wb >= W) {
-      S.add("checked.cvr.tresult", Chunk, RecIdx, "t_result slot", R.Wb, W);
-      return false;
-    }
-    TResult[R.Wb] += V;
-  } else {
-    if (R.Wb < 0 || R.Wb >= Rows) {
-      S.add("checked.cvr.scatter", Chunk, RecIdx, "feed row", R.Wb, Rows);
-      return false;
-    }
-    if (R.Shared || Accumulate)
-      Y[R.Wb] += V;
-    else
-      Y[R.Wb] = V;
-  }
-  return true;
-}
-
-void tailFlushChecked(const CvrMatrix &M, const CvrChunk &C,
-                      const double *TResult, double *Y, int W, int Chunk,
-                      bool Accumulate, Sink &S) {
-  const std::int32_t *Tails = M.tails() + C.TailBase;
-  for (int K = 0; K < W; ++K) {
-    std::int32_t Row = Tails[K];
-    if (Row < 0)
-      continue;
-    if (Row >= M.numRows()) {
-      S.add("checked.cvr.tail", Chunk, K, "tail row", Row, M.numRows());
-      continue;
-    }
-    if (Row == C.FirstRow || Row == C.LastRow || Accumulate)
-      Y[Row] += TResult[K];
-    else
-      Y[Row] = TResult[K];
-  }
-}
-
-void runChunkGenericChecked(const CvrMatrix &M, const CvrChunk &C, int Chunk,
-                            const double *X, double *Y, bool Accumulate,
-                            Sink &S) {
-  const int W = M.lanes();
-  if (!chunkInBounds(M, C, W, Chunk, S))
-    return;
-  // Kind-aware decode: valueAt/colAt widen compressed streams, so this
-  // shadow covers every ValueKind x ColIndexKind combination.
-  const std::int64_t EB = C.ElemBase;
-  const std::int32_t Base =
-      M.chunkColBase(static_cast<std::size_t>(&C - M.chunks().data()));
-  const CvrRecord *Recs = M.recs();
-  const std::int32_t Rows = M.numRows();
-  const std::int32_t NumCols = M.numCols();
-  std::int64_t RecIdx = C.RecBase;
-  const std::int64_t RecEnd = C.RecEnd;
-  const std::int64_t PosLimit = (C.NumSteps + 1) * W;
-
-  std::vector<double> TResult(static_cast<std::size_t>(W), 0.0);
-  std::vector<double> VOut(static_cast<std::size_t>(W), 0.0);
-
-  auto Apply = [&](std::int64_t Limit) {
-    while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit) {
-      const CvrRecord &R = Recs[RecIdx];
-      if (R.Pos < 0 || R.Pos >= PosLimit) {
-        S.add("checked.cvr.rec-pos", Chunk, RecIdx, "record position", R.Pos,
-              PosLimit);
-        ++RecIdx;
-        continue;
-      }
-      int Off = static_cast<int>(R.Pos % W);
-      if (applyRecordChecked(R, VOut[Off], Y, TResult.data(), W, Rows, Chunk,
-                             RecIdx, Accumulate, S))
-        VOut[Off] = 0.0;
-      ++RecIdx;
-    }
-  };
-
-  for (std::int64_t I = 0; I < C.NumSteps; ++I) {
-    Apply((I + 1) * W);
-    for (int K = 0; K < W; ++K) {
-      std::int32_t Col = M.colAt(EB + I * W + K, Base);
-      if (Col < 0 || Col >= NumCols) {
-        S.add("checked.cvr.gather", Chunk, EB + I * W + K,
-              "gather column", Col, NumCols);
-        continue; // The production kernel would load wild; contribute 0.
-      }
-      VOut[static_cast<std::size_t>(K)] += M.valueAt(EB + I * W + K) * X[Col];
-    }
-  }
-  Apply(std::numeric_limits<std::int64_t>::max());
-  tailFlushChecked(M, C, TResult.data(), Y, W, Chunk, Accumulate, S);
-}
-
-#if CVR_SIMD_AVX512
-
-/// AVX-512 shadow of one chunk: the same load/gather/FMA structure as
-/// runChunkAvx, with the column indices vetted in memory before the vector
-/// gather and the feed-scatter targets vetted before the masked scatter.
-void runChunkAvxChecked(const CvrMatrix &M, const CvrChunk &C, int Chunk,
-                        const double *X, double *Y, bool Accumulate,
-                        Sink &S) {
-  constexpr int W = 8;
-  if (!chunkInBounds(M, C, W, Chunk, S))
-    return;
-  const double *Vals = M.vals() + C.ElemBase;
-  const std::int32_t *Cols = M.colIdx() + C.ElemBase;
-  const CvrRecord *Recs = M.recs();
-  const std::int32_t Rows = M.numRows();
-  const std::int32_t NumCols = M.numCols();
-  std::int64_t RecIdx = C.RecBase;
-  const std::int64_t RecEnd = C.RecEnd;
-  const std::int64_t PosLimit = (C.NumSteps + 1) * W;
-
-  alignas(64) double TResult[W] = {0};
-  simd::VecD8 VOut = simd::VecD8::zero();
-  simd::VecI16 Cols16{};
-
-  // Mirrors applyRecords: single-lane extraction for steal/shared records
-  // via a masked reduce, one masked scatter for the batched feed lanes —
-  // with every target checked first.
-  auto Apply = [&](std::int64_t Limit) {
-    alignas(32) std::int32_t WbBuf[W];
-    __mmask8 FeedMask = 0, ClearMask = 0;
-    while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit) {
-      const CvrRecord &R = Recs[RecIdx];
-      if (R.Pos < 0 || R.Pos >= PosLimit) {
-        S.add("checked.cvr.rec-pos", Chunk, RecIdx, "record position", R.Pos,
-              PosLimit);
-        ++RecIdx;
-        continue;
-      }
-      int Off = static_cast<int>(R.Pos & 7);
-      auto Bit = static_cast<__mmask8>(1U << Off);
-      if (!R.Steal && !R.Shared) {
-        if (R.Wb < 0 || R.Wb >= Rows) {
-          S.add("checked.cvr.scatter", Chunk, RecIdx, "feed row", R.Wb, Rows);
-        } else {
-          WbBuf[Off] = R.Wb;
-          FeedMask |= Bit;
-        }
-      } else {
-        double V = _mm512_mask_reduce_add_pd(Bit, VOut.Reg);
-        applyRecordChecked(R, V, Y, TResult, W, Rows, Chunk, RecIdx,
-                           Accumulate, S);
-      }
-      ClearMask |= Bit;
-      ++RecIdx;
-    }
-    if (FeedMask) {
-      __m256i Idx =
-          _mm256_load_si256(reinterpret_cast<const __m256i *>(WbBuf));
-      __m512d Out = VOut.Reg;
-      if (Accumulate) {
-        // Same gather+add+scatter the blocked production kernel issues;
-        // the batch's rows are distinct, so it cannot self-conflict.
-        __m512d Old = _mm512_mask_i32gather_pd(_mm512_setzero_pd(), FeedMask,
-                                               Idx, Y, 8);
-        Out = _mm512_add_pd(Old, VOut.Reg);
-      }
-      _mm512_mask_i32scatter_pd(Y, FeedMask, Idx, Out, 8);
-    }
-    VOut.Reg =
-        _mm512_maskz_mov_pd(static_cast<__mmask8>(~ClearMask), VOut.Reg);
-  };
-
-  for (std::int64_t I = 0; I < C.NumSteps; ++I) {
-    if (RecIdx < RecEnd && Recs[RecIdx].Pos < (I + 1) * W)
-      Apply((I + 1) * W);
-
-    // Vet this step's gather indices straight from the column stream, then
-    // issue the same double-pumped load + gather the production kernel uses
-    // (clamping any bad lane to column 0 so the gather stays in bounds).
-    alignas(64) std::int32_t Fixed[W];
-    bool NeedFix = false;
-    for (int K = 0; K < W; ++K) {
-      std::int32_t Col = Cols[I * W + K];
-      if (Col < 0 || Col >= NumCols) {
-        S.add("checked.cvr.gather", Chunk, C.ElemBase + I * W + K,
-              "gather column", Col, NumCols);
-        Fixed[K] = 0;
-        NeedFix = true;
-      } else {
-        Fixed[K] = Col;
-      }
-    }
-    if ((I & 1) == 0)
-      Cols16 = simd::VecI16::loadAligned(Cols + I * W);
-    simd::VecI8 Idx = (I & 1) ? Cols16.hi() : Cols16.lo();
-    if (NeedFix)
-      Idx.Reg = _mm256_load_si256(reinterpret_cast<const __m256i *>(Fixed));
-
-    simd::VecD8 Xs = simd::VecD8::gather(X, Idx);
-    simd::VecD8 Vs = simd::VecD8::loadAligned(Vals + I * W);
-    if (NeedFix) {
-      // Zero the clamped lanes' contribution (production would read wild).
-      __mmask8 Keep = 0;
-      for (int K = 0; K < W; ++K)
-        if (Cols[I * W + K] >= 0 && Cols[I * W + K] < NumCols)
-          Keep |= static_cast<__mmask8>(1U << K);
-      Xs.Reg = _mm512_maskz_mov_pd(Keep, Xs.Reg);
-    }
-    VOut = VOut.fmadd(Vs, Xs);
-  }
-  if (RecIdx < RecEnd)
-    Apply(std::numeric_limits<std::int64_t>::max());
-  tailFlushChecked(M, C, TResult, Y, W, Chunk, Accumulate, S);
-}
-
-#endif // CVR_SIMD_AVX512
-
-/// Pre-clears y the way the production kernel does: blocked matrices zero
-/// every row (accumulate mode), unblocked matrices only the listed rows.
-void clearRowsChecked(const CvrMatrix &M, double *Y, Sink &S) {
-  if (M.isBlocked()) {
-    for (std::int32_t R = 0; R < M.numRows(); ++R)
-      Y[R] = 0.0;
-    return;
-  }
-  for (std::int32_t R : M.zeroRows()) {
-    if (R < 0 || R >= M.numRows()) {
-      S.add("checked.cvr.zero-row", -1, R, "zeroed row", R, M.numRows());
-      continue;
-    }
-    Y[R] = 0.0;
-  }
-}
 
 } // namespace
 
-void cvrSpmvCheckedGeneric(const CvrMatrix &M, const double *X, double *Y,
-                           std::vector<Violation> &Vs) {
-  Sink S(Vs);
-  const bool Accumulate = M.isBlocked();
-  clearRowsChecked(M, Y, S);
-  int Idx = 0;
-  for (const CvrChunk &C : M.chunks())
-    runChunkGenericChecked(M, C, Idx++, X, Y, Accumulate, S);
-}
-
-void cvrSpmvCheckedAvx(const CvrMatrix &M, const double *X, double *Y,
-                       std::vector<Violation> &Vs) {
-#if CVR_SIMD_AVX512
-  // Compressed streams run through the kind-aware generic shadow; the AVX
-  // shadow mirrors the full-width production kernel layout only.
-  if (M.lanes() == simd::DoubleLanes && M.valueKind() == ValueKind::F64 &&
-      M.colIndexKind() == ColIndexKind::U32) {
-    Sink S(Vs);
-    const bool Accumulate = M.isBlocked();
-    clearRowsChecked(M, Y, S);
-    int Idx = 0;
-    for (const CvrChunk &C : M.chunks())
-      runChunkAvxChecked(M, C, Idx++, X, Y, Accumulate, S);
-    return;
-  }
-#endif
-  cvrSpmvCheckedGeneric(M, X, Y, Vs);
-}
-
 void cvrSpmvChecked(const CvrMatrix &M, const double *X, double *Y,
                     std::vector<Violation> &Vs) {
-  if (M.lanes() == simd::DoubleLanes && !M.forcesGenericKernel())
-    cvrSpmvCheckedAvx(M, X, Y, Vs);
-  else
-    cvrSpmvCheckedGeneric(M, X, Y, Vs);
+  BoundsGuard Guard(Vs);
+  // Pre-clear y the way the production kernel does: blocked matrices zero
+  // every row (accumulate mode), unblocked matrices only the listed rows.
+  if (M.isBlocked()) {
+    for (std::int32_t R = 0; R < M.numRows(); ++R)
+      Y[R] = 0.0;
+  } else {
+    for (std::int32_t R : M.zeroRows()) {
+      if (R < 0 || R >= M.numRows())
+        Guard.report("checked.cvr.zero-row", R, "zeroed row", R, M.numRows());
+      else
+        Y[R] = 0.0;
+    }
+  }
+  // Serially, chunk by chunk, so the output is bit-deterministic.
+  for (const CvrChunk &C : M.chunks()) {
+    if (M.isBlocked())
+      detail::runChunkGeneric(M, C, X, /*PfDist=*/0,
+                              detail::AccumulateWriteBack{Y}, Guard);
+    else
+      detail::runChunkGeneric(M, C, X, /*PfDist=*/0,
+                              detail::StoreWriteBack{Y}, Guard);
+  }
 }
 
 } // namespace analysis

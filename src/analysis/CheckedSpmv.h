@@ -1,23 +1,25 @@
-//===- analysis/CheckedSpmv.h - Bounds-checked CVR shadow kernels -*-C++-*-===//
+//===- analysis/CheckedSpmv.h - Bounds-checked CVR SpMV ---------*- C++ -*-===//
 //
 // Part of the CVR reproduction project, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shadow variants of the CVR SpMV kernels that validate every memory
-/// reference the production kernels perform blind: each gather index is
-/// checked against the x vector's extent, each record position against the
-/// chunk's stream, and each scatter target (feed rows, t_result slots, tail
-/// rows) against its destination before the access happens. Out-of-range
-/// references are reported as Violations ("checked.cvr.*") and skipped, so
-/// a corrupt format produces a diagnostic instead of a wild load.
+/// Checked execution of CVR SpMV: validates every memory reference the
+/// production kernels perform blind. Each chunk's extents are checked
+/// against the streams, each record position against the chunk's stream,
+/// each gather index against the x vector's extent, and each write target
+/// (feed rows, t_result slots, tail rows, zeroed rows) against its
+/// destination, before the access happens. Out-of-range references are
+/// reported as Violations ("checked.cvr.*") and skipped, so a corrupt
+/// format produces a diagnostic instead of a wild load.
 ///
-/// Two shadows mirror the two production kernels: the generic any-width
-/// scalar kernel and the AVX-512 8-lane kernel (including its double-pumped
-/// column loads, masked feed scatter, and masked-reduce extraction). Both
-/// run the chunks serially — checked mode trades all speed for diagnosis —
-/// which also makes their output bit-deterministic.
+/// Checked mode is not a copy of the kernel: it runs the scalar chunk loop
+/// (core/CvrChunkLoop.h) under a bounds-guard observer, for every lane
+/// width and stream kind. The chunks run serially — checked mode trades
+/// all speed for diagnosis — which also makes the output bit-deterministic.
+/// The independent numerical oracle is referenceSpmv, which validateMatrix
+/// and the differential fuzzers compare against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,21 +34,9 @@ class CvrMatrix;
 
 namespace analysis {
 
-/// Bounds-checked shadow of the generic (any lane width) CVR kernel.
-/// Computes y = M * x like cvrSpmv; appends a Violation per out-of-range
-/// reference instead of performing it.
-void cvrSpmvCheckedGeneric(const CvrMatrix &M, const double *X, double *Y,
-                           std::vector<Violation> &Vs);
-
-/// Bounds-checked shadow of the AVX-512 8-lane kernel. Requires an 8-lane
-/// matrix; indices are validated in memory before each vector gather and
-/// write-back targets before the masked scatter. Falls back to the generic
-/// shadow when AVX-512 is compiled out.
-void cvrSpmvCheckedAvx(const CvrMatrix &M, const double *X, double *Y,
-                       std::vector<Violation> &Vs);
-
-/// Dispatcher matching cvrSpmv's kernel selection (AVX shadow for 8-lane
-/// matrices unless the conversion forced the generic kernel).
+/// Computes y = M * x like cvrSpmv, serially through the bounds-guarded
+/// scalar chunk loop; appends a Violation per out-of-range reference
+/// instead of performing it.
 void cvrSpmvChecked(const CvrMatrix &M, const double *X, double *Y,
                     std::vector<Violation> &Vs);
 

@@ -21,9 +21,13 @@
 // the records of one step into one masked scatter; Fused, and every policy
 // without AVX-512, spills them one lane at a time.
 //
-// Three loops here instantiate the policies: the AVX-512 kernel (also
-// templated on prefetch distance and stream kinds), the generic any-width
-// kernel, and the traced serial sweep behind traceRun and traceRunFused.
+// Two loops instantiate the policies: the AVX-512 kernel here (also
+// templated on prefetch distance and stream kinds) and the generic
+// any-width kernel in CvrChunkLoop.h, which also holds Store and
+// Accumulate so that checked mode can use them. The generic loop takes a
+// second, observer policy: the trace observer below turns it into the
+// serial sweep behind traceRun and traceRunFused, and
+// analysis/CheckedSpmv.cpp runs it under a bounds guard for checked mode.
 // CvrSpmm.cpp applies the same scheme to its panel kernel. Chunk
 // over-decomposition runs more chunks than threads under a dynamic
 // schedule. All variants compute the same y; the autotuner in src/engine
@@ -33,6 +37,7 @@
 
 #include "core/CvrSpmv.h"
 
+#include "core/CvrChunkLoop.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
 #include "simd/Simd.h"
@@ -54,107 +59,11 @@ namespace cvr {
 
 namespace {
 
-/// Applies every record with Pos < Limit one lane at a time: steal records
-/// accumulate into the chunk's t_result slots, feed records go through
-/// \p Out.finish, and the applied lanes are zeroed. Returns the updated
-/// v_out.
-template <class WriteBack>
-CVR_HOT inline simd::VecD8
-spillRecords(const WriteBack &Out, simd::VecD8 VOut, const CvrRecord *Recs,
-             std::int64_t &RecIdx, std::int64_t RecEnd, std::int64_t Limit,
-             double *TResult) {
-  alignas(64) double Buf[8];
-  VOut.toArray(Buf);
-  do {
-    const CvrRecord &R = Recs[RecIdx];
-    int Off = static_cast<int>(R.Pos & 7);
-    if (R.Steal)
-      TResult[R.Wb] += Buf[Off];
-    else
-      Out.finish(R.Wb, Buf[Off], R.Shared);
-    Buf[Off] = 0.0;
-    ++RecIdx;
-  } while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit);
-  return simd::VecD8::fromArray(Buf);
-}
-
-/// The Store (Add = false) and Accumulate (Add = true) policies. Every row
-/// other than a chunk-boundary row has exactly one writer within a band, so
-/// a plain store, or a plain add in accumulate mode, suffices.
-template <bool Add> struct ScatterWriteBack {
-  double *Y;
-
-  CVR_HOT void finish(std::int32_t Row, double V, bool Shared) const {
-    if (Shared) {
-#pragma omp atomic
-      Y[Row] += V;
-    } else if (Add) {
-      Y[Row] += V;
-    } else {
-      Y[Row] = V;
-    }
-  }
-
-  /// Feed records scatter the lane's finished dot product straight into y:
-  /// one masked scatter for the common exclusive-row case, which accumulate
-  /// mode turns into gather+add+scatter.
-  CVR_HOT simd::VecD8 applyRecords(simd::VecD8 VOut, const CvrRecord *Recs,
-                                   std::int64_t &RecIdx, std::int64_t RecEnd,
-                                   std::int64_t Limit,
-                                   double *TResult) const {
-#if CVR_SIMD_AVX512
-    alignas(32) std::int32_t WbBuf[8];
-    __mmask8 FeedMask = 0, ClearMask = 0;
-    do {
-      const CvrRecord &R = Recs[RecIdx];
-      int Off = static_cast<int>(R.Pos & 7);
-      auto Bit = static_cast<__mmask8>(1U << Off);
-      if (!R.Steal && !R.Shared) {
-        WbBuf[Off] = R.Wb;
-        FeedMask |= Bit;
-      } else {
-        // Single-lane extraction via a masked horizontal add.
-        double V = _mm512_mask_reduce_add_pd(Bit, VOut.Reg);
-        if (R.Steal) {
-          TResult[R.Wb] += V;
-        } else {
-#pragma omp atomic
-          Y[R.Wb] += V;
-        }
-      }
-      ClearMask |= Bit;
-      ++RecIdx;
-    } while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit);
-    if (FeedMask) {
-      __m256i Idx =
-          _mm256_load_si256(reinterpret_cast<const __m256i *>(WbBuf));
-      __m512d Out = VOut.Reg;
-      if constexpr (Add) {
-        // Distinct rows per batch (a row finishes once per chunk), so the
-        // gather+add+scatter never self-conflicts.
-        __m512d Old = _mm512_mask_i32gather_pd(_mm512_setzero_pd(),
-                                               FeedMask, Idx, Y, 8);
-        Out = _mm512_add_pd(Old, VOut.Reg);
-      }
-      _mm512_mask_i32scatter_pd(Y, FeedMask, Idx, Out, 8);
-    }
-    VOut.Reg = _mm512_maskz_mov_pd(static_cast<__mmask8>(~ClearMask),
-                                   VOut.Reg);
-    return VOut;
-#else
-    return spillRecords(*this, VOut, Recs, RecIdx, RecEnd, Limit, TResult);
-#endif
-  }
-
-  void traceFinish(MemAccessSink &Sink, std::int32_t Row, bool Shared) const {
-    if (Shared || Add)
-      Sink.read(Y + Row, sizeof(double));
-    Sink.write(Y + Row, sizeof(double));
-  }
-};
-
-using StoreWriteBack = ScatterWriteBack<false>;
-using AccumulateWriteBack = ScatterWriteBack<true>;
+using detail::AccumulateWriteBack;
+using detail::chunkBase;
+using detail::runChunkGeneric;
+using detail::spillRecords;
+using detail::StoreWriteBack;
 
 /// The Fused policy (no accumulate mode: blocked matrices compose instead).
 /// An exclusive row stores what the epilogue returns. A boundary row adds
@@ -195,11 +104,6 @@ struct FusedWriteBack {
     Sink.write(Y + Row, sizeof(double));
   }
 };
-
-/// Band base of \p C, for the narrow-index kernels (0 otherwise).
-std::int32_t chunkBase(const CvrMatrix &M, const CvrChunk &C) {
-  return M.chunkColBase(static_cast<std::size_t>(&C - M.chunks().data()));
-}
 
 /// One chunk of the vectorized 8-lane kernel (Algorithm 4). PfDist > 0
 /// issues software prefetches of the x gather targets (and the vals/cols
@@ -296,57 +200,6 @@ CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
   }
 }
 
-/// Generic any-width kernel (lane-count ablation / non-AVX hosts). The
-/// prefetch distance and the stream kinds are runtime parameters here:
-/// this path is not performance-critical. The compressed streams decode
-/// per element — scalar widening of uint16 deltas (plus the chunk's band
-/// base) and fp32 values, with fp64 accumulation.
-template <class WriteBack>
-void runChunkGeneric(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                     int PfDist, WriteBack Out) {
-  const int W = M.lanes();
-  const std::int64_t EB = C.ElemBase;
-  const std::int32_t Base = chunkBase(M, C);
-  const CvrRecord *Recs = M.recs();
-  std::int64_t RecIdx = C.RecBase;
-  const std::int64_t RecEnd = C.RecEnd;
-
-  std::vector<double> TResult(W, 0.0);
-  std::vector<double> VOut(W, 0.0);
-
-  auto ApplyRecord = [&](const CvrRecord &R) {
-    int Off = static_cast<int>(R.Pos % W);
-    if (R.Steal)
-      TResult[R.Wb] += VOut[Off];
-    else
-      Out.finish(R.Wb, VOut[Off], R.Shared);
-    VOut[Off] = 0.0;
-  };
-
-  for (std::int64_t I = 0; I < C.NumSteps; ++I) {
-    while (RecIdx < RecEnd && Recs[RecIdx].Pos < (I + 1) * W)
-      ApplyRecord(Recs[RecIdx++]);
-    if (PfDist > 0 && I + PfDist < C.NumSteps) {
-      for (int K = 0; K < W; ++K)
-        __builtin_prefetch(X + M.colAt(EB + (I + PfDist) * W + K, Base), 0,
-                           1);
-    }
-    for (int K = 0; K < W; ++K)
-      VOut[K] +=
-          M.valueAt(EB + I * W + K) * X[M.colAt(EB + I * W + K, Base)];
-  }
-  while (RecIdx < RecEnd)
-    ApplyRecord(Recs[RecIdx++]);
-
-  const std::int32_t *Tails = M.tails() + C.TailBase;
-  for (int K = 0; K < W; ++K) {
-    std::int32_t Row = Tails[K];
-    if (Row < 0)
-      continue;
-    Out.finish(Row, TResult[K], Row == C.FirstRow || Row == C.LastRow);
-  }
-}
-
 /// Prefetch-distance dispatch for one kind-resolved instantiation.
 template <bool NarrowIdx, bool NarrowVal, class WriteBack>
 void runChunkAvxPf(const CvrMatrix &M, const CvrChunk &C, const double *X,
@@ -413,75 +266,71 @@ void runChunkRange(const CvrMatrix &M, int Begin, int End, const double *X,
     ompParallelFor(N, Threads, Body);
 }
 
-/// The traced kernel: replays one chunk serially in scalar code and reports
-/// every memory reference to \p Sink, under the same write-back policy and
-/// in the same finalize order as the executing kernels. Stream element
-/// widths follow the kinds: the compressed streams read 2-byte index
-/// deltas and 4-byte fp32 values, which is exactly the traffic reduction
-/// the roofline model predicts.
-template <class WriteBack>
-void traceChunk(const CvrMatrix &M, const CvrChunk &C, MemAccessSink &Sink,
-                const double *X, WriteBack Out) {
-  const int W = M.lanes();
-  const std::size_t IdxB = M.indexBytes();
-  const std::size_t ValB = M.valueBytes();
-  const std::int64_t EB = C.ElemBase;
-  const std::int32_t Base = chunkBase(M, C);
-  const char *ColsP =
-      M.colIndexKind() == ColIndexKind::U16Band
-          ? reinterpret_cast<const char *>(M.colIdx16() + EB)
-          : reinterpret_cast<const char *>(M.colIdx() + EB);
-  const char *ValsP =
-      M.valueKind() == ValueKind::F32x64
-          ? reinterpret_cast<const char *>(M.vals32() + EB)
-          : reinterpret_cast<const char *>(M.vals() + EB);
-  std::int64_t RecIdx = C.RecBase;
-  std::vector<double> TResult(W, 0.0), VOut(W, 0.0);
+/// The trace observer: runChunkGeneric under it replays a chunk serially
+/// and reports every memory reference to the sink, under the same
+/// write-back policy and in the same finalize order as the executing
+/// kernels. Stream element widths follow the kinds: the compressed streams
+/// read 2-byte index deltas and 4-byte fp32 values, which is exactly the
+/// traffic reduction the roofline model predicts.
+class TraceObserver {
+public:
+  explicit TraceObserver(MemAccessSink &Sink) : Sink(&Sink) {}
 
-  auto Finish = [&](std::int32_t Row, double V, bool Shared) {
-    Out.traceFinish(Sink, Row, Shared);
-    Out.finish(Row, V, Shared);
-  };
-  auto ApplyRecord = [&](const CvrRecord &R) {
-    Sink.read(&R, sizeof(CvrRecord));
-    int Off = static_cast<int>(R.Pos % W);
-    if (R.Steal)
-      TResult[R.Wb] += VOut[Off]; // t_result lives in registers/stack.
-    else
-      Finish(R.Wb, VOut[Off], R.Shared);
-    VOut[Off] = 0.0;
-  };
+  bool chunk(const CvrMatrix &M, const CvrChunk &C) {
+    W = M.lanes();
+    IdxB = M.indexBytes();
+    ValB = M.valueBytes();
+    ColsP = M.colIndexKind() == ColIndexKind::U16Band
+                ? reinterpret_cast<const char *>(M.colIdx16() + C.ElemBase)
+                : reinterpret_cast<const char *>(M.colIdx() + C.ElemBase);
+    ValsP = M.valueKind() == ValueKind::F32x64
+                ? reinterpret_cast<const char *>(M.vals32() + C.ElemBase)
+                : reinterpret_cast<const char *>(M.vals() + C.ElemBase);
+    return true;
+  }
 
-  for (std::int64_t I = 0; I < C.NumSteps; ++I) {
-    while (RecIdx < C.RecEnd && M.recs()[RecIdx].Pos < (I + 1) * W)
-      ApplyRecord(M.recs()[RecIdx++]);
+  /// A steal record's t_result slot lives in registers/stack: the record
+  /// read is its only traffic.
+  bool record(const CvrRecord &R, std::int64_t) {
+    Sink->read(&R, sizeof(CvrRecord));
+    return true;
+  }
+
+  bool loads(std::int64_t I) {
     // Column indices are double-pumped at width 8: one load of 16 indices
     // per two steps (the step count is padded even, so both steps exist).
     if (W == 8) {
       if ((I & 1) == 0)
-        Sink.read(ColsP + I * W * IdxB, 16 * IdxB);
+        Sink->read(ColsP + I * W * IdxB, 16 * IdxB);
     } else {
-      Sink.read(ColsP + I * W * IdxB, W * IdxB);
+      Sink->read(ColsP + I * W * IdxB, W * IdxB);
     }
-    Sink.read(ValsP + I * W * ValB, W * ValB);
-    for (int K = 0; K < W; ++K) {
-      std::int32_t Col = M.colAt(EB + I * W + K, Base);
-      Sink.read(X + Col, sizeof(double));
-      VOut[K] += M.valueAt(EB + I * W + K) * X[Col];
-    }
+    Sink->read(ValsP + I * W * ValB, W * ValB);
+    return true;
   }
-  while (RecIdx < C.RecEnd)
-    ApplyRecord(M.recs()[RecIdx++]);
 
-  const std::int32_t *Tails = M.tails() + C.TailBase;
-  for (int K = 0; K < W; ++K) {
-    Sink.read(Tails + K, sizeof(std::int32_t));
-    std::int32_t Row = Tails[K];
-    if (Row < 0)
-      continue;
-    Finish(Row, TResult[K], Row == C.FirstRow || Row == C.LastRow);
+  bool gather(const double *X, std::int32_t Col, std::int64_t) {
+    Sink->read(X + Col, sizeof(double));
+    return true;
   }
-}
+
+  template <class WriteBack>
+  bool finish(const WriteBack &Out, std::int32_t Row, bool Shared) {
+    Out.traceFinish(*Sink, Row, Shared);
+    return true;
+  }
+
+  bool tail(const std::int32_t *Slot, int) {
+    Sink->read(Slot, sizeof(std::int32_t));
+    return true;
+  }
+
+private:
+  MemAccessSink *Sink;
+  std::int64_t W = 0;
+  std::size_t IdxB = 0, ValB = 0;
+  const char *ColsP = nullptr, *ValsP = nullptr;
+};
 
 /// The traced counterpart of runChunkRange: every chunk in index order, on
 /// one thread.
@@ -489,7 +338,8 @@ template <class MakeWriteBack>
 void traceChunks(const CvrMatrix &M, MemAccessSink &Sink, const double *X,
                  MakeWriteBack MakeOut) {
   for (int T = 0; T < M.numChunks(); ++T)
-    traceChunk(M, M.chunks()[T], Sink, X, MakeOut(T));
+    runChunkGeneric(M, M.chunks()[T], X, /*PfDist=*/0, MakeOut(T),
+                    TraceObserver(Sink));
 }
 
 } // namespace

@@ -29,6 +29,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <type_traits>
+#include <utility>
 
 namespace cvr {
 namespace {
@@ -373,53 +376,191 @@ TEST(CheckedSpmv, CatchesScatterOutOfRange) {
   expectRule(Vs, "checked.cvr.scatter");
 }
 
+/// One Introspect mutation per checked.cvr.* rule. Mutate returns false
+/// when the matrix has no site for it (e.g. no steal record).
+struct CheckedRuleCase {
+  const char *Rule;
+  std::function<bool(CvrMatrix &)> Mutate;
+};
+
+std::vector<CheckedRuleCase> checkedRuleCases() {
+  auto FirstRecord = [](CvrMatrix &M, auto Pred) -> CvrRecord * {
+    for (CvrRecord &R : Introspect::recs(M))
+      if (Pred(R))
+        return &R;
+    return nullptr;
+  };
+  return {
+      {"checked.cvr.chunk",
+       [](CvrMatrix &M) {
+         CvrChunk &C = Introspect::chunks(M).front();
+         C.ElemBase = static_cast<std::int64_t>(M.numNonZeros()) * 64;
+         return C.NumSteps > 0;
+       }},
+      {"checked.cvr.rec-pos",
+       [&](CvrMatrix &M) {
+         CvrRecord *R = FirstRecord(M, [](const CvrRecord &) { return true; });
+         if (R)
+           R->Pos = -1;
+         return R != nullptr;
+       }},
+      {"checked.cvr.tresult",
+       [&](CvrMatrix &M) {
+         CvrRecord *R =
+             FirstRecord(M, [](const CvrRecord &R) { return R.Steal != 0; });
+         if (R)
+           R->Wb = M.lanes() + 3;
+         return R != nullptr;
+       }},
+      {"checked.cvr.scatter",
+       [&](CvrMatrix &M) {
+         CvrRecord *R =
+             FirstRecord(M, [](const CvrRecord &R) { return R.Steal == 0; });
+         if (R)
+           R->Wb = M.numRows() + 50;
+         return R != nullptr;
+       }},
+      {"checked.cvr.gather",
+       [](CvrMatrix &M) {
+         if (M.colIndexKind() == ColIndexKind::U16Band)
+           Introspect::colIdx16(M)[4] = 65535; // Band base 0 + 65535.
+         else
+           Introspect::colIdx(M)[4] = M.numCols() + 1000;
+         return true;
+       }},
+      {"checked.cvr.tail",
+       [](CvrMatrix &M) {
+         Introspect::tails(M)[0] = M.numRows() + 7;
+         return true;
+       }},
+      {"checked.cvr.chunk",
+       [](CvrMatrix &M) {
+         // Index stream one step shorter than the value stream: the last
+         // chunk's element range must be checked against both.
+         auto Truncate = [&](auto &Buf) {
+           std::remove_reference_t<decltype(Buf)> Short(
+               Buf.size() - static_cast<std::size_t>(M.lanes()));
+           std::copy(Buf.data(), Buf.data() + Short.size(), Short.data());
+           Buf = std::move(Short);
+         };
+         if (M.colIndexKind() == ColIndexKind::U16Band)
+           Truncate(Introspect::colIdx16(M));
+         else
+           Truncate(Introspect::colIdx(M));
+         return true;
+       }},
+      {"checked.cvr.zero-row",
+       [](CvrMatrix &M) {
+         Introspect::zeroRows(M).push_back(M.numRows() + 3);
+         return true;
+       }},
+  };
+}
+
+/// Runs \p Body on a CvrOptions copy of \p Base for both lane widths and
+/// every stream-kind combination, labelled for failure messages.
+template <class Fn> void forEachLaneAndKind(const CvrOptions &Base, Fn Body) {
+  for (int Lanes : {8, 4})
+    for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64})
+      for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
+        CvrOptions Opts = Base;
+        Opts.Lanes = Lanes;
+        Opts.Values = VK;
+        Opts.Indices = IK;
+        Body(Opts, "lanes " + std::to_string(Lanes) + " vk " +
+                       std::to_string(static_cast<int>(VK)) + " ik " +
+                       std::to_string(static_cast<int>(IK)));
+      }
+}
+
+/// Checked output \p Y must match cvrSpmv on the same matrix, and the
+/// reference \p Ref up to the stream's storage precision (fp32 values
+/// round each coefficient once).
+void expectMatchesKernelAndReference(const CvrMatrix &M,
+                                     const std::vector<double> &X,
+                                     const std::vector<double> &Ref,
+                                     const std::vector<double> &Y,
+                                     const std::string &Where) {
+  std::vector<double> Kernel(Y.size(), 0.0);
+  cvrSpmv(M, X.data(), Kernel.data());
+  EXPECT_LE(maxRelDiff(Kernel, Y), test::SpmvTolerance) << Where;
+  EXPECT_LE(maxRelDiff(Ref, Y), M.valueKind() == ValueKind::F32x64
+                                    ? 1e-4
+                                    : test::SpmvTolerance)
+      << Where;
+}
+
 TEST(CheckedSpmv, BothShadowsMatchReferenceWhenClean) {
+  // Checked mode runs one scalar loop for every lane width and stream
+  // kind; clean matrices must pass with no violations and match the
+  // scalar reference.
   CsrMatrix A = testMatrix(29);
-  CvrOptions Opts;
-  Opts.NumThreads = 3;
-  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
   std::vector<double> X = test::randomVector(A.numCols(), 5);
   std::vector<double> Ref(A.numRows(), 0.0);
   referenceSpmv(A, X.data(), Ref.data());
 
-  for (bool Avx : {false, true}) {
+  CvrOptions Base;
+  Base.NumThreads = 3;
+  forEachLaneAndKind(Base, [&](const CvrOptions &Opts,
+                               const std::string &Where) {
+    CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
     std::vector<double> Y(A.numRows(), -1.0);
     std::vector<Violation> Vs;
-    if (Avx)
-      analysis::cvrSpmvCheckedAvx(M, X.data(), Y.data(), Vs);
-    else
-      analysis::cvrSpmvCheckedGeneric(M, X.data(), Y.data(), Vs);
-    EXPECT_TRUE(Vs.empty()) << analysis::formatViolations(Vs);
-    EXPECT_LE(maxRelDiff(Ref, Y), test::SpmvTolerance);
-  }
+    analysis::cvrSpmvChecked(M, X.data(), Y.data(), Vs);
+    EXPECT_TRUE(Vs.empty()) << Where << analysis::formatViolations(Vs);
+    expectMatchesKernelAndReference(M, X, Ref, Y, Where);
+  });
 }
 
 TEST(CheckedSpmv, BlockedShadowsMatchReference) {
-  // Accumulate-mode shadow coverage: a blocked + over-decomposed matrix
-  // must run through both checked kernels with zero violations and match
-  // the scalar reference (the shadows zero all of y, then += per band).
+  // Accumulate-mode coverage: a blocked + over-decomposed matrix must run
+  // checked with zero violations and match the scalar reference (checked
+  // mode zeroes all of y, then += per band).
   CsrMatrix A = test::randomCsr(70, 180, 0.07, 41);
-  CvrOptions Opts;
-  Opts.NumThreads = 2;
-  Opts.ChunkMultiplier = 4;
-  Opts.ColBlockBytes = 512;
-  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
-  ASSERT_TRUE(M.isBlocked());
   std::vector<double> X = test::randomVector(A.numCols(), 17);
   std::vector<double> Ref(A.numRows(), 0.0);
   referenceSpmv(A, X.data(), Ref.data());
 
-  for (bool Avx : {false, true}) {
+  CvrOptions Base;
+  Base.NumThreads = 2;
+  Base.ChunkMultiplier = 4;
+  Base.ColBlockBytes = 512;
+  forEachLaneAndKind(Base, [&](const CvrOptions &Opts,
+                               const std::string &Where) {
+    CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
+    ASSERT_TRUE(M.isBlocked()) << Where;
     std::vector<double> Y(A.numRows(), -4.0);
     std::vector<Violation> Vs;
-    if (Avx)
-      analysis::cvrSpmvCheckedAvx(M, X.data(), Y.data(), Vs);
-    else
-      analysis::cvrSpmvCheckedGeneric(M, X.data(), Y.data(), Vs);
-    EXPECT_TRUE(Vs.empty()) << analysis::formatViolations(Vs);
-    EXPECT_LE(maxRelDiff(Ref, Y), test::SpmvTolerance)
-        << (Avx ? "AVX shadow" : "generic shadow");
-  }
+    analysis::cvrSpmvChecked(M, X.data(), Y.data(), Vs);
+    EXPECT_TRUE(Vs.empty()) << Where << analysis::formatViolations(Vs);
+    expectMatchesKernelAndReference(M, X, Ref, Y, Where);
+  });
+}
+
+TEST(CheckedSpmv, EveryRuleFires) {
+  // Each mutation must be reported under its own rule and no other, for
+  // both lane widths and every stream-kind combination. The rule IDs are
+  // the interface `cvr_tool validate` and the fuzzers report through.
+  CsrMatrix A = testMatrix();
+  std::vector<double> X = test::randomVector(A.numCols(), 3);
+  CvrOptions Base;
+  Base.NumThreads = 3;
+  forEachLaneAndKind(Base, [&](const CvrOptions &Opts,
+                               const std::string &Where) {
+    const CvrMatrix Clean = CvrMatrix::fromCsr(A, Opts);
+    ASSERT_EQ(Clean.colIndexKind(), Opts.Indices) << Where;
+    for (const CheckedRuleCase &Case : checkedRuleCases()) {
+      SCOPED_TRACE(std::string(Case.Rule) + " " + Where);
+      CvrMatrix M = Clean;
+      ASSERT_TRUE(Case.Mutate(M)) << "matrix has no site for the rule";
+      std::vector<double> Y(A.numRows(), 0.0);
+      std::vector<Violation> Vs;
+      analysis::cvrSpmvChecked(M, X.data(), Y.data(), Vs);
+      expectRule(Vs, Case.Rule);
+      for (const Violation &V : Vs)
+        EXPECT_EQ(V.Rule, Case.Rule) << analysis::formatViolations(Vs);
+    }
+  });
 }
 
 // Registry plumbing: every checked variant carries the +checked suffix and
