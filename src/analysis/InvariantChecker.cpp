@@ -934,11 +934,15 @@ std::vector<Violation> InvariantChecker::checkBlob(std::istream &IS) {
 }
 
 std::vector<Violation> InvariantChecker::checkBlob(const void *Data,
-                                                   std::size_t Bytes) {
+                                                   std::size_t Bytes,
+                                                   CvrMatrix *Decoded) {
   StatusOr<CvrMatrix> R = CvrMatrix::mapBlob(Data, Bytes);
   if (!R.ok())
     return {liftBlobViolation(R.status())};
-  return checkCvr(*R, nullptr);
+  std::vector<Violation> Vs = checkCvr(*R, nullptr);
+  if (Vs.empty() && Decoded)
+    *Decoded = std::move(*R);
+  return Vs;
 }
 
 } // namespace analysis

@@ -92,15 +92,17 @@ public:
   /// matrix. \p IS is consumed.
   static std::vector<Violation> checkBlob(std::istream &IS);
 
-  /// The same end-to-end validation over an in-memory blob image — the
-  /// serving daemon's mmap'd view. Runs CvrMatrix::mapBlob (all CRC,
-  /// bound, pad, and alignment checks against the mapped bytes; nothing
-  /// copied, no pointer trusted before it passes) followed by the full
-  /// structural check. \p Data must be 64-byte aligned and hold a
-  /// BlobLayout::Mapped (v4) blob; anything else is reported as a
-  /// violation, exactly like a corrupt stream.
-  static std::vector<Violation> checkBlob(const void *Data,
-                                          std::size_t Bytes);
+  /// The same end-to-end validation over an in-memory blob image, such as
+  /// an mmap'd file. Runs CvrMatrix::mapBlob (all CRC, bound, pad, and
+  /// alignment checks against the image; no pointer trusted before it
+  /// passes) followed by the full structural check. \p Data must be
+  /// 64-byte aligned and hold a BlobLayout::Mapped (v4) blob; anything
+  /// else is reported as a violation, exactly like a corrupt stream.
+  /// When no violation is found and \p Decoded is given, the decoded
+  /// matrix is moved into it — its hot streams alias \p Data — so a
+  /// caller that validates and then serves the image decodes it once.
+  static std::vector<Violation> checkBlob(const void *Data, std::size_t Bytes,
+                                          CvrMatrix *Decoded = nullptr);
 };
 
 } // namespace analysis

@@ -272,25 +272,17 @@ public:
   /// ordered by position, tails consistent); used by tests and asserts.
   bool isValid() const;
 
-  /// Writes the converted matrix as a versioned little-endian binary blob
-  /// (current version 3: per-section CRC32C integrity), so one conversion
-  /// can be amortized across process runs. Returns false on stream
-  /// failure.
-  bool writeBinary(std::ostream &OS) const;
-
-  /// Reads a blob written by writeBinary (any version >= 1). On failure
-  /// returns false and leaves \p M empty; validates header magic, version,
-  /// section checksums (v3), bounds, and invariants.
-  static bool readBinary(std::istream &IS, CvrMatrix &M);
-
-  /// Status-reporting writer: UNAVAILABLE on stream failure (including an
-  /// armed `serialize.write.short` fail point). Writes format v3
+  /// Writes the converted matrix as a versioned little-endian blob, so
+  /// one conversion can be amortized across process runs: format v3
   /// (BlobLayout::Compact, the default) or the mmap-executable v4
-  /// (BlobLayout::Mapped).
+  /// (BlobLayout::Mapped), both with per-section CRC32C. UNAVAILABLE on
+  /// stream failure (including an armed `serialize.write.short` fail
+  /// point).
   [[nodiscard]] Status writeBlob(std::ostream &OS,
                                  BlobLayout Layout = BlobLayout::Compact) const;
 
-  /// Status-reporting reader with full diagnostics. Messages carry a
+  /// Reads a blob of any version (1-4) off \p IS, each section payload
+  /// straight into the owned storage it will live in. Messages carry a
   /// stable bracketed rule id ("[cvr.blob.section-crc] ..."), the same ids
   /// analysis::InvariantChecker::checkBlob reports. DATA_LOSS for corrupt
   /// or truncated bytes, OUT_OF_RANGE for counts that fail the strict
@@ -299,16 +291,17 @@ public:
   [[nodiscard]] static StatusOr<CvrMatrix> readBlob(std::istream &IS);
 
   /// Zero-copy decode of a Mapped (v4) blob held in memory — typically a
-  /// PROT_READ mmap of a blob file. The value, column-index, and tail
-  /// streams of the returned matrix alias [Data, Data + Bytes) directly
-  /// (no copy; the mapping must outlive the matrix and stay readable);
-  /// the small metadata tables are copied. Every validation readBlob
-  /// performs runs first, against the mapped bytes: magic, version,
-  /// header/section CRC32C, strict count bounds, pad-zero checks, and the
-  /// full structural invariants — no pointer is trusted before it passes.
-  /// FAILED_PRECONDITION when the blob is a non-mappable version (1-3) or
-  /// \p Data is not 64-byte aligned; callers fall back to readBlob, which
-  /// copies.
+  /// PROT_READ mmap of a blob file. It runs the decoder readBlob runs, so
+  /// the same bytes fail with the same code and rule id, and every check
+  /// (magic, version, header/section CRC32C, strict count bounds, pad-zero
+  /// checks, the full structural invariants) runs against the mapped
+  /// bytes before any pointer is trusted. The value, column-index, and
+  /// tail streams of the returned matrix then alias [Data, Data + Bytes)
+  /// (no copy; the mapping must outlive the matrix and stay readable;
+  /// each aliased payload must sit at a 64-byte-aligned offset); the small
+  /// metadata tables are copied. FAILED_PRECONDITION when the blob is a
+  /// non-mappable version (1-3) or \p Data is not 64-byte aligned;
+  /// callers fall back to readBlob, which copies.
   [[nodiscard]] static StatusOr<CvrMatrix> mapBlob(const void *Data,
                                                    std::size_t Bytes);
 
@@ -319,9 +312,9 @@ public:
            Tails.ownsStorage();
   }
 
-  /// Deserializer plumbing: pointers to the private fields, handed to the
-  /// version-specific body readers in CvrSerialize.cpp. Not for general
-  /// use.
+  /// Deserializer plumbing: pointers to the private fields, handed by
+  /// decode() to the section and body decoders in CvrSerialize.cpp. Not
+  /// for general use.
   struct BlobFields {
     std::int32_t *NumRows;
     std::int32_t *NumCols;
@@ -360,6 +353,12 @@ private:
   /// bases. RESOURCE_EXHAUSTED when the narrow streams cannot be
   /// allocated.
   [[nodiscard]] Status compressStreams(ValueKind VK, ColIndexKind IK);
+
+  /// The one blob decoder behind readBlob and mapBlob, over a byte source
+  /// defined in CvrSerialize.cpp (the only translation unit that
+  /// instantiates it).
+  template <typename Source>
+  [[nodiscard]] static StatusOr<CvrMatrix> decode(Source &Src);
 
   /// Recomputes ChunkColBase from Bands (called after conversion and
   /// after every successful blob decode).

@@ -38,14 +38,34 @@
 // exactly, Bands <= Chunks, ZeroRows <= NumRows). A corrupt or hostile
 // count is rejected with OUT_OF_RANGE instead of commissioning memory.
 //
+// One decoder, two byte sources. CvrMatrix::decode parses every version;
+// decodeSection is the only code that knows a section's count bounds, pad
+// rule, CRC rule and element type, and decodeBody the only code that knows
+// the v3/v4 section order. What differs between the two loaders is where
+// a payload's bytes live, and that is the byte source's business:
+//
+//   StreamSource (readBlob) reads each payload straight into the owned
+//       container it will live in; nothing larger than one section is
+//       ever buffered.
+//   ImageSource (mapBlob) is a bounds-checked cursor over a 64-byte-aligned
+//       in-memory image, typically a PROT_READ mmap. Once a payload passes
+//       its CRC, the value/column-index/tail streams alias the image
+//       (after a 64-byte alignment check) and the small metadata tables
+//       are copied.
+//
+// So readBlob and mapBlob reject the same bytes with the same code and
+// rule id. The serialize.read.short fail point sits in the stream source,
+// and serialize.read.bitflip corrupts owned payloads before their CRC; a
+// mapped image is never written.
+//
 // Reader diagnostics carry a stable bracketed rule id — e.g.
 // "[cvr.blob.section-crc] ..." — which analysis::InvariantChecker::checkBlob
 // maps back onto its dotted rule namespace. The ids are part of the
 // interface; tests match on them.
 //
 // Versions 1 and 2 (no checksums, arrays before the chunk table) remain
-// readable; v1 defaults the execution-engine fields (multiplier 1,
-// unblocked).
+// readable through the stream source; v1 defaults the execution-engine
+// fields (multiplier 1, unblocked).
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +74,7 @@
 #include "support/Crc32c.h"
 #include "support/FailPoint.h"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <new>
@@ -96,30 +117,22 @@ bool writeBytes(std::ostream &OS, const void *P, std::size_t N) {
   return static_cast<bool>(OS);
 }
 
-bool readBytes(std::istream &IS, void *P, std::size_t N) {
-  if (CVR_FAIL_POINT("serialize.read.short"))
-    return false;
-  IS.read(static_cast<char *>(P), static_cast<std::streamsize>(N));
-  return static_cast<bool>(IS);
-}
-
-template <typename T> bool readPod(std::istream &IS, T &V) {
-  return readBytes(IS, &V, sizeof(T));
-}
-
 /// Appends a POD field to the header image being checksummed.
 template <typename T> void packField(std::string &Buf, const T &V) {
   Buf.append(reinterpret_cast<const char *>(&V), sizeof(T));
 }
 
-[[nodiscard]] Status truncated(const char *Where) {
-  return Status::dataLoss(std::string("[cvr.blob.truncated] blob ends inside ") +
-                          Where);
+//===----------------------------------------------------------------------===//
+// Diagnostics and budgets
+//===----------------------------------------------------------------------===//
+
+[[nodiscard]] Status truncated(const std::string &Where) {
+  return Status::dataLoss("[cvr.blob.truncated] blob ends inside " + Where);
 }
 
-//===----------------------------------------------------------------------===//
-// Shared diagnostics + validation (stream reader and mapped reader)
-//===----------------------------------------------------------------------===//
+[[nodiscard]] Status truncated(const char *Name, const char *Part) {
+  return truncated(std::string("the ") + Name + " " + Part);
+}
 
 [[nodiscard]] Status countMismatch(const char *Name, std::uint64_t N,
                                    std::int64_t Exact) {
@@ -143,9 +156,8 @@ template <typename T> void packField(std::string &Buf, const T &V) {
                           "or nonzero pad byte)");
 }
 
-/// Decodes and bounds-checks the checksummed header image (the CRC itself
-/// is the caller's business, because stream and mapped readers obtain the
-/// bytes differently).
+/// Decodes and bounds-checks the checksummed header image (the caller
+/// verifies its CRC first).
 [[nodiscard]] Status decodeHeaderImage(const char *Header,
                                        CvrMatrix::BlobFields &F) {
   std::int32_t Lanes32 = 0, Mult = 0;
@@ -211,10 +223,14 @@ struct SectionBudget {
   }
   // Records: one per row finish plus at most Lanes steal events per chunk;
   // chunk-boundary rows finish twice. Anything past this bound cannot have
-  // come from the converter.
-  B.MaxRecs = static_cast<std::uint64_t>(Nnz) +
-              static_cast<std::uint64_t>(NumRows) +
-              Chunks.size() * (static_cast<std::uint64_t>(Lanes) + 2);
+  // come from the converter. The stream ceiling caps it too, so a header
+  // declaring an absurd Nnz cannot make a record count's byte size wrap or
+  // exceed what a vector can hold.
+  B.MaxRecs = std::min(static_cast<std::uint64_t>(Nnz) +
+                           static_cast<std::uint64_t>(NumRows) +
+                           Chunks.size() *
+                               (static_cast<std::uint64_t>(Lanes) + 2),
+                       MaxStreamElems);
   return Status::okStatus();
 }
 
@@ -302,10 +318,14 @@ Status CvrMatrix::writeBlob(std::ostream &OS, BlobLayout Layout) const {
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Stream reading
+// Byte sources
 //===----------------------------------------------------------------------===//
+//
+// A source provides read(P, N) for fixed-size fields, payload() to locate
+// (or read) a section payload, and adopt() to install a payload whose CRC
+// passed into its container.
 
-/// Allocation shims so one section reader serves both container kinds.
+/// Allocation shims so one source fills both container kinds.
 template <typename T>
 [[nodiscard]] Status resizeContainer(AlignedBuffer<T> &C, std::size_t N) {
   return C.tryResize(N);
@@ -322,97 +342,195 @@ template <typename T>
   return Status::okStatus();
 }
 
-/// Consumes and validates a Mapped-layout section pad (u8 length + that
-/// many zero bytes).
-[[nodiscard]] Status readSectionPad(std::istream &IS, const char *Name) {
-  std::uint8_t Pad = 0;
-  if (!readPod(IS, Pad))
-    return truncated((std::string("the ") + Name + " pad length").c_str());
-  if (Pad >= MapAlignment)
-    return badPad(Name);
-  char Zeros[MapAlignment] = {};
-  if (Pad != 0 && !readBytes(IS, Zeros, Pad))
-    return truncated((std::string("the ") + Name + " pad").c_str());
-  for (std::uint8_t I = 0; I < Pad; ++I)
-    if (Zeros[I] != 0)
-      return badPad(Name);
-  return Status::okStatus();
+/// readBlob's source: an std::istream, read in place. Every payload lands
+/// directly in the owned container it will live in.
+class StreamSource {
+public:
+  /// Streams carry every version; only mapped images are restricted.
+  static constexpr bool MappedOnly = false;
+
+  explicit StreamSource(std::istream &IS) : IS(IS) {}
+
+  bool read(void *P, std::size_t N) {
+    if (CVR_FAIL_POINT("serialize.read.short"))
+      return false;
+    IS.read(static_cast<char *>(P), static_cast<std::streamsize>(N));
+    return static_cast<bool>(IS);
+  }
+
+  template <typename Container>
+  [[nodiscard]] Status payload(Container &Out, std::uint64_t N,
+                               const char *Name, const void *&Bytes) {
+    Status S = resizeContainer(Out, static_cast<std::size_t>(N));
+    if (!S.ok())
+      return S.withContext(Name);
+    if (N != 0 &&
+        !read(Out.data(), static_cast<std::size_t>(N) * sizeof(*Out.data())))
+      return truncated(Name, "payload");
+    Bytes = Out.data();
+    return Status::okStatus();
+  }
+
+  /// The payload already lives in \p Out.
+  template <typename Container>
+  [[nodiscard]] Status adopt(Container &, const void *, std::uint64_t,
+                             const char *) {
+    return Status::okStatus();
+  }
+
+private:
+  std::istream &IS;
+};
+
+/// mapBlob's source: a bounds-checked cursor over an in-memory image whose
+/// base is 64-byte aligned. Every read is checked against the image end
+/// before any byte is touched, so a truncated image whose size is known up
+/// front is never over-read (a file truncated after its size was taken is
+/// the SIGBUS guard's business — see io/MmapFile.h). The image is never
+/// written.
+class ImageSource {
+public:
+  static constexpr bool MappedOnly = true;
+
+  ImageSource(const void *Data, std::size_t Bytes)
+      : P(static_cast<const unsigned char *>(Data)), End(P + Bytes) {}
+
+  bool read(void *Out, std::size_t N) {
+    const unsigned char *Q = take(N);
+    if (!Q)
+      return false;
+    std::memcpy(Out, Q, N);
+    return true;
+  }
+
+  /// Points \p Bytes at the payload inside the image; nothing is copied.
+  template <typename Container>
+  [[nodiscard]] Status payload(Container &Out, std::uint64_t N,
+                               const char *Name, const void *&Bytes) {
+    Bytes = take(static_cast<std::size_t>(N) * sizeof(*Out.data()));
+    return Bytes ? Status::okStatus() : truncated(Name, "payload");
+  }
+
+  /// Metadata tables are copied out of the image (their vector type is
+  /// part of the public accessors). memcpy, so their file offset need not
+  /// be aligned.
+  template <typename T>
+  [[nodiscard]] Status adopt(std::vector<T> &Out, const void *Bytes,
+                             std::uint64_t N, const char *Name) {
+    Status S = resizeContainer(Out, static_cast<std::size_t>(N));
+    if (!S.ok())
+      return S.withContext(Name);
+    if (N != 0)
+      std::memcpy(Out.data(), Bytes, static_cast<std::size_t>(N) * sizeof(T));
+    return Status::okStatus();
+  }
+
+  /// The hot streams alias the image — the zero-copy contract. A
+  /// self-consistent blob could still carry a pad that does not land the
+  /// payload on the map alignment (hand-built or rewritten); adopting such
+  /// a pointer would trade corruption for misaligned SIMD loads, so it is
+  /// structurally rejected. The base is aligned, so the address test is
+  /// the file-offset test.
+  template <typename T>
+  [[nodiscard]] Status adopt(AlignedBuffer<T> &Out, const void *Bytes,
+                             std::uint64_t N, const char *Name) {
+    if (reinterpret_cast<std::uintptr_t>(Bytes) % MapAlignment != 0)
+      return Status::outOfRange(
+          std::string("[cvr.blob.bounds] ") + Name +
+          " payload is not 64-byte aligned in the mapped image");
+    Out = AlignedBuffer<T>::viewExternal(static_cast<const T *>(Bytes),
+                                         static_cast<std::size_t>(N));
+    return Status::okStatus();
+  }
+
+private:
+  /// Advances past \p N bytes, returning their start (nullptr if the image
+  /// is too short).
+  const unsigned char *take(std::size_t N) {
+    if (static_cast<std::size_t>(End - P) < N)
+      return nullptr;
+    const unsigned char *Q = P;
+    P += N;
+    return Q;
+  }
+
+  const unsigned char *P;
+  const unsigned char *End;
+};
+
+template <typename Source, typename T> bool readPod(Source &Src, T &V) {
+  return Src.read(&V, sizeof(T));
 }
 
-/// Reads one v3/v4 section into \p Out. The count must satisfy the
-/// structural bound \p MaxElems (and equal \p ExactElems when >= 0) BEFORE
-/// any allocation happens; the payload must match its recorded CRC32C.
-template <typename Container>
-[[nodiscard]] Status readSection(std::istream &IS, Container &Out,
-                                 const char *Name, bool Padded,
-                   std::uint64_t MaxElems, std::int64_t ExactElems = -1) {
+//===----------------------------------------------------------------------===//
+// Decoding
+//===----------------------------------------------------------------------===//
+
+/// Decodes one v3/v4 section into \p Out. The count must satisfy the
+/// structural bound \p MaxElems (and equal \p ExactElems when >= 0) before
+/// any payload is located or allocated; a \p Padded (v4) section's pad
+/// must be shorter than the alignment and all zero; the payload must match
+/// its CRC32C before the source adopts it.
+template <typename Source, typename Container>
+[[nodiscard]] Status decodeSection(Source &Src, Container &Out,
+                                   const char *Name, bool Padded,
+                                   std::uint64_t MaxElems,
+                                   std::int64_t ExactElems = -1) {
   std::uint64_t N = 0;
-  if (!readPod(IS, N))
-    return truncated((std::string("the ") + Name + " section count").c_str());
+  if (!readPod(Src, N))
+    return truncated(Name, "section count");
   if (ExactElems >= 0 && N != static_cast<std::uint64_t>(ExactElems))
     return countMismatch(Name, N, ExactElems);
   if (N > MaxElems)
     return countOverBound(Name, N, MaxElems);
   if (Padded) {
-    Status S = readSectionPad(IS, Name);
-    if (!S.ok())
-      return S;
+    std::uint8_t Pad = 0;
+    if (!readPod(Src, Pad))
+      return truncated(Name, "pad length");
+    if (Pad >= MapAlignment)
+      return badPad(Name);
+    unsigned char Zeros[MapAlignment] = {};
+    if (Pad != 0 && !Src.read(Zeros, Pad))
+      return truncated(Name, "pad");
+    for (std::uint8_t I = 0; I < Pad; ++I)
+      if (Zeros[I] != 0)
+        return badPad(Name);
   }
 
-  Status S = resizeContainer(Out, static_cast<std::size_t>(N));
+  const void *Payload = nullptr;
+  Status S = Src.payload(Out, N, Name, Payload);
   if (!S.ok())
-    return S.withContext(Name);
-  std::size_t Bytes = static_cast<std::size_t>(N) * sizeof(*Out.data());
-  if (N != 0) {
-    if (!readBytes(IS, Out.data(), Bytes))
-      return truncated((std::string("the ") + Name + " payload").c_str());
+    return S;
+  const std::size_t Bytes = static_cast<std::size_t>(N) * sizeof(*Out.data());
+  // Fault drill: flip a bit of a payload that already sits in its owned
+  // container (the stream source's) before its CRC runs. A mapped image is
+  // never written.
+  if (N != 0 && Payload == Out.data())
     CVR_FAIL_POINT_CORRUPT("serialize.read.bitflip", Out.data(), Bytes);
-  }
   std::uint32_t Want = 0;
-  if (!readPod(IS, Want))
-    return truncated((std::string("the ") + Name + " checksum").c_str());
-  std::uint32_t Got = crc32c(N != 0 ? Out.data() : nullptr, Bytes);
+  if (!readPod(Src, Want))
+    return truncated(Name, "checksum");
+  std::uint32_t Got = crc32c(N != 0 ? Payload : nullptr, Bytes);
   if (Got != Want)
     return Status::dataLoss(std::string("[cvr.blob.section-crc] ") + Name +
                             " payload fails its CRC32C (stored " +
                             std::to_string(Want) + ", computed " +
                             std::to_string(Got) + ")");
-  return Status::okStatus();
-}
-
-/// Legacy (v1/v2) array: u64 count then payload, no checksum.
-template <typename Container>
-[[nodiscard]] Status readLegacyArray(std::istream &IS, Container &Out,
-                                     const char *Name) {
-  std::uint64_t N = 0;
-  if (!readPod(IS, N))
-    return truncated((std::string("the ") + Name + " section count").c_str());
-  if (N > MaxLegacyArrayElems)
-    return Status::outOfRange(std::string("[cvr.blob.bounds] ") + Name +
-                              " count " + std::to_string(N) +
-                              " exceeds the legacy array ceiling");
-  Status S = resizeContainer(Out, static_cast<std::size_t>(N));
-  if (!S.ok())
-    return S.withContext(Name);
-  if (N != 0 &&
-      !readBytes(IS, Out.data(),
-                 static_cast<std::size_t>(N) * sizeof(*Out.data())))
-    return truncated((std::string("the ") + Name + " payload").c_str());
-  return Status::okStatus();
+  return Src.adopt(Out, Payload, N, Name);
 }
 
 /// Everything after the version word of a v3 (Compact) or v4 (Mapped,
 /// \p Padded) blob.
-[[nodiscard]] Status readChecksummedBody(std::istream &IS,
-                                         CvrMatrix::BlobFields F,
-                                         bool Padded) {
-  // Header image: reread as one block so the CRC covers exactly the bytes
+template <typename Source>
+[[nodiscard]] Status decodeBody(Source &Src, CvrMatrix::BlobFields F,
+                                bool Padded) {
+  // Header image: read as one block so the CRC covers exactly the bytes
   // the writer checksummed.
   char Header[HeaderBytes];
-  if (!readBytes(IS, Header, sizeof(Header)))
+  if (!Src.read(Header, sizeof(Header)))
     return truncated("the header");
   std::uint32_t WantCrc = 0;
-  if (!readPod(IS, WantCrc))
+  if (!readPod(Src, WantCrc))
     return truncated("the header checksum");
   if (crc32c(Header, sizeof(Header)) != WantCrc)
     return Status::dataLoss("[cvr.blob.header-crc] header fails its CRC32C");
@@ -422,7 +540,8 @@ template <typename Container>
   const int Lanes32 = *F.Lanes;
 
   // Chunk table first: it induces the exact bounds for everything after.
-  if (!(S = readSection(IS, *F.Chunks, "chunk table", Padded, MaxChunks)).ok())
+  if (!(S = decodeSection(Src, *F.Chunks, "chunk table", Padded, MaxChunks))
+           .ok())
     return S;
   SectionBudget B;
   if (!(S = computeSectionBudget(*F.Chunks, Lanes32, *F.Nnz, *F.NumRows, B))
@@ -430,44 +549,63 @@ template <typename Container>
     return S;
   std::uint64_t NumChunks = F.Chunks->size();
 
-  if (!(S = readSection(IS, *F.Bands, "band table", Padded, NumChunks)).ok())
-    return S;
-  if (!(S = readSection(IS, *F.ZeroRows, "zero-row list", Padded,
-                        static_cast<std::uint64_t>(*F.NumRows)))
+  if (!(S = decodeSection(Src, *F.Bands, "band table", Padded, NumChunks))
            .ok())
     return S;
-  if (!(S = readSection(IS, *F.Recs, "record stream", Padded, B.MaxRecs)).ok())
+  if (!(S = decodeSection(Src, *F.ZeroRows, "zero-row list", Padded,
+                          static_cast<std::uint64_t>(*F.NumRows)))
+           .ok())
     return S;
-  if (!(S = readSection(IS, *F.Tails, "tail table", Padded, MaxStreamElems,
-                        static_cast<std::int64_t>(NumChunks * Lanes32)))
+  if (!(S = decodeSection(Src, *F.Recs, "record stream", Padded, B.MaxRecs))
+           .ok())
+    return S;
+  if (!(S = decodeSection(Src, *F.Tails, "tail table", Padded, MaxStreamElems,
+                          static_cast<std::int64_t>(NumChunks * Lanes32)))
            .ok())
     return S;
   const auto ExactElems = static_cast<std::int64_t>(B.TotalElems);
   S = *F.VKind == ValueKind::F32x64
-          ? readSection(IS, *F.Vals32, "value stream", Padded, MaxStreamElems,
-                        ExactElems)
-          : readSection(IS, *F.Vals, "value stream", Padded, MaxStreamElems,
-                        ExactElems);
+          ? decodeSection(Src, *F.Vals32, "value stream", Padded,
+                          MaxStreamElems, ExactElems)
+          : decodeSection(Src, *F.Vals, "value stream", Padded,
+                          MaxStreamElems, ExactElems);
   if (!S.ok())
     return S;
-  S = *F.IKind == ColIndexKind::U16Band
-          ? readSection(IS, *F.ColIdx16, "column-index stream", Padded,
-                        MaxStreamElems, ExactElems)
-          : readSection(IS, *F.ColIdx, "column-index stream", Padded,
-                        MaxStreamElems, ExactElems);
+  return *F.IKind == ColIndexKind::U16Band
+             ? decodeSection(Src, *F.ColIdx16, "column-index stream", Padded,
+                             MaxStreamElems, ExactElems)
+             : decodeSection(Src, *F.ColIdx, "column-index stream", Padded,
+                             MaxStreamElems, ExactElems);
+}
+
+/// Legacy (v1/v2) array: u64 count then payload, no checksum.
+template <typename Source, typename Container>
+[[nodiscard]] Status decodeLegacyArray(Source &Src, Container &Out,
+                                       const char *Name) {
+  std::uint64_t N = 0;
+  if (!readPod(Src, N))
+    return truncated(Name, "section count");
+  if (N > MaxLegacyArrayElems)
+    return Status::outOfRange(std::string("[cvr.blob.bounds] ") + Name +
+                              " count " + std::to_string(N) +
+                              " exceeds the legacy array ceiling");
+  const void *Payload = nullptr;
+  Status S = Src.payload(Out, N, Name, Payload);
   if (!S.ok())
     return S;
-  return Status::okStatus();
+  return Src.adopt(Out, Payload, N, Name);
 }
 
 /// Everything after the version word of a v1/v2 blob (arrays precede the
 /// execution-engine fields; no checksums, so only generic bounds apply).
-[[nodiscard]] Status readLegacyBody(std::istream &IS, std::uint32_t V,
-                      CvrMatrix::BlobFields F) {
+template <typename Source>
+[[nodiscard]] Status decodeLegacyBody(Source &Src, std::uint32_t V,
+                                      CvrMatrix::BlobFields F) {
   std::int32_t Lanes32 = 0;
   std::uint8_t Generic = 0;
-  if (!readPod(IS, *F.NumRows) || !readPod(IS, *F.NumCols) ||
-      !readPod(IS, *F.Nnz) || !readPod(IS, Lanes32) || !readPod(IS, Generic))
+  if (!readPod(Src, *F.NumRows) || !readPod(Src, *F.NumCols) ||
+      !readPod(Src, *F.Nnz) || !readPod(Src, Lanes32) ||
+      !readPod(Src, Generic))
     return truncated("the header");
   if (*F.NumRows < 0 || *F.NumCols < 0 || *F.Nnz < 0 || Lanes32 < 1 ||
       static_cast<std::uint64_t>(Lanes32) > MaxLanes)
@@ -482,57 +620,48 @@ template <typename Container>
   *F.IKind = ColIndexKind::U32;
 
   Status S;
-  if (!(S = readLegacyArray(IS, *F.Vals, "value stream")).ok())
+  if (!(S = decodeLegacyArray(Src, *F.Vals, "value stream")).ok())
     return S;
-  if (!(S = readLegacyArray(IS, *F.ColIdx, "column-index stream")).ok())
+  if (!(S = decodeLegacyArray(Src, *F.ColIdx, "column-index stream")).ok())
     return S;
-  if (!(S = readLegacyArray(IS, *F.Recs, "record stream")).ok())
+  if (!(S = decodeLegacyArray(Src, *F.Recs, "record stream")).ok())
     return S;
-  if (!(S = readLegacyArray(IS, *F.Tails, "tail table")).ok())
+  if (!(S = decodeLegacyArray(Src, *F.Tails, "tail table")).ok())
     return S;
-  if (!(S = readLegacyArray(IS, *F.Chunks, "chunk table")).ok())
+  if (!(S = decodeLegacyArray(Src, *F.Chunks, "chunk table")).ok())
     return S;
-  if (!(S = readLegacyArray(IS, *F.ZeroRows, "zero-row list")).ok())
+  if (!(S = decodeLegacyArray(Src, *F.ZeroRows, "zero-row list")).ok())
     return S;
   if (V >= 2) {
     std::int32_t Mult = 0;
-    if (!readPod(IS, Mult))
+    if (!readPod(Src, Mult))
       return truncated("the chunk multiplier");
     if (Mult < 1 || static_cast<std::uint64_t>(Mult) > MaxChunkMult)
       return Status::outOfRange(
           "[cvr.blob.bounds] chunk multiplier " + std::to_string(Mult) +
           " is outside [1, " + std::to_string(MaxChunkMult) + "]");
     *F.ChunkMult = Mult;
-    if (!(S = readLegacyArray(IS, *F.Bands, "band table")).ok())
+    if (!(S = decodeLegacyArray(Src, *F.Bands, "band table")).ok())
       return S;
   }
   return Status::okStatus();
 }
 
-/// Quick sanity shared by every decode path before the full structural
-/// sweep below runs.
-[[nodiscard]] Status crossCheckDecoded(const CvrMatrix &M) {
-  const bool HasVals = M.valueKind() == ValueKind::F32x64
-                           ? M.vals32() != nullptr
-                           : M.vals() != nullptr;
-  if (!HasVals && M.numNonZeros() != 0)
+/// Post-decode validation: every offset a kernel dereferences through must
+/// land inside its array before isValid() (which indexes freely) runs.
+[[nodiscard]] Status validateDecoded(const CvrMatrix &M,
+                                     const CvrMatrix::BlobFields &F) {
+  const std::size_t ValsLen = *F.VKind == ValueKind::F32x64
+                                  ? F.Vals32->size()
+                                  : F.Vals->size();
+  const std::size_t ColIdxLen = *F.IKind == ColIndexKind::U16Band
+                                    ? F.ColIdx16->size()
+                                    : F.ColIdx->size();
+  const std::size_t TailsLen = F.Tails->size();
+  const std::size_t RecsLen = F.Recs->size();
+  if (ValsLen == 0 && M.numNonZeros() != 0)
     return Status::outOfRange(
         "[cvr.blob.bounds] empty streams for a nonzero-bearing matrix");
-  return Status::okStatus();
-}
-
-} // namespace
-
-namespace {
-
-/// Post-decode validation shared by readBlob and mapBlob: every offset a
-/// kernel dereferences through must land inside its array before
-/// isValid() (which indexes freely) runs.
-[[nodiscard]] Status validateStructure(const CvrMatrix &M,
-                                       std::size_t ValsLen,
-                                       std::size_t ColIdxLen,
-                                       std::size_t TailsLen,
-                                       std::size_t RecsLen) {
   if (ValsLen != ColIdxLen)
     return Status::outOfRange(
         "[cvr.blob.bounds] value and column-index streams disagree in "
@@ -577,310 +706,56 @@ namespace {
 
 } // namespace
 
-StatusOr<CvrMatrix> CvrMatrix::readBlob(std::istream &IS) {
+template <typename Source>
+StatusOr<CvrMatrix> CvrMatrix::decode(Source &Src) {
   char Head[4];
-  if (!readBytes(IS, Head, sizeof(Head)))
+  if (!Src.read(Head, sizeof(Head)))
     return truncated("the magic");
   if (std::memcmp(Head, Magic, sizeof(Magic)) != 0)
     return Status::dataLoss(
         "[cvr.blob.magic] input does not start with the CVRF magic");
   std::uint32_t V = 0;
-  if (!readPod(IS, V))
+  if (!readPod(Src, V))
     return truncated("the version");
   if (V < 1 || V > MaxVersion)
     return Status::invalidArgument(
         "[cvr.blob.version] unsupported blob version " + std::to_string(V) +
         " (this build reads versions 1.." + std::to_string(MaxVersion) + ")");
+  if (Source::MappedOnly && V != MappedVersion)
+    return Status::failedPrecondition(
+        "mapBlob: blob version " + std::to_string(V) +
+        " is not the mapped layout (" + std::to_string(MappedVersion) +
+        "); load it with readBlob, which copies");
 
   CvrMatrix M;
-  BlobFields F{&M.NumRows,   &M.NumCols, &M.Nnz,    &M.Lanes,
-               &M.ChunkMult, &M.ForceGeneric, &M.VKind, &M.IKind,
-               &M.Vals,      &M.ColIdx,  &M.Vals32, &M.ColIdx16,
-               &M.Recs,      &M.Tails,   &M.Chunks, &M.ZeroRows,
+  BlobFields F{&M.NumRows,   &M.NumCols,      &M.Nnz,    &M.Lanes,
+               &M.ChunkMult, &M.ForceGeneric, &M.VKind,  &M.IKind,
+               &M.Vals,      &M.ColIdx,       &M.Vals32, &M.ColIdx16,
+               &M.Recs,      &M.Tails,        &M.Chunks, &M.ZeroRows,
                &M.Bands};
   Status S = V >= CompactVersion
-                 ? readChecksummedBody(IS, F, /*Padded=*/V >= MappedVersion)
-                 : readLegacyBody(IS, V, F);
+                 ? decodeBody(Src, F, /*Padded=*/V >= MappedVersion)
+                 : decodeLegacyBody(Src, V, F);
   if (!S.ok())
     return S;
   M.rebuildChunkColBases();
-  const std::size_t ValsLen =
-      M.VKind == ValueKind::F32x64 ? M.Vals32.size() : M.Vals.size();
-  const std::size_t ColIdxLen =
-      M.IKind == ColIndexKind::U16Band ? M.ColIdx16.size() : M.ColIdx.size();
-  if (!(S = crossCheckDecoded(M)).ok())
-    return S;
-  if (!(S = validateStructure(M, ValsLen, ColIdxLen, M.Tails.size(),
-                              M.Recs.size()))
-           .ok())
+  if (!(S = validateDecoded(M, F)).ok())
     return S;
   return M;
 }
 
-//===----------------------------------------------------------------------===//
-// Zero-copy mapped decode
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Bounds-checked cursor over the mapped image. Every read is validated
-/// against the image end before any byte is touched, so a truncated file
-/// whose size is known up front can never be over-read (concurrent
-/// truncation after the size was taken is the SIGBUS guard's business —
-/// see io/MmapFile.h).
-struct MemCursor {
-  const unsigned char *Base;
-  const unsigned char *P;
-  const unsigned char *End;
-
-  bool read(void *Out, std::size_t N) {
-    if (static_cast<std::size_t>(End - P) < N)
-      return false;
-    std::memcpy(Out, P, N);
-    P += N;
-    return true;
-  }
-
-  template <typename T> bool pod(T &V) { return read(&V, sizeof(T)); }
-
-  /// Advances past \p N bytes, returning their start (nullptr if the
-  /// image is too short).
-  const unsigned char *take(std::size_t N) {
-    if (static_cast<std::size_t>(End - P) < N)
-      return nullptr;
-    const unsigned char *Q = P;
-    P += N;
-    return Q;
-  }
-};
-
-/// One decoded mapped section: a pointer into the image plus its count.
-template <typename T> struct MappedSection {
-  const T *Ptr = nullptr;
-  std::uint64_t Count = 0;
-};
-
-/// Mapped-layout section decode: validates the count bounds, the pad, the
-/// payload CRC32C, and the payload's 64-byte alignment within the image
-/// before exposing the pointer. Nothing is copied.
-template <typename T>
-[[nodiscard]] Status viewSection(MemCursor &C, MappedSection<T> &Out,
-                                 const char *Name, std::uint64_t MaxElems,
-                                 std::int64_t ExactElems = -1) {
-  std::uint64_t N = 0;
-  if (!C.pod(N))
-    return truncated((std::string("the ") + Name + " section count").c_str());
-  if (ExactElems >= 0 && N != static_cast<std::uint64_t>(ExactElems))
-    return countMismatch(Name, N, ExactElems);
-  if (N > MaxElems)
-    return countOverBound(Name, N, MaxElems);
-
-  std::uint8_t Pad = 0;
-  if (!C.pod(Pad))
-    return truncated((std::string("the ") + Name + " pad length").c_str());
-  if (Pad >= MapAlignment)
-    return badPad(Name);
-  const unsigned char *PadBytes = C.take(Pad);
-  if (!PadBytes)
-    return truncated((std::string("the ") + Name + " pad").c_str());
-  for (std::uint8_t I = 0; I < Pad; ++I)
-    if (PadBytes[I] != 0)
-      return badPad(Name);
-
-  std::size_t Bytes = static_cast<std::size_t>(N) * sizeof(T);
-  const unsigned char *Payload = C.take(Bytes);
-  if (!Payload)
-    return truncated((std::string("the ") + Name + " payload").c_str());
-  // A self-consistent blob could still carry a pad that does not land the
-  // payload on the map alignment (hand-built or rewritten); adopting such
-  // a pointer would trade corruption for misaligned SIMD loads, so it is
-  // structurally rejected.
-  if ((static_cast<std::size_t>(Payload - C.Base) % MapAlignment) != 0)
-    return Status::outOfRange(
-        std::string("[cvr.blob.bounds] ") + Name +
-        " payload is not 64-byte aligned in the mapped image");
-
-  std::uint32_t Want = 0;
-  if (!C.pod(Want))
-    return truncated((std::string("the ") + Name + " checksum").c_str());
-  std::uint32_t Got = crc32c(N != 0 ? Payload : nullptr, Bytes);
-  if (Got != Want)
-    return Status::dataLoss(std::string("[cvr.blob.section-crc] ") + Name +
-                            " payload fails its CRC32C (stored " +
-                            std::to_string(Want) + ", computed " +
-                            std::to_string(Got) + ")");
-  Out.Ptr = reinterpret_cast<const T *>(Payload);
-  Out.Count = N;
-  return Status::okStatus();
+StatusOr<CvrMatrix> CvrMatrix::readBlob(std::istream &IS) {
+  StreamSource Src(IS);
+  return decode(Src);
 }
-
-/// Copies a mapped section into a std::vector (the small metadata tables;
-/// the hot streams stay as views).
-template <typename T>
-[[nodiscard]] Status copySection(const MappedSection<T> &S,
-                                 std::vector<T> &Out, const char *Name) {
-  try {
-    Out.assign(S.Ptr, S.Ptr + S.Count);
-  } catch (const std::bad_alloc &) {
-    return Status::resourceExhausted(std::string(Name) + ": allocation of " +
-                                     std::to_string(S.Count) +
-                                     " elements failed");
-  }
-  return Status::okStatus();
-}
-
-} // namespace
 
 StatusOr<CvrMatrix> CvrMatrix::mapBlob(const void *Data, std::size_t Bytes) {
   if ((reinterpret_cast<std::uintptr_t>(Data) % MapAlignment) != 0)
     return Status::failedPrecondition(
         "mapBlob: image base is not 64-byte aligned (a page-aligned mmap "
         "always is; fall back to readBlob)");
-  const auto *Base = static_cast<const unsigned char *>(Data);
-  MemCursor C{Base, Base, Base + Bytes};
-
-  char Head[4];
-  if (!C.read(Head, sizeof(Head)))
-    return truncated("the magic");
-  if (std::memcmp(Head, Magic, sizeof(Magic)) != 0)
-    return Status::dataLoss(
-        "[cvr.blob.magic] input does not start with the CVRF magic");
-  std::uint32_t V = 0;
-  if (!C.pod(V))
-    return truncated("the version");
-  if (V < 1 || V > MaxVersion)
-    return Status::invalidArgument(
-        "[cvr.blob.version] unsupported blob version " + std::to_string(V) +
-        " (this build reads versions 1.." + std::to_string(MaxVersion) + ")");
-  if (V != MappedVersion)
-    return Status::failedPrecondition(
-        "mapBlob: blob version " + std::to_string(V) +
-        " is not the mapped layout (" + std::to_string(MappedVersion) +
-        "); load it with readBlob, which copies");
-
-  char Header[HeaderBytes];
-  if (!C.read(Header, sizeof(Header)))
-    return truncated("the header");
-  std::uint32_t WantCrc = 0;
-  if (!C.pod(WantCrc))
-    return truncated("the header checksum");
-  if (crc32c(Header, sizeof(Header)) != WantCrc)
-    return Status::dataLoss("[cvr.blob.header-crc] header fails its CRC32C");
-
-  CvrMatrix M;
-  BlobFields F{&M.NumRows,   &M.NumCols, &M.Nnz,    &M.Lanes,
-               &M.ChunkMult, &M.ForceGeneric, &M.VKind, &M.IKind,
-               &M.Vals,      &M.ColIdx,  &M.Vals32, &M.ColIdx16,
-               &M.Recs,      &M.Tails,   &M.Chunks, &M.ZeroRows,
-               &M.Bands};
-  Status S = decodeHeaderImage(Header, F);
-  if (!S.ok())
-    return S;
-  const int Lanes32 = M.Lanes;
-
-  // Chunk table first (copied: the scheduler mutates nothing, but the
-  // table is tiny and the vector type is part of the public accessors).
-  MappedSection<CvrChunk> ChunksSec;
-  if (!(S = viewSection(C, ChunksSec, "chunk table", MaxChunks)).ok())
-    return S;
-  if (!(S = copySection(ChunksSec, M.Chunks, "chunk table")).ok())
-    return S;
-  SectionBudget B;
-  if (!(S = computeSectionBudget(M.Chunks, Lanes32, M.Nnz, M.NumRows, B))
-           .ok())
-    return S;
-  std::uint64_t NumChunks = M.Chunks.size();
-
-  MappedSection<CvrBand> BandsSec;
-  MappedSection<std::int32_t> ZeroSec, TailsSec;
-  MappedSection<CvrRecord> RecsSec;
-  if (!(S = viewSection(C, BandsSec, "band table", NumChunks)).ok())
-    return S;
-  if (!(S = viewSection(C, ZeroSec, "zero-row list",
-                        static_cast<std::uint64_t>(M.NumRows)))
-           .ok())
-    return S;
-  if (!(S = viewSection(C, RecsSec, "record stream", B.MaxRecs)).ok())
-    return S;
-  if (!(S = viewSection(C, TailsSec, "tail table", MaxStreamElems,
-                        static_cast<std::int64_t>(NumChunks * Lanes32)))
-           .ok())
-    return S;
-
-  // The hot streams alias the mapped image — the zero-copy contract. The
-  // element type of the two stream sections follows the header kinds.
-  const auto ExactElems = static_cast<std::int64_t>(B.TotalElems);
-  std::size_t ValsLen = 0, ColIdxLen = 0;
-  if (M.VKind == ValueKind::F32x64) {
-    MappedSection<float> ValsSec;
-    if (!(S = viewSection(C, ValsSec, "value stream", MaxStreamElems,
-                          ExactElems))
-             .ok())
-      return S;
-    M.Vals32 = AlignedBuffer<float>::viewExternal(
-        ValsSec.Ptr, static_cast<std::size_t>(ValsSec.Count));
-    ValsLen = static_cast<std::size_t>(ValsSec.Count);
-  } else {
-    MappedSection<double> ValsSec;
-    if (!(S = viewSection(C, ValsSec, "value stream", MaxStreamElems,
-                          ExactElems))
-             .ok())
-      return S;
-    M.Vals = AlignedBuffer<double>::viewExternal(
-        ValsSec.Ptr, static_cast<std::size_t>(ValsSec.Count));
-    ValsLen = static_cast<std::size_t>(ValsSec.Count);
-  }
-  if (M.IKind == ColIndexKind::U16Band) {
-    MappedSection<std::uint16_t> ColIdxSec;
-    if (!(S = viewSection(C, ColIdxSec, "column-index stream", MaxStreamElems,
-                          ExactElems))
-             .ok())
-      return S;
-    M.ColIdx16 = AlignedBuffer<std::uint16_t>::viewExternal(
-        ColIdxSec.Ptr, static_cast<std::size_t>(ColIdxSec.Count));
-    ColIdxLen = static_cast<std::size_t>(ColIdxSec.Count);
-  } else {
-    MappedSection<std::int32_t> ColIdxSec;
-    if (!(S = viewSection(C, ColIdxSec, "column-index stream", MaxStreamElems,
-                          ExactElems))
-             .ok())
-      return S;
-    M.ColIdx = AlignedBuffer<std::int32_t>::viewExternal(
-        ColIdxSec.Ptr, static_cast<std::size_t>(ColIdxSec.Count));
-    ColIdxLen = static_cast<std::size_t>(ColIdxSec.Count);
-  }
-
-  if (!(S = copySection(BandsSec, M.Bands, "band table")).ok())
-    return S;
-  if (!(S = copySection(ZeroSec, M.ZeroRows, "zero-row list")).ok())
-    return S;
-  if (!(S = copySection(RecsSec, M.Recs, "record stream")).ok())
-    return S;
-  M.Tails = AlignedBuffer<std::int32_t>::viewExternal(
-      TailsSec.Ptr, static_cast<std::size_t>(TailsSec.Count));
-
-  M.rebuildChunkColBases();
-  if (!(S = crossCheckDecoded(M)).ok())
-    return S;
-  if (!(S = validateStructure(M, ValsLen, ColIdxLen, M.Tails.size(),
-                              M.Recs.size()))
-           .ok())
-    return S;
-  return M;
-}
-
-bool CvrMatrix::writeBinary(std::ostream &OS) const {
-  return writeBlob(OS).ok();
-}
-
-bool CvrMatrix::readBinary(std::istream &IS, CvrMatrix &M) {
-  StatusOr<CvrMatrix> R = readBlob(IS);
-  if (!R.ok()) {
-    M = CvrMatrix();
-    return false;
-  }
-  M = std::move(*R);
-  return true;
+  ImageSource Src(Data, Bytes);
+  return decode(Src);
 }
 
 } // namespace cvr

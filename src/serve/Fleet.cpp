@@ -144,13 +144,16 @@ Status Fleet::addBlob(const std::string &Name, const std::string &Path) {
     if (MapOr.ok() &&
         blobVersionOf(MapOr->data(), MapOr->size()) == 4) {
       io::MmapFile Map = std::move(*MapOr);
-      // Validate before any pointer is trusted: the full blob check
-      // (CRCs, bounds, pads, structural invariants) runs against the
-      // mapped bytes, SIGBUS-guarded so a file truncated between fstat
-      // and here reports DATA_LOSS instead of killing the daemon.
+      // One decode, validated before any pointer is trusted: checkBlob
+      // runs mapBlob (every CRC, bound and pad check against the mapped
+      // bytes) and the structural rules on its result, and hands the
+      // decoded matrix over only if both pass. It runs under the SIGBUS
+      // guard, so a file truncated between fstat and here reports
+      // DATA_LOSS instead of killing the daemon.
       Status V = io::withSigbusGuard(Path.c_str(), [&] {
         std::vector<analysis::Violation> Vs =
-            analysis::InvariantChecker::checkBlob(Map.data(), Map.size());
+            analysis::InvariantChecker::checkBlob(Map.data(), Map.size(),
+                                                  &Entry->M);
         if (!Vs.empty())
           return Status::dataLoss("blob '" + Path + "' failed validation: " +
                                   analysis::formatViolations(Vs));
@@ -158,15 +161,6 @@ Status Fleet::addBlob(const std::string &Name, const std::string &Path) {
       });
       if (!V.ok())
         return V; // Corrupt bytes are corrupt in any load mode: reject.
-      Status A = io::withSigbusGuard(Path.c_str(), [&] {
-        StatusOr<CvrMatrix> MOr = CvrMatrix::mapBlob(Map.data(), Map.size());
-        if (!MOr.ok())
-          return MOr.status();
-        Entry->M = std::move(*MOr);
-        return Status::okStatus();
-      });
-      if (!A.ok())
-        return A.withContext("mapBlob of validated '" + Path + "'");
       Entry->Fingerprint = fingerprintBytes(Map.data(), Map.size());
       Entry->Map = std::move(Map);
       Entry->Mode = LoadMode::Mapped;

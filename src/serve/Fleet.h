@@ -9,13 +9,13 @@
 /// everything needed to execute against it:
 ///
 ///  * **Blob sources** (.cvrblob files) load zero-copy when possible: the
-///    file is mmap'd (io/MmapFile), validated end to end against the
-///    mapped bytes — `InvariantChecker::checkBlob` on the view, under the
-///    SIGBUS guard — and only then adopted via `CvrMatrix::mapBlob`, whose
-///    value/column-index/tail streams alias the mapping. A blob that is
-///    not the Mapped (v4) layout, or a mmap that keeps failing after
-///    bounded retries (`serve.mmap` drills this), falls back to the
-///    copying stream reader; the fallback is recorded as the entry's load
+///    file is mmap'd (io/MmapFile) and decoded once, under the SIGBUS
+///    guard, by `InvariantChecker::checkBlob` on the mapped bytes: its
+///    `CvrMatrix::mapBlob` result, whose value/column-index/tail streams
+///    alias the mapping, is adopted only if every blob and structural
+///    check passes. A blob that is not the Mapped (v4) layout, or a mmap
+///    that keeps failing after bounded retries (`serve.mmap` drills this),
+///    falls back to the copying stream reader; the fallback is recorded as the entry's load
 ///    mode, visible in /stats and the List response.
 ///  * **Matrix Market sources** (.mtx) run the full
 ///    formats/Registry::prepareKernel degradation ladder at load time

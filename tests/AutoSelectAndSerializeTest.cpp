@@ -62,10 +62,11 @@ TEST(CvrSerialize, RoundTripPreservesResults) {
   CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
 
   std::stringstream Blob;
-  ASSERT_TRUE(M.writeBinary(Blob));
+  ASSERT_TRUE(M.writeBlob(Blob).ok());
 
-  CvrMatrix Loaded;
-  ASSERT_TRUE(CvrMatrix::readBinary(Blob, Loaded));
+  StatusOr<CvrMatrix> R = CvrMatrix::readBlob(Blob);
+  ASSERT_TRUE(R.ok()) << R.status().toString();
+  const CvrMatrix &Loaded = *R;
   EXPECT_EQ(Loaded.numRows(), M.numRows());
   EXPECT_EQ(Loaded.numCols(), M.numCols());
   EXPECT_EQ(Loaded.numNonZeros(), M.numNonZeros());
@@ -98,9 +99,10 @@ TEST(CvrSerialize, RoundTripPreservesBlockedOverDecomposedStructure) {
   ASSERT_TRUE(M.isBlocked());
 
   std::stringstream Blob;
-  ASSERT_TRUE(M.writeBinary(Blob));
-  CvrMatrix Loaded;
-  ASSERT_TRUE(CvrMatrix::readBinary(Blob, Loaded));
+  ASSERT_TRUE(M.writeBlob(Blob).ok());
+  StatusOr<CvrMatrix> R = CvrMatrix::readBlob(Blob);
+  ASSERT_TRUE(R.ok()) << R.status().toString();
+  const CvrMatrix &Loaded = *R;
   EXPECT_TRUE(Loaded.isValid());
   EXPECT_EQ(Loaded.chunkMultiplier(), 2);
   EXPECT_EQ(Loaded.runThreads(), 3);
@@ -138,11 +140,11 @@ TEST(CvrSerialize, RoundTripPreservesBlockedOverDecomposedStructure) {
     ASSERT_EQ(Loaded.rawColAt(I), M.rawColAt(I)) << "element " << I;
   }
   for (std::int64_t I = 0; I < Recs; ++I) {
-    const CvrRecord &R = M.recs()[I], &L = Loaded.recs()[I];
-    ASSERT_EQ(L.Pos, R.Pos) << "record " << I;
-    ASSERT_EQ(L.Wb, R.Wb) << "record " << I;
-    ASSERT_EQ(L.Steal, R.Steal) << "record " << I;
-    ASSERT_EQ(L.Shared, R.Shared) << "record " << I;
+    const CvrRecord &Rec = M.recs()[I], &L = Loaded.recs()[I];
+    ASSERT_EQ(L.Pos, Rec.Pos) << "record " << I;
+    ASSERT_EQ(L.Wb, Rec.Wb) << "record " << I;
+    ASSERT_EQ(L.Steal, Rec.Steal) << "record " << I;
+    ASSERT_EQ(L.Shared, Rec.Shared) << "record " << I;
   }
   for (std::int64_t I = 0; I < Tails; ++I)
     ASSERT_EQ(Loaded.tails()[I], M.tails()[I]) << "tail slot " << I;
@@ -162,35 +164,37 @@ TEST(CvrSerialize, RoundTripPreservesBlockedOverDecomposedStructure) {
 TEST(CvrSerialize, RoundTripEmptyMatrix) {
   CvrMatrix M = CvrMatrix::fromCsr(CsrMatrix::emptyOfShape(5, 5));
   std::stringstream Blob;
-  ASSERT_TRUE(M.writeBinary(Blob));
-  CvrMatrix Loaded;
-  ASSERT_TRUE(CvrMatrix::readBinary(Blob, Loaded));
-  EXPECT_EQ(Loaded.numNonZeros(), 0);
+  ASSERT_TRUE(M.writeBlob(Blob).ok());
+  StatusOr<CvrMatrix> Loaded = CvrMatrix::readBlob(Blob);
+  ASSERT_TRUE(Loaded.ok()) << Loaded.status().toString();
+  EXPECT_EQ(Loaded->numNonZeros(), 0);
 }
 
 TEST(CvrSerialize, RejectsBadMagic) {
   std::stringstream Blob("XXXXgarbage");
-  CvrMatrix M;
-  EXPECT_FALSE(CvrMatrix::readBinary(Blob, M));
+  StatusOr<CvrMatrix> R = CvrMatrix::readBlob(Blob);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.status().code(), StatusCode::DataLoss);
+  EXPECT_NE(R.status().message().find("cvr.blob.magic"), std::string::npos);
 }
 
 TEST(CvrSerialize, RejectsTruncatedBlob) {
   CvrMatrix M = CvrMatrix::fromCsr(genRmat(8, 6, 3));
   std::stringstream Blob;
-  ASSERT_TRUE(M.writeBinary(Blob));
+  ASSERT_TRUE(M.writeBlob(Blob).ok());
   std::string Full = Blob.str();
   for (std::size_t Cut : {4ul, 16ul, Full.size() / 2, Full.size() - 1}) {
     std::stringstream Truncated(Full.substr(0, Cut));
-    CvrMatrix Out;
-    EXPECT_FALSE(CvrMatrix::readBinary(Truncated, Out))
-        << "cut at " << Cut;
+    StatusOr<CvrMatrix> R = CvrMatrix::readBlob(Truncated);
+    ASSERT_FALSE(R.ok()) << "cut at " << Cut;
+    EXPECT_EQ(R.status().code(), StatusCode::DataLoss) << "cut at " << Cut;
   }
 }
 
 TEST(CvrSerialize, RejectsCorruptedChunkOffsets) {
   CvrMatrix M = CvrMatrix::fromCsr(genRmat(8, 6, 4));
   std::stringstream Blob;
-  ASSERT_TRUE(M.writeBinary(Blob));
+  ASSERT_TRUE(M.writeBlob(Blob).ok());
   std::string Bytes = Blob.str();
   // Flip high bits late in the blob (the chunk table region) and require
   // either a clean reject or a still-valid load — never a crash.
@@ -198,9 +202,10 @@ TEST(CvrSerialize, RejectsCorruptedChunkOffsets) {
     std::string Mutated = Bytes;
     Mutated[I] = static_cast<char>(Mutated[I] ^ 0x7F);
     std::stringstream In(Mutated);
-    CvrMatrix Out;
-    if (CvrMatrix::readBinary(In, Out))
-      EXPECT_TRUE(Out.isValid());
+    StatusOr<CvrMatrix> R = CvrMatrix::readBlob(In);
+    if (R.ok()) {
+      EXPECT_TRUE(R->isValid());
+    }
   }
 }
 
@@ -208,7 +213,7 @@ TEST(CvrSerialize, BlobIsReasonablySized) {
   CsrMatrix A = genRmat(10, 8, 5);
   CvrMatrix M = CvrMatrix::fromCsr(A);
   std::stringstream Blob;
-  ASSERT_TRUE(M.writeBinary(Blob));
+  ASSERT_TRUE(M.writeBlob(Blob).ok());
   // Blob ~ formatBytes plus small headers.
   EXPECT_LT(Blob.str().size(), M.formatBytes() + 256);
 }

@@ -222,7 +222,7 @@ TEST(MmapBlobTest, TruncatedFileSurfacesAsDataLossNotACrash) {
   // Blob comfortably larger than one page, written to a real file.
   BlobFixture F = makeBlob(256, 256, 0.25, 37);
   ASSERT_GT(F.Blob.size(), 8192u);
-  std::string Path = "mmap_blob_test_truncate.cvr";
+  std::string Path = test::uniqueTempPath(".cvr");
   {
     std::ofstream OS(Path, std::ios::binary);
     OS.write(F.Blob.data(), static_cast<std::streamsize>(F.Blob.size()));

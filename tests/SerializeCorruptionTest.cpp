@@ -8,7 +8,9 @@
 // every single-bit flip, and hostile section counts must come back as a
 // non-OK Status — never a crash, never a silently wrong matrix. The suite
 // runs under ASan/UBSan in CI, so any out-of-bounds read an accepted
-// mutation would cause is fatal there.
+// mutation would cause is fatal there. readBlob (stream) and mapBlob
+// (mapped image) share one decoder, so on a Mapped blob they must also
+// agree on the code and rule id of every rejection.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,11 +18,14 @@
 
 #include "TestUtil.h"
 #include "analysis/InvariantChecker.h"
+#include "support/AlignedBuffer.h"
+#include "support/Crc32c.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <sstream>
+#include <vector>
 
 namespace cvr {
 namespace {
@@ -56,6 +61,22 @@ std::string blobOf(const CvrMatrix &M) {
   return OS.str();
 }
 
+std::string mappedBlobOf(const CvrMatrix &M) {
+  std::ostringstream OS;
+  Status S = M.writeBlob(OS, BlobLayout::Mapped);
+  EXPECT_TRUE(S.ok()) << S.toString();
+  return OS.str();
+}
+
+/// A 64-byte-aligned copy of \p Bytes, as mapBlob requires.
+AlignedBuffer<char> alignedImage(const std::string &Bytes) {
+  AlignedBuffer<char> Img;
+  Img.resize(Bytes.size());
+  if (!Bytes.empty())
+    std::memcpy(Img.data(), Bytes.data(), Bytes.size());
+  return Img;
+}
+
 StatusOr<CvrMatrix> readFrom(const std::string &Bytes) {
   std::istringstream IS(Bytes);
   return CvrMatrix::readBlob(IS);
@@ -77,6 +98,16 @@ std::size_t sectionCountOffset(const std::string &B, int Idx) {
   std::size_t Off = FirstSectionOff;
   for (int I = 0; I < Idx; ++I)
     Off += 8 + getU64(B, Off) * SectionElemSize[I] + 4;
+  return Off;
+}
+
+/// The same for a Mapped (v4) blob, whose sections carry a pad-length
+/// byte and that many pad bytes between the count and the payload.
+std::size_t mappedSectionCountOffset(const std::string &B, int Idx) {
+  std::size_t Off = FirstSectionOff;
+  for (int I = 0; I < Idx; ++I)
+    Off += 8 + 1 + static_cast<unsigned char>(B[Off + 8]) +
+           getU64(B, Off) * SectionElemSize[I] + 4;
   return Off;
 }
 
@@ -188,6 +219,38 @@ TEST(SerializeCorruption, HostileChunkCountRejectedBeforeAllocation) {
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.status().code(), StatusCode::OutOfRange);
   EXPECT_NE(R.status().message().find("cvr.blob.bounds"), std::string::npos);
+}
+
+TEST(SerializeCorruption, HostileNnzCannotInflateRecordBound) {
+  // The record bound grows with the header's Nnz. A CRC-consistent header
+  // declaring an absurd Nnz must still leave the record count capped by
+  // the stream ceiling: rejected OUT_OF_RANGE, not a vector length error.
+  std::string Blob = blobOf(makeCvr());
+  const std::int64_t Nnz = std::int64_t(1) << 62;
+  std::memcpy(&Blob[HeaderOff + 8], &Nnz, sizeof(Nnz));
+  std::uint32_t Crc = crc32c(Blob.data() + HeaderOff, 27);
+  std::memcpy(&Blob[FirstSectionOff - 4], &Crc, sizeof(Crc));
+  putU64(Blob, sectionCountOffset(Blob, 3), 1ULL << 61); // record stream
+  StatusOr<CvrMatrix> R = readFrom(Blob);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.status().code(), StatusCode::OutOfRange);
+  EXPECT_NE(R.status().message().find("cvr.blob.bounds"), std::string::npos)
+      << R.status().message();
+
+  // The same hostile header on the Mapped layout, decoded in place the way
+  // the serving daemon loads it: N * sizeof(CvrRecord) must not wrap into
+  // an accepted section.
+  std::string Mapped = mappedBlobOf(makeCvr());
+  std::memcpy(&Mapped[HeaderOff + 8], &Nnz, sizeof(Nnz));
+  std::uint32_t MappedCrc = crc32c(Mapped.data() + HeaderOff, 27);
+  std::memcpy(&Mapped[FirstSectionOff - 4], &MappedCrc, sizeof(MappedCrc));
+  putU64(Mapped, mappedSectionCountOffset(Mapped, 3), 1ULL << 61);
+  AlignedBuffer<char> Img = alignedImage(Mapped);
+  StatusOr<CvrMatrix> MR = CvrMatrix::mapBlob(Img.data(), Mapped.size());
+  ASSERT_FALSE(MR.ok());
+  EXPECT_EQ(MR.status().code(), StatusCode::OutOfRange);
+  EXPECT_NE(MR.status().message().find("cvr.blob.bounds"), std::string::npos)
+      << MR.status().message();
 }
 
 TEST(SerializeCorruption, InflatedValsCountFailsExactBound) {
@@ -352,6 +415,61 @@ TEST(SerializeCorruption, CompressedMappedEveryBitFlipRejected) {
     EXPECT_FALSE(readFrom(Mut).ok())
         << "bit " << (I % 8) << " of mapped byte " << I
         << " flipped without detection";
+  }
+}
+
+/// Validates \p Bytes through both checkBlob overloads: the stream one
+/// (readBlob) and, from a 64-byte-aligned copy, the image one (mapBlob).
+/// Succeeds when both accept, or both report the same first rule with the
+/// same status code; \p MustReject additionally fails the case where both
+/// accept.
+::testing::AssertionResult readersAgree(const std::string &Bytes,
+                                        bool MustReject) {
+  using analysis::InvariantChecker;
+  AlignedBuffer<char> Img = alignedImage(Bytes);
+  std::istringstream IS(Bytes);
+  std::vector<analysis::Violation> Read = InvariantChecker::checkBlob(IS);
+  std::vector<analysis::Violation> Mapped =
+      InvariantChecker::checkBlob(Img.data(), Bytes.size());
+  if (Read.empty() && Mapped.empty())
+    return MustReject ? ::testing::AssertionFailure() << "both readers accept"
+                      : ::testing::AssertionSuccess();
+  // A decode violation's message leads with the status code name.
+  auto CodeOf = [](const analysis::Violation &V) {
+    return V.Message.substr(0, V.Message.find(':'));
+  };
+  if (Read.empty() || Mapped.empty() || Read[0].Rule != Mapped[0].Rule ||
+      CodeOf(Read[0]) != CodeOf(Mapped[0]))
+    return ::testing::AssertionFailure()
+           << "readBlob: " << analysis::formatViolations(Read)
+           << " / mapBlob: " << analysis::formatViolations(Mapped);
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SerializeCorruption, MappedReadersAgreeOnEveryMutation) {
+  for (bool Compressed : {false, true}) {
+    CvrMatrix M = Compressed ? makeCompressedCvr() : makeCvr();
+    ASSERT_EQ(M.valueKind(),
+              Compressed ? ValueKind::F32x64 : ValueKind::F64);
+    ASSERT_EQ(M.colIndexKind(),
+              Compressed ? ColIndexKind::U16Band : ColIndexKind::U32);
+    const std::string Blob = mappedBlobOf(M);
+    ASSERT_TRUE(readFrom(Blob).ok());
+    ASSERT_TRUE(readersAgree(Blob, /*MustReject=*/false));
+
+    for (std::size_t L = 0; L < Blob.size(); ++L)
+      EXPECT_TRUE(readersAgree(Blob.substr(0, L), /*MustReject=*/true))
+          << "compressed=" << Compressed << ", prefix of " << L << " of "
+          << Blob.size() << " bytes";
+    std::string Mut = Blob;
+    for (std::size_t I = 0; I < Mut.size(); ++I)
+      for (int Bit = 0; Bit < 8; ++Bit) {
+        Mut[I] = static_cast<char>(Mut[I] ^ (1 << Bit));
+        EXPECT_TRUE(readersAgree(Mut, /*MustReject=*/true))
+            << "compressed=" << Compressed << ", bit " << Bit << " of byte "
+            << I;
+        Mut[I] = static_cast<char>(Mut[I] ^ (1 << Bit));
+      }
   }
 }
 

@@ -14,17 +14,21 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/InvariantChecker.h"
 #include "io/MatrixMarket.h"
 #include "matrix/Reference.h"
 #include "serve/Client.h"
 #include "serve/Server.h"
+#include "support/Crc32c.h"
 #include "support/FailPoint.h"
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -42,7 +46,7 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 /// A fleet with one mapped-blob entry ("m") over a deterministic random
-/// matrix, written to (and cleaned from) the working directory.
+/// matrix, written to (and cleaned from) a per-test temp file.
 class ServeTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -78,7 +82,7 @@ protected:
     EXPECT_LE(maxRelDiff(Ref, Resp.Y), test::SpmvTolerance);
   }
 
-  std::string BlobPath = "serve_test_blob.cvr";
+  std::string BlobPath = test::uniqueTempPath(".cvr");
   CsrMatrix A;
   std::unique_ptr<Fleet> TheFleet;
 };
@@ -415,7 +419,7 @@ TEST_F(ServeTest, SpmmPanelMatchesReferencePerColumn) {
 }
 
 TEST_F(ServeTest, MatrixMarketEntryServesThroughTheLadder) {
-  std::string MtxPath = "serve_test_m.mtx";
+  std::string MtxPath = test::uniqueTempPath(".mtx");
   ASSERT_TRUE(writeMatrixMarketFile(MtxPath, A.toCoo()).ok());
   Status S = TheFleet->addMatrixMarket("ladder", MtxPath);
   (void)std::remove(MtxPath.c_str());
@@ -426,6 +430,59 @@ TEST_F(ServeTest, MatrixMarketEntryServesThroughTheLadder) {
   Request R = multiplyRequest();
   R.Matrix = "ladder";
   expectMatchesReference(R, Svc.handle(R));
+}
+
+TEST_F(ServeTest, MappedBlobFailingOnlyStructuralRulesIsRejected) {
+  // The fleet decodes a mapped blob once (mapBlob) and runs the structural
+  // checker on the result. This blob is CRC-consistent and passes every
+  // decode-time check, but a chunk's tail range, although in bounds, is
+  // not at chunk x lanes — a rule only checkCvr enforces.
+  CvrOptions Opts;
+  Opts.NumThreads = 4;
+  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
+  ASSERT_GE(M.numChunks(), 2);
+  std::ostringstream OS;
+  ASSERT_TRUE(M.writeBlob(OS, BlobLayout::Mapped).ok());
+  const std::string Good = OS.str();
+
+  // Mapped layout: the chunk table's u64 count sits after magic, version,
+  // the 27-byte header and its CRC (offset 39); then a u8 pad length, the
+  // pad, the payload, and the payload's CRC32C.
+  const std::size_t CountOff = 39;
+  const std::size_t PayloadOff =
+      CountOff + 9 + static_cast<unsigned char>(Good[CountOff + 8]);
+  const std::size_t PayloadBytes =
+      static_cast<std::size_t>(M.numChunks()) * sizeof(CvrChunk);
+  const std::int64_t MaxTailBase =
+      static_cast<std::int64_t>(M.numChunks() - 1) * M.lanes();
+
+  // Move chunk 0's tail range to the first in-bounds base the decoder
+  // still accepts (validateStructure and isValid both run inside it).
+  std::string Bad;
+  for (std::int64_t Base = 1; Base <= MaxTailBase && Bad.empty(); ++Base) {
+    std::string B = Good;
+    std::memcpy(&B[PayloadOff + offsetof(CvrChunk, TailBase)], &Base,
+                sizeof(Base));
+    std::uint32_t Crc = crc32c(B.data() + PayloadOff, PayloadBytes);
+    std::memcpy(&B[PayloadOff + PayloadBytes], &Crc, sizeof(Crc));
+    std::istringstream IS(B);
+    if (CvrMatrix::readBlob(IS).ok())
+      Bad = B;
+  }
+  ASSERT_FALSE(Bad.empty()) << "no in-bounds tail base survives decoding";
+
+  std::string BadPath = test::uniqueTempPath(".bad.cvr");
+  {
+    std::ofstream Out(BadPath, std::ios::binary);
+    Out.write(Bad.data(), static_cast<std::streamsize>(Bad.size()));
+  }
+  Status S = TheFleet->addBlob("bad", BadPath);
+  (void)std::remove(BadPath.c_str());
+  ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.code(), StatusCode::DataLoss) << S.toString();
+  EXPECT_NE(S.message().find("cvr.chunk.layout"), std::string::npos)
+      << S.toString();
+  EXPECT_EQ(TheFleet->find("bad"), nullptr);
 }
 
 //===----------------------------------------------------------------------===//

@@ -611,7 +611,10 @@ TEST(SolverAllocationAudit, IterationCountDoesNotChangeAllocationCount) {
 //===----------------------------------------------------------------------===//
 // Global allocation counting for the audit above. Replacing the global
 // operator new/delete pair is binary-wide, so the counter only ticks while
-// a solve is running (the audit reads it before and after).
+// a solve is running (the audit reads it before and after). Every
+// unaligned new and delete form is replaced, the nothrow ones included
+// (std::stable_sort's temporary buffer uses nothrow new and a sized
+// delete), so no allocation is freed by an allocator that did not make it.
 //===----------------------------------------------------------------------===//
 
 #include <atomic>
@@ -636,10 +639,16 @@ std::size_t globalAllocBytes() {
 } // namespace test
 } // namespace cvr
 
-void *operator new(std::size_t Sz) {
+void *operator new(std::size_t Sz, const std::nothrow_t &) noexcept {
   GAllocCount.fetch_add(1, std::memory_order_relaxed);
   GAllocBytes.fetch_add(Sz, std::memory_order_relaxed);
-  if (void *P = std::malloc(Sz ? Sz : 1))
+  return std::malloc(Sz ? Sz : 1);
+}
+void *operator new[](std::size_t Sz, const std::nothrow_t &T) noexcept {
+  return ::operator new(Sz, T);
+}
+void *operator new(std::size_t Sz) {
+  if (void *P = ::operator new(Sz, std::nothrow))
     return P;
   throw std::bad_alloc();
 }
@@ -648,6 +657,10 @@ void operator delete(void *P) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete(void *P, std::size_t) noexcept { std::free(P); }
 void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept { std::free(P); }
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 namespace cvr {
 namespace {

@@ -12,7 +12,13 @@
 #include "matrix/Reference.h"
 #include "support/Random.h"
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 namespace cvr {
 namespace test {
@@ -41,6 +47,21 @@ inline CsrMatrix randomCsr(std::int32_t Rows, std::int32_t Cols,
 /// Tolerance for comparing SpMV results; reassociation across lanes and
 /// threads perturbs the last few bits, scaled by row length.
 inline constexpr double SpmvTolerance = 1e-10;
+
+/// A file path no other test process shares: under ::testing::TempDir(),
+/// named after the running test and the process id. ctest runs every case
+/// as its own process, in parallel, so a fixed name would let one case
+/// rewrite a file another has mapped.
+inline std::string uniqueTempPath(const std::string &Suffix) {
+  const ::testing::TestInfo *T =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string Name = std::string(T->test_suite_name()) + "." + T->name();
+  std::replace(Name.begin(), Name.end(), '/', '_');
+  std::string Dir = ::testing::TempDir();
+  if (!Dir.empty() && Dir.back() != '/')
+    Dir += '/';
+  return Dir + Name + "." + std::to_string(::getpid()) + Suffix;
+}
 
 /// Binary-wide heap-allocation counters, ticked by the global operator
 /// new replacement in SolversTest.cpp. Allocation audits read them before
