@@ -309,7 +309,7 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
               "column " + num(Col) + " outside [0, " + num(Cols) + ")");
     }
 
-    // -- Records: ordered positions, in-range write-back targets. ----------
+    // -- Records: strictly increasing positions, in-range targets. --------
     std::int64_t PrevPos = -1;
     const std::int64_t PosLimit = (Ch.NumSteps + 1) * Lanes;
     for (std::int64_t I = Ch.RecBase; I < Ch.RecEnd && !R.full(); ++I) {
@@ -320,10 +320,10 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
         R.add("cvr.rec.pos-range", RWhere,
               "position " + num(Rec.Pos) + " outside [0, " + num(PosLimit) +
                   ")");
-      if (Rec.Pos < PrevPos)
+      if (Rec.Pos <= PrevPos)
         R.add("cvr.rec.pos-order", RWhere,
               "position " + num(Rec.Pos) + " after " + num(PrevPos) +
-                  " (records must be position-ordered)");
+                  " (record positions must strictly increase)");
       PrevPos = Rec.Pos;
       if (Rec.Steal) {
         if (Rec.Wb < 0 || Rec.Wb >= Lanes)

@@ -63,17 +63,22 @@ RooflinePrediction predictCvr(const CvrMatrix &M, double Alpha) {
   RooflinePrediction P;
   P.Alpha = std::max(0.0, Alpha);
 
-  std::int64_t Elems = 0;
+  std::int64_t Steps = 0;
   std::int64_t NumRecs = 0;
   for (const CvrChunk &C : M.chunks()) {
-    Elems += C.NumSteps * M.lanes();
+    Steps += C.NumSteps;
     NumRecs += C.RecEnd - C.RecBase;
   }
+  const std::int64_t Elems = Steps * M.lanes();
+  // The 8-lane kernel also reads one finish-mask byte per step and chunk.
+  const std::int64_t MaskBytes =
+      M.finishMasks(0) ? Steps + M.numChunks() : 0;
   P.ValueBytes = static_cast<double>(Elems) *
                  static_cast<double>(M.valueBytes());
   P.IndexBytes = static_cast<double>(Elems) *
                  static_cast<double>(M.indexBytes());
-  P.RecordBytes = static_cast<double>(NumRecs) * sizeof(CvrRecord);
+  P.RecordBytes = static_cast<double>(NumRecs) * sizeof(CvrRecord) +
+                  static_cast<double>(MaskBytes);
   P.TailBytes = static_cast<double>(M.numChunks()) * M.lanes() *
                 sizeof(std::int32_t);
 

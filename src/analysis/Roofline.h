@@ -9,11 +9,11 @@
 /// bytes one iteration must move are a roofline on its throughput. This
 /// module prices one SpMV iteration per format/plan from structure alone:
 ///
-///   * the value, column-index, record, and tail streams are read
-///     sequentially exactly once per iteration — their DRAM traffic is
-///     their byte size, which is where the compressed stream kinds
-///     (ValueKind::F32x64, ColIndexKind::U16Band) show up as a measurable
-///     reduction;
+///   * the value, column-index, record (with finish-mask), and tail streams
+///     are read sequentially exactly once per iteration — their DRAM
+///     traffic is their byte size, which is where the compressed stream
+///     kinds (ValueKind::F32x64, ColIndexKind::U16Band) show up as a
+///     measurable reduction;
 ///   * y is written once per row (plus one read per band beyond the first
 ///     when column blocking accumulates);
 ///   * x is gathered irregularly: the baseline is one fetch of every
@@ -46,7 +46,7 @@ namespace analysis {
 struct RooflinePrediction {
   double ValueBytes = 0.0;  ///< Value stream, sized by ValueKind.
   double IndexBytes = 0.0;  ///< Column indices, sized by ColIndexKind.
-  double RecordBytes = 0.0; ///< (Pos, Wb, Steal, Shared) records.
+  double RecordBytes = 0.0; ///< Records, plus CVR's per-step finish masks.
   double TailBytes = 0.0;   ///< Per-chunk t_result row tables.
   double XBytes = 0.0;      ///< Gather traffic: Alpha * compulsory lines.
   double YBytes = 0.0;      ///< Output stores (+ band accumulate reads).

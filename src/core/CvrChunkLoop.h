@@ -12,11 +12,13 @@
 /// bounds guard.
 ///
 /// runChunkGeneric is templated on two policies. The write-back policy
-/// decides how a finished row leaves the kernel (see CvrSpmv.cpp). The
-/// observer sees every memory reference the loop is
-/// about to make: it is called at chunk entry, per record, for the step's
-/// stream loads, per x gather, per row finish and per tail slot, and each
-/// hook returns whether the loop may go ahead. Three observers exist:
+/// decides how a finished row leaves the kernel (finish() and
+/// traceFinish()). This loop checks the record stream at every step; the
+/// 8-lane kernel in CvrSpmv.cpp reads the finish masks instead. The
+/// observer sees every memory reference the loop is about to make: it is
+/// called at chunk entry, per record, for the step's stream loads, per x
+/// gather, per row finish and per tail slot, and each hook returns whether
+/// the loop may go ahead. Three observers exist:
 ///
 ///  - NoObserver (below), for execution: every hook is a constant true, so
 ///    the loop compiles to the plain kernel.
@@ -31,7 +33,6 @@
 #define CVR_CORE_CVRCHUNKLOOP_H
 
 #include "core/CvrFormat.h"
-#include "simd/Simd.h"
 #include "support/Annotations.h"
 #include "support/MemSink.h"
 
@@ -41,34 +42,10 @@
 namespace cvr {
 namespace detail {
 
-/// Applies every record with Pos < Limit one lane at a time: steal records
-/// accumulate into the chunk's t_result slots, feed records go through
-/// \p Out.finish, and the applied lanes are zeroed. Returns the updated
-/// v_out.
-template <class WriteBack>
-CVR_HOT inline simd::VecD8
-spillRecords(const WriteBack &Out, simd::VecD8 VOut, const CvrRecord *Recs,
-             std::int64_t &RecIdx, std::int64_t RecEnd, std::int64_t Limit,
-             double *TResult) {
-  alignas(64) double Buf[8];
-  VOut.toArray(Buf);
-  do {
-    const CvrRecord &R = Recs[RecIdx];
-    int Off = static_cast<int>(R.Pos & 7);
-    if (R.Steal)
-      TResult[R.Wb] += Buf[Off];
-    else
-      Out.finish(R.Wb, Buf[Off], R.Shared);
-    Buf[Off] = 0.0;
-    ++RecIdx;
-  } while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit);
-  return simd::VecD8::fromArray(Buf);
-}
-
 /// The Store (Add = false) and Accumulate (Add = true) policies. Every row
 /// other than a chunk-boundary row has exactly one writer within a band, so
 /// a plain store, or a plain add in accumulate mode, suffices.
-template <bool Add> struct ScatterWriteBack {
+template <bool Add> struct RowWriteBack {
   double *Y;
 
   CVR_HOT void finish(std::int32_t Row, double V, bool Shared) const {
@@ -82,57 +59,6 @@ template <bool Add> struct ScatterWriteBack {
     }
   }
 
-  /// Feed records scatter the lane's finished dot product straight into y:
-  /// one masked scatter for the common exclusive-row case, which accumulate
-  /// mode turns into gather+add+scatter.
-  CVR_HOT simd::VecD8 applyRecords(simd::VecD8 VOut, const CvrRecord *Recs,
-                                   std::int64_t &RecIdx, std::int64_t RecEnd,
-                                   std::int64_t Limit,
-                                   double *TResult) const {
-#if CVR_SIMD_AVX512
-    alignas(32) std::int32_t WbBuf[8];
-    __mmask8 FeedMask = 0, ClearMask = 0;
-    do {
-      const CvrRecord &R = Recs[RecIdx];
-      int Off = static_cast<int>(R.Pos & 7);
-      auto Bit = static_cast<__mmask8>(1U << Off);
-      if (!R.Steal && !R.Shared) {
-        WbBuf[Off] = R.Wb;
-        FeedMask |= Bit;
-      } else {
-        // Single-lane extraction via a masked horizontal add.
-        double V = _mm512_mask_reduce_add_pd(Bit, VOut.Reg);
-        if (R.Steal) {
-          TResult[R.Wb] += V;
-        } else {
-#pragma omp atomic
-          Y[R.Wb] += V;
-        }
-      }
-      ClearMask |= Bit;
-      ++RecIdx;
-    } while (RecIdx < RecEnd && Recs[RecIdx].Pos < Limit);
-    if (FeedMask) {
-      __m256i Idx =
-          _mm256_load_si256(reinterpret_cast<const __m256i *>(WbBuf));
-      __m512d Out = VOut.Reg;
-      if constexpr (Add) {
-        // Distinct rows per batch (a row finishes once per chunk), so the
-        // gather+add+scatter never self-conflicts.
-        __m512d Old = _mm512_mask_i32gather_pd(_mm512_setzero_pd(),
-                                               FeedMask, Idx, Y, 8);
-        Out = _mm512_add_pd(Old, VOut.Reg);
-      }
-      _mm512_mask_i32scatter_pd(Y, FeedMask, Idx, Out, 8);
-    }
-    VOut.Reg = _mm512_maskz_mov_pd(static_cast<__mmask8>(~ClearMask),
-                                   VOut.Reg);
-    return VOut;
-#else
-    return spillRecords(*this, VOut, Recs, RecIdx, RecEnd, Limit, TResult);
-#endif
-  }
-
   void traceFinish(MemAccessSink &Sink, std::int32_t Row, bool Shared) const {
     if (Shared || Add)
       Sink.read(Y + Row, sizeof(double));
@@ -140,13 +66,8 @@ template <bool Add> struct ScatterWriteBack {
   }
 };
 
-using StoreWriteBack = ScatterWriteBack<false>;
-using AccumulateWriteBack = ScatterWriteBack<true>;
-
-/// Band base of \p C, for the narrow-index kernels (0 otherwise).
-inline std::int32_t chunkBase(const CvrMatrix &M, const CvrChunk &C) {
-  return M.chunkColBase(static_cast<std::size_t>(&C - M.chunks().data()));
-}
+using StoreWriteBack = RowWriteBack<false>;
+using AccumulateWriteBack = RowWriteBack<true>;
 
 /// The execution observer: lets every access through.
 struct NoObserver {
@@ -183,7 +104,8 @@ void runChunkGeneric(const CvrMatrix &M, const CvrChunk &C, const double *X,
     return;
   const int W = M.lanes();
   const std::int64_t EB = C.ElemBase;
-  const std::int32_t Base = chunkBase(M, C);
+  const std::int32_t Base =
+      M.chunkColBase(static_cast<std::size_t>(&C - M.chunks().data()));
   const CvrRecord *Recs = M.recs();
   std::int64_t RecIdx = C.RecBase;
   const std::int64_t RecEnd = C.RecEnd;

@@ -32,8 +32,8 @@ CVR_HOT inline void writeBackF(float *Y, std::int32_t Row, float V,
 
 #if CVR_SIMD_AVX512
 
-/// Applies every record with Pos < Limit against the 16-lane accumulator;
-/// see the f64 applyRecords for the structure.
+/// Applies every record with Pos < Limit against the 16-lane accumulator:
+/// exclusive feed records in one masked scatter, the rest by masked reduce.
 CVR_HOT inline __m512 applyRecordsF(__m512 VOut, const CvrRecord *Recs,
                             std::int64_t &RecIdx, std::int64_t RecEnd,
                             std::int64_t Limit, float *Y, float *TResult) {

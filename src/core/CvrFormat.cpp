@@ -228,16 +228,33 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
       "CVR conversion: auxiliary allocation failed");
 }
 
-void CvrMatrix::rebuildChunkColBases() {
+Status CvrMatrix::rebuildDerived() {
   ChunkColBase.assign(Chunks.size(), 0);
   for (const CvrBand &B : Bands)
     for (std::int32_t C = B.ChunkBegin;
          C < B.ChunkEnd && C < static_cast<std::int32_t>(Chunks.size()); ++C)
       ChunkColBase[static_cast<std::size_t>(C)] = B.ColBegin;
+
+  ChunkMaskBase.clear();
+  FinishMasks = AlignedBuffer<std::uint8_t>();
+  if (Lanes != 8)
+    return Status::okStatus();
+  for (const CvrChunk &C : Chunks) {
+    const std::size_t Base = FinishMasks.size();
+    if (!FinishMasks.tryResize(Base + C.NumSteps + 1, 0).ok())
+      return Status::resourceExhausted("CVR finish mask allocation failed");
+    ChunkMaskBase.push_back(static_cast<std::int64_t>(Base));
+    for (std::int64_t R = C.RecBase; R < C.RecEnd; ++R) {
+      const std::int64_t Pos = Recs[static_cast<std::size_t>(R)].Pos;
+      FinishMasks[Base + Pos / 8] |= static_cast<std::uint8_t>(1U << (Pos % 8));
+    }
+  }
+  return Status::okStatus();
 }
 
 Status CvrMatrix::compressStreams(ValueKind VK, ColIndexKind IK) {
-  rebuildChunkColBases();
+  if (Status S = rebuildDerived(); !S.ok())
+    return S;
 
   if (IK == ColIndexKind::U16Band) {
     // Eligibility: every band (the whole column range when unblocked)
@@ -309,7 +326,7 @@ std::size_t CvrMatrix::formatBytes() const {
          Tails.size() * sizeof(std::int32_t) +
          Chunks.size() * sizeof(CvrChunk) +
          ZeroRows.size() * sizeof(std::int32_t) +
-         Bands.size() * sizeof(CvrBand);
+         Bands.size() * sizeof(CvrBand) + FinishMasks.size();
 }
 
 bool CvrMatrix::isValid() const {
@@ -366,8 +383,10 @@ bool CvrMatrix::isValid() const {
     std::int64_t Prev = -1;
     for (std::int64_t R = C.RecBase; R < C.RecEnd; ++R) {
       const CvrRecord &Rec = Recs[R];
-      if (Rec.Pos < Prev)
-        return false; // Records must be position-ordered per chunk.
+      // One record per lane and step, in position order, none past the
+      // trailing step: each maps to its own finish-mask bit.
+      if (Rec.Pos <= Prev || Rec.Pos >= (C.NumSteps + 1) * Lanes)
+        return false;
       Prev = Rec.Pos;
       if (Rec.Steal) {
         if (Rec.Wb < 0 || Rec.Wb >= Lanes)

@@ -224,6 +224,16 @@ public:
     return ChunkIdx < ChunkColBase.size() ? ChunkColBase[ChunkIdx] : 0;
   }
 
+  /// The chunk's NumSteps + 1 finish-mask bytes: bit k of byte I is set
+  /// when a record sits at position I * 8 + k, i.e. lane k finishes just
+  /// before step I (the last byte holds the trailing records). Derived
+  /// like chunkColBase; nullptr unless the matrix has 8 lanes.
+  const std::uint8_t *finishMasks(std::size_t ChunkIdx) const {
+    return ChunkIdx < ChunkMaskBase.size()
+               ? FinishMasks.data() + ChunkMaskBase[ChunkIdx]
+               : nullptr;
+  }
+
   /// Kind-independent element decode for the cold paths (validation,
   /// tracing, shadow kernels). \p Base is the owning chunk's
   /// chunkColBase().
@@ -268,8 +278,9 @@ public:
 
   std::size_t formatBytes() const;
 
-  /// Internal invariants (every nonzero emitted exactly once, records
-  /// ordered by position, tails consistent); used by tests and asserts.
+  /// Internal invariants (every nonzero emitted exactly once, record
+  /// positions strictly increasing within [0, (NumSteps + 1) * Lanes),
+  /// tails consistent); used by tests and asserts.
   bool isValid() const;
 
   /// Writes the converted matrix as a versioned little-endian blob, so
@@ -349,9 +360,9 @@ private:
   /// Applies the CvrOptions compression axes to a freshly converted (or
   /// about-to-be-validated) structure: narrows ColIdx into ColIdx16 when
   /// every band fits uint16 (recording the fallback otherwise) and Vals
-  /// into Vals32 on request, then rebuilds the derived per-chunk column
-  /// bases. RESOURCE_EXHAUSTED when the narrow streams cannot be
-  /// allocated.
+  /// into Vals32 on request, after rebuilding the derived per-chunk
+  /// state. RESOURCE_EXHAUSTED when the narrow streams or the masks cannot
+  /// be allocated.
   [[nodiscard]] Status compressStreams(ValueKind VK, ColIndexKind IK);
 
   /// The one blob decoder behind readBlob and mapBlob, over a byte source
@@ -360,9 +371,10 @@ private:
   template <typename Source>
   [[nodiscard]] static StatusOr<CvrMatrix> decode(Source &Src);
 
-  /// Recomputes ChunkColBase from Bands (called after conversion and
-  /// after every successful blob decode).
-  void rebuildChunkColBases();
+  /// Recomputes ChunkColBase from Bands and the finish masks from Recs.
+  /// Runs once the records pass isValid() (after conversion and after blob
+  /// validation); RESOURCE_EXHAUSTED when the masks cannot be allocated.
+  [[nodiscard]] Status rebuildDerived();
 
   AlignedBuffer<double> Vals;        ///< cvr_vals (F64), chunk-concatenated.
   AlignedBuffer<std::int32_t> ColIdx; ///< cvr_colidx (U32).
@@ -374,6 +386,8 @@ private:
   std::vector<std::int32_t> ZeroRows;
   std::vector<CvrBand> Bands; ///< Empty = unblocked.
   std::vector<std::int32_t> ChunkColBase; ///< Derived: per-chunk band base.
+  AlignedBuffer<std::uint8_t> FinishMasks; ///< Derived: see finishMasks().
+  std::vector<std::int64_t> ChunkMaskBase; ///< Derived: chunk's first mask.
   int ChunkMult = 1;
   bool ForceGeneric = false;
   ValueKind VKind = ValueKind::F64;

@@ -692,15 +692,10 @@ template <typename Source>
     if (R < 0 || R >= M.numRows())
       return Status::outOfRange(
           "[cvr.blob.bounds] zero-row entry escapes the matrix");
-  for (std::size_t I = 0; I < RecsLen; ++I)
-    if (M.recs()[I].Pos < 0)
-      return Status::outOfRange(
-          "[cvr.blob.bounds] record position is negative");
-
   if (!M.isValid())
     return Status::dataLoss(
         "[cvr.blob.integrity] blob decodes but violates the CVR structural "
-        "invariants (pads, record order, or tail consistency)");
+        "invariants (pads, record order and range, or tail consistency)");
   return Status::okStatus();
 }
 
@@ -738,8 +733,7 @@ StatusOr<CvrMatrix> CvrMatrix::decode(Source &Src) {
                  : decodeLegacyBody(Src, V, F);
   if (!S.ok())
     return S;
-  M.rebuildChunkColBases();
-  if (!(S = validateDecoded(M, F)).ok())
+  if (!(S = validateDecoded(M, F)).ok() || !(S = M.rebuildDerived()).ok())
     return S;
   return M;
 }

@@ -15,20 +15,23 @@
 //
 // Under every policy a chunk-boundary row adds atomically, because the
 // neighbouring chunk contributes to it too. A policy provides finish() for
-// one finished row (a feed record or a tail flush), applyRecords() for the
-// records that fall into one step, and traceFinish() for the y and operand
-// traffic that finish() causes. With AVX-512, Store and Accumulate batch
-// the records of one step into one masked scatter; Fused, and every policy
-// without AVX-512, spills them one lane at a time.
+// one finished row (a feed record or a tail flush) and traceFinish() for
+// the y and operand traffic that finish() causes.
 //
-// Two loops instantiate the policies: the AVX-512 kernel here (also
+// Two loops instantiate the policies: the 8-lane kernel here (also
 // templated on prefetch distance and stream kinds) and the generic
 // any-width kernel in CvrChunkLoop.h, which also holds Store and
-// Accumulate so that checked mode can use them. The generic loop takes a
-// second, observer policy: the trace observer below turns it into the
-// serial sweep behind traceRun and traceRunFused, and
-// analysis/CheckedSpmv.cpp runs it under a bounds guard for checked mode.
-// CvrSpmm.cpp applies the same scheme to its panel kernel. Chunk
+// Accumulate so that checked mode can use them. The 8-lane kernel, on
+// AVX-512 or the emulated vector of simd/Simd.h, writes back without a
+// per-step branch: each step compresses the lanes the matrix's derived
+// finish mask names (one byte per step, nnz/8 bytes, never serialized)
+// into a stack staging buffer, and once per 64-step block the staged
+// values go through finish() in record order.
+//
+// The generic loop takes a second, observer policy: the trace observer
+// below turns it into the serial sweep behind traceRun and traceRunFused,
+// and analysis/CheckedSpmv.cpp runs it under a bounds guard for checked
+// mode. CvrSpmm.cpp applies the same scheme to its panel kernel. Chunk
 // over-decomposition runs more chunks than threads under a dynamic
 // schedule. All variants compute the same y; the autotuner in src/engine
 // picks among them per matrix.
@@ -48,7 +51,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #ifdef _OPENMP
@@ -60,17 +62,13 @@ namespace cvr {
 namespace {
 
 using detail::AccumulateWriteBack;
-using detail::chunkBase;
 using detail::runChunkGeneric;
-using detail::spillRecords;
 using detail::StoreWriteBack;
 
 /// The Fused policy (no accumulate mode: blocked matrices compose instead).
 /// An exclusive row stores what the epilogue returns. A boundary row adds
 /// its raw partial atomically; cvrSpmvFused's sequential cleanup pass
-/// applies the epilogue to it. Records spill one lane at a time instead of
-/// batching into a scatter: the epilogue is a per-row scalar op anyway, and
-/// records are rare relative to steps.
+/// applies the epilogue to it.
 struct FusedWriteBack {
   double *Y;
   const FusedEpilogue *E;
@@ -84,13 +82,6 @@ struct FusedWriteBack {
     } else {
       Y[Row] = fusedRowApply(*E, X, Row, V, *Acc);
     }
-  }
-
-  CVR_HOT simd::VecD8 applyRecords(simd::VecD8 VOut, const CvrRecord *Recs,
-                                   std::int64_t &RecIdx, std::int64_t RecEnd,
-                                   std::int64_t Limit,
-                                   double *TResult) const {
-    return spillRecords(*this, VOut, Recs, RecIdx, RecEnd, Limit, TResult);
   }
 
   /// An exclusive row takes the epilogue on the register-resident value:
@@ -110,85 +101,108 @@ struct FusedWriteBack {
 /// streams) PfDist steps ahead, using the already-streamed column indices;
 /// the host has no AVX-512PF, so the prefetches are scalar.
 ///
-/// NarrowIdx streams band-local uint16 deltas (widened + rebased onto
-/// \p ColBase at load time) and NarrowVal streams fp32 values (widened to
-/// fp64 before the FMA) — the stream-compression axes. The loop structure
-/// — one index load per two steps, one value load and one gather per step
-/// — is identical across all four combinations; only the load width
-/// changes. \p Out is the write-back policy.
+/// NarrowIdx streams band-local uint16 deltas (widened + rebased onto the
+/// chunk's band base at load time) and NarrowVal streams fp32 values
+/// (widened to fp64 before the FMA) — the stream-compression axes. The
+/// loop structure — one index load per step pair, one value load and one
+/// gather per step — is identical across all four combinations; only the
+/// load width changes. \p Out is the write-back policy.
+///
+/// Each step first moves the lanes its finish mask names out of v_out into
+/// a staging buffer, then accumulates. After every block of 64 steps the
+/// staged values, in record order, leave through the block's records:
+/// steal records add to t_result, feed records go through \p Out.finish.
+/// The mask byte past the last step stages the trailing records.
 template <int PfDist, bool NarrowIdx, bool NarrowVal, class WriteBack>
 CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
-                         const double *X, std::int32_t ColBase,
-                         WriteBack Out) {
+                         const double *X, WriteBack Out) {
   static_assert(PfDist % 2 == 0, "prefetch pairs with the double-pumped "
                                  "column loads, so the distance stays even");
   constexpr int W = 8;
+  constexpr std::int64_t BlockSteps = 64;
+  const auto CI = static_cast<std::size_t>(&C - M.chunks().data());
+  const std::int32_t ColBase = M.chunkColBase(CI);
+  const std::uint8_t *Masks = M.finishMasks(CI);
   const double *Vals = NarrowVal ? nullptr : M.vals() + C.ElemBase;
   const float *Vals32 = NarrowVal ? M.vals32() + C.ElemBase : nullptr;
   const std::int32_t *Cols = NarrowIdx ? nullptr : M.colIdx() + C.ElemBase;
   const std::uint16_t *ColsN =
       NarrowIdx ? M.colIdx16() + C.ElemBase : nullptr;
-  const CvrRecord *Recs = M.recs();
-  std::int64_t RecIdx = C.RecBase;
-  const std::int64_t RecEnd = C.RecEnd;
+  const CvrRecord *Rec = M.recs() + C.RecBase;
 
   alignas(64) double TResult[W] = {0};
+  alignas(64) double Stage[BlockSteps * W];
+  int Staged = 0;
   simd::VecD8 VOut = simd::VecD8::zero();
-  simd::VecI16 Cols16{};
 
-  for (std::int64_t I = 0; I < C.NumSteps; ++I) {
-    // Write-back records that fall into this step (the lane's dot product
-    // is complete just before the step's elements are consumed).
-    if (RecIdx < RecEnd && Recs[RecIdx].Pos < (I + 1) * W)
-      VOut = Out.applyRecords(VOut, Recs, RecIdx, RecEnd, (I + 1) * W,
-                              TResult);
-
-    if constexpr (PfDist > 0) {
-      if ((I & 1) == 0 && I + PfDist + 1 < C.NumSteps) {
-        // Pull the index line two prefetch windows out so the window at
-        // PfDist reads cached indices, then touch the 16 x targets for
-        // the step pair at PfDist and stream the matching value lines.
-        if constexpr (NarrowIdx) {
-          __builtin_prefetch(ColsN + (I + 2 * PfDist) * W, 0, 0);
-          const std::uint16_t *Pc = ColsN + (I + PfDist) * W;
-          for (int K = 0; K < 2 * W; ++K)
-            __builtin_prefetch(X + ColBase + Pc[K], 0, 1);
-        } else {
-          __builtin_prefetch(Cols + (I + 2 * PfDist) * W, 0, 0);
-          const std::int32_t *Pc = Cols + (I + PfDist) * W;
-          for (int K = 0; K < 2 * W; ++K)
-            __builtin_prefetch(X + Pc[K], 0, 1);
-        }
-        if constexpr (NarrowVal) {
-          __builtin_prefetch(Vals32 + (I + PfDist) * W, 0, 0);
-          __builtin_prefetch(Vals32 + (I + PfDist + 1) * W, 0, 0);
-        } else {
-          __builtin_prefetch(Vals + (I + PfDist) * W, 0, 0);
-          __builtin_prefetch(Vals + (I + PfDist + 1) * W, 0, 0);
-        }
-      }
-    }
-
-    // Column-index double pumping: one 16-wide load per two steps (int32
-    // direct, or uint16 widened + rebased onto the band).
-    if ((I & 1) == 0) {
-      if constexpr (NarrowIdx)
-        Cols16 = simd::VecI16::loadU16Widen(ColsN + I * W, ColBase);
-      else
-        Cols16 = simd::VecI16::loadAligned(Cols + I * W);
-    }
-    simd::VecI8 Idx = (I & 1) ? Cols16.hi() : Cols16.lo();
-
+  // Stages and clears the lanes that finish before step I (the lane's dot
+  // product is complete just before the step's elements are consumed).
+  auto Retire = [&](std::int64_t I) {
+    const unsigned F = Masks[I];
+    Staged += VOut.compressStoreu(Stage + Staged, F);
+    VOut = VOut.clearLanes(F);
+  };
+  auto Step = [&](std::int64_t I, simd::VecI8 Idx) {
+    Retire(I);
     simd::VecD8 Xs = simd::VecD8::gather(X, Idx);
     simd::VecD8 Vs = NarrowVal ? simd::VecD8::loadF32Widen(Vals32 + I * W)
                                : simd::VecD8::loadAligned(Vals + I * W);
     VOut = VOut.fmadd(Vs, Xs);
+  };
+  auto Drain = [&] {
+    for (int K = 0; K < Staged; ++K, ++Rec) {
+      if (Rec->Steal)
+        TResult[Rec->Wb] += Stage[K];
+      else
+        Out.finish(Rec->Wb, Stage[K], Rec->Shared);
+    }
+    Staged = 0;
+  };
+
+  // NumSteps is even for 8 lanes (isValid), so steps run in pairs.
+  for (std::int64_t I0 = 0; I0 < C.NumSteps; I0 += BlockSteps) {
+    const std::int64_t I1 = std::min(C.NumSteps, I0 + BlockSteps);
+    for (std::int64_t I = I0; I < I1; I += 2) {
+      if constexpr (PfDist > 0) {
+        if (I + PfDist + 1 < C.NumSteps) {
+          // Pull the index line two prefetch windows out so the window at
+          // PfDist reads cached indices, then touch the 16 x targets for
+          // the step pair at PfDist and stream the matching value lines.
+          if constexpr (NarrowIdx) {
+            __builtin_prefetch(ColsN + (I + 2 * PfDist) * W, 0, 0);
+            const std::uint16_t *Pc = ColsN + (I + PfDist) * W;
+            for (int K = 0; K < 2 * W; ++K)
+              __builtin_prefetch(X + ColBase + Pc[K], 0, 1);
+          } else {
+            __builtin_prefetch(Cols + (I + 2 * PfDist) * W, 0, 0);
+            const std::int32_t *Pc = Cols + (I + PfDist) * W;
+            for (int K = 0; K < 2 * W; ++K)
+              __builtin_prefetch(X + Pc[K], 0, 1);
+          }
+          if constexpr (NarrowVal) {
+            __builtin_prefetch(Vals32 + (I + PfDist) * W, 0, 0);
+            __builtin_prefetch(Vals32 + (I + PfDist + 1) * W, 0, 0);
+          } else {
+            __builtin_prefetch(Vals + (I + PfDist) * W, 0, 0);
+            __builtin_prefetch(Vals + (I + PfDist + 1) * W, 0, 0);
+          }
+        }
+      }
+
+      // Column-index double pumping: one 16-wide load per step pair
+      // (int32 direct, or uint16 widened + rebased onto the band).
+      const simd::VecI16 Cols16 =
+          NarrowIdx ? simd::VecI16::loadU16Widen(ColsN + I * W, ColBase)
+                    : simd::VecI16::loadAligned(Cols + I * W);
+      Step(I, Cols16.lo());
+      Step(I + 1, Cols16.hi());
+    }
+    Drain();
   }
 
   // Trailing records (pieces that finish exactly at the stream end).
-  if (RecIdx < RecEnd)
-    Out.applyRecords(VOut, Recs, RecIdx, RecEnd,
-                     std::numeric_limits<std::int64_t>::max(), TResult);
+  Retire(C.NumSteps);
+  Drain();
 
   // Tail flush: t_result slots back to their rows (Algorithm 4 l.31-33).
   const std::int32_t *Tails = M.tails() + C.TailBase;
@@ -203,19 +217,19 @@ CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
 /// Prefetch-distance dispatch for one kind-resolved instantiation.
 template <bool NarrowIdx, bool NarrowVal, class WriteBack>
 void runChunkAvxPf(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                   int PfDist, std::int32_t Base, WriteBack Out) {
+                   int PfDist, WriteBack Out) {
   switch (PfDist) {
   case 2:
-    runChunkAvx<2, NarrowIdx, NarrowVal>(M, C, X, Base, Out);
+    runChunkAvx<2, NarrowIdx, NarrowVal>(M, C, X, Out);
     break;
   case 4:
-    runChunkAvx<4, NarrowIdx, NarrowVal>(M, C, X, Base, Out);
+    runChunkAvx<4, NarrowIdx, NarrowVal>(M, C, X, Out);
     break;
   case 8:
-    runChunkAvx<8, NarrowIdx, NarrowVal>(M, C, X, Base, Out);
+    runChunkAvx<8, NarrowIdx, NarrowVal>(M, C, X, Out);
     break;
   default:
-    runChunkAvx<0, NarrowIdx, NarrowVal>(M, C, X, Base, Out);
+    runChunkAvx<0, NarrowIdx, NarrowVal>(M, C, X, Out);
     break;
   }
 }
@@ -229,19 +243,18 @@ void runChunk(const CvrMatrix &M, const CvrChunk &C, const double *X,
     runChunkGeneric(M, C, X, PfDist, Out);
     return;
   }
-  const std::int32_t Base = chunkBase(M, C);
   const bool NI = M.colIndexKind() == ColIndexKind::U16Band;
   const bool NV = M.valueKind() == ValueKind::F32x64;
   if (NI) {
     if (NV)
-      runChunkAvxPf<true, true>(M, C, X, PfDist, Base, Out);
+      runChunkAvxPf<true, true>(M, C, X, PfDist, Out);
     else
-      runChunkAvxPf<true, false>(M, C, X, PfDist, Base, Out);
+      runChunkAvxPf<true, false>(M, C, X, PfDist, Out);
   } else {
     if (NV)
-      runChunkAvxPf<false, true>(M, C, X, PfDist, Base, Out);
+      runChunkAvxPf<false, true>(M, C, X, PfDist, Out);
     else
-      runChunkAvxPf<false, false>(M, C, X, PfDist, Base, Out);
+      runChunkAvxPf<false, false>(M, C, X, PfDist, Out);
   }
 }
 
@@ -286,6 +299,11 @@ public:
     ValsP = M.valueKind() == ValueKind::F32x64
                 ? reinterpret_cast<const char *>(M.vals32() + C.ElemBase)
                 : reinterpret_cast<const char *>(M.vals() + C.ElemBase);
+    // The 8-lane kernel reads one finish-mask byte per step, plus the
+    // trailing one after its last step.
+    MaskP = M.finishMasks(static_cast<std::size_t>(&C - M.chunks().data()));
+    if (MaskP)
+      Sink->read(MaskP + C.NumSteps, 1);
     return true;
   }
 
@@ -306,6 +324,8 @@ public:
       Sink->read(ColsP + I * W * IdxB, W * IdxB);
     }
     Sink->read(ValsP + I * W * ValB, W * ValB);
+    if (MaskP)
+      Sink->read(MaskP + I, 1);
     return true;
   }
 
@@ -330,6 +350,7 @@ private:
   std::int64_t W = 0;
   std::size_t IdxB = 0, ValB = 0;
   const char *ColsP = nullptr, *ValsP = nullptr;
+  const std::uint8_t *MaskP = nullptr;
 };
 
 /// The traced counterpart of runChunkRange: every chunk in index order, on

@@ -7,16 +7,16 @@
 /// \file
 /// A thin SIMD abstraction with exactly the operations the paper's kernels
 /// need: aligned load/store, 8-way index gather, fused multiply-add, lane
-/// spill/reload, and horizontal reduction. When the translation unit is
-/// compiled with AVX-512F the operations map 1:1 onto 512-bit intrinsics
-/// (VecD8 is a __m512d); otherwise a scalar loop implementation with
-/// identical semantics is used, so every kernel in this project runs on any
-/// x86-64 (or indeed any) host.
+/// spill, masked lane compress and clear, and horizontal reduction. When
+/// the translation unit is compiled with AVX-512F the operations map 1:1
+/// onto 512-bit intrinsics (VecD8 is a __m512d); otherwise a scalar loop
+/// implementation with identical semantics is used, so every kernel in
+/// this project runs on any x86-64 (or indeed any) host.
 ///
 /// The lane count is fixed at 8 because the paper evaluates double-precision
-/// SpMV, where omega = 512 / 64 = 8 on KNL. The generic-width scalar kernels
-/// used in the lane-count ablation live in core/CvrSpmvGeneric.h and do not
-/// go through this header.
+/// SpMV, where omega = 512 / 64 = 8 on KNL. The generic-width scalar kernel
+/// used in the lane-count ablation lives in core/CvrChunkLoop.h and does
+/// not go through this header.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -150,13 +150,23 @@ struct VecD8 {
   /// Sum of all 8 lanes.
   double reduceAdd() const { return _mm512_reduce_add_pd(Reg); }
 
-  /// Spills the register to an aligned 8-double buffer (used around the
-  /// scalar record-processing sections of the CVR kernel).
+  /// Spills the register to an aligned 8-double buffer (the SpMM kernel's
+  /// per-lane row write-back).
   void toArray(double *Buf8) const { _mm512_store_pd(Buf8, Reg); }
 
-  /// Reloads the register from an aligned 8-double buffer.
-  static VecD8 fromArray(const double *Buf8) {
-    return {_mm512_load_pd(Buf8)};
+  /// Writes the lanes selected by \p Mask to P[0, popcount(Mask)) in lane
+  /// order and returns their count. P must have room for 8 doubles: the
+  /// store is one full-width store of the compressed register, so the
+  /// slots past the count are clobbered.
+  int compressStoreu(double *P, unsigned Mask) const {
+    _mm512_storeu_pd(P, _mm512_maskz_compress_pd(
+                            static_cast<__mmask8>(Mask), Reg));
+    return __builtin_popcount(Mask & 0xFFU);
+  }
+
+  /// Zeroes the lanes selected by \p Mask.
+  VecD8 clearLanes(unsigned Mask) const {
+    return {_mm512_maskz_mov_pd(static_cast<__mmask8>(~Mask), Reg)};
   }
 };
 
@@ -189,10 +199,6 @@ struct VecD4 {
 
   /// Spills the register to a 4-double buffer.
   void toArray(double *Buf4) const { _mm256_storeu_pd(Buf4, Reg); }
-
-  static VecD4 fromArray(const double *Buf4) {
-    return {_mm256_loadu_pd(Buf4)};
-  }
 };
 
 #else // scalar fallback with identical semantics
@@ -315,7 +321,25 @@ struct VecD8 {
 
   void toArray(double *Buf8) const { std::memcpy(Buf8, Lane, sizeof(Lane)); }
 
-  static VecD8 fromArray(const double *Buf8) { return loadAligned(Buf8); }
+  /// An empty mask (most CVR steps) costs one test; otherwise each lane is
+  /// written at the running count, so all writes stay within P[0, 8).
+  int compressStoreu(double *P, unsigned Mask) const {
+    int N = 0;
+    if (Mask & 0xFFU)
+      for (int K = 0; K < 8; ++K) {
+        P[N] = Lane[K];
+        N += static_cast<int>((Mask >> K) & 1U);
+      }
+    return N;
+  }
+
+  VecD8 clearLanes(unsigned Mask) const {
+    VecD8 V = *this;
+    if (Mask & 0xFFU)
+      for (int K = 0; K < 8; ++K)
+        V.Lane[K] = ((Mask >> K) & 1U) ? 0.0 : Lane[K];
+    return V;
+  }
 };
 
 struct VecD4 {
@@ -356,8 +380,6 @@ struct VecD4 {
   }
 
   void toArray(double *Buf4) const { std::memcpy(Buf4, Lane, sizeof(Lane)); }
-
-  static VecD4 fromArray(const double *Buf4) { return loadu(Buf4); }
 };
 
 #endif // CVR_SIMD_AVX512

@@ -219,11 +219,21 @@ std::ostream &operator<<(std::ostream &OS, const RegionTraffic &T) {
 }
 
 /// The regions a traced CVR run touches; Other must stay empty.
-enum CvrRegion { Values, Indices, Records, Tails, XVec, YVec, ZVec, Other };
+enum CvrRegion {
+  Values,
+  Indices,
+  Records,
+  Masks,
+  Tails,
+  XVec,
+  YVec,
+  ZVec,
+  Other
+};
 constexpr const char *CvrRegionNames[] = {"values", "indices", "records",
-                                          "tails",  "x",       "y",
-                                          "z",      "other"};
-constexpr int NumCvrRegions = 8;
+                                          "masks",  "tails",   "x",
+                                          "y",      "z",       "other"};
+constexpr int NumCvrRegions = 9;
 
 /// Sink that attributes each access to the region its address falls in.
 class RegionSink : public MemAccessSink {
@@ -262,6 +272,7 @@ TEST(CvrTraceTraffic, RegionCountsMatchChunkTable) {
   // vector and gathers W x elements; at W = 8 one index load serves two
   // steps. Every record and every tail slot is read once, and each
   // finished row costs the write-back policy's y (and operand) traffic.
+  // At W = 8 each step, plus the trailing step, reads one finish-mask byte.
   CsrMatrix A = test::randomCsr(60, 60, 0.09, 23);
   const std::size_t N = static_cast<std::size_t>(A.numRows());
   std::vector<double> X = randomVector(N, 4);
@@ -290,7 +301,7 @@ TEST(CvrTraceTraffic, RegionCountsMatchChunkTable) {
 
           // Stream traffic, shared by both traced runs.
           const std::size_t W = static_cast<std::size_t>(M.lanes());
-          std::size_t Elems = 0, Recs = 0;
+          std::size_t Elems = 0, Recs = 0, MaskBytes = 0;
           RegionTraffic Stream[NumCvrRegions];
           std::vector<std::pair<std::int32_t, bool>> Finished; // Row, Shared.
           for (const CvrChunk &C : M.chunks()) {
@@ -307,6 +318,10 @@ TEST(CvrTraceTraffic, RegionCountsMatchChunkTable) {
             Stream[Records].read(
                 sizeof(CvrRecord),
                 static_cast<std::size_t>(C.RecEnd - C.RecBase));
+            if (W == 8) {
+              Stream[Masks].read(1, Steps + 1);
+              MaskBytes += Steps + 1;
+            }
             Stream[Tails].read(sizeof(std::int32_t), W);
             for (std::int64_t R = C.RecBase; R < C.RecEnd; ++R)
               if (!M.recs()[R].Steal)
@@ -330,6 +345,7 @@ TEST(CvrTraceTraffic, RegionCountsMatchChunkTable) {
                                : static_cast<const void *>(M.colIdx()),
                   Elems * M.indexBytes());
             S.add(Records, M.recs(), Recs * sizeof(CvrRecord));
+            S.add(Masks, M.finishMasks(0), MaskBytes);
             S.add(Tails, M.tails(),
                   M.chunks().size() * W * sizeof(std::int32_t));
             S.add(XVec, X.data(), N * D);

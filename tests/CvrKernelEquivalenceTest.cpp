@@ -141,6 +141,25 @@ TEST_P(CvrFuzz, ExecutionEngineVariantsAgree) {
   }
 }
 
+TEST_P(CvrFuzz, MaskedWriteBackEdgeShapesMatchGeneric) {
+  // Each seed takes one of the write-back edge shapes in TestUtil.h and a
+  // chunk count (at least two for the shared-row shape). The 8-lane
+  // kernel must match the generic loop under every write-back policy and
+  // prefetch distance.
+  std::uint64_t Seed = 9300 + GetParam();
+  Xoshiro256 Rng(Seed);
+  const int Shape = GetParam() % 4;
+  int Threads = static_cast<int>(1 + Rng.nextBounded(4));
+  if (Shape == 3)
+    Threads = std::max(Threads, 2);
+  CvrOptions Opts;
+  Opts.NumThreads = Threads;
+  test::expectWriteBackMatchesGeneric(
+      test::writeBackEdgeMatrix(Shape, Threads, Seed), Opts, SpmvTolerance,
+      "shape " + std::to_string(Shape) + " seed " + std::to_string(Seed) +
+          " threads " + std::to_string(Threads));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CvrFuzz, ::testing::Range(0, 24));
 
 TEST(CvrLinearity, SpmvIsLinearInX) {

@@ -543,6 +543,30 @@ TEST_P(CompressedStreamFuzz, WideBandFallsBackToU32Checked) {
   EXPECT_LE(maxRelDiff(Expected, Yb), SpmvTolerance);
 }
 
+TEST_P(CompressedStreamFuzz, MaskedWriteBackEdgeShapesEveryKind) {
+  // The write-back edge shapes of TestUtil.h under every stream kind
+  // combination: the narrow loads change what feeds the FMA, never which
+  // lanes finish, so the masked write-back must still match the generic
+  // loop.
+  std::uint64_t Seed = 555000 + GetParam();
+  const int Shape = GetParam() % 4;
+  const int Threads = 1 + GetParam() / 4 + (Shape == 3 ? 1 : 0);
+  CsrMatrix A = test::writeBackEdgeMatrix(Shape, Threads, Seed);
+  for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64})
+    for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
+      CvrOptions Opts;
+      Opts.NumThreads = Threads;
+      Opts.Values = VK;
+      Opts.Indices = IK;
+      test::expectWriteBackMatchesGeneric(
+          A, Opts, kindTolerance(VK),
+          "shape " + std::to_string(Shape) + " seed " +
+              std::to_string(Seed) + " vk " +
+              std::to_string(static_cast<int>(VK)) + " ik " +
+              std::to_string(static_cast<int>(IK)));
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CompressedStreamFuzz, ::testing::Range(0, 8));
 
 } // namespace

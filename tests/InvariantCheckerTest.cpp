@@ -194,6 +194,26 @@ TEST(InvariantCheckerMutation, CvrSwappedRecords) {
   expectRule(InvariantChecker::checkCvr(M, &A), "cvr.rec.pos-order");
 }
 
+TEST(InvariantCheckerMutation, CvrDuplicateRecordPosition) {
+  // Two records at one position would share a finish-mask bit: the order
+  // rule is strict, and the structural check agrees.
+  CsrMatrix A = testMatrix();
+  CvrOptions Opts;
+  Opts.NumThreads = 2;
+  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
+  std::vector<CvrRecord> &Recs = Introspect::recs(M);
+  bool Duplicated = false;
+  for (const CvrChunk &C : M.chunks())
+    if (C.RecEnd - C.RecBase >= 2) {
+      Recs[C.RecBase + 1].Pos = Recs[C.RecBase].Pos;
+      Duplicated = true;
+      break;
+    }
+  ASSERT_TRUE(Duplicated) << "test matrix produced no chunk with two records";
+  expectRule(InvariantChecker::checkCvr(M, &A), "cvr.rec.pos-order");
+  EXPECT_FALSE(M.isValid());
+}
+
 TEST(InvariantCheckerMutation, CvrColumnOutOfRange) {
   CsrMatrix A = testMatrix();
   CvrMatrix M = CvrMatrix::fromCsr(A, {});

@@ -473,6 +473,65 @@ TEST(SerializeCorruption, MappedReadersAgreeOnEveryMutation) {
   }
 }
 
+TEST(SerializeCorruption, RecordPositionsOffTheMaskRejectedByBothReaders) {
+  // The 8-lane kernel writes back through per-step finish masks built from
+  // the record positions, so each position must own one mask bit: strictly
+  // increasing within a chunk, and below (NumSteps + 1) * Lanes. A
+  // CRC-consistent blob that breaks either rule must fail the structural
+  // check on readBlob and mapBlob alike, under the same rule.
+  CvrMatrix M = makeCvr();
+  const CvrChunk *C = nullptr;
+  for (const CvrChunk &Ch : M.chunks())
+    if (Ch.RecEnd - Ch.RecBase >= 2) {
+      C = &Ch;
+      break;
+    }
+  ASSERT_NE(C, nullptr) << "no chunk with two records";
+  const std::int64_t Dup = C->RecBase + 1;
+  const struct {
+    const char *What;
+    std::int64_t Rec;
+    std::int64_t Pos;
+  } Cases[] = {
+      {"two records at one position", Dup, M.recs()[Dup - 1].Pos},
+      {"a record past the trailing step", C->RecEnd - 1,
+       (C->NumSteps + 1) * M.lanes() + 3},
+  };
+
+  // Rewrites one record's position and the record section's CRC.
+  auto Patch = [](std::string &B, std::size_t CountOff, std::size_t Payload,
+                  std::int64_t Rec, std::int64_t Pos) {
+    const std::size_t Bytes = getU64(B, CountOff) * sizeof(CvrRecord);
+    std::memcpy(&B[Payload + Rec * sizeof(CvrRecord)], &Pos, sizeof(Pos));
+    const std::uint32_t Crc = crc32c(B.data() + Payload, Bytes);
+    std::memcpy(&B[Payload + Bytes], &Crc, sizeof(Crc));
+  };
+
+  for (const auto &Case : Cases) {
+    std::string Compact = blobOf(M);
+    const std::size_t COff = sectionCountOffset(Compact, 3);
+    Patch(Compact, COff, COff + 8, Case.Rec, Case.Pos);
+    std::string Mapped = mappedBlobOf(M);
+    const std::size_t MOff = mappedSectionCountOffset(Mapped, 3);
+    Patch(Mapped, MOff,
+          MOff + 8 + 1 + static_cast<unsigned char>(Mapped[MOff + 8]),
+          Case.Rec, Case.Pos);
+
+    AlignedBuffer<char> Img = alignedImage(Mapped);
+    const StatusOr<CvrMatrix> Results[] = {
+        readFrom(Compact), readFrom(Mapped),
+        CvrMatrix::mapBlob(Img.data(), Mapped.size())};
+    for (const StatusOr<CvrMatrix> &R : Results) {
+      ASSERT_FALSE(R.ok()) << Case.What;
+      EXPECT_EQ(R.status().code(), StatusCode::DataLoss) << Case.What;
+      EXPECT_NE(R.status().message().find("cvr.blob.integrity"),
+                std::string::npos)
+          << Case.What << ": " << R.status().message();
+    }
+    EXPECT_TRUE(readersAgree(Mapped, /*MustReject=*/true)) << Case.What;
+  }
+}
+
 TEST(SerializeCorruption, CheckBlobAttributesRules) {
   std::string Blob = blobOf(makeCvr());
   {

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 namespace cvr {
 namespace {
 
@@ -88,9 +91,32 @@ TEST(Simd, SpillReloadRoundTrip) {
   V.toArray(Spill);
   Spill[3] = 99.0;
   alignas(64) double Out[8];
-  VecD8::fromArray(Spill).storeAligned(Out);
+  VecD8::loadAligned(Spill).storeAligned(Out);
   EXPECT_EQ(Out[3], 99.0);
   EXPECT_EQ(Out[0], -1.0);
+}
+
+TEST(Simd, CompressStoreAndClearLanesFollowTheMask) {
+  alignas(64) double In[8] = {10, 11, 12, 13, 14, 15, 16, 17};
+  const VecD8 V = VecD8::loadAligned(In);
+  for (unsigned Mask : {0x00U, 0x01U, 0x80U, 0x5AU, 0xFFU}) {
+    // Selected lanes land in lane order; the count is the popcount.
+    double Out[8];
+    std::fill(std::begin(Out), std::end(Out), -1.0);
+    const int N = V.compressStoreu(Out, Mask);
+    int Want = 0;
+    for (int K = 0; K < 8; ++K)
+      if (Mask & (1U << K))
+        EXPECT_EQ(Out[Want++], In[K]) << "mask " << Mask << " lane " << K;
+    EXPECT_EQ(N, Want) << "mask " << Mask;
+
+    // Cleared lanes read zero, the others keep their value.
+    alignas(64) double Kept[8];
+    V.clearLanes(Mask).storeAligned(Kept);
+    for (int K = 0; K < 8; ++K)
+      EXPECT_EQ(Kept[K], (Mask & (1U << K)) ? 0.0 : In[K])
+          << "mask " << Mask << " lane " << K;
+  }
 }
 
 TEST(Simd, LaneCountIs8ForDoubles) {

@@ -7,6 +7,8 @@
 #ifndef CVR_TESTS_TESTUTIL_H
 #define CVR_TESTS_TESTUTIL_H
 
+#include "core/CvrSpmv.h"
+#include "formats/FusedEpilogue.h"
 #include "matrix/Coo.h"
 #include "matrix/Csr.h"
 #include "matrix/Reference.h"
@@ -47,6 +49,125 @@ inline CsrMatrix randomCsr(std::int32_t Rows, std::int32_t Cols,
 /// Tolerance for comparing SpMV results; reassociation across lanes and
 /// threads perturbs the last few bits, scaled by row length.
 inline constexpr double SpmvTolerance = 1e-10;
+
+/// Square matrices shaped to stress the 8-lane kernel's masked write-back,
+/// one shape per \p Shape in [0, 4). \p Threads is the chunk count the
+/// caller converts with; shapes 0 and 2 size themselves so their property
+/// holds in every chunk.
+///  0: record-saturated. One nonzero per row and 140 steps per chunk, so
+///     every lane finishes at every step and the second 64-step staging
+///     block is full.
+///  1: rows of 62-66 nonzeros, so records straddle the 64-step block
+///     boundary.
+///  2: eight rows of one even length per chunk, so every record trails the
+///     last step.
+///  3: three long rows over a background of 0-3 nonzeros per row, split
+///     across chunks (shared rows and steal records).
+inline CsrMatrix writeBackEdgeMatrix(int Shape, int Threads,
+                                     std::uint64_t Seed) {
+  Xoshiro256 Rng(Seed);
+  std::int32_t N = 300;
+  std::vector<std::int32_t> Len;
+  switch (Shape) {
+  case 0:
+    N = Threads * 8 * 140;
+    Len.assign(static_cast<std::size_t>(N), 1);
+    break;
+  case 1:
+    N = 240;
+    for (std::int32_t R = 0; R < N; ++R)
+      Len.push_back(62 + static_cast<std::int32_t>(Rng.nextBounded(5)));
+    break;
+  case 2:
+    N = 8 * Threads;
+    Len.assign(static_cast<std::size_t>(N),
+               2 * (1 + static_cast<std::int32_t>(Rng.nextBounded(
+                            static_cast<std::uint64_t>(N / 2)))));
+    break;
+  default:
+    for (std::int32_t R = 0; R < N; ++R)
+      Len.push_back(static_cast<std::int32_t>(Rng.nextBounded(4)));
+    Len[0] = Len[150] = Len[299] = 280;
+    break;
+  }
+  CooMatrix Coo(N, N);
+  for (std::int32_t R = 0; R < N; ++R) {
+    auto Start = static_cast<std::int32_t>(Rng.nextBounded(N));
+    for (std::int32_t K = 0; K < Len[static_cast<std::size_t>(R)]; ++K)
+      Coo.add(R, (Start + K) % N, Rng.nextDouble(-2.0, 2.0));
+  }
+  return CsrMatrix::fromCoo(Coo);
+}
+
+/// Runs square \p A through the 8-lane kernel under every write-back
+/// policy: Store, Accumulate (column-blocked into about three bands) and
+/// Fused (Dot, ResidualNorm, JacobiStep), at prefetch distances 0/2/4/8.
+/// The plain product must match referenceSpmv within \p RefTol, and every
+/// output must match the generic loop on the same options to 1e-13: the
+/// two loops share the stream and the per-lane order, so only FMA
+/// rounding and atomic-add order may differ.
+inline void expectWriteBackMatchesGeneric(const CsrMatrix &A,
+                                          CvrOptions Opts, double RefTol,
+                                          const std::string &Where) {
+  const auto N = static_cast<std::size_t>(A.numRows());
+  const std::vector<double> X = randomVector(N, 11);
+  const std::vector<double> B = randomVector(N, 12);
+  const std::vector<double> Z = randomVector(N, 13);
+  std::vector<double> D = randomVector(N, 14);
+  for (double &V : D)
+    V += V < 0.0 ? -2.0 : 2.0; // Jacobi divides by it.
+  const std::vector<double> Ref = referenceSpmv(A, X);
+  constexpr double Tight = 1e-13;
+
+  for (std::int64_t Block : {std::int64_t(0), std::int64_t(A.numCols()) * 3}) {
+    Opts.Lanes = 8;
+    Opts.ColBlockBytes = Block;
+    Opts.ForceGenericKernel = false;
+    const CvrMatrix MV = CvrMatrix::fromCsr(A, Opts);
+    Opts.ForceGenericKernel = true;
+    const CvrMatrix MG = CvrMatrix::fromCsr(A, Opts);
+    ASSERT_TRUE(MV.isValid()) << Where;
+
+    for (int Pf : {0, 2, 4, 8}) {
+      const std::string At = Where + " block " + std::to_string(Block) +
+                             " pf " + std::to_string(Pf);
+      std::vector<double> YV(N, 0.5), YG(N, -0.5);
+      cvrSpmv(MV, X.data(), YV.data(), Pf);
+      cvrSpmv(MG, X.data(), YG.data(), Pf);
+      EXPECT_LE(maxRelDiff(Ref, YV), RefTol) << At;
+      EXPECT_LE(maxRelDiff(YG, YV), Tight) << At;
+
+      // Each fused op runs on both loops; y, the op's output vector and
+      // its accumulators must agree.
+      for (EpilogueOp Op : {EpilogueOp::Dot, EpilogueOp::ResidualNorm,
+                            EpilogueOp::JacobiStep}) {
+        std::vector<double> Out[2] = {std::vector<double>(N, 0.0),
+                                      std::vector<double>(N, 0.0)};
+        std::vector<double> Y[2] = {std::vector<double>(N, 0.5),
+                                    std::vector<double>(N, -0.5)};
+        FusedEpilogue E[2];
+        for (int K = 0; K < 2; ++K) {
+          E[K] = Op == EpilogueOp::Dot
+                     ? FusedEpilogue::dot(true, true, Z.data())
+                 : Op == EpilogueOp::ResidualNorm
+                     ? FusedEpilogue::residualNorm(B.data(), Out[K].data())
+                     : FusedEpilogue::jacobiStep(B.data(), D.data(),
+                                                 Z.data(), Out[K].data());
+          cvrSpmvFused(K == 0 ? MV : MG, X.data(), Y[K].data(), E[K], Pf);
+        }
+        const std::string OpAt =
+            At + " fused op " + std::to_string(static_cast<int>(Op));
+        EXPECT_LE(maxRelDiff(Ref, Y[0]), RefTol) << OpAt;
+        EXPECT_LE(maxRelDiff(Y[1], Y[0]), Tight) << OpAt;
+        EXPECT_LE(maxRelDiff(Out[1], Out[0]), Tight) << OpAt;
+        for (double FusedEpilogue::*Acc :
+             {&FusedEpilogue::Acc1, &FusedEpilogue::Acc2,
+              &FusedEpilogue::Acc3})
+          EXPECT_LE(maxRelDiff({E[1].*Acc}, {E[0].*Acc}), Tight) << OpAt;
+      }
+    }
+  }
+}
 
 /// A file path no other test process shares: under ::testing::TempDir(),
 /// named after the running test and the process id. ctest runs every case
