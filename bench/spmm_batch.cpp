@@ -152,7 +152,7 @@ int main(int Argc, char **Argv) {
       }
 
       const double Flops = 2.0 * Nnz * static_cast<double>(K);
-      const int Passes = (K + 7) / 8; // RhsBlock=8 matrix passes.
+      const int Passes = (K + 7) / 8; // Eight-column matrix passes.
       auto Record = [&](const std::string &Variant, double Sec,
                         int StreamPasses) {
         BenchRecord R;

@@ -239,15 +239,21 @@ Status CvrMatrix::rebuildDerived() {
   FinishMasks = AlignedBuffer<std::uint8_t>();
   if (Lanes != 8)
     return Status::okStatus();
+  // One allocation sized to every chunk's NumSteps + 1 bytes: growing the
+  // buffer per chunk would copy it repeatedly and strand spare capacity.
+  std::size_t Total = 0;
+  for (const CvrChunk &C : Chunks)
+    Total += static_cast<std::size_t>(C.NumSteps) + 1;
+  if (!FinishMasks.tryResize(Total, 0).ok())
+    return Status::resourceExhausted("CVR finish mask allocation failed");
+  std::size_t Base = 0;
   for (const CvrChunk &C : Chunks) {
-    const std::size_t Base = FinishMasks.size();
-    if (!FinishMasks.tryResize(Base + C.NumSteps + 1, 0).ok())
-      return Status::resourceExhausted("CVR finish mask allocation failed");
     ChunkMaskBase.push_back(static_cast<std::int64_t>(Base));
     for (std::int64_t R = C.RecBase; R < C.RecEnd; ++R) {
       const std::int64_t Pos = Recs[static_cast<std::size_t>(R)].Pos;
       FinishMasks[Base + Pos / 8] |= static_cast<std::uint8_t>(1U << (Pos % 8));
     }
+    Base += static_cast<std::size_t>(C.NumSteps) + 1;
   }
   return Status::okStatus();
 }

@@ -69,7 +69,8 @@ enum class ColIndexKind : std::uint8_t {
 struct CvrOptions {
   /// SIMD lanes (the paper's omega): 8 for f64 on AVX-512. Any value >= 1
   /// is accepted; the vectorized kernel requires 8, other widths run
-  /// through the generic kernel (used by the lane-count ablation).
+  /// through the generic kernel (used by the lane-count ablation), and
+  /// their SpMM composes from per-column SpMV (core/CvrSpmm.h).
   int Lanes = 8;
 
   /// Number of thread chunks (<= 0 selects the OpenMP default).
@@ -80,7 +81,7 @@ struct CvrOptions {
   bool EnableStealing = true;
 
   /// Run the scalar kernel even when the AVX-512 one is applicable — the
-  /// vectorization-benefit ablation.
+  /// vectorization-benefit ablation. SpMM composes from that kernel too.
   bool ForceGenericKernel = false;
 
   /// Feed rows longest-first instead of in matrix order — the sort-first
@@ -105,11 +106,6 @@ struct CvrOptions {
   /// kernel variant, not a different conversion. Supported distances are
   /// {0, 2, 4, 8}; other values snap up to the next supported one.
   int PrefetchDistance = 0;
-
-  /// SpMM register-block width: panel columns per matrix pass for
-  /// runBatch (core/CvrSpmm.h). An execution-time knob like
-  /// PrefetchDistance; supported widths are {4, 8}, other values snap.
-  int RhsBlock = 8;
 
   /// Value-stream storage precision (stream compression axis 1). F32x64
   /// halves value-stream traffic; results carry fp32 rounding of the

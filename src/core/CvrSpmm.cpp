@@ -10,8 +10,9 @@
 // consumption is the SpMV kernel's, but the per-lane accumulator is a
 // panel-row vector instead of a scalar, and every record/tail write-back
 // moves a whole register of columns. Records are rare relative to steps,
-// so their shared-row atomics stay scalar. The generic any-width panel
-// kernel takes the same write-back policies through finishRow().
+// so their shared-row atomics stay scalar. Matrices the panel kernel does
+// not read (other lane counts, the forced-generic ablation, compressed
+// streams) compose SpMM from per-column SpMV runs instead.
 //
 //===----------------------------------------------------------------------===//
 
@@ -103,21 +104,6 @@ template <bool Add> struct PanelScatterWriteBack {
     return Y + static_cast<std::size_t>(Row) * LdY;
   }
 
-  /// One finished row held as \p Bw scalars (the generic kernel). \p V is
-  /// mutable because the Fused policy transforms it in place.
-  void finishRow(std::int32_t Row, double *V, int Bw, bool Shared) const {
-    double *YRow = row(Row);
-    if (Shared) {
-      atomicAddRow(YRow, V, Bw);
-    } else if (Add) {
-      for (int J = 0; J < Bw; ++J)
-        YRow[J] += V[J];
-    } else {
-      for (int J = 0; J < Bw; ++J)
-        YRow[J] = V[J];
-    }
-  }
-
   template <class Panel>
   CVR_HOT void finish(const Panel &P, std::int32_t Row,
                       typename Panel::Vec V, bool Shared) const {
@@ -148,23 +134,19 @@ struct PanelFusedWriteBack {
   int J0;
   BatchEpilogueAccum *Acc;
 
-  void finishRow(std::int32_t Row, double *V, int Bw, bool Shared) const {
-    double *YRow = Y + static_cast<std::size_t>(Row) * LdY;
-    if (Shared) {
-      atomicAddRow(YRow, V, Bw);
-    } else {
-      batchRowApply(*E, Row, J0, Bw, V, *Acc);
-      for (int J = 0; J < Bw; ++J)
-        YRow[J] = V[J];
-    }
-  }
-
   template <class Panel>
   CVR_HOT void finish(const Panel &P, std::int32_t Row,
                       typename Panel::Vec V, bool Shared) const {
     alignas(64) double Buf[8];
     P.spill(V, Buf);
-    finishRow(Row, Buf, P.width(), Shared);
+    double *YRow = Y + static_cast<std::size_t>(Row) * LdY;
+    if (Shared) {
+      atomicAddRow(YRow, Buf, P.width());
+    } else {
+      batchRowApply(*E, Row, J0, P.width(), Buf, *Acc);
+      for (int J = 0; J < P.width(); ++J)
+        YRow[J] = Buf[J];
+    }
   }
 };
 
@@ -209,7 +191,7 @@ CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
 
     if (PfDist > 0 && I + PfDist < C.NumSteps) {
       // Touch the panel rows the pass consumes PfDist steps ahead (their
-      // first line; a row is at most RhsBlock doubles) and stream the
+      // first line; a row is at most eight doubles) and stream the
       // matching value line. The index stream is sequential and short per
       // step, so the hardware prefetcher covers it.
       const std::int32_t *Pc = Cols + (I + PfDist) * W;
@@ -237,66 +219,6 @@ CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
   }
 }
 
-/// Generic any-lane-width SpMM chunk (lane-count ablation / forced-generic
-/// matrices). Runtime lane and block widths; not performance-critical.
-template <class WriteBack>
-void runChunkSpmmGeneric(const CvrMatrix &M, const CvrChunk &C,
-                         const double *X, std::size_t LdX, int Bw,
-                         int PfDist, WriteBack Out) {
-  const int W = M.lanes();
-  const double *Vals = M.vals() + C.ElemBase;
-  const std::int32_t *Cols = M.colIdx() + C.ElemBase;
-  const CvrRecord *Recs = M.recs();
-  std::int64_t RecIdx = C.RecBase;
-  const std::int64_t RecEnd = C.RecEnd;
-
-  // Lane k's panel block lives at [k * Bw, (k + 1) * Bw).
-  std::vector<double> VOut(static_cast<std::size_t>(W) * Bw, 0.0);
-  std::vector<double> TRes(static_cast<std::size_t>(W) * Bw, 0.0);
-
-  auto ApplyRecord = [&](const CvrRecord &R) {
-    int Off = static_cast<int>(R.Pos % W);
-    double *V = VOut.data() + static_cast<std::size_t>(Off) * Bw;
-    if (R.Steal) {
-      double *T = TRes.data() + static_cast<std::size_t>(R.Wb) * Bw;
-      for (int J = 0; J < Bw; ++J)
-        T[J] += V[J];
-    } else {
-      Out.finishRow(R.Wb, V, Bw, R.Shared != 0);
-    }
-    std::fill_n(V, Bw, 0.0);
-  };
-
-  for (std::int64_t I = 0; I < C.NumSteps; ++I) {
-    while (RecIdx < RecEnd && Recs[RecIdx].Pos < (I + 1) * W)
-      ApplyRecord(Recs[RecIdx++]);
-    if (PfDist > 0 && I + PfDist < C.NumSteps) {
-      const std::int32_t *Pc = Cols + (I + PfDist) * W;
-      for (int K = 0; K < W; ++K)
-        __builtin_prefetch(X + static_cast<std::size_t>(Pc[K]) * LdX, 0, 1);
-    }
-    for (int K = 0; K < W; ++K) {
-      const double *XRow =
-          X + static_cast<std::size_t>(Cols[I * W + K]) * LdX;
-      double V = Vals[I * W + K];
-      double *Acc = VOut.data() + static_cast<std::size_t>(K) * Bw;
-      for (int J = 0; J < Bw; ++J)
-        Acc[J] += V * XRow[J];
-    }
-  }
-  while (RecIdx < RecEnd)
-    ApplyRecord(Recs[RecIdx++]);
-
-  const std::int32_t *Tails = M.tails() + C.TailBase;
-  for (int K = 0; K < W; ++K) {
-    std::int32_t Row = Tails[K];
-    if (Row < 0)
-      continue;
-    Out.finishRow(Row, TRes.data() + static_cast<std::size_t>(K) * Bw, Bw,
-                  Row == C.FirstRow || Row == C.LastRow);
-  }
-}
-
 /// Zeroes the Bw-wide slice of the rows the chunk sweep never plain-stores
 /// (chunk-boundary rows accumulate, empty rows are never written).
 void zeroRowsSlice(const CvrMatrix &M, double *Y, std::size_t LdY, int Bw) {
@@ -314,14 +236,11 @@ void runSpmmChunkRange(const CvrMatrix &M, int Begin, int End,
   const std::vector<CvrChunk> &Chunks = M.chunks();
   int N = End - Begin;
   int Threads = std::min(M.runThreads(), N);
-  bool UseAvx = M.lanes() == simd::DoubleLanes && !M.forcesGenericKernel();
 
   auto Body = [&](int T) {
     const CvrChunk &C = Chunks[Begin + T];
     auto Out = MakeOut(Begin + T);
-    if (!UseAvx)
-      runChunkSpmmGeneric(M, C, X, LdX, Bw, PfDist, Out);
-    else if (Bw == 8)
+    if (Bw == 8)
       runChunkSpmm(M, C, X, LdX, Panel8{}, PfDist, Out);
     else if (Bw == 4)
       runChunkSpmm(M, C, X, LdX, Panel4{}, PfDist, Out);
@@ -393,12 +312,21 @@ void recordCvrSpmmTelemetry(int NumVectors, int Passes, bool Fused) {
     FusedRuns.inc();
 }
 
-/// Compressed-stream matrices (F32x64 values / U16Band indices) compose
-/// SpMM from per-column SpMV runs through contiguous scratch: the
-/// register-blocked panel kernels read the uncompressed streams directly,
-/// and rewriting them per kind would triple their instantiation count for
-/// a path whose payoff is amortizing *matrix* traffic — which compression
-/// already shrinks. DESIGN.md section 17 records this scope gate.
+/// True when the register-blocked panel kernel reads \p M: eight lanes,
+/// not forced generic, uncompressed F64/U32 streams.
+bool panelKernelReads(const CvrMatrix &M) {
+  return M.lanes() == simd::DoubleLanes && !M.forcesGenericKernel() &&
+         M.valueKind() == ValueKind::F64 &&
+         M.colIndexKind() == ColIndexKind::U32;
+}
+
+/// Every other matrix composes SpMM from per-column SpMV runs through
+/// contiguous scratch. Compressed streams (F32x64 values / U16Band
+/// indices): rewriting the panel kernel per kind would triple its
+/// instantiation count for a path whose payoff is amortizing *matrix*
+/// traffic — which compression already shrinks (DESIGN.md section 17).
+/// Other lane counts and the forced-generic ablation run SpMV's generic
+/// kernel, which a panel twin would only duplicate.
 [[nodiscard]] Status cvrSpmmComposed(const CvrMatrix &M, const double *X, std::size_t LdX,
                        double *Y, std::size_t LdY, int NumVectors,
                        const CvrSpmmOptions &Opts) try {
@@ -422,12 +350,6 @@ void recordCvrSpmmTelemetry(int NumVectors, int Passes, bool Fused) {
 
 } // namespace
 
-int snapRhsBlock(int B) {
-  if (B <= 0)
-    return 8;
-  return B <= 4 ? 4 : 8;
-}
-
 Status cvrSpmm(const CvrMatrix &M, const double *X, std::size_t LdX,
                double *Y, std::size_t LdY, int NumVectors,
                const CvrSpmmOptions &Opts) {
@@ -436,14 +358,12 @@ Status cvrSpmm(const CvrMatrix &M, const double *X, std::size_t LdX,
     return S;
   obs::TraceSpan Span("execute/spmm", "execute");
   Span.arg("cols", NumVectors);
-  if (M.valueKind() != ValueKind::F64 ||
-      M.colIndexKind() != ColIndexKind::U32)
+  if (!panelKernelReads(M))
     return cvrSpmmComposed(M, X, LdX, Y, LdY, NumVectors, Opts);
-  const int Rhs = snapRhsBlock(Opts.RhsBlock);
   const int Pf = snapPrefetchDistance(Opts.PrefetchDistance);
   int Passes = 0;
   for (int J0 = 0; J0 < NumVectors;) {
-    int Bw = std::min(Rhs, NumVectors - J0);
+    int Bw = std::min(8, NumVectors - J0);
     runSpmmPass(M, X + J0, LdX, Y + J0, LdY, Bw, Pf);
     J0 += Bw;
     ++Passes;
@@ -472,10 +392,9 @@ Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
     return cvrSpmm(M, X, LdX, Y, LdY, NumVectors, Opts);
   }
 
-  if (M.isBlocked() || M.valueKind() != ValueKind::F64 ||
-      M.colIndexKind() != ColIndexKind::U32) {
-    // Accumulate mode finishes no row until the last band, and compressed
-    // streams take the composed path throughout; compose.
+  if (M.isBlocked() || !panelKernelReads(M)) {
+    // Accumulate mode finishes no row until the last band, and the other
+    // matrices take the composed path throughout; compose.
     S = cvrSpmm(M, X, LdX, Y, LdY, NumVectors, Opts);
     if (!S.ok())
       return S;
@@ -487,7 +406,6 @@ Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
 
   obs::TraceSpan Span("execute/spmm-fused", "execute");
   Span.arg("cols", NumVectors);
-  const int Rhs = snapRhsBlock(Opts.RhsBlock);
   const int Pf = snapPrefetchDistance(Opts.PrefetchDistance);
   const int N = M.numChunks();
 
@@ -505,7 +423,7 @@ Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
 
   int Passes = 0;
   for (int J0 = 0; J0 < NumVectors;) {
-    const int Bw = std::min(Rhs, NumVectors - J0);
+    const int Bw = std::min(8, NumVectors - J0);
     double *Yp = Y + J0;
     zeroRowsSlice(M, Yp, LdY, Bw);
     runSpmmChunkRange(M, 0, N, X + J0, LdX, Bw, Pf, [&](int T) {
@@ -536,7 +454,6 @@ Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
 Status CvrKernel::runBatch(const double *X, std::size_t LdX, double *Y,
                            std::size_t LdY, int NumVectors) const {
   CvrSpmmOptions SOpts;
-  SOpts.RhsBlock = options().RhsBlock;
   SOpts.PrefetchDistance = options().PrefetchDistance;
   return cvrSpmm(matrix(), X, LdX, Y, LdY, NumVectors, SOpts);
 }
@@ -545,7 +462,6 @@ Status CvrKernel::runBatchFused(const double *X, std::size_t LdX, double *Y,
                                 std::size_t LdY, int NumVectors,
                                 FusedBatchEpilogue &E) const {
   CvrSpmmOptions SOpts;
-  SOpts.RhsBlock = options().RhsBlock;
   SOpts.PrefetchDistance = options().PrefetchDistance;
   return cvrSpmmFused(matrix(), X, LdX, Y, LdY, NumVectors, E, SOpts);
 }

@@ -15,13 +15,15 @@
 /// the dominant term of a bandwidth-bound kernel's bytes/nnz — are read
 /// once per register block of columns instead of once per vector.
 ///
-/// The kernel streams the matrix floor(K / RhsBlock) (+1 for a remainder)
-/// times, each pass covering RhsBlock columns in register accumulators:
-/// 8-wide (VecD8), 4-wide (VecD4), or a masked tail of any width 1..7, so a
-/// degenerate K never wastes a full-width pass. Lane semantics (records,
-/// tracker stealing, tails, shared-row atomics, accumulate-mode bands) are
-/// identical to the SpMV kernel with every scalar write-back widened to a
-/// panel row.
+/// The kernel streams the matrix ceil(K / 8) times, each pass covering
+/// min(8, K - J0) columns in register accumulators: 8-wide (VecD8), 4-wide
+/// (VecD4) for a width-4 remainder, or a masked tail of any other width
+/// 1..7, so a degenerate K never wastes a full-width pass. Lane semantics
+/// (records, tracker stealing, tails, shared-row atomics, accumulate-mode
+/// bands) are identical to the SpMV kernel with every scalar write-back
+/// widened to a panel row. The panel kernel reads eight-lane matrices with
+/// uncompressed F64/U32 streams that are not forced generic; every other
+/// matrix composes SpMM from one cvrSpmv per column.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,20 +38,10 @@ namespace cvr {
 
 /// Execution knobs for one SpMM call.
 struct CvrSpmmOptions {
-  /// Columns per matrix pass (the register-block width). Supported widths
-  /// are {4, 8}; other values snap via snapRhsBlock. Narrower blocks halve
-  /// the register pressure per pass at the cost of streaming the matrix
-  /// twice as often — the autotuner's RhsBlock axis decides per matrix.
-  int RhsBlock = 8;
-
   /// Software-prefetch distance in stream steps for the X panel rows (and
   /// the vals stream); snapped to {0, 2, 4, 8} like the SpMV kernel.
   int PrefetchDistance = 0;
 };
-
-/// Snaps a requested register-block width to the supported set {4, 8}
-/// (<= 0 selects the default 8).
-int snapRhsBlock(int B);
 
 /// Computes Y = A * X for \p NumVectors right-hand sides stored row-major
 /// (element (i, j) at X[i * LdX + j]; LdX, LdY >= NumVectors; X has
@@ -57,7 +49,7 @@ int snapRhsBlock(int B);
 /// arguments — null pointers, NumVectors < 1, leading dimensions narrower
 /// than the panel — with INVALID_ARGUMENT instead of reading out of
 /// bounds. Works for every lane width and for column-blocked matrices (the
-/// generic and accumulate-mode fallbacks keep the exact SpMV semantics).
+/// composed and accumulate-mode paths keep the exact SpMV semantics).
 [[nodiscard]] Status cvrSpmm(const CvrMatrix &M, const double *X,
                              std::size_t LdX, double *Y, std::size_t LdY,
                              int NumVectors,
@@ -70,8 +62,8 @@ int snapRhsBlock(int B);
 /// parallel chunk sweep; chunk-boundary and empty rows are finished by a
 /// sequential cleanup pass in zero-row order, merged last, so accumulators
 /// reduce deterministically per matrix configuration. Column-blocked
-/// matrices and compressed-stream matrices compose cvrSpmm with the scalar
-/// batch-epilogue sweep instead.
+/// matrices and every matrix the panel kernel does not read compose
+/// cvrSpmm with the scalar batch-epilogue sweep instead.
 [[nodiscard]] Status cvrSpmmFused(const CvrMatrix &M, const double *X,
                                   std::size_t LdX, double *Y, std::size_t LdY,
                                   int NumVectors, FusedBatchEpilogue &E,

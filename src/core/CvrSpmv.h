@@ -93,8 +93,8 @@ public:
                 FusedEpilogue &E) const override;
 
   /// Native SpMM path (core/CvrSpmm.h): the CVR stream is read once per
-  /// register block of panel columns, under the kernel's configured
-  /// RhsBlock and prefetch distance.
+  /// register block of up to eight panel columns, under the kernel's
+  /// configured prefetch distance.
   [[nodiscard]] Status runBatch(const double *X, std::size_t LdX, double *Y,
                                 std::size_t LdY,
                                 int NumVectors) const override;
@@ -118,7 +118,7 @@ public:
   const CvrMatrix &matrix() const { return M; }
 
   /// The execution options the kernel was constructed with (the SpMM path
-  /// reads its RhsBlock and prefetch distance from here).
+  /// reads its prefetch distance from here).
   const CvrOptions &options() const { return Opts; }
 
   const CvrMatrix &cvrMatrix() const override { return M; }

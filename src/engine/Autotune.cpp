@@ -8,7 +8,6 @@
 
 #include "analysis/Roofline.h"
 #include "cachesim/LocalityProbe.h"
-#include "core/CvrSpmm.h"
 #include "core/CvrSpmv.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
@@ -66,7 +65,6 @@ CvrOptions CvrPlan::toOptions(int NumThreads) const {
   Opts.ChunkMultiplier = ChunkMultiplier;
   Opts.ColBlockBytes = ColBlockBytes;
   Opts.PrefetchDistance = PrefetchDistance;
-  Opts.RhsBlock = RhsBlock;
   Opts.Values = Values;
   Opts.Indices = Indices;
   return Opts;
@@ -81,8 +79,6 @@ std::string CvrPlan::describe() const {
   else
     S += " block=" + std::to_string(ColBlockBytes) + "B";
   S += " mult=" + std::to_string(ChunkMultiplier);
-  if (RhsBlock != 8) // Only SpMM-tuned plans deviate from the full block.
-    S += " rhs=" + std::to_string(RhsBlock);
   if (Indices == ColIndexKind::U16Band)
     S += " idx=u16";
   if (Values == ValueKind::F32x64)
@@ -154,16 +150,7 @@ StatusOr<AutotuneResult> tryAutotuneCvr(const CsrMatrix &A,
     return Opts.BudgetSeconds > 0.0 && Wall.seconds() > Opts.BudgetSeconds;
   };
 
-  // SpMM searches key their plans per panel width: the winning register
-  // block for K=8 panels is meaningless for plain SpMV (PanelWidth 0).
-  std::uint64_t Key = matrixFingerprint(A, Threads);
-  if (Opts.PanelWidth > 0) {
-    std::uint64_t V = static_cast<std::uint64_t>(Opts.PanelWidth);
-    for (int B = 0; B < 8; ++B) {
-      Key ^= (V >> (B * 8)) & 0xFF;
-      Key *= 1099511628211ULL;
-    }
-  }
+  const std::uint64_t Key = matrixFingerprint(A, Threads);
   if (Opts.UseCache) {
     PlanCache &C = PlanCache::instance();
     std::lock_guard<std::mutex> Lock(C.M);
@@ -185,13 +172,6 @@ StatusOr<AutotuneResult> tryAutotuneCvr(const CsrMatrix &A,
   obs::TraceSpan TuneSpan("tune/cvr", "tune");
   TuneSpan.arg("rows", A.numRows());
   TuneSpan.arg("nnz", A.numNonZeros());
-  if (Opts.PanelWidth > 0) {
-    TuneSpan.arg("panel", Opts.PanelWidth);
-    if (obs::telemetryEnabled()) {
-      static obs::Counter &SpmmSearches = obs::counter("tune.spmm_searches");
-      SpmmSearches.inc();
-    }
-  }
   struct TuneTelemetryScope {
     const AutotuneResult &Res;
     const Timer &Wall;
@@ -350,35 +330,19 @@ StatusOr<AutotuneResult> tryAutotuneCvr(const CsrMatrix &A,
         "s expired before any candidate was built");
   }
 
-  // Measurement inputs: a dense vector for SpMV searches, or a row-major
-  // numCols x PanelWidth panel (leading dimension = PanelWidth) for SpMM
-  // searches. The panel reuses the same deterministic stream.
-  const int Panel = std::max(0, Opts.PanelWidth);
-  std::vector<double> X = tuningVector(
-      static_cast<std::size_t>(A.numCols()) * std::max(1, Panel));
-  std::vector<double> Y(
-      static_cast<std::size_t>(A.numRows()) * std::max(1, Panel), 0.0);
+  std::vector<double> X = tuningVector(static_cast<std::size_t>(A.numCols()));
+  std::vector<double> Y(static_cast<std::size_t>(A.numRows()), 0.0);
 
-  // Every timed execution — warm-up or timed, SpMV or one SpMM panel pass
-  // set — counts against the iteration budget, and the wall clock is
-  // consulted before each one.
+  // Every timed execution — warm-up or timed — counts against the
+  // iteration budget, and the wall clock is consulted before each one.
   int Budget = std::max(1, Opts.MaxIterations);
-  auto Measure = [&](const CvrMatrix &M, int Pf, int Rhs, int Reps) -> double {
+  auto Measure = [&](const CvrMatrix &M, int Pf, int Reps) -> double {
     double Best = Inf;
     for (int R = 0; R < Reps && Budget > 0; ++R) {
       if (Res.TimedOut || (Res.TimedOut = overBudget()))
         break;
       Timer T;
-      if (Panel > 0) {
-        CvrSpmmOptions SO;
-        SO.RhsBlock = Rhs;
-        SO.PrefetchDistance = Pf;
-        std::size_t Ld = static_cast<std::size_t>(Panel);
-        if (!cvrSpmm(M, X.data(), Ld, Y.data(), Ld, Panel, SO).ok())
-          break; // Unusable measurement; leave Best at Inf.
-      } else {
-        cvrSpmv(M, X.data(), Y.data(), Pf);
-      }
+      cvrSpmv(M, X.data(), Y.data(), Pf);
       Best = std::min(Best, T.seconds());
       --Budget;
       ++Res.IterationsUsed;
@@ -389,16 +353,15 @@ StatusOr<AutotuneResult> tryAutotuneCvr(const CsrMatrix &A,
   struct Combo {
     std::size_t BuildIdx;
     int Pf;
-    int Rhs = 8;
     double Best = Inf;
   };
   std::vector<Combo> Combos;
   for (std::size_t I = 0; I < Builds.size(); ++I) {
     if (Budget <= 0 || Res.TimedOut)
       break;
-    Measure(Builds[I].M, 0, 8, 1); // Warm-up: caches, page faults, y.
-    Combo C{I, 0, 8, Inf};
-    C.Best = Measure(Builds[I].M, 0, 8, 2);
+    Measure(Builds[I].M, 0, 1); // Warm-up: caches, page faults, y.
+    Combo C{I, 0, Inf};
+    C.Best = Measure(Builds[I].M, 0, 2);
     if (C.Best == Inf)
       continue; // Timed out inside the warm-up; nothing was measured.
     if (Builds[I].Base == CvrPlan())
@@ -414,10 +377,7 @@ StatusOr<AutotuneResult> tryAutotuneCvr(const CsrMatrix &A,
   }
 
   //===--------------------------------------------------------------------===
-  // Stage 3: prefetch sweep over the two fastest builds. SpMM searches add
-  // the register-block axis here: the narrow four-column block halves the
-  // accumulator pressure but doubles the matrix passes, so it only wins on
-  // panels whose wide block spills — something only timing can decide.
+  // Stage 3: prefetch sweep over the two fastest builds.
   //===--------------------------------------------------------------------===
   std::vector<std::size_t> Order(Combos.size());
   for (std::size_t I = 0; I < Order.size(); ++I)
@@ -428,22 +388,13 @@ StatusOr<AutotuneResult> tryAutotuneCvr(const CsrMatrix &A,
   for (std::size_t Rank = 0; Rank < std::min<std::size_t>(2, Order.size());
        ++Rank) {
     std::size_t BuildIdx = Combos[Order[Rank]].BuildIdx;
-    // SpMM tuning widens the sweep with the half-width register block;
-    // scalar SpMV plans only ever use the full-width lane.
-    static constexpr int RhsWidths[] = {8, 4};
-    const int NumRhs = Panel > 0 ? 2 : 1;
-    for (int RhsIdx = 0; RhsIdx < NumRhs; ++RhsIdx) {
-      const int Rhs = RhsWidths[RhsIdx];
-      for (int Pf : {0, 2, 4, 8}) {
-        if (Rhs == 8 && Pf == 0)
-          continue; // Stage 2 already timed the wide block unprefetched.
-        if (Budget <= 0 || Res.TimedOut)
-          break;
-        Combo C{BuildIdx, Pf, Rhs, Inf};
-        C.Best = Measure(Builds[BuildIdx].M, Pf, Rhs, 2);
-        if (C.Best < Inf)
-          Combos.push_back(C);
-      }
+    for (int Pf : {2, 4, 8}) { // Stage 2 already timed pf=0.
+      if (Budget <= 0 || Res.TimedOut)
+        break;
+      Combo C{BuildIdx, Pf, Inf};
+      C.Best = Measure(Builds[BuildIdx].M, Pf, 2);
+      if (C.Best < Inf)
+        Combos.push_back(C);
     }
   }
 
@@ -455,9 +406,8 @@ StatusOr<AutotuneResult> tryAutotuneCvr(const CsrMatrix &A,
   for (std::size_t I = 0; I < std::min<std::size_t>(3, Combos.size()); ++I) {
     if (Budget <= 0 || Res.TimedOut)
       break;
-    Combos[I].Best =
-        std::min(Combos[I].Best, Measure(Builds[Combos[I].BuildIdx].M,
-                                         Combos[I].Pf, Combos[I].Rhs, 2));
+    Combos[I].Best = std::min(
+        Combos[I].Best, Measure(Builds[Combos[I].BuildIdx].M, Combos[I].Pf, 2));
   }
   std::sort(Combos.begin(), Combos.end(),
             [](const Combo &L, const Combo &R) { return L.Best < R.Best; });
@@ -473,8 +423,7 @@ StatusOr<AutotuneResult> tryAutotuneCvr(const CsrMatrix &A,
     // outright; narrow indices are lossless and cost only a tie-break.
     return (P.Values != ValueKind::F64 ? 5000 : 0) +
            (P.ColBlockBytes > 0 ? 1000 : 0) + P.ChunkMultiplier * 10 +
-           (P.Indices != ColIndexKind::U32 ? 3 : 0) + (C.Rhs != 8 ? 2 : 0) +
-           (C.Pf > 0 ? 1 : 0);
+           (P.Indices != ColIndexKind::U32 ? 3 : 0) + (C.Pf > 0 ? 1 : 0);
   };
   for (std::size_t I = 1; I < Combos.size(); ++I) {
     if (Combos[I].Best > Combos[0].Best * 1.02)
@@ -485,7 +434,6 @@ StatusOr<AutotuneResult> tryAutotuneCvr(const CsrMatrix &A,
   const Combo &Win = Combos[WinIdx];
   Res.Plan = Builds[Win.BuildIdx].Base;
   Res.Plan.PrefetchDistance = Win.Pf;
-  Res.Plan.RhsBlock = Win.Rhs;
   Res.BestSeconds = Win.Best;
   if (Res.BaselineSeconds == 0.0)
     Res.BaselineSeconds = Res.BestSeconds;

@@ -47,7 +47,6 @@ struct CvrPlan {
   int PrefetchDistance = 0;       ///< {0, 2, 4, 8}; 0 disables.
   std::int64_t ColBlockBytes = 0; ///< 0 disables x-blocking.
   int ChunkMultiplier = 1;        ///< Chunks per thread.
-  int RhsBlock = 8;               ///< SpMM panel columns per pass, {4, 8}.
   /// Stream-compression axes (see DESIGN.md section 17). U16Band is
   /// lossless and searched by default when the roofline pre-filter says the
   /// index stream is worth shrinking; F32x64 changes numerics and is only
@@ -58,16 +57,15 @@ struct CvrPlan {
   /// Conversion options realizing this plan for \p NumThreads threads.
   CvrOptions toOptions(int NumThreads) const;
 
-  /// Human-readable one-liner, e.g. "pf=4 block=512KiB mult=2" (plans
-  /// tuned for SpMM append " rhs=4" when the narrow register block won;
-  /// compressed streams append " idx=u16" / " val=f32x64").
+  /// Human-readable one-liner, e.g. "pf=4 block=512KiB mult=2"
+  /// (compressed streams append " idx=u16" / " val=f32x64").
   std::string describe() const;
 
   bool operator==(const CvrPlan &O) const {
     return PrefetchDistance == O.PrefetchDistance &&
            ColBlockBytes == O.ColBlockBytes &&
-           ChunkMultiplier == O.ChunkMultiplier && RhsBlock == O.RhsBlock &&
-           Values == O.Values && Indices == O.Indices;
+           ChunkMultiplier == O.ChunkMultiplier && Values == O.Values &&
+           Indices == O.Indices;
   }
 };
 
@@ -85,12 +83,6 @@ struct AutotuneOptions {
   /// measurement completes, tryAutotuneCvr reports DEADLINE_EXCEEDED and
   /// the degradation ladder falls back to the default plan.
   double BudgetSeconds = 0.0;
-  /// SpMM leg: when > 0, the timed measurements run the batched kernel
-  /// with this many right-hand-side columns instead of single-vector SpMV,
-  /// and the search gains a register-block axis (CvrPlan::RhsBlock in
-  /// {8, 4}). Plans are cached separately per panel width — a plan tuned
-  /// for K=8 panels says nothing about single-vector runs.
-  int PanelWidth = 0;
   /// Admit ValueKind::F32x64 candidates into the search. Off by default:
   /// storing values as fp32 perturbs results by the rounding of each
   /// stored coefficient, so callers must opt in (typically solver loops

@@ -48,9 +48,9 @@ public:
     return Inner.preparedCols();
   }
 
-  /// Batched execution under the tuned plan: the inner CvrKernel carries
-  /// the plan's RhsBlock and prefetch distance, so a plan tuned with
-  /// AutotuneOptions::PanelWidth set serves SpMM at its chosen width.
+  /// Batched execution under the tuned SpMV plan: the inner CvrKernel
+  /// carries the plan's conversion and prefetch distance. SpMM has no
+  /// tuning leg of its own; its one register-block width needs none.
   [[nodiscard]] Status runBatch(const double *X, std::size_t LdX, double *Y,
                                 std::size_t LdY,
                                 int NumVectors) const override {

@@ -113,7 +113,6 @@ StatusOr<PreparedKernel> prepareKernel(FormatId F, const CsrMatrix &A,
                           AutotuneOptions AO;
                           AO.NumThreads = Threads;
                           AO.BudgetSeconds = Opts.TuneBudgetSeconds;
-                          AO.PanelWidth = Opts.PanelWidth;
                           return std::make_unique<TunedCvrKernel>(AO);
                         }});
     Ladder.push_back({"CVR", [&] {

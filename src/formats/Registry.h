@@ -58,11 +58,6 @@ struct PrepareOptions {
   /// Wall-clock budget handed to the autotuner; <= 0 means unlimited. A
   /// blown budget is a recorded downgrade, not an error.
   double TuneBudgetSeconds = 0.0;
-  /// Handed to AutotuneOptions::PanelWidth: when > 0 the tuned rung
-  /// searches the batched (SpMM) kernel at this many right-hand-side
-  /// columns, so the prepared kernel's plan is the one that wins for
-  /// runBatch panels of that width rather than for single-vector runs.
-  int PanelWidth = 0;
 };
 
 /// One recorded step down the ladder: \p FromVariant failed to prepare

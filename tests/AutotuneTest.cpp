@@ -65,37 +65,7 @@ TEST(Autotune, PlanCacheHitsOnSecondCall) {
   EXPECT_FALSE(Third.FromCache);
 }
 
-TEST(Autotune, SpmmPlansCacheSeparatelyPerPanelWidth) {
-  clearPlanCache();
-  CsrMatrix A = randomCsr(150, 150, 0.08, 33);
-
-  // The SpMV-keyed plan and the SpMM-keyed plan live in separate cache
-  // slots: tuning for a panel must not hit (or poison) the scalar entry.
-  AutotuneOptions Spmv;
-  Spmv.NumThreads = 2;
-  AutotuneResult Scalar = autotuneCvr(A, Spmv);
-  EXPECT_FALSE(Scalar.FromCache);
-
-  AutotuneOptions Spmm = Spmv;
-  Spmm.PanelWidth = 8;
-  AutotuneResult First = autotuneCvr(A, Spmm);
-  EXPECT_FALSE(First.FromCache);
-  AutotuneResult Second = autotuneCvr(A, Spmm);
-  EXPECT_TRUE(Second.FromCache);
-  EXPECT_TRUE(Second.Plan == First.Plan);
-  EXPECT_EQ(Second.IterationsUsed, 0);
-
-  // Different panel widths key different plans too.
-  AutotuneOptions Narrow = Spmv;
-  Narrow.PanelWidth = 4;
-  EXPECT_FALSE(autotuneCvr(A, Narrow).FromCache);
-
-  // And the scalar entry is still warm after all the SpMM traffic.
-  EXPECT_TRUE(autotuneCvr(A, Spmv).FromCache);
-  clearPlanCache();
-}
-
-TEST(TunedCvrKernel, RunBatchRealizesTheSpmmPlan) {
+TEST(TunedCvrKernel, RunBatchServesUnderTheSpmvPlan) {
   CsrMatrix A = randomCsr(220, 220, 0.05, 41);
   const int NumVec = 8;
   const std::size_t Ld = NumVec;
@@ -106,7 +76,6 @@ TEST(TunedCvrKernel, RunBatchRealizesTheSpmmPlan) {
   AutotuneOptions Opts;
   Opts.NumThreads = 2;
   Opts.UseCache = false;
-  Opts.PanelWidth = NumVec;
   TunedCvrKernel K(Opts);
   K.prepare(A);
   ASSERT_TRUE(K.runBatch(X.data(), Ld, Y.data(), Ld, NumVec).ok());

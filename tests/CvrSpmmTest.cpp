@@ -89,7 +89,8 @@ TEST(CvrSpmm, FullBlockOfEight) {
 }
 
 TEST(CvrSpmm, MaskedTailsOfEveryWidth) {
-  // Widths 1..7 all route through the masked tail panel exactly once.
+  // Widths 1..7 each take one pass: width 4 the half-width panel, every
+  // other width the masked tail.
   CsrMatrix A = genPowerLaw(300, 300, 5.0, 1.1, 83);
   for (int K = 1; K <= 7; ++K)
     expectSpmmMatchesSpmv(A, K, 1, 0);
@@ -106,22 +107,6 @@ TEST(CvrSpmm, PaddedLeadingDimensions) {
 
 TEST(CvrSpmm, MultiThreadSharedRows) {
   expectSpmmMatchesSpmv(genShortFat(5, 900, 300, 84), 6, 4, 0);
-}
-
-TEST(CvrSpmm, RhsBlockFourPasses) {
-  // RhsBlock=4 splits K=8 into two four-column passes over the matrix.
-  CvrSpmmOptions SpmmOpts;
-  SpmmOpts.RhsBlock = 4;
-  expectSpmmMatchesSpmv(genRmat(9, 8, 87), 8, 2, 0, {}, SpmmOpts);
-}
-
-TEST(CvrSpmm, RhsBlockSnapsLikePrefetch) {
-  EXPECT_EQ(snapRhsBlock(0), 8);
-  EXPECT_EQ(snapRhsBlock(-3), 8);
-  EXPECT_EQ(snapRhsBlock(1), 4);
-  EXPECT_EQ(snapRhsBlock(4), 4);
-  EXPECT_EQ(snapRhsBlock(5), 8);
-  EXPECT_EQ(snapRhsBlock(64), 8);
 }
 
 TEST(CvrSpmm, PrefetchDistanceVariants) {
@@ -216,8 +201,8 @@ struct FusedPanels {
 };
 
 TEST(CvrSpmmFused, DotPerColumn) {
-  // The 8-lane panel kernel, and the generic panel kernel at a non-AVX
-  // width and when forced.
+  // The 8-lane panel kernel, and the composed per-column SpMV path at a
+  // non-AVX width and when forced generic.
   CvrOptions Narrow, Forced;
   Narrow.Lanes = 4;
   Forced.ForceGenericKernel = true;
@@ -343,27 +328,35 @@ TEST(CvrSpmmFused, DampScalePerColumn) {
 }
 
 TEST(CvrSpmmFused, BlockedMatrixComposesEpilogue) {
-  // Blocked conversions accumulate across bands, so the fused driver
-  // composes plain SpMM with a scalar epilogue sweep; results must match
-  // the native fused path's semantics exactly.
-  CvrOptions Opts;
-  Opts.ColBlockBytes = 512;
-  FusedPanels P(genPowerLaw(300, 300, 6.0, 1.2, 96), 5, 2, Opts);
-  std::vector<double> Acc1(P.K, -1.0);
-  std::vector<double> Y(P.Rows * P.LdY);
-  FusedBatchEpilogue E =
-      FusedBatchEpilogue::dot(P.K, /*WantYDotY=*/true, Acc1.data());
-  ASSERT_TRUE(
-      cvrSpmmFused(P.M, P.X.data(), P.LdX, Y.data(), P.LdY, P.K, E).ok());
-  for (int J = 0; J < P.K; ++J) {
-    double YdY = 0.0;
-    for (std::size_t I = 0; I < P.Rows; ++I) {
-      double Yi = P.YPlain[I * P.LdY + J];
-      // Shared boundary rows use atomic adds, so two runs may reassociate.
-      EXPECT_NEAR(Y[I * P.LdY + J], Yi, 1e-12 * (1.0 + std::abs(Yi)));
-      YdY += Yi * Yi;
+  // Blocked conversions accumulate across bands, and other lane counts and
+  // forced-generic matrices take the composed per-column SpMV path; either
+  // way the fused driver composes plain SpMM with a scalar epilogue sweep,
+  // and results must match the native fused path's semantics exactly.
+  CvrOptions Blocked, Narrow, Forced;
+  Blocked.ColBlockBytes = 512;
+  Narrow.Lanes = 4;
+  Forced.ForceGenericKernel = true;
+  for (const CvrOptions &Opts : {Blocked, Narrow, Forced}) {
+    SCOPED_TRACE("block " + std::to_string(Opts.ColBlockBytes) + " lanes " +
+                 std::to_string(Opts.Lanes) + " forced " +
+                 std::to_string(Opts.ForceGenericKernel));
+    FusedPanels P(genPowerLaw(300, 300, 6.0, 1.2, 96), 5, 2, Opts);
+    std::vector<double> Acc1(P.K, -1.0);
+    std::vector<double> Y(P.Rows * P.LdY);
+    FusedBatchEpilogue E =
+        FusedBatchEpilogue::dot(P.K, /*WantYDotY=*/true, Acc1.data());
+    ASSERT_TRUE(
+        cvrSpmmFused(P.M, P.X.data(), P.LdX, Y.data(), P.LdY, P.K, E).ok());
+    for (int J = 0; J < P.K; ++J) {
+      double YdY = 0.0;
+      for (std::size_t I = 0; I < P.Rows; ++I) {
+        double Yi = P.YPlain[I * P.LdY + J];
+        // Shared boundary rows use atomic adds, so two runs may reassociate.
+        EXPECT_NEAR(Y[I * P.LdY + J], Yi, 1e-12 * (1.0 + std::abs(Yi)));
+        YdY += Yi * Yi;
+      }
+      EXPECT_NEAR(Acc1[J], YdY, 1e-9 * (1.0 + YdY));
     }
-    EXPECT_NEAR(Acc1[J], YdY, 1e-9 * (1.0 + YdY));
   }
 }
 

@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CheckedKernel.h"
+#include "core/CvrSpmm.h"
 #include "core/CvrSpmv.h"
 #include "formats/FusedEpilogue.h"
 #include "formats/Registry.h"
@@ -483,6 +484,52 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
           EXPECT_LE(std::abs(E.Acc3 - ZDotY),
                     kindTolerance(VK) * (1.0 + ZDotYAbs))
               << Where << " fused pf " << Pf;
+        }
+
+        // Batched SpMM (compressed streams compose it from per-column SpMV)
+        // and fused SpMM with a Dot epilogue, on a K=5 panel whose padded
+        // leading dimension leaves three junk columns per row.
+        const int K = 5;
+        const std::size_t Ld = 8;
+        const std::size_t NC = static_cast<std::size_t>(A.numCols());
+        const std::size_t NR = static_cast<std::size_t>(A.numRows());
+        std::vector<double> XP = randomVector(NC * Ld, Seed ^ 0x5A5A);
+        std::vector<std::vector<double>> Ref(K);
+        for (int J = 0; J < K; ++J) {
+          std::vector<double> Xc(NC);
+          for (std::size_t I = 0; I < NC; ++I)
+            Xc[I] = XP[I * Ld + static_cast<std::size_t>(J)];
+          Ref[J] = referenceSpmv(A, Xc);
+        }
+        auto ExpectPanel = [&](const std::vector<double> &YP,
+                               const char *What) {
+          std::vector<double> Yc(NR);
+          for (int J = 0; J < K; ++J) {
+            for (std::size_t I = 0; I < NR; ++I)
+              Yc[I] = YP[I * Ld + static_cast<std::size_t>(J)];
+            EXPECT_LE(maxRelDiff(Ref[J], Yc), kindTolerance(VK))
+                << Where << " " << What << " column " << J;
+          }
+        };
+        std::vector<double> YP(NR * Ld, 0.5);
+        ASSERT_TRUE(cvrSpmm(*M, XP.data(), Ld, YP.data(), Ld, K).ok())
+            << Where;
+        ExpectPanel(YP, "spmm");
+
+        std::vector<double> Acc(K, -1.0);
+        FusedBatchEpilogue BE =
+            FusedBatchEpilogue::dot(K, /*YDotY=*/true, Acc.data());
+        std::vector<double> YPF(NR * Ld, 0.5);
+        ASSERT_TRUE(
+            cvrSpmmFused(*M, XP.data(), Ld, YPF.data(), Ld, K, BE).ok())
+            << Where;
+        ExpectPanel(YPF, "spmm fused");
+        for (int J = 0; J < K; ++J) {
+          double YdY = 0.0;
+          for (std::size_t I = 0; I < NR; ++I)
+            YdY += YPF[I * Ld + J] * YPF[I * Ld + J];
+          EXPECT_NEAR(Acc[J], YdY, 1e-9 * (1.0 + YdY))
+              << Where << " spmm fused column " << J;
         }
 
         // Serialization: both layouts round-trip the compressed streams.

@@ -299,7 +299,6 @@ TEST_F(FaultToleranceTest, LadderCsrRungStillServesRunBatch) {
   CsrMatrix A = test::randomCsr(64, 64, 0.15, 21);
   PrepareOptions Opts;
   Opts.Tune = true;
-  Opts.PanelWidth = 8;
   ASSERT_TRUE(failpoint::armFromSpec("convert.cvr.fail").ok());
   StatusOr<PreparedKernel> P = prepareKernel(FormatId::Cvr, A, Opts);
   failpoint::disarmAll();
