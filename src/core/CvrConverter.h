@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tracker-based CVR conversion (Section 4.2 / Algorithm 3), templated
-/// on the output value type so the double-precision (omega = 8) and
-/// single-precision (omega = 16) pipelines share one engine. This header is
-/// private to core/ — include CvrFormat.h or CvrFloat.h instead.
+/// The tracker-based CVR conversion (Section 4.2 / Algorithm 3). It always
+/// emits f64 value streams; CvrMatrix::compressStreams narrows them to the
+/// f32 value kind afterwards. This header is private to core/ — include
+/// CvrFormat.h instead.
 ///
 /// The engine turns one nnz chunk of a CSR matrix into a dense
 /// `steps x lanes` stream: trackers *feed* on the next non-empty row when a
@@ -35,28 +35,24 @@
 namespace cvr {
 namespace detail {
 
-/// Engine knobs (a value-type-independent subset of CvrOptions).
+/// Engine knobs (the conversion subset of CvrOptions).
 struct ConverterConfig {
   int Lanes = 8;
   int NumThreads = 0;
   bool EnableStealing = true;
-  /// Pad the stream to an even step count (required by the f64 kernel's
-  /// paired 16-index column loads; the f32 kernel loads one full 512-bit
-  /// index vector per step and needs no pairing).
-  bool PadEvenSteps = true;
   /// Feed rows longest-first instead of in matrix order (the sort-first
   /// ablation; the paper deliberately keeps matrix order for O(nnz)
   /// preprocessing and x-locality between adjacent rows).
   bool SortFeedRowsByLength = false;
 };
 
-/// Conversion output for one matrix: everything a Cvr*Matrix stores.
+/// Conversion output for one matrix: everything a CvrMatrix stores.
 /// `Ok == false` means an allocation failed mid-conversion (real OOM or
 /// the `alloc.aligned-buffer` fail point); the streams are then
 /// incomplete and must be discarded — CvrMatrix::tryFromCsr turns this
 /// into a RESOURCE_EXHAUSTED Status.
-template <typename ValueT> struct ConvertedStreams {
-  AlignedBuffer<ValueT> Vals;
+struct ConvertedStreams {
+  AlignedBuffer<double> Vals;
   AlignedBuffer<std::int32_t> ColIdx;
   std::vector<CvrRecord> Recs;
   AlignedBuffer<std::int32_t> Tails;
@@ -67,8 +63,8 @@ template <typename ValueT> struct ConvertedStreams {
 
 /// Per-chunk conversion output built locally by each thread and stitched
 /// into the shared streams afterwards.
-template <typename ValueT> struct ChunkBuild {
-  AlignedBuffer<ValueT> Vals;         // Uninitialized growth: every slot is
+struct ChunkBuild {
+  AlignedBuffer<double> Vals;         // Uninitialized growth: every slot is
   AlignedBuffer<std::int32_t> ColIdx; // overwritten by the emit loop.
   std::vector<CvrRecord> Recs;
   std::vector<std::int32_t> Tails;
@@ -86,10 +82,10 @@ struct Tracker {
   bool Dead = false;        ///< No work left for this lane.
 };
 
-template <typename ValueT> class ChunkConverter {
+class ChunkConverter {
 public:
   ChunkConverter(const CsrMatrix &A, const NnzChunk &Chunk,
-                 const ConverterConfig &Cfg, ChunkBuild<ValueT> &Out)
+                 const ConverterConfig &Cfg, ChunkBuild &Out)
       : A(A), Chunk(Chunk), Cfg(Cfg), Out(Out), Lanes(Cfg.Lanes),
         Trackers(Cfg.Lanes) {}
 
@@ -132,7 +128,9 @@ public:
         Out.Ok = false;
         return;
       }
-    if (Cfg.PadEvenSteps && Steps % 2 != 0) {
+    // Pad to an even step count: the f64 kernel loads the column indices
+    // of two steps as one 16-index vector.
+    if (Steps % 2 != 0) {
       if (!emitPadStep()) {
         Out.Ok = false;
         return;
@@ -297,7 +295,7 @@ private:
     constexpr std::int64_t BlockSteps = 128;
     for (std::int64_t J0 = 0; J0 < Run; J0 += BlockSteps) {
       std::int64_t J1 = std::min(Run, J0 + BlockSteps);
-      ValueT *VOut = Out.Vals.data() + Base + J0 * Lanes;
+      double *VOut = Out.Vals.data() + Base + J0 * Lanes;
       std::int32_t *COut = Out.ColIdx.data() + Base + J0 * Lanes;
       for (int K = 0; K < Lanes; ++K) {
         Tracker &T = Trackers[K];
@@ -307,12 +305,12 @@ private:
           const double *VIn = A.vals() + T.ValId + J0;
           const std::int32_t *CIn = A.colIdx() + T.ValId + J0;
           for (std::int64_t J = 0; J < J1 - J0; ++J) {
-            VOut[J * Lanes + K] = static_cast<ValueT>(VIn[J]);
+            VOut[J * Lanes + K] = VIn[J];
             COut[J * Lanes + K] = CIn[J];
           }
         } else {
           for (std::int64_t J = 0; J < J1 - J0; ++J) {
-            VOut[J * Lanes + K] = ValueT(0);
+            VOut[J * Lanes + K] = 0.0;
             COut[J * Lanes + K] = 0;
           }
         }
@@ -333,7 +331,7 @@ private:
     if (!Out.Vals.tryReserve(Need).ok() || !Out.ColIdx.tryReserve(Need).ok())
       return false;
     for (int K = 0; K < Lanes; ++K) {
-      Out.Vals.push_back(ValueT(0));
+      Out.Vals.push_back(0.0);
       Out.ColIdx.push_back(0);
     }
     return true;
@@ -342,7 +340,7 @@ private:
   const CsrMatrix &A;
   const NnzChunk &Chunk;
   const ConverterConfig &Cfg;
-  ChunkBuild<ValueT> &Out;
+  ChunkBuild &Out;
   int Lanes;
   std::vector<Tracker> Trackers;
   std::int32_t NextRow = 0;
@@ -352,15 +350,14 @@ private:
 };
 
 /// Converts all chunks of \p A in parallel and stitches the results.
-template <typename ValueT>
-ConvertedStreams<ValueT> convertToCvrStreams(const CsrMatrix &A,
-                                             const ConverterConfig &Cfg) {
+inline ConvertedStreams convertToCvrStreams(const CsrMatrix &A,
+                                            const ConverterConfig &Cfg) {
   assert(Cfg.Lanes >= 1 && "need at least one lane");
   int NumThreads = Cfg.NumThreads > 0 ? Cfg.NumThreads : defaultThreadCount();
 
-  ConvertedStreams<ValueT> S;
+  ConvertedStreams S;
   std::vector<NnzChunk> Parts = partitionByNnz(A, NumThreads);
-  std::vector<ChunkBuild<ValueT>> Builds(Parts.size());
+  std::vector<ChunkBuild> Builds(Parts.size());
 
   // Each chunk converts independently (the paper converts per-thread in
   // parallel; the chunks are also what makes the conversion scalable).
@@ -369,13 +366,13 @@ ConvertedStreams<ValueT> convertToCvrStreams(const CsrMatrix &A,
   // AlignedBuffer try-paths use.
   ompParallelFor(static_cast<int>(Parts.size()), NumThreads, [&](int T) {
     try {
-      ChunkConverter<ValueT> Conv(A, Parts[T], Cfg, Builds[T]);
+      ChunkConverter Conv(A, Parts[T], Cfg, Builds[T]);
       Conv.convert();
     } catch (const std::bad_alloc &) {
       Builds[T].Ok = false;
     }
   });
-  for (const ChunkBuild<ValueT> &B : Builds)
+  for (const ChunkBuild &B : Builds)
     if (!B.Ok) {
       S.Ok = false;
       return S;
@@ -392,7 +389,7 @@ ConvertedStreams<ValueT> convertToCvrStreams(const CsrMatrix &A,
   S.Chunks.resize(Parts.size());
 
   if (Parts.size() == 1) {
-    ChunkBuild<ValueT> &B = Builds[0];
+    ChunkBuild &B = Builds[0];
     CvrChunk &C = S.Chunks[0];
     C.NumSteps = B.NumSteps;
     C.RecEnd = static_cast<std::int64_t>(B.Recs.size());
@@ -405,7 +402,7 @@ ConvertedStreams<ValueT> convertToCvrStreams(const CsrMatrix &A,
       S.Tails[K] = B.Tails[K];
   } else {
     std::int64_t TotalElems = 0, TotalRecs = 0;
-    for (const ChunkBuild<ValueT> &B : Builds) {
+    for (const ChunkBuild &B : Builds) {
       TotalElems += static_cast<std::int64_t>(B.Vals.size());
       TotalRecs += static_cast<std::int64_t>(B.Recs.size());
     }
@@ -418,7 +415,7 @@ ConvertedStreams<ValueT> convertToCvrStreams(const CsrMatrix &A,
 
     std::int64_t ElemCursor = 0, RecCursor = 0;
     for (std::size_t T = 0; T < Parts.size(); ++T) {
-      ChunkBuild<ValueT> &B = Builds[T];
+      ChunkBuild &B = Builds[T];
       CvrChunk &C = S.Chunks[T];
       C.ElemBase = ElemCursor;
       C.NumSteps = B.NumSteps;
@@ -429,7 +426,7 @@ ConvertedStreams<ValueT> convertToCvrStreams(const CsrMatrix &A,
       C.LastRow = Parts[T].LastRow;
       if (!B.Vals.empty()) {
         std::memcpy(S.Vals.data() + ElemCursor, B.Vals.data(),
-                    B.Vals.size() * sizeof(ValueT));
+                    B.Vals.size() * sizeof(double));
         std::memcpy(S.ColIdx.data() + ElemCursor, B.ColIdx.data(),
                     B.ColIdx.size() * sizeof(std::int32_t));
       }

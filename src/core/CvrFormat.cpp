@@ -27,8 +27,8 @@ namespace {
 /// every chunk offset. Returns the index of the first appended chunk, or
 /// -1 when the grown streams cannot be allocated (Acc is then stale and
 /// must be discarded).
-std::int32_t appendStreams(detail::ConvertedStreams<double> &Acc,
-                           detail::ConvertedStreams<double> &&S) {
+std::int32_t appendStreams(detail::ConvertedStreams &Acc,
+                           detail::ConvertedStreams &&S) {
   auto ChunkBase = static_cast<std::int32_t>(Acc.Chunks.size());
   auto ElemBase = static_cast<std::int64_t>(Acc.Vals.size());
   auto RecBase = static_cast<std::int64_t>(Acc.Recs.size());
@@ -143,7 +143,6 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
   Cfg.Lanes = Opts.Lanes;
   Cfg.NumThreads = Threads * Mult; // Chunk count (over-decomposition).
   Cfg.EnableStealing = Opts.EnableStealing;
-  Cfg.PadEvenSteps = true; // The f64 kernel double-pumps column loads.
   Cfg.SortFeedRowsByLength = Opts.SortFeedRows;
 
   CvrMatrix M;
@@ -164,8 +163,7 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
   }
 
   if (ColsPerBand == 0) {
-    detail::ConvertedStreams<double> S =
-        detail::convertToCvrStreams<double>(A, Cfg);
+    detail::ConvertedStreams S = detail::convertToCvrStreams(A, Cfg);
     if (!S.Ok)
       return Status::resourceExhausted(
           "CVR conversion: stream storage allocation failed");
@@ -189,12 +187,11 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
   // indices, so the kernel gathers from the full x (and the converter's
   // column-0 pads stay in range). Blocked matrices run in accumulate mode:
   // the kernel zeroes all of y up front, so ZeroRows stays empty.
-  detail::ConvertedStreams<double> Acc;
+  detail::ConvertedStreams Acc;
   for (std::int32_t C0 = 0; C0 < A.numCols(); C0 += ColsPerBand) {
     std::int32_t C1 = std::min(A.numCols(), C0 + ColsPerBand);
     CsrMatrix Slice = A.columnBand(C0, C1);
-    detail::ConvertedStreams<double> S =
-        detail::convertToCvrStreams<double>(Slice, Cfg);
+    detail::ConvertedStreams S = detail::convertToCvrStreams(Slice, Cfg);
     if (!S.Ok)
       return Status::resourceExhausted(
           "CVR conversion: band stream allocation failed (band at column " +

@@ -38,7 +38,7 @@
 // exactly, Bands <= Chunks, ZeroRows <= NumRows). A corrupt or hostile
 // count is rejected with OUT_OF_RANGE instead of commissioning memory.
 //
-// One decoder, two byte sources. CvrMatrix::decode parses every version;
+// One decoder, two byte sources. CvrMatrix::decode parses both versions;
 // decodeSection is the only code that knows a section's count bounds, pad
 // rule, CRC rule and element type, and decodeBody the only code that knows
 // the v3/v4 section order. What differs between the two loaders is where
@@ -63,9 +63,9 @@
 // maps back onto its dotted rule namespace. The ids are part of the
 // interface; tests match on them.
 //
-// Versions 1 and 2 (no checksums, arrays before the chunk table) remain
-// readable through the stream source; v1 defaults the execution-engine
-// fields (multiplier 1, unblocked).
+// Only versions 3 and 4 are read. The checksum-less v1/v2 layouts (arrays
+// before the chunk table) are rejected with the cvr.blob.version rule like
+// any other unknown version.
 //
 //===----------------------------------------------------------------------===//
 
@@ -101,10 +101,6 @@ constexpr std::uint64_t MaxChunks = 1ULL << 22;
 constexpr std::uint64_t MaxLanes = 4096;
 constexpr std::uint64_t MaxChunkMult = 1ULL << 20;
 constexpr std::uint64_t MaxStreamElems = 1ULL << 40;
-
-/// Legacy (v1/v2) cap: those blobs carry array counts before the chunk
-/// table, so only this generic ceiling applies.
-constexpr std::uint64_t MaxLegacyArrayElems = 1ULL << 40;
 
 /// Header image length (the checksummed byte range): rows, cols, nnz,
 /// lanes, force-generic, chunk multiplier, value kind, column-index kind.
@@ -346,7 +342,7 @@ template <typename T>
 /// directly in the owned container it will live in.
 class StreamSource {
 public:
-  /// Streams carry every version; only mapped images are restricted.
+  /// Streams carry v3 and v4; only mapped images are restricted to v4.
   static constexpr bool MappedOnly = false;
 
   explicit StreamSource(std::istream &IS) : IS(IS) {}
@@ -578,75 +574,6 @@ template <typename Source>
                              MaxStreamElems, ExactElems);
 }
 
-/// Legacy (v1/v2) array: u64 count then payload, no checksum.
-template <typename Source, typename Container>
-[[nodiscard]] Status decodeLegacyArray(Source &Src, Container &Out,
-                                       const char *Name) {
-  std::uint64_t N = 0;
-  if (!readPod(Src, N))
-    return truncated(Name, "section count");
-  if (N > MaxLegacyArrayElems)
-    return Status::outOfRange(std::string("[cvr.blob.bounds] ") + Name +
-                              " count " + std::to_string(N) +
-                              " exceeds the legacy array ceiling");
-  const void *Payload = nullptr;
-  Status S = Src.payload(Out, N, Name, Payload);
-  if (!S.ok())
-    return S;
-  return Src.adopt(Out, Payload, N, Name);
-}
-
-/// Everything after the version word of a v1/v2 blob (arrays precede the
-/// execution-engine fields; no checksums, so only generic bounds apply).
-template <typename Source>
-[[nodiscard]] Status decodeLegacyBody(Source &Src, std::uint32_t V,
-                                      CvrMatrix::BlobFields F) {
-  std::int32_t Lanes32 = 0;
-  std::uint8_t Generic = 0;
-  if (!readPod(Src, *F.NumRows) || !readPod(Src, *F.NumCols) ||
-      !readPod(Src, *F.Nnz) || !readPod(Src, Lanes32) ||
-      !readPod(Src, Generic))
-    return truncated("the header");
-  if (*F.NumRows < 0 || *F.NumCols < 0 || *F.Nnz < 0 || Lanes32 < 1 ||
-      static_cast<std::uint64_t>(Lanes32) > MaxLanes)
-    return Status::outOfRange(
-        "[cvr.blob.bounds] legacy header declares an invalid shape or lane "
-        "count");
-  *F.Lanes = Lanes32;
-  *F.ForceGeneric = Generic != 0;
-  // Legacy blobs predate the compressed streams: kinds are always full
-  // width.
-  *F.VKind = ValueKind::F64;
-  *F.IKind = ColIndexKind::U32;
-
-  Status S;
-  if (!(S = decodeLegacyArray(Src, *F.Vals, "value stream")).ok())
-    return S;
-  if (!(S = decodeLegacyArray(Src, *F.ColIdx, "column-index stream")).ok())
-    return S;
-  if (!(S = decodeLegacyArray(Src, *F.Recs, "record stream")).ok())
-    return S;
-  if (!(S = decodeLegacyArray(Src, *F.Tails, "tail table")).ok())
-    return S;
-  if (!(S = decodeLegacyArray(Src, *F.Chunks, "chunk table")).ok())
-    return S;
-  if (!(S = decodeLegacyArray(Src, *F.ZeroRows, "zero-row list")).ok())
-    return S;
-  if (V >= 2) {
-    std::int32_t Mult = 0;
-    if (!readPod(Src, Mult))
-      return truncated("the chunk multiplier");
-    if (Mult < 1 || static_cast<std::uint64_t>(Mult) > MaxChunkMult)
-      return Status::outOfRange(
-          "[cvr.blob.bounds] chunk multiplier " + std::to_string(Mult) +
-          " is outside [1, " + std::to_string(MaxChunkMult) + "]");
-    *F.ChunkMult = Mult;
-    if (!(S = decodeLegacyArray(Src, *F.Bands, "band table")).ok())
-      return S;
-  }
-  return Status::okStatus();
-}
-
 /// Post-decode validation: every offset a kernel dereferences through must
 /// land inside its array before isValid() (which indexes freely) runs.
 [[nodiscard]] Status validateDecoded(const CvrMatrix &M,
@@ -712,10 +639,11 @@ StatusOr<CvrMatrix> CvrMatrix::decode(Source &Src) {
   std::uint32_t V = 0;
   if (!readPod(Src, V))
     return truncated("the version");
-  if (V < 1 || V > MaxVersion)
+  if (V < CompactVersion || V > MaxVersion)
     return Status::invalidArgument(
         "[cvr.blob.version] unsupported blob version " + std::to_string(V) +
-        " (this build reads versions 1.." + std::to_string(MaxVersion) + ")");
+        " (this build reads versions " + std::to_string(CompactVersion) +
+        ".." + std::to_string(MaxVersion) + ")");
   if (Source::MappedOnly && V != MappedVersion)
     return Status::failedPrecondition(
         "mapBlob: blob version " + std::to_string(V) +
@@ -728,9 +656,7 @@ StatusOr<CvrMatrix> CvrMatrix::decode(Source &Src) {
                &M.Vals,      &M.ColIdx,       &M.Vals32, &M.ColIdx16,
                &M.Recs,      &M.Tails,        &M.Chunks, &M.ZeroRows,
                &M.Bands};
-  Status S = V >= CompactVersion
-                 ? decodeBody(Src, F, /*Padded=*/V >= MappedVersion)
-                 : decodeLegacyBody(Src, V, F);
+  Status S = decodeBody(Src, F, /*Padded=*/V >= MappedVersion);
   if (!S.ok())
     return S;
   if (!(S = validateDecoded(M, F)).ok() || !(S = M.rebuildDerived()).ok())

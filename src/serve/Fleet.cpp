@@ -169,7 +169,7 @@ Status Fleet::addBlob(const std::string &Name, const std::string &Path) {
                MapOr.status().code() == StatusCode::NotFound) {
       return MapOr.status(); // A missing file is missing either way.
     }
-    // Any other outcome (retries exhausted, v1-v3 blob, short file)
+    // Any other outcome (retries exhausted, v3 blob, short file)
     // falls through to the copying stream reader.
   }
 
