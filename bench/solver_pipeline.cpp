@@ -4,15 +4,18 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the five iterative solvers end to end in both execution modes
-// (SolverOptions::Fused on/off) over the CSR baseline, plain CVR, and
-// autotuned CVR. For each (solver, kernel, mode) cell it reports the
-// per-iteration wall time, the SpMV throughput that time implies, and the
-// memory traffic one iteration moves: the kernel part is byte-accurate
-// (traceRun / traceRunFused through a CountingSink), the solver-side
-// sweeps are counted analytically from each formulation (8 bytes per
-// element access; the per-solver access counts are spelled out in
-// sweepAccessesPerRow below).
+// Measures the five iterative solvers end to end in two execution modes
+// over the CSR baseline, plain CVR, and autotuned CVR. The fused mode runs
+// each solver on the kernel itself. The unfused mode runs CG's textbook
+// formulation (referenceConjugateGradient) on the kernel, and every other
+// solver on UnfusedKernel(kernel), which composes each SpMV with one
+// scalar epilogue sweep. For each (solver, kernel, mode) cell it reports
+// the per-iteration wall time, the SpMV throughput that time implies, and
+// the memory traffic one iteration moves: the kernel and epilogue part is
+// byte-accurate (traceRun / traceRunFused through a CountingSink), the
+// solver's own sweeps are counted analytically from its formulation (8
+// bytes per element access; the per-solver access counts are spelled out
+// in sweepAccessesPerRow below).
 //
 // The CI perf-smoke job consumes the --json output and fails if fused CG
 // falls more than 10% behind unfused on the same kernel.
@@ -20,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "benchlib/SuiteRunner.h"
+#include "benchlib/UnfusedKernel.h"
 #include "core/CvrSpmv.h"
 #include "engine/TunedKernel.h"
 #include "formats/CsrSpmv.h"
@@ -66,38 +70,37 @@ int spmvsPerIteration(SolverId S) {
   return S == SolverId::BiCgStab ? 2 : 1;
 }
 
-/// Solver-side sweep traffic per iteration, in element accesses per row
-/// (multiply by 8 bytes and the row count). Derived by reading each
-/// formulation in Solvers.cpp: every vector element loaded or stored by
-/// the sweeps outside the kernel counts once.
+/// The solver's own sweep traffic per iteration, outside the kernel and
+/// its epilogue, in element accesses per row (multiply by 8 bytes and the
+/// row count). Derived by reading each formulation in Solvers.cpp: every
+/// vector element loaded or stored by those sweeps counts once. Both
+/// modes share one formulation except CG, whose unfused mode is the
+/// textbook reference. The unfused mode's epilogue sweep is not counted
+/// here: UnfusedKernel's traceRunFused traces it (y re-read, operands,
+/// y write-back), listed in the last column for the per-mode totals.
 ///
-///   CG        unfused: p.Ap dot (2) + two axpys (3 each) + r.r dot (1)
-///                      + p update (3)                            = 12
-///             fused:   one combined sweep, r implicit: read
-///                      x,p,p_prev,q + write x,p_next             =  6
-///   BiCGSTAB  unfused: rhat.v (2) + s sweep (3) + ||s|| (1) + t.t (1)
-///                      + t.s (2) + x/r update (6) + ||r|| (1)
-///                      + rhat.r (2) + p update (4)               = 22
-///             fused:   s sweep (3) + x/r update w/ rhat (7)
-///                      + p update (4)                            = 14
-///   Jacobi    unfused: x + (b - Ax)/d sweep (5)                  =  5
-///             fused:   everything rides the kernel               =  0
-///   Power     unfused: v.Av (2) + ||Av|| (1) + normalize (2)     =  5
-///             fused:   normalize (2)                             =  2
-///   PageRank  unfused: damp sweep (2) + leak sweep (3)           =  5
-///             fused:   leak sweep (3)                            =  3
+///             solver sweeps                              unfused epilogue
+///   CG        fused:   one combined sweep, r implicit: read
+///                      x,p,p_prev,q + write x,p_next =  6
+///             unfused: p.Ap dot (2) + two axpys (3 each)
+///                      + r.r dot (1) + p update (3)  = 12    none: run()
+///   BiCGSTAB  s sweep (3) + x/r update w/ rhat (7)
+///             + p update (4)                         = 14    2 x (y, z) = 4
+///   Jacobi    everything rides the kernel            =  0    y,b,d,x,x' = 5
+///   Power     normalize (2)                          =  2    y, x       = 2
+///   PageRank  leak sweep (3)                         =  3    y, y'      = 2
 int sweepAccessesPerRow(SolverId S, bool Fused) {
   switch (S) {
   case SolverId::Cg:
     return Fused ? 6 : 12;
   case SolverId::BiCgStab:
-    return Fused ? 14 : 22;
+    return 14;
   case SolverId::Jacobi:
-    return Fused ? 0 : 5;
+    return 0;
   case SolverId::Power:
-    return Fused ? 2 : 5;
+    return 2;
   case SolverId::PageRank:
-    return Fused ? 3 : 5;
+    return 3;
   }
   return 0;
 }
@@ -190,13 +193,14 @@ std::vector<KernelUnderTest> makeKernels(const CsrMatrix &A, int Threads) {
 
 /// Runs one (solver, kernel, mode) cell for a fixed iteration count
 /// (Tolerance = 0 never converges, so every iteration runs) and returns
-/// seconds per iteration.
+/// seconds per iteration. \p K is the kernel the mode drives: the native
+/// kernel for both CG modes and every fused one, its UnfusedKernel adapter
+/// otherwise.
 double timeSolve(SolverId S, const SpmvKernel &K, const Workload &W,
                  bool Fused, int Iterations) {
   SolverOptions Opts;
   Opts.MaxIterations = Iterations;
   Opts.Tolerance = 0.0;
-  Opts.Fused = Fused;
 
   std::size_t N = static_cast<std::size_t>(W.A.numRows());
   auto Start = std::chrono::steady_clock::now();
@@ -204,7 +208,8 @@ double timeSolve(SolverId S, const SpmvKernel &K, const Workload &W,
   switch (S) {
   case SolverId::Cg: {
     std::vector<double> X(N, 0.0);
-    Done = conjugateGradient(K, W.B, X, Opts).Iterations;
+    Done = Fused ? conjugateGradient(K, W.B, X, Opts).Iterations
+                 : referenceConjugateGradient(K, W.B, X, Opts).Iterations;
     break;
   }
   case SolverId::BiCgStab: {
@@ -234,8 +239,9 @@ double timeSolve(SolverId S, const SpmvKernel &K, const Workload &W,
   return Seconds / std::max(1, Done);
 }
 
-/// Byte-accurate kernel traffic of one iteration's SpMV(s) plus the
-/// analytically counted solver sweeps.
+/// Byte-accurate kernel and epilogue traffic of one iteration's SpMV(s)
+/// plus the analytically counted solver sweeps. \p K is the mode's kernel,
+/// as in timeSolve.
 std::size_t bytesPerIteration(SolverId S, const SpmvKernel &K,
                               const Workload &W, bool Fused) {
   std::size_t N = static_cast<std::size_t>(W.A.numRows());
@@ -247,11 +253,11 @@ std::size_t bytesPerIteration(SolverId S, const SpmvKernel &K,
 
   CountingSink Sink;
   bool Traced;
-  if (Fused) {
+  if (S == SolverId::Cg && !Fused) {
+    Traced = K.traceRun(Sink, X.data(), Y.data()); // Textbook CG: run().
+  } else {
     FusedEpilogue E = iterationEpilogue(S, B, Diag, Scratch, ScratchOut);
     Traced = K.traceRunFused(Sink, X.data(), Y.data(), E);
-  } else {
-    Traced = K.traceRun(Sink, X.data(), Y.data());
   }
   if (!Traced)
     return 0;
@@ -321,17 +327,22 @@ int main(int Argc, char **Argv) {
     const Workload &W = S == SolverId::PageRank ? Web : Lap;
     std::vector<KernelUnderTest> Ks = makeKernels(W.A, Threads);
     for (const KernelUnderTest &KT : Ks) {
+      const SpmvKernel &Native = *KT.K;
+      const UnfusedKernel Unfused(Native);
       for (bool Fused : {false, true}) {
+        // CG's unfused mode is the textbook reference, which calls only
+        // run(), so it runs on the kernel itself like the fused mode.
+        const SpmvKernel &K = Fused || S == SolverId::Cg ? Native : Unfused;
         Cell C;
         C.Solver = S;
         C.Kernel = KT.Name;
         C.Fused = Fused;
         // One warm-up solve settles the caches, then the timed solve.
-        timeSolve(S, *KT.K, W, Fused, std::max(2, Iters / 10));
-        C.SecondsPerIter = timeSolve(S, *KT.K, W, Fused, Iters);
+        timeSolve(S, K, W, Fused, std::max(2, Iters / 10));
+        C.SecondsPerIter = timeSolve(S, K, W, Fused, Iters);
         C.Gflops = 2.0 * static_cast<double>(W.A.numNonZeros()) *
                    spmvsPerIteration(S) / C.SecondsPerIter * 1e-9;
-        C.BytesPerIter = bytesPerIteration(S, *KT.K, W, Fused);
+        C.BytesPerIter = bytesPerIteration(S, K, W, Fused);
         Cells.push_back(C);
 
         std::printf("%-9s %-10s %-8s %12.3e %10.2f %14zu\n", solverName(S),

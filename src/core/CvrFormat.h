@@ -288,9 +288,10 @@ public:
   [[nodiscard]] Status writeBlob(std::ostream &OS,
                                  BlobLayout Layout = BlobLayout::Compact) const;
 
-  /// Reads a blob of any version (1-4) off \p IS, each section payload
-  /// straight into the owned storage it will live in. Messages carry a
-  /// stable bracketed rule id ("[cvr.blob.section-crc] ..."), the same ids
+  /// Reads a v3 or v4 blob off \p IS, each section payload straight into
+  /// the owned storage it will live in; any other version is
+  /// INVALID_ARGUMENT under cvr.blob.version. Messages carry a stable
+  /// bracketed rule id ("[cvr.blob.section-crc] ..."), the same ids
   /// analysis::InvariantChecker::checkBlob reports. DATA_LOSS for corrupt
   /// or truncated bytes, OUT_OF_RANGE for counts that fail the strict
   /// bounds validation, RESOURCE_EXHAUSTED when a validated section does
@@ -306,9 +307,9 @@ public:
   /// tail streams of the returned matrix then alias [Data, Data + Bytes)
   /// (no copy; the mapping must outlive the matrix and stay readable;
   /// each aliased payload must sit at a 64-byte-aligned offset); the small
-  /// metadata tables are copied. FAILED_PRECONDITION when the blob is a
-  /// non-mappable version (1-3) or \p Data is not 64-byte aligned;
-  /// callers fall back to readBlob, which copies.
+  /// metadata tables are copied. FAILED_PRECONDITION when the blob is the
+  /// non-mappable v3 or \p Data is not 64-byte aligned; callers fall back
+  /// to readBlob, which copies.
   [[nodiscard]] static StatusOr<CvrMatrix> mapBlob(const void *Data,
                                                    std::size_t Bytes);
 

@@ -4,13 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every solver exists twice: the textbook (unfused) formulation with
-// separate vector sweeps after each plain run(), and the fused formulation
-// that pushes the post-SpMV vector work into SpmvKernel::runFused and
-// merges the sweeps that remain. The public entry points dispatch on
-// SolverOptions::Fused. Neither path allocates inside the iteration loop —
-// every vector is sized before the loop and the fused epilogue descriptors
-// live on the stack.
+// Every solver has one formulation: it pushes the post-SpMV vector work
+// into SpmvKernel::runFused and merges the sweeps that remain. The one
+// textbook formulation kept is referenceConjugateGradient, the unfused CG
+// the fused trajectories are tested and benchmarked against. No solver
+// allocates inside its iteration loop — every vector is sized before the
+// loop and the fused epilogue descriptors live on the stack.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,52 +49,6 @@ CVR_HOT void axpy(double Alpha, const std::vector<double> &X,
 // Conjugate gradient
 //===----------------------------------------------------------------------===//
 
-SolveResult cgUnfused(const SpmvKernel &Kernel, const std::vector<double> &B,
-                      std::vector<double> &X, const SolverOptions &Opts) {
-  std::size_t N = B.size();
-  SolveResult Res;
-
-  std::vector<double> R(N), P(N), Ap(N);
-  Kernel.run(X.data(), Ap.data()); // Ap = A x0
-  for (std::size_t I = 0; I < N; ++I)
-    R[I] = B[I] - Ap[I];
-  P = R;
-
-  double BNorm = norm2(B);
-  if (BNorm == 0.0)
-    BNorm = 1.0;
-  double RsOld = dot(R, R);
-  // Already at the target (exact warm start, or a zero right-hand side
-  // with a zero guess): report convergence without spending an iteration.
-  Res.Residual = std::sqrt(RsOld) / BNorm;
-  if (Res.Residual < Opts.Tolerance) {
-    Res.Converged = true;
-    return Res;
-  }
-
-  for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
-    Res.Iterations = Iter + 1;
-    Kernel.run(P.data(), Ap.data());
-    double PAp = dot(P, Ap);
-    if (PAp == 0.0)
-      break; // Breakdown (non-SPD input).
-    double Alpha = RsOld / PAp;
-    axpy(Alpha, P, X);
-    axpy(-Alpha, Ap, R);
-    double RsNew = dot(R, R);
-    Res.Residual = std::sqrt(RsNew) / BNorm;
-    if (Res.Residual < Opts.Tolerance) {
-      Res.Converged = true;
-      return Res;
-    }
-    double Beta = RsNew / RsOld;
-    for (std::size_t I = 0; I < N; ++I)
-      P[I] = R[I] + Beta * P[I];
-    RsOld = RsNew;
-  }
-  return Res;
-}
-
 /// Fused CG. One fused SpMV (q = A p carrying p.q and q.q) and one combined
 /// sweep per iteration. Two reformulations cut the sweep traffic:
 ///
@@ -120,15 +73,15 @@ SolveResult cgUnfused(const SpmvKernel &Kernel, const std::vector<double> &B,
 ///
 ///    so the combined sweep ping-pongs p / p_prev and carries r only
 ///    through registers: four vector reads (x, p, p_prev, q) and two
-///    writes (x, p_next) replace the five separate unfused sweeps. The
+///    writes (x, p_next) replace the reference's five separate sweeps. The
 ///    exact ||r_{k+1}||^2 also falls out of the same registers, and
 ///    re-anchors the recurrence every iteration — drift is bounded to a
 ///    single step, and near the solution (where the recurrence's
 ///    cancellation error dominates) the exact value decides convergence.
 ///
 /// The recurrence and the reconstruction reassociate the arithmetic
-/// differently from the unfused path, which is the dominant term in the
-/// fused-vs-unfused trajectory tolerance (DESIGN.md section 12).
+/// differently from referenceConjugateGradient, which is the dominant term
+/// in the fused-vs-reference trajectory tolerance (DESIGN.md section 12).
 SolveResult cgFused(const SpmvKernel &Kernel, const std::vector<double> &B,
                     std::vector<double> &X, const SolverOptions &Opts) {
   std::size_t N = B.size();
@@ -145,7 +98,7 @@ SolveResult cgFused(const SpmvKernel &Kernel, const std::vector<double> &B,
   double BNorm = norm2(B);
   if (BNorm == 0.0)
     BNorm = 1.0;
-  // Initial-residual convergence check, mirroring cgUnfused.
+  // Initial-residual convergence check, mirroring the reference CG.
   Res.Residual = std::sqrt(Rho) / BNorm;
   if (Res.Residual < Opts.Tolerance) {
     Res.Converged = true;
@@ -208,71 +161,6 @@ SolveResult cgFused(const SpmvKernel &Kernel, const std::vector<double> &B,
 // BiCGSTAB
 //===----------------------------------------------------------------------===//
 
-SolveResult biCgStabUnfused(const SpmvKernel &Kernel,
-                            const std::vector<double> &B,
-                            std::vector<double> &X,
-                            const SolverOptions &Opts) {
-  std::size_t N = B.size();
-  SolveResult Res;
-
-  std::vector<double> R(N), RHat(N), P(N), V(N, 0.0), S(N), T(N);
-  Kernel.run(X.data(), T.data());
-  for (std::size_t I = 0; I < N; ++I)
-    R[I] = B[I] - T[I];
-  RHat = R;
-  P = R;
-
-  double BNorm = norm2(B);
-  if (BNorm == 0.0)
-    BNorm = 1.0;
-  double Rho = dot(RHat, R);
-  // Initial-residual convergence check (rhat = r, so Rho = ||r||^2 here).
-  Res.Residual = std::sqrt(std::max(Rho, 0.0)) / BNorm;
-  if (Res.Residual < Opts.Tolerance) {
-    Res.Converged = true;
-    return Res;
-  }
-
-  for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
-    Res.Iterations = Iter + 1;
-    Kernel.run(P.data(), V.data());
-    double RHatV = dot(RHat, V);
-    if (RHatV == 0.0)
-      break;
-    double Alpha = Rho / RHatV;
-    for (std::size_t I = 0; I < N; ++I)
-      S[I] = R[I] - Alpha * V[I];
-    if (norm2(S) / BNorm < Opts.Tolerance) {
-      axpy(Alpha, P, X);
-      Res.Residual = norm2(S) / BNorm;
-      Res.Converged = true;
-      return Res;
-    }
-    Kernel.run(S.data(), T.data());
-    double TT = dot(T, T);
-    if (TT == 0.0)
-      break;
-    double Omega = dot(T, S) / TT;
-    for (std::size_t I = 0; I < N; ++I) {
-      X[I] += Alpha * P[I] + Omega * S[I];
-      R[I] = S[I] - Omega * T[I];
-    }
-    Res.Residual = norm2(R) / BNorm;
-    if (Res.Residual < Opts.Tolerance) {
-      Res.Converged = true;
-      return Res;
-    }
-    double RhoNew = dot(RHat, R);
-    if (Omega == 0.0 || Rho == 0.0)
-      break;
-    double Beta = (RhoNew / Rho) * (Alpha / Omega);
-    for (std::size_t I = 0; I < N; ++I)
-      P[I] = R[I] + Beta * (P[I] - Omega * V[I]);
-    Rho = RhoNew;
-  }
-  return Res;
-}
-
 /// Fused BiCGSTAB: rhat.v rides the first SpMV, s.t and t.t ride the
 /// second, and the remaining sweeps are merged so each iteration touches
 /// three combined sweeps instead of eight separate ones.
@@ -293,7 +181,7 @@ SolveResult biCgStabFused(const SpmvKernel &Kernel,
   double BNorm = norm2(B);
   if (BNorm == 0.0)
     BNorm = 1.0;
-  // Initial-residual convergence check, mirroring biCgStabUnfused.
+  // Initial-residual convergence check (rhat = r, so rho = ||r||^2).
   Res.Residual = std::sqrt(Rho) / BNorm;
   if (Res.Residual < Opts.Tolerance) {
     Res.Converged = true;
@@ -355,34 +243,6 @@ SolveResult biCgStabFused(const SpmvKernel &Kernel,
 // Jacobi
 //===----------------------------------------------------------------------===//
 
-SolveResult jacobiUnfused(const SpmvKernel &Kernel,
-                          const std::vector<double> &Diag,
-                          const std::vector<double> &B,
-                          std::vector<double> &X, const SolverOptions &Opts) {
-  std::size_t N = B.size();
-  SolveResult Res;
-  std::vector<double> Ax(N), Next(N);
-
-  for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
-    Res.Iterations = Iter + 1;
-    Kernel.run(X.data(), Ax.data());
-    double Delta = 0.0;
-    for (std::size_t I = 0; I < N; ++I) {
-      assert(Diag[I] != 0.0 && "Jacobi requires a nonzero diagonal");
-      // A x = (A - D) x + D x, so D^-1 (b - (A - D) x) = x + D^-1 (b - Ax).
-      Next[I] = X[I] + (B[I] - Ax[I]) / Diag[I];
-      Delta = std::max(Delta, std::fabs(Next[I] - X[I]));
-    }
-    X.swap(Next);
-    Res.Residual = Delta;
-    if (Delta < Opts.Tolerance) {
-      Res.Converged = true;
-      return Res;
-    }
-  }
-  return Res;
-}
-
 /// Fused Jacobi: the entire update — next iterate, infinity-norm step size
 /// — happens inside the SpMV write-back; no post-sweep remains.
 SolveResult jacobiFused(const SpmvKernel &Kernel,
@@ -412,35 +272,6 @@ SolveResult jacobiFused(const SpmvKernel &Kernel,
 //===----------------------------------------------------------------------===//
 // Power iteration
 //===----------------------------------------------------------------------===//
-
-SolveResult powerUnfused(const SpmvKernel &Kernel, double &Eigenvalue,
-                         std::vector<double> &Eigenvector,
-                         const SolverOptions &Opts) {
-  std::size_t N = Eigenvector.size();
-  SolveResult Res;
-
-  std::vector<double> Next(N);
-  Eigenvalue = 0.0;
-  for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
-    Res.Iterations = Iter + 1;
-    Kernel.run(Eigenvector.data(), Next.data());
-    // Rayleigh quotient with the normalized iterate.
-    double Lambda = dot(Eigenvector, Next);
-    double NextNorm = norm2(Next);
-    if (NextNorm == 0.0)
-      break; // A annihilated the iterate.
-    for (std::size_t I = 0; I < N; ++I)
-      Eigenvector[I] = Next[I] / NextNorm;
-    Res.Residual = std::fabs(Lambda - Eigenvalue);
-    Eigenvalue = Lambda;
-    if (Iter > 0 &&
-        Res.Residual < Opts.Tolerance * std::max(1.0, std::fabs(Lambda))) {
-      Res.Converged = true;
-      return Res;
-    }
-  }
-  return Res;
-}
 
 /// Fused power iteration: the Rayleigh numerator v.(Av) and ||Av||^2 both
 /// ride the SpMV; only the normalization sweep remains.
@@ -477,42 +308,10 @@ SolveResult powerFused(const SpmvKernel &Kernel, double &Eigenvalue,
 // PageRank
 //===----------------------------------------------------------------------===//
 
-SolveResult pageRankUnfused(const SpmvKernel &Kernel,
-                            std::vector<double> &Ranks, double Damping,
-                            const SolverOptions &Opts) {
-  std::size_t N = Ranks.size();
-  SolveResult Res;
-  std::vector<double> Next(N);
-
-  for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
-    Res.Iterations = Iter + 1;
-    Kernel.run(Ranks.data(), Next.data());
-    double Sum = 0.0;
-    for (std::size_t I = 0; I < N; ++I) {
-      Next[I] = Damping * Next[I] + (1.0 - Damping) / N;
-      Sum += Next[I];
-    }
-    // Dangling vertices leak rank mass; redistribute it uniformly.
-    double Leak = (1.0 - Sum) / N;
-    double Delta = 0.0;
-    for (std::size_t I = 0; I < N; ++I) {
-      Next[I] += Leak;
-      Delta += std::fabs(Next[I] - Ranks[I]);
-    }
-    Ranks.swap(Next);
-    Res.Residual = Delta;
-    if (Delta < Opts.Tolerance) {
-      Res.Converged = true;
-      return Res;
-    }
-  }
-  return Res;
-}
-
 /// Fused PageRank: the damp-and-teleport scaling and the rank-mass sum ride
 /// the SpMV. The leak redistribution cannot fuse — the leak depends on the
 /// complete damped sum — so one combined post-sweep (leak add + L1 delta)
-/// remains of the unfused path's two.
+/// remains of the textbook formulation's two.
 SolveResult pageRankFused(const SpmvKernel &Kernel,
                           std::vector<double> &Ranks, double Damping,
                           const SolverOptions &Opts) {
@@ -591,14 +390,11 @@ SolveResult withRefinement(const SpmvKernel &Ref, const std::vector<double> &B,
 }
 
 /// Converged-or-capped exit bookkeeping shared by every public solver.
-SolveResult finishSolve(bool Fused, SolveResult R) {
+SolveResult finishSolve(SolveResult R) {
   if (obs::telemetryEnabled()) {
     static obs::Counter &Solves = obs::counter("solver.solves");
-    static obs::Counter &FusedSolves = obs::counter("solver.fused_solves");
     static obs::Counter &Iters = obs::counter("solver.iterations");
     Solves.inc();
-    if (Fused)
-      FusedSolves.inc();
     Iters.add(R.Iterations);
   }
   return R;
@@ -615,13 +411,61 @@ SolveResult conjugateGradient(const SpmvKernel &Kernel,
   auto Inner = [&Kernel](const std::vector<double> &Rhs,
                          std::vector<double> &Sol,
                          const SolverOptions &O) {
-    return O.Fused ? cgFused(Kernel, Rhs, Sol, O)
-                   : cgUnfused(Kernel, Rhs, Sol, O);
+    return cgFused(Kernel, Rhs, Sol, O);
   };
   if (Opts.RefinementKernel != nullptr && Opts.MaxRefinements > 0)
-    return finishSolve(Opts.Fused, withRefinement(*Opts.RefinementKernel, B,
-                                                  X, Opts, Inner));
-  return finishSolve(Opts.Fused, Inner(B, X, Opts));
+    return finishSolve(
+        withRefinement(*Opts.RefinementKernel, B, X, Opts, Inner));
+  return finishSolve(Inner(B, X, Opts));
+}
+
+SolveResult referenceConjugateGradient(const SpmvKernel &Kernel,
+                                       const std::vector<double> &B,
+                                       std::vector<double> &X,
+                                       const SolverOptions &Opts) {
+  assert(X.size() == B.size() && "square system required");
+  std::size_t N = B.size();
+  SolveResult Res;
+
+  std::vector<double> R(N), P(N), Ap(N);
+  Kernel.run(X.data(), Ap.data()); // Ap = A x0
+  for (std::size_t I = 0; I < N; ++I)
+    R[I] = B[I] - Ap[I];
+  P = R;
+
+  double BNorm = norm2(B);
+  if (BNorm == 0.0)
+    BNorm = 1.0;
+  double RsOld = dot(R, R);
+  // Already at the target (exact warm start, or a zero right-hand side
+  // with a zero guess): report convergence without spending an iteration.
+  Res.Residual = std::sqrt(RsOld) / BNorm;
+  if (Res.Residual < Opts.Tolerance) {
+    Res.Converged = true;
+    return Res;
+  }
+
+  for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
+    Res.Iterations = Iter + 1;
+    Kernel.run(P.data(), Ap.data());
+    double PAp = dot(P, Ap);
+    if (PAp == 0.0)
+      break; // Breakdown (non-SPD input).
+    double Alpha = RsOld / PAp;
+    axpy(Alpha, P, X);
+    axpy(-Alpha, Ap, R);
+    double RsNew = dot(R, R);
+    Res.Residual = std::sqrt(RsNew) / BNorm;
+    if (Res.Residual < Opts.Tolerance) {
+      Res.Converged = true;
+      return Res;
+    }
+    double Beta = RsNew / RsOld;
+    for (std::size_t I = 0; I < N; ++I)
+      P[I] = R[I] + Beta * P[I];
+    RsOld = RsNew;
+  }
+  return Res;
 }
 
 SolveResult biCgStab(const SpmvKernel &Kernel, const std::vector<double> &B,
@@ -631,13 +475,12 @@ SolveResult biCgStab(const SpmvKernel &Kernel, const std::vector<double> &B,
   auto Inner = [&Kernel](const std::vector<double> &Rhs,
                          std::vector<double> &Sol,
                          const SolverOptions &O) {
-    return O.Fused ? biCgStabFused(Kernel, Rhs, Sol, O)
-                   : biCgStabUnfused(Kernel, Rhs, Sol, O);
+    return biCgStabFused(Kernel, Rhs, Sol, O);
   };
   if (Opts.RefinementKernel != nullptr && Opts.MaxRefinements > 0)
-    return finishSolve(Opts.Fused, withRefinement(*Opts.RefinementKernel, B,
-                                                  X, Opts, Inner));
-  return finishSolve(Opts.Fused, Inner(B, X, Opts));
+    return finishSolve(
+        withRefinement(*Opts.RefinementKernel, B, X, Opts, Inner));
+  return finishSolve(Inner(B, X, Opts));
 }
 
 SolveResult jacobi(const SpmvKernel &Kernel, const std::vector<double> &Diag,
@@ -646,9 +489,7 @@ SolveResult jacobi(const SpmvKernel &Kernel, const std::vector<double> &Diag,
   assert(X.size() == B.size() && Diag.size() == B.size() &&
          "square system required");
   obs::TraceSpan Span("solve/jacobi", "solve");
-  return finishSolve(Opts.Fused,
-                     Opts.Fused ? jacobiFused(Kernel, Diag, B, X, Opts)
-                                : jacobiUnfused(Kernel, Diag, B, X, Opts));
+  return finishSolve(jacobiFused(Kernel, Diag, B, X, Opts));
 }
 
 SolveResult powerIteration(const SpmvKernel &Kernel, double &Eigenvalue,
@@ -666,10 +507,7 @@ SolveResult powerIteration(const SpmvKernel &Kernel, double &Eigenvalue,
   for (double &V : Eigenvector)
     V /= Norm;
   obs::TraceSpan Span("solve/power", "solve");
-  return finishSolve(
-      Opts.Fused, Opts.Fused ? powerFused(Kernel, Eigenvalue, Eigenvector, Opts)
-                             : powerUnfused(Kernel, Eigenvalue, Eigenvector,
-                                            Opts));
+  return finishSolve(powerFused(Kernel, Eigenvalue, Eigenvector, Opts));
 }
 
 SolveResult pageRank(const SpmvKernel &Kernel, std::vector<double> &Ranks,
@@ -678,10 +516,7 @@ SolveResult pageRank(const SpmvKernel &Kernel, std::vector<double> &Ranks,
   for (double &R : Ranks)
     R = 1.0 / static_cast<double>(Ranks.size());
   obs::TraceSpan Span("solve/pagerank", "solve");
-  return finishSolve(Opts.Fused,
-                     Opts.Fused ? pageRankFused(Kernel, Ranks, Damping, Opts)
-                                : pageRankUnfused(Kernel, Ranks, Damping,
-                                                  Opts));
+  return finishSolve(pageRankFused(Kernel, Ranks, Damping, Opts));
 }
 
 //===----------------------------------------------------------------------===//
@@ -783,32 +618,15 @@ StatusOr<BatchSolveResult> jacobiBatch(const SpmvKernel &Kernel,
       Cur[I * K + J] = X[I * LdX + J];
 
   for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
-    if (Opts.Fused) {
-      // The whole update rides the SpMM write-back: next iterate and
-      // per-column infinity-norm step sizes, no post-sweep.
-      FusedBatchEpilogue E = FusedBatchEpilogue::jacobiStep(
-          NumVectors, B, LdB, Diag.data(), Cur.data(), K, Next.data(), K,
-          Deltas.data());
-      Status RS = Kernel.runBatchFused(Cur.data(), K, Ax.data(), K,
-                                       NumVectors, E);
-      if (!RS.ok())
-        return RS;
-    } else {
-      Status RS = Kernel.runBatch(Cur.data(), K, Ax.data(), K, NumVectors);
-      if (!RS.ok())
-        return RS;
-      for (std::size_t J = 0; J < K; ++J)
-        Deltas[J] = 0.0;
-      for (std::size_t I = 0; I < N; ++I) {
-        assert(Diag[I] != 0.0 && "Jacobi requires a nonzero diagonal");
-        const double InvD = 1.0 / Diag[I];
-        for (std::size_t J = 0; J < K; ++J) {
-          double Dx = (B[I * LdB + J] - Ax[I * K + J]) * InvD;
-          Next[I * K + J] = Cur[I * K + J] + Dx;
-          Deltas[J] = std::max(Deltas[J], std::fabs(Dx));
-        }
-      }
-    }
+    // The whole update rides the SpMM write-back: next iterate and
+    // per-column infinity-norm step sizes, no post-sweep.
+    FusedBatchEpilogue E = FusedBatchEpilogue::jacobiStep(
+        NumVectors, B, LdB, Diag.data(), Cur.data(), K, Next.data(), K,
+        Deltas.data());
+    Status RS =
+        Kernel.runBatchFused(Cur.data(), K, Ax.data(), K, NumVectors, E);
+    if (!RS.ok())
+      return RS;
     Res.Iterations = Iter + 1;
     Cur.swap(Next);
     if (updateBatchColumns(Res, Deltas.data(), Done, Iter, Opts.Tolerance))
@@ -879,28 +697,14 @@ StatusOr<BatchSolveResult> pageRankBatch(const SpmvKernel &Kernel,
   const double Beta = 1.0 - Damping;
 
   for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
-    if (Opts.Fused) {
-      // Damp-and-teleport scaling and the per-column rank-mass sums ride
-      // the SpMM; only the leak redistribution below remains.
-      FusedBatchEpilogue E = FusedBatchEpilogue::dampScale(
-          NumVectors, Damping, Beta, P.data(), K, Sums.data());
-      Status RS = Kernel.runBatchFused(Cur.data(), K, Next.data(), K,
-                                       NumVectors, E);
-      if (!RS.ok())
-        return RS;
-    } else {
-      Status RS = Kernel.runBatch(Cur.data(), K, Next.data(), K, NumVectors);
-      if (!RS.ok())
-        return RS;
-      for (std::size_t J = 0; J < K; ++J)
-        Sums[J] = 0.0;
-      for (std::size_t I = 0; I < N; ++I)
-        for (std::size_t J = 0; J < K; ++J) {
-          double V = Damping * Next[I * K + J] + Beta * P[I * K + J];
-          Next[I * K + J] = V;
-          Sums[J] += V;
-        }
-    }
+    // Damp-and-teleport scaling and the per-column rank-mass sums ride
+    // the SpMM; only the leak redistribution below remains.
+    FusedBatchEpilogue E = FusedBatchEpilogue::dampScale(
+        NumVectors, Damping, Beta, P.data(), K, Sums.data());
+    Status RS =
+        Kernel.runBatchFused(Cur.data(), K, Next.data(), K, NumVectors, E);
+    if (!RS.ok())
+      return RS;
     // Dangling vertices leak rank mass; per column, redistribute it along
     // that column's personalization and measure the L1 step in the same
     // sweep.

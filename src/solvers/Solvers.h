@@ -11,14 +11,17 @@
 /// them: conjugate gradient and BiCGSTAB linear solvers, Jacobi iteration,
 /// power iteration for the dominant eigenpair, and PageRank.
 ///
-/// Each solver has two execution paths selected by SolverOptions::Fused.
-/// The fused path (default) drives SpmvKernel::runFused so the dots, norms,
-/// and scalings that follow each y = A x ride along inside the kernel's
+/// Every solver drives SpmvKernel::runFused, so the dots, norms, and
+/// scalings that follow each y = A x ride along inside the kernel's
 /// write-back, and restructures the remaining vector work into combined
-/// sweeps — CG drops from six full-vector sweeps per iteration to one plus
-/// the epilogue, Jacobi and PageRank to at most one. The unfused path keeps
-/// the textbook formulation (separate sweeps after a plain run()) as the
-/// reference the fused trajectories are differentially tested against.
+/// sweeps — CG needs one full-vector sweep per iteration plus the epilogue
+/// where the textbook loop needs six, Jacobi and PageRank at most one.
+/// Whether the epilogue is fused is the kernel's business: a kernel
+/// without a native fused path composes run() with one scalar sweep
+/// (SpmvKernel's defaults), which is how the solvers are differentially
+/// tested against an unfused execution (benchlib/UnfusedKernel.h). CG also
+/// keeps its textbook formulation, referenceConjugateGradient, as the
+/// reference the fused recurrence is tested and benchmarked against.
 /// DESIGN.md section 12 tabulates the sweep counts and the agreement
 /// tolerance.
 ///
@@ -49,12 +52,6 @@ struct SolveResult {
 struct SolverOptions {
   int MaxIterations = 1000;
   double Tolerance = 1e-10; ///< Relative residual target.
-  /// Drive the kernel's fused-epilogue path (default). When false the
-  /// solvers run the textbook formulation: plain run() followed by
-  /// separate vector sweeps. Both paths converge to the same answer; the
-  /// trajectories differ only by floating-point reassociation (CG
-  /// additionally tracks ||r||^2 by recurrence on the fused path).
-  bool Fused = true;
   /// Iterative-refinement backing for reduced-precision kernels (the
   /// ValueKind::F32x64 value stream, DESIGN.md section 17). When non-null,
   /// conjugateGradient and biCgStab wrap the solve in outer refinement
@@ -79,6 +76,18 @@ SolveResult conjugateGradient(const SpmvKernel &Kernel,
                               const std::vector<double> &B,
                               std::vector<double> &X,
                               const SolverOptions &Opts = {});
+
+/// Textbook conjugate gradient, named after referenceSpmv: a plain run()
+/// per iteration followed by five separate vector sweeps (p.Ap, two axpys,
+/// r.r, the direction update), with r kept explicitly. It is the reference
+/// conjugateGradient's fused, implicit-residual recurrence is tested and
+/// benchmarked against, so it has no refinement wrapper and records no
+/// solver telemetry; production callers use conjugateGradient. Same
+/// contract and residual measure as conjugateGradient.
+SolveResult referenceConjugateGradient(const SpmvKernel &Kernel,
+                                       const std::vector<double> &B,
+                                       std::vector<double> &X,
+                                       const SolverOptions &Opts = {});
 
 /// BiCGSTAB for general square A: solves A x = b without requiring
 /// symmetry. Residual reported is ||r|| / ||b||.

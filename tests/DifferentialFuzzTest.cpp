@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CheckedKernel.h"
+#include "benchlib/UnfusedKernel.h"
 #include "core/CvrSpmm.h"
 #include "core/CvrSpmv.h"
 #include "formats/FusedEpilogue.h"
@@ -320,11 +321,26 @@ TEST_P(FusedFuzz, FusedMatchesUnfusedCompositionUnderCheckedMode) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FusedFuzz, ::testing::Range(0, 12));
 
-/// Fused-vs-unfused solver trajectories on randomized SPD systems must
-/// land on the same solution within the tolerance DESIGN.md section 12
-/// documents (the paths differ only by reassociation plus CG's residual
-/// recurrence).
+/// Every solver against a reference with no fusion, on randomized SPD
+/// systems: conjugateGradient against the textbook
+/// referenceConjugateGradient (the paths differ by reassociation plus CG's
+/// residual recurrence), and BiCGSTAB, Jacobi, power iteration and PageRank
+/// on the native kernel against the same solver on UnfusedKernel (the
+/// paths differ only in where the epilogue's reductions are summed). Both
+/// land on the same answer within the tolerance DESIGN.md section 12
+/// documents.
 class FusedTrajectoryFuzz : public ::testing::TestWithParam<int> {};
+
+/// Asserts \p Got matches \p Want within the trajectory agreement bound.
+void expectSameTrajectory(const std::vector<double> &Got,
+                          const std::vector<double> &Want,
+                          const std::string &Where) {
+  ASSERT_EQ(Got.size(), Want.size()) << Where;
+  for (std::size_t I = 0; I < Got.size(); ++I)
+    ASSERT_LE(std::fabs(Got[I] - Want[I]),
+              1e-7 * std::max(1.0, std::fabs(Want[I])))
+        << Where << " row " << I;
+}
 
 TEST_P(FusedTrajectoryFuzz, FusedAndUnfusedSolversAgree) {
   std::uint64_t Seed = 992000 + GetParam();
@@ -354,40 +370,89 @@ TEST_P(FusedTrajectoryFuzz, FusedAndUnfusedSolversAgree) {
       if (A.colIdx()[I] == R)
         Diag[static_cast<std::size_t>(R)] = A.vals()[I];
 
+  // PageRank runs on the same pattern read as a link graph (edge r -> c
+  // for each stored (r, c), out-degree-normalized), with every fifth
+  // vertex dangling so the leak redistribution is exercised too.
+  CooMatrix Links(NRows, NRows);
+  for (std::int32_t R = 0; R < NRows; ++R)
+    if (R % 5 != 0)
+      for (std::int64_t I = A.rowPtr()[R]; I < A.rowPtr()[R + 1]; ++I)
+        Links.add(A.colIdx()[I], R,
+                  1.0 / static_cast<double>(A.rowLength(R)));
+  CsrMatrix M = CsrMatrix::fromCoo(Links);
+
   int Threads = static_cast<int>(1 + Rng.nextBounded(5));
   for (FormatId F : {FormatId::Mkl, FormatId::Cvr}) {
     std::unique_ptr<SpmvKernel> K = makeKernel(F, Threads);
     K->prepare(A);
+    const UnfusedKernel U(*K);
     const std::string Where = std::string(formatName(F)) + " seed " +
                               std::to_string(Seed) + " n " +
                               std::to_string(NRows);
+    SolverOptions Opts;
+    Opts.Tolerance = 1e-11;
+    const std::size_t N = static_cast<std::size_t>(NRows);
 
-    auto Solve = [&](bool Fused, int Which, std::vector<double> &X) {
-      SolverOptions Opts;
-      Opts.Fused = Fused;
-      Opts.Tolerance = 1e-11;
+    for (int Which = 0; Which < 3; ++Which) {
+      const std::string At = Where + " solver " + std::to_string(Which);
+      std::vector<double> XF(N, 0.0), XU(N, 0.0);
+      SolveResult RF, RU;
       switch (Which) {
       case 0:
-        return conjugateGradient(*K, B, X, Opts);
+        RF = conjugateGradient(*K, B, XF, Opts);
+        RU = referenceConjugateGradient(*K, B, XU, Opts);
+        break;
       case 1:
-        return biCgStab(*K, B, X, Opts);
+        RF = biCgStab(*K, B, XF, Opts);
+        RU = biCgStab(U, B, XU, Opts);
+        break;
       default:
-        return jacobi(*K, Diag, B, X, Opts);
+        RF = jacobi(*K, Diag, B, XF, Opts);
+        RU = jacobi(U, Diag, B, XU, Opts);
+        break;
       }
-    };
-    for (int Which = 0; Which < 3; ++Which) {
-      std::vector<double> XF(static_cast<std::size_t>(NRows), 0.0);
-      std::vector<double> XU(static_cast<std::size_t>(NRows), 0.0);
-      SolveResult RF = Solve(true, Which, XF);
-      SolveResult RU = Solve(false, Which, XU);
-      ASSERT_TRUE(RF.Converged) << Where << " solver " << Which;
-      ASSERT_TRUE(RU.Converged) << Where << " solver " << Which;
-      // Both trajectories hit the same solution within the documented
-      // fused-vs-unfused agreement bound.
-      for (std::size_t I = 0; I < XF.size(); ++I)
-        ASSERT_LE(std::fabs(XF[I] - XU[I]),
-                  1e-7 * std::max(1.0, std::fabs(XU[I])))
-            << Where << " solver " << Which << " row " << I;
+      ASSERT_TRUE(RF.Converged) << At;
+      ASSERT_TRUE(RU.Converged) << At;
+      expectSameTrajectory(XF, XU, At);
+    }
+
+    // Power iteration for a fixed budget (a clustered spectrum may not
+    // converge in it): both trajectories stay together step by step, and
+    // each returns a unit eigenvector.
+    {
+      const std::string At = Where + " power";
+      SolverOptions PowerOpts;
+      PowerOpts.Tolerance = 0.0;
+      PowerOpts.MaxIterations = 200;
+      std::vector<double> VF(N, 0.0), VU(N, 0.0);
+      double LambdaF = 0.0, LambdaU = 0.0;
+      SolveResult RF = powerIteration(*K, LambdaF, VF, PowerOpts);
+      SolveResult RU = powerIteration(U, LambdaU, VU, PowerOpts);
+      ASSERT_EQ(RF.Iterations, PowerOpts.MaxIterations) << At;
+      ASSERT_EQ(RU.Iterations, PowerOpts.MaxIterations) << At;
+      ASSERT_LE(std::fabs(LambdaF - LambdaU), 1e-7 * std::fabs(LambdaU))
+          << At;
+      expectSameTrajectory(VF, VU, At);
+      double NormSq = 0.0;
+      for (double V : VF)
+        NormSq += V * V;
+      ASSERT_NEAR(NormSq, 1.0, 1e-10) << At;
+    }
+
+    {
+      const std::string At = Where + " pagerank";
+      std::unique_ptr<SpmvKernel> KM = makeKernel(F, Threads);
+      KM->prepare(M);
+      std::vector<double> RanksF(N, 0.0), RanksU(N, 0.0);
+      SolveResult RF = pageRank(*KM, RanksF, 0.85, Opts);
+      SolveResult RU = pageRank(UnfusedKernel(*KM), RanksU, 0.85, Opts);
+      ASSERT_TRUE(RF.Converged) << At;
+      ASSERT_TRUE(RU.Converged) << At;
+      expectSameTrajectory(RanksF, RanksU, At);
+      double Mass = 0.0;
+      for (double V : RanksF)
+        Mass += V;
+      ASSERT_NEAR(Mass, 1.0, 1e-9) << At;
     }
   }
 }

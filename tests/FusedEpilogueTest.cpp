@@ -256,11 +256,12 @@ CsrMatrix tridiagonal(std::int32_t N) {
 }
 
 /// Traces the memory references of the unfused CG iteration's vector
-/// sweeps exactly as cgUnfused performs them: dot(P, Ap), two axpys, the
-/// explicit dot(R, R), and the direction update. Each sweep loads every
-/// distinct element it touches once per pass (dot(R, R) is one load per
-/// element — the compiler folds the aliased operands), so the accounting
-/// is the post-register-allocation stream on both sides of the compare.
+/// sweeps exactly as referenceConjugateGradient performs them: dot(P, Ap),
+/// two axpys, the explicit dot(R, R), and the direction update. Each sweep
+/// loads every distinct element it touches once per pass (dot(R, R) is one
+/// load per element — the compiler folds the aliased operands), so the
+/// accounting is the post-register-allocation stream on both sides of the
+/// compare.
 void traceUnfusedCgSweeps(MemAccessSink &Sink, const std::vector<double> &P,
                           const std::vector<double> &Q,
                           const std::vector<double> &X,

@@ -7,6 +7,7 @@
 #include "solvers/Solvers.h"
 
 #include "TestUtil.h"
+#include "benchlib/UnfusedKernel.h"
 #include "core/Cvr.h"
 #include "formats/Registry.h"
 #include "gen/Generators.h"
@@ -281,13 +282,16 @@ TEST(PageRank, RanksSumToOneOnScaleFreeGraph) {
 }
 
 //===----------------------------------------------------------------------===//
-// Edge cases, on both the fused and unfused paths.
+// Both execution paths: every solver runs one body, once on the kernel's
+// native fused path and once with no fusion.
 //===----------------------------------------------------------------------===//
 
-SolverOptions pathOptions(bool Fused) {
-  SolverOptions Opts;
-  Opts.Fused = Fused;
-  return Opts;
+/// Runs \p Body on \p K and on UnfusedKernel(K), whose fused entry points
+/// compose the plain pass with one scalar epilogue sweep (the batch ones
+/// included). \p Body gets the kernel and a label for failure messages.
+template <typename Fn> void forBothPaths(const SpmvKernel &K, Fn Body) {
+  Body(K, "native");
+  Body(UnfusedKernel(K), "unfused");
 }
 
 //===----------------------------------------------------------------------===//
@@ -321,13 +325,12 @@ TEST(JacobiBatch, MatchesPerColumnJacobiOnBothPaths) {
   SolverOptions Opts;
   Opts.Tolerance = 1e-12;
   Opts.MaxIterations = 500;
-  for (bool Fused : {true, false}) {
-    Opts.Fused = Fused;
+  forBothPaths(Kern, [&](const SpmvKernel &K, const char *Path) {
     std::fill(X.begin(), X.end(), 0.0);
     StatusOr<BatchSolveResult> R =
-        jacobiBatch(Kern, Diag, B.data(), Ld, X.data(), Ld, NumVec, Opts);
+        jacobiBatch(K, Diag, B.data(), Ld, X.data(), Ld, NumVec, Opts);
     ASSERT_TRUE(R.ok()) << R.status().toString();
-    EXPECT_TRUE(R->AllConverged) << "fused=" << Fused;
+    EXPECT_TRUE(R->AllConverged) << Path;
     ASSERT_EQ(R->Columns.size(), static_cast<std::size_t>(NumVec));
     for (int J = 0; J < NumVec; ++J) {
       EXPECT_TRUE(R->Columns[static_cast<std::size_t>(J)].Converged);
@@ -336,9 +339,9 @@ TEST(JacobiBatch, MatchesPerColumnJacobiOnBothPaths) {
         Err = std::max(
             Err, std::fabs(X[I * Ld + static_cast<std::size_t>(J)] -
                            XStar[static_cast<std::size_t>(J)][I]));
-      EXPECT_LT(Err, 1e-8) << "fused=" << Fused << " column " << J;
+      EXPECT_LT(Err, 1e-8) << Path << " column " << J;
     }
-  }
+  });
 }
 
 TEST(JacobiBatch, RejectsBadPanelsAndUnpreparedKernels) {
@@ -378,27 +381,25 @@ TEST(PageRankBatch, UniformTeleportMatchesSinglePageRank) {
   CsrMatrix M = CsrMatrix::fromCoo(Coo);
   const std::size_t N = static_cast<std::size_t>(M.numRows());
 
-  CvrKernel K;
-  K.prepare(M);
+  CvrKernel Kern;
+  Kern.prepare(M);
   std::vector<double> Single(N, 0.0);
-  SolveResult RS = pageRank(K, Single, 0.85, {500, 1e-12});
+  SolveResult RS = pageRank(Kern, Single, 0.85, {500, 1e-12});
   ASSERT_TRUE(RS.Converged);
 
   const int NumVec = 2;
-  for (bool Fused : {true, false}) {
-    SolverOptions Opts{500, 1e-12};
-    Opts.Fused = Fused;
+  forBothPaths(Kern, [&](const SpmvKernel &K, const char *Path) {
     std::vector<double> Ranks(N * NumVec, 0.0);
     StatusOr<BatchSolveResult> R = pageRankBatch(
-        K, Ranks.data(), NumVec, nullptr, 0, NumVec, 0.85, Opts);
+        K, Ranks.data(), NumVec, nullptr, 0, NumVec, 0.85, {500, 1e-12});
     ASSERT_TRUE(R.ok()) << R.status().toString();
-    EXPECT_TRUE(R->AllConverged);
+    EXPECT_TRUE(R->AllConverged) << Path;
     for (int J = 0; J < NumVec; ++J)
       for (std::size_t I = 0; I < N; ++I)
         EXPECT_NEAR(Ranks[I * NumVec + static_cast<std::size_t>(J)],
                     Single[I], 1e-8)
-            << "fused=" << Fused << " column " << J;
-  }
+            << Path << " column " << J;
+  });
 }
 
 TEST(PageRankBatch, PersonalizedColumnsBiasTowardTheirSeeds) {
@@ -440,43 +441,43 @@ TEST(PageRankBatch, PersonalizedColumnsBiasTowardTheirSeeds) {
 
 TEST(SolverEdgeCases, ZeroIterationBudgetLeavesGuessUntouched) {
   SpdSystem Sys(12);
-  CvrKernel K;
-  K.prepare(Sys.A);
-  for (bool Fused : {false, true}) {
-    SolverOptions Opts = pathOptions(Fused);
+  CvrKernel Kern;
+  Kern.prepare(Sys.A);
+  forBothPaths(Kern, [&](const SpmvKernel &K, const char *Path) {
+    SolverOptions Opts;
     Opts.MaxIterations = 0;
     std::vector<double> X(Sys.B.size(), 0.25);
     std::vector<double> Guess = X;
     SolveResult R = conjugateGradient(K, Sys.B, X, Opts);
-    EXPECT_FALSE(R.Converged) << "fused=" << Fused;
-    EXPECT_EQ(R.Iterations, 0) << "fused=" << Fused;
-    EXPECT_EQ(X, Guess) << "fused=" << Fused;
+    EXPECT_FALSE(R.Converged) << Path;
+    EXPECT_EQ(R.Iterations, 0) << Path;
+    EXPECT_EQ(X, Guess) << Path;
 
     std::vector<double> Ranks(Sys.B.size(), 0.0);
     SolveResult PR = pageRank(K, Ranks, 0.85, Opts);
-    EXPECT_FALSE(PR.Converged) << "fused=" << Fused;
-    EXPECT_EQ(PR.Iterations, 0) << "fused=" << Fused;
-  }
+    EXPECT_FALSE(PR.Converged) << Path;
+    EXPECT_EQ(PR.Iterations, 0) << Path;
+  });
 }
 
 TEST(SolverEdgeCases, ZeroRhsConvergesToZeroImmediately) {
   SpdSystem Sys(12);
-  CvrKernel K;
-  K.prepare(Sys.A);
+  CvrKernel Kern;
+  Kern.prepare(Sys.A);
   std::vector<double> B(Sys.B.size(), 0.0);
-  for (bool Fused : {false, true}) {
+  forBothPaths(Kern, [&](const SpmvKernel &K, const char *Path) {
     std::vector<double> X(B.size(), 0.0);
-    SolveResult R = conjugateGradient(K, B, X, pathOptions(Fused));
-    EXPECT_TRUE(R.Converged) << "fused=" << Fused;
-    EXPECT_EQ(R.Iterations, 0) << "fused=" << Fused;
+    SolveResult R = conjugateGradient(K, B, X);
+    EXPECT_TRUE(R.Converged) << Path;
+    EXPECT_EQ(R.Iterations, 0) << Path;
     for (double V : X)
-      EXPECT_EQ(V, 0.0) << "fused=" << Fused;
+      EXPECT_EQ(V, 0.0) << Path;
 
     std::vector<double> Xb(B.size(), 0.0);
-    SolveResult Rb = biCgStab(K, B, Xb, pathOptions(Fused));
-    EXPECT_TRUE(Rb.Converged) << "fused=" << Fused;
-    EXPECT_EQ(Rb.Iterations, 0) << "fused=" << Fused;
-  }
+    SolveResult Rb = biCgStab(K, B, Xb);
+    EXPECT_TRUE(Rb.Converged) << Path;
+    EXPECT_EQ(Rb.Iterations, 0) << Path;
+  });
 }
 
 TEST(SolverEdgeCases, OneByOneSystem) {
@@ -487,39 +488,39 @@ TEST(SolverEdgeCases, OneByOneSystem) {
   CsrMatrix A = CsrMatrix::fromCoo(Coo);
   std::vector<double> B{6.0};
   for (FormatId F : {FormatId::Mkl, FormatId::Cvr}) {
-    std::unique_ptr<SpmvKernel> K = makeKernel(F, 1);
-    K->prepare(A);
-    for (bool Fused : {false, true}) {
+    std::unique_ptr<SpmvKernel> Kern = makeKernel(F, 1);
+    Kern->prepare(A);
+    forBothPaths(*Kern, [&](const SpmvKernel &K, const char *Path) {
       std::vector<double> X{0.0};
-      SolveResult R = conjugateGradient(*K, B, X, pathOptions(Fused));
-      EXPECT_TRUE(R.Converged) << formatName(F) << " fused=" << Fused;
-      EXPECT_NEAR(X[0], 2.0, 1e-10) << formatName(F) << " fused=" << Fused;
+      SolveResult R = conjugateGradient(K, B, X);
+      EXPECT_TRUE(R.Converged) << formatName(F) << " " << Path;
+      EXPECT_NEAR(X[0], 2.0, 1e-10) << formatName(F) << " " << Path;
 
       std::vector<double> Diag{3.0};
       std::vector<double> Xj{0.0};
-      SolveResult Rj = jacobi(*K, Diag, B, Xj, pathOptions(Fused));
-      EXPECT_TRUE(Rj.Converged) << formatName(F) << " fused=" << Fused;
-      EXPECT_NEAR(Xj[0], 2.0, 1e-10) << formatName(F) << " fused=" << Fused;
-    }
+      SolveResult Rj = jacobi(K, Diag, B, Xj);
+      EXPECT_TRUE(Rj.Converged) << formatName(F) << " " << Path;
+      EXPECT_NEAR(Xj[0], 2.0, 1e-10) << formatName(F) << " " << Path;
+    });
   }
 }
 
 TEST(SolverEdgeCases, UnattainableToleranceRunsFullBudgetWithoutNan) {
   SpdSystem Sys(24);
-  CvrKernel K;
-  K.prepare(Sys.A);
-  for (bool Fused : {false, true}) {
-    SolverOptions Opts = pathOptions(Fused);
+  CvrKernel Kern;
+  Kern.prepare(Sys.A);
+  forBothPaths(Kern, [&](const SpmvKernel &K, const char *Path) {
+    SolverOptions Opts;
     Opts.Tolerance = 0.0; // Residual can never go strictly below zero.
     Opts.MaxIterations = 30;
     std::vector<double> X(Sys.B.size(), 0.0);
     SolveResult R = conjugateGradient(K, Sys.B, X, Opts);
-    EXPECT_FALSE(R.Converged) << "fused=" << Fused;
-    EXPECT_EQ(R.Iterations, 30) << "fused=" << Fused;
-    EXPECT_TRUE(std::isfinite(R.Residual)) << "fused=" << Fused;
+    EXPECT_FALSE(R.Converged) << Path;
+    EXPECT_EQ(R.Iterations, 30) << Path;
+    EXPECT_TRUE(std::isfinite(R.Residual)) << Path;
     for (double V : X)
-      ASSERT_TRUE(std::isfinite(V)) << "fused=" << Fused;
-  }
+      ASSERT_TRUE(std::isfinite(V)) << Path;
+  });
 }
 
 TEST(SolverEdgeCases, IndefiniteMatrixNeverReportsFalseConvergence) {
@@ -546,10 +547,10 @@ TEST(SolverEdgeCases, IndefiniteMatrixNeverReportsFalseConvergence) {
   for (double V : B)
     BNorm += V * V;
   BNorm = std::sqrt(BNorm);
-  CvrKernel K;
-  K.prepare(A);
-  for (bool Fused : {false, true}) {
-    SolverOptions Opts = pathOptions(Fused);
+  CvrKernel Kern;
+  Kern.prepare(A);
+  forBothPaths(Kern, [&](const SpmvKernel &K, const char *Path) {
+    SolverOptions Opts;
     Opts.MaxIterations = 200;
     std::vector<double> X(static_cast<std::size_t>(N), 0.0);
     SolveResult R = conjugateGradient(K, B, X, Opts);
@@ -560,10 +561,9 @@ TEST(SolverEdgeCases, IndefiniteMatrixNeverReportsFalseConvergence) {
         TrueRes += (B[I] - Ax[I]) * (B[I] - Ax[I]);
       TrueRes = std::sqrt(TrueRes) / BNorm;
       EXPECT_LE(TrueRes, 100 * Opts.Tolerance)
-          << "claimed convergence with a large true residual, fused="
-          << Fused;
+          << "claimed convergence with a large true residual, " << Path;
     }
-  }
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -586,23 +586,21 @@ private:
   std::int64_t N = 0;
 };
 
-/// Runs every solver for \p Iterations on the given path and returns the
-/// number of heap allocations the solve performed (counted by the global
-/// operator new replacement at the bottom of this file).
-std::size_t allocationsForBudget(bool Fused, int Iterations);
+/// Runs every solver, and the reference CG, for \p Iterations and returns
+/// the number of heap allocations the solves performed (counted by the
+/// global operator new replacement at the bottom of this file). DiagKernel
+/// has no native fused path, so the solvers' epilogues take SpmvKernel's
+/// composed defaults.
+std::size_t allocationsForBudget(int Iterations);
 
 TEST(SolverAllocationAudit, IterationCountDoesNotChangeAllocationCount) {
   // Discarded warm-up: the very first solve in the process registers the
   // solver telemetry metrics and this thread's counter shard — one-time
   // setup allocations the per-iteration audit below must not see.
-  allocationsForBudget(false, 1);
-  for (bool Fused : {false, true}) {
-    // Identical totals for a short and a long run mean every allocation
-    // happened in setup, none per iteration.
-    std::size_t Short = allocationsForBudget(Fused, 4);
-    std::size_t Long = allocationsForBudget(Fused, 64);
-    EXPECT_EQ(Short, Long) << "fused=" << Fused;
-  }
+  allocationsForBudget(1);
+  // Identical totals for a short and a long run mean every allocation
+  // happened in setup, none per iteration.
+  EXPECT_EQ(allocationsForBudget(4), allocationsForBudget(64));
 }
 
 } // namespace
@@ -665,7 +663,7 @@ void operator delete[](void *P, const std::nothrow_t &) noexcept {
 namespace cvr {
 namespace {
 
-std::size_t allocationsForBudget(bool Fused, int Iterations) {
+std::size_t allocationsForBudget(int Iterations) {
   const std::int32_t N = 64;
   CooMatrix Coo(N, N);
   for (std::int32_t I = 0; I < N; ++I)
@@ -676,18 +674,18 @@ std::size_t allocationsForBudget(bool Fused, int Iterations) {
   K.prepare(A);
   std::vector<double> B(N, 1.0), Diag(N, 2.0);
   SolverOptions Opts;
-  Opts.Fused = Fused;
   Opts.MaxIterations = Iterations;
   Opts.Tolerance = 0.0; // Never converge: every iteration runs.
 
   // All iteration-state vectors are set up by the callers / solvers; only
   // the solve calls themselves are measured.
-  std::vector<double> Xcg(N, 0.0), Xbi(N, 0.0), Xja(N, 0.0);
+  std::vector<double> Xcg(N, 0.0), Xref(N, 0.0), Xbi(N, 0.0), Xja(N, 0.0);
   std::vector<double> Eig(N, 0.0), Ranks(N, 0.0);
   double Lambda = 0.0;
 
   std::size_t Before = GAllocCount.load(std::memory_order_relaxed);
   conjugateGradient(K, B, Xcg, Opts);
+  referenceConjugateGradient(K, B, Xref, Opts);
   biCgStab(K, B, Xbi, Opts);
   jacobi(K, Diag, B, Xja, Opts);
   powerIteration(K, Lambda, Eig, Opts);

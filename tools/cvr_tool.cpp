@@ -25,11 +25,10 @@
 //                                             invariants + bounds-checked
 //                                             execution + differential
 //                                             compare, every variant
-//   cvr_tool solve    <matrix.mtx|suite-name> [--solver=S] [--fused=on|off]
+//   cvr_tool solve    <matrix.mtx|suite-name> [--solver=S]
 //                                             iterative solvers (CG,
 //                                             BiCGSTAB, Jacobi, power,
-//                                             PageRank) over any format,
-//                                             fused epilogues on or off
+//                                             PageRank) over any format
 //   cvr_tool trace    <matrix.mtx|suite-name> [--out=PATH]
 //                                             chrome-trace of the full
 //                                             pipeline (convert, tune,
@@ -135,11 +134,10 @@ int usage(const char *Prog) {
       "                                        chrome-trace JSON (default\n"
       "                                        trace.json)\n"
       "  solve    <matrix.mtx|suite-name> [--solver=cg|bicgstab|jacobi|\n"
-      "           power|pagerank] [--fused=on|off] [--format=F]\n"
-      "           [--threads=T] [--tol=X] [--maxiter=N] [--scale=X]\n"
+      "           power|pagerank] [--format=F] [--threads=T]\n"
+      "           [--tol=X] [--maxiter=N] [--scale=X]\n"
       "                                        iterative solve over any\n"
-      "                                        format's kernel, fused\n"
-      "                                        epilogues on or off\n"
+      "                                        format's kernel\n"
       "  gen      <suite-name> <out.mtx> [--scale=X]\n"
       "  list                                  suite matrix names\n"
       "  inject   [--fp=SPEC]... [--list] [matrix.mtx|suite-name]\n"
@@ -740,12 +738,11 @@ int cmdTune(int Argc, char **Argv) {
   return Diff <= 1e-10 ? 0 : 1;
 }
 
-/// Run one of the iterative solvers over any format's kernel, with the
-/// fused-epilogue path on (default) or off. Linear solvers use the
-/// manufactured system b = A*1 so the exit line can report the actual
-/// solution error alongside the solver's own residual; `pagerank` rebuilds
-/// the loaded matrix's sparsity pattern as a column-stochastic transition
-/// matrix first.
+/// Run one of the iterative solvers over any format's kernel. Linear
+/// solvers use the manufactured system b = A*1 so the exit line can report
+/// the actual solution error alongside the solver's own residual;
+/// `pagerank` rebuilds the loaded matrix's sparsity pattern as a
+/// column-stochastic transition matrix first.
 int cmdSolve(int Argc, char **Argv) {
   std::string Target;
   std::string SolverName = "cg";
@@ -765,14 +762,7 @@ int cmdSolve(int Argc, char **Argv) {
       Opts.Tolerance = std::atof(Argv[I] + 6);
     else if (std::strncmp(Argv[I], "--maxiter=", 10) == 0)
       Opts.MaxIterations = std::atoi(Argv[I] + 10);
-    else if (std::strncmp(Argv[I], "--fused=", 8) == 0) {
-      std::string V = Argv[I] + 8;
-      if (V != "on" && V != "off") {
-        std::fprintf(stderr, "error: --fused expects on|off\n");
-        return 2;
-      }
-      Opts.Fused = V == "on";
-    } else if (std::strncmp(Argv[I], "--damping=", 10) == 0)
+    else if (std::strncmp(Argv[I], "--damping=", 10) == 0)
       Damping = std::atof(Argv[I] + 10);
     else if (std::strncmp(Argv[I], "--scale=", 8) == 0)
       Scale = std::atof(Argv[I] + 8);
@@ -887,8 +877,7 @@ int cmdSolve(int Argc, char **Argv) {
   }
   double RunMs = Run.millis();
 
-  std::printf("[solver]                %s, %s epilogues, %s kernel\n",
-              SolverName.c_str(), Opts.Fused ? "fused" : "unfused",
+  std::printf("[solver]                %s, %s kernel\n", SolverName.c_str(),
               K->name().c_str());
   std::printf("[pre-processing time]   %.3f ms\n", PreMs);
   std::printf("[solve time]            %.3f ms (%d iterations, %.3f "
@@ -1051,7 +1040,6 @@ int cmdTrace(int Argc, char **Argv) {
     if (A.numRows() == A.numCols()) {
       SolverOptions SOpts;
       SOpts.MaxIterations = 8;
-      SOpts.Fused = true;
       double Eigenvalue = 0.0;
       std::vector<double> V(static_cast<std::size_t>(A.numRows()), 0.0);
       powerIteration(K, Eigenvalue, V, SOpts);
