@@ -10,7 +10,7 @@
 #include "core/CvrChunkLoop.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <string>
 #include <vector>
 
 namespace cvr {
@@ -18,39 +18,49 @@ namespace analysis {
 
 namespace {
 
-/// The bounds guard: the observer under which checked mode runs the scalar
-/// chunk loop (core/CvrChunkLoop.h). It vets each reference before the loop
+/// "<What> <Bad> outside [<Lo>, <Hi>)".
+std::string outside(const char *What, std::int64_t Bad, std::int64_t Lo,
+                    std::int64_t Hi) {
+  return std::string(What) + " " + std::to_string(Bad) + " outside [" +
+         std::to_string(Lo) + ", " + std::to_string(Hi) + ")";
+}
+
+/// The bounds guard: the observer under which checked mode runs the chunk
+/// loop (core/CvrChunkLoop.h). It vets each reference before the loop
 /// makes it, reports a bad one as a checked.cvr.* Violation and vetoes it:
 /// a bad chunk is skipped entirely (nothing it references can be trusted),
-/// a bad record leaves its lane untouched, a bad gather contributes 0 and a
-/// bad tail row is not written.
-class BoundsGuard {
+/// a bad gather lane contributes 0 and is never dereferenced, a drain that
+/// would run past the chunk's records is dropped, a staged value whose
+/// record is bad, or was staged from another position, is dropped, and a
+/// bad tail row is not written. The stream loads and row finishes need no
+/// vetting of their own, so those hooks stay NoObserver's.
+class BoundsGuard : public detail::NoObserver {
 public:
   explicit BoundsGuard(std::vector<Violation> &Out) : Out(&Out) {}
 
   /// Capped report against the current chunk (-1 before the first one:
   /// the y prologue).
-  void report(const char *Rule, std::int64_t Where, const char *What,
-              std::int64_t Bad, std::int64_t Limit) {
+  void report(const char *Rule, std::int64_t Where, std::string Msg) {
     if (Out->size() >= InvariantChecker::MaxViolations)
       return;
-    char Loc[64], Msg[128];
-    std::snprintf(Loc, sizeof(Loc), "chunk %d, offset %lld", Chunk,
-                  static_cast<long long>(Where));
-    std::snprintf(Msg, sizeof(Msg), "%s %lld outside [0, %lld)", What,
-                  static_cast<long long>(Bad), static_cast<long long>(Limit));
-    Out->push_back({Rule, Loc, Msg});
+    Out->push_back({Rule,
+                    "chunk " + std::to_string(Chunk) + ", offset " +
+                        std::to_string(Where),
+                    std::move(Msg)});
   }
 
-  /// Validates the chunk's stream/record/tail extents before the loop walks
-  /// them. The element range must fit the shorter of the value and index
-  /// streams.
+  /// Validates the chunk's stream/mask/record/tail extents before the loop
+  /// walks them. The element range must fit the shorter of the value and
+  /// index streams; steps run in pairs, so an odd count reads one more.
   bool chunk(const CvrMatrix &M, const CvrChunk &C) {
     Chunk = static_cast<int>(&C - M.chunks().data());
-    W = M.lanes();
     Rows = M.numRows();
     Cols = M.numCols();
+    NumSteps = C.NumSteps;
     PosLimit = (C.NumSteps + 1) * W;
+    Recs = M.recs();
+    RecEnd = C.RecEnd;
+    Pending.clear();
     const std::int64_t NumElems = static_cast<std::int64_t>(std::min(
         M.valueKind() == ValueKind::F32x64 ? Introspect::vals32(M).size()
                                            : Introspect::vals(M).size(),
@@ -61,68 +71,119 @@ public:
         static_cast<std::int64_t>(Introspect::recs(M).size());
     const std::int64_t NumTails =
         static_cast<std::int64_t>(Introspect::tails(M).size());
+    const AlignedBuffer<std::uint8_t> &Masks = Introspect::finishMasks(M);
+    const std::uint8_t *First = M.finishMasks(static_cast<std::size_t>(Chunk));
+    const std::int64_t ElemEnd = C.ElemBase + (C.NumSteps + C.NumSteps % 2) * W;
+    const std::int64_t MaskEnd =
+        First ? First - Masks.data() + C.NumSteps + 1 : -1;
     bool Ok = true;
-    if (C.ElemBase < 0 || C.NumSteps < 0 ||
-        C.ElemBase + C.NumSteps * W > NumElems) {
-      report("checked.cvr.chunk", 0, "element range end",
-             C.ElemBase + C.NumSteps * W, NumElems);
+    if (C.ElemBase < 0 || C.NumSteps < 0 || ElemEnd > NumElems) {
+      report("checked.cvr.chunk", 0,
+             outside("element range end", ElemEnd, 0, NumElems + 1));
+      Ok = false;
+    }
+    const auto NumMasks = static_cast<std::int64_t>(Masks.size());
+    if (MaskEnd < 0 || MaskEnd > NumMasks) {
+      report("checked.cvr.chunk", 0,
+             outside("finish-mask range end", MaskEnd, 0, NumMasks + 1));
       Ok = false;
     }
     if (C.RecBase < 0 || C.RecEnd < C.RecBase || C.RecEnd > NumRecs) {
-      report("checked.cvr.chunk", 0, "record range end", C.RecEnd, NumRecs);
+      report("checked.cvr.chunk", 0,
+             outside("record range end", C.RecEnd, 0, NumRecs + 1));
       Ok = false;
     }
     if (C.TailBase < 0 || C.TailBase + W > NumTails) {
-      report("checked.cvr.chunk", 0, "tail base", C.TailBase, NumTails);
+      report("checked.cvr.chunk", 0,
+             outside("tail base", C.TailBase, 0, NumTails - W + 1));
       Ok = false;
     }
     return Ok;
   }
 
-  /// Record positions must fall inside the chunk's stream; steal records
-  /// target the chunk's t_result slots, feed records rows of y.
-  bool record(const CvrRecord &R, std::int64_t RecIdx) {
-    if (R.Pos < 0 || R.Pos >= PosLimit) {
-      report("checked.cvr.rec-pos", RecIdx, "record position", R.Pos,
-             PosLimit);
+  /// Remembers the stream position each staged lane finishes at, in the
+  /// order the loop stages them.
+  void retire(std::int64_t I, unsigned Mask) {
+    Trailing = I == NumSteps;
+    for (int K = 0; K < W; ++K)
+      if (Mask & (1U << K))
+        Pending.push_back(I * W + K);
+  }
+
+  /// Drops (and reports) each lane whose column falls outside x.
+  unsigned gather(const double *, simd::VecI8 Idx, std::int64_t Elem) {
+    std::int32_t Col[W];
+    Idx.storeu(Col);
+    unsigned Live = simd::AllLanes;
+    for (int K = 0; K < W; ++K)
+      if (Col[K] < 0 || Col[K] >= Cols) {
+        report("checked.cvr.gather", Elem + K,
+               outside("gather column", Col[K], 0, Cols));
+        Live &= ~(1U << K);
+      }
+    return Live;
+  }
+
+  /// The finish masks stage exactly one value per record: a drain may not
+  /// run past the chunk's records, and the trailing drain must consume
+  /// the last of them.
+  bool drain(const CvrRecord *Next, int Staged) {
+    Draining.swap(Pending);
+    Pending.clear();
+    const std::int64_t From = Next - Recs;
+    if (From + Staged > RecEnd) {
+      report("checked.cvr.finish-mask", From,
+             outside("drain end", From + Staged, 0, RecEnd + 1));
       return false;
     }
-    if (R.Steal && (R.Wb < 0 || R.Wb >= W)) {
-      report("checked.cvr.tresult", RecIdx, "t_result slot", R.Wb, W);
-      return false;
-    }
-    if (!R.Steal && (R.Wb < 0 || R.Wb >= Rows)) {
-      report("checked.cvr.scatter", RecIdx, "feed row", R.Wb, Rows);
-      return false;
-    }
+    if (Trailing && From + Staged < RecEnd)
+      report("checked.cvr.finish-mask", From + Staged,
+             std::to_string(RecEnd - From - Staged) +
+                 " records left undrained at the chunk end");
     return true;
   }
 
-  bool loads(std::int64_t) { return true; }
-
-  bool gather(const double *, std::int32_t Col, std::int64_t Elem) {
-    if (Col >= 0 && Col < Cols)
+  /// A record must sit where its staged value finished; steal records
+  /// target the chunk's t_result slots, feed records rows of y.
+  bool record(const CvrRecord &R, int Slot) {
+    const std::int64_t RecIdx = &R - Recs;
+    const std::int64_t StagedAt = Draining[static_cast<std::size_t>(Slot)];
+    const std::int64_t WbLimit = R.Steal ? W : Rows;
+    if (R.Pos < 0 || R.Pos >= PosLimit) {
+      report("checked.cvr.rec-pos", RecIdx,
+             outside("record position", R.Pos, 0, PosLimit));
+    } else if (R.Pos != StagedAt) {
+      report("checked.cvr.finish-mask", RecIdx,
+             "record position " + std::to_string(R.Pos) +
+                 " drains the value staged at " + std::to_string(StagedAt));
+    } else if (R.Wb < 0 || R.Wb >= WbLimit) {
+      report(R.Steal ? "checked.cvr.tresult" : "checked.cvr.scatter", RecIdx,
+             outside(R.Steal ? "t_result slot" : "feed row", R.Wb, 0,
+                     WbLimit));
+    } else {
       return true;
-    report("checked.cvr.gather", Elem, "gather column", Col, Cols);
+    }
     return false;
   }
 
-  template <class WriteBack>
-  bool finish(const WriteBack &, std::int32_t, bool) {
-    return true;
-  }
-
+  /// -1 marks an unused slot; anything else must be a row of y.
   bool tail(const std::int32_t *Slot, int K) {
-    if (*Slot < Rows)
+    if (*Slot >= -1 && *Slot < Rows)
       return true;
-    report("checked.cvr.tail", K, "tail row", *Slot, Rows);
+    report("checked.cvr.tail", K, outside("tail row", *Slot, -1, Rows));
     return false;
   }
 
 private:
+  static constexpr int W = CvrMatrix::lanes();
   std::vector<Violation> *Out;
   int Chunk = -1;
-  std::int64_t W = 0, Rows = 0, Cols = 0, PosLimit = 0;
+  std::int64_t Rows = 0, Cols = 0, NumSteps = 0, PosLimit = 0, RecEnd = 0;
+  const CvrRecord *Recs = nullptr;
+  /// Stream positions of the values staged since the last drain, and of
+  /// the values the current drain hands out.
+  std::vector<std::int64_t> Pending, Draining;
+  bool Trailing = false; ///< The last retire staged the trailing records.
 };
 
 } // namespace
@@ -138,7 +199,8 @@ void cvrSpmvChecked(const CvrMatrix &M, const double *X, double *Y,
   } else {
     for (std::int32_t R : M.zeroRows()) {
       if (R < 0 || R >= M.numRows())
-        Guard.report("checked.cvr.zero-row", R, "zeroed row", R, M.numRows());
+        Guard.report("checked.cvr.zero-row", R,
+                     outside("zeroed row", R, 0, M.numRows()));
       else
         Y[R] = 0.0;
     }
@@ -146,11 +208,10 @@ void cvrSpmvChecked(const CvrMatrix &M, const double *X, double *Y,
   // Serially, chunk by chunk, so the output is bit-deterministic.
   for (const CvrChunk &C : M.chunks()) {
     if (M.isBlocked())
-      detail::runChunkGeneric(M, C, X, /*PfDist=*/0,
-                              detail::AccumulateWriteBack{Y}, Guard);
+      detail::runChunkKinds<0>(M, C, X, detail::AccumulateWriteBack{Y},
+                               Guard);
     else
-      detail::runChunkGeneric(M, C, X, /*PfDist=*/0,
-                              detail::StoreWriteBack{Y}, Guard);
+      detail::runChunkKinds<0>(M, C, X, detail::StoreWriteBack{Y}, Guard);
   }
 }
 

@@ -6,18 +6,20 @@
 ///
 /// \file
 /// Checked execution of CVR SpMV: validates every memory reference the
-/// production kernels perform blind. Each chunk's extents are checked
-/// against the streams, each record position against the chunk's stream,
-/// each gather index against the x vector's extent, and each write target
-/// (feed rows, t_result slots, tail rows, zeroed rows) against its
-/// destination, before the access happens. Out-of-range references are
-/// reported as Violations ("checked.cvr.*") and skipped, so a corrupt
-/// format produces a diagnostic instead of a wild load.
+/// production kernel performs blind. Each chunk's extents are checked
+/// against the streams and finish masks, each gather lane's index against
+/// the x vector's extent, each drain against the chunk's records, each
+/// drained record against the position its value was staged from, and
+/// each write target (feed rows, t_result slots, tail rows, zeroed rows)
+/// against its destination, before the access happens. Out-of-range
+/// references are reported as Violations ("checked.cvr.*") and skipped, so
+/// a corrupt format produces a diagnostic instead of a wild load.
 ///
-/// Checked mode is not a copy of the kernel: it runs the scalar chunk loop
-/// (core/CvrChunkLoop.h) under a bounds-guard observer, for every lane
-/// width and stream kind. The chunks run serially — checked mode trades
-/// all speed for diagnosis — which also makes the output bit-deterministic.
+/// Checked mode is not a copy of the kernel: it runs the production chunk
+/// loop (core/CvrChunkLoop.h) under a bounds-guard observer, for every
+/// stream kind; a bad gather lane goes through the masked gather and is
+/// never dereferenced. The chunks run serially — checked mode trades all
+/// speed for diagnosis — which also makes the output bit-deterministic.
 /// The independent numerical oracle is referenceSpmv, which validateMatrix
 /// and the differential fuzzers compare against.
 ///
@@ -35,8 +37,8 @@ class CvrMatrix;
 namespace analysis {
 
 /// Computes y = M * x like cvrSpmv, serially through the bounds-guarded
-/// scalar chunk loop; appends a Violation per out-of-range reference
-/// instead of performing it.
+/// chunk loop; appends a Violation per out-of-range reference instead of
+/// performing it.
 void cvrSpmvChecked(const CvrMatrix &M, const double *X, double *Y,
                     std::vector<Violation> &Vs);
 

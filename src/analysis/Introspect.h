@@ -119,6 +119,13 @@ struct Introspect {
     return M.ZeroRows;
   }
   static std::vector<CvrBand> &bands(CvrMatrix &M) { return M.Bands; }
+  /// The derived finish masks of every chunk (see CvrMatrix::finishMasks).
+  static const AlignedBuffer<std::uint8_t> &finishMasks(const CvrMatrix &M) {
+    return M.FinishMasks;
+  }
+  static AlignedBuffer<std::uint8_t> &finishMasks(CvrMatrix &M) {
+    return M.FinishMasks;
+  }
 
   // --- CsrMatrix --------------------------------------------------------
   static AlignedBuffer<std::int32_t> &csrColIdx(CsrMatrix &A) {

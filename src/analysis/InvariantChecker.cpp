@@ -126,7 +126,7 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
                                                   const CsrMatrix *Origin) {
   std::vector<Violation> Vs;
   Reporter R(Vs);
-  const int Lanes = M.lanes();
+  constexpr int Lanes = CvrMatrix::lanes();
   const std::int32_t Rows = M.numRows();
   const std::int32_t Cols = M.numCols();
   const std::vector<CvrChunk> &Chunks = M.chunks();
@@ -141,10 +141,6 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
   const std::size_t IdxCount =
       NarrowIdx ? Introspect::colIdx16(M).size() : ColIdx.size();
 
-  if (Lanes < 1) {
-    R.add("cvr.lanes", "matrix", "lane count " + num(Lanes));
-    return Vs;
-  }
   // Exactly one storage per stream: the declared kind owns its buffer and
   // the other representation must be absent (a populated shadow would
   // desynchronize from the one the kernels execute).
@@ -261,7 +257,7 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
       R.add("cvr.chunk.layout", Where, "negative step count");
       return Vs;
     }
-    if (Lanes == 8 && Ch.NumSteps % 2 != 0)
+    if (Ch.NumSteps % 2 != 0)
       R.add("cvr.chunk.steps-even", Where,
             "odd step count " + num(Ch.NumSteps) +
                 " (f64 kernel double-pumps column loads)");

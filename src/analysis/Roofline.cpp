@@ -70,9 +70,8 @@ RooflinePrediction predictCvr(const CvrMatrix &M, double Alpha) {
     NumRecs += C.RecEnd - C.RecBase;
   }
   const std::int64_t Elems = Steps * M.lanes();
-  // The 8-lane kernel also reads one finish-mask byte per step and chunk.
-  const std::int64_t MaskBytes =
-      M.finishMasks(0) ? Steps + M.numChunks() : 0;
+  // The kernel also reads one finish-mask byte per step and chunk.
+  const std::int64_t MaskBytes = Steps + M.numChunks();
   P.ValueBytes = static_cast<double>(Elems) *
                  static_cast<double>(M.valueBytes());
   P.IndexBytes = static_cast<double>(Elems) *

@@ -37,7 +37,6 @@ namespace detail {
 
 /// Engine knobs (the conversion subset of CvrOptions).
 struct ConverterConfig {
-  int Lanes = 8;
   int NumThreads = 0;
   bool EnableStealing = true;
   /// Feed rows longest-first instead of in matrix order (the sort-first
@@ -86,8 +85,7 @@ class ChunkConverter {
 public:
   ChunkConverter(const CsrMatrix &A, const NnzChunk &Chunk,
                  const ConverterConfig &Cfg, ChunkBuild &Out)
-      : A(A), Chunk(Chunk), Cfg(Cfg), Out(Out), Lanes(Cfg.Lanes),
-        Trackers(Cfg.Lanes) {}
+      : A(A), Chunk(Chunk), Cfg(Cfg), Out(Out), Trackers(Lanes) {}
 
   void convert() {
     if (Chunk.empty())
@@ -128,7 +126,7 @@ public:
         Out.Ok = false;
         return;
       }
-    // Pad to an even step count: the f64 kernel loads the column indices
+    // Pad to an even step count: the kernel loads the column indices
     // of two steps as one 16-index vector.
     if (Steps % 2 != 0) {
       if (!emitPadStep()) {
@@ -341,7 +339,7 @@ private:
   const NnzChunk &Chunk;
   const ConverterConfig &Cfg;
   ChunkBuild &Out;
-  int Lanes;
+  static constexpr int Lanes = CvrMatrix::lanes();
   std::vector<Tracker> Trackers;
   std::int32_t NextRow = 0;
   std::vector<std::int32_t> FeedList; ///< Sort-first ablation feed order.
@@ -352,7 +350,6 @@ private:
 /// Converts all chunks of \p A in parallel and stitches the results.
 inline ConvertedStreams convertToCvrStreams(const CsrMatrix &A,
                                             const ConverterConfig &Cfg) {
-  assert(Cfg.Lanes >= 1 && "need at least one lane");
   int NumThreads = Cfg.NumThreads > 0 ? Cfg.NumThreads : defaultThreadCount();
 
   ConvertedStreams S;
@@ -380,8 +377,7 @@ inline ConvertedStreams convertToCvrStreams(const CsrMatrix &A,
 
   // Stitch the per-chunk outputs into contiguous shared streams. With a
   // single chunk the buffers move without a copy.
-  if (!S.Tails.tryResize(Parts.size() * static_cast<std::size_t>(Cfg.Lanes))
-           .ok()) {
+  if (!S.Tails.tryResize(Parts.size() * CvrMatrix::lanes()).ok()) {
     S.Ok = false;
     return S;
   }
@@ -421,7 +417,7 @@ inline ConvertedStreams convertToCvrStreams(const CsrMatrix &A,
       C.NumSteps = B.NumSteps;
       C.RecBase = RecCursor;
       C.RecEnd = RecCursor + static_cast<std::int64_t>(B.Recs.size());
-      C.TailBase = static_cast<std::int64_t>(T) * Cfg.Lanes;
+      C.TailBase = static_cast<std::int64_t>(T) * CvrMatrix::lanes();
       C.FirstRow = Parts[T].FirstRow;
       C.LastRow = Parts[T].LastRow;
       if (!B.Vals.empty()) {

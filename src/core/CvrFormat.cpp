@@ -126,9 +126,8 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
   if (CVR_FAIL_POINT("convert.cvr.fail"))
     return Status::internal(
         "convert.cvr.fail fail point: simulated pathological conversion");
-  if (Opts.Lanes < 1)
-    return Status::invalidArgument("CvrOptions.Lanes must be >= 1, got " +
-                                   std::to_string(Opts.Lanes));
+  if (Opts.Values > ValueKind::F32x64 || Opts.Indices > ColIndexKind::U16Band)
+    return Status::invalidArgument("CvrOptions names an unknown stream kind");
   if (A.numRows() < 0 || A.numCols() < 0)
     return Status::invalidArgument("matrix has negative shape");
 
@@ -140,7 +139,6 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
   int Mult = std::max(1, Opts.ChunkMultiplier);
 
   detail::ConverterConfig Cfg;
-  Cfg.Lanes = Opts.Lanes;
   Cfg.NumThreads = Threads * Mult; // Chunk count (over-decomposition).
   Cfg.EnableStealing = Opts.EnableStealing;
   Cfg.SortFeedRowsByLength = Opts.SortFeedRows;
@@ -149,15 +147,12 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
   M.NumRows = A.numRows();
   M.NumCols = A.numCols();
   M.Nnz = A.numNonZeros();
-  M.Lanes = Opts.Lanes;
   M.ChunkMult = Mult;
-  M.ForceGeneric = Opts.ForceGenericKernel;
 
   // Column blocking: band width in columns, one x element = 8 bytes.
   std::int32_t ColsPerBand = 0;
   if (Opts.ColBlockBytes > 0 && A.numCols() > 0) {
-    std::int64_t W = std::max<std::int64_t>(Opts.Lanes,
-                                            Opts.ColBlockBytes / 8);
+    std::int64_t W = std::max<std::int64_t>(lanes(), Opts.ColBlockBytes / 8);
     if (W < A.numCols())
       ColsPerBand = static_cast<std::int32_t>(W);
   }
@@ -234,8 +229,6 @@ Status CvrMatrix::rebuildDerived() {
 
   ChunkMaskBase.clear();
   FinishMasks = AlignedBuffer<std::uint8_t>();
-  if (Lanes != 8)
-    return Status::okStatus();
   // One allocation sized to every chunk's NumSteps + 1 bytes: growing the
   // buffer per chunk would copy it repeatedly and strand spare capacity.
   std::size_t Total = 0;
@@ -248,7 +241,8 @@ Status CvrMatrix::rebuildDerived() {
     ChunkMaskBase.push_back(static_cast<std::int64_t>(Base));
     for (std::int64_t R = C.RecBase; R < C.RecEnd; ++R) {
       const std::int64_t Pos = Recs[static_cast<std::size_t>(R)].Pos;
-      FinishMasks[Base + Pos / 8] |= static_cast<std::uint8_t>(1U << (Pos % 8));
+      FinishMasks[Base + Pos / lanes()] |=
+          static_cast<std::uint8_t>(1U << (Pos % lanes()));
     }
     Base += static_cast<std::size_t>(C.NumSteps) + 1;
   }
@@ -279,7 +273,7 @@ Status CvrMatrix::compressStreams(ValueKind VK, ColIndexKind IK) {
         const CvrChunk &C = Chunks[CI];
         const std::int32_t Base = ChunkColBase[CI];
         for (std::int64_t I = C.ElemBase,
-                          E = C.ElemBase + C.NumSteps * Lanes;
+                          E = C.ElemBase + C.NumSteps * lanes();
              I < E; ++I) {
           std::int32_t Col = ColIdx[static_cast<std::size_t>(I)];
           // Pads are (value 0, column 0) in absolute terms; store them as
@@ -381,18 +375,18 @@ bool CvrMatrix::isValid() const {
         ColHi = B.ColEnd;
         break;
       }
-    if (C.NumSteps % 2 != 0 && Lanes == 8)
+    if (C.NumSteps % 2 != 0)
       return false;
     std::int64_t Prev = -1;
     for (std::int64_t R = C.RecBase; R < C.RecEnd; ++R) {
       const CvrRecord &Rec = Recs[R];
       // One record per lane and step, in position order, none past the
       // trailing step: each maps to its own finish-mask bit.
-      if (Rec.Pos <= Prev || Rec.Pos >= (C.NumSteps + 1) * Lanes)
+      if (Rec.Pos <= Prev || Rec.Pos >= (C.NumSteps + 1) * lanes())
         return false;
       Prev = Rec.Pos;
       if (Rec.Steal) {
-        if (Rec.Wb < 0 || Rec.Wb >= Lanes)
+        if (Rec.Wb < 0 || Rec.Wb >= lanes())
           return false;
         if (Tails[C.TailBase + Rec.Wb] < 0)
           return false; // Steal slot without a tail row.
@@ -400,7 +394,7 @@ bool CvrMatrix::isValid() const {
         return false;
       }
     }
-    for (std::int64_t I = C.ElemBase, E = C.ElemBase + C.NumSteps * Lanes;
+    for (std::int64_t I = C.ElemBase, E = C.ElemBase + C.NumSteps * lanes();
          I < E; ++I) {
       // Pads are (value 0, raw column 0) — raw is the absolute column for
       // U32 and the band-local delta for U16Band; count everything else.

@@ -67,22 +67,12 @@ enum class ColIndexKind : std::uint8_t {
 
 /// Conversion options.
 struct CvrOptions {
-  /// SIMD lanes (the paper's omega): 8 for f64 on AVX-512. Any value >= 1
-  /// is accepted; the vectorized kernel requires 8, other widths run
-  /// through the generic kernel (used by the lane-count ablation), and
-  /// their SpMM composes from per-column SpMV (core/CvrSpmm.h).
-  int Lanes = 8;
-
   /// Number of thread chunks (<= 0 selects the OpenMP default).
   int NumThreads = 0;
 
   /// Tracker stealing for tail balance (Section 4.2 "Tracker Stealing").
   /// Disabling it pads idle lanes instead — the stealing ablation.
   bool EnableStealing = true;
-
-  /// Run the scalar kernel even when the AVX-512 one is applicable — the
-  /// vectorization-benefit ablation. SpMM composes from that kernel too.
-  bool ForceGenericKernel = false;
 
   /// Feed rows longest-first instead of in matrix order — the sort-first
   /// ablation (quantifies what the paper's O(nnz) no-sort design saves).
@@ -141,10 +131,10 @@ struct CvrBand {
 /// Per-thread-chunk metadata.
 struct CvrChunk {
   std::int64_t ElemBase = 0;  ///< Offset into Vals/ColIdx (elements).
-  std::int64_t NumSteps = 0;  ///< Stream steps (each emits Lanes elements).
+  std::int64_t NumSteps = 0;  ///< Stream steps (each emits lanes() elements).
   std::int64_t RecBase = 0;   ///< Offset into Recs.
   std::int64_t RecEnd = 0;    ///< One past the chunk's last record.
-  std::int64_t TailBase = 0;  ///< Offset into Tails (Lanes slots).
+  std::int64_t TailBase = 0;  ///< Offset into Tails (lanes() slots).
   std::int32_t FirstRow = -1; ///< First row touched (possibly partial).
   std::int32_t LastRow = -1;  ///< Last row touched (possibly partial).
 };
@@ -183,7 +173,9 @@ public:
   std::int32_t numRows() const { return NumRows; }
   std::int32_t numCols() const { return NumCols; }
   std::int64_t numNonZeros() const { return Nnz; }
-  int lanes() const { return Lanes; }
+  /// SIMD lanes per stream step: the paper's omega, 8 for f64 on AVX-512
+  /// (simd::DoubleLanes). Fixed for every matrix.
+  static constexpr int lanes() { return 8; }
   int numChunks() const { return static_cast<int>(Chunks.size()); }
 
   const std::vector<CvrChunk> &chunks() const { return Chunks; }
@@ -223,7 +215,7 @@ public:
   /// The chunk's NumSteps + 1 finish-mask bytes: bit k of byte I is set
   /// when a record sits at position I * 8 + k, i.e. lane k finishes just
   /// before step I (the last byte holds the trailing records). Derived
-  /// like chunkColBase; nullptr unless the matrix has 8 lanes.
+  /// like chunkColBase; nullptr past the last chunk.
   const std::uint8_t *finishMasks(std::size_t ChunkIdx) const {
     return ChunkIdx < ChunkMaskBase.size()
                ? FinishMasks.data() + ChunkMaskBase[ChunkIdx]
@@ -269,13 +261,10 @@ public:
   /// keep their intended parallelism.
   int runThreads() const;
 
-  /// True when the conversion requested the scalar kernel (ablation).
-  bool forcesGenericKernel() const { return ForceGeneric; }
-
   std::size_t formatBytes() const;
 
   /// Internal invariants (every nonzero emitted exactly once, record
-  /// positions strictly increasing within [0, (NumSteps + 1) * Lanes),
+  /// positions strictly increasing within [0, (NumSteps + 1) * lanes()),
   /// tails consistent); used by tests and asserts.
   bool isValid() const;
 
@@ -327,9 +316,7 @@ public:
     std::int32_t *NumRows;
     std::int32_t *NumCols;
     std::int64_t *Nnz;
-    int *Lanes;
     int *ChunkMult;
-    bool *ForceGeneric;
     ValueKind *VKind;
     ColIndexKind *IKind;
     AlignedBuffer<double> *Vals;
@@ -352,7 +339,6 @@ private:
   std::int32_t NumRows = 0;
   std::int32_t NumCols = 0;
   std::int64_t Nnz = 0;
-  int Lanes = 8;
 
   /// Applies the CvrOptions compression axes to a freshly converted (or
   /// about-to-be-validated) structure: narrows ColIdx into ColIdx16 when
@@ -378,7 +364,7 @@ private:
   AlignedBuffer<float> Vals32;       ///< cvr_vals (F32x64); Vals empty.
   AlignedBuffer<std::uint16_t> ColIdx16; ///< cvr_colidx (U16Band deltas).
   std::vector<CvrRecord> Recs;
-  AlignedBuffer<std::int32_t> Tails; ///< Lanes per chunk; -1 = unused slot.
+  AlignedBuffer<std::int32_t> Tails; ///< lanes() per chunk; -1 = unused.
   std::vector<CvrChunk> Chunks;
   std::vector<std::int32_t> ZeroRows;
   std::vector<CvrBand> Bands; ///< Empty = unblocked.
@@ -386,7 +372,6 @@ private:
   AlignedBuffer<std::uint8_t> FinishMasks; ///< Derived: see finishMasks().
   std::vector<std::int64_t> ChunkMaskBase; ///< Derived: chunk's first mask.
   int ChunkMult = 1;
-  bool ForceGeneric = false;
   ValueKind VKind = ValueKind::F64;
   ColIndexKind IKind = ColIndexKind::U32;
   bool NarrowIdxFallback = false; ///< U16Band requested but band too wide.

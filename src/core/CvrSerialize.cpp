@@ -9,8 +9,10 @@
 //
 //   magic "CVRF" | u32 version
 //   header: NumRows i32, NumCols i32, Nnz i64, Lanes i32,
-//           ForceGeneric u8, ChunkMult i32, ValueKind u8, ColIndexKind u8
+//           Reserved u8, ChunkMult i32, ValueKind u8, ColIndexKind u8
 //           | u32 crc32c(header bytes)
+//   Lanes must be 8 (CvrMatrix::lanes()); the reserved byte is written 0
+//   and ignored on read.
 //   sections, in order: Chunks, Bands, ZeroRows, Recs, Tails, Vals, ColIdx
 //   each section: u64 count | payload | u32 crc32c(payload)
 //
@@ -98,12 +100,11 @@ constexpr std::uint64_t MapAlignment = 64;
 /// v3 reader will commission before the cheap exact checks take over; all
 /// are far beyond any matrix the project handles.
 constexpr std::uint64_t MaxChunks = 1ULL << 22;
-constexpr std::uint64_t MaxLanes = 4096;
 constexpr std::uint64_t MaxChunkMult = 1ULL << 20;
 constexpr std::uint64_t MaxStreamElems = 1ULL << 40;
 
 /// Header image length (the checksummed byte range): rows, cols, nnz,
-/// lanes, force-generic, chunk multiplier, value kind, column-index kind.
+/// lanes, reserved, chunk multiplier, value kind, column-index kind.
 constexpr std::size_t HeaderBytes = 4 + 4 + 8 + 4 + 1 + 4 + 1 + 1;
 
 bool writeBytes(std::ostream &OS, const void *P, std::size_t N) {
@@ -157,13 +158,12 @@ template <typename T> void packField(std::string &Buf, const T &V) {
 [[nodiscard]] Status decodeHeaderImage(const char *Header,
                                        CvrMatrix::BlobFields &F) {
   std::int32_t Lanes32 = 0, Mult = 0;
-  std::uint8_t Generic = 0, VKindByte = 0, IKindByte = 0;
+  std::uint8_t VKindByte = 0, IKindByte = 0;
   const char *P = Header;
   std::memcpy(F.NumRows, P, 4), P += 4;
   std::memcpy(F.NumCols, P, 4), P += 4;
   std::memcpy(F.Nnz, P, 8), P += 8;
-  std::memcpy(&Lanes32, P, 4), P += 4;
-  std::memcpy(&Generic, P, 1), P += 1;
+  std::memcpy(&Lanes32, P, 4), P += 5; // Lanes, then the reserved byte.
   std::memcpy(&Mult, P, 4), P += 4;
   std::memcpy(&VKindByte, P, 1), P += 1;
   std::memcpy(&IKindByte, P, 1);
@@ -171,11 +171,10 @@ template <typename T> void packField(std::string &Buf, const T &V) {
   if (*F.NumRows < 0 || *F.NumCols < 0 || *F.Nnz < 0)
     return Status::outOfRange(
         "[cvr.blob.bounds] header declares a negative shape");
-  if (Lanes32 < 1 || static_cast<std::uint64_t>(Lanes32) > MaxLanes)
+  if (Lanes32 != CvrMatrix::lanes())
     return Status::outOfRange("[cvr.blob.bounds] lane count " +
-                              std::to_string(Lanes32) +
-                              " is outside [1, " + std::to_string(MaxLanes) +
-                              "]");
+                              std::to_string(Lanes32) + " is not " +
+                              std::to_string(CvrMatrix::lanes()));
   if (Mult < 1 || static_cast<std::uint64_t>(Mult) > MaxChunkMult)
     return Status::outOfRange("[cvr.blob.bounds] chunk multiplier " +
                               std::to_string(Mult) + " is outside [1, " +
@@ -186,8 +185,6 @@ template <typename T> void packField(std::string &Buf, const T &V) {
   if (IKindByte > static_cast<std::uint8_t>(ColIndexKind::U16Band))
     return Status::outOfRange("[cvr.blob.bounds] unknown column-index kind " +
                               std::to_string(IKindByte));
-  *F.Lanes = Lanes32;
-  *F.ForceGeneric = Generic != 0;
   *F.ChunkMult = Mult;
   *F.VKind = static_cast<ValueKind>(VKindByte);
   *F.IKind = static_cast<ColIndexKind>(IKindByte);
@@ -201,9 +198,10 @@ struct SectionBudget {
 };
 
 [[nodiscard]] Status computeSectionBudget(const std::vector<CvrChunk> &Chunks,
-                                          int Lanes, std::int64_t Nnz,
+                                          std::int64_t Nnz,
                                           std::int32_t NumRows,
                                           SectionBudget &B) {
+  constexpr std::uint64_t Lanes = CvrMatrix::lanes();
   B.TotalElems = 0;
   for (const CvrChunk &C : Chunks) {
     if (C.NumSteps < 0 ||
@@ -224,8 +222,7 @@ struct SectionBudget {
   // exceed what a vector can hold.
   B.MaxRecs = std::min(static_cast<std::uint64_t>(Nnz) +
                            static_cast<std::uint64_t>(NumRows) +
-                           Chunks.size() *
-                               (static_cast<std::uint64_t>(Lanes) + 2),
+                           Chunks.size() * (Lanes + 2),
                        MaxStreamElems);
   return Status::okStatus();
 }
@@ -278,8 +275,8 @@ Status CvrMatrix::writeBlob(std::ostream &OS, BlobLayout Layout) const {
   packField(Header, NumRows);
   packField(Header, NumCols);
   packField(Header, Nnz);
-  packField(Header, static_cast<std::int32_t>(Lanes));
-  packField(Header, static_cast<std::uint8_t>(ForceGeneric));
+  packField(Header, static_cast<std::int32_t>(lanes()));
+  packField(Header, std::uint8_t{0}); // Reserved.
   packField(Header, static_cast<std::int32_t>(ChunkMult));
   packField(Header, static_cast<std::uint8_t>(VKind));
   packField(Header, static_cast<std::uint8_t>(IKind));
@@ -533,15 +530,13 @@ template <typename Source>
   Status S = decodeHeaderImage(Header, F);
   if (!S.ok())
     return S;
-  const int Lanes32 = *F.Lanes;
 
   // Chunk table first: it induces the exact bounds for everything after.
   if (!(S = decodeSection(Src, *F.Chunks, "chunk table", Padded, MaxChunks))
            .ok())
     return S;
   SectionBudget B;
-  if (!(S = computeSectionBudget(*F.Chunks, Lanes32, *F.Nnz, *F.NumRows, B))
-           .ok())
+  if (!(S = computeSectionBudget(*F.Chunks, *F.Nnz, *F.NumRows, B)).ok())
     return S;
   std::uint64_t NumChunks = F.Chunks->size();
 
@@ -556,7 +551,8 @@ template <typename Source>
            .ok())
     return S;
   if (!(S = decodeSection(Src, *F.Tails, "tail table", Padded, MaxStreamElems,
-                          static_cast<std::int64_t>(NumChunks * Lanes32)))
+                          static_cast<std::int64_t>(NumChunks) *
+                              CvrMatrix::lanes()))
            .ok())
     return S;
   const auto ExactElems = static_cast<std::int64_t>(B.TotalElems);
@@ -651,11 +647,10 @@ StatusOr<CvrMatrix> CvrMatrix::decode(Source &Src) {
         "); load it with readBlob, which copies");
 
   CvrMatrix M;
-  BlobFields F{&M.NumRows,   &M.NumCols,      &M.Nnz,    &M.Lanes,
-               &M.ChunkMult, &M.ForceGeneric, &M.VKind,  &M.IKind,
-               &M.Vals,      &M.ColIdx,       &M.Vals32, &M.ColIdx16,
-               &M.Recs,      &M.Tails,        &M.Chunks, &M.ZeroRows,
-               &M.Bands};
+  BlobFields F{&M.NumRows, &M.NumCols,  &M.Nnz,    &M.ChunkMult,
+               &M.VKind,   &M.IKind,    &M.Vals,   &M.ColIdx,
+               &M.Vals32,  &M.ColIdx16, &M.Recs,   &M.Tails,
+               &M.Chunks,  &M.ZeroRows, &M.Bands};
   Status S = decodeBody(Src, F, /*Padded=*/V >= MappedVersion);
   if (!S.ok())
     return S;

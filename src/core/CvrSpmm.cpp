@@ -11,8 +11,8 @@
 // panel-row vector instead of a scalar, and every record/tail write-back
 // moves a whole register of columns. Records are rare relative to steps,
 // so their shared-row atomics stay scalar. Matrices the panel kernel does
-// not read (other lane counts, the forced-generic ablation, compressed
-// streams) compose SpMM from per-column SpMV runs instead.
+// not read (compressed streams) compose SpMM from per-column SpMV runs
+// instead.
 //
 //===----------------------------------------------------------------------===//
 
@@ -153,7 +153,7 @@ struct PanelFusedWriteBack {
 /// One chunk of the register-blocked SpMM kernel: lane k accumulates a
 /// whole panel row in a vector register, fed by one contiguous load of
 /// X[Cols[step*8+k] * LdX .. +width) per element — no gathers. Structure
-/// (records, stealing, tails) mirrors runChunkAvx, with every write-back a
+/// (records, stealing, tails) mirrors runChunk, with every write-back a
 /// panel row through the policy \p Out.
 template <class Panel, class WriteBack>
 CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
@@ -312,11 +312,10 @@ void recordCvrSpmmTelemetry(int NumVectors, int Passes, bool Fused) {
     FusedRuns.inc();
 }
 
-/// True when the register-blocked panel kernel reads \p M: eight lanes,
-/// not forced generic, uncompressed F64/U32 streams.
+/// True when the register-blocked panel kernel reads \p M: uncompressed
+/// F64/U32 streams.
 bool panelKernelReads(const CvrMatrix &M) {
-  return M.lanes() == simd::DoubleLanes && !M.forcesGenericKernel() &&
-         M.valueKind() == ValueKind::F64 &&
+  return M.valueKind() == ValueKind::F64 &&
          M.colIndexKind() == ColIndexKind::U32;
 }
 
@@ -325,8 +324,6 @@ bool panelKernelReads(const CvrMatrix &M) {
 /// indices): rewriting the panel kernel per kind would triple its
 /// instantiation count for a path whose payoff is amortizing *matrix*
 /// traffic — which compression already shrinks (DESIGN.md section 17).
-/// Other lane counts and the forced-generic ablation run SpMV's generic
-/// kernel, which a panel twin would only duplicate.
 [[nodiscard]] Status cvrSpmmComposed(const CvrMatrix &M, const double *X, std::size_t LdX,
                        double *Y, std::size_t LdY, int NumVectors,
                        const CvrSpmmOptions &Opts) try {
@@ -393,7 +390,7 @@ Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
   }
 
   if (M.isBlocked() || !panelKernelReads(M)) {
-    // Accumulate mode finishes no row until the last band, and the other
+    // Accumulate mode finishes no row until the last band, and compressed
     // matrices take the composed path throughout; compose.
     S = cvrSpmm(M, X, LdX, Y, LdY, NumVectors, Opts);
     if (!S.ok())

@@ -21,9 +21,9 @@
 /// 1..7, so a degenerate K never wastes a full-width pass. Lane semantics
 /// (records, tracker stealing, tails, shared-row atomics, accumulate-mode
 /// bands) are identical to the SpMV kernel with every scalar write-back
-/// widened to a panel row. The panel kernel reads eight-lane matrices with
-/// uncompressed F64/U32 streams that are not forced generic; every other
-/// matrix composes SpMM from one cvrSpmv per column.
+/// widened to a panel row. The panel kernel reads matrices with
+/// uncompressed F64/U32 streams; every other matrix composes SpMM from one
+/// cvrSpmv per column.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +48,7 @@ struct CvrSpmmOptions {
 /// numCols rows, Y numRows rows and is overwritten). Rejects invalid panel
 /// arguments — null pointers, NumVectors < 1, leading dimensions narrower
 /// than the panel — with INVALID_ARGUMENT instead of reading out of
-/// bounds. Works for every lane width and for column-blocked matrices (the
+/// bounds. Works for every stream kind and for column-blocked matrices (the
 /// composed and accumulate-mode paths keep the exact SpMV semantics).
 [[nodiscard]] Status cvrSpmm(const CvrMatrix &M, const double *X,
                              std::size_t LdX, double *Y, std::size_t LdY,

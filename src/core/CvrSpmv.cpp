@@ -4,8 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Each chunk loop is written once and templated on a write-back policy. The
-// policy decides only how finished lanes leave the kernel:
+// The CVR chunk loop (core/CvrChunkLoop.h) is written once and templated
+// on a write-back policy. The policy decides only how finished lanes leave
+// the kernel:
 //
 //  - Store: an exclusive row takes one plain store (the plain SpMV).
 //  - Accumulate: an exclusive row adds into y. Column-blocked matrices use
@@ -18,20 +19,19 @@
 // one finished row (a feed record or a tail flush) and traceFinish() for
 // the y and operand traffic that finish() causes.
 //
-// Two loops instantiate the policies: the 8-lane kernel here (also
-// templated on prefetch distance and stream kinds) and the generic
-// any-width kernel in CvrChunkLoop.h, which also holds Store and
-// Accumulate so that checked mode can use them. The 8-lane kernel, on
-// AVX-512 or the emulated vector of simd/Simd.h, writes back without a
-// per-step branch: each step compresses the lanes the matrix's derived
-// finish mask names (one byte per step, nnz/8 bytes, never serialized)
-// into a stack staging buffer, and once per 64-step block the staged
-// values go through finish() in record order.
+// CvrChunkLoop.h holds Store and Accumulate next to the loop so that
+// checked mode can use them; Fused lives here. The loop is also templated
+// on prefetch distance and stream kinds. On AVX-512 or the emulated vector
+// of simd/Simd.h it writes back without a per-step branch: each step
+// compresses the lanes the matrix's derived finish mask names (one byte
+// per step, nnz/8 bytes, never serialized) into a stack staging buffer,
+// and once per 64-step block the staged values go through finish() in
+// record order.
 //
-// The generic loop takes a second, observer policy: the trace observer
-// below turns it into the serial sweep behind traceRun and traceRunFused,
-// and analysis/CheckedSpmv.cpp runs it under a bounds guard for checked
-// mode. CvrSpmm.cpp applies the same scheme to its panel kernel. Chunk
+// The loop takes a second, observer policy: the trace observer below turns
+// it into the serial sweep behind traceRun and traceRunFused, and
+// analysis/CheckedSpmv.cpp runs it under a bounds guard for checked mode.
+// CvrSpmm.cpp applies the same scheme to its panel kernel. Chunk
 // over-decomposition runs more chunks than threads under a dynamic
 // schedule. All variants compute the same y; the autotuner in src/engine
 // picks among them per matrix.
@@ -62,7 +62,7 @@ namespace cvr {
 namespace {
 
 using detail::AccumulateWriteBack;
-using detail::runChunkGeneric;
+using detail::runChunkKinds;
 using detail::StoreWriteBack;
 
 /// The Fused policy (no accumulate mode: blocked matrices compose instead).
@@ -96,165 +96,24 @@ struct FusedWriteBack {
   }
 };
 
-/// One chunk of the vectorized 8-lane kernel (Algorithm 4). PfDist > 0
-/// issues software prefetches of the x gather targets (and the vals/cols
-/// streams) PfDist steps ahead, using the already-streamed column indices;
-/// the host has no AVX-512PF, so the prefetches are scalar.
-///
-/// NarrowIdx streams band-local uint16 deltas (widened + rebased onto the
-/// chunk's band base at load time) and NarrowVal streams fp32 values
-/// (widened to fp64 before the FMA) — the stream-compression axes. The
-/// loop structure — one index load per step pair, one value load and one
-/// gather per step — is identical across all four combinations; only the
-/// load width changes. \p Out is the write-back policy.
-///
-/// Each step first moves the lanes its finish mask names out of v_out into
-/// a staging buffer, then accumulates. After every block of 64 steps the
-/// staged values, in record order, leave through the block's records:
-/// steal records add to t_result, feed records go through \p Out.finish.
-/// The mask byte past the last step stages the trailing records.
-template <int PfDist, bool NarrowIdx, bool NarrowVal, class WriteBack>
-CVR_HOT void runChunkAvx(const CvrMatrix &M, const CvrChunk &C,
-                         const double *X, WriteBack Out) {
-  static_assert(PfDist % 2 == 0, "prefetch pairs with the double-pumped "
-                                 "column loads, so the distance stays even");
-  constexpr int W = 8;
-  constexpr std::int64_t BlockSteps = 64;
-  const auto CI = static_cast<std::size_t>(&C - M.chunks().data());
-  const std::int32_t ColBase = M.chunkColBase(CI);
-  const std::uint8_t *Masks = M.finishMasks(CI);
-  const double *Vals = NarrowVal ? nullptr : M.vals() + C.ElemBase;
-  const float *Vals32 = NarrowVal ? M.vals32() + C.ElemBase : nullptr;
-  const std::int32_t *Cols = NarrowIdx ? nullptr : M.colIdx() + C.ElemBase;
-  const std::uint16_t *ColsN =
-      NarrowIdx ? M.colIdx16() + C.ElemBase : nullptr;
-  const CvrRecord *Rec = M.recs() + C.RecBase;
-
-  alignas(64) double TResult[W] = {0};
-  alignas(64) double Stage[BlockSteps * W];
-  int Staged = 0;
-  simd::VecD8 VOut = simd::VecD8::zero();
-
-  // Stages and clears the lanes that finish before step I (the lane's dot
-  // product is complete just before the step's elements are consumed).
-  auto Retire = [&](std::int64_t I) {
-    const unsigned F = Masks[I];
-    Staged += VOut.compressStoreu(Stage + Staged, F);
-    VOut = VOut.clearLanes(F);
-  };
-  auto Step = [&](std::int64_t I, simd::VecI8 Idx) {
-    Retire(I);
-    simd::VecD8 Xs = simd::VecD8::gather(X, Idx);
-    simd::VecD8 Vs = NarrowVal ? simd::VecD8::loadF32Widen(Vals32 + I * W)
-                               : simd::VecD8::loadAligned(Vals + I * W);
-    VOut = VOut.fmadd(Vs, Xs);
-  };
-  auto Drain = [&] {
-    for (int K = 0; K < Staged; ++K, ++Rec) {
-      if (Rec->Steal)
-        TResult[Rec->Wb] += Stage[K];
-      else
-        Out.finish(Rec->Wb, Stage[K], Rec->Shared);
-    }
-    Staged = 0;
-  };
-
-  // NumSteps is even for 8 lanes (isValid), so steps run in pairs.
-  for (std::int64_t I0 = 0; I0 < C.NumSteps; I0 += BlockSteps) {
-    const std::int64_t I1 = std::min(C.NumSteps, I0 + BlockSteps);
-    for (std::int64_t I = I0; I < I1; I += 2) {
-      if constexpr (PfDist > 0) {
-        if (I + PfDist + 1 < C.NumSteps) {
-          // Pull the index line two prefetch windows out so the window at
-          // PfDist reads cached indices, then touch the 16 x targets for
-          // the step pair at PfDist and stream the matching value lines.
-          if constexpr (NarrowIdx) {
-            __builtin_prefetch(ColsN + (I + 2 * PfDist) * W, 0, 0);
-            const std::uint16_t *Pc = ColsN + (I + PfDist) * W;
-            for (int K = 0; K < 2 * W; ++K)
-              __builtin_prefetch(X + ColBase + Pc[K], 0, 1);
-          } else {
-            __builtin_prefetch(Cols + (I + 2 * PfDist) * W, 0, 0);
-            const std::int32_t *Pc = Cols + (I + PfDist) * W;
-            for (int K = 0; K < 2 * W; ++K)
-              __builtin_prefetch(X + Pc[K], 0, 1);
-          }
-          if constexpr (NarrowVal) {
-            __builtin_prefetch(Vals32 + (I + PfDist) * W, 0, 0);
-            __builtin_prefetch(Vals32 + (I + PfDist + 1) * W, 0, 0);
-          } else {
-            __builtin_prefetch(Vals + (I + PfDist) * W, 0, 0);
-            __builtin_prefetch(Vals + (I + PfDist + 1) * W, 0, 0);
-          }
-        }
-      }
-
-      // Column-index double pumping: one 16-wide load per step pair
-      // (int32 direct, or uint16 widened + rebased onto the band).
-      const simd::VecI16 Cols16 =
-          NarrowIdx ? simd::VecI16::loadU16Widen(ColsN + I * W, ColBase)
-                    : simd::VecI16::loadAligned(Cols + I * W);
-      Step(I, Cols16.lo());
-      Step(I + 1, Cols16.hi());
-    }
-    Drain();
-  }
-
-  // Trailing records (pieces that finish exactly at the stream end).
-  Retire(C.NumSteps);
-  Drain();
-
-  // Tail flush: t_result slots back to their rows (Algorithm 4 l.31-33).
-  const std::int32_t *Tails = M.tails() + C.TailBase;
-  for (int K = 0; K < W; ++K) {
-    std::int32_t Row = Tails[K];
-    if (Row < 0)
-      continue;
-    Out.finish(Row, TResult[K], Row == C.FirstRow || Row == C.LastRow);
-  }
-}
-
-/// Prefetch-distance dispatch for one kind-resolved instantiation.
-template <bool NarrowIdx, bool NarrowVal, class WriteBack>
-void runChunkAvxPf(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                   int PfDist, WriteBack Out) {
+/// Runs one chunk at the prefetch distance \p PfDist, which the callers
+/// snap to the supported set.
+template <class WriteBack>
+void runChunkPf(const CvrMatrix &M, const CvrChunk &C, const double *X,
+                int PfDist, WriteBack Out) {
   switch (PfDist) {
   case 2:
-    runChunkAvx<2, NarrowIdx, NarrowVal>(M, C, X, Out);
+    runChunkKinds<2>(M, C, X, Out);
     break;
   case 4:
-    runChunkAvx<4, NarrowIdx, NarrowVal>(M, C, X, Out);
+    runChunkKinds<4>(M, C, X, Out);
     break;
   case 8:
-    runChunkAvx<8, NarrowIdx, NarrowVal>(M, C, X, Out);
+    runChunkKinds<8>(M, C, X, Out);
     break;
   default:
-    runChunkAvx<0, NarrowIdx, NarrowVal>(M, C, X, Out);
+    runChunkKinds<0>(M, C, X, Out);
     break;
-  }
-}
-
-/// Dispatches one chunk to the right kernel instantiation. The prefetch
-/// distance is snapped to the supported set by the callers.
-template <class WriteBack>
-void runChunk(const CvrMatrix &M, const CvrChunk &C, const double *X,
-              int PfDist, bool UseAvx, WriteBack Out) {
-  if (!UseAvx) {
-    runChunkGeneric(M, C, X, PfDist, Out);
-    return;
-  }
-  const bool NI = M.colIndexKind() == ColIndexKind::U16Band;
-  const bool NV = M.valueKind() == ValueKind::F32x64;
-  if (NI) {
-    if (NV)
-      runChunkAvxPf<true, true>(M, C, X, PfDist, Out);
-    else
-      runChunkAvxPf<true, false>(M, C, X, PfDist, Out);
-  } else {
-    if (NV)
-      runChunkAvxPf<false, true>(M, C, X, PfDist, Out);
-    else
-      runChunkAvxPf<false, false>(M, C, X, PfDist, Out);
   }
 }
 
@@ -268,10 +127,9 @@ void runChunkRange(const CvrMatrix &M, int Begin, int End, const double *X,
   const std::vector<CvrChunk> &Chunks = M.chunks();
   int N = End - Begin;
   int Threads = std::min(M.runThreads(), N);
-  bool UseAvx = M.lanes() == simd::DoubleLanes && !M.forcesGenericKernel();
 
   auto Body = [&](int T) {
-    runChunk(M, Chunks[Begin + T], X, PfDist, UseAvx, MakeOut(Begin + T));
+    runChunkPf(M, Chunks[Begin + T], X, PfDist, MakeOut(Begin + T));
   };
   if (N > Threads)
     ompParallelForDynamic(N, Threads, Body);
@@ -279,18 +137,22 @@ void runChunkRange(const CvrMatrix &M, int Begin, int End, const double *X,
     ompParallelFor(N, Threads, Body);
 }
 
-/// The trace observer: runChunkGeneric under it replays a chunk serially
+/// The trace observer: the chunk loop under it replays a chunk serially
 /// and reports every memory reference to the sink, under the same
 /// write-back policy and in the same finalize order as the executing
-/// kernels. Stream element widths follow the kinds: the compressed streams
-/// read 2-byte index deltas and 4-byte fp32 values, which is exactly the
-/// traffic reduction the roofline model predicts.
-class TraceObserver {
+/// kernel. Records are reported as the drain reads them. Stream element
+/// widths follow the kinds: the compressed streams read 2-byte index
+/// deltas and 4-byte fp32 values, which is exactly the traffic reduction
+/// the roofline model predicts. Drains need no report of their own.
+///
+/// The hooks stay out of line: inlined, they would swell the traced
+/// instantiations enough to change how GCC inlines the executing kernels in
+/// this file, and tracing must leave the production code as it is.
+class TraceObserver : public detail::NoObserver {
 public:
   explicit TraceObserver(MemAccessSink &Sink) : Sink(&Sink) {}
 
-  bool chunk(const CvrMatrix &M, const CvrChunk &C) {
-    W = M.lanes();
+  [[gnu::noinline]] bool chunk(const CvrMatrix &M, const CvrChunk &C) {
     IdxB = M.indexBytes();
     ValB = M.valueBytes();
     ColsP = M.colIndexKind() == ColIndexKind::U16Band
@@ -299,68 +161,65 @@ public:
     ValsP = M.valueKind() == ValueKind::F32x64
                 ? reinterpret_cast<const char *>(M.vals32() + C.ElemBase)
                 : reinterpret_cast<const char *>(M.vals() + C.ElemBase);
-    // The 8-lane kernel reads one finish-mask byte per step, plus the
-    // trailing one after its last step.
     MaskP = M.finishMasks(static_cast<std::size_t>(&C - M.chunks().data()));
-    if (MaskP)
-      Sink->read(MaskP + C.NumSteps, 1);
     return true;
+  }
+
+  /// One finish-mask byte per step, plus the trailing one.
+  [[gnu::noinline]] void retire(std::int64_t I, unsigned) {
+    Sink->read(MaskP + I, 1);
+  }
+
+  [[gnu::noinline]] void loads(std::int64_t I) {
+    // Column indices are double-pumped: one load of 16 indices per two
+    // steps (the step count is padded even, so both steps exist).
+    if ((I & 1) == 0)
+      Sink->read(ColsP + I * W * IdxB, 16 * IdxB);
+    Sink->read(ValsP + I * W * ValB, W * ValB);
+  }
+
+  [[gnu::noinline]] unsigned gather(const double *X, simd::VecI8 Idx,
+                                    std::int64_t) {
+    std::int32_t Cols[W];
+    Idx.storeu(Cols);
+    for (std::int32_t Col : Cols)
+      Sink->read(X + Col, sizeof(double));
+    return simd::AllLanes;
   }
 
   /// A steal record's t_result slot lives in registers/stack: the record
   /// read is its only traffic.
-  bool record(const CvrRecord &R, std::int64_t) {
+  [[gnu::noinline]] bool record(const CvrRecord &R, int) {
     Sink->read(&R, sizeof(CvrRecord));
     return true;
   }
 
-  bool loads(std::int64_t I) {
-    // Column indices are double-pumped at width 8: one load of 16 indices
-    // per two steps (the step count is padded even, so both steps exist).
-    if (W == 8) {
-      if ((I & 1) == 0)
-        Sink->read(ColsP + I * W * IdxB, 16 * IdxB);
-    } else {
-      Sink->read(ColsP + I * W * IdxB, W * IdxB);
-    }
-    Sink->read(ValsP + I * W * ValB, W * ValB);
-    if (MaskP)
-      Sink->read(MaskP + I, 1);
-    return true;
-  }
-
-  bool gather(const double *X, std::int32_t Col, std::int64_t) {
-    Sink->read(X + Col, sizeof(double));
-    return true;
-  }
-
   template <class WriteBack>
-  bool finish(const WriteBack &Out, std::int32_t Row, bool Shared) {
+  [[gnu::noinline]] void finish(const WriteBack &Out, std::int32_t Row,
+                                bool Shared) {
     Out.traceFinish(*Sink, Row, Shared);
-    return true;
   }
 
-  bool tail(const std::int32_t *Slot, int) {
+  [[gnu::noinline]] bool tail(const std::int32_t *Slot, int) {
     Sink->read(Slot, sizeof(std::int32_t));
     return true;
   }
 
 private:
+  static constexpr std::int64_t W = CvrMatrix::lanes();
   MemAccessSink *Sink;
-  std::int64_t W = 0;
   std::size_t IdxB = 0, ValB = 0;
   const char *ColsP = nullptr, *ValsP = nullptr;
   const std::uint8_t *MaskP = nullptr;
 };
 
 /// The traced counterpart of runChunkRange: every chunk in index order, on
-/// one thread.
+/// one thread, without prefetches.
 template <class MakeWriteBack>
 void traceChunks(const CvrMatrix &M, MemAccessSink &Sink, const double *X,
                  MakeWriteBack MakeOut) {
   for (int T = 0; T < M.numChunks(); ++T)
-    runChunkGeneric(M, M.chunks()[T], X, /*PfDist=*/0, MakeOut(T),
-                    TraceObserver(Sink));
+    runChunkKinds<0>(M, M.chunks()[T], X, MakeOut(T), TraceObserver(Sink));
 }
 
 } // namespace

@@ -13,11 +13,10 @@
 /// indices are double-pumped: one 512-bit int32 load feeds two gather steps
 /// (the `i % 16` trick of Algorithm 4 l.22-26).
 ///
-/// Two kernels are provided behind one entry point: the AVX-512 kernel for
-/// 8-lane matrices, and a generic any-width kernel used by the lane-count
-/// ablation and on hosts without AVX-512. Both are written once and
+/// One chunk loop (core/CvrChunkLoop.h) serves every matrix, on AVX-512
+/// or on the emulated vector of simd/Simd.h. It is written once and
 /// instantiated per write-back policy (store, accumulate for blocked
-/// bands, fused epilogue), so cvrSpmv and cvrSpmvFused run the same loops.
+/// bands, fused epilogue), so cvrSpmv and cvrSpmvFused run the same loop.
 ///
 //===----------------------------------------------------------------------===//
 

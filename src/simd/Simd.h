@@ -6,17 +6,18 @@
 ///
 /// \file
 /// A thin SIMD abstraction with exactly the operations the paper's kernels
-/// need: aligned load/store, 8-way index gather, fused multiply-add, lane
-/// spill, masked lane compress and clear, and horizontal reduction. When
-/// the translation unit is compiled with AVX-512F the operations map 1:1
-/// onto 512-bit intrinsics (VecD8 is a __m512d); otherwise a scalar loop
-/// implementation with identical semantics is used, so every kernel in
-/// this project runs on any x86-64 (or indeed any) host.
+/// need: aligned load/store, 8-way index gather (plain and masked), fused
+/// multiply-add, lane spill, masked lane compress and clear, and horizontal
+/// reduction. When the translation unit is compiled with AVX-512F the
+/// operations map 1:1 onto 512-bit intrinsics (VecD8 is a __m512d);
+/// otherwise an emulated tier of scalar loops with identical semantics is
+/// used, so every kernel in this project runs on any x86-64 (or indeed any)
+/// host.
 ///
 /// The lane count is fixed at 8 because the paper evaluates double-precision
-/// SpMV, where omega = 512 / 64 = 8 on KNL. The generic-width scalar kernel
-/// used in the lane-count ablation lives in core/CvrChunkLoop.h and does
-/// not go through this header.
+/// SpMV, where omega = 512 / 64 = 8 on KNL. The CVR chunk loop in
+/// core/CvrChunkLoop.h is written against these types only, so executing,
+/// tracing and checked runs all go through one of the two tiers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +41,9 @@ namespace simd {
 /// omega for f64).
 inline constexpr int DoubleLanes = 8;
 
+/// The lane mask that selects all DoubleLanes lanes.
+inline constexpr unsigned AllLanes = 0xFFU;
+
 /// Asserts 64-byte alignment provenance on a pointer. The two consumers:
 /// the compiler (via __builtin_assume_aligned, which licenses aligned
 /// vector loads), and the `lint.simd.aligned` check in tools/lint/, which
@@ -60,6 +64,11 @@ template <typename T> inline T *assumeAligned(T *P) {
 /// Eight int32 column indices (one gather's worth).
 struct VecI8 {
   __m256i Reg;
+
+  /// Stores the 8 indices to unaligned memory.
+  void storeu(std::int32_t *P) const {
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(P), Reg);
+  }
 };
 
 /// Sixteen int32 column indices: one 512-bit load that feeds two gather
@@ -124,6 +133,15 @@ struct VecD8 {
   /// Gathers Base[Idx[k]] for each of the 8 lanes.
   static VecD8 gather(const double *Base, VecI8 Idx) {
     return {_mm512_i32gather_pd(Idx.Reg, Base, 8)};
+  }
+
+  /// Masked gather: lane k gathers Base[Idx[k]] when bit k of \p Mask is
+  /// set and is zero otherwise. Masked-off lanes are never dereferenced,
+  /// so checked mode can drop an out-of-range index without faulting.
+  static VecD8 maskGather(const double *Base, VecI8 Idx, unsigned Mask) {
+    return {_mm512_mask_i32gather_pd(_mm512_setzero_pd(),
+                                     static_cast<__mmask8>(Mask), Idx.Reg,
+                                     Base, 8)};
   }
 
   /// Stores 8 doubles to 64-byte aligned memory.
@@ -205,6 +223,8 @@ struct VecD4 {
 
 struct VecI8 {
   std::int32_t Lane[8];
+
+  void storeu(std::int32_t *P) const { std::memcpy(P, Lane, sizeof(Lane)); }
 };
 
 struct VecI16 {
@@ -278,6 +298,14 @@ struct VecD8 {
     VecD8 V;
     for (int K = 0; K < 8; ++K)
       V.Lane[K] = Base[Idx.Lane[K]];
+    return V;
+  }
+
+  static VecD8 maskGather(const double *Base, VecI8 Idx, unsigned Mask) {
+    VecD8 V{};
+    for (int K = 0; K < 8; ++K)
+      if (Mask & (1U << K))
+        V.Lane[K] = Base[Idx.Lane[K]];
     return V;
   }
 

@@ -269,143 +269,135 @@ TEST(CvrTraceTraffic, RegionCountsMatchChunkTable) {
   // Pins what traceRun and traceRunFused report, region by region, against
   // counts derived from the chunk table: the roofline and cache-model
   // numbers are built on this stream. Per step the kernel loads one value
-  // vector and gathers W x elements; at W = 8 one index load serves two
-  // steps. Every record and every tail slot is read once, and each
-  // finished row costs the write-back policy's y (and operand) traffic.
-  // At W = 8 each step, plus the trailing step, reads one finish-mask byte.
+  // vector, gathers W x elements and reads one finish-mask byte; one index
+  // load serves two steps, and the trailing step reads one more mask byte.
+  // Every record and every tail slot is read once, and each finished row
+  // costs the write-back policy's y (and operand) traffic.
   CsrMatrix A = test::randomCsr(60, 60, 0.09, 23);
   const std::size_t N = static_cast<std::size_t>(A.numRows());
   std::vector<double> X = randomVector(N, 4);
   std::vector<double> Z = randomVector(N, 6);
   constexpr std::size_t D = sizeof(double);
 
-  for (int Lanes : {8, 4})
-    for (bool Blocked : {false, true})
-      for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64})
-        for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
-          CvrOptions Opts;
-          Opts.NumThreads = 3;
-          Opts.Lanes = Lanes;
-          Opts.Values = VK;
-          Opts.Indices = IK;
-          Opts.ColBlockBytes = Blocked ? 160 : 0; // 20-column bands.
-          CvrKernel K(Opts);
-          K.prepare(A);
-          const CvrMatrix &M = K.matrix();
-          ASSERT_EQ(M.isBlocked(), Blocked);
-          const std::string Where =
-              "lanes " + std::to_string(Lanes) +
-              (Blocked ? " blocked" : " unblocked") + " vk " +
-              std::to_string(static_cast<int>(VK)) + " ik " +
-              std::to_string(static_cast<int>(IK));
+  for (bool Blocked : {false, true})
+    for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64})
+      for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
+        CvrOptions Opts;
+        Opts.NumThreads = 3;
+        Opts.Values = VK;
+        Opts.Indices = IK;
+        Opts.ColBlockBytes = Blocked ? 160 : 0; // 20-column bands.
+        CvrKernel K(Opts);
+        K.prepare(A);
+        const CvrMatrix &M = K.matrix();
+        ASSERT_EQ(M.isBlocked(), Blocked);
+        const std::string Where =
+            std::string(Blocked ? "blocked" : "unblocked") + " vk " +
+            std::to_string(static_cast<int>(VK)) + " ik " +
+            std::to_string(static_cast<int>(IK));
 
-          // Stream traffic, shared by both traced runs.
-          const std::size_t W = static_cast<std::size_t>(M.lanes());
-          std::size_t Elems = 0, Recs = 0, MaskBytes = 0;
-          RegionTraffic Stream[NumCvrRegions];
-          std::vector<std::pair<std::int32_t, bool>> Finished; // Row, Shared.
-          for (const CvrChunk &C : M.chunks()) {
-            const std::size_t Steps = static_cast<std::size_t>(C.NumSteps);
-            Elems = std::max(Elems, static_cast<std::size_t>(C.ElemBase) +
-                                        Steps * W);
-            Recs = std::max(Recs, static_cast<std::size_t>(C.RecEnd));
-            Stream[Values].read(W * M.valueBytes(), Steps);
-            if (W == 8)
-              Stream[Indices].read(16 * M.indexBytes(), (Steps + 1) / 2);
-            else
-              Stream[Indices].read(W * M.indexBytes(), Steps);
-            Stream[XVec].read(D, Steps * W);
-            Stream[Records].read(
-                sizeof(CvrRecord),
-                static_cast<std::size_t>(C.RecEnd - C.RecBase));
-            if (W == 8) {
-              Stream[Masks].read(1, Steps + 1);
-              MaskBytes += Steps + 1;
-            }
-            Stream[Tails].read(sizeof(std::int32_t), W);
-            for (std::int64_t R = C.RecBase; R < C.RecEnd; ++R)
-              if (!M.recs()[R].Steal)
-                Finished.push_back({M.recs()[R].Wb, M.recs()[R].Shared != 0});
-            for (std::size_t L = 0; L < W; ++L) {
-              std::int32_t Row = M.tails()[C.TailBase + L];
-              if (Row >= 0)
-                Finished.push_back(
-                    {Row, Row == C.FirstRow || Row == C.LastRow});
-            }
+        // Stream traffic, shared by both traced runs.
+        const std::size_t W = static_cast<std::size_t>(M.lanes());
+        std::size_t Elems = 0, Recs = 0, MaskBytes = 0;
+        RegionTraffic Stream[NumCvrRegions];
+        std::vector<std::pair<std::int32_t, bool>> Finished; // Row, Shared.
+        for (const CvrChunk &C : M.chunks()) {
+          const std::size_t Steps = static_cast<std::size_t>(C.NumSteps);
+          Elems = std::max(Elems, static_cast<std::size_t>(C.ElemBase) +
+                                      Steps * W);
+          Recs = std::max(Recs, static_cast<std::size_t>(C.RecEnd));
+          Stream[Values].read(W * M.valueBytes(), Steps);
+          Stream[Indices].read(16 * M.indexBytes(), (Steps + 1) / 2);
+          Stream[XVec].read(D, Steps * W);
+          Stream[Records].read(
+              sizeof(CvrRecord),
+              static_cast<std::size_t>(C.RecEnd - C.RecBase));
+          Stream[Masks].read(1, Steps + 1);
+          MaskBytes += Steps + 1;
+          Stream[Tails].read(sizeof(std::int32_t), W);
+          for (std::int64_t R = C.RecBase; R < C.RecEnd; ++R)
+            if (!M.recs()[R].Steal)
+              Finished.push_back({M.recs()[R].Wb, M.recs()[R].Shared != 0});
+          for (std::size_t L = 0; L < W; ++L) {
+            std::int32_t Row = M.tails()[C.TailBase + L];
+            if (Row >= 0)
+              Finished.push_back(
+                  {Row, Row == C.FirstRow || Row == C.LastRow});
           }
+        }
 
-          auto Regions = [&](std::vector<double> &Y) {
-            RegionSink S;
-            S.add(Values, VK == ValueKind::F32x64
-                              ? static_cast<const void *>(M.vals32())
-                              : static_cast<const void *>(M.vals()),
-                  Elems * M.valueBytes());
-            S.add(Indices, IK == ColIndexKind::U16Band
-                               ? static_cast<const void *>(M.colIdx16())
-                               : static_cast<const void *>(M.colIdx()),
-                  Elems * M.indexBytes());
-            S.add(Records, M.recs(), Recs * sizeof(CvrRecord));
-            S.add(Masks, M.finishMasks(0), MaskBytes);
-            S.add(Tails, M.tails(),
-                  M.chunks().size() * W * sizeof(std::int32_t));
-            S.add(XVec, X.data(), N * D);
-            S.add(YVec, Y.data(), N * D);
-            S.add(ZVec, Z.data(), N * D);
-            return S;
-          };
-          auto ExpectTraffic = [&](const RegionSink &S,
-                                   const RegionTraffic *Want,
-                                   const char *Run) {
-            for (int R = 0; R < NumCvrRegions; ++R)
-              EXPECT_EQ(S.Traffic[R], Want[R])
-                  << Where << " " << Run << " region " << CvrRegionNames[R];
-          };
-          const std::size_t Prologue = Blocked ? N : M.zeroRows().size();
+        auto Regions = [&](std::vector<double> &Y) {
+          RegionSink S;
+          S.add(Values, VK == ValueKind::F32x64
+                            ? static_cast<const void *>(M.vals32())
+                            : static_cast<const void *>(M.vals()),
+                Elems * M.valueBytes());
+          S.add(Indices, IK == ColIndexKind::U16Band
+                             ? static_cast<const void *>(M.colIdx16())
+                             : static_cast<const void *>(M.colIdx()),
+                Elems * M.indexBytes());
+          S.add(Records, M.recs(), Recs * sizeof(CvrRecord));
+          S.add(Masks, M.finishMasks(0), MaskBytes);
+          S.add(Tails, M.tails(),
+                M.chunks().size() * W * sizeof(std::int32_t));
+          S.add(XVec, X.data(), N * D);
+          S.add(YVec, Y.data(), N * D);
+          S.add(ZVec, Z.data(), N * D);
+          return S;
+        };
+        auto ExpectTraffic = [&](const RegionSink &S,
+                                 const RegionTraffic *Want,
+                                 const char *Run) {
+          for (int R = 0; R < NumCvrRegions; ++R)
+            EXPECT_EQ(S.Traffic[R], Want[R])
+                << Where << " " << Run << " region " << CvrRegionNames[R];
+        };
+        const std::size_t Prologue = Blocked ? N : M.zeroRows().size();
 
-          // traceRun: the prologue clears y, then each finish stores (or,
-          // for a boundary row or a blocked band, adds into) its row.
-          RegionTraffic Want[NumCvrRegions];
-          std::copy(std::begin(Stream), std::end(Stream), Want);
-          Want[YVec].write(D, Prologue);
-          for (const auto &F : Finished) {
-            if (F.second || Blocked)
-              Want[YVec].read(D);
+        // traceRun: the prologue clears y, then each finish stores (or,
+        // for a boundary row or a blocked band, adds into) its row.
+        RegionTraffic Want[NumCvrRegions];
+        std::copy(std::begin(Stream), std::end(Stream), Want);
+        Want[YVec].write(D, Prologue);
+        for (const auto &F : Finished) {
+          if (F.second || Blocked)
+            Want[YVec].read(D);
+          Want[YVec].write(D);
+        }
+        std::vector<double> Y(N, 0.0);
+        RegionSink Plain = Regions(Y);
+        ASSERT_TRUE(K.traceRun(Plain, X.data(), Y.data()));
+        ExpectTraffic(Plain, Want, "traceRun");
+
+        // traceRunFused with y <- 2y + 3z: an exclusive row reads its z
+        // operand and stores once; a boundary row adds its raw partial and
+        // takes the epilogue in the cleanup pass. Blocked matrices compose
+        // traceRun with one epilogue sweep over every row.
+        std::copy(std::begin(Stream), std::end(Stream), Want);
+        Want[YVec].write(D, Prologue);
+        if (Blocked) {
+          for (std::size_t I = 0; I < Finished.size(); ++I) {
+            Want[YVec].read(D);
             Want[YVec].write(D);
           }
-          std::vector<double> Y(N, 0.0);
-          RegionSink Plain = Regions(Y);
-          ASSERT_TRUE(K.traceRun(Plain, X.data(), Y.data()));
-          ExpectTraffic(Plain, Want, "traceRun");
-
-          // traceRunFused with y <- 2y + 3z: an exclusive row reads its z
-          // operand and stores once; a boundary row adds its raw partial and
-          // takes the epilogue in the cleanup pass. Blocked matrices compose
-          // traceRun with one epilogue sweep over every row.
-          std::copy(std::begin(Stream), std::end(Stream), Want);
-          Want[YVec].write(D, Prologue);
-          if (Blocked) {
-            for (std::size_t I = 0; I < Finished.size(); ++I) {
+        } else {
+          for (const auto &F : Finished) {
+            if (F.second)
               Want[YVec].read(D);
-              Want[YVec].write(D);
-            }
-          } else {
-            for (const auto &F : Finished) {
-              if (F.second)
-                Want[YVec].read(D);
-              else
-                Want[ZVec].read(D);
-              Want[YVec].write(D);
-            }
+            else
+              Want[ZVec].read(D);
+            Want[YVec].write(D);
           }
-          Want[YVec].read(D, Prologue);
-          Want[ZVec].read(D, Prologue);
-          Want[YVec].write(D, Prologue);
-          std::fill(Y.begin(), Y.end(), 0.0);
-          RegionSink Fused = Regions(Y);
-          FusedEpilogue E = FusedEpilogue::axpby(2.0, 3.0, Z.data());
-          ASSERT_TRUE(K.traceRunFused(Fused, X.data(), Y.data(), E));
-          ExpectTraffic(Fused, Want, "traceRunFused");
         }
+        Want[YVec].read(D, Prologue);
+        Want[ZVec].read(D, Prologue);
+        Want[YVec].write(D, Prologue);
+        std::fill(Y.begin(), Y.end(), 0.0);
+        RegionSink Fused = Regions(Y);
+        FusedEpilogue E = FusedEpilogue::axpby(2.0, 3.0, Z.data());
+        ASSERT_TRUE(K.traceRunFused(Fused, X.data(), Y.data(), E));
+        ExpectTraffic(Fused, Want, "traceRunFused");
+      }
 }
 
 TEST(LocalityProbe, CvrCompetitiveAndBeatsEsbOnScaleFree) {

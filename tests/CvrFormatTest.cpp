@@ -207,15 +207,6 @@ TEST(CvrFormat, SortedFeedingReducesPadding) {
   EXPECT_LE(MS.chunks()[0].NumSteps, MP.chunks()[0].NumSteps + 2);
 }
 
-TEST(CvrFormat, GenericLaneWidths) {
-  CsrMatrix A = genRmat(9, 6, 11);
-  for (int Lanes : {1, 2, 4, 16}) {
-    CvrOptions Opts;
-    Opts.Lanes = Lanes;
-    expectCvrMatchesReference(A, Opts, "generic lanes");
-  }
-}
-
 struct CvrMatrixCase {
   const char *Name;
   std::function<CsrMatrix()> Build;

@@ -124,15 +124,12 @@ TEST(CvrSpmm, BlockedMatrixAccumulatesBands) {
   expectSpmmMatchesSpmv(genPowerLaw(500, 500, 6.0, 1.2, 89), 6, 2, 0, Opts);
 }
 
-TEST(CvrSpmm, GenericLaneFallback) {
+TEST(CvrSpmm, CompressedStreamsCompose) {
+  // The panel kernel reads F64/U32 streams only; compressed matrices
+  // compose SpMM from one cvrSpmv per column.
   CvrOptions Opts;
-  Opts.Lanes = 4; // Non-AVX width routes through the generic lane kernel.
-  expectSpmmMatchesSpmv(genRmat(8, 6, 85), 3, 1, 0, Opts);
-}
-
-TEST(CvrSpmm, ForcedGenericKernel) {
-  CvrOptions Opts;
-  Opts.ForceGenericKernel = true;
+  Opts.Values = ValueKind::F32x64;
+  Opts.Indices = ColIndexKind::U16Band;
   expectSpmmMatchesSpmv(genRmat(8, 6, 85), 5, 2, 0, Opts);
 }
 
@@ -201,14 +198,12 @@ struct FusedPanels {
 };
 
 TEST(CvrSpmmFused, DotPerColumn) {
-  // The 8-lane panel kernel, and the composed per-column SpMV path at a
-  // non-AVX width and when forced generic.
-  CvrOptions Narrow, Forced;
-  Narrow.Lanes = 4;
-  Forced.ForceGenericKernel = true;
-  for (const CvrOptions &Opts : {CvrOptions{}, Narrow, Forced}) {
-    SCOPED_TRACE("lanes " + std::to_string(Opts.Lanes) + " forced " +
-                 std::to_string(Opts.ForceGenericKernel));
+  // The panel kernel, and the composed per-column SpMV path that
+  // compressed streams take.
+  CvrOptions Narrow;
+  Narrow.Indices = ColIndexKind::U16Band;
+  for (const CvrOptions &Opts : {CvrOptions{}, Narrow}) {
+    SCOPED_TRACE("ik " + std::to_string(static_cast<int>(Opts.Indices)));
     FusedPanels P(genPowerLaw(350, 350, 5.0, 1.2, 91), 6, 2, Opts);
     std::vector<double> Z = randomPanel(P.Rows, P.K, P.K, 500);
     std::vector<double> Acc1(P.K, -1.0), Acc2(P.K, -1.0);
@@ -328,18 +323,16 @@ TEST(CvrSpmmFused, DampScalePerColumn) {
 }
 
 TEST(CvrSpmmFused, BlockedMatrixComposesEpilogue) {
-  // Blocked conversions accumulate across bands, and other lane counts and
-  // forced-generic matrices take the composed per-column SpMV path; either
-  // way the fused driver composes plain SpMM with a scalar epilogue sweep,
-  // and results must match the native fused path's semantics exactly.
-  CvrOptions Blocked, Narrow, Forced;
+  // Blocked conversions accumulate across bands, and compressed streams
+  // take the composed per-column SpMV path; either way the fused driver
+  // composes plain SpMM with a scalar epilogue sweep, and results must
+  // match the native fused path's semantics exactly.
+  CvrOptions Blocked, Narrow;
   Blocked.ColBlockBytes = 512;
-  Narrow.Lanes = 4;
-  Forced.ForceGenericKernel = true;
-  for (const CvrOptions &Opts : {Blocked, Narrow, Forced}) {
-    SCOPED_TRACE("block " + std::to_string(Opts.ColBlockBytes) + " lanes " +
-                 std::to_string(Opts.Lanes) + " forced " +
-                 std::to_string(Opts.ForceGenericKernel));
+  Narrow.Indices = ColIndexKind::U16Band;
+  for (const CvrOptions &Opts : {Blocked, Narrow}) {
+    SCOPED_TRACE("block " + std::to_string(Opts.ColBlockBytes) + " ik " +
+                 std::to_string(static_cast<int>(Opts.Indices)));
     FusedPanels P(genPowerLaw(300, 300, 6.0, 1.2, 96), 5, 2, Opts);
     std::vector<double> Acc1(P.K, -1.0);
     std::vector<double> Y(P.Rows * P.LdY);

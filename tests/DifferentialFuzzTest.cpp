@@ -491,7 +491,6 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
     for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64}) {
       for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
         CvrOptions Opts;
-        Opts.Lanes = 8;
         Opts.NumThreads = Threads;
         Opts.ColBlockBytes = BlockBytes;
         Opts.Values = VK;
@@ -632,7 +631,6 @@ TEST_P(CompressedStreamFuzz, WideBandFallsBackToU32Checked) {
   std::vector<double> Expected = referenceSpmv(A, X);
 
   CvrOptions Opts;
-  Opts.Lanes = 8;
   Opts.NumThreads = 2;
   Opts.Indices = ColIndexKind::U16Band;
   StatusOr<CvrMatrix> Wide = CvrMatrix::tryFromCsr(A, Opts);
@@ -658,8 +656,8 @@ TEST_P(CompressedStreamFuzz, WideBandFallsBackToU32Checked) {
 TEST_P(CompressedStreamFuzz, MaskedWriteBackEdgeShapesEveryKind) {
   // The write-back edge shapes of TestUtil.h under every stream kind
   // combination: the narrow loads change what feeds the FMA, never which
-  // lanes finish, so the masked write-back must still match the generic
-  // loop.
+  // lanes finish, so the masked write-back must still match the
+  // references.
   std::uint64_t Seed = 555000 + GetParam();
   const int Shape = GetParam() % 4;
   const int Threads = 1 + GetParam() / 4 + (Shape == 3 ? 1 : 0);
@@ -670,7 +668,7 @@ TEST_P(CompressedStreamFuzz, MaskedWriteBackEdgeShapesEveryKind) {
       Opts.NumThreads = Threads;
       Opts.Values = VK;
       Opts.Indices = IK;
-      test::expectWriteBackMatchesGeneric(
+      test::expectWriteBackMatchesReference(
           A, Opts, kindTolerance(VK),
           "shape " + std::to_string(Shape) + " seed " +
               std::to_string(Seed) + " vk " +

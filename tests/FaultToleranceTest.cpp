@@ -207,7 +207,7 @@ TEST_F(FaultToleranceTest, TryFromCsrReportsInjectedFailure) {
 TEST_F(FaultToleranceTest, TryFromCsrRejectsBadOptions) {
   CsrMatrix A = test::randomCsr(8, 8, 0.3, 3);
   CvrOptions Opts;
-  Opts.Lanes = 0;
+  Opts.Values = static_cast<ValueKind>(7); // No such stream kind.
   StatusOr<CvrMatrix> R = CvrMatrix::tryFromCsr(A, Opts);
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.status().code(), StatusCode::InvalidArgument);

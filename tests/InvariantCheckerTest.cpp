@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <type_traits>
 #include <utility>
@@ -453,6 +454,41 @@ std::vector<CheckedRuleCase> checkedRuleCases() {
          Introspect::tails(M)[0] = M.numRows() + 7;
          return true;
        }},
+      {"checked.cvr.tail",
+       [](CvrMatrix &M) {
+         // Below the -1 unused marker: unless reported, the slot's
+         // t_result is dropped silently.
+         Introspect::tails(M)[1] = -5;
+         return true;
+       }},
+      {"checked.cvr.finish-mask",
+       [](CvrMatrix &M) {
+         // Flip one bit of chunk 0's trailing mask byte. Clearing its highest
+         // lane leaves that lane's record undrained; setting a bit in an
+         // empty byte stages a value with no record, so the drain would run
+         // past the chunk's records. The earlier drains stay in step.
+         std::uint8_t &Trail = Introspect::finishMasks(
+             M)[static_cast<std::size_t>(M.chunks().front().NumSteps)];
+         Trail ^= Trail ? 1U << (std::bit_width(unsigned{Trail}) - 1) : 1U;
+         return true;
+       }},
+      {"checked.cvr.finish-mask",
+       [](CvrMatrix &M) {
+         // Move chunk 0's first mid-stream finish bit to a free lane of the
+         // same step: the counts still agree, but a record now drains the
+         // value staged from another position.
+         AlignedBuffer<std::uint8_t> &Masks = Introspect::finishMasks(M);
+         for (std::int64_t I = 0; I < M.chunks().front().NumSteps; ++I) {
+           const unsigned B = Masks[static_cast<std::size_t>(I)];
+           if (B != 0 && B != 0xFFU) {
+             Masks[static_cast<std::size_t>(I)] ^=
+                 (1U << std::countr_zero(B)) |
+                 (1U << std::countr_zero(~B & 0xFFU));
+             return true;
+           }
+         }
+         return false;
+       }},
       {"checked.cvr.chunk",
        [](CvrMatrix &M) {
          // Index stream one step shorter than the value stream: the last
@@ -477,20 +513,17 @@ std::vector<CheckedRuleCase> checkedRuleCases() {
   };
 }
 
-/// Runs \p Body on a CvrOptions copy of \p Base for both lane widths and
-/// every stream-kind combination, labelled for failure messages.
-template <class Fn> void forEachLaneAndKind(const CvrOptions &Base, Fn Body) {
-  for (int Lanes : {8, 4})
-    for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64})
-      for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
-        CvrOptions Opts = Base;
-        Opts.Lanes = Lanes;
-        Opts.Values = VK;
-        Opts.Indices = IK;
-        Body(Opts, "lanes " + std::to_string(Lanes) + " vk " +
-                       std::to_string(static_cast<int>(VK)) + " ik " +
-                       std::to_string(static_cast<int>(IK)));
-      }
+/// Runs \p Body on a CvrOptions copy of \p Base for every stream-kind
+/// combination, labelled for failure messages.
+template <class Fn> void forEachKind(const CvrOptions &Base, Fn Body) {
+  for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64})
+    for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
+      CvrOptions Opts = Base;
+      Opts.Values = VK;
+      Opts.Indices = IK;
+      Body(Opts, "vk " + std::to_string(static_cast<int>(VK)) + " ik " +
+                     std::to_string(static_cast<int>(IK)));
+    }
 }
 
 /// Checked output \p Y must match cvrSpmv on the same matrix, and the
@@ -511,9 +544,8 @@ void expectMatchesKernelAndReference(const CvrMatrix &M,
 }
 
 TEST(CheckedSpmv, BothShadowsMatchReferenceWhenClean) {
-  // Checked mode runs one scalar loop for every lane width and stream
-  // kind; clean matrices must pass with no violations and match the
-  // scalar reference.
+  // Checked mode runs the kernel's chunk loop for every stream kind; clean
+  // matrices must pass with no violations and match the scalar reference.
   CsrMatrix A = testMatrix(29);
   std::vector<double> X = test::randomVector(A.numCols(), 5);
   std::vector<double> Ref(A.numRows(), 0.0);
@@ -521,7 +553,7 @@ TEST(CheckedSpmv, BothShadowsMatchReferenceWhenClean) {
 
   CvrOptions Base;
   Base.NumThreads = 3;
-  forEachLaneAndKind(Base, [&](const CvrOptions &Opts,
+  forEachKind(Base, [&](const CvrOptions &Opts,
                                const std::string &Where) {
     CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
     std::vector<double> Y(A.numRows(), -1.0);
@@ -545,7 +577,7 @@ TEST(CheckedSpmv, BlockedShadowsMatchReference) {
   Base.NumThreads = 2;
   Base.ChunkMultiplier = 4;
   Base.ColBlockBytes = 512;
-  forEachLaneAndKind(Base, [&](const CvrOptions &Opts,
+  forEachKind(Base, [&](const CvrOptions &Opts,
                                const std::string &Where) {
     CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
     ASSERT_TRUE(M.isBlocked()) << Where;
@@ -559,13 +591,13 @@ TEST(CheckedSpmv, BlockedShadowsMatchReference) {
 
 TEST(CheckedSpmv, EveryRuleFires) {
   // Each mutation must be reported under its own rule and no other, for
-  // both lane widths and every stream-kind combination. The rule IDs are
-  // the interface `cvr_tool validate` and the fuzzers report through.
+  // every stream-kind combination. The rule IDs are the interface
+  // `cvr_tool validate` and the fuzzers report through.
   CsrMatrix A = testMatrix();
   std::vector<double> X = test::randomVector(A.numCols(), 3);
   CvrOptions Base;
   Base.NumThreads = 3;
-  forEachLaneAndKind(Base, [&](const CvrOptions &Opts,
+  forEachKind(Base, [&](const CvrOptions &Opts,
                                const std::string &Where) {
     const CvrMatrix Clean = CvrMatrix::fromCsr(A, Opts);
     ASSERT_EQ(Clean.colIndexKind(), Opts.Indices) << Where;

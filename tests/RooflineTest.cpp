@@ -29,7 +29,6 @@ CsrMatrix testMatrix() { return genRmat(12, 12, 31); }
 CvrMatrix build(const CsrMatrix &A, ValueKind V, ColIndexKind I,
                 std::int64_t BlockBytes = 0) {
   CvrOptions Opts;
-  Opts.Lanes = 8;
   Opts.NumThreads = 2;
   Opts.Values = V;
   Opts.Indices = I;
@@ -132,7 +131,6 @@ TEST(Roofline, PredictionTracksSimulatedMeasurement) {
   for (ValueKind V : VKs) {
     for (ColIndexKind I : IKs) {
       CvrOptions Opts;
-      Opts.Lanes = 8;
       Opts.NumThreads = 2;
       Opts.Values = V;
       Opts.Indices = I;

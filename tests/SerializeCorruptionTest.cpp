@@ -49,7 +49,6 @@ constexpr std::size_t SectionElemSize[7] = {
 CvrMatrix makeCvr() {
   CsrMatrix A = test::randomCsr(24, 24, 0.2, 7);
   CvrOptions Opts;
-  Opts.Lanes = 8;
   Opts.NumThreads = 4;
   return CvrMatrix::fromCsr(A, Opts);
 }
@@ -226,6 +225,48 @@ TEST(SerializeCorruption, HostileNnzCannotInflateRecordBound) {
       << MR.status().message();
 }
 
+/// Rewrites header field bytes [Off, Off + N) and re-seals the header CRC,
+/// so the decoder's field checks, not the checksum, see the change.
+void patchHeader(std::string &Blob, std::size_t Off, const void *Bytes,
+                 std::size_t N) {
+  std::memcpy(&Blob[HeaderOff + Off], Bytes, N);
+  std::uint32_t Crc = crc32c(Blob.data() + HeaderOff, 27);
+  std::memcpy(&Blob[FirstSectionOff - 4], &Crc, sizeof(Crc));
+}
+
+TEST(SerializeCorruption, LaneCountOtherThanEightIsOutOfRange) {
+  // The lanes field (header offset 16) must equal CvrMatrix::lanes(): a
+  // CRC-valid blob that declares 4 lanes is rejected, on both layouts.
+  const std::int32_t Four = 4;
+  std::string Blob = blobOf(makeCvr());
+  patchHeader(Blob, 16, &Four, sizeof(Four));
+  StatusOr<CvrMatrix> R = readFrom(Blob);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.status().code(), StatusCode::OutOfRange);
+  EXPECT_NE(R.status().message().find("[cvr.blob.bounds] lane count 4"),
+            std::string::npos)
+      << R.status().message();
+
+  std::string Mapped = mappedBlobOf(makeCvr());
+  patchHeader(Mapped, 16, &Four, sizeof(Four));
+  AlignedBuffer<char> Img = alignedImage(Mapped);
+  StatusOr<CvrMatrix> MR = CvrMatrix::mapBlob(Img.data(), Mapped.size());
+  ASSERT_FALSE(MR.ok());
+  EXPECT_EQ(MR.status().code(), StatusCode::OutOfRange);
+}
+
+TEST(SerializeCorruption, ReservedHeaderByteIsIgnored) {
+  // The byte after the lanes field is reserved: any value loads the same
+  // matrix, which writes the byte back as 0.
+  const CvrMatrix M = makeCvr();
+  std::string Blob = blobOf(M);
+  const std::uint8_t One = 1;
+  patchHeader(Blob, 20, &One, sizeof(One));
+  StatusOr<CvrMatrix> R = readFrom(Blob);
+  ASSERT_TRUE(R.ok()) << R.status().toString();
+  EXPECT_EQ(blobOf(*R), blobOf(M));
+}
+
 TEST(SerializeCorruption, InflatedValsCountFailsExactBound) {
   std::string Blob = blobOf(makeCvr());
   std::size_t Off = sectionCountOffset(Blob, 5); // value stream
@@ -256,7 +297,6 @@ TEST(SerializeCorruption, SectionPayloadFlipAttributedToCrc) {
 CvrMatrix makeCompressedCvr() {
   CsrMatrix A = test::randomCsr(24, 24, 0.2, 7);
   CvrOptions Opts;
-  Opts.Lanes = 8;
   Opts.NumThreads = 4;
   Opts.Values = ValueKind::F32x64;
   Opts.Indices = ColIndexKind::U16Band;

@@ -52,6 +52,27 @@ TEST(Simd, GatherPicksIndexedElements) {
   EXPECT_EQ(Out[7], 115.0);
 }
 
+TEST(Simd, MaskGatherZeroesAndSkipsMaskedLanes) {
+  alignas(64) double Base[8];
+  for (int I = 0; I < 8; ++I)
+    Base[I] = 100.0 + I;
+  // Masked-off lanes hold wild indices: they must read zero without being
+  // dereferenced (the sanitized runs would flag the load).
+  alignas(64) std::int32_t Idx[16] = {7, 1 << 28, 5, -(1 << 28), 3, 2, 1, 0,
+                                      0, 0, 0, 0, 0, 0, 0, 0};
+  const simd::VecI8 Cols = VecI16::loadAligned(Idx).lo();
+  std::int32_t Spilled[8];
+  Cols.storeu(Spilled);
+  for (int K = 0; K < 8; ++K)
+    EXPECT_EQ(Spilled[K], Idx[K]) << "lane " << K;
+  const unsigned Mask = 0xF5U; // Lanes 1 and 3 off.
+  alignas(64) double Out[8];
+  VecD8::maskGather(Base, Cols, Mask).storeAligned(Out);
+  for (int K = 0; K < 8; ++K)
+    EXPECT_EQ(Out[K], (Mask & (1U << K)) ? Base[Idx[K]] : 0.0)
+        << "lane " << K;
+}
+
 TEST(Simd, FmaddMatchesScalar) {
   alignas(64) double A[8], B[8], C[8], Out[8];
   for (int I = 0; I < 8; ++I) {

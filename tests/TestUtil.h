@@ -7,6 +7,7 @@
 #ifndef CVR_TESTS_TESTUTIL_H
 #define CVR_TESTS_TESTUTIL_H
 
+#include "analysis/CheckedSpmv.h"
 #include "core/CvrSpmv.h"
 #include "formats/FusedEpilogue.h"
 #include "matrix/Coo.h"
@@ -99,16 +100,17 @@ inline CsrMatrix writeBackEdgeMatrix(int Shape, int Threads,
   return CsrMatrix::fromCoo(Coo);
 }
 
-/// Runs square \p A through the 8-lane kernel under every write-back
-/// policy: Store, Accumulate (column-blocked into about three bands) and
-/// Fused (Dot, ResidualNorm, JacobiStep), at prefetch distances 0/2/4/8.
-/// The plain product must match referenceSpmv within \p RefTol, and every
-/// output must match the generic loop on the same options to 1e-13: the
-/// two loops share the stream and the per-lane order, so only FMA
-/// rounding and atomic-add order may differ.
-inline void expectWriteBackMatchesGeneric(const CsrMatrix &A,
-                                          CvrOptions Opts, double RefTol,
-                                          const std::string &Where) {
+/// Runs square \p A through the CVR kernel under every write-back policy:
+/// Store, Accumulate (column-blocked into about three bands) and Fused
+/// (Dot, ResidualNorm, JacobiStep), at prefetch distances 0/2/4/8. The
+/// plain product must match referenceSpmv within \p RefTol, and each fused
+/// op's y, output vector and accumulators must match applyEpilogueScalar
+/// over that reference within \p RefTol. Checked mode runs the same loop,
+/// so its product must be clean and match the kernel's to 1e-13: only the
+/// order of atomic adds may differ.
+inline void expectWriteBackMatchesReference(const CsrMatrix &A,
+                                            CvrOptions Opts, double RefTol,
+                                            const std::string &Where) {
   const auto N = static_cast<std::size_t>(A.numRows());
   const std::vector<double> X = randomVector(N, 11);
   const std::vector<double> B = randomVector(N, 12);
@@ -117,53 +119,54 @@ inline void expectWriteBackMatchesGeneric(const CsrMatrix &A,
   for (double &V : D)
     V += V < 0.0 ? -2.0 : 2.0; // Jacobi divides by it.
   const std::vector<double> Ref = referenceSpmv(A, X);
-  constexpr double Tight = 1e-13;
+
+  // The fused ops: index 0 runs in the kernel, index 1 is the scalar sweep
+  // over the reference product.
+  auto MakeOp = [&](EpilogueOp Op, double *Out) {
+    return Op == EpilogueOp::Dot
+               ? FusedEpilogue::dot(true, true, Z.data())
+           : Op == EpilogueOp::ResidualNorm
+               ? FusedEpilogue::residualNorm(B.data(), Out)
+               : FusedEpilogue::jacobiStep(B.data(), D.data(), Z.data(), Out);
+  };
 
   for (std::int64_t Block : {std::int64_t(0), std::int64_t(A.numCols()) * 3}) {
-    Opts.Lanes = 8;
     Opts.ColBlockBytes = Block;
-    Opts.ForceGenericKernel = false;
-    const CvrMatrix MV = CvrMatrix::fromCsr(A, Opts);
-    Opts.ForceGenericKernel = true;
-    const CvrMatrix MG = CvrMatrix::fromCsr(A, Opts);
-    ASSERT_TRUE(MV.isValid()) << Where;
+    const CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
+    ASSERT_TRUE(M.isValid()) << Where;
+
+    std::vector<double> YK(N, 0.5), YC(N, -0.5);
+    std::vector<analysis::Violation> Vs;
+    cvrSpmv(M, X.data(), YK.data());
+    analysis::cvrSpmvChecked(M, X.data(), YC.data(), Vs);
+    EXPECT_TRUE(Vs.empty()) << Where << analysis::formatViolations(Vs);
+    EXPECT_LE(maxRelDiff(YK, YC), 1e-13) << Where << " block " << Block;
 
     for (int Pf : {0, 2, 4, 8}) {
       const std::string At = Where + " block " + std::to_string(Block) +
                              " pf " + std::to_string(Pf);
-      std::vector<double> YV(N, 0.5), YG(N, -0.5);
-      cvrSpmv(MV, X.data(), YV.data(), Pf);
-      cvrSpmv(MG, X.data(), YG.data(), Pf);
-      EXPECT_LE(maxRelDiff(Ref, YV), RefTol) << At;
-      EXPECT_LE(maxRelDiff(YG, YV), Tight) << At;
+      std::vector<double> Y(N, 0.5);
+      cvrSpmv(M, X.data(), Y.data(), Pf);
+      EXPECT_LE(maxRelDiff(Ref, Y), RefTol) << At;
 
-      // Each fused op runs on both loops; y, the op's output vector and
-      // its accumulators must agree.
       for (EpilogueOp Op : {EpilogueOp::Dot, EpilogueOp::ResidualNorm,
                             EpilogueOp::JacobiStep}) {
         std::vector<double> Out[2] = {std::vector<double>(N, 0.0),
                                       std::vector<double>(N, 0.0)};
-        std::vector<double> Y[2] = {std::vector<double>(N, 0.5),
-                                    std::vector<double>(N, -0.5)};
-        FusedEpilogue E[2];
-        for (int K = 0; K < 2; ++K) {
-          E[K] = Op == EpilogueOp::Dot
-                     ? FusedEpilogue::dot(true, true, Z.data())
-                 : Op == EpilogueOp::ResidualNorm
-                     ? FusedEpilogue::residualNorm(B.data(), Out[K].data())
-                     : FusedEpilogue::jacobiStep(B.data(), D.data(),
-                                                 Z.data(), Out[K].data());
-          cvrSpmvFused(K == 0 ? MV : MG, X.data(), Y[K].data(), E[K], Pf);
-        }
+        std::vector<double> Yf[2] = {std::vector<double>(N, 0.5), Ref};
+        FusedEpilogue E[2] = {MakeOp(Op, Out[0].data()),
+                              MakeOp(Op, Out[1].data())};
+        cvrSpmvFused(M, X.data(), Yf[0].data(), E[0], Pf);
+        applyEpilogueScalar(E[1], X.data(), Yf[1].data(),
+                            static_cast<std::int64_t>(N));
         const std::string OpAt =
             At + " fused op " + std::to_string(static_cast<int>(Op));
-        EXPECT_LE(maxRelDiff(Ref, Y[0]), RefTol) << OpAt;
-        EXPECT_LE(maxRelDiff(Y[1], Y[0]), Tight) << OpAt;
-        EXPECT_LE(maxRelDiff(Out[1], Out[0]), Tight) << OpAt;
+        EXPECT_LE(maxRelDiff(Yf[1], Yf[0]), RefTol) << OpAt;
+        EXPECT_LE(maxRelDiff(Out[1], Out[0]), RefTol) << OpAt;
         for (double FusedEpilogue::*Acc :
              {&FusedEpilogue::Acc1, &FusedEpilogue::Acc2,
               &FusedEpilogue::Acc3})
-          EXPECT_LE(maxRelDiff({E[1].*Acc}, {E[0].*Acc}), Tight) << OpAt;
+          EXPECT_LE(maxRelDiff({E[1].*Acc}, {E[0].*Acc}), RefTol) << OpAt;
       }
     }
   }
