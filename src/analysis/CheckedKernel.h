@@ -63,8 +63,8 @@ public:
                                 std::size_t LdY,
                                 int NumVectors) const override;
 
-  /// Differentially verified fusion: the inner kernel's native fused path
-  /// runs for real, then a reference — the checked run (cvrSpmvChecked for
+  /// Differentially verified fusion: the inner kernel's runFused (CSR's
+  /// native fused path, or the composed default) runs for real, then a reference — the checked run (cvrSpmvChecked for
   /// CVR) composed with the scalar epilogue sweep — recomputes y, the
   /// accumulators, and the side outputs into scratch. Mismatches beyond
   /// the reassociation tolerance surface as "checked.fused.*" violations.

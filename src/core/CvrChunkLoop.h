@@ -13,14 +13,15 @@
 ///
 /// runChunk is templated on the prefetch distance, the two stream kinds
 /// and two policies. The write-back policy decides how a finished row
-/// leaves the kernel (finish() and traceFinish()). The observer sees every
-/// memory reference the loop is about to make (see NoObserver for the
-/// hooks). Three observers exist:
+/// leaves the kernel (finish() and traceFinish()); Store and Accumulate
+/// are the only two, since a fused epilogue is a sweep after the loop.
+/// The observer sees every memory reference the loop is about to make (see
+/// NoObserver for the hooks). Three observers exist:
 ///
 ///  - NoObserver (below), for execution: every veto is a constant true
 ///    (all lanes for the gather), so the loop compiles to the plain kernel.
 ///  - The trace observer in CvrSpmv.cpp reports each reference to a
-///    MemAccessSink (traceRun, traceRunFused).
+///    MemAccessSink (traceRun).
 ///  - The bounds guard in analysis/CheckedSpmv.cpp reports each
 ///    out-of-range reference as a checked.cvr.* violation and vetoes it.
 ///

@@ -5,14 +5,15 @@
 //===----------------------------------------------------------------------===//
 //
 // The panel kernel is templated on a panel-operations policy (8-wide,
-// 4-wide, or masked tail) and, like the SpMV kernels in CvrSpmv.cpp, on a
-// write-back policy (Store, Accumulate, or Fused). The per-step stream
+// 4-wide, or masked tail) and, like the SpMV kernel in CvrSpmv.cpp, on a
+// write-back policy (Store or Accumulate). The per-step stream
 // consumption is the SpMV kernel's, but the per-lane accumulator is a
 // panel-row vector instead of a scalar, and every record/tail write-back
 // moves a whole register of columns. Records are rare relative to steps,
 // so their shared-row atomics stay scalar. Matrices the panel kernel does
 // not read (compressed streams) compose SpMM from per-column SpMV runs
-// instead.
+// instead. A fused batch epilogue is one sweep after the kernel: CvrKernel
+// inherits SpmvKernel::runBatchFused.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +27,6 @@
 #include "support/ParallelFor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <string>
 #include <vector>
@@ -92,7 +92,7 @@ inline void atomicAddRow(double *YRow, const double *V, int Bw) {
 }
 
 /// The Store (Add = false) and Accumulate (Add = true) write-back
-/// policies, the panel counterparts of the SpMV ones in CvrSpmv.cpp: an
+/// policies, the panel counterparts of the SpMV ones in CvrChunkLoop.h: an
 /// exclusive row stores (or, in accumulate mode, adds) a whole register of
 /// columns; a chunk-boundary row spills and adds element-wise atomically,
 /// because the neighbouring chunk writes it too.
@@ -122,33 +122,6 @@ template <bool Add> struct PanelScatterWriteBack {
 
 using PanelStoreWriteBack = PanelScatterWriteBack<false>;
 using PanelAccumulateWriteBack = PanelScatterWriteBack<true>;
-
-/// The Fused write-back policy (no accumulate mode: blocked matrices
-/// compose). An exclusive row applies the per-column epilogue to the
-/// spilled row and stores the (possibly transformed) values; a boundary
-/// row accumulates raw partials for cvrSpmmFused's sequential cleanup pass.
-struct PanelFusedWriteBack {
-  double *Y;
-  std::size_t LdY;
-  const FusedBatchEpilogue *E;
-  int J0;
-  BatchEpilogueAccum *Acc;
-
-  template <class Panel>
-  CVR_HOT void finish(const Panel &P, std::int32_t Row,
-                      typename Panel::Vec V, bool Shared) const {
-    alignas(64) double Buf[8];
-    P.spill(V, Buf);
-    double *YRow = Y + static_cast<std::size_t>(Row) * LdY;
-    if (Shared) {
-      atomicAddRow(YRow, Buf, P.width());
-    } else {
-      batchRowApply(*E, Row, J0, P.width(), Buf, *Acc);
-      for (int J = 0; J < P.width(); ++J)
-        YRow[J] = Buf[J];
-    }
-  }
-};
 
 /// One chunk of the register-blocked SpMM kernel: lane k accumulates a
 /// whole panel row in a vector register, fed by one contiguous load of
@@ -228,18 +201,17 @@ void zeroRowsSlice(const CvrMatrix &M, double *Y, std::size_t LdY, int Bw) {
 
 /// Runs chunks [Begin, End) of one Bw-column pass across M.runThreads()
 /// threads, dynamic schedule under over-decomposition (same policy as
-/// SpMV). \p MakeOut maps a chunk index to that chunk's write-back policy.
-template <class MakeWriteBack>
+/// SpMV). Every chunk writes back through \p Out.
+template <class WriteBack>
 void runSpmmChunkRange(const CvrMatrix &M, int Begin, int End,
                        const double *X, std::size_t LdX, int Bw, int PfDist,
-                       MakeWriteBack MakeOut) {
+                       WriteBack Out) {
   const std::vector<CvrChunk> &Chunks = M.chunks();
   int N = End - Begin;
   int Threads = std::min(M.runThreads(), N);
 
   auto Body = [&](int T) {
     const CvrChunk &C = Chunks[Begin + T];
-    auto Out = MakeOut(Begin + T);
     if (Bw == 8)
       runChunkSpmm(M, C, X, LdX, Panel8{}, PfDist, Out);
     else if (Bw == 4)
@@ -264,12 +236,12 @@ void runSpmmPass(const CvrMatrix &M, const double *X, std::size_t LdX,
       std::fill_n(Y + static_cast<std::size_t>(R) * LdY, Bw, 0.0);
     for (const CvrBand &B : M.bands())
       runSpmmChunkRange(M, B.ChunkBegin, B.ChunkEnd, X, LdX, Bw, PfDist,
-                        [=](int) { return PanelAccumulateWriteBack{Y, LdY}; });
+                        PanelAccumulateWriteBack{Y, LdY});
     return;
   }
   zeroRowsSlice(M, Y, LdY, Bw);
   runSpmmChunkRange(M, 0, M.numChunks(), X, LdX, Bw, PfDist,
-                    [=](int) { return PanelStoreWriteBack{Y, LdY}; });
+                    PanelStoreWriteBack{Y, LdY});
 }
 
 /// Validates one SpMM panel request; the release-build replacement for the
@@ -294,22 +266,16 @@ void runSpmmPass(const CvrMatrix &M, const double *X, std::size_t LdX,
 }
 
 /// Per-call SpMM counters: one structural sweep, never inside the hot
-/// loops. Passes == 0 marks a composed fused call whose unfused half
-/// already counted the run.
-void recordCvrSpmmTelemetry(int NumVectors, int Passes, bool Fused) {
+/// loops.
+void recordCvrSpmmTelemetry(int NumVectors, int Passes) {
   if (!obs::telemetryEnabled())
     return;
   static obs::Counter &Runs = obs::counter("spmv.cvr.spmm_runs");
   static obs::Counter &Cols = obs::counter("spmv.cvr.spmm_cols");
   static obs::Counter &PassCount = obs::counter("spmv.cvr.spmm_passes");
-  static obs::Counter &FusedRuns = obs::counter("spmv.cvr.spmm_fused_runs");
-  if (Passes > 0) {
-    Runs.inc();
-    Cols.add(NumVectors);
-    PassCount.add(Passes);
-  }
-  if (Fused)
-    FusedRuns.inc();
+  Runs.inc();
+  Cols.add(NumVectors);
+  PassCount.add(Passes);
 }
 
 /// True when the register-blocked panel kernel reads \p M: uncompressed
@@ -339,7 +305,7 @@ bool panelKernelReads(const CvrMatrix &M) {
       Y[static_cast<std::size_t>(I) * LdY + J] =
           Yc[static_cast<std::size_t>(I)];
   }
-  recordCvrSpmmTelemetry(NumVectors, NumVectors, /*Fused=*/false);
+  recordCvrSpmmTelemetry(NumVectors, NumVectors);
   return Status::okStatus();
 } catch (const std::bad_alloc &) {
   return Status::resourceExhausted("composed SpMM: scratch allocation failed");
@@ -365,86 +331,7 @@ Status cvrSpmm(const CvrMatrix &M, const double *X, std::size_t LdX,
     J0 += Bw;
     ++Passes;
   }
-  recordCvrSpmmTelemetry(NumVectors, Passes, /*Fused=*/false);
-  return Status::okStatus();
-}
-
-Status cvrSpmmFused(const CvrMatrix &M, const double *X, std::size_t LdX,
-                    double *Y, std::size_t LdY, int NumVectors,
-                    FusedBatchEpilogue &E, const CvrSpmmOptions &Opts) {
-  Status S = validateSpmmArgs(X, LdX, Y, LdY, NumVectors);
-  if (!S.ok())
-    return S;
-  if (E.Op != EpilogueOp::None && E.NumVectors != NumVectors)
-    return Status::invalidArgument(
-        "batch epilogue covers " + std::to_string(E.NumVectors) +
-        " columns but the SpMM call has " + std::to_string(NumVectors));
-  if (E.Op == EpilogueOp::None) {
-    for (int J = 0; J < NumVectors; ++J) {
-      if (E.Acc1)
-        E.Acc1[J] = 0.0;
-      if (E.Acc2)
-        E.Acc2[J] = 0.0;
-    }
-    return cvrSpmm(M, X, LdX, Y, LdY, NumVectors, Opts);
-  }
-
-  if (M.isBlocked() || !panelKernelReads(M)) {
-    // Accumulate mode finishes no row until the last band, and compressed
-    // matrices take the composed path throughout; compose.
-    S = cvrSpmm(M, X, LdX, Y, LdY, NumVectors, Opts);
-    if (!S.ok())
-      return S;
-    obs::TraceSpan Span("execute/fused-epilogue", "execute");
-    applyBatchEpilogueScalar(E, Y, LdY, M.numRows());
-    recordCvrSpmmTelemetry(NumVectors, /*Passes=*/0, /*Fused=*/true);
-    return Status::okStatus();
-  }
-
-  obs::TraceSpan Span("execute/spmm-fused", "execute");
-  Span.arg("cols", NumVectors);
-  const int Pf = snapPrefetchDistance(Opts.PrefetchDistance);
-  const int N = M.numChunks();
-
-  // Per-chunk partial accumulators, merged in chunk index order per pass.
-  // Stack storage keeps batched solver iterations allocation-free; heavy
-  // over-decomposition spills to the heap once per call.
-  constexpr int MaxStackChunks = 256;
-  BatchEpilogueAccum StackAccs[MaxStackChunks];
-  std::vector<BatchEpilogueAccum> HeapAccs;
-  BatchEpilogueAccum *Accs = StackAccs;
-  if (N > MaxStackChunks) {
-    HeapAccs.resize(static_cast<std::size_t>(N));
-    Accs = HeapAccs.data();
-  }
-
-  int Passes = 0;
-  for (int J0 = 0; J0 < NumVectors;) {
-    const int Bw = std::min(8, NumVectors - J0);
-    double *Yp = Y + J0;
-    zeroRowsSlice(M, Yp, LdY, Bw);
-    runSpmmChunkRange(M, 0, N, X + J0, LdX, Bw, Pf, [&](int T) {
-      Accs[T] = BatchEpilogueAccum{};
-      return PanelFusedWriteBack{Yp, LdY, &E, J0, &Accs[T]};
-    });
-
-    BatchEpilogueAccum Total;
-    for (int T = 0; T < N; ++T)
-      mergeBatchAccum(E, Total, Accs[T]);
-
-    // Sequential cleanup: boundary + empty rows in zero-row order, merged
-    // last; their panel rows hold raw partial sums at this point.
-    BatchEpilogueAccum Cleanup;
-    for (std::int32_t R : M.zeroRows())
-      batchRowApply(E, R, J0, Bw, Yp + static_cast<std::size_t>(R) * LdY,
-                    Cleanup);
-    mergeBatchAccum(E, Total, Cleanup);
-    storeBatchAccum(E, Total, J0, Bw);
-
-    J0 += Bw;
-    ++Passes;
-  }
-  recordCvrSpmmTelemetry(NumVectors, Passes, /*Fused=*/true);
+  recordCvrSpmmTelemetry(NumVectors, Passes);
   return Status::okStatus();
 }
 
@@ -453,14 +340,6 @@ Status CvrKernel::runBatch(const double *X, std::size_t LdX, double *Y,
   CvrSpmmOptions SOpts;
   SOpts.PrefetchDistance = options().PrefetchDistance;
   return cvrSpmm(matrix(), X, LdX, Y, LdY, NumVectors, SOpts);
-}
-
-Status CvrKernel::runBatchFused(const double *X, std::size_t LdX, double *Y,
-                                std::size_t LdY, int NumVectors,
-                                FusedBatchEpilogue &E) const {
-  CvrSpmmOptions SOpts;
-  SOpts.PrefetchDistance = options().PrefetchDistance;
-  return cvrSpmmFused(matrix(), X, LdX, Y, LdY, NumVectors, E, SOpts);
 }
 
 } // namespace cvr

@@ -31,7 +31,6 @@
 #define CVR_CORE_CVRSPMM_H
 
 #include "core/CvrFormat.h"
-#include "formats/BatchEpilogue.h"
 #include "support/Status.h"
 
 namespace cvr {
@@ -54,20 +53,6 @@ struct CvrSpmmOptions {
                              std::size_t LdX, double *Y, std::size_t LdY,
                              int NumVectors,
                              const CvrSpmmOptions &Opts = {});
-
-/// Fused SpMM: computes Y = A * X and applies the per-column epilogue \p E
-/// at each row's finalize point while the row's K values are still in
-/// registers (see BatchEpilogue.h for the op catalog; E.NumVectors must
-/// equal \p NumVectors). Exclusive rows take the epilogue inside the
-/// parallel chunk sweep; chunk-boundary and empty rows are finished by a
-/// sequential cleanup pass in zero-row order, merged last, so accumulators
-/// reduce deterministically per matrix configuration. Column-blocked
-/// matrices and every matrix the panel kernel does not read compose
-/// cvrSpmm with the scalar batch-epilogue sweep instead.
-[[nodiscard]] Status cvrSpmmFused(const CvrMatrix &M, const double *X,
-                                  std::size_t LdX, double *Y, std::size_t LdY,
-                                  int NumVectors, FusedBatchEpilogue &E,
-                                  const CvrSpmmOptions &Opts = {});
 
 } // namespace cvr
 

@@ -16,7 +16,9 @@
 /// One chunk loop (core/CvrChunkLoop.h) serves every matrix, on AVX-512
 /// or on the emulated vector of simd/Simd.h. It is written once and
 /// instantiated per write-back policy (store, accumulate for blocked
-/// bands, fused epilogue), so cvrSpmv and cvrSpmvFused run the same loop.
+/// bands). A fused epilogue runs after it as one scalar sweep: CvrKernel
+/// inherits SpmvKernel's composed runFused, runBatchFused and
+/// traceRunFused.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,18 +40,6 @@ void cvrSpmv(const CvrMatrix &M, const double *X, double *Y,
 /// Snaps a requested prefetch distance up to the supported set {0, 2, 4, 8}
 /// (the distances the kernel templates are instantiated for).
 int snapPrefetchDistance(int D);
-
-/// Fused SpMV: computes y = A * x and applies \p E at each row's finalize
-/// point while the value is still in registers. Exclusive rows (feed
-/// records and tails that no neighbouring chunk touches) take the epilogue
-/// inside the parallel chunk sweep; chunk-boundary and empty rows — exactly
-/// the set in M.zeroRows() — are finished by a sequential cleanup pass
-/// afterwards, in zero-row order. Partial accumulators merge in chunk index
-/// order, cleanup last, so a given matrix configuration reduces in a fixed
-/// order. Column-blocked matrices finish no row until the last band, so
-/// they compose cvrSpmv with the scalar epilogue sweep instead.
-void cvrSpmvFused(const CvrMatrix &M, const double *X, double *Y,
-                  FusedEpilogue &E, int PrefetchDistance = 0);
 
 /// Implemented by every SpmvKernel that executes a CvrMatrix (CvrKernel
 /// here, TunedCvrKernel in src/engine), so the checked-execution and
@@ -86,11 +76,6 @@ public:
 
   std::int64_t preparedCols() const override { return M.numCols(); }
 
-  /// Native fused path (cvrSpmvFused) with the kernel's configured
-  /// prefetch distance.
-  void runFused(const double *X, double *Y,
-                FusedEpilogue &E) const override;
-
   /// Native SpMM path (core/CvrSpmm.h): the CVR stream is read once per
   /// register block of up to eight panel columns, under the kernel's
   /// configured prefetch distance.
@@ -98,17 +83,8 @@ public:
                                 std::size_t LdY,
                                 int NumVectors) const override;
 
-  /// Native fused SpMM path (cvrSpmmFused).
-  [[nodiscard]] Status runBatchFused(const double *X, std::size_t LdX,
-                                     double *Y, std::size_t LdY,
-                                     int NumVectors,
-                                     FusedBatchEpilogue &E) const override;
-
   bool traceRun(MemAccessSink &Sink, const double *X,
                 double *Y) const override;
-
-  bool traceRunFused(MemAccessSink &Sink, const double *X, double *Y,
-                     FusedEpilogue &E) const override;
 
   std::size_t formatBytes() const override;
 

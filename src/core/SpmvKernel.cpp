@@ -12,6 +12,8 @@
 
 #include "formats/SpmvKernel.h"
 
+#include "obs/Trace.h"
+
 #include <cassert>
 #include <exception>
 #include <new>
@@ -82,25 +84,31 @@ Status SpmvKernel::runBatchFused(const double *X, std::size_t LdX, double *Y,
   Status S = runBatch(X, LdX, Y, LdY, NumVectors);
   if (!S.ok())
     return S;
+  obs::TraceSpan Span("execute/fused-epilogue", "execute");
   applyBatchEpilogueScalar(E, Y, LdY, preparedRows());
   return Status::okStatus();
 }
 
 void SpmvKernel::runFused(const double *X, double *Y,
                           FusedEpilogue &E) const {
-  run(X, Y);
   std::int64_t N = preparedRows();
   assert(N >= 0 && "runFused needs preparedRows(); prepare() must have run "
                    "and the kernel must report its row count");
+  assert((!E.WantXDotY || N == preparedCols()) &&
+         "x.y fusion reads the run input at output rows; needs square A");
+  run(X, Y);
+  obs::TraceSpan Span("execute/fused-epilogue", "execute");
   applyEpilogueScalar(E, X, Y, N);
 }
 
 bool SpmvKernel::traceRunFused(MemAccessSink &Sink, const double *X,
                                double *Y, FusedEpilogue &E) const {
-  if (!traceRun(Sink, X, Y))
-    return false;
   std::int64_t N = preparedRows();
   assert(N >= 0 && "traceRunFused needs preparedRows()");
+  assert((!E.WantXDotY || N == preparedCols()) &&
+         "x.y fusion reads the run input at output rows; needs square A");
+  if (!traceRun(Sink, X, Y))
+    return false;
   traceEpilogueScalar(Sink, E, X, Y, N);
   return true;
 }

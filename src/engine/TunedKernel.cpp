@@ -31,19 +31,9 @@ void TunedCvrKernel::run(const double *X, double *Y) const {
   Inner.run(X, Y);
 }
 
-void TunedCvrKernel::runFused(const double *X, double *Y,
-                              FusedEpilogue &E) const {
-  Inner.runFused(X, Y, E);
-}
-
 bool TunedCvrKernel::traceRun(MemAccessSink &Sink, const double *X,
                               double *Y) const {
   return Inner.traceRun(Sink, X, Y);
-}
-
-bool TunedCvrKernel::traceRunFused(MemAccessSink &Sink, const double *X,
-                                   double *Y, FusedEpilogue &E) const {
-  return Inner.traceRunFused(Sink, X, Y, E);
 }
 
 std::size_t TunedCvrKernel::formatBytes() const {

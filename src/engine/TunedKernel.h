@@ -57,23 +57,8 @@ public:
     return Inner.runBatch(X, LdX, Y, LdY, NumVectors);
   }
 
-  [[nodiscard]] Status runBatchFused(const double *X, std::size_t LdX,
-                                     double *Y, std::size_t LdY,
-                                     int NumVectors,
-                                     FusedBatchEpilogue &E) const override {
-    return Inner.runBatchFused(X, LdX, Y, LdY, NumVectors, E);
-  }
-
-  /// Fused execution under the tuned plan (forwards to the inner
-  /// CvrKernel, which carries the plan's prefetch distance).
-  void runFused(const double *X, double *Y,
-                FusedEpilogue &E) const override;
-
   bool traceRun(MemAccessSink &Sink, const double *X,
                 double *Y) const override;
-
-  bool traceRunFused(MemAccessSink &Sink, const double *X, double *Y,
-                     FusedEpilogue &E) const override;
 
   std::size_t formatBytes() const override;
 

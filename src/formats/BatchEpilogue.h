@@ -7,16 +7,13 @@
 /// \file
 /// The multi-right-hand-side counterpart of FusedEpilogue: the per-column
 /// vector operations a batched solver iteration performs on the SpMM output
-/// panel, expressed so the SpMM kernel can fold them into its write-back
-/// while each row's K values are still in registers. Operands are row-major
+/// panel, applied by one sweep after the SpMM. Operands are row-major
 /// panels (element (Row, j) lives at Ptr[Row * Ld + j]) matching the SpMM
 /// panel layout, so the epilogue's operand reads are as contiguous as the
 /// kernel's own panel loads.
 ///
-/// Determinism mirrors the scalar epilogue: per-column accumulators are
-/// carried per chunk, merged in chunk index order, boundary rows last in
-/// zero-row order, each register-block of columns reduced independently —
-/// so a given matrix configuration always produces bit-identical
+/// Determinism: the sweep reduces each register block of columns over the
+/// rows in index order, so a given panel always produces bit-identical
 /// accumulator values.
 ///
 //===----------------------------------------------------------------------===//
@@ -25,10 +22,8 @@
 #define CVR_FORMATS_BATCHEPILOGUE_H
 
 #include "formats/FusedEpilogue.h"
-#include "support/Annotations.h"
 
-#include <cassert>
-#include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace cvr {
@@ -167,123 +162,11 @@ struct FusedBatchEpilogue {
   }
 };
 
-/// Partial per-column accumulator a kernel carries per chunk, one slot per
-/// column of the current register block (at most 8). Merged in fixed
-/// structural order by mergeBatchAccum.
-struct BatchEpilogueAccum {
-  double A1[8] = {};
-  double A2[8] = {};
-};
-
-/// Applies \p E to one finished row's register block while its values are
-/// hot. \p YRow points at the Bw finished values of row \p Row for panel
-/// columns [J0, J0 + Bw); they are transformed in place when the op
-/// rewrites y. Operand panels are read at (Row, J0 + j); accumulators land
-/// in slots [0, Bw) of \p A. The fixed-bound inner loops vectorize without
-/// needing a spill to memory-indexed accumulators.
-CVR_HOT inline void batchRowApply(const FusedBatchEpilogue &E,
-                                  std::int32_t Row, int J0, int Bw,
-                                  double *YRow, BatchEpilogueAccum &A) {
-  const std::size_t R = static_cast<std::size_t>(Row);
-  switch (E.Op) {
-  case EpilogueOp::None:
-    return;
-  case EpilogueOp::Dot: {
-    if (E.WantYDotY)
-      for (int J = 0; J < Bw; ++J)
-        A.A1[J] += YRow[J] * YRow[J];
-    if (E.Z) {
-      const double *ZRow = E.Z + R * E.LdZ + J0;
-      for (int J = 0; J < Bw; ++J)
-        A.A2[J] += ZRow[J] * YRow[J];
-    }
-    return;
-  }
-  case EpilogueOp::Axpby: {
-    const double *ZRow = E.Z + R * E.LdZ + J0;
-    for (int J = 0; J < Bw; ++J) {
-      double V = E.Alpha * YRow[J] + E.Beta * ZRow[J];
-      YRow[J] = V;
-      if (E.WantYDotY)
-        A.A1[J] += V * V;
-    }
-    return;
-  }
-  case EpilogueOp::ResidualNorm: {
-    const double *BRow = E.B + R * E.LdB + J0;
-    double *RRow = E.ROut ? E.ROut + R * E.LdROut + J0 : nullptr;
-    for (int J = 0; J < Bw; ++J) {
-      double Res = BRow[J] - YRow[J];
-      A.A1[J] += Res * Res;
-      if (RRow)
-        RRow[J] = Res;
-    }
-    return;
-  }
-  case EpilogueOp::JacobiStep: {
-    assert(E.D[R] != 0.0 && "JacobiStep requires a nonzero diagonal");
-    const double InvD = 1.0 / E.D[R];
-    const double *BRow = E.B + R * E.LdB + J0;
-    const double *XoRow = E.Xold + R * E.LdXold + J0;
-    double *XnRow = E.XNew + R * E.LdXNew + J0;
-    for (int J = 0; J < Bw; ++J) {
-      double Xn = XoRow[J] + (BRow[J] - YRow[J]) * InvD;
-      XnRow[J] = Xn;
-      A.A1[J] = std::max(A.A1[J], std::fabs(Xn - XoRow[J]));
-    }
-    return;
-  }
-  case EpilogueOp::DampScale: {
-    const double *ZRow = E.Z ? E.Z + R * E.LdZ + J0 : nullptr;
-    const double *PRow = E.Prev ? E.Prev + R * E.LdPrev + J0 : nullptr;
-    for (int J = 0; J < Bw; ++J) {
-      double V = E.Damp * YRow[J] + (ZRow ? E.Beta * ZRow[J] : 0.0);
-      YRow[J] = V;
-      A.A1[J] += V;
-      if (PRow)
-        A.A2[J] += std::fabs(V - PRow[J]);
-    }
-    return;
-  }
-  }
-}
-
-/// Merges \p Part into \p Total slot by slot. Sums everywhere except
-/// JacobiStep's infinity norm, which maxes. Call in fixed structural order
-/// (chunk index, cleanup last) to keep the reduction deterministic.
-CVR_HOT inline void mergeBatchAccum(const FusedBatchEpilogue &E,
-                                    BatchEpilogueAccum &Total,
-                                    const BatchEpilogueAccum &Part) {
-  if (E.Op == EpilogueOp::JacobiStep) {
-    for (int J = 0; J < 8; ++J)
-      Total.A1[J] = std::max(Total.A1[J], Part.A1[J]);
-    return;
-  }
-  for (int J = 0; J < 8; ++J) {
-    Total.A1[J] += Part.A1[J];
-    Total.A2[J] += Part.A2[J];
-  }
-}
-
-/// Writes the finished totals of the register block [J0, J0 + Bw) into the
-/// request's per-column output arrays.
-CVR_HOT inline void storeBatchAccum(const FusedBatchEpilogue &E,
-                                    const BatchEpilogueAccum &Total, int J0,
-                                    int Bw) {
-  for (int J = 0; J < Bw; ++J) {
-    if (E.Acc1)
-      E.Acc1[J0 + J] = Total.A1[J];
-    if (E.Acc2)
-      E.Acc2[J0 + J] = Total.A2[J];
-  }
-}
-
-/// The unfused composition: scalar sweeps over the finished panel
+/// The batch epilogue: scalar sweeps over the finished panel
 /// Y[0..NumRows) x [0..E.NumVectors) applying \p E row by row in index
-/// order, one register block of columns at a time. Zeroes Acc1/Acc2 first.
-/// This is what SpmvKernel::runBatchFused composes with runBatch() for
-/// kernels without a native fused SpMM path, and the reference the checked
-/// mode compares native paths against.
+/// order, one register block of up to eight columns at a time. Zeroes
+/// Acc1/Acc2 first. SpmvKernel::runBatchFused composes it with runBatch()
+/// for every format.
 void applyBatchEpilogueScalar(FusedBatchEpilogue &E, double *Y,
                               std::size_t LdY, std::int64_t NumRows);
 

@@ -6,19 +6,19 @@
 ///
 /// \file
 /// The epilogue operations the iterative solvers perform on the SpMV output
-/// vector, expressed so a kernel can fold them into its write-back path
-/// while each y element is still in registers. An unfused solver iteration
-/// follows every `y = A x` with separate full-vector sweeps (dots, axpys,
-/// norms, scalings); on a memory-bound kernel each sweep is another trip
-/// through DRAM. A fused kernel applies the epilogue at the moment a row's
-/// value is finished, so the sweep's y traffic disappears entirely and only
+/// vector, expressed as one request so the solver's dots, axpys, norms and
+/// scalings ride with the SpMV. An unfused solver iteration follows every
+/// `y = A x` with separate full-vector sweeps; on a memory-bound kernel
+/// each sweep is another trip through DRAM. Most kernels run the request
+/// as one sweep after the SpMV (applyEpilogueScalar); CSR folds it into
+/// its write-back (fusedRowApply), where the y re-read disappears and only
 /// the epilogue's extra operand reads remain.
 ///
-/// Determinism: every accumulator is reduced in a fixed order — per-row
-/// within a chunk/thread range, partial accumulators merged in chunk (or
-/// thread) index order, boundary rows last in zero-row order — so a given
-/// kernel configuration always produces bit-identical accumulator values.
-/// Fused and unfused results differ only by floating-point reassociation,
+/// Determinism: every accumulator is reduced in a fixed order — rows in
+/// index order in the sweep, per-row within a thread range and partials
+/// merged in thread index order on CSR's path — so a given kernel
+/// configuration always produces bit-identical accumulator values. Fused
+/// and unfused results differ only by floating-point reassociation,
 /// bounded by the tolerance documented in DESIGN.md section 12.
 ///
 //===----------------------------------------------------------------------===//
@@ -221,8 +221,8 @@ CVR_HOT inline void storeAccum(FusedEpilogue &E, const EpilogueAccum &Total) {
 
 /// The unfused composition: one scalar sweep over Y[0..N) applying \p E
 /// row by row in index order. This is what SpmvKernel::runFused composes
-/// with run() for formats without a native fused path, and the reference
-/// the checked mode compares native paths against.
+/// with run() for every format but CSR, and the reference the checked mode
+/// compares every runFused against.
 void applyEpilogueScalar(FusedEpilogue &E, const double *X, double *Y,
                          std::int64_t N);
 
@@ -236,8 +236,8 @@ void traceEpilogueScalar(MemAccessSink &Sink, FusedEpilogue &E,
 /// Reports into \p Sink the operand traffic of one fused-row application:
 /// the op's extra reads (X/Z/B/D/Xold/Prev at \p Row) and side writes
 /// (XNew/ROut) — everything fusedRowApply touches except the y element
-/// itself, which stays in registers on a fused path. Kernels' traceRunFused
-/// implementations call this at each finalize site.
+/// itself, which stays in registers on a fused path. CSR's traceRunFused
+/// calls this at each finalize site.
 void traceFusedRowOperands(MemAccessSink &Sink, const FusedEpilogue &E,
                            const double *X, std::int32_t Row);
 

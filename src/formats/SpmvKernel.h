@@ -77,9 +77,9 @@ public:
 
   /// Fused SpMM: runBatch plus the per-column epilogue \p E (see
   /// BatchEpilogue.h; E.NumVectors must equal \p NumVectors, and the
-  /// accumulator outputs land in E.Acc1/E.Acc2). The default composes
-  /// runBatch() with one scalar batch-epilogue sweep; the CVR kernels
-  /// override it with the native fused SpMM path.
+  /// accumulator outputs land in E.Acc1/E.Acc2). Every kernel composes
+  /// runBatch() with one scalar batch-epilogue sweep, traced as the
+  /// execute/fused-epilogue span.
   [[nodiscard]] virtual Status runBatchFused(const double *X,
                                              std::size_t LdX, double *Y,
                                              std::size_t LdY, int NumVectors,
@@ -87,22 +87,24 @@ public:
 
   /// Computes y = A * x and applies \p E to every finished y element (see
   /// FusedEpilogue.h for the op catalog). The accumulator outputs land in
-  /// E.Acc1..Acc3. The default composes run() with one scalar epilogue
-  /// sweep, so every format works unchanged; CVR, CSR, and the tuned CVR
-  /// kernel override it with native fused paths that apply the epilogue
-  /// while y is still in registers. Epilogue accumulators are reduced in a
-  /// fixed structural order (deterministic per kernel configuration);
-  /// fused and unfused results agree within the reassociation tolerance
-  /// documented in DESIGN.md section 12.
+  /// E.Acc1..Acc3. E.WantXDotY reads x at output rows, so it needs a
+  /// square matrix (asserted). The default composes run() with one scalar
+  /// epilogue sweep, traced as the execute/fused-epilogue span; every
+  /// format but CSR uses it. CSR overrides it with a native fused path
+  /// that applies the epilogue while y is still in registers. Epilogue
+  /// accumulators are reduced in a fixed structural order (deterministic
+  /// per kernel configuration); fused and unfused results agree within the
+  /// reassociation tolerance documented in DESIGN.md section 12.
   virtual void runFused(const double *X, double *Y, FusedEpilogue &E) const;
 
   /// Replays runFused()'s memory-reference stream into \p Sink while
   /// computing the same result, so the cache simulator and the bandwidth
   /// accounting can quantify the sweeps fusion eliminates. The default
-  /// composes traceRun() with a traced scalar epilogue sweep (the unfused
-  /// traffic); native fused kernels trace the fused stream, where the
-  /// epilogue costs only its operand reads because y never leaves
-  /// registers. Returns false if the kernel does not implement tracing.
+  /// composes traceRun() with a traced scalar epilogue sweep (the y
+  /// re-read plus the operands); CSR's native path traces the fused
+  /// stream, where the epilogue costs only its operand reads because y
+  /// never leaves registers. Returns false if the kernel does not
+  /// implement tracing.
   virtual bool traceRunFused(MemAccessSink &Sink, const double *X, double *Y,
                              FusedEpilogue &E) const;
 

@@ -88,11 +88,6 @@ public:
     return cvrSpmm(*M, X, LdX, Y, LdY, NumVectors, Opts);
   }
 
-  void runFused(const double *X, double *Y,
-                FusedEpilogue &E) const override {
-    cvrSpmvFused(*M, X, Y, E, Prefetch);
-  }
-
   std::size_t formatBytes() const override { return M->formatBytes(); }
 
   const CvrMatrix &cvrMatrix() const override { return *M; }

@@ -12,8 +12,8 @@
 /// power iteration for the dominant eigenpair, and PageRank.
 ///
 /// Every solver drives SpmvKernel::runFused, so the dots, norms, and
-/// scalings that follow each y = A x ride along inside the kernel's
-/// write-back, and restructures the remaining vector work into combined
+/// scalings that follow each y = A x ride along with the kernel (in CSR's
+/// write-back, or in one sweep after the SpMV elsewhere), and restructures the remaining vector work into combined
 /// sweeps — CG needs one full-vector sweep per iteration plus the epilogue
 /// where the textbook loop needs six, Jacobi and PageRank at most one.
 /// Whether the epilogue is fused is the kernel's business: a kernel

@@ -271,8 +271,9 @@ TEST(CvrTraceTraffic, RegionCountsMatchChunkTable) {
   // numbers are built on this stream. Per step the kernel loads one value
   // vector, gathers W x elements and reads one finish-mask byte; one index
   // load serves two steps, and the trailing step reads one more mask byte.
-  // Every record and every tail slot is read once, and each finished row
-  // costs the write-back policy's y (and operand) traffic.
+  // Every record and every tail slot is read once, each finished row
+  // costs the write-back policy's y traffic, and traceRunFused adds one
+  // epilogue sweep over every row.
   CsrMatrix A = test::randomCsr(60, 60, 0.09, 23);
   const std::size_t N = static_cast<std::size_t>(A.numRows());
   std::vector<double> X = randomVector(N, 4);
@@ -369,29 +370,12 @@ TEST(CvrTraceTraffic, RegionCountsMatchChunkTable) {
         ASSERT_TRUE(K.traceRun(Plain, X.data(), Y.data()));
         ExpectTraffic(Plain, Want, "traceRun");
 
-        // traceRunFused with y <- 2y + 3z: an exclusive row reads its z
-        // operand and stores once; a boundary row adds its raw partial and
-        // takes the epilogue in the cleanup pass. Blocked matrices compose
-        // traceRun with one epilogue sweep over every row.
-        std::copy(std::begin(Stream), std::end(Stream), Want);
-        Want[YVec].write(D, Prologue);
-        if (Blocked) {
-          for (std::size_t I = 0; I < Finished.size(); ++I) {
-            Want[YVec].read(D);
-            Want[YVec].write(D);
-          }
-        } else {
-          for (const auto &F : Finished) {
-            if (F.second)
-              Want[YVec].read(D);
-            else
-              Want[ZVec].read(D);
-            Want[YVec].write(D);
-          }
-        }
-        Want[YVec].read(D, Prologue);
-        Want[ZVec].read(D, Prologue);
-        Want[YVec].write(D, Prologue);
+        // traceRunFused with y <- 2y + 3z: traceRun's traffic, then one
+        // epilogue sweep that re-reads each row of y, reads its z operand
+        // and stores the transformed value.
+        Want[YVec].read(D, N);
+        Want[ZVec].read(D, N);
+        Want[YVec].write(D, N);
         std::fill(Y.begin(), Y.end(), 0.0);
         RegionSink Fused = Regions(Y);
         FusedEpilogue E = FusedEpilogue::axpby(2.0, 3.0, Z.data());

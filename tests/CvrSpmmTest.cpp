@@ -174,10 +174,13 @@ TEST(CvrSpmm, RejectsBadPanelArguments) {
 // Fused batch epilogues
 //===----------------------------------------------------------------------===//
 
-/// Shared fixture state: a matrix, its CVR form, and row-major panels.
+/// Shared fixture state: a matrix, its prepared CVR kernel, and row-major
+/// panels. The tests run the kernel's runBatchFused (cvrSpmm plus the
+/// batch-epilogue sweep) and check it against YPlain with the epilogue
+/// recomputed by hand.
 struct FusedPanels {
   CsrMatrix A;
-  CvrMatrix M;
+  CvrKernel Kern;
   std::size_t Rows, Cols;
   int K;
   std::size_t LdX, LdY;
@@ -186,14 +189,19 @@ struct FusedPanels {
 
   FusedPanels(CsrMatrix In, int NumVectors, int Threads = 2,
               CvrOptions Opts = {})
-      : A(std::move(In)), M((Opts.NumThreads = Threads,
-                             CvrMatrix::fromCsr(A, Opts))),
+      : A(std::move(In)), Kern((Opts.NumThreads = Threads, Opts)),
         Rows(static_cast<std::size_t>(A.numRows())),
         Cols(static_cast<std::size_t>(A.numCols())), K(NumVectors),
         LdX(static_cast<std::size_t>(K) + 2),
         LdY(static_cast<std::size_t>(K) + 5),
         X(randomPanel(Cols, K, LdX, 400)), YPlain(Rows * LdY, 0.0) {
-    EXPECT_TRUE(cvrSpmm(M, X.data(), LdX, YPlain.data(), LdY, K).ok());
+    Kern.prepare(A);
+    EXPECT_TRUE(
+        cvrSpmm(Kern.matrix(), X.data(), LdX, YPlain.data(), LdY, K).ok());
+  }
+
+  Status runBatchFused(double *Y, FusedBatchEpilogue &E) const {
+    return Kern.runBatchFused(X.data(), LdX, Y, LdY, K, E);
   }
 };
 
@@ -210,8 +218,7 @@ TEST(CvrSpmmFused, DotPerColumn) {
     std::vector<double> Y(P.Rows * P.LdY);
     FusedBatchEpilogue E = FusedBatchEpilogue::dot(
         P.K, /*WantYDotY=*/true, Acc1.data(), Z.data(), P.K, Acc2.data());
-    ASSERT_TRUE(
-        cvrSpmmFused(P.M, P.X.data(), P.LdX, Y.data(), P.LdY, P.K, E).ok());
+    ASSERT_TRUE(P.runBatchFused(Y.data(), E).ok());
     for (int J = 0; J < P.K; ++J) {
       double YdY = 0.0, ZdY = 0.0;
       for (std::size_t I = 0; I < P.Rows; ++I) {
@@ -235,8 +242,7 @@ TEST(CvrSpmmFused, AxpbyTransformsEveryColumn) {
   const double Alpha = 0.75, Beta = -1.25;
   FusedBatchEpilogue E = FusedBatchEpilogue::axpby(P.K, Alpha, Beta, Z.data(),
                                                    P.K, Acc1.data());
-  ASSERT_TRUE(
-      cvrSpmmFused(P.M, P.X.data(), P.LdX, Y.data(), P.LdY, P.K, E).ok());
+  ASSERT_TRUE(P.runBatchFused(Y.data(), E).ok());
   for (int J = 0; J < P.K; ++J) {
     double Norm = 0.0;
     for (std::size_t I = 0; I < P.Rows; ++I) {
@@ -256,8 +262,7 @@ TEST(CvrSpmmFused, ResidualNormPerColumn) {
   std::vector<double> Y(P.Rows * P.LdY);
   FusedBatchEpilogue E = FusedBatchEpilogue::residualNorm(
       P.K, B.data(), P.K, Acc1.data(), R.data(), P.K);
-  ASSERT_TRUE(
-      cvrSpmmFused(P.M, P.X.data(), P.LdX, Y.data(), P.LdY, P.K, E).ok());
+  ASSERT_TRUE(P.runBatchFused(Y.data(), E).ok());
   for (int J = 0; J < P.K; ++J) {
     double Norm = 0.0;
     for (std::size_t I = 0; I < P.Rows; ++I) {
@@ -282,8 +287,7 @@ TEST(CvrSpmmFused, JacobiStepPerColumn) {
   FusedBatchEpilogue E = FusedBatchEpilogue::jacobiStep(
       P.K, B.data(), P.K, D.data(), Xold.data(), P.K, XNew.data(), P.K,
       Acc1.data());
-  ASSERT_TRUE(
-      cvrSpmmFused(P.M, P.X.data(), P.LdX, Y.data(), P.LdY, P.K, E).ok());
+  ASSERT_TRUE(P.runBatchFused(Y.data(), E).ok());
   for (int J = 0; J < P.K; ++J) {
     double MaxDx = 0.0;
     for (std::size_t I = 0; I < P.Rows; ++I) {
@@ -307,8 +311,7 @@ TEST(CvrSpmmFused, DampScalePerColumn) {
   FusedBatchEpilogue E = FusedBatchEpilogue::dampScale(
       P.K, Damp, Beta, Z.data(), P.K, Acc1.data(), Prev.data(), P.K,
       Acc2.data());
-  ASSERT_TRUE(
-      cvrSpmmFused(P.M, P.X.data(), P.LdX, Y.data(), P.LdY, P.K, E).ok());
+  ASSERT_TRUE(P.runBatchFused(Y.data(), E).ok());
   for (int J = 0; J < P.K; ++J) {
     double Sum = 0.0, Delta = 0.0;
     for (std::size_t I = 0; I < P.Rows; ++I) {
@@ -324,9 +327,8 @@ TEST(CvrSpmmFused, DampScalePerColumn) {
 
 TEST(CvrSpmmFused, BlockedMatrixComposesEpilogue) {
   // Blocked conversions accumulate across bands, and compressed streams
-  // take the composed per-column SpMV path; either way the fused driver
-  // composes plain SpMM with a scalar epilogue sweep, and results must
-  // match the native fused path's semantics exactly.
+  // take the composed per-column SpMV path; the epilogue sweep after
+  // either must give the unblocked panel kernel's semantics exactly.
   CvrOptions Blocked, Narrow;
   Blocked.ColBlockBytes = 512;
   Narrow.Indices = ColIndexKind::U16Band;
@@ -338,8 +340,7 @@ TEST(CvrSpmmFused, BlockedMatrixComposesEpilogue) {
     std::vector<double> Y(P.Rows * P.LdY);
     FusedBatchEpilogue E =
         FusedBatchEpilogue::dot(P.K, /*WantYDotY=*/true, Acc1.data());
-    ASSERT_TRUE(
-        cvrSpmmFused(P.M, P.X.data(), P.LdX, Y.data(), P.LdY, P.K, E).ok());
+    ASSERT_TRUE(P.runBatchFused(Y.data(), E).ok());
     for (int J = 0; J < P.K; ++J) {
       double YdY = 0.0;
       for (std::size_t I = 0; I < P.Rows; ++I) {
@@ -355,13 +356,14 @@ TEST(CvrSpmmFused, BlockedMatrixComposesEpilogue) {
 
 TEST(CvrSpmmFused, RejectsMismatchedEpilogueWidth) {
   CsrMatrix A = genRmat(7, 6, 97);
-  CvrMatrix M = CvrMatrix::fromCsr(A);
+  CvrKernel Kern;
+  Kern.prepare(A);
   std::vector<double> X(static_cast<std::size_t>(A.numCols()) * 4);
   std::vector<double> Y(static_cast<std::size_t>(A.numRows()) * 4);
   std::vector<double> Acc1(3);
   FusedBatchEpilogue E =
       FusedBatchEpilogue::dot(3, /*WantYDotY=*/true, Acc1.data());
-  EXPECT_EQ(cvrSpmmFused(M, X.data(), 4, Y.data(), 4, 4, E).code(),
+  EXPECT_EQ(Kern.runBatchFused(X.data(), 4, Y.data(), 4, 4, E).code(),
             StatusCode::InvalidArgument);
 }
 

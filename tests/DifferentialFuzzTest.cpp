@@ -528,8 +528,8 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
               << Where << " pf " << Pf;
         }
 
-        // Fused path (blocked matrices compose internally), at the same
-        // prefetch distances as the plain path.
+        // Fused path through CvrKernel (cvrSpmv plus the epilogue sweep), at
+        // the same prefetch distances as the plain path.
         std::vector<double> Z =
             randomVector(static_cast<std::size_t>(A.numRows()), Seed ^ 0x33);
         double ZDotY = 0.0, ZDotYAbs = 0.0;
@@ -540,9 +540,13 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
         // x.y gathers x at output rows, so it needs a square matrix.
         const bool Square = A.numRows() == A.numCols();
         for (int Pf : {0, 4}) {
+          CvrOptions KOpts = Opts;
+          KOpts.PrefetchDistance = Pf;
+          CvrKernel Kern(KOpts);
+          ASSERT_TRUE(Kern.prepareStatus(A).ok()) << Where;
           FusedEpilogue E = FusedEpilogue::dot(Square, false, Z.data());
           std::vector<double> YF(static_cast<std::size_t>(A.numRows()), 0.5);
-          cvrSpmvFused(*M, X.data(), YF.data(), E, Pf);
+          Kern.runFused(X.data(), YF.data(), E);
           EXPECT_LE(maxRelDiff(Expected, YF), kindTolerance(VK))
               << Where << " fused pf " << Pf;
           EXPECT_LE(std::abs(E.Acc3 - ZDotY),
@@ -584,8 +588,10 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
         FusedBatchEpilogue BE =
             FusedBatchEpilogue::dot(K, /*YDotY=*/true, Acc.data());
         std::vector<double> YPF(NR * Ld, 0.5);
+        CvrKernel Kern(Opts);
+        ASSERT_TRUE(Kern.prepareStatus(A).ok()) << Where;
         ASSERT_TRUE(
-            cvrSpmmFused(*M, XP.data(), Ld, YPF.data(), Ld, K, BE).ok())
+            Kern.runBatchFused(XP.data(), Ld, YPF.data(), Ld, K, BE).ok())
             << Where;
         ExpectPanel(YPF, "spmm fused");
         for (int J = 0; J < K; ++J) {

@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Cvr.h"
+#include "formats/Registry.h"
 #include "gen/Generators.h"
 #include "obs/PerfCounters.h"
 #include "obs/Telemetry.h"
@@ -29,6 +30,7 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -189,6 +191,39 @@ TEST_F(ObservabilityTest, TraceRoundTripsThroughValidator) {
   EXPECT_NE(Json.find("\"convert/cvr\""), std::string::npos);
   EXPECT_NE(Json.find("\"execute/spmv\""), std::string::npos);
   EXPECT_NE(Json.find("\"args\""), std::string::npos);
+}
+
+TEST_F(ObservabilityTest, FusedRunTracesSpmvThenEpilogueSweep) {
+  // runFused is the plain kernel followed by one epilogue sweep, and a
+  // trace shows both phases: CVR's execute/spmv, then the sweep's
+  // execute/fused-epilogue from SpmvKernel::runFused. ESB emits no span of
+  // its own, so its trace holds the sweep alone.
+  CsrMatrix A = genStencil5(16, 16);
+  const std::size_t N = static_cast<std::size_t>(A.numRows());
+  std::vector<double> X(N, 1.0), Y(N, 0.0);
+  CvrKernel Cvr;
+  Cvr.prepare(A);
+  std::unique_ptr<SpmvKernel> Esb = makeKernel(FormatId::Esb, 1);
+  Esb->prepare(A);
+
+  for (const SpmvKernel *K : {static_cast<const SpmvKernel *>(&Cvr),
+                              static_cast<const SpmvKernel *>(Esb.get())}) {
+    obs::traceStart();
+    if (!obs::traceActive()) {
+      (void)obs::traceStopToJson();
+      GTEST_SKIP() << "tracing compiled out";
+    }
+    FusedEpilogue E = FusedEpilogue::dot(true, true);
+    K->runFused(X.data(), Y.data(), E);
+    EXPECT_GT(E.Acc2, 0.0) << K->name();
+    std::string Json = obs::traceStopToJson();
+    EXPECT_TRUE(obs::validateChromeTrace(Json).ok()) << K->name();
+    EXPECT_NE(Json.find("\"execute/fused-epilogue\""), std::string::npos)
+        << K->name();
+    EXPECT_EQ(Json.find("\"execute/spmv\"") != std::string::npos,
+              K == &Cvr)
+        << K->name();
+  }
 }
 
 TEST_F(ObservabilityTest, ValidatorRejectsMalformedDocuments) {

@@ -100,12 +100,12 @@ inline CsrMatrix writeBackEdgeMatrix(int Shape, int Threads,
   return CsrMatrix::fromCoo(Coo);
 }
 
-/// Runs square \p A through the CVR kernel under every write-back policy:
-/// Store, Accumulate (column-blocked into about three bands) and Fused
-/// (Dot, ResidualNorm, JacobiStep), at prefetch distances 0/2/4/8. The
-/// plain product must match referenceSpmv within \p RefTol, and each fused
-/// op's y, output vector and accumulators must match applyEpilogueScalar
-/// over that reference within \p RefTol. Checked mode runs the same loop,
+/// Runs square \p A through the CVR kernel under both write-back policies,
+/// Store and Accumulate (column-blocked into about three bands), and
+/// through CvrKernel::runFused (Dot, ResidualNorm, JacobiStep), at
+/// prefetch distances 0/2/4/8. The plain product must match referenceSpmv
+/// within \p RefTol, and each fused op's y, output vector and accumulators
+/// must match applyEpilogueScalar over that reference within \p RefTol. Checked mode runs the same loop,
 /// so its product must be clean and match the kernel's to 1e-13: only the
 /// order of atomic adds may differ.
 inline void expectWriteBackMatchesReference(const CsrMatrix &A,
@@ -149,6 +149,10 @@ inline void expectWriteBackMatchesReference(const CsrMatrix &A,
       cvrSpmv(M, X.data(), Y.data(), Pf);
       EXPECT_LE(maxRelDiff(Ref, Y), RefTol) << At;
 
+      CvrOptions KOpts = Opts;
+      KOpts.PrefetchDistance = Pf;
+      CvrKernel K(KOpts);
+      K.prepare(A);
       for (EpilogueOp Op : {EpilogueOp::Dot, EpilogueOp::ResidualNorm,
                             EpilogueOp::JacobiStep}) {
         std::vector<double> Out[2] = {std::vector<double>(N, 0.0),
@@ -156,7 +160,7 @@ inline void expectWriteBackMatchesReference(const CsrMatrix &A,
         std::vector<double> Yf[2] = {std::vector<double>(N, 0.5), Ref};
         FusedEpilogue E[2] = {MakeOp(Op, Out[0].data()),
                               MakeOp(Op, Out[1].data())};
-        cvrSpmvFused(M, X.data(), Yf[0].data(), E[0], Pf);
+        K.runFused(X.data(), Yf[0].data(), E[0]);
         applyEpilogueScalar(E[1], X.data(), Yf[1].data(),
                             static_cast<std::int64_t>(N));
         const std::string OpAt =

@@ -1072,12 +1072,10 @@ int cmdTrace(int Argc, char **Argv) {
               NumEvents,
               A.numRows() == A.numCols() ? " -> fused solve" : "");
   std::printf("  telemetry  %lld conversions, %lld tuner iterations, "
-              "%lld SpMV runs (%lld fused)\n",
+              "%lld SpMV runs\n",
               static_cast<long long>(obs::telemetryValue("convert.cvr.calls")),
               static_cast<long long>(obs::telemetryValue("tune.iterations")),
-              static_cast<long long>(obs::telemetryValue("spmv.cvr.runs")),
-              static_cast<long long>(
-                  obs::telemetryValue("spmv.cvr.fused_runs")));
+              static_cast<long long>(obs::telemetryValue("spmv.cvr.runs")));
   std::printf("  wrote      %s (%zu bytes; open in about://tracing or "
               "ui.perfetto.dev)\n",
               Out.c_str(), Json.size());
