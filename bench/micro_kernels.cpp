@@ -93,8 +93,8 @@ void registerAll() {
 /// --json <path>: skip google-benchmark and sweep EVERY variant of every
 /// format (the harness above runs canonical variants only) through the
 /// benchlib timing harness, emitting one machine-readable record each —
-/// GFlop/s, reference error, and the autotuner's plan for CVR+tuned. The
-/// CI perf-smoke job asserts over this output.
+/// GFlop/s and reference error. The CI perf-smoke job asserts over this
+/// output.
 int runJsonSweep(const std::string &Path, int Threads,
                  const std::string &TraceOutPath) {
   if (!TraceOutPath.empty())
@@ -121,11 +121,9 @@ int runJsonSweep(const std::string &Path, int Threads,
         R.Format = formatName(F);
         R.M = measureVariant(V, NM.A, Cfg);
         R.M.Kernel.reset();
-        std::printf("%-16s %-20s %8.2f GFlop/s  maxRelErr %.2e%s%s\n",
+        std::printf("%-16s %-20s %8.2f GFlop/s  maxRelErr %.2e\n",
                     NM.Name, R.M.VariantName.c_str(), R.M.Gflops,
-                    R.M.MaxRelError,
-                    R.M.PlanDescription.empty() ? "" : "  plan ",
-                    R.M.PlanDescription.c_str());
+                    R.M.MaxRelError);
         Records.push_back(std::move(R));
       }
   }

@@ -27,7 +27,6 @@
 #include "benchlib/Equations.h"
 #include "benchlib/SuiteRunner.h"
 #include "core/Cvr.h"
-#include "engine/Autotune.h"
 #include "gen/Generators.h"
 #include "support/Random.h"
 #include "support/Table.h"
@@ -102,14 +101,14 @@ int main(int Argc, char **Argv) {
     // Alpha is derived once from the uncompressed plan's probe and applied
     // to every plan of the same build shape: the prediction for the
     // compressed streams must transfer, not be re-fit per plan.
+    CvrOptions Base;
+    Base.NumThreads = Threads;
+    Base.ColBlockBytes = SM.ColBlockBytes;
     double Alpha = 1.0;
     {
-      CvrPlan Base;
-      Base.ColBlockBytes = SM.ColBlockBytes;
-      CvrKernel K(Base.toOptions(Threads));
+      CvrKernel K(Base);
       if (K.prepareStatus(A).ok()) {
-        StatusOr<CvrMatrix> MB =
-            CvrMatrix::tryFromCsr(A, Base.toOptions(Threads));
+        StatusOr<CvrMatrix> MB = CvrMatrix::tryFromCsr(A, Base);
         if (MB.ok()) {
           const analysis::RooflinePrediction Comp =
               analysis::predictCvr(*MB);
@@ -123,11 +122,10 @@ int main(int Argc, char **Argv) {
     T.setHeader({"plan", "pred B/nnz", "meas B/nnz", "pred/meas",
                  "GFlop/s"});
     for (const PlanSpec &PS : Plans) {
-      CvrPlan P;
-      P.ColBlockBytes = SM.ColBlockBytes;
+      CvrOptions P = Base;
       P.Values = PS.Values;
       P.Indices = PS.Indices;
-      StatusOr<CvrMatrix> MB = CvrMatrix::tryFromCsr(A, P.toOptions(Threads));
+      StatusOr<CvrMatrix> MB = CvrMatrix::tryFromCsr(A, P);
       if (!MB.ok()) {
         std::fprintf(stderr, "warning: %s %s: %s\n", SM.Name.c_str(),
                      PS.Label, MB.status().toString().c_str());
@@ -143,7 +141,7 @@ int main(int Argc, char **Argv) {
 
       const analysis::RooflinePrediction RP = analysis::predictCvr(M, Alpha);
 
-      CvrKernel K(P.toOptions(Threads));
+      CvrKernel K(P);
       analysis::MeasuredTraffic MT;
       if (K.prepareStatus(A).ok())
         MT = analysis::measureDramTraffic(K, A, X.data());
@@ -155,7 +153,6 @@ int main(int Argc, char **Argv) {
       R.Nnz = A.numNonZeros();
       R.Format = "CVR";
       R.M.VariantName = PS.Label;
-      R.M.PlanDescription = P.describe();
       R.M.Gflops = timedGflops(M, X, Y);
       R.M.SecondsPerIteration =
           R.M.Gflops > 0.0

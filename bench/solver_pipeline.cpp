@@ -5,17 +5,20 @@
 //===----------------------------------------------------------------------===//
 //
 // Measures the five iterative solvers end to end in two execution modes
-// over the CSR baseline, plain CVR, and autotuned CVR. The fused mode runs
-// each solver on the kernel itself. The unfused mode runs CG's textbook
-// formulation (referenceConjugateGradient) on the kernel, and every other
-// solver on UnfusedKernel(kernel), which composes each SpMV with one
-// scalar epilogue sweep. For each (solver, kernel, mode) cell it reports
-// the per-iteration wall time, the SpMV throughput that time implies, and
-// the memory traffic one iteration moves: the kernel and epilogue part is
-// byte-accurate (traceRun / traceRunFused through a CountingSink), the
-// solver's own sweeps are counted analytically from its formulation (8
-// bytes per element access; the per-solver access counts are spelled out
-// in sweepAccessesPerRow below).
+// over the CSR baseline and CVR. The fused mode runs each solver on the
+// kernel itself. The unfused mode runs CG's textbook formulation
+// (referenceConjugateGradient) on the kernel, and every other solver on
+// UnfusedKernel(kernel), which composes each SpMV with one scalar epilogue
+// sweep. CVR has no native fused path (it inherits SpmvKernel's composed
+// one), so outside CG its two modes would run the same code and it gets
+// only the fused cell: the fused-vs-unfused pairs are CSR's for all five
+// solvers plus CVR's for CG. For each (solver, kernel, mode) cell it
+// reports the per-iteration wall time, the SpMV throughput that time
+// implies, and the memory traffic one iteration moves: the kernel and
+// epilogue part is byte-accurate (traceRun / traceRunFused through a
+// CountingSink), the solver's own sweeps are counted analytically from its
+// formulation (8 bytes per element access; the per-solver access counts
+// are spelled out in sweepAccessesPerRow below).
 //
 // The CI perf-smoke job consumes the --json output and fails if fused CG
 // falls more than 10% behind unfused on the same kernel.
@@ -25,7 +28,6 @@
 #include "benchlib/SuiteRunner.h"
 #include "benchlib/UnfusedKernel.h"
 #include "core/CvrSpmv.h"
-#include "engine/TunedKernel.h"
 #include "formats/CsrSpmv.h"
 #include "gen/Generators.h"
 #include "matrix/Coo.h"
@@ -170,21 +172,19 @@ Workload webWorkload(int Scale) {
 struct KernelUnderTest {
   std::string Name;
   std::unique_ptr<SpmvKernel> K;
+  /// The kernel overrides runFused; without that, UnfusedKernel(K) runs
+  /// the same composed code as K, so only CG has a distinct unfused mode.
+  bool NativeFused;
 };
 
 std::vector<KernelUnderTest> makeKernels(const CsrMatrix &A, int Threads) {
   std::vector<KernelUnderTest> Ks;
-  Ks.push_back({"MKL", std::make_unique<CsrSpmv>(Threads)});
+  Ks.push_back({"MKL", std::make_unique<CsrSpmv>(Threads), true});
   {
     CvrOptions Opts;
     if (Threads > 0)
       Opts.NumThreads = Threads;
-    Ks.push_back({"CVR", std::make_unique<CvrKernel>(Opts)});
-  }
-  {
-    AutotuneOptions Opts;
-    Opts.NumThreads = Threads;
-    Ks.push_back({"CVR+tuned", std::make_unique<TunedCvrKernel>(Opts)});
+    Ks.push_back({"CVR", std::make_unique<CvrKernel>(Opts), false});
   }
   for (KernelUnderTest &KT : Ks)
     KT.K->prepare(A);
@@ -330,6 +330,8 @@ int main(int Argc, char **Argv) {
       const SpmvKernel &Native = *KT.K;
       const UnfusedKernel Unfused(Native);
       for (bool Fused : {false, true}) {
+        if (!Fused && !KT.NativeFused && S != SolverId::Cg)
+          continue;
         // CG's unfused mode is the textbook reference, which calls only
         // run(), so it runs on the kernel itself like the fused mode.
         const SpmvKernel &K = Fused || S == SolverId::Cg ? Native : Unfused;
@@ -360,17 +362,18 @@ int main(int Argc, char **Argv) {
         R.M.SecondsPerIteration = C.SecondsPerIter;
         R.M.Gflops = C.Gflops;
         R.M.FormatBytes = C.BytesPerIter;
-        R.M.PlanDescription =
-            "bytesPerIter=" + std::to_string(C.BytesPerIter);
         Records.push_back(std::move(R));
       }
     }
   }
 
-  // Summary: the fused speedup and traffic cut per (solver, kernel).
+  // Summary: the fused speedup and traffic cut per (solver, kernel) pair.
+  // An unfused cell is always followed by its fused partner.
   std::printf("\n%-9s %-10s %10s %12s\n", "solver", "kernel", "speedup",
               "traffic cut");
-  for (std::size_t I = 0; I + 1 < Cells.size(); I += 2) {
+  for (std::size_t I = 0; I + 1 < Cells.size(); ++I) {
+    if (Cells[I].Fused)
+      continue;
     const Cell &U = Cells[I], &F = Cells[I + 1];
     double Speedup = U.SecondsPerIter / F.SecondsPerIter;
     double Cut = U.BytesPerIter

@@ -153,8 +153,7 @@ int main(int Argc, char **Argv) {
 
       const double Flops = 2.0 * Nnz * static_cast<double>(K);
       const int Passes = (K + 7) / 8; // Eight-column matrix passes.
-      auto Record = [&](const std::string &Variant, double Sec,
-                        int StreamPasses) {
+      auto Record = [&](const std::string &Variant, double Sec) {
         BenchRecord R;
         R.Matrix = D.Name;
         R.Domain = domainName(D.Dom);
@@ -168,13 +167,10 @@ int main(int Argc, char **Argv) {
         R.M.Gflops = Flops / Sec * 1e-9;
         R.M.MaxRelError = MaxRel;
         R.M.FormatBytes = M.formatBytes();
-        R.M.PlanDescription =
-            "bytes/nnz/col=" +
-            TextTable::fmt(streamBytesPerNnzCol(M, StreamPasses, K), 2);
         Records.push_back(std::move(R));
       };
-      Record("spmv-loop/k" + std::to_string(K), LoopSec, K);
-      Record("spmm/k" + std::to_string(K), SpmmSec, Passes);
+      Record("spmv-loop/k" + std::to_string(K), LoopSec);
+      Record("spmm/k" + std::to_string(K), SpmmSec);
 
       T.addRow({D.Name, std::to_string(K),
                 TextTable::fmt(Flops / LoopSec * 1e-9, 2),

@@ -5,9 +5,7 @@ Hosted runners are too noisy for absolute-time thresholds, so the gate
 tracks *ratios between kernels measured in the same process on the same
 machine* — those divide the machine out and travel between hosts:
 
-  cvr_vs_csr          geomean over matrices of best-CSR(I) / best-CVR
-                      seconds per iteration (micro_kernels sweep)
-  tuned_vs_cvr        geomean over matrices of plain-CVR / CVR+tuned
+  cvr_vs_csr          geomean over matrices of best-CSR(I) / CVR
                       seconds per iteration (micro_kernels sweep)
   fused_vs_unfused_cg geomean over (matrix, kernel) cells of unfused /
                       fused CG seconds per iteration (solver_pipeline)
@@ -83,9 +81,9 @@ def geomean(values):
 
 
 def micro_invariants(best):
-    """cvr_vs_csr and tuned_vs_cvr from the micro_kernels sweep."""
+    """cvr_vs_csr from the micro_kernels sweep."""
     matrices = sorted({m for (m, _, _) in best})
-    cvr_vs_csr, tuned_vs_cvr, detail = [], [], {}
+    cvr_vs_csr, detail = [], {}
     for m in matrices:
         def fastest(fmt, variant=None):
             times = [r["seconds_per_iteration"]
@@ -96,20 +94,14 @@ def micro_invariants(best):
 
         csr = fastest("CSR(I)")
         cvr = fastest("CVR", "CVR")
-        tuned = fastest("CVR", "CVR+tuned")
         d = {}
         if csr and cvr:
             d["cvr_vs_csr"] = csr / cvr
             cvr_vs_csr.append(csr / cvr)
-        if cvr and tuned:
-            d["tuned_vs_cvr"] = cvr / tuned
-            tuned_vs_cvr.append(cvr / tuned)
         detail[m] = d
     out = {}
     if cvr_vs_csr:
         out["cvr_vs_csr"] = geomean(cvr_vs_csr)
-    if tuned_vs_cvr:
-        out["tuned_vs_cvr"] = geomean(tuned_vs_cvr)
     return out, detail
 
 
@@ -234,7 +226,7 @@ def main():
     roofline_inv, roofline_detail = roofline_invariants(roofline_best)
     invariants.update(roofline_inv)
 
-    required = ("cvr_vs_csr", "tuned_vs_cvr", "fused_vs_unfused_cg",
+    required = ("cvr_vs_csr", "fused_vs_unfused_cg",
                 "spmm_amortization_k8", "bytes_per_nnz_u16_reduction",
                 "bytes_per_nnz_f32_reduction", "roofline_accuracy")
     missing = [k for k in required if k not in invariants]

@@ -7,7 +7,6 @@
 #include "benchlib/Measure.h"
 
 #include "benchlib/Equations.h"
-#include "engine/TunedKernel.h"
 #include "matrix/Reference.h"
 #include "support/Random.h"
 #include "support/Timer.h"
@@ -36,8 +35,6 @@ Measurement measureVariant(const KernelVariant &V, const CsrMatrix &A,
     M.PreprocessSeconds = std::min(M.PreprocessSeconds, PreTimer.seconds());
   }
   M.FormatBytes = M.Kernel->formatBytes();
-  if (const auto *Tuned = dynamic_cast<const TunedCvrKernel *>(M.Kernel.get()))
-    M.PlanDescription = Tuned->plan().describe();
 
   Xoshiro256 Rng(20180224); // CGO'18 conference date as the fixed seed.
   std::vector<double> X(static_cast<std::size_t>(A.numCols()));

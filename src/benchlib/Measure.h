@@ -44,10 +44,6 @@ struct Measurement {
   double Gflops = 0.0;
   double MaxRelError = 0.0; ///< vs the scalar reference.
   std::size_t FormatBytes = 0;
-  /// For autotuned kernels, the execution plan the tuner settled on
-  /// ("pf=4 block=512KiB mult=2"); empty for fixed-plan kernels. Captured
-  /// at measure time because the harness releases kernels aggressively.
-  std::string PlanDescription;
   /// The prepared kernel, retained so locality probes can reuse it.
   std::shared_ptr<SpmvKernel> Kernel;
 };

@@ -110,8 +110,6 @@ bool writeBenchJson(const std::string &Path,
     OS << Buf;
     OS << ", \"format\": \"" << jsonEscape(R.Format) << "\", \"variant\": \""
        << jsonEscape(R.M.VariantName) << "\"";
-    if (!R.M.PlanDescription.empty())
-      OS << ", \"plan\": \"" << jsonEscape(R.M.PlanDescription) << "\"";
     std::snprintf(Buf, sizeof(Buf),
                   ", \"preprocess_seconds\": %.9g, "
                   "\"seconds_per_iteration\": %.9g, \"gflops\": %.6g, "
@@ -154,7 +152,7 @@ bool writeBenchJson(const std::string &Path,
   OS << "\n  ],\n  \"telemetry\": {";
   // Schema v2: the merged counter snapshot rides along with the records,
   // so a BENCH_*.json artifact explains *what ran* (conversions, steal
-  // records, tuner iterations) next to how fast it ran.
+  // records, SpMV runs) next to how fast it ran.
   bool FirstMetric = true;
   for (const obs::MetricSnapshot &MS : obs::snapshotTelemetry()) {
     auto emit = [&](const std::string &Key, std::int64_t V) {

@@ -31,7 +31,8 @@
 // runs it under a bounds guard for checked mode. CvrSpmm.cpp applies the
 // same scheme to its panel kernel. Chunk over-decomposition runs more
 // chunks than threads under a dynamic schedule. All variants compute the
-// same y; the autotuner in src/engine picks among them per matrix.
+// same y; the serving daemon picks the prefetch distance per matrix
+// (serve::Fleet::tuneExec).
 //
 //===----------------------------------------------------------------------===//
 

@@ -42,9 +42,9 @@ void cvrSpmv(const CvrMatrix &M, const double *X, double *Y,
 int snapPrefetchDistance(int D);
 
 /// Implemented by every SpmvKernel that executes a CvrMatrix (CvrKernel
-/// here, TunedCvrKernel in src/engine), so the checked-execution and
-/// invariant machinery can reach the underlying format through one
-/// dynamic_cast regardless of the wrapper.
+/// here, serve::CvrViewKernel over a fleet entry's matrix), so the
+/// checked-execution and invariant machinery can reach the underlying
+/// format through one dynamic_cast regardless of the wrapper.
 class CvrMatrixSource {
 public:
   virtual ~CvrMatrixSource() = default;

@@ -7,7 +7,6 @@
 #include "formats/Registry.h"
 
 #include "core/CvrSpmv.h"
-#include "engine/TunedKernel.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
 #include "formats/Csr5.h"
@@ -81,14 +80,6 @@ std::vector<KernelVariant> variantsOf(FormatId F, int NumThreads) {
                     Opts.NumThreads = NumThreads;
                     return std::make_unique<CvrKernel>(Opts);
                   }});
-    // The adaptive execution engine: per-matrix prefetch distance,
-    // x-blocking, and over-decomposition picked by a timed search at
-    // prepare() time (cached per matrix fingerprint).
-    Vs.push_back({F, "CVR+tuned", [=] {
-                    AutotuneOptions Opts;
-                    Opts.NumThreads = NumThreads;
-                    return std::make_unique<TunedCvrKernel>(Opts);
-                  }});
     break;
   }
   return Vs;
@@ -100,50 +91,29 @@ std::unique_ptr<SpmvKernel> makeKernel(FormatId F, int NumThreads) {
 
 StatusOr<PreparedKernel> prepareKernel(FormatId F, const CsrMatrix &A,
                                        const PrepareOptions &Opts) {
-  struct Rung {
-    std::string Name;
-    std::function<std::unique_ptr<SpmvKernel>()> Make;
-  };
   const int Threads = Opts.NumThreads;
 
-  std::vector<Rung> Ladder;
-  if (F == FormatId::Cvr) {
-    if (Opts.Tune)
-      Ladder.push_back({"CVR+tuned", [&] {
-                          AutotuneOptions AO;
-                          AO.NumThreads = Threads;
-                          AO.BudgetSeconds = Opts.TuneBudgetSeconds;
-                          return std::make_unique<TunedCvrKernel>(AO);
-                        }});
-    Ladder.push_back({"CVR", [&] {
-                        CvrOptions CO;
-                        CO.NumThreads = Threads;
-                        return std::make_unique<CvrKernel>(CO);
-                      }});
-  } else {
-    KernelVariant V = variantsOf(F, Threads).front();
-    Ladder.push_back({V.VariantName, V.Make});
-  }
+  std::vector<KernelVariant> Ladder = {variantsOf(F, Threads).front()};
   // Terminal safety net: the zero-preprocessing CSR baseline runs the
   // matrix in place, so it survives the failures that kill conversion-
   // heavy formats (and the MKL stand-in IS this kernel already).
   if (F != FormatId::Mkl)
-    Ladder.push_back(
-        {"CSR", [&] { return std::make_unique<CsrSpmv>(Threads); }});
+    Ladder.push_back({FormatId::Mkl, "CSR",
+                      [&] { return std::make_unique<CsrSpmv>(Threads); }});
 
   obs::TraceSpan Span("prepare/ladder", "prepare");
   Span.arg("rows", A.numRows());
   Span.arg("nnz", A.numNonZeros());
 
   PreparedKernel PK;
-  PK.Requested = Ladder.front().Name;
+  PK.Requested = Ladder.front().VariantName;
   Status LastErr = Status::okStatus();
   for (std::size_t I = 0; I < Ladder.size(); ++I) {
     std::unique_ptr<SpmvKernel> K = Ladder[I].Make();
     Status S = K->prepareStatus(A);
     if (S.ok()) {
       PK.Kernel = std::move(K);
-      PK.Actual = Ladder[I].Name;
+      PK.Actual = Ladder[I].VariantName;
       if (obs::telemetryEnabled()) {
         static obs::Counter &Prepares = obs::counter("ladder.prepares");
         static obs::Counter &Downgrades = obs::counter("ladder.downgrades");
@@ -154,8 +124,9 @@ StatusOr<PreparedKernel> prepareKernel(FormatId F, const CsrMatrix &A,
     }
     LastErr = S;
     PK.Downgrades.push_back(
-        {Ladder[I].Name,
-         I + 1 < Ladder.size() ? Ladder[I + 1].Name : std::string("(none)"),
+        {Ladder[I].VariantName,
+         I + 1 < Ladder.size() ? Ladder[I + 1].VariantName
+                               : std::string("(none)"),
          S});
   }
   if (obs::telemetryEnabled()) {

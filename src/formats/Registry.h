@@ -52,12 +52,6 @@ std::unique_ptr<SpmvKernel> makeKernel(FormatId F, int NumThreads = 0);
 /// Knobs for prepareKernel's degradation ladder.
 struct PrepareOptions {
   int NumThreads = 0; ///< <= 0 selects the OpenMP default.
-  /// Start from the autotuned variant when the format has one (CVR's
-  /// "CVR+tuned"); false starts at the format's canonical variant.
-  bool Tune = true;
-  /// Wall-clock budget handed to the autotuner; <= 0 means unlimited. A
-  /// blown budget is a recorded downgrade, not an error.
-  double TuneBudgetSeconds = 0.0;
 };
 
 /// One recorded step down the ladder: \p FromVariant failed to prepare
@@ -81,8 +75,8 @@ struct PreparedKernel {
 };
 
 /// Prepares a kernel for \p F on \p A, degrading gracefully instead of
-/// failing: CVR walks CVR+tuned -> CVR -> CSR baseline; every other format
-/// falls back to the CSR baseline. Each step down records why. Returns a
+/// failing: the format's canonical variant first (CVR runs the default
+/// conversion), then the CSR baseline. Each step down records why. Returns a
 /// non-OK Status only when every rung fails (the CSR baseline needs no
 /// preprocessing, so that effectively means the machine is out of memory).
 [[nodiscard]] StatusOr<PreparedKernel> prepareKernel(FormatId F, const CsrMatrix &A,

@@ -47,7 +47,7 @@ public:
   /// formats/Registry uses. The default implementation wraps prepare() and
   /// maps escaping exceptions onto Status (bad_alloc becomes
   /// RESOURCE_EXHAUSTED, anything else INTERNAL); kernels with a native
-  /// error path (CVR, CVR+tuned) override it to report precise causes
+  /// error path (CVR) override it to report precise causes
   /// without exceptions. On failure the kernel must not be used.
   [[nodiscard]] virtual Status prepareStatus(const CsrMatrix &A);
 

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Scoped spans recording the phase structure of a run — convert → tune
-/// → execute → fused-epilogue — into per-thread buffers, exported as
+/// Scoped spans recording the phase structure of a run — convert →
+/// execute → fused-epilogue — into per-thread buffers, exported as
 /// chrome-trace JSON (the `about://tracing` / Perfetto "traceEvents"
 /// format, complete "X" events with microsecond timestamps).
 ///

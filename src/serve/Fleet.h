@@ -19,7 +19,7 @@
 ///    mode, visible in /stats and the List response.
 ///  * **Matrix Market sources** (.mtx) run the full
 ///    formats/Registry::prepareKernel degradation ladder at load time
-///    (CVR+tuned -> CVR -> CSR), so the daemon can serve matrices for
+///    (CVR -> CSR), so the daemon can serve matrices for
 ///    which no blob exists — and so the ladder itself is exercised in
 ///    serving, not only in the bench harness.
 ///

@@ -324,10 +324,16 @@ std::string Service::statsJson() const {
     OS << '"';
     jsonEscape(OS, M.Name);
     OS << "\":";
-    if (M.Kind == obs::MetricKind::Histogram)
-      OS << "{\"count\":" << M.Count << ",\"sum\":" << M.Sum << "}";
-    else
+    if (M.Kind == obs::MetricKind::Histogram) {
+      // The obs::HistogramBuckets log2 cells, lowest first.
+      OS << "{\"count\":" << M.Count << ",\"sum\":" << M.Sum
+         << ",\"buckets\":[";
+      for (std::size_t B = 0; B < M.Buckets.size(); ++B)
+        OS << (B ? "," : "") << M.Buckets[B];
+      OS << "]}";
+    } else {
       OS << M.Value;
+    }
   }
   OS << "}}";
   return OS.str();

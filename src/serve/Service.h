@@ -31,7 +31,7 @@
 /// -> plain view kernel): their conversion-time parameters are fixed by
 /// the blob, and the plain CVR view kernel cannot fail at runtime, so the
 /// ladder needs no CSR rung. Matrix Market entries carry the full
-/// prepareKernel ladder (CVR+tuned -> CVR -> CSR), walked at load time.
+/// prepareKernel ladder (CVR -> CSR), walked at load time.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -213,8 +213,6 @@ const std::vector<SiteInfo> &catalog() {
        "one bit of a blob section flips after read (CRC must catch it)"},
       {"convert.cvr.fail",
        "CVR conversion reports an internal failure (pathological input)"},
-      {"tune.timeout",
-       "an autotuner probe burns the whole wall-clock budget (hung probe)"},
       {"obs.perf.open",
        "perf_event_open is refused (locked-down container / no PMU)"},
       {"serve.mmap",

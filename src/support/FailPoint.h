@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Named fault-injection sites threaded through the failure-prone layers
-/// (allocation, Matrix Market parsing, blob serialization, the autotuner).
+/// (allocation, Matrix Market parsing, blob serialization, CVR conversion,
+/// serving).
 /// A site is a `CVR_FAIL_POINT("name")` check that normally costs one
 /// relaxed atomic load; arming it — via the API or the `CVR_FAILPOINTS`
 /// environment variable — makes the surrounding code take its failure path
@@ -21,8 +22,8 @@
 ///   * `count`  fire this many times, then disarm (default: every hit);
 ///   * `skip`   let this many hits pass before the first firing.
 ///
-/// Example: `CVR_FAILPOINTS="alloc.aligned-buffer=1@2;tune.timeout"` fails
-/// the third allocation once and every autotune probe.
+/// Example: `CVR_FAILPOINTS="alloc.aligned-buffer=1@2;convert.cvr.fail"`
+/// fails the third allocation once and every CVR conversion.
 ///
 /// Compile-time gate: building with -DCVR_FAILPOINTS_ENABLED=0 (cmake
 /// option CVR_FAILPOINTS=OFF) compiles every site down to `false` with no

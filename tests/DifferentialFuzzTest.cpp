@@ -486,19 +486,23 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
 
   Xoshiro256 Rng(Seed ^ 0x2468);
   int Threads = static_cast<int>(1 + Rng.nextBounded(5));
+  // Over-decomposition composes with the compressed streams: the seeds
+  // cycle through 1, 2 and 4 chunks per thread.
+  const int Mult = 1 << (GetParam() % 3);
 
   for (std::int64_t BlockBytes : {std::int64_t(0), std::int64_t(1024)}) {
     for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64}) {
       for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
         CvrOptions Opts;
         Opts.NumThreads = Threads;
+        Opts.ChunkMultiplier = Mult;
         Opts.ColBlockBytes = BlockBytes;
         Opts.Values = VK;
         Opts.Indices = IK;
         StatusOr<CvrMatrix> M = CvrMatrix::tryFromCsr(A, Opts);
         const std::string Where =
-            "seed " + std::to_string(Seed) + " block " +
-            std::to_string(BlockBytes) + " vk " +
+            "seed " + std::to_string(Seed) + " mult " + std::to_string(Mult) +
+            " block " + std::to_string(BlockBytes) + " vk " +
             std::to_string(static_cast<int>(VK)) + " ik " +
             std::to_string(static_cast<int>(IK));
         ASSERT_TRUE(M.ok()) << Where << ": " << M.status().toString();

@@ -13,7 +13,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/CvrSpmv.h"
-#include "engine/Autotune.h"
 #include "formats/Registry.h"
 #include "io/MatrixMarket.h"
 #include "support/AlignedBuffer.h"
@@ -97,12 +96,13 @@ TEST_F(FaultToleranceTest, FailPointCountAndSkip) {
 }
 
 TEST_F(FaultToleranceTest, FailPointSpecParsing) {
-  Status S = failpoint::armFromSpec("alloc.aligned-buffer=1@2;tune.timeout");
+  Status S =
+      failpoint::armFromSpec("alloc.aligned-buffer=1@2;convert.cvr.fail");
   ASSERT_TRUE(S.ok()) << S.toString();
   std::vector<std::string> Armed = failpoint::armedSites();
   EXPECT_NE(std::find(Armed.begin(), Armed.end(), "alloc.aligned-buffer"),
             Armed.end());
-  EXPECT_NE(std::find(Armed.begin(), Armed.end(), "tune.timeout"),
+  EXPECT_NE(std::find(Armed.begin(), Armed.end(), "convert.cvr.fail"),
             Armed.end());
   failpoint::disarmAll();
   EXPECT_TRUE(failpoint::armedSites().empty());
@@ -114,15 +114,15 @@ TEST_F(FaultToleranceTest, FailPointSpecParsing) {
 TEST_F(FaultToleranceTest, CatalogDocumentsTheSites) {
   const std::vector<failpoint::SiteInfo> &Sites = failpoint::catalog();
   ASSERT_FALSE(Sites.empty());
-  bool HaveAlloc = false, HaveTune = false;
+  bool HaveAlloc = false, HaveConvert = false;
   for (const failpoint::SiteInfo &S : Sites) {
     EXPECT_NE(S.Name[0], '\0');
     EXPECT_NE(S.Effect[0], '\0');
     HaveAlloc |= std::string(S.Name) == "alloc.aligned-buffer";
-    HaveTune |= std::string(S.Name) == "tune.timeout";
+    HaveConvert |= std::string(S.Name) == "convert.cvr.fail";
   }
   EXPECT_TRUE(HaveAlloc);
-  EXPECT_TRUE(HaveTune);
+  EXPECT_TRUE(HaveConvert);
 }
 
 TEST_F(FaultToleranceTest, CorruptFlipsExactlyOneBit) {
@@ -247,8 +247,7 @@ TEST_F(FaultToleranceTest, SerializeReadBitflipCaughtByChecksum) {
 /// Shared harness for the ladder tests: builds the workload, arms \p Spec,
 /// runs prepareKernel, and verifies the prepared kernel against the scalar
 /// reference.
-PreparedKernel prepareUnderFault(const std::string &Spec,
-                                 const PrepareOptions &Opts) {
+PreparedKernel prepareUnderFault(const std::string &Spec) {
   CsrMatrix A = test::randomCsr(64, 64, 0.15, 21);
   std::vector<double> X = test::randomVector(64, 5);
   std::vector<double> Ref = referenceSpmv(A, X);
@@ -257,7 +256,7 @@ PreparedKernel prepareUnderFault(const std::string &Spec,
     Status S = failpoint::armFromSpec(Spec);
     EXPECT_TRUE(S.ok()) << S.toString();
   }
-  StatusOr<PreparedKernel> P = prepareKernel(FormatId::Cvr, A, Opts);
+  StatusOr<PreparedKernel> P = prepareKernel(FormatId::Cvr, A);
   failpoint::disarmAll();
   EXPECT_TRUE(P.ok()) << P.status().toString();
   if (!P.ok())
@@ -271,9 +270,7 @@ PreparedKernel prepareUnderFault(const std::string &Spec,
 }
 
 TEST_F(FaultToleranceTest, LadderHappyPathPreparesRequestedVariant) {
-  PrepareOptions Opts;
-  Opts.Tune = false;
-  PreparedKernel P = prepareUnderFault("", Opts);
+  PreparedKernel P = prepareUnderFault("");
   EXPECT_EQ(P.Requested, "CVR");
   EXPECT_EQ(P.Actual, "CVR");
   EXPECT_FALSE(P.degraded());
@@ -281,26 +278,21 @@ TEST_F(FaultToleranceTest, LadderHappyPathPreparesRequestedVariant) {
 }
 
 TEST_F(FaultToleranceTest, LadderFallsToCsrWhenConversionFails) {
-  PrepareOptions Opts;
-  Opts.Tune = true;
-  PreparedKernel P = prepareUnderFault("convert.cvr.fail", Opts);
-  EXPECT_EQ(P.Requested, "CVR+tuned");
+  PreparedKernel P = prepareUnderFault("convert.cvr.fail");
+  EXPECT_EQ(P.Requested, "CVR");
   EXPECT_EQ(P.Actual, "CSR");
-  ASSERT_EQ(P.Downgrades.size(), 2u);
-  EXPECT_EQ(P.Downgrades[0].FromVariant, "CVR+tuned");
-  EXPECT_EQ(P.Downgrades[1].ToVariant, "CSR");
-  for (const DowngradeStep &D : P.Downgrades)
-    EXPECT_FALSE(D.Reason.ok());
+  ASSERT_EQ(P.Downgrades.size(), 1u);
+  EXPECT_EQ(P.Downgrades[0].FromVariant, "CVR");
+  EXPECT_EQ(P.Downgrades[0].ToVariant, "CSR");
+  EXPECT_FALSE(P.Downgrades[0].Reason.ok());
 }
 
 TEST_F(FaultToleranceTest, LadderCsrRungStillServesRunBatch) {
   // The matrix must outlive the prepared kernel (CSR's rung keeps a
   // pointer), so this drill builds its own instead of prepareUnderFault's.
   CsrMatrix A = test::randomCsr(64, 64, 0.15, 21);
-  PrepareOptions Opts;
-  Opts.Tune = true;
   ASSERT_TRUE(failpoint::armFromSpec("convert.cvr.fail").ok());
-  StatusOr<PreparedKernel> P = prepareKernel(FormatId::Cvr, A, Opts);
+  StatusOr<PreparedKernel> P = prepareKernel(FormatId::Cvr, A);
   failpoint::disarmAll();
   ASSERT_TRUE(P.ok()) << P.status().toString();
   EXPECT_EQ(P->Actual, "CSR");
@@ -324,70 +316,29 @@ TEST_F(FaultToleranceTest, LadderCsrRungStillServesRunBatch) {
   }
 }
 
-TEST_F(FaultToleranceTest, LadderFallsToDefaultCvrOnTuneTimeout) {
-  PrepareOptions Opts;
-  Opts.Tune = true;
-  PreparedKernel P = prepareUnderFault("tune.timeout", Opts);
-  EXPECT_EQ(P.Requested, "CVR+tuned");
-  EXPECT_EQ(P.Actual, "CVR");
-  ASSERT_EQ(P.Downgrades.size(), 1u);
-  EXPECT_EQ(P.Downgrades[0].Reason.code(), StatusCode::DeadlineExceeded);
-}
-
 TEST_F(FaultToleranceTest, LadderSurvivesAllocationFailure) {
-  PrepareOptions Opts;
-  Opts.Tune = true;
-  PreparedKernel P = prepareUnderFault("alloc.aligned-buffer", Opts);
-  // CVR storage lives in AlignedBuffer, so both CVR rungs fail; the CSR
+  PreparedKernel P = prepareUnderFault("alloc.aligned-buffer");
+  // CVR storage lives in AlignedBuffer, so the CVR rung fails; the CSR
   // baseline owns no aligned storage and must still work.
   EXPECT_EQ(P.Actual, "CSR");
-  ASSERT_EQ(P.Downgrades.size(), 2u);
+  ASSERT_EQ(P.Downgrades.size(), 1u);
   EXPECT_EQ(P.Downgrades[0].Reason.code(), StatusCode::ResourceExhausted);
 }
 
 TEST_F(FaultToleranceTest, LadderAbsorbsOneTransientAllocationFailure) {
-  // A single injected failure is swallowed inside the tuner's candidate
-  // search; the top rung still prepares.
-  PrepareOptions Opts;
-  Opts.Tune = true;
-  PreparedKernel P = prepareUnderFault("alloc.aligned-buffer=1", Opts);
-  EXPECT_EQ(P.Requested, "CVR+tuned");
-  EXPECT_EQ(P.Actual, "CVR+tuned");
-}
-
-TEST_F(FaultToleranceTest, TuneTimeoutBeforeAnyMeasurementIsAnError) {
-  CsrMatrix A = test::randomCsr(32, 32, 0.2, 9);
-  AutotuneOptions Opts;
-  Opts.UseCache = false;
-  failpoint::arm("tune.timeout");
-  StatusOr<AutotuneResult> R = tryAutotuneCvr(A, Opts);
-  ASSERT_FALSE(R.ok());
-  EXPECT_EQ(R.status().code(), StatusCode::DeadlineExceeded);
-}
-
-TEST_F(FaultToleranceTest, TinyBudgetTimesOutGracefully) {
-  CsrMatrix A = test::randomCsr(32, 32, 0.2, 9);
-  AutotuneOptions Opts;
-  Opts.UseCache = false;
-  Opts.BudgetSeconds = 1e-9;
-  StatusOr<AutotuneResult> R = tryAutotuneCvr(A, Opts);
-  // Either the deadline hit before anything was timed (an error the ladder
-  // downgrades on) or a partial search came back flagged TimedOut.
-  if (R.ok())
-    EXPECT_TRUE(R->TimedOut);
-  else
-    EXPECT_EQ(R.status().code(), StatusCode::DeadlineExceeded);
-}
-
-TEST_F(FaultToleranceTest, UnlimitedBudgetNeverReportsTimeout) {
-  CsrMatrix A = test::randomCsr(32, 32, 0.2, 9);
-  AutotuneOptions Opts;
-  Opts.UseCache = false;
-  Opts.MaxIterations = 12;
-  StatusOr<AutotuneResult> R = tryAutotuneCvr(A, Opts);
-  ASSERT_TRUE(R.ok()) << R.status().toString();
-  EXPECT_FALSE(R->TimedOut);
-  EXPECT_GE(R->IterationsUsed, 1);
+  // A one-shot allocation failure, wherever it lands in the conversion
+  // (first stream, a later stream), costs exactly the CVR rung: the
+  // half-built matrix is released and the CSR baseline serves.
+  for (const char *Spec : {"alloc.aligned-buffer=1",
+                           "alloc.aligned-buffer=1@1",
+                           "alloc.aligned-buffer=1@2"}) {
+    PreparedKernel P = prepareUnderFault(Spec);
+    EXPECT_EQ(P.Requested, "CVR") << Spec;
+    EXPECT_EQ(P.Actual, "CSR") << Spec;
+    ASSERT_EQ(P.Downgrades.size(), 1u) << Spec;
+    EXPECT_EQ(P.Downgrades[0].Reason.code(), StatusCode::ResourceExhausted)
+        << Spec;
+  }
 }
 
 } // namespace

@@ -186,9 +186,9 @@ TEST(Registry, NamesAndVariantCounts) {
   EXPECT_EQ(variantsOf(FormatId::Esb).size(), 3u);
   EXPECT_EQ(variantsOf(FormatId::Vhcc).size(), Vhcc::panelSweep().size());
   EXPECT_EQ(variantsOf(FormatId::Csr5).size(), 1u);
-  // Fixed-plan CVR plus the autotuned execution engine.
-  EXPECT_EQ(variantsOf(FormatId::Cvr).size(), 2u);
-  EXPECT_EQ(variantsOf(FormatId::Cvr)[1].VariantName, "CVR+tuned");
+  // One CVR variant: the default conversion, the paper's fixed plan.
+  EXPECT_EQ(variantsOf(FormatId::Cvr).size(), 1u);
+  EXPECT_EQ(variantsOf(FormatId::Cvr)[0].VariantName, "CVR");
   EXPECT_STREQ(formatName(FormatId::Cvr), "CVR");
 }
 

@@ -19,7 +19,6 @@
 
 #include "analysis/CheckedKernel.h"
 #include "core/Cvr.h"
-#include "engine/TunedKernel.h"
 #include "formats/CsrSpmv.h"
 #include "formats/FusedEpilogue.h"
 #include "formats/Registry.h"
@@ -140,11 +139,17 @@ TEST(FusedEpilogue, MatchesComposedEveryOpEveryFormat) {
                         std::string(formatName(F)) + "/t" +
                             std::to_string(Threads));
     }
-    AutotuneOptions Opts;
+    // A non-default CVR build: over-decomposed, prefetching, and
+    // column-blocked (accumulate-mode run() ahead of the sweep).
+    CvrOptions Opts;
     Opts.NumThreads = Threads;
-    TunedCvrKernel Tuned(Opts);
-    Tuned.prepare(A);
-    checkKernelAllOps(Tuned, A, "CVR+tuned/t" + std::to_string(Threads));
+    Opts.ChunkMultiplier = 2;
+    Opts.PrefetchDistance = 4;
+    Opts.ColBlockBytes = 256;
+    CvrKernel Built(Opts);
+    Built.prepare(A);
+    checkKernelAllOps(Built, A, "CVR/mult2-pf4-block/t" +
+                                    std::to_string(Threads));
   }
 }
 

@@ -17,6 +17,7 @@
 #include "analysis/InvariantChecker.h"
 #include "io/MatrixMarket.h"
 #include "matrix/Reference.h"
+#include "obs/Telemetry.h"
 #include "serve/Client.h"
 #include "serve/Server.h"
 #include "support/Crc32c.h"
@@ -28,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -345,6 +347,39 @@ TEST_F(ServeTest, ShedRequestsGetResourceExhausted) {
       << StatsResp.Text;
 }
 
+TEST_F(ServeTest, StatsExportsHistogramBucketsThatSumToTheCount) {
+  if (!obs::telemetryEnabled())
+    GTEST_SKIP() << "telemetry compiled out";
+  Service Svc(*TheFleet);
+  Request R = multiplyRequest();
+  expectMatchesReference(R, Svc.handle(R));
+
+  Request Stats;
+  Stats.Kind = Op::Stats;
+  Response Resp = Svc.handle(Stats);
+  ASSERT_EQ(Resp.Code, StatusCode::Ok) << Resp.Message;
+  const std::string &J = Resp.Text;
+  const std::string Key = "\"serve.request_micros\":{\"count\":";
+  std::size_t P = J.find(Key);
+  ASSERT_NE(P, std::string::npos) << J;
+  const long long Count = std::strtoll(J.c_str() + P + Key.size(), nullptr, 10);
+  EXPECT_GE(Count, 1);
+
+  std::size_t Open = J.find("\"buckets\":[", P);
+  std::size_t Close = J.find(']', Open);
+  ASSERT_NE(Open, std::string::npos) << J;
+  ASSERT_NE(Close, std::string::npos) << J;
+  std::istringstream Cells(J.substr(Open + 11, Close - Open - 11));
+  long long Sum = 0;
+  int NumBuckets = 0;
+  for (std::string Cell; std::getline(Cells, Cell, ',');) {
+    Sum += std::stoll(Cell);
+    ++NumBuckets;
+  }
+  EXPECT_EQ(NumBuckets, obs::HistogramBuckets);
+  EXPECT_EQ(Sum, Count) << J.substr(P, Close - P + 1);
+}
+
 //===----------------------------------------------------------------------===//
 // Kernel cache
 //===----------------------------------------------------------------------===//
@@ -424,7 +459,12 @@ TEST_F(ServeTest, MatrixMarketEntryServesThroughTheLadder) {
   Status S = TheFleet->addMatrixMarket("ladder", MtxPath);
   (void)std::remove(MtxPath.c_str());
   ASSERT_TRUE(S.ok()) << S.toString();
-  EXPECT_EQ(TheFleet->find("ladder")->Mode, LoadMode::Prepared);
+  std::shared_ptr<const ServedMatrix> Entry = TheFleet->find("ladder");
+  EXPECT_EQ(Entry->Mode, LoadMode::Prepared);
+  // The ladder's top rung is the default CVR conversion; it prepares.
+  EXPECT_EQ(Entry->Prepared.Requested, "CVR");
+  EXPECT_EQ(Entry->Prepared.Actual, "CVR");
+  EXPECT_TRUE(Entry->Prepared.Downgrades.empty());
 
   Service Svc(*TheFleet);
   Request R = multiplyRequest();

@@ -9,7 +9,7 @@ void armByName(const char *Name);
 void useIds() {
   armByName("cvr.bogus.unknown-rule"); // expect: lint.ids.registry
   armByName("cvr.blob.magic");         // clean: defined in src/core
-  armByName("tune.timeout");           // clean: defined in src/engine
+  armByName("convert.cvr.fail");       // clean: defined in src/core
   armByName("test.obs.anything");      // clean: test-local namespace
 }
 

@@ -31,8 +31,8 @@
 //                                             PageRank) over any format
 //   cvr_tool trace    <matrix.mtx|suite-name> [--out=PATH]
 //                                             chrome-trace of the full
-//                                             pipeline (convert, tune,
-//                                             execute, fused solve)
+//                                             pipeline (convert, execute,
+//                                             fused solve)
 //   cvr_tool gen      <suite-name> <out.mtx> [--scale=X]
 //                                             write one of the 58 suite
 //                                             matrices as Matrix Market
@@ -63,8 +63,6 @@
 #include "cachesim/LocalityProbe.h"
 #include "core/Cvr.h"
 #include "core/CvrSpmm.h"
-#include "engine/Autotune.h"
-#include "engine/TunedKernel.h"
 #include "formats/AutoSelect.h"
 #include "formats/Registry.h"
 #include "gen/DatasetSuite.h"
@@ -123,16 +121,11 @@ int usage(const char *Prog) {
       "  validate <matrix.mtx|suite-name|--suite> [--format=F] [--threads=T]\n"
       "                                        invariant + checked-mode "
       "sweep\n"
-      "  tune     <matrix.mtx|suite-name> [--threads=T] [--scale=X]\n"
-      "                                        search the CVR execution-plan\n"
-      "                                        space (prefetch, blocking,\n"
-      "                                        over-decomposition)\n"
       "  trace    <matrix.mtx|suite-name> [--out=PATH] [--threads=T]\n"
-      "           [--scale=X]                  run convert -> tune ->\n"
-      "                                        execute -> fused solve under\n"
-      "                                        a trace session; write\n"
-      "                                        chrome-trace JSON (default\n"
-      "                                        trace.json)\n"
+      "           [--scale=X]                  run convert -> execute ->\n"
+      "                                        fused solve under a trace\n"
+      "                                        session; write chrome-trace\n"
+      "                                        JSON (default trace.json)\n"
       "  solve    <matrix.mtx|suite-name> [--solver=cg|bicgstab|jacobi|\n"
       "           power|pagerank] [--format=F] [--threads=T]\n"
       "           [--tol=X] [--maxiter=N] [--scale=X]\n"
@@ -141,7 +134,7 @@ int usage(const char *Prog) {
       "  gen      <suite-name> <out.mtx> [--scale=X]\n"
       "  list                                  suite matrix names\n"
       "  inject   [--fp=SPEC]... [--list] [matrix.mtx|suite-name]\n"
-      "           [--threads=T] [--budget=SECONDS] [--scale=X]\n"
+      "           [--threads=T] [--scale=X]\n"
       "                                        arm fault-injection sites,\n"
       "                                        run the degradation ladder,\n"
       "                                        verify against the scalar\n"
@@ -507,12 +500,13 @@ int cmdRoofline(int Argc, char **Argv) {
   // Alpha comes from the uncompressed plan's probe and is applied to every
   // plan, so the table shows how the prediction *transfers* to the
   // compressed streams rather than being re-fit per plan.
+  CvrOptions Base;
+  Base.NumThreads = Threads;
+  Base.ColBlockBytes = BlockBytes;
   double Alpha = 1.0;
   {
-    CvrPlan Base;
-    Base.ColBlockBytes = BlockBytes;
-    CvrKernel K(Base.toOptions(Threads));
-    StatusOr<CvrMatrix> MB = CvrMatrix::tryFromCsr(A, Base.toOptions(Threads));
+    CvrKernel K(Base);
+    StatusOr<CvrMatrix> MB = CvrMatrix::tryFromCsr(A, Base);
     if (MB.ok() && K.prepareStatus(A).ok())
       Alpha = analysis::alphaFromLocality(probeLocality(K, A, X.data()),
                                           analysis::predictCvr(*MB),
@@ -538,11 +532,10 @@ int cmdRoofline(int Argc, char **Argv) {
       {"f32x64/u16", ValueKind::F32x64, ColIndexKind::U16Band},
   };
   for (const Spec &S : Specs) {
-    CvrPlan P;
-    P.ColBlockBytes = BlockBytes;
+    CvrOptions P = Base;
     P.Values = S.V;
     P.Indices = S.I;
-    StatusOr<CvrMatrix> MB = CvrMatrix::tryFromCsr(A, P.toOptions(Threads));
+    StatusOr<CvrMatrix> MB = CvrMatrix::tryFromCsr(A, P);
     if (!MB.ok()) {
       std::fprintf(stderr, "error: %s: %s\n", S.Label,
                    MB.status().toString().c_str());
@@ -553,7 +546,7 @@ int cmdRoofline(int Argc, char **Argv) {
       continue;
     }
     const analysis::RooflinePrediction RP = analysis::predictCvr(*MB, Alpha);
-    CvrKernel K(P.toOptions(Threads));
+    CvrKernel K(P);
     analysis::MeasuredTraffic MT;
     if (K.prepareStatus(A).ok())
       MT = analysis::measureDramTraffic(K, A, X.data());
@@ -680,62 +673,6 @@ int cmdValidate(int Argc, char **Argv) {
   }
   std::printf("validation passed\n");
   return 0;
-}
-
-int cmdTune(int Argc, char **Argv) {
-  std::string Target;
-  int Threads = 0;
-  double Scale = 1.0;
-  for (int I = 2; I < Argc; ++I) {
-    if (std::strncmp(Argv[I], "--threads=", 10) == 0)
-      Threads = std::atoi(Argv[I] + 10);
-    else if (std::strncmp(Argv[I], "--scale=", 8) == 0)
-      Scale = std::atof(Argv[I] + 8);
-    else
-      Target = Argv[I];
-  }
-  if (Target.empty() || Scale <= 0.0 || Scale > 1.0)
-    return 2;
-
-  CsrMatrix A;
-  if (!loadTargetMatrix(Target, Scale, A))
-    return 1;
-
-  AutotuneOptions Opts;
-  Opts.NumThreads = Threads;
-  Opts.UseCache = false; // A fresh search is the point of the command.
-  Timer T;
-  AutotuneResult R = autotuneCvr(A, Opts);
-  double SearchMs = T.millis();
-
-  std::printf("%s (%d x %d, %lld nnz)\n", Target.c_str(), A.numRows(),
-              A.numCols(), static_cast<long long>(A.numNonZeros()));
-  std::printf("  plan          %s\n", R.Plan.describe().c_str());
-  std::printf("  search        %d timed iterations, %.1f ms total\n",
-              R.IterationsUsed, SearchMs);
-  std::printf("  default plan  %.3f us/iter (%.2f GFlop/s)\n",
-              R.BaselineSeconds * 1e6,
-              spmvGflops(A.numNonZeros(), R.BaselineSeconds));
-  std::printf("  tuned plan    %.3f us/iter (%.2f GFlop/s, %+.1f%%)\n",
-              R.BestSeconds * 1e6,
-              spmvGflops(A.numNonZeros(), R.BestSeconds),
-              R.BaselineSeconds > 0.0
-                  ? (R.BaselineSeconds / R.BestSeconds - 1.0) * 100.0
-                  : 0.0);
-
-  // Confirm the winning plan computes the right answer before anyone
-  // copies it into a build.
-  TunedCvrKernel K(Opts);
-  K.prepare(A);
-  std::vector<double> X = makeX(A.numCols());
-  std::vector<double> Y(static_cast<std::size_t>(A.numRows()), 0.0);
-  K.run(X.data(), Y.data());
-  std::vector<double> Ref(static_cast<std::size_t>(A.numRows()), 0.0);
-  referenceSpmv(A, X.data(), Ref.data());
-  double Diff = maxRelDiff(Ref, Y);
-  std::printf("  check         maxRelDiff %.2e vs scalar reference (%s)\n",
-              Diff, Diff <= 1e-10 ? "ok" : "FAIL");
-  return Diff <= 1e-10 ? 0 : 1;
 }
 
 /// Run one of the iterative solvers over any format's kernel. Linear
@@ -900,7 +837,6 @@ int cmdInject(int Argc, char **Argv) {
   std::vector<std::string> FpSpecs;
   int Threads = 0;
   double Scale = 0.25;
-  double BudgetSeconds = 0.0;
   for (int I = 2; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--list") == 0) {
       std::printf("%-24s %s\n", "site", "effect when armed");
@@ -914,8 +850,6 @@ int cmdInject(int Argc, char **Argv) {
       FpSpecs.push_back(Argv[I] + 5);
     } else if (std::strncmp(Argv[I], "--threads=", 10) == 0)
       Threads = std::atoi(Argv[I] + 10);
-    else if (std::strncmp(Argv[I], "--budget=", 9) == 0)
-      BudgetSeconds = std::atof(Argv[I] + 9);
     else if (std::strncmp(Argv[I], "--scale=", 8) == 0)
       Scale = std::atof(Argv[I] + 8);
     else
@@ -967,7 +901,6 @@ int cmdInject(int Argc, char **Argv) {
 
   PrepareOptions Opts;
   Opts.NumThreads = Threads;
-  Opts.TuneBudgetSeconds = BudgetSeconds;
   StatusOr<PreparedKernel> R = prepareKernel(FormatId::Cvr, A, Opts);
   if (!R.ok()) {
     std::fprintf(stderr, "error: ladder exhausted: %s\n",
@@ -989,9 +922,9 @@ int cmdInject(int Argc, char **Argv) {
   return Diff <= 1e-10 ? 0 : 1;
 }
 
-/// Runs the full pipeline — CSR -> CVR conversion, the autotune search, a
-/// few plain SpMV sweeps, and (for square matrices) a short fused power
-/// iteration — under a trace session, then writes the chrome-trace JSON.
+/// Runs the full pipeline — CSR -> CVR conversion, a few plain SpMV sweeps,
+/// and (for square matrices) a short fused power iteration — under a trace
+/// session, then writes the chrome-trace JSON.
 /// The file loads directly in about://tracing or ui.perfetto.dev; the
 /// JSON is validated before anything reaches disk.
 int cmdTrace(int Argc, char **Argv) {
@@ -1022,11 +955,10 @@ int cmdTrace(int Argc, char **Argv) {
 
   obs::traceStart();
   {
-    // prepare() converts and runs the autotune search: convert/cvr and
-    // tune/cvr spans (plus the probe conversions the search performs).
-    AutotuneOptions Opts;
+    // prepare() converts: the convert/cvr span.
+    CvrOptions Opts;
     Opts.NumThreads = Threads;
-    TunedCvrKernel K(Opts);
+    CvrKernel K(Opts);
     K.prepare(A);
 
     std::vector<double> X = makeX(A.numCols());
@@ -1068,13 +1000,11 @@ int cmdTrace(int Argc, char **Argv) {
 
   std::printf("%s (%d x %d, %lld nnz)\n", Target.c_str(), A.numRows(),
               A.numCols(), static_cast<long long>(A.numNonZeros()));
-  std::printf("  spans      %zu (convert -> tune -> execute%s)\n",
+  std::printf("  spans      %zu (convert -> execute%s)\n",
               NumEvents,
               A.numRows() == A.numCols() ? " -> fused solve" : "");
-  std::printf("  telemetry  %lld conversions, %lld tuner iterations, "
-              "%lld SpMV runs\n",
+  std::printf("  telemetry  %lld conversions, %lld SpMV runs\n",
               static_cast<long long>(obs::telemetryValue("convert.cvr.calls")),
-              static_cast<long long>(obs::telemetryValue("tune.iterations")),
               static_cast<long long>(obs::telemetryValue("spmv.cvr.runs")));
   std::printf("  wrote      %s (%zu bytes; open in about://tracing or "
               "ui.perfetto.dev)\n",
@@ -1564,8 +1494,6 @@ int main(int Argc, char **Argv) {
     return cmdRoofline(Argc, Argv);
   if (Cmd == "validate")
     return cmdValidate(Argc, Argv);
-  if (Cmd == "tune")
-    return cmdTune(Argc, Argv);
   if (Cmd == "trace")
     return cmdTrace(Argc, Argv);
   if (Cmd == "solve")
