@@ -104,6 +104,8 @@ int main(int Argc, char **Argv) {
     CvrOptions Base;
     Base.NumThreads = Threads;
     Base.ColBlockBytes = SM.ColBlockBytes;
+    Base.Values = ValueKind::F64; // The default would narrow the streams.
+    Base.Indices = ColIndexKind::U32;
     double Alpha = 1.0;
     {
       CvrKernel K(Base);

@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -107,7 +109,25 @@ void recordConvertTelemetry(const CvrMatrix &M) {
                   TotalSteps);
 }
 
+/// True when \p V survives a round trip through fp32 bit for bit and is
+/// not an fp32 subnormal: ±0 and ±inf qualify; NaN, values outside the
+/// fp32 range and values fp32 cannot hold exactly do not.
+bool exactInFp32(double V) {
+  if (!(std::fabs(V) <= FLT_MAX))
+    return std::isinf(V); // Also rejects NaN; never casts out of range.
+  const float F = static_cast<float>(V);
+  return static_cast<double>(F) == V && std::fpclassify(F) != FP_SUBNORMAL;
+}
+
 } // namespace
+
+const char *valueKindName(ValueKind K) {
+  return K == ValueKind::F32x64 ? "f32x64" : "f64";
+}
+
+const char *colIndexKindName(ColIndexKind K) {
+  return K == ColIndexKind::U16Band ? "u16" : "u32";
+}
 
 CvrMatrix CvrMatrix::fromCsr(const CsrMatrix &A, const CvrOptions &Opts) {
   StatusOr<CvrMatrix> R = tryFromCsr(A, Opts);
@@ -126,7 +146,8 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
   if (CVR_FAIL_POINT("convert.cvr.fail"))
     return Status::internal(
         "convert.cvr.fail fail point: simulated pathological conversion");
-  if (Opts.Values > ValueKind::F32x64 || Opts.Indices > ColIndexKind::U16Band)
+  if ((Opts.Values && *Opts.Values > ValueKind::F32x64) ||
+      (Opts.Indices && *Opts.Indices > ColIndexKind::U16Band))
     return Status::invalidArgument("CvrOptions names an unknown stream kind");
   if (A.numRows() < 0 || A.numCols() < 0)
     return Status::invalidArgument("matrix has negative shape");
@@ -249,11 +270,12 @@ Status CvrMatrix::rebuildDerived() {
   return Status::okStatus();
 }
 
-Status CvrMatrix::compressStreams(ValueKind VK, ColIndexKind IK) {
+Status CvrMatrix::compressStreams(std::optional<ValueKind> VK,
+                                  std::optional<ColIndexKind> IK) {
   if (Status S = rebuildDerived(); !S.ok())
     return S;
 
-  if (IK == ColIndexKind::U16Band) {
+  if (IK.value_or(ColIndexKind::U16Band) == ColIndexKind::U16Band) {
     // Eligibility: every band (the whole column range when unblocked)
     // must span <= 65536 columns so band-local deltas fit uint16.
     std::int64_t WidestBand = NumCols;
@@ -264,7 +286,9 @@ Status CvrMatrix::compressStreams(ValueKind VK, ColIndexKind IK) {
             std::max<std::int64_t>(WidestBand, B.ColEnd - B.ColBegin);
     }
     if (WidestBand > 65536) {
-      NarrowIdxFallback = true; // Checked fallback: keep 32-bit indices.
+      // Checked fallback: keep 32-bit indices, and say so when U16Band
+      // was asked for rather than picked.
+      NarrowIdxFallback = IK.has_value();
     } else {
       if (!ColIdx16.tryResize(ColIdx.size()).ok())
         return Status::resourceExhausted(
@@ -293,7 +317,12 @@ Status CvrMatrix::compressStreams(ValueKind VK, ColIndexKind IK) {
     }
   }
 
-  if (VK == ValueKind::F32x64) {
+  // Unset: fp32 exactly when it is lossless for every stored value (pads
+  // are 0.0, which always is).
+  const bool NarrowVals =
+      VK ? *VK == ValueKind::F32x64
+         : std::all_of(Vals.data(), Vals.data() + Vals.size(), exactInFp32);
+  if (NarrowVals) {
     if (!Vals32.tryResize(Vals.size()).ok())
       return Status::resourceExhausted(
           "CVR compression: fp32 value stream allocation failed");

@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <vector>
 
 namespace cvr {
@@ -46,8 +47,10 @@ struct Introspect;
 /// Storage precision of the value stream. SpMV is bandwidth-bound, so the
 /// stream bytes — not the FLOPs — set the speed limit (the roofline model
 /// in src/analysis/Roofline.h quantifies this); F32x64 halves the dominant
-/// stream at the cost of fp32 rounding of the matrix entries, which the
-/// solvers' iterative-refinement fallback recovers from.
+/// stream. It is lossless when every value is exact in fp32 (the default
+/// conversion then picks it); an explicit request on other values rounds
+/// them to fp32, which the solvers' iterative-refinement fallback recovers
+/// from.
 enum class ValueKind : std::uint8_t {
   F64 = 0,    ///< fp64 storage, fp64 accumulation (the paper's layout).
   F32x64 = 1, ///< fp32 storage widened to fp64 accumulation in registers.
@@ -58,12 +61,17 @@ enum class ColIndexKind : std::uint8_t {
   U32 = 0, ///< Absolute int32 columns (the paper's layout).
   /// Band-local uint16 deltas from the owning column band's ColBegin
   /// (band 0 / unblocked matrices use base 0). Requires every band to
-  /// span <= 65536 columns; conversion falls back to U32 otherwise
-  /// (CvrMatrix::narrowIndexFallback reports it). Pad slots store delta
-  /// 0, so a pad's widened column is the band base — always a safe
-  /// gather; its value is 0, so it contributes nothing.
+  /// span <= 65536 columns; conversion keeps U32 otherwise (for an
+  /// explicit request CvrMatrix::narrowIndexFallback reports it). Pad
+  /// slots store delta 0, so a pad's widened column is the band base —
+  /// always a safe gather; its value is 0, so it contributes nothing.
   U16Band = 1,
 };
+
+/// Short names of the stream kinds ("f64", "f32x64", "u32", "u16"),
+/// as /stats and the daemon's List op print them.
+const char *valueKindName(ValueKind K);
+const char *colIndexKindName(ColIndexKind K);
 
 /// Conversion options.
 struct CvrOptions {
@@ -97,16 +105,22 @@ struct CvrOptions {
   /// {0, 2, 4, 8}; other values snap up to the next supported one.
   int PrefetchDistance = 0;
 
-  /// Value-stream storage precision (stream compression axis 1). F32x64
-  /// halves value-stream traffic; results carry fp32 rounding of the
-  /// matrix entries (~1e-7 relative), which solvers recover from via
-  /// iterative refinement against an fp64 reference operator.
-  ValueKind Values = ValueKind::F64;
+  /// Value-stream storage precision (stream compression axis 1). Unset,
+  /// the conversion stores the narrowest lossless stream: F32x64 when
+  /// every value round-trips through fp32 bit for bit and none is an fp32
+  /// subnormal (pattern, graph, Laplacian and stencil matrices), F64
+  /// otherwise; either way y is bit-identical to an F64 conversion. An
+  /// explicit kind is stored as asked: F32x64 then rounds inexact entries
+  /// (~1e-7 relative), which solvers recover from via iterative refinement
+  /// against an fp64 reference operator.
+  std::optional<ValueKind> Values;
 
-  /// Column-index storage width (stream compression axis 2). U16Band is
-  /// lossless; it silently falls back to U32 when any column band is
-  /// wider than 65536 columns (see CvrMatrix::narrowIndexFallback).
-  ColIndexKind Indices = ColIndexKind::U32;
+  /// Column-index storage width (stream compression axis 2). Both kinds
+  /// are lossless. Unset, the conversion stores U16Band whenever every
+  /// column band spans <= 65536 columns and U32 otherwise; an explicit
+  /// U16Band on a wider band keeps U32 and sets
+  /// CvrMatrix::narrowIndexFallback.
+  std::optional<ColIndexKind> Indices;
 };
 
 /// One write-back record (the paper's `rec` vector entry).
@@ -191,9 +205,9 @@ public:
   const float *vals32() const { return Vals32.data(); }
   const std::uint16_t *colIdx16() const { return ColIdx16.data(); }
 
-  /// True when U16Band indices were requested but a band exceeded the
-  /// uint16 range, so the conversion kept 32-bit indices (the checked
-  /// fallback the narrow-index axis documents).
+  /// True when U16Band indices were explicitly requested but a band
+  /// exceeded the uint16 range, so the conversion kept 32-bit indices (the
+  /// checked fallback the narrow-index axis documents).
   bool narrowIndexFallback() const { return NarrowIdxFallback; }
 
   /// Bytes per stored element of the value / column-index streams.
@@ -340,13 +354,15 @@ private:
   std::int32_t NumCols = 0;
   std::int64_t Nnz = 0;
 
-  /// Applies the CvrOptions compression axes to a freshly converted (or
-  /// about-to-be-validated) structure: narrows ColIdx into ColIdx16 when
-  /// every band fits uint16 (recording the fallback otherwise) and Vals
-  /// into Vals32 on request, after rebuilding the derived per-chunk
-  /// state. RESOURCE_EXHAUSTED when the narrow streams or the masks cannot
-  /// be allocated.
-  [[nodiscard]] Status compressStreams(ValueKind VK, ColIndexKind IK);
+  /// Applies the CvrOptions compression axes to a freshly converted
+  /// structure, after rebuilding the derived per-chunk state: narrows
+  /// ColIdx into ColIdx16 when every band fits uint16 (recording the
+  /// fallback when U16Band was asked for and cannot be had) and Vals into
+  /// Vals32 when asked for, or, for an unset kind, when it is lossless.
+  /// RESOURCE_EXHAUSTED when the narrow streams or the masks cannot be
+  /// allocated.
+  [[nodiscard]] Status compressStreams(std::optional<ValueKind> VK,
+                                       std::optional<ColIndexKind> IK);
 
   /// The one blob decoder behind readBlob and mapBlob, over a byte source
   /// defined in CvrSerialize.cpp (the only translation unit that
@@ -374,7 +390,7 @@ private:
   int ChunkMult = 1;
   ValueKind VKind = ValueKind::F64;
   ColIndexKind IKind = ColIndexKind::U32;
-  bool NarrowIdxFallback = false; ///< U16Band requested but band too wide.
+  bool NarrowIdxFallback = false; ///< U16Band asked for, band too wide.
 };
 
 } // namespace cvr

@@ -10,10 +10,11 @@
 // consumption is the SpMV kernel's, but the per-lane accumulator is a
 // panel-row vector instead of a scalar, and every record/tail write-back
 // moves a whole register of columns. Records are rare relative to steps,
-// so their shared-row atomics stay scalar. Matrices the panel kernel does
-// not read (compressed streams) compose SpMM from per-column SpMV runs
-// instead. A fused batch epilogue is one sweep after the kernel: CvrKernel
-// inherits SpmvKernel::runBatchFused.
+// so their shared-row atomics stay scalar. Like runChunk, the kernel reads
+// all four stream-kind combinations: uint16 indices are widened and
+// rebased onto the chunk's band, fp32 values widened to fp64. A fused
+// batch epilogue is one sweep after the kernel: CvrKernel inherits
+// SpmvKernel::runBatchFused.
 //
 //===----------------------------------------------------------------------===//
 
@@ -125,16 +126,33 @@ using PanelAccumulateWriteBack = PanelScatterWriteBack<true>;
 
 /// One chunk of the register-blocked SpMM kernel: lane k accumulates a
 /// whole panel row in a vector register, fed by one contiguous load of
-/// X[Cols[step*8+k] * LdX .. +width) per element — no gathers. Structure
+/// X[col(step*8+k) * LdX .. +width) per element — no gathers. Structure
 /// (records, stealing, tails) mirrors runChunk, with every write-back a
-/// panel row through the policy \p Out.
-template <class Panel, class WriteBack>
+/// panel row through the policy \p Out. NarrowIdx reads band-local uint16
+/// deltas (col = chunk band base + delta), NarrowVal fp32 values.
+template <bool NarrowIdx, bool NarrowVal, class Panel, class WriteBack>
 CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
                           const double *X, std::size_t LdX, Panel P,
                           int PfDist, WriteBack Out) {
   constexpr int W = 8;
-  const double *Vals = M.vals() + C.ElemBase;
-  const std::int32_t *Cols = M.colIdx() + C.ElemBase;
+  const auto CI = static_cast<std::size_t>(&C - M.chunks().data());
+  const std::size_t ColBase =
+      static_cast<std::size_t>(M.chunkColBase(CI));
+  const double *Vals = NarrowVal ? nullptr : M.vals() + C.ElemBase;
+  const float *Vals32 = NarrowVal ? M.vals32() + C.ElemBase : nullptr;
+  const std::int32_t *Cols = NarrowIdx ? nullptr : M.colIdx() + C.ElemBase;
+  const std::uint16_t *ColsN =
+      NarrowIdx ? M.colIdx16() + C.ElemBase : nullptr;
+  // The panel row element E multiplies, and its value.
+  auto XRow = [&](std::int64_t E) {
+    const std::size_t Col = NarrowIdx
+                                ? ColBase + ColsN[E]
+                                : static_cast<std::size_t>(Cols[E]);
+    return X + Col * LdX;
+  };
+  auto Val = [&](std::int64_t E) {
+    return NarrowVal ? static_cast<double>(Vals32[E]) : Vals[E];
+  };
   const CvrRecord *Recs = M.recs();
   std::int64_t RecIdx = C.RecBase;
   const std::int64_t RecEnd = C.RecEnd;
@@ -167,17 +185,16 @@ CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
       // first line; a row is at most eight doubles) and stream the
       // matching value line. The index stream is sequential and short per
       // step, so the hardware prefetcher covers it.
-      const std::int32_t *Pc = Cols + (I + PfDist) * W;
       for (int K = 0; K < W; ++K)
-        __builtin_prefetch(X + static_cast<std::size_t>(Pc[K]) * LdX, 0, 1);
-      __builtin_prefetch(Vals + (I + PfDist) * W, 0, 0);
+        __builtin_prefetch(XRow((I + PfDist) * W + K), 0, 1);
+      if constexpr (NarrowVal)
+        __builtin_prefetch(Vals32 + (I + PfDist) * W, 0, 0);
+      else
+        __builtin_prefetch(Vals + (I + PfDist) * W, 0, 0);
     }
 
-    for (int K = 0; K < W; ++K) {
-      const double *XRow =
-          X + static_cast<std::size_t>(Cols[I * W + K]) * LdX;
-      VOut[K] = P.fmadd(VOut[K], Vals[I * W + K], XRow);
-    }
+    for (int K = 0; K < W; ++K)
+      VOut[K] = P.fmadd(VOut[K], Val(I * W + K), XRow(I * W + K));
   }
 
   if (RecIdx < RecEnd)
@@ -190,6 +207,21 @@ CVR_HOT void runChunkSpmm(const CvrMatrix &M, const CvrChunk &C,
       continue;
     Out.finish(P, Row, TRes[K], Row == C.FirstRow || Row == C.LastRow);
   }
+}
+
+/// Runs chunk \p C through the instantiation that reads \p M's stream
+/// kinds.
+template <class Panel, class WriteBack>
+void runChunkSpmmKinds(const CvrMatrix &M, const CvrChunk &C,
+                       const double *X, std::size_t LdX, Panel P, int PfDist,
+                       WriteBack Out) {
+  const bool NV = M.valueKind() == ValueKind::F32x64;
+  if (M.colIndexKind() == ColIndexKind::U16Band)
+    NV ? runChunkSpmm<true, true>(M, C, X, LdX, P, PfDist, Out)
+       : runChunkSpmm<true, false>(M, C, X, LdX, P, PfDist, Out);
+  else
+    NV ? runChunkSpmm<false, true>(M, C, X, LdX, P, PfDist, Out)
+       : runChunkSpmm<false, false>(M, C, X, LdX, P, PfDist, Out);
 }
 
 /// Zeroes the Bw-wide slice of the rows the chunk sweep never plain-stores
@@ -213,11 +245,11 @@ void runSpmmChunkRange(const CvrMatrix &M, int Begin, int End,
   auto Body = [&](int T) {
     const CvrChunk &C = Chunks[Begin + T];
     if (Bw == 8)
-      runChunkSpmm(M, C, X, LdX, Panel8{}, PfDist, Out);
+      runChunkSpmmKinds(M, C, X, LdX, Panel8{}, PfDist, Out);
     else if (Bw == 4)
-      runChunkSpmm(M, C, X, LdX, Panel4{}, PfDist, Out);
+      runChunkSpmmKinds(M, C, X, LdX, Panel4{}, PfDist, Out);
     else
-      runChunkSpmm(M, C, X, LdX, PanelTail(Bw), PfDist, Out);
+      runChunkSpmmKinds(M, C, X, LdX, PanelTail(Bw), PfDist, Out);
   };
   if (N > Threads)
     ompParallelForDynamic(N, Threads, Body);
@@ -278,39 +310,6 @@ void recordCvrSpmmTelemetry(int NumVectors, int Passes) {
   PassCount.add(Passes);
 }
 
-/// True when the register-blocked panel kernel reads \p M: uncompressed
-/// F64/U32 streams.
-bool panelKernelReads(const CvrMatrix &M) {
-  return M.valueKind() == ValueKind::F64 &&
-         M.colIndexKind() == ColIndexKind::U32;
-}
-
-/// Every other matrix composes SpMM from per-column SpMV runs through
-/// contiguous scratch. Compressed streams (F32x64 values / U16Band
-/// indices): rewriting the panel kernel per kind would triple its
-/// instantiation count for a path whose payoff is amortizing *matrix*
-/// traffic — which compression already shrinks (DESIGN.md section 17).
-[[nodiscard]] Status cvrSpmmComposed(const CvrMatrix &M, const double *X, std::size_t LdX,
-                       double *Y, std::size_t LdY, int NumVectors,
-                       const CvrSpmmOptions &Opts) try {
-  const int Pf = snapPrefetchDistance(Opts.PrefetchDistance);
-  std::vector<double> Xc(static_cast<std::size_t>(M.numCols()));
-  std::vector<double> Yc(static_cast<std::size_t>(M.numRows()));
-  for (int J = 0; J < NumVectors; ++J) {
-    for (std::int32_t I = 0; I < M.numCols(); ++I)
-      Xc[static_cast<std::size_t>(I)] =
-          X[static_cast<std::size_t>(I) * LdX + J];
-    cvrSpmv(M, Xc.data(), Yc.data(), Pf);
-    for (std::int32_t I = 0; I < M.numRows(); ++I)
-      Y[static_cast<std::size_t>(I) * LdY + J] =
-          Yc[static_cast<std::size_t>(I)];
-  }
-  recordCvrSpmmTelemetry(NumVectors, NumVectors);
-  return Status::okStatus();
-} catch (const std::bad_alloc &) {
-  return Status::resourceExhausted("composed SpMM: scratch allocation failed");
-}
-
 } // namespace
 
 Status cvrSpmm(const CvrMatrix &M, const double *X, std::size_t LdX,
@@ -321,8 +320,6 @@ Status cvrSpmm(const CvrMatrix &M, const double *X, std::size_t LdX,
     return S;
   obs::TraceSpan Span("execute/spmm", "execute");
   Span.arg("cols", NumVectors);
-  if (!panelKernelReads(M))
-    return cvrSpmmComposed(M, X, LdX, Y, LdY, NumVectors, Opts);
   const int Pf = snapPrefetchDistance(Opts.PrefetchDistance);
   int Passes = 0;
   for (int J0 = 0; J0 < NumVectors;) {

@@ -21,9 +21,9 @@
 /// 1..7, so a degenerate K never wastes a full-width pass. Lane semantics
 /// (records, tracker stealing, tails, shared-row atomics, accumulate-mode
 /// bands) are identical to the SpMV kernel with every scalar write-back
-/// widened to a panel row. The panel kernel reads matrices with
-/// uncompressed F64/U32 streams; every other matrix composes SpMM from one
-/// cvrSpmv per column.
+/// widened to a panel row. The panel kernel reads every stream kind (fp32
+/// values and band-local uint16 indices widen in registers, as in SpMV),
+/// so a compressed matrix is streamed once per pass too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +48,7 @@ struct CvrSpmmOptions {
 /// arguments — null pointers, NumVectors < 1, leading dimensions narrower
 /// than the panel — with INVALID_ARGUMENT instead of reading out of
 /// bounds. Works for every stream kind and for column-blocked matrices (the
-/// composed and accumulate-mode paths keep the exact SpMV semantics).
+/// accumulate-mode path keeps the exact SpMV semantics).
 [[nodiscard]] Status cvrSpmm(const CvrMatrix &M, const double *X,
                              std::size_t LdX, double *Y, std::size_t LdY,
                              int NumVectors,

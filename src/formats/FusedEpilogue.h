@@ -14,12 +14,15 @@
 /// its write-back (fusedRowApply), where the y re-read disappears and only
 /// the epilogue's extra operand reads remain.
 ///
-/// Determinism: every accumulator is reduced in a fixed order — rows in
-/// index order in the sweep, per-row within a thread range and partials
-/// merged in thread index order on CSR's path — so a given kernel
-/// configuration always produces bit-identical accumulator values. Fused
-/// and unfused results differ only by floating-point reassociation,
-/// bounded by the tolerance documented in DESIGN.md section 12.
+/// Determinism: every accumulator is reduced in a fixed order. The sweep
+/// runs one loop per op on one thread and reduces through `#pragma omp
+/// simd reduction`: per-lane partial sums combined in the order the
+/// compiled loop fixes, independent of the data. CSR's path reduces
+/// per-row within a thread range and merges partials in thread index
+/// order. So a given build and kernel configuration always produces
+/// bit-identical accumulator values. Fused and unfused results differ
+/// only by floating-point reassociation, bounded by the tolerance
+/// documented in DESIGN.md section 12.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -219,17 +222,18 @@ CVR_HOT inline void storeAccum(FusedEpilogue &E, const EpilogueAccum &Total) {
   E.Acc3 = Total.A3;
 }
 
-/// The unfused composition: one scalar sweep over Y[0..N) applying \p E
-/// row by row in index order. This is what SpmvKernel::runFused composes
-/// with run() for every format but CSR, and the reference the checked mode
-/// compares every runFused against.
+/// The unfused composition: one sweep over Y[0..N) applying \p E, one
+/// vectorized loop per op and optional term (no per-row branch on the
+/// request). This is what SpmvKernel::runFused composes with run() for
+/// every format but CSR, and the reference the checked mode compares every
+/// runFused against.
 void applyEpilogueScalar(FusedEpilogue &E, const double *X, double *Y,
                          std::int64_t N);
 
 /// Trace-accurate twin of applyEpilogueScalar: reports into \p Sink every
-/// memory reference the scalar sweep performs (the y re-read a fused kernel
-/// eliminates, plus the op's operand traffic) while computing the same
-/// result.
+/// memory reference the sweep performs (the y re-read a fused kernel
+/// eliminates, plus the op's operand traffic), then runs
+/// applyEpilogueScalar itself, so its results are the sweep's bit for bit.
 void traceEpilogueScalar(MemAccessSink &Sink, FusedEpilogue &E,
                          const double *X, double *Y, std::int64_t N);
 

@@ -48,6 +48,23 @@ std::int64_t ServedMatrix::nnz() const {
                                     : M.numNonZeros();
 }
 
+const CvrMatrix *ServedMatrix::cvr() const {
+  if (Mode != LoadMode::Prepared)
+    return &M;
+  const auto *Src =
+      dynamic_cast<const CvrMatrixSource *>(Prepared.Kernel.get());
+  return Src ? &Src->cvrMatrix() : nullptr;
+}
+
+double ServedMatrix::bytesPerNnz() const {
+  const CvrMatrix *C = cvr();
+  const std::size_t Bytes =
+      C ? C->formatBytes()
+        : (Prepared.Kernel ? Prepared.Kernel->formatBytes() : 0);
+  return nnz() > 0 ? static_cast<double>(Bytes) / static_cast<double>(nnz())
+                   : 0.0;
+}
+
 std::uint64_t fingerprintBytes(const void *Data, std::size_t Bytes) {
   const auto *P = static_cast<const unsigned char *>(Data);
   std::uint64_t H = 1469598103934665603ULL; // FNV offset basis.

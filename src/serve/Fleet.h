@@ -124,6 +124,14 @@ struct ServedMatrix {
   std::int32_t rows() const;
   std::int32_t cols() const;
   std::int64_t nnz() const;
+
+  /// The CVR matrix requests execute: M for blob sources, the prepared
+  /// kernel's matrix when the ladder kept CVR, nullptr otherwise.
+  const CvrMatrix *cvr() const;
+
+  /// Bytes the entry's executing format holds per nonzero (streams,
+  /// records and tables; 0 for an empty matrix).
+  double bytesPerNnz() const;
 };
 
 /// Tuned execution state for one blob entry: the prefetch distance a

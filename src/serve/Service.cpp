@@ -40,6 +40,20 @@ Response errorResponse(const Status &S) {
   return R;
 }
 
+/// Names of the value and index streams an entry stores ("-" for both
+/// when the ladder moved a prepared entry off CVR).
+struct StreamKinds {
+  const char *Values = "-";
+  const char *Indices = "-";
+};
+
+StreamKinds streamKinds(const ServedMatrix &E) {
+  const CvrMatrix *M = E.cvr();
+  if (!M)
+    return {};
+  return {valueKindName(M->valueKind()), colIndexKindName(M->colIndexKind())};
+}
+
 void recordDowngrade(Response &Resp, const std::string &From,
                      const std::string &To, const Status &Why) {
   Resp.Downgrades.push_back({From + " -> " + To + ": " + Why.toString()});
@@ -65,9 +79,12 @@ Response Service::handle(const Request &R) {
   case Op::List: {
     Resp.Variant = "list";
     std::ostringstream OS;
-    for (const auto &E : TheFleet.list())
+    for (const auto &E : TheFleet.list()) {
+      const StreamKinds K = streamKinds(*E);
       OS << E->Name << ' ' << E->rows() << ' ' << E->cols() << ' '
-         << E->nnz() << ' ' << loadModeName(E->Mode) << '\n';
+         << E->nnz() << ' ' << loadModeName(E->Mode) << ' ' << K.Values
+         << ' ' << K.Indices << ' ' << E->bytesPerNnz() << '\n';
+    }
     Resp.Text = OS.str();
     break;
   }
@@ -222,10 +239,14 @@ Response Service::handleSolve(const Request &R, const ServedMatrix &Entry,
     return errorResponse(Status::failedPrecondition(
         "solve: '" + Entry.Name + "' is not square"));
   const auto N = static_cast<std::size_t>(Entry.rows());
-  if (R.Solver != SolverKind::Power && R.X.size() != N)
+  // Power iteration's start vector is optional; every other x is required.
+  const bool Power = R.Solver == SolverKind::Power;
+  if (!(Power && R.X.empty()) && R.X.size() != N)
     return errorResponse(Status::invalidArgument(
-        "solve: right-hand side has " + std::to_string(R.X.size()) +
-        " elements, matrix dimension is " + std::to_string(N)));
+        std::string("solve: ") +
+        (Power ? "start vector" : "right-hand side") + " has " +
+        std::to_string(R.X.size()) + " elements, matrix dimension is " +
+        std::to_string(N)));
   Execution E;
   if (Status S = pickKernel(Entry, D, E, Resp); !S.ok())
     return errorResponse(S);
@@ -252,7 +273,7 @@ Response Service::handleSolve(const Request &R, const ServedMatrix &Entry,
   }
   case SolverKind::Power: {
     Resp.Y.assign(N, 0.0);
-    if (R.X.size() == N)
+    if (!R.X.empty())
       Resp.Y = R.X; // Caller-provided starting vector.
     double Eigenvalue = 0.0;
     SR = powerIteration(*E.K, Eigenvalue, Resp.Y, SOpts);
@@ -309,9 +330,11 @@ std::string Service::statsJson() const {
     First = false;
     OS << "{\"name\":\"";
     jsonEscape(OS, E->Name);
+    const StreamKinds K = streamKinds(*E);
     OS << "\",\"rows\":" << E->rows() << ",\"cols\":" << E->cols()
        << ",\"nnz\":" << E->nnz() << ",\"mode\":\"" << loadModeName(E->Mode)
-       << "\"}";
+       << "\",\"value_kind\":\"" << K.Values << "\",\"index_kind\":\""
+       << K.Indices << "\",\"bytes_per_nnz\":" << E->bytesPerNnz() << "}";
   }
   OS << "]";
 

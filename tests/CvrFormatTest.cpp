@@ -13,6 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <sstream>
+
 namespace cvr {
 namespace {
 
@@ -243,6 +248,160 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CvrMatrixCase> &Info) {
       return Info.param.Name;
     });
+
+//===----------------------------------------------------------------------===//
+// Default stream kinds: the narrowest lossless streams
+//===----------------------------------------------------------------------===//
+
+/// Runs cvrSpmv on one thread (no shared-row atomics, so the result is
+/// deterministic) and returns y.
+std::vector<double> spmvOneThread(const CsrMatrix &A, CvrOptions Opts) {
+  Opts.NumThreads = 1;
+  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
+  std::vector<double> X =
+      randomVector(static_cast<std::size_t>(A.numCols()), 17);
+  std::vector<double> Y(static_cast<std::size_t>(A.numRows()), -1.0);
+  cvrSpmv(M, X.data(), Y.data());
+  return Y;
+}
+
+/// The paper's uncompressed streams, asked for explicitly.
+CvrOptions f64u32() {
+  CvrOptions Opts;
+  Opts.Values = ValueKind::F64;
+  Opts.Indices = ColIndexKind::U32;
+  return Opts;
+}
+
+/// \p A with its value at position \p I replaced by \p V.
+CsrMatrix withValue(CsrMatrix A, std::int64_t I, double V) {
+  A.vals()[I] = V;
+  return A;
+}
+
+/// A 2 x Cols matrix whose nonzeros reach the last column.
+CsrMatrix wideMatrix(std::int32_t Cols) {
+  CooMatrix Coo(2, Cols);
+  for (std::int32_t C = 0; C < Cols; C += 997)
+    Coo.add(C % 2, C, 1.0);
+  Coo.add(1, Cols - 1, 2.0);
+  return CsrMatrix::fromCoo(Coo);
+}
+
+TEST(CvrStreamKinds, IntegerStencilGetsF32ValuesAndU16Indices) {
+  CvrMatrix M = CvrMatrix::fromCsr(genStencil27(8, 8, 8));
+  EXPECT_EQ(M.valueKind(), ValueKind::F32x64);
+  EXPECT_EQ(M.colIndexKind(), ColIndexKind::U16Band);
+  EXPECT_FALSE(M.narrowIndexFallback());
+  EXPECT_TRUE(M.isValid());
+}
+
+TEST(CvrStreamKinds, RandomValuesKeepF64) {
+  CvrMatrix M = CvrMatrix::fromCsr(randomCsr(300, 300, 0.05, 5));
+  EXPECT_EQ(M.valueKind(), ValueKind::F64);
+  EXPECT_EQ(M.colIndexKind(), ColIndexKind::U16Band);
+}
+
+TEST(CvrStreamKinds, ColumnsPastU16RangeKeepU32) {
+  CsrMatrix A = wideMatrix(70000);
+  CvrMatrix M = CvrMatrix::fromCsr(A);
+  EXPECT_EQ(M.colIndexKind(), ColIndexKind::U32);
+  // The default asked for no kind, so nothing fell back.
+  EXPECT_FALSE(M.narrowIndexFallback());
+  EXPECT_EQ(M.valueKind(), ValueKind::F32x64);
+
+  // An explicit U16Band request reports the fallback.
+  CvrOptions Narrow;
+  Narrow.Indices = ColIndexKind::U16Band;
+  CvrMatrix N = CvrMatrix::fromCsr(A, Narrow);
+  EXPECT_EQ(N.colIndexKind(), ColIndexKind::U32);
+  EXPECT_TRUE(N.narrowIndexFallback());
+
+  // Column bands no wider than 65536 columns narrow again.
+  CvrOptions Blocked;
+  Blocked.ColBlockBytes = 8 * 4096;
+  CvrMatrix B = CvrMatrix::fromCsr(A, Blocked);
+  EXPECT_EQ(B.colIndexKind(), ColIndexKind::U16Band);
+  CvrOptions BlockedWide = f64u32();
+  BlockedWide.ColBlockBytes = Blocked.ColBlockBytes;
+  EXPECT_EQ(spmvOneThread(A, Blocked), spmvOneThread(A, BlockedWide));
+}
+
+TEST(CvrStreamKinds, ValuesFp32CannotHoldKeepF64) {
+  const CsrMatrix A = genStencil27(5, 5, 5);
+  const double Subnormal = std::ldexp(1.0, -140); // Exact, but subnormal.
+  ASSERT_EQ(static_cast<double>(static_cast<float>(Subnormal)), Subnormal);
+  for (double V : {0.1, 1e-300, std::nan(""), Subnormal, 1e300}) {
+    SCOPED_TRACE(V);
+    CvrMatrix M = CvrMatrix::fromCsr(withValue(A, A.numNonZeros() / 2, V));
+    EXPECT_EQ(M.valueKind(), ValueKind::F64);
+    EXPECT_EQ(M.colIndexKind(), ColIndexKind::U16Band);
+  }
+}
+
+TEST(CvrStreamKinds, InfinitiesAndNegativeZeroKeepF32) {
+  const CsrMatrix A = genStencil27(5, 5, 5);
+  const double Inf = std::numeric_limits<double>::infinity();
+  for (double V : {Inf, -Inf, -0.0}) {
+    SCOPED_TRACE(V);
+    const CsrMatrix B = withValue(A, 7, V);
+    EXPECT_EQ(CvrMatrix::fromCsr(B).valueKind(), ValueKind::F32x64);
+    EXPECT_EQ(spmvOneThread(B, {}), spmvOneThread(B, f64u32()));
+  }
+}
+
+TEST(CvrStreamKinds, DefaultYIsBitIdenticalToF64U32) {
+  const CvrOptions Wide = f64u32();
+  CvrOptions BlockedDefault, BlockedWide = Wide;
+  BlockedDefault.ColBlockBytes = BlockedWide.ColBlockBytes = 2048;
+  const CsrMatrix Cases[] = {genStencil27(9, 9, 9),
+                             randomCsr(500, 500, 0.02, 9), genRmat(10, 8, 3),
+                             genRoadLattice(30, 1.5, 4)};
+  for (const CsrMatrix &A : Cases) {
+    EXPECT_EQ(spmvOneThread(A, {}), spmvOneThread(A, Wide));
+    EXPECT_EQ(spmvOneThread(A, BlockedDefault), spmvOneThread(A, BlockedWide));
+  }
+}
+
+TEST(CvrStreamKinds, DefaultBlobRoundTripsThroughBothReaders) {
+  const CsrMatrix A = genStencil27(7, 7, 7);
+  CvrOptions Opts;
+  Opts.NumThreads = 1;
+  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
+  ASSERT_EQ(M.valueKind(), ValueKind::F32x64);
+  ASSERT_EQ(M.colIndexKind(), ColIndexKind::U16Band);
+  std::vector<double> X =
+      randomVector(static_cast<std::size_t>(A.numCols()), 23);
+  std::vector<double> Want(static_cast<std::size_t>(A.numRows()));
+  cvrSpmv(M, X.data(), Want.data());
+
+  auto ExpectSame = [&](const CvrMatrix &R, const char *Reader) {
+    SCOPED_TRACE(Reader);
+    EXPECT_EQ(R.valueKind(), ValueKind::F32x64);
+    EXPECT_EQ(R.colIndexKind(), ColIndexKind::U16Band);
+    EXPECT_EQ(R.formatBytes(), M.formatBytes());
+    std::vector<double> Y(Want.size(), -1.0);
+    cvrSpmv(R, X.data(), Y.data());
+    EXPECT_EQ(Y, Want);
+  };
+
+  std::ostringstream Compact;
+  ASSERT_TRUE(M.writeBlob(Compact).ok());
+  std::istringstream IS(Compact.str());
+  StatusOr<CvrMatrix> Read = CvrMatrix::readBlob(IS);
+  ASSERT_TRUE(Read.ok()) << Read.status().toString();
+  ExpectSame(*Read, "readBlob");
+
+  std::ostringstream Mapped;
+  ASSERT_TRUE(M.writeBlob(Mapped, BlobLayout::Mapped).ok());
+  const std::string Bytes = Mapped.str();
+  AlignedBuffer<char> Img(Bytes.size());
+  std::memcpy(Img.data(), Bytes.data(), Bytes.size());
+  StatusOr<CvrMatrix> Map = CvrMatrix::mapBlob(Img.data(), Img.size());
+  ASSERT_TRUE(Map.ok()) << Map.status().toString();
+  EXPECT_FALSE(Map->ownsStreams());
+  ExpectSame(*Map, "mapBlob");
+}
 
 } // namespace
 } // namespace cvr

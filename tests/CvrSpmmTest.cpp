@@ -16,6 +16,7 @@
 #include "TestUtil.h"
 #include "gen/Generators.h"
 #include "matrix/Reference.h"
+#include "obs/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -124,13 +125,55 @@ TEST(CvrSpmm, BlockedMatrixAccumulatesBands) {
   expectSpmmMatchesSpmv(genPowerLaw(500, 500, 6.0, 1.2, 89), 6, 2, 0, Opts);
 }
 
-TEST(CvrSpmm, CompressedStreamsCompose) {
-  // The panel kernel reads F64/U32 streams only; compressed matrices
-  // compose SpMM from one cvrSpmv per column.
-  CvrOptions Opts;
-  Opts.Values = ValueKind::F32x64;
-  Opts.Indices = ColIndexKind::U16Band;
-  expectSpmmMatchesSpmv(genRmat(8, 6, 85), 5, 2, 0, Opts);
+/// Value of telemetry counter \p Name (0 when it has not been bumped).
+std::int64_t counterValue(const std::string &Name) {
+  for (const obs::MetricSnapshot &MS : obs::snapshotTelemetry())
+    if (MS.Name == Name)
+      return MS.Value;
+  return 0;
+}
+
+TEST(CvrSpmm, EveryStreamKindRunsThePanelKernel) {
+  // Half-integer values are exact in fp32, so every kind must match the
+  // fp64 reference to round-off; the column bands of the blocked build
+  // give the narrow indices nonzero bases.
+  CsrMatrix A = genPowerLaw(600, 600, 6.0, 1.2, 85);
+  for (std::int64_t I = 0; I < A.numNonZeros(); ++I)
+    A.vals()[I] = static_cast<double>(I % 9) - 4.5;
+  const auto Rows = static_cast<std::size_t>(A.numRows());
+  const auto Cols = static_cast<std::size_t>(A.numCols());
+  for (std::int64_t Block : {0, 1024})
+    for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64})
+      for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
+        CvrOptions Opts;
+        Opts.NumThreads = 2;
+        Opts.ColBlockBytes = Block;
+        Opts.Values = VK;
+        Opts.Indices = IK;
+        CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
+        ASSERT_EQ(M.valueKind(), VK);
+        ASSERT_EQ(M.colIndexKind(), IK);
+        for (int K : {8, 5, 12}) {
+          SCOPED_TRACE(std::string(valueKindName(VK)) + "/" +
+                       colIndexKindName(IK) + " block " +
+                       std::to_string(Block) + " K " + std::to_string(K));
+          std::vector<double> X = randomPanel(Cols, K, K, 700);
+          std::vector<double> Y(Rows * K, -4.0);
+          const std::int64_t Passes0 = counterValue("spmv.cvr.spmm_passes");
+          ASSERT_TRUE(cvrSpmm(M, X.data(), K, Y.data(), K, K).ok());
+          // One pass per <= 8 columns: the matrix streams once per pass,
+          // not once per column.
+          if (obs::telemetryEnabled()) {
+            EXPECT_EQ(counterValue("spmv.cvr.spmm_passes") - Passes0,
+                      (K + 7) / 8);
+          }
+          for (int J = 0; J < K; ++J)
+            EXPECT_LE(maxRelDiff(referenceSpmv(A, panelColumn(X, K, J, Cols)),
+                                 panelColumn(Y, K, J, Rows)),
+                      SpmvTolerance)
+                << "column " << J;
+        }
+      }
 }
 
 TEST(CvrSpmm, MatchesScalarReferencePerColumn) {
@@ -206,12 +249,12 @@ struct FusedPanels {
 };
 
 TEST(CvrSpmmFused, DotPerColumn) {
-  // The panel kernel, and the composed per-column SpMV path that
-  // compressed streams take.
-  CvrOptions Narrow;
+  // The panel kernel on absolute 32-bit and on band-local 16-bit indices.
+  CvrOptions Wide, Narrow;
+  Wide.Indices = ColIndexKind::U32;
   Narrow.Indices = ColIndexKind::U16Band;
-  for (const CvrOptions &Opts : {CvrOptions{}, Narrow}) {
-    SCOPED_TRACE("ik " + std::to_string(static_cast<int>(Opts.Indices)));
+  for (const CvrOptions &Opts : {Wide, Narrow}) {
+    SCOPED_TRACE(std::string("ik ") + colIndexKindName(*Opts.Indices));
     FusedPanels P(genPowerLaw(350, 350, 5.0, 1.2, 91), 6, 2, Opts);
     std::vector<double> Z = randomPanel(P.Rows, P.K, P.K, 500);
     std::vector<double> Acc1(P.K, -1.0), Acc2(P.K, -1.0);
@@ -326,15 +369,17 @@ TEST(CvrSpmmFused, DampScalePerColumn) {
 }
 
 TEST(CvrSpmmFused, BlockedMatrixComposesEpilogue) {
-  // Blocked conversions accumulate across bands, and compressed streams
-  // take the composed per-column SpMV path; the epilogue sweep after
-  // either must give the unblocked panel kernel's semantics exactly.
+  // Blocked conversions accumulate across bands, and narrow indices
+  // rebase onto the chunk's band; the epilogue sweep after either must
+  // give the panel kernel's semantics exactly.
   CvrOptions Blocked, Narrow;
   Blocked.ColBlockBytes = 512;
+  Blocked.Indices = ColIndexKind::U32;
+  Narrow.ColBlockBytes = 512;
   Narrow.Indices = ColIndexKind::U16Band;
   for (const CvrOptions &Opts : {Blocked, Narrow}) {
     SCOPED_TRACE("block " + std::to_string(Opts.ColBlockBytes) + " ik " +
-                 std::to_string(static_cast<int>(Opts.Indices)));
+                 colIndexKindName(*Opts.Indices));
     FusedPanels P(genPowerLaw(300, 300, 6.0, 1.2, 96), 5, 2, Opts);
     std::vector<double> Acc1(P.K, -1.0);
     std::vector<double> Y(P.Rows * P.LdY);

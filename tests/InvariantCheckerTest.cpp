@@ -217,7 +217,9 @@ TEST(InvariantCheckerMutation, CvrDuplicateRecordPosition) {
 
 TEST(InvariantCheckerMutation, CvrColumnOutOfRange) {
   CsrMatrix A = testMatrix();
-  CvrMatrix M = CvrMatrix::fromCsr(A, {});
+  CvrOptions Opts;
+  Opts.Indices = ColIndexKind::U32; // A negative absolute column.
+  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
   Introspect::colIdx(M)[3] = -2;
   expectRule(InvariantChecker::checkCvr(M, &A), "cvr.col.range");
 }
@@ -367,7 +369,9 @@ TEST(InvariantCheckerMutation, VhccLocalRowJump) {
 
 TEST(CheckedSpmv, CatchesGatherOutOfRange) {
   CsrMatrix A = testMatrix();
-  CvrMatrix M = CvrMatrix::fromCsr(A, {});
+  CvrOptions Opts;
+  Opts.Indices = ColIndexKind::U32; // Mutates the absolute index stream.
+  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
   Introspect::colIdx(M)[4] = A.numCols() + 1000; // Would gather wild.
   std::vector<double> X = test::randomVector(A.numCols(), 3);
   std::vector<double> Y(A.numRows(), 0.0);

@@ -90,14 +90,21 @@ TEST(MmapBlobTest, MappedStreamsAliasTheImage) {
   ASSERT_TRUE(R.ok()) << R.status().toString();
   const CvrMatrix &M = *R;
 
-  // The big streams alias the image; nothing was copied.
+  // The big streams, of whichever kinds the conversion stored, alias the
+  // image; nothing was copied.
+  const void *Vals = M.valueKind() == ValueKind::F32x64
+                         ? static_cast<const void *>(M.vals32())
+                         : M.vals();
+  const void *Cols = M.colIndexKind() == ColIndexKind::U16Band
+                         ? static_cast<const void *>(M.colIdx16())
+                         : M.colIdx();
   EXPECT_FALSE(M.ownsStreams());
-  EXPECT_TRUE(pointsInto(M.vals(), Img));
-  EXPECT_TRUE(pointsInto(M.colIdx(), Img));
+  EXPECT_TRUE(pointsInto(Vals, Img));
+  EXPECT_TRUE(pointsInto(Cols, Img));
   EXPECT_TRUE(pointsInto(M.tails(), Img));
   // And they kept the alignment the AVX-512 kernels load with.
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(M.vals()) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(M.colIdx()) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(Vals) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(Cols) % 64, 0u);
 
   // The mapped matrix computes the same answer as the scalar reference.
   std::vector<double> X =

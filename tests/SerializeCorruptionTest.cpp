@@ -46,10 +46,14 @@ constexpr std::size_t SectionElemSize[7] = {
     sizeof(std::int32_t), // column-index stream
 };
 
+/// The paper's uncompressed layout: 8-byte values, 4-byte indices (the
+/// element widths above). The default conversion would narrow the indices.
 CvrMatrix makeCvr() {
   CsrMatrix A = test::randomCsr(24, 24, 0.2, 7);
   CvrOptions Opts;
   Opts.NumThreads = 4;
+  Opts.Values = ValueKind::F64;
+  Opts.Indices = ColIndexKind::U32;
   return CvrMatrix::fromCsr(A, Opts);
 }
 

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/InvariantChecker.h"
+#include "gen/Generators.h"
 #include "io/MatrixMarket.h"
 #include "matrix/Reference.h"
 #include "obs/Telemetry.h"
@@ -426,6 +427,101 @@ TEST_F(ServeTest, WrongOperandSizeIsInvalidArgument) {
   Request R = multiplyRequest();
   R.X.pop_back();
   EXPECT_EQ(Svc.handle(R).Code, StatusCode::InvalidArgument);
+}
+
+TEST_F(ServeTest, SolveRejectsAnOperandOfTheWrongLength) {
+  Service Svc(*TheFleet);
+  const auto N = static_cast<std::size_t>(A.numRows());
+  Request R;
+  R.Kind = Op::Solve;
+  R.Matrix = "m";
+  R.MaxIterations = 5;
+  for (SolverKind K : {SolverKind::Cg, SolverKind::BiCgStab,
+                       SolverKind::Power}) {
+    SCOPED_TRACE(static_cast<int>(K));
+    R.Solver = K;
+    // Power's start vector is optional, but one of the wrong length is
+    // as malformed as a short right-hand side.
+    R.X = test::randomVector(N - 1, 3);
+    Response Resp = Svc.handle(R);
+    EXPECT_EQ(Resp.Code, StatusCode::InvalidArgument) << Resp.Message;
+    R.X = test::randomVector(N, 3);
+    EXPECT_EQ(Svc.handle(R).Code, StatusCode::Ok);
+  }
+  R.X.clear(); // No start vector: power iteration seeds its own.
+  Response Resp = Svc.handle(R);
+  EXPECT_EQ(Resp.Code, StatusCode::Ok) << Resp.Message;
+  EXPECT_EQ(Resp.Y.size(), N);
+}
+
+TEST_F(ServeTest, StatsAndListNameEachBlobsStreamKinds) {
+  // "m" holds random values (f64) over 64 columns (u16); a 27-point
+  // stencil's integer values are exact in fp32.
+  CvrMatrix Stencil = CvrMatrix::fromCsr(genStencil27(6, 6, 6));
+  std::string Path = test::uniqueTempPath(".cvr");
+  {
+    std::ofstream OS(Path, std::ios::binary);
+    ASSERT_TRUE(Stencil.writeBlob(OS, BlobLayout::Mapped).ok());
+  }
+  Status S = TheFleet->addBlob("stencil", Path);
+  (void)std::remove(Path.c_str());
+  ASSERT_TRUE(S.ok()) << S.toString();
+  const CvrMatrix &M = TheFleet->find("m")->M;
+  const double MBytesPerNnz = static_cast<double>(M.formatBytes()) /
+                              static_cast<double>(M.numNonZeros());
+  const double StencilBytesPerNnz =
+      static_cast<double>(Stencil.formatBytes()) /
+      static_cast<double>(Stencil.numNonZeros());
+  EXPECT_LT(StencilBytesPerNnz, MBytesPerNnz);
+
+  struct Want {
+    std::string Name, Values;
+    double BytesPerNnz;
+  };
+  const Want Wants[] = {{"m", "f64", MBytesPerNnz},
+                        {"stencil", "f32x64", StencilBytesPerNnz}};
+
+  Service Svc(*TheFleet);
+  Request Stats;
+  Stats.Kind = Op::Stats;
+  const std::string J = Svc.handle(Stats).Text;
+  for (const Want &W : Wants) {
+    std::size_t P = J.find("{\"name\":\"" + W.Name + "\",");
+    ASSERT_NE(P, std::string::npos) << J;
+    // The entry's own kinds: the first ones after its name.
+    EXPECT_EQ(J.find("\"value_kind\":\"" + W.Values +
+                         "\",\"index_kind\":\"u16\",",
+                     P),
+              J.find("\"value_kind\"", P))
+        << W.Name << ": " << J;
+    const std::string Key = "\"bytes_per_nnz\":";
+    std::size_t B = J.find(Key, P);
+    ASSERT_NE(B, std::string::npos) << J;
+    EXPECT_NEAR(std::strtod(J.c_str() + B + Key.size(), nullptr),
+                W.BytesPerNnz, 1e-3)
+        << W.Name;
+  }
+
+  Request List;
+  List.Kind = Op::List;
+  std::istringstream Lines(Svc.handle(List).Text);
+  std::size_t Seen = 0;
+  for (std::string Line; std::getline(Lines, Line); ++Seen) {
+    std::istringstream F(Line);
+    std::string Name, Mode, Values, Indices;
+    long long Rows = 0, Cols = 0, Nnz = 0;
+    double BytesPerNnz = 0.0;
+    ASSERT_TRUE(F >> Name >> Rows >> Cols >> Nnz >> Mode >> Values >>
+                Indices >> BytesPerNnz)
+        << Line;
+    const Want &W = Name == "m" ? Wants[0] : Wants[1];
+    EXPECT_EQ(Name, W.Name);
+    EXPECT_EQ(Mode, "mapped");
+    EXPECT_EQ(Values, W.Values) << Line;
+    EXPECT_EQ(Indices, "u16") << Line;
+    EXPECT_NEAR(BytesPerNnz, W.BytesPerNnz, 1e-3) << Line;
+  }
+  EXPECT_EQ(Seen, 2u);
 }
 
 TEST_F(ServeTest, SpmmPanelMatchesReferencePerColumn) {

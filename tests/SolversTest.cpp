@@ -577,6 +577,8 @@ public:
   std::string name() const override { return "diag2"; }
   void prepare(const CsrMatrix &A) override { N = A.numRows(); }
   std::int64_t preparedRows() const override { return N; }
+  // Square: CG's x.y epilogue asserts it.
+  std::int64_t preparedCols() const override { return N; }
   void run(const double *X, double *Y) const override {
     for (std::int64_t I = 0; I < N; ++I)
       Y[I] = 2.0 * X[I];

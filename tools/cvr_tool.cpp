@@ -503,6 +503,8 @@ int cmdRoofline(int Argc, char **Argv) {
   CvrOptions Base;
   Base.NumThreads = Threads;
   Base.ColBlockBytes = BlockBytes;
+  Base.Values = ValueKind::F64; // The default would narrow the streams.
+  Base.Indices = ColIndexKind::U32;
   double Alpha = 1.0;
   {
     CvrKernel K(Base);
@@ -1354,14 +1356,17 @@ int cmdServeClient(int Argc, char **Argv) {
         std::fprintf(stderr, "error: %s\n", S.toString().c_str());
         return 1;
       }
+      // One "name rows cols nnz ..." line per entry.
       std::stringstream LS(LResp.Text);
-      std::string Name, Mode;
-      std::int64_t R, C, Nnz;
-      while (LS >> Name >> R >> C >> Nnz >> Mode)
-        if (Name == MatrixName) {
+      for (std::string Line; std::getline(LS, Line);) {
+        std::istringstream Fields(Line);
+        std::string Name;
+        std::int64_t R = 0, C = 0;
+        if (Fields >> Name >> R >> C && Name == MatrixName) {
           Rows = R;
           Cols = C;
         }
+      }
       if (Cols == 0) {
         std::fprintf(stderr, "error: daemon does not serve '%s'\n",
                      MatrixName.c_str());
