@@ -4,21 +4,21 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the five iterative solvers end to end in two execution modes
-// over the CSR baseline and CVR. The fused mode runs each solver on the
-// kernel itself. The unfused mode runs CG's textbook formulation
-// (referenceConjugateGradient) on the kernel, and every other solver on
-// UnfusedKernel(kernel), which composes each SpMV with one scalar epilogue
-// sweep. CVR has no native fused path (it inherits SpmvKernel's composed
-// one), so outside CG its two modes would run the same code and it gets
-// only the fused cell: the fused-vs-unfused pairs are CSR's for all five
-// solvers plus CVR's for CG. For each (solver, kernel, mode) cell it
-// reports the per-iteration wall time, the SpMV throughput that time
-// implies, and the memory traffic one iteration moves: the kernel and
-// epilogue part is byte-accurate (traceRun / traceRunFused through a
+// Measures the five iterative solvers end to end over the CSR baseline and
+// CVR. Every solver runs its fused formulation, whose epilogue is run()
+// followed by one sweep on every kernel. CG also runs its textbook
+// formulation (referenceConjugateGradient) as the unfused mode, so each
+// kernel has one fused/unfused CG pair. For each (solver, kernel, mode)
+// cell it reports the per-iteration wall time, the SpMV throughput that
+// time implies, and the memory traffic one iteration moves: the kernel
+// and epilogue part is byte-accurate (traceRun / traceRunFused through a
 // CountingSink), the solver's own sweeps are counted analytically from its
 // formulation (8 bytes per element access; the per-solver access counts
 // are spelled out in sweepAccessesPerRow below).
+//
+// Each cell's time is the median of TimingRounds rounds, and a CG pair's
+// two modes alternate within each round (fused, unfused, fused, ...), so
+// drift on a shared host lands on both modes alike.
 //
 // The CI perf-smoke job consumes the --json output and fails if fused CG
 // falls more than 10% behind unfused on the same kernel.
@@ -26,7 +26,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "benchlib/SuiteRunner.h"
-#include "benchlib/UnfusedKernel.h"
 #include "core/CvrSpmv.h"
 #include "formats/CsrSpmv.h"
 #include "gen/Generators.h"
@@ -36,11 +35,11 @@
 #include "solvers/Solvers.h"
 #include "support/MemSink.h"
 #include "support/Random.h"
+#include "support/Stats.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,22 +74,18 @@ int spmvsPerIteration(SolverId S) {
 /// The solver's own sweep traffic per iteration, outside the kernel and
 /// its epilogue, in element accesses per row (multiply by 8 bytes and the
 /// row count). Derived by reading each formulation in Solvers.cpp: every
-/// vector element loaded or stored by those sweeps counts once. Both
-/// modes share one formulation except CG, whose unfused mode is the
-/// textbook reference. The unfused mode's epilogue sweep is not counted
-/// here: UnfusedKernel's traceRunFused traces it (y re-read, operands,
-/// y write-back), listed in the last column for the per-mode totals.
+/// vector element loaded or stored by those sweeps counts once. The
+/// epilogue sweep is not counted here: traceRunFused traces it.
 ///
-///             solver sweeps                              unfused epilogue
 ///   CG        fused:   one combined sweep, r implicit: read
 ///                      x,p,p_prev,q + write x,p_next =  6
 ///             unfused: p.Ap dot (2) + two axpys (3 each)
-///                      + r.r dot (1) + p update (3)  = 12    none: run()
+///                      + r.r dot (1) + p update (3)  = 12 (no epilogue)
 ///   BiCGSTAB  s sweep (3) + x/r update w/ rhat (7)
-///             + p update (4)                         = 14    2 x (y, z) = 4
-///   Jacobi    everything rides the kernel            =  0    y,b,d,x,x' = 5
-///   Power     normalize (2)                          =  2    y, x       = 2
-///   PageRank  leak sweep (3)                         =  3    y, y'      = 2
+///             + p update (4)                         = 14
+///   Jacobi    everything rides the epilogue          =  0
+///   Power     normalize (2)                          =  2
+///   PageRank  leak sweep (3)                         =  3
 int sweepAccessesPerRow(SolverId S, bool Fused) {
   switch (S) {
   case SolverId::Cg:
@@ -172,19 +167,16 @@ Workload webWorkload(int Scale) {
 struct KernelUnderTest {
   std::string Name;
   std::unique_ptr<SpmvKernel> K;
-  /// The kernel overrides runFused; without that, UnfusedKernel(K) runs
-  /// the same composed code as K, so only CG has a distinct unfused mode.
-  bool NativeFused;
 };
 
 std::vector<KernelUnderTest> makeKernels(const CsrMatrix &A, int Threads) {
   std::vector<KernelUnderTest> Ks;
-  Ks.push_back({"MKL", std::make_unique<CsrSpmv>(Threads), true});
+  Ks.push_back({"MKL", std::make_unique<CsrSpmv>(Threads)});
   {
     CvrOptions Opts;
     if (Threads > 0)
       Opts.NumThreads = Threads;
-    Ks.push_back({"CVR", std::make_unique<CvrKernel>(Opts), false});
+    Ks.push_back({"CVR", std::make_unique<CvrKernel>(Opts)});
   }
   for (KernelUnderTest &KT : Ks)
     KT.K->prepare(A);
@@ -193,9 +185,7 @@ std::vector<KernelUnderTest> makeKernels(const CsrMatrix &A, int Threads) {
 
 /// Runs one (solver, kernel, mode) cell for a fixed iteration count
 /// (Tolerance = 0 never converges, so every iteration runs) and returns
-/// seconds per iteration. \p K is the kernel the mode drives: the native
-/// kernel for both CG modes and every fused one, its UnfusedKernel adapter
-/// otherwise.
+/// seconds per iteration. Only CG has an unfused mode.
 double timeSolve(SolverId S, const SpmvKernel &K, const Workload &W,
                  bool Fused, int Iterations) {
   SolverOptions Opts;
@@ -239,9 +229,31 @@ double timeSolve(SolverId S, const SpmvKernel &K, const Workload &W,
   return Seconds / std::max(1, Done);
 }
 
+/// Timed rounds per cell. Fixed, so every run of the bench does the same
+/// work.
+constexpr int TimingRounds = 11;
+
+/// Seconds per iteration of each mode in \p Modes (true = fused): one
+/// warm-up solve per mode, then TimingRounds rounds that each time every
+/// mode once in the given order, reduced to each mode's median.
+std::vector<double> timeModes(SolverId S, const SpmvKernel &K,
+                              const Workload &W,
+                              const std::vector<bool> &Modes,
+                              int Iterations) {
+  for (bool Fused : Modes)
+    timeSolve(S, K, W, Fused, std::max(2, Iterations / 10));
+  std::vector<std::vector<double>> Samples(Modes.size());
+  for (int R = 0; R < TimingRounds; ++R)
+    for (std::size_t M = 0; M < Modes.size(); ++M)
+      Samples[M].push_back(timeSolve(S, K, W, Modes[M], Iterations));
+  std::vector<double> Medians;
+  for (std::vector<double> &V : Samples)
+    Medians.push_back(median(std::move(V)));
+  return Medians;
+}
+
 /// Byte-accurate kernel and epilogue traffic of one iteration's SpMV(s)
-/// plus the analytically counted solver sweeps. \p K is the mode's kernel,
-/// as in timeSolve.
+/// plus the analytically counted solver sweeps.
 std::size_t bytesPerIteration(SolverId S, const SpmvKernel &K,
                               const Workload &W, bool Fused) {
   std::size_t N = static_cast<std::size_t>(W.A.numRows());
@@ -326,22 +338,21 @@ int main(int Argc, char **Argv) {
   for (SolverId S : Solvers) {
     const Workload &W = S == SolverId::PageRank ? Web : Lap;
     std::vector<KernelUnderTest> Ks = makeKernels(W.A, Threads);
+    // Fused first in each round; the table lists unfused first.
+    const std::vector<bool> Modes =
+        S == SolverId::Cg ? std::vector<bool>{true, false}
+                          : std::vector<bool>{true};
     for (const KernelUnderTest &KT : Ks) {
-      const SpmvKernel &Native = *KT.K;
-      const UnfusedKernel Unfused(Native);
-      for (bool Fused : {false, true}) {
-        if (!Fused && !KT.NativeFused && S != SolverId::Cg)
-          continue;
-        // CG's unfused mode is the textbook reference, which calls only
-        // run(), so it runs on the kernel itself like the fused mode.
-        const SpmvKernel &K = Fused || S == SolverId::Cg ? Native : Unfused;
+      const SpmvKernel &K = *KT.K;
+      const std::vector<double> Seconds =
+          timeModes(S, K, W, Modes, Iters);
+      for (std::size_t M = Modes.size(); M-- > 0;) {
+        const bool Fused = Modes[M];
         Cell C;
         C.Solver = S;
         C.Kernel = KT.Name;
         C.Fused = Fused;
-        // One warm-up solve settles the caches, then the timed solve.
-        timeSolve(S, K, W, Fused, std::max(2, Iters / 10));
-        C.SecondsPerIter = timeSolve(S, K, W, Fused, Iters);
+        C.SecondsPerIter = Seconds[M];
         C.Gflops = 2.0 * static_cast<double>(W.A.numNonZeros()) *
                    spmvsPerIteration(S) / C.SecondsPerIter * 1e-9;
         C.BytesPerIter = bytesPerIteration(S, K, W, Fused);
@@ -367,8 +378,8 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Summary: the fused speedup and traffic cut per (solver, kernel) pair.
-  // An unfused cell is always followed by its fused partner.
+  // Summary: the fused speedup and traffic cut per CG (kernel) pair. An
+  // unfused cell is always followed by its fused partner.
   std::printf("\n%-9s %-10s %10s %12s\n", "solver", "kernel", "speedup",
               "traffic cut");
   for (std::size_t I = 0; I + 1 < Cells.size(); ++I) {

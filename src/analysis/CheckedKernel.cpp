@@ -103,8 +103,8 @@ void CheckedKernel::runFused(const double *X, double *Y,
     return;
   }
   // Reference: the checked run (cvrSpmvChecked for CVR) composed with the
-  // scalar epilogue sweep, side outputs redirected into scratch so the
-  // native path's writes stay authoritative.
+  // epilogue sweep, side outputs redirected into scratch so the path under
+  // test's writes stay authoritative.
   std::vector<double> YRef(static_cast<std::size_t>(N), 0.0);
   std::vector<double> RScratch, XScratch;
   FusedEpilogue ERef = E;

@@ -63,11 +63,13 @@ public:
                                 std::size_t LdY,
                                 int NumVectors) const override;
 
-  /// Differentially verified fusion: the inner kernel's runFused (CSR's
-  /// native fused path, or the composed default) runs for real, then a reference — the checked run (cvrSpmvChecked for
-  /// CVR) composed with the scalar epilogue sweep — recomputes y, the
-  /// accumulators, and the side outputs into scratch. Mismatches beyond
-  /// the reassociation tolerance surface as "checked.fused.*" violations.
+  /// Differentially verified fusion: the inner kernel's runFused runs for
+  /// real, then a reference — the checked run (cvrSpmvChecked for CVR)
+  /// composed with the epilogue sweep — recomputes y, the accumulators,
+  /// and the side outputs into scratch. On CVR this is where the native
+  /// cvrSpmv run is compared against the bounds-checked shadow. Mismatches
+  /// beyond the reassociation tolerance surface as "checked.fused.*"
+  /// violations.
   void runFused(const double *X, double *Y,
                 FusedEpilogue &E) const override;
 

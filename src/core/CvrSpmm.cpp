@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <string>
 #include <vector>
 
 #ifdef _OPENMP
@@ -276,27 +275,6 @@ void runSpmmPass(const CvrMatrix &M, const double *X, std::size_t LdX,
                     PanelStoreWriteBack{Y, LdY});
 }
 
-/// Validates one SpMM panel request; the release-build replacement for the
-/// old leading-dimension asserts.
-[[nodiscard]] Status validateSpmmArgs(const double *X, std::size_t LdX,
-                                      const double *Y, std::size_t LdY,
-                                      int NumVectors) {
-  if (NumVectors < 1)
-    return Status::invalidArgument("SpMM needs NumVectors >= 1, got " +
-                                   std::to_string(NumVectors));
-  if (!X || !Y)
-    return Status::invalidArgument("SpMM panels must be non-null");
-  if (LdX < static_cast<std::size_t>(NumVectors))
-    return Status::invalidArgument(
-        "row-major X panel stride LdX=" + std::to_string(LdX) +
-        " must cover NumVectors=" + std::to_string(NumVectors));
-  if (LdY < static_cast<std::size_t>(NumVectors))
-    return Status::invalidArgument(
-        "row-major Y panel stride LdY=" + std::to_string(LdY) +
-        " must cover NumVectors=" + std::to_string(NumVectors));
-  return Status::okStatus();
-}
-
 /// Per-call SpMM counters: one structural sweep, never inside the hot
 /// loops.
 void recordCvrSpmmTelemetry(int NumVectors, int Passes) {
@@ -315,7 +293,7 @@ void recordCvrSpmmTelemetry(int NumVectors, int Passes) {
 Status cvrSpmm(const CvrMatrix &M, const double *X, std::size_t LdX,
                double *Y, std::size_t LdY, int NumVectors,
                const CvrSpmmOptions &Opts) {
-  Status S = validateSpmmArgs(X, LdX, Y, LdY, NumVectors);
+  Status S = validatePanelArgs(X, LdX, Y, LdY, NumVectors);
   if (!S.ok())
     return S;
   obs::TraceSpan Span("execute/spmm", "execute");

@@ -16,9 +16,8 @@
 /// One chunk loop (core/CvrChunkLoop.h) serves every matrix, on AVX-512
 /// or on the emulated vector of simd/Simd.h. It is written once and
 /// instantiated per write-back policy (store, accumulate for blocked
-/// bands). A fused epilogue runs after it as one scalar sweep: CvrKernel
-/// inherits SpmvKernel's composed runFused, runBatchFused and
-/// traceRunFused.
+/// bands). A fused epilogue runs after it as one sweep, as on every
+/// format: SpmvKernel's runFused, runBatchFused and traceRunFused.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -24,33 +24,27 @@ namespace cvr {
 
 SpmvKernel::~SpmvKernel() = default;
 
-namespace {
-
-/// Shared panel-argument validation for the default batch paths; the
-/// native SpMM kernels perform the same checks themselves.
-[[nodiscard]] Status validateBatchArgs(std::size_t LdX, std::size_t LdY,
-                                       int NumVectors) {
+Status validatePanelArgs(const double *X, std::size_t LdX, const double *Y,
+                         std::size_t LdY, int NumVectors) {
   if (NumVectors < 1)
-    return Status::invalidArgument("runBatch needs NumVectors >= 1, got " +
+    return Status::invalidArgument("SpMM needs NumVectors >= 1, got " +
                                    std::to_string(NumVectors));
+  if (!X || !Y)
+    return Status::invalidArgument("SpMM panels must be non-null");
   if (LdX < static_cast<std::size_t>(NumVectors) ||
       LdY < static_cast<std::size_t>(NumVectors))
     return Status::invalidArgument(
-        "runBatch panel strides (LdX=" + std::to_string(LdX) +
+        "SpMM panel strides (LdX=" + std::to_string(LdX) +
         ", LdY=" + std::to_string(LdY) + ") must cover NumVectors=" +
         std::to_string(NumVectors));
   return Status::okStatus();
 }
 
-} // namespace
-
 Status SpmvKernel::runBatch(const double *X, std::size_t LdX, double *Y,
                             std::size_t LdY, int NumVectors) const {
-  Status S = validateBatchArgs(LdX, LdY, NumVectors);
+  Status S = validatePanelArgs(X, LdX, Y, LdY, NumVectors);
   if (!S.ok())
     return S;
-  if (!X || !Y)
-    return Status::invalidArgument("runBatch panels must be non-null");
   const std::int64_t Rows = preparedRows();
   const std::int64_t Cols = preparedCols();
   if (Rows < 0 || Cols < 0)

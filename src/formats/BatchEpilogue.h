@@ -12,9 +12,9 @@
 /// panel layout, so the epilogue's operand reads are as contiguous as the
 /// kernel's own panel loads.
 ///
-/// Determinism: the sweep reduces each register block of columns over the
-/// rows in index order, so a given panel always produces bit-identical
-/// accumulator values.
+/// Determinism: the sweep sums each column over the rows in index order,
+/// so a given panel always produces bit-identical accumulator values,
+/// whatever the panel width.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -155,18 +155,14 @@ struct FusedBatchEpilogue {
     E.Acc2 = Acc2;
     return E;
   }
-
-  /// True when the op rewrites the y panel in place.
-  bool transformsY() const {
-    return Op == EpilogueOp::Axpby || Op == EpilogueOp::DampScale;
-  }
 };
 
-/// The batch epilogue: scalar sweeps over the finished panel
-/// Y[0..NumRows) x [0..E.NumVectors) applying \p E row by row in index
-/// order, one register block of up to eight columns at a time. Zeroes
-/// Acc1/Acc2 first. SpmvKernel::runBatchFused composes it with runBatch()
-/// for every format.
+/// The batch epilogue: one sweep over the finished panel
+/// Y[0..NumRows) x [0..E.NumVectors) applying \p E, one block of up to
+/// eight columns at a time: one loop per op over the rows in index order,
+/// with a vectorized loop over the block's columns inside. Zeroes
+/// Acc1/Acc2 first. SpmvKernel::runBatchFused composes it with
+/// runBatch() for every format.
 void applyBatchEpilogueScalar(FusedBatchEpilogue &E, double *Y,
                               std::size_t LdY, std::int64_t NumRows);
 

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -58,17 +57,9 @@ Status CsrSpmv::runBatch(const double *X, std::size_t LdX, double *Y,
                          std::size_t LdY, int NumVectors) const {
   if (!A)
     return Status::failedPrecondition("MKL: runBatch before prepare()");
-  if (NumVectors < 1)
-    return Status::invalidArgument("runBatch needs NumVectors >= 1, got " +
-                                   std::to_string(NumVectors));
-  if (!X || !Y)
-    return Status::invalidArgument("runBatch panels must be non-null");
-  if (LdX < static_cast<std::size_t>(NumVectors) ||
-      LdY < static_cast<std::size_t>(NumVectors))
-    return Status::invalidArgument(
-        "runBatch panel strides (LdX=" + std::to_string(LdX) +
-        ", LdY=" + std::to_string(LdY) + ") must cover NumVectors=" +
-        std::to_string(NumVectors));
+  Status S = validatePanelArgs(X, LdX, Y, LdY, NumVectors);
+  if (!S.ok())
+    return S;
   const std::int64_t *RowPtr = A->rowPtr();
   const std::int32_t *ColIdx = A->colIdx();
   const double *Vals = A->vals();
@@ -96,88 +87,6 @@ Status CsrSpmv::runBatch(const double *X, std::size_t LdX, double *Y,
     }
   });
   return Status::okStatus();
-}
-
-void CsrSpmv::runFused(const double *X, double *Y, FusedEpilogue &E) const {
-  assert(A && "prepare() must run first");
-  if (E.Op == EpilogueOp::None) {
-    run(X, Y);
-    E.Acc1 = E.Acc2 = E.Acc3 = 0.0;
-    return;
-  }
-  assert((!E.WantXDotY || A->numRows() == A->numCols()) &&
-         "x.y fusion gathers the run input at output rows; needs square A");
-  const std::int64_t *RowPtr = A->rowPtr();
-  const std::int32_t *ColIdx = A->colIdx();
-  const double *Vals = A->vals();
-
-  constexpr int MaxStackThreads = 256;
-  if (NumThreads > MaxStackThreads) {
-    // Degenerate configuration; fall back to the composed default rather
-    // than allocate per call.
-    SpmvKernel::runFused(X, Y, E);
-    return;
-  }
-  EpilogueAccum Accs[MaxStackThreads];
-  ompParallelFor(NumThreads, NumThreads, [&](int T) {
-    EpilogueAccum Acc;
-    for (std::int32_t R = RowSplit[T], End = RowSplit[T + 1]; R < End; ++R) {
-      double Sum = csrRowDot(Vals, ColIdx, RowPtr[R], RowPtr[R + 1], X);
-      Y[R] = fusedRowApply(E, X, R, Sum, Acc);
-    }
-    Accs[T] = Acc;
-  });
-  // Thread index order: deterministic for a fixed thread count.
-  EpilogueAccum Total;
-  for (int T = 0; T < NumThreads; ++T)
-    mergeAccum(E, Total, Accs[T]);
-  storeAccum(E, Total);
-}
-
-bool CsrSpmv::traceRunFused(MemAccessSink &Sink, const double *X, double *Y,
-                            FusedEpilogue &E) const {
-  assert(A && "prepare() must run first");
-  if (E.Op == EpilogueOp::None) {
-    E.Acc1 = E.Acc2 = E.Acc3 = 0.0;
-    return traceRun(Sink, X, Y);
-  }
-  const std::int64_t *RowPtr = A->rowPtr();
-  const std::int32_t *ColIdx = A->colIdx();
-  const double *Vals = A->vals();
-
-  // Serial trace in thread-range order == the parallel reduction order, so
-  // the traced accumulators match runFused bit for bit.
-  EpilogueAccum Total;
-  for (int T = 0; T < NumThreads; ++T) {
-    EpilogueAccum Acc;
-    for (std::int32_t R = RowSplit[T], End = RowSplit[T + 1]; R < End; ++R) {
-      Sink.read(RowPtr + R, 2 * sizeof(std::int64_t));
-      double Sum = 0.0;
-      std::int64_t I = RowPtr[R], I1 = RowPtr[R + 1];
-      for (; I + 8 <= I1; I += 8) {
-        Sink.read(ColIdx + I, 8 * sizeof(std::int32_t));
-        Sink.read(Vals + I, 8 * sizeof(double));
-        for (int K = 0; K < 8; ++K) {
-          Sink.read(X + ColIdx[I + K], sizeof(double));
-          Sum += Vals[I + K] * X[ColIdx[I + K]];
-        }
-      }
-      for (; I < I1; ++I) {
-        Sink.read(ColIdx + I, sizeof(std::int32_t));
-        Sink.read(Vals + I, sizeof(double));
-        Sink.read(X + ColIdx[I], sizeof(double));
-        Sum += Vals[I] * X[ColIdx[I]];
-      }
-      // The epilogue runs on the register-resident Sum: only the operand
-      // traffic and the single y store hit memory.
-      traceFusedRowOperands(Sink, E, X, R);
-      Sink.write(Y + R, sizeof(double));
-      Y[R] = fusedRowApply(E, X, R, Sum, Acc);
-    }
-    mergeAccum(E, Total, Acc);
-  }
-  storeAccum(E, Total);
-  return true;
 }
 
 bool CsrSpmv::traceRun(MemAccessSink &Sink, const double *X,

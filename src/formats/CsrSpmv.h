@@ -49,17 +49,8 @@ public:
                                 std::size_t LdY,
                                 int NumVectors) const override;
 
-  /// Native fused path: each thread applies the epilogue to its rows as
-  /// their dot products finish, per-thread accumulators are reduced in
-  /// thread index order.
-  void runFused(const double *X, double *Y,
-                FusedEpilogue &E) const override;
-
   bool traceRun(MemAccessSink &Sink, const double *X,
                 double *Y) const override;
-
-  bool traceRunFused(MemAccessSink &Sink, const double *X, double *Y,
-                     FusedEpilogue &E) const override;
 
   std::size_t formatBytes() const override { return 0; } // uses A in place
 

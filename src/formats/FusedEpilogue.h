@@ -9,30 +9,24 @@
 /// vector, expressed as one request so the solver's dots, axpys, norms and
 /// scalings ride with the SpMV. An unfused solver iteration follows every
 /// `y = A x` with separate full-vector sweeps; on a memory-bound kernel
-/// each sweep is another trip through DRAM. Most kernels run the request
-/// as one sweep after the SpMV (applyEpilogueScalar); CSR folds it into
-/// its write-back (fusedRowApply), where the y re-read disappears and only
-/// the epilogue's extra operand reads remain.
+/// each sweep is another trip through DRAM. Every kernel runs the request
+/// the same way: run() followed by one sweep over y (applyEpilogueScalar)
+/// that applies every op and reduction the solver would otherwise spread
+/// over several sweeps.
 ///
-/// Determinism: every accumulator is reduced in a fixed order. The sweep
-/// runs one loop per op on one thread and reduces through `#pragma omp
-/// simd reduction`: per-lane partial sums combined in the order the
-/// compiled loop fixes, independent of the data. CSR's path reduces
-/// per-row within a thread range and merges partials in thread index
-/// order. So a given build and kernel configuration always produces
-/// bit-identical accumulator values. Fused and unfused results differ
-/// only by floating-point reassociation, bounded by the tolerance
-/// documented in DESIGN.md section 12.
+/// Determinism: the sweep runs one loop per op on one thread and reduces
+/// through `#pragma omp simd reduction`: per-lane partial sums combined in
+/// the order the compiled loop fixes, independent of the data. So a given
+/// build always produces bit-identical accumulator values for the same y.
+/// Results differ from a plain per-row evaluation only by floating-point
+/// reassociation, bounded by the tolerance documented in DESIGN.md
+/// section 12.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CVR_FORMATS_FUSEDEPILOGUE_H
 #define CVR_FORMATS_FUSEDEPILOGUE_H
 
-#include "support/Annotations.h"
-
-#include <cassert>
-#include <cmath>
 #include <cstdint>
 
 namespace cvr {
@@ -135,115 +129,25 @@ struct FusedEpilogue {
     return E;
   }
 
-  /// True when the op rewrites y in place (the kernel must store the
-  /// transformed value instead of the raw dot product).
+  /// True when the op rewrites y in place.
   bool transformsY() const {
     return Op == EpilogueOp::Axpby || Op == EpilogueOp::DampScale;
   }
 };
 
-/// Partial accumulator a kernel carries per chunk / per thread. Merged in a
-/// fixed structural order by mergeAccum so reductions are deterministic for
-/// a given kernel configuration.
-struct EpilogueAccum {
-  double A1 = 0.0;
-  double A2 = 0.0;
-  double A3 = 0.0;
-};
-
-/// Applies \p E to one finished row while its value \p YVal is hot.
-/// Reads the operand vectors at \p Row, accumulates into \p A, performs the
-/// op's side writes (XNew, ROut), and returns the value the kernel must
-/// store to Y[Row]. \p X is the kernel's run input (only dereferenced for
-/// WantXDotY).
-CVR_HOT inline double fusedRowApply(const FusedEpilogue &E, const double *X,
-                            std::int32_t Row, double YVal,
-                            EpilogueAccum &A) {
-  switch (E.Op) {
-  case EpilogueOp::None:
-    return YVal;
-  case EpilogueOp::Dot:
-    if (E.WantXDotY)
-      A.A1 += X[Row] * YVal;
-    if (E.WantYDotY)
-      A.A2 += YVal * YVal;
-    if (E.Z)
-      A.A3 += E.Z[Row] * YVal;
-    return YVal;
-  case EpilogueOp::Axpby: {
-    double V = E.Alpha * YVal + E.Beta * E.Z[Row];
-    if (E.WantYDotY)
-      A.A1 += V * V;
-    return V;
-  }
-  case EpilogueOp::ResidualNorm: {
-    double R = E.B[Row] - YVal;
-    A.A1 += R * R;
-    if (E.ROut)
-      E.ROut[Row] = R;
-    return YVal;
-  }
-  case EpilogueOp::JacobiStep: {
-    assert(E.D[Row] != 0.0 && "JacobiStep requires a nonzero diagonal");
-    double Xn = E.Xold[Row] + (E.B[Row] - YVal) / E.D[Row];
-    E.XNew[Row] = Xn;
-    A.A1 = std::max(A.A1, std::fabs(Xn - E.Xold[Row]));
-    return YVal;
-  }
-  case EpilogueOp::DampScale: {
-    double V = E.Damp * YVal + E.Add;
-    A.A1 += V;
-    if (E.Prev)
-      A.A2 += std::fabs(V - E.Prev[Row]);
-    return V;
-  }
-  }
-  return YVal;
-}
-
-/// Merges \p Part into \p Total. Sums everywhere except JacobiStep's
-/// infinity norm, which maxes. Call in fixed structural order (chunk index,
-/// thread index) to keep the reduction deterministic.
-CVR_HOT inline void mergeAccum(const FusedEpilogue &E, EpilogueAccum &Total,
-                       const EpilogueAccum &Part) {
-  if (E.Op == EpilogueOp::JacobiStep) {
-    Total.A1 = std::max(Total.A1, Part.A1);
-    return;
-  }
-  Total.A1 += Part.A1;
-  Total.A2 += Part.A2;
-  Total.A3 += Part.A3;
-}
-
-/// Writes the finished totals into the request's output fields.
-CVR_HOT inline void storeAccum(FusedEpilogue &E, const EpilogueAccum &Total) {
-  E.Acc1 = Total.A1;
-  E.Acc2 = Total.A2;
-  E.Acc3 = Total.A3;
-}
-
-/// The unfused composition: one sweep over Y[0..N) applying \p E, one
-/// vectorized loop per op and optional term (no per-row branch on the
-/// request). This is what SpmvKernel::runFused composes with run() for
-/// every format but CSR, and the reference the checked mode compares every
-/// runFused against.
+/// The epilogue sweep: one pass over Y[0..N) applying \p E, one vectorized
+/// loop per op and optional term (no per-row branch on the request). Zeroes
+/// the accumulators first. SpmvKernel::runFused composes it with run() for
+/// every format.
 void applyEpilogueScalar(FusedEpilogue &E, const double *X, double *Y,
                          std::int64_t N);
 
 /// Trace-accurate twin of applyEpilogueScalar: reports into \p Sink every
-/// memory reference the sweep performs (the y re-read a fused kernel
-/// eliminates, plus the op's operand traffic), then runs
+/// memory reference the sweep performs (the y re-read plus the op's
+/// operand traffic), then runs
 /// applyEpilogueScalar itself, so its results are the sweep's bit for bit.
 void traceEpilogueScalar(MemAccessSink &Sink, FusedEpilogue &E,
                          const double *X, double *Y, std::int64_t N);
-
-/// Reports into \p Sink the operand traffic of one fused-row application:
-/// the op's extra reads (X/Z/B/D/Xold/Prev at \p Row) and side writes
-/// (XNew/ROut) — everything fusedRowApply touches except the y element
-/// itself, which stays in registers on a fused path. CSR's traceRunFused
-/// calls this at each finalize site.
-void traceFusedRowOperands(MemAccessSink &Sink, const FusedEpilogue &E,
-                           const double *X, std::int32_t Row);
 
 } // namespace cvr
 

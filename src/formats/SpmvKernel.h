@@ -67,10 +67,11 @@ public:
   /// row-major — element (i, j) of X at X[i * LdX + j] with LdX >=
   /// NumVectors (X has numCols rows), likewise Y with LdY >= NumVectors
   /// (numRows rows, overwritten). Invalid panel arguments are rejected
-  /// with INVALID_ARGUMENT in every build mode. The default strided-copies
-  /// each column through scratch vectors and run(), so every format serves
-  /// batches; CSR and the CVR kernels override it with native SpMM paths
-  /// that stream the matrix once per register block of columns.
+  /// with INVALID_ARGUMENT in every build mode (validatePanelArgs). The
+  /// default strided-copies each column through scratch vectors and run(),
+  /// so every format serves batches; CSR and the CVR kernels override it
+  /// with native SpMM paths that stream the matrix once per register block
+  /// of columns.
   [[nodiscard]] virtual Status runBatch(const double *X, std::size_t LdX,
                                         double *Y, std::size_t LdY,
                                         int NumVectors) const;
@@ -78,7 +79,7 @@ public:
   /// Fused SpMM: runBatch plus the per-column epilogue \p E (see
   /// BatchEpilogue.h; E.NumVectors must equal \p NumVectors, and the
   /// accumulator outputs land in E.Acc1/E.Acc2). Every kernel composes
-  /// runBatch() with one scalar batch-epilogue sweep, traced as the
+  /// runBatch() with one batch-epilogue sweep, traced as the
   /// execute/fused-epilogue span.
   [[nodiscard]] virtual Status runBatchFused(const double *X,
                                              std::size_t LdX, double *Y,
@@ -86,27 +87,21 @@ public:
                                              FusedBatchEpilogue &E) const;
 
   /// Computes y = A * x and applies \p E to every finished y element (see
-  /// FusedEpilogue.h for the op catalog). The accumulator outputs land in
-  /// E.Acc1..Acc3. E.WantXDotY reads x at output rows, so it needs a
-  /// square matrix (asserted). The default composes run() with one scalar
-  /// epilogue sweep, traced as the execute/fused-epilogue span; every
-  /// format but CSR uses it. CSR overrides it with a native fused path
-  /// that applies the epilogue while y is still in registers. Epilogue
-  /// accumulators are reduced in a fixed structural order (deterministic
-  /// per kernel configuration); fused and unfused results agree within the
-  /// reassociation tolerance documented in DESIGN.md section 12.
+  /// FusedEpilogue.h for the op catalog): run() followed by one
+  /// applyEpilogueScalar sweep, traced as the execute/fused-epilogue span.
+  /// The accumulator outputs land in E.Acc1..Acc3. E.WantXDotY reads x at
+  /// output rows, so it needs a square matrix (asserted). Virtual only so
+  /// decorators can observe the call (CheckedKernel verifies it against a
+  /// reference); no format overrides it.
   virtual void runFused(const double *X, double *Y, FusedEpilogue &E) const;
 
   /// Replays runFused()'s memory-reference stream into \p Sink while
-  /// computing the same result, so the cache simulator and the bandwidth
-  /// accounting can quantify the sweeps fusion eliminates. The default
-  /// composes traceRun() with a traced scalar epilogue sweep (the y
-  /// re-read plus the operands); CSR's native path traces the fused
-  /// stream, where the epilogue costs only its operand reads because y
-  /// never leaves registers. Returns false if the kernel does not
-  /// implement tracing.
-  virtual bool traceRunFused(MemAccessSink &Sink, const double *X, double *Y,
-                             FusedEpilogue &E) const;
+  /// computing the same result: traceRun() followed by the traced epilogue
+  /// sweep (the y re-read plus the operands), so the cache simulator and
+  /// the bandwidth accounting can price the epilogue. Returns false if the
+  /// kernel does not implement tracing.
+  bool traceRunFused(MemAccessSink &Sink, const double *X, double *Y,
+                     FusedEpilogue &E) const;
 
   /// Bytes of the internal representation (excluding the input CSR);
   /// used by the format-footprint report. Optional; 0 if not tracked.
@@ -125,6 +120,13 @@ public:
     return false;
   }
 };
+
+/// The panel-argument check every runBatch path runs first: INVALID_ARGUMENT
+/// unless \p NumVectors >= 1, both panels are non-null and both leading
+/// dimensions cover \p NumVectors.
+[[nodiscard]] Status validatePanelArgs(const double *X, std::size_t LdX,
+                                       const double *Y, std::size_t LdY,
+                                       int NumVectors);
 
 } // namespace cvr
 

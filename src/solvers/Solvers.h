@@ -12,18 +12,15 @@
 /// power iteration for the dominant eigenpair, and PageRank.
 ///
 /// Every solver drives SpmvKernel::runFused, so the dots, norms, and
-/// scalings that follow each y = A x ride along with the kernel (in CSR's
-/// write-back, or in one sweep after the SpMV elsewhere), and restructures the remaining vector work into combined
-/// sweeps — CG needs one full-vector sweep per iteration plus the epilogue
-/// where the textbook loop needs six, Jacobi and PageRank at most one.
-/// Whether the epilogue is fused is the kernel's business: a kernel
-/// without a native fused path composes run() with one scalar sweep
-/// (SpmvKernel's defaults), which is how the solvers are differentially
-/// tested against an unfused execution (benchlib/UnfusedKernel.h). CG also
-/// keeps its textbook formulation, referenceConjugateGradient, as the
-/// reference the fused recurrence is tested and benchmarked against.
-/// DESIGN.md section 12 tabulates the sweep counts and the agreement
-/// tolerance.
+/// scalings that follow each y = A x ride in one epilogue sweep after the
+/// SpMV, and restructures the remaining vector work into combined sweeps —
+/// CG needs one full-vector sweep per iteration plus the epilogue where the
+/// textbook loop needs six, Jacobi and PageRank at most one. The tests
+/// check each solver against an independent answer: CG against its
+/// textbook formulation, referenceConjugateGradient (also the unfused side
+/// of bench/solver_pipeline), the others against manufactured solutions
+/// and residuals. DESIGN.md section 12 tabulates the sweep counts and the
+/// agreement tolerance.
 ///
 /// All solvers are deterministic given their inputs and report convergence
 /// explicitly; none of them allocates per iteration (the allocation audit

@@ -219,8 +219,9 @@ TEST(CvrSpmm, RejectsBadPanelArguments) {
 
 /// Shared fixture state: a matrix, its prepared CVR kernel, and row-major
 /// panels. The tests run the kernel's runBatchFused (cvrSpmm plus the
-/// batch-epilogue sweep) and check it against YPlain with the epilogue
-/// recomputed by hand.
+/// batch-epilogue sweep) and check its panels against YPlain with the
+/// epilogue recomputed by hand. Each column's accumulators must equal, bit
+/// for bit, the row-order sum (or max) over the panels the call wrote.
 struct FusedPanels {
   CsrMatrix A;
   CvrKernel Kern;
@@ -268,11 +269,11 @@ TEST(CvrSpmmFused, DotPerColumn) {
         double Yi = P.YPlain[I * P.LdY + J];
         // Shared boundary rows use atomic adds, so two runs may reassociate.
         EXPECT_NEAR(Y[I * P.LdY + J], Yi, 1e-12 * (1.0 + std::abs(Yi)));
-        YdY += Yi * Yi;
-        ZdY += Z[I * P.K + J] * Yi;
+        YdY += Y[I * P.LdY + J] * Y[I * P.LdY + J];
+        ZdY += Z[I * P.K + J] * Y[I * P.LdY + J];
       }
-      EXPECT_NEAR(Acc1[J], YdY, 1e-9 * (1.0 + std::abs(YdY)));
-      EXPECT_NEAR(Acc2[J], ZdY, 1e-9 * (1.0 + std::abs(ZdY)));
+      EXPECT_EQ(Acc1[J], YdY);
+      EXPECT_EQ(Acc2[J], ZdY);
     }
   }
 }
@@ -291,9 +292,9 @@ TEST(CvrSpmmFused, AxpbyTransformsEveryColumn) {
     for (std::size_t I = 0; I < P.Rows; ++I) {
       double Want = Alpha * P.YPlain[I * P.LdY + J] + Beta * Z[I * P.K + J];
       EXPECT_NEAR(Y[I * P.LdY + J], Want, 1e-12 * (1.0 + std::abs(Want)));
-      Norm += Want * Want;
+      Norm += Y[I * P.LdY + J] * Y[I * P.LdY + J];
     }
-    EXPECT_NEAR(Acc1[J], Norm, 1e-9 * (1.0 + Norm));
+    EXPECT_EQ(Acc1[J], Norm);
   }
 }
 
@@ -311,9 +312,9 @@ TEST(CvrSpmmFused, ResidualNormPerColumn) {
     for (std::size_t I = 0; I < P.Rows; ++I) {
       double Want = B[I * P.K + J] - P.YPlain[I * P.LdY + J];
       EXPECT_NEAR(R[I * P.K + J], Want, 1e-12 * (1.0 + std::abs(Want)));
-      Norm += Want * Want;
+      Norm += R[I * P.K + J] * R[I * P.K + J];
     }
-    EXPECT_NEAR(Acc1[J], Norm, 1e-9 * (1.0 + Norm));
+    EXPECT_EQ(Acc1[J], Norm);
   }
 }
 
@@ -338,9 +339,9 @@ TEST(CvrSpmmFused, JacobiStepPerColumn) {
           (B[I * P.K + J] - P.YPlain[I * P.LdY + J]) / D[I];
       double Want = Xold[I * P.K + J] + Dx;
       EXPECT_NEAR(XNew[I * P.K + J], Want, 1e-11 * (1.0 + std::abs(Want)));
-      MaxDx = std::max(MaxDx, std::abs(Dx));
+      MaxDx = std::max(MaxDx, std::abs(XNew[I * P.K + J] - Xold[I * P.K + J]));
     }
-    EXPECT_NEAR(Acc1[J], MaxDx, 1e-11 * (1.0 + MaxDx));
+    EXPECT_EQ(Acc1[J], MaxDx);
   }
 }
 
@@ -360,11 +361,11 @@ TEST(CvrSpmmFused, DampScalePerColumn) {
     for (std::size_t I = 0; I < P.Rows; ++I) {
       double Want = Damp * P.YPlain[I * P.LdY + J] + Beta * Z[I * P.K + J];
       EXPECT_NEAR(Y[I * P.LdY + J], Want, 1e-12 * (1.0 + std::abs(Want)));
-      Sum += Want;
-      Delta += std::abs(Want - Prev[I * P.K + J]);
+      Sum += Y[I * P.LdY + J];
+      Delta += std::abs(Y[I * P.LdY + J] - Prev[I * P.K + J]);
     }
-    EXPECT_NEAR(Acc1[J], Sum, 1e-9 * (1.0 + std::abs(Sum)));
-    EXPECT_NEAR(Acc2[J], Delta, 1e-9 * (1.0 + Delta));
+    EXPECT_EQ(Acc1[J], Sum);
+    EXPECT_EQ(Acc2[J], Delta);
   }
 }
 
@@ -392,9 +393,9 @@ TEST(CvrSpmmFused, BlockedMatrixComposesEpilogue) {
         double Yi = P.YPlain[I * P.LdY + J];
         // Shared boundary rows use atomic adds, so two runs may reassociate.
         EXPECT_NEAR(Y[I * P.LdY + J], Yi, 1e-12 * (1.0 + std::abs(Yi)));
-        YdY += Yi * Yi;
+        YdY += Y[I * P.LdY + J] * Y[I * P.LdY + J];
       }
-      EXPECT_NEAR(Acc1[J], YdY, 1e-9 * (1.0 + YdY));
+      EXPECT_EQ(Acc1[J], YdY);
     }
   }
 }

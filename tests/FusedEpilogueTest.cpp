@@ -6,14 +6,15 @@
 //
 // Two layers of coverage for the fused-epilogue execution path:
 //
-//  1. Semantics: every epilogue op on every format's kernel (CSR's native
-//     fused path and the composed default that CVR and the rest inherit
-//     alike) must match the unfused composition run() +
-//     applyEpilogueScalar.
-//  2. Determinism: the serial traceRunFused replay must reproduce the
-//     parallel runFused results bit for bit for a fixed configuration, and
-//     the checked mode's differential fused verification must come up
-//     clean.
+//  1. Semantics: every epilogue op and optional term, through every
+//     format's runFused (run() followed by the epilogue sweep), must match
+//     referenceEpilogue: referenceSpmv plus a plain per-row evaluation of
+//     the op table.
+//  2. Determinism and checking: the serial traceRunFused replay must
+//     reproduce the parallel runFused results bit for bit for a fixed
+//     configuration, the checked mode's differential fused verification
+//     must come up clean on a correct kernel, and it must name the row a
+//     faulty run() got wrong.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,9 +42,9 @@ namespace {
 
 using test::randomVector;
 
-/// Relative agreement bound between a fused kernel result and the unfused
-/// composition. Fusion only reassociates the reductions, so the bound is a
-/// few ULPs scaled by accumulator magnitude (DESIGN.md section 12).
+/// Relative agreement bound between a fused kernel result and the plain
+/// reference. The sweep only reassociates the reductions, so the bound is
+/// a few ULPs scaled by accumulator magnitude (DESIGN.md section 12).
 constexpr double FusedTol = 1e-10;
 
 void expectClose(double A, double B, const std::string &Where) {
@@ -75,8 +76,9 @@ struct Operands {
   }
 };
 
-/// All epilogue requests the solvers issue, rebuilt fresh per check (the
-/// kernel zeroes the accumulators and may write through XNew / ROut).
+/// Every epilogue op, each optional term both on and off, rebuilt fresh per
+/// check (the kernel zeroes the accumulators and may write through XNew /
+/// ROut).
 std::vector<std::pair<std::string, FusedEpilogue>>
 allEpilogues(const Operands &Ops, std::vector<double> &XNew,
              std::vector<double> &ROut) {
@@ -84,25 +86,30 @@ allEpilogues(const Operands &Ops, std::vector<double> &XNew,
   Es.emplace_back("dot(x.y,y.y,z.y)",
                   FusedEpilogue::dot(true, true, Ops.Z.data()));
   Es.emplace_back("dot(y.y)", FusedEpilogue::dot(false, true));
+  Es.emplace_back("dot(z.y)", FusedEpilogue::dot(false, false, Ops.Z.data()));
   Es.emplace_back("axpby", FusedEpilogue::axpby(0.75, -1.25, Ops.Z.data(),
                                                 /*YDotY=*/true));
+  Es.emplace_back("axpby(no y.y)",
+                  FusedEpilogue::axpby(0.75, -1.25, Ops.Z.data()));
   Es.emplace_back("residualNorm",
                   FusedEpilogue::residualNorm(Ops.B.data(), ROut.data()));
+  Es.emplace_back("residualNorm(no r)",
+                  FusedEpilogue::residualNorm(Ops.B.data()));
   Es.emplace_back("jacobiStep",
                   FusedEpilogue::jacobiStep(Ops.B.data(), Ops.D.data(),
                                             Ops.Xold.data(), XNew.data()));
   Es.emplace_back("dampScale",
                   FusedEpilogue::dampScale(0.85, 0.01, Ops.Xold.data()));
+  Es.emplace_back("dampScale(no prev)", FusedEpilogue::dampScale(0.85, 0.01));
   Es.emplace_back("none", FusedEpilogue{});
   return Es;
 }
 
-/// One kernel's runFused against the unfused composition, every op.
+/// One kernel's runFused against referenceEpilogue, every op.
 void checkKernelAllOps(SpmvKernel &K, const CsrMatrix &A,
                        const std::string &Name) {
   const std::size_t N = static_cast<std::size_t>(A.numRows());
   Operands Ops(N);
-  std::vector<double> Raw = referenceSpmv(A, Ops.X);
 
   std::vector<double> XNewFused(N, 0.0), ROutFused(N, 0.0);
   std::vector<double> XNewRef(N, 0.0), ROutRef(N, 0.0);
@@ -114,9 +121,7 @@ void checkKernelAllOps(SpmvKernel &K, const CsrMatrix &A,
     std::vector<double> Y(N, -7.0);
     K.runFused(Ops.X.data(), Y.data(), Fused[I].second);
 
-    std::vector<double> YRef = Raw;
-    applyEpilogueScalar(Ref[I].second, Ops.X.data(), YRef.data(),
-                        static_cast<std::int64_t>(N));
+    std::vector<double> YRef = test::referenceEpilogue(A, Ops.X, Ref[I].second);
 
     expectVectorsClose(Y, YRef, Where + " y");
     expectClose(Fused[I].second.Acc1, Ref[I].second.Acc1, Where + " Acc1");
@@ -222,8 +227,9 @@ TEST(FusedEpilogue, TraceReplayMatchesExecutionBitForBit) {
 }
 
 TEST(FusedEpilogue, CheckedModeVerifiesFusedPath) {
-  // CheckedKernel re-derives every fused result from the unfused
-  // composition; a clean production path must produce zero violations.
+  // CheckedKernel re-derives every fused result from the checked run plus
+  // the sweep; a clean production path must produce zero violations, and
+  // must still match referenceEpilogue under the decorator.
   CsrMatrix A = genStencil5(15, 15);
   for (FormatId F : {FormatId::Mkl, FormatId::Cvr}) {
     analysis::CheckedKernel K{makeKernel(F, 2)};
@@ -234,6 +240,44 @@ TEST(FusedEpilogue, CheckedModeVerifiesFusedPath) {
         << formatName(F) << ":\n"
         << analysis::formatViolations(K.violations());
   }
+}
+
+/// A CVR kernel whose run() gets row \p BadRow wrong, as a write-back bug
+/// would. Checked mode's reference runs the bounds-checked shadow over the
+/// same matrix instead, so only the path under test sees the fault.
+class PerturbedCvrKernel final : public CvrKernel {
+public:
+  explicit PerturbedCvrKernel(std::int32_t BadRow) : BadRow(BadRow) {}
+
+  void run(const double *X, double *Y) const override {
+    CvrKernel::run(X, Y);
+    Y[BadRow] += 1.0;
+  }
+
+private:
+  std::int32_t BadRow;
+};
+
+TEST(FusedEpilogue, CheckedModeReportsPerturbedFusedRow) {
+  CsrMatrix A = genStencil5(15, 15);
+  const std::size_t N = static_cast<std::size_t>(A.numRows());
+  Operands Ops(N);
+  constexpr std::int32_t BadRow = 37;
+  analysis::CheckedKernel K{std::make_unique<PerturbedCvrKernel>(BadRow)};
+  K.prepare(A);
+  ASSERT_TRUE(K.violations().empty())
+      << analysis::formatViolations(K.violations());
+
+  std::vector<double> Y(N, 0.0);
+  FusedEpilogue E = FusedEpilogue::axpby(0.5, 2.0, Ops.Z.data());
+  K.runFused(Ops.X.data(), Y.data(), E);
+
+  std::vector<std::string> YRows;
+  for (const analysis::Violation &V : K.violations())
+    if (V.Rule == "checked.fused.y")
+      YRows.push_back(V.Location);
+  EXPECT_EQ(YRows, std::vector<std::string>{"row " + std::to_string(BadRow)})
+      << analysis::formatViolations(K.violations());
 }
 
 } // namespace

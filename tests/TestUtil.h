@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,57 @@ inline CsrMatrix randomCsr(std::int32_t Rows, std::int32_t Cols,
 /// Tolerance for comparing SpMV results; reassociation across lanes and
 /// threads perturbs the last few bits, scaled by row length.
 inline constexpr double SpmvTolerance = 1e-10;
+
+/// y = A x with the epilogue \p E applied, evaluated plainly: referenceSpmv,
+/// then the op table of formats/FusedEpilogue.h one row at a time in index
+/// order, every accumulator a single running sum. Zeroes E's accumulators
+/// first and writes its side outputs (XNew, ROut). The reference the
+/// epilogue sweep is checked against: it shares no code with it.
+inline std::vector<double> referenceEpilogue(const CsrMatrix &A,
+                                             const std::vector<double> &X,
+                                             FusedEpilogue &E) {
+  std::vector<double> Y = referenceSpmv(A, X);
+  double A1 = 0.0, A2 = 0.0, A3 = 0.0;
+  for (std::size_t R = 0; R < Y.size(); ++R) {
+    const double V = Y[R];
+    switch (E.Op) {
+    case EpilogueOp::None:
+      break;
+    case EpilogueOp::Dot:
+      if (E.WantXDotY)
+        A1 += X[R] * V;
+      if (E.WantYDotY)
+        A2 += V * V;
+      if (E.Z)
+        A3 += E.Z[R] * V;
+      break;
+    case EpilogueOp::Axpby:
+      Y[R] = E.Alpha * V + E.Beta * E.Z[R];
+      if (E.WantYDotY)
+        A1 += Y[R] * Y[R];
+      break;
+    case EpilogueOp::ResidualNorm:
+      A1 += (E.B[R] - V) * (E.B[R] - V);
+      if (E.ROut)
+        E.ROut[R] = E.B[R] - V;
+      break;
+    case EpilogueOp::JacobiStep:
+      E.XNew[R] = E.Xold[R] + (E.B[R] - V) / E.D[R];
+      A1 = std::max(A1, std::fabs(E.XNew[R] - E.Xold[R]));
+      break;
+    case EpilogueOp::DampScale:
+      Y[R] = E.Damp * V + E.Add;
+      A1 += Y[R];
+      if (E.Prev)
+        A2 += std::fabs(Y[R] - E.Prev[R]);
+      break;
+    }
+  }
+  E.Acc1 = A1;
+  E.Acc2 = A2;
+  E.Acc3 = A3;
+  return Y;
+}
 
 /// Square matrices shaped to stress the 8-lane kernel's masked write-back,
 /// one shape per \p Shape in [0, 4). \p Threads is the chunk count the
@@ -105,9 +157,9 @@ inline CsrMatrix writeBackEdgeMatrix(int Shape, int Threads,
 /// through CvrKernel::runFused (Dot, ResidualNorm, JacobiStep), at
 /// prefetch distances 0/2/4/8. The plain product must match referenceSpmv
 /// within \p RefTol, and each fused op's y, output vector and accumulators
-/// must match applyEpilogueScalar over that reference within \p RefTol. Checked mode runs the same loop,
-/// so its product must be clean and match the kernel's to 1e-13: only the
-/// order of atomic adds may differ.
+/// must match referenceEpilogue within \p RefTol. Checked mode runs the
+/// same loop, so its product must be clean and match the kernel's to
+/// 1e-13: only the order of atomic adds may differ.
 inline void expectWriteBackMatchesReference(const CsrMatrix &A,
                                             CvrOptions Opts, double RefTol,
                                             const std::string &Where) {
@@ -120,8 +172,7 @@ inline void expectWriteBackMatchesReference(const CsrMatrix &A,
     V += V < 0.0 ? -2.0 : 2.0; // Jacobi divides by it.
   const std::vector<double> Ref = referenceSpmv(A, X);
 
-  // The fused ops: index 0 runs in the kernel, index 1 is the scalar sweep
-  // over the reference product.
+  // The fused ops: index 0 runs in the kernel, index 1 is referenceEpilogue.
   auto MakeOp = [&](EpilogueOp Op, double *Out) {
     return Op == EpilogueOp::Dot
                ? FusedEpilogue::dot(true, true, Z.data())
@@ -157,12 +208,11 @@ inline void expectWriteBackMatchesReference(const CsrMatrix &A,
                             EpilogueOp::JacobiStep}) {
         std::vector<double> Out[2] = {std::vector<double>(N, 0.0),
                                       std::vector<double>(N, 0.0)};
-        std::vector<double> Yf[2] = {std::vector<double>(N, 0.5), Ref};
+        std::vector<double> Yf[2] = {std::vector<double>(N, 0.5), {}};
         FusedEpilogue E[2] = {MakeOp(Op, Out[0].data()),
                               MakeOp(Op, Out[1].data())};
         K.runFused(X.data(), Yf[0].data(), E[0]);
-        applyEpilogueScalar(E[1], X.data(), Yf[1].data(),
-                            static_cast<std::int64_t>(N));
+        Yf[1] = referenceEpilogue(A, X, E[1]);
         const std::string OpAt =
             At + " fused op " + std::to_string(static_cast<int>(Op));
         EXPECT_LE(maxRelDiff(Yf[1], Yf[0]), RefTol) << OpAt;
