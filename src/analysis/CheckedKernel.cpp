@@ -31,9 +31,9 @@ void CheckedKernel::prepare(const CsrMatrix &A) {
 }
 
 void CheckedKernel::run(const double *X, double *Y) const {
-  // Any CVR-backed kernel (plain or tuned) routes through the serial shadow;
-  // the prefetch distance is irrelevant there (prefetching never changes
-  // results, and the shadow is scalar anyway).
+  // Any CVR-backed kernel (CvrKernel, serve::CvrViewKernel) runs the guarded
+  // pass; its prefetch distance is irrelevant there (prefetching never
+  // changes results).
   if (const auto *Cvr = dynamic_cast<const CvrMatrixSource *>(Inner.get())) {
     cvrSpmvChecked(Cvr->cvrMatrix(), X, Y, Vs);
     return;
@@ -55,8 +55,12 @@ bool fusedClose(double A, double B, double RelTol) {
 
 Status CheckedKernel::runBatch(const double *X, std::size_t LdX, double *Y,
                                std::size_t LdY, int NumVectors) const {
-  // The path under test; argument validation is its job.
-  Status S = Inner->runBatch(X, LdX, Y, LdY, NumVectors);
+  // The path under test, which validates the arguments: CVR runs the panel
+  // kernel under the bounds guard, other formats their own runBatch.
+  const auto *Cvr = dynamic_cast<const CvrMatrixSource *>(Inner.get());
+  Status S = Cvr ? cvrSpmmChecked(Cvr->cvrMatrix(), X, LdX, Y, LdY,
+                                  NumVectors, Vs)
+                 : Inner->runBatch(X, LdX, Y, LdY, NumVectors);
   if (!S.ok())
     return S;
   const std::int64_t Rows = Inner->preparedRows();
@@ -69,7 +73,6 @@ Status CheckedKernel::runBatch(const double *X, std::size_t LdX, double *Y,
   std::vector<double> YRef(static_cast<std::size_t>(Rows));
   constexpr double RowTol = 1.0e-10;
   std::size_t Reported = 0;
-  const auto *Cvr = dynamic_cast<const CvrMatrixSource *>(Inner.get());
   for (int J = 0; J < NumVectors; ++J) {
     for (std::int64_t I = 0; I < Cols; ++I)
       Xc[static_cast<std::size_t>(I)] =

@@ -7,7 +7,8 @@
 /// \file
 /// The CVR_CHECKED execution mode: a SpmvKernel decorator that validates a
 /// format's structure right after prepare() (InvariantChecker) and routes
-/// CVR execution through the bounds-checked scalar loop (cvrSpmvChecked).
+/// CVR execution through the bounds-guarded chunk loop (cvrSpmvChecked for
+/// SpMV, cvrSpmmChecked for SpMM).
 /// checkedVariantsOf() mirrors the Registry's variant lists with every
 /// factory wrapped, so tests and `cvr_tool validate` can run any format
 /// configuration through checked mode by name.
@@ -54,11 +55,12 @@ public:
     return Inner->preparedCols();
   }
 
-  /// Differentially verified SpMM: the inner kernel's runBatch runs for
-  /// real, then every panel column is recomputed through the checked
-  /// single-vector path (cvrSpmvChecked for CVR) and compared. Mismatches
-  /// beyond the reassociation tolerance surface as "checked.spmm.y"
-  /// violations located by row and column.
+  /// Differentially verified SpMM: the path under test runs for real (for
+  /// CVR the bounds-guarded panel loop, cvrSpmmChecked; otherwise the inner
+  /// kernel's runBatch), then every panel column is recomputed through the
+  /// checked single-vector path (cvrSpmvChecked for CVR) and compared.
+  /// Mismatches beyond the reassociation tolerance surface as
+  /// "checked.spmm.y" violations located by row and column.
   [[nodiscard]] Status runBatch(const double *X, std::size_t LdX, double *Y,
                                 std::size_t LdY,
                                 int NumVectors) const override;

@@ -8,6 +8,7 @@
 
 #include "analysis/Introspect.h"
 #include "core/CvrChunkLoop.h"
+#include "formats/SpmvKernel.h"
 
 #include <algorithm>
 #include <string>
@@ -25,15 +26,16 @@ std::string outside(const char *What, std::int64_t Bad, std::int64_t Lo,
          std::to_string(Lo) + ", " + std::to_string(Hi) + ")";
 }
 
-/// The bounds guard: the observer under which checked mode runs the chunk
-/// loop (core/CvrChunkLoop.h). It vets each reference before the loop
-/// makes it, reports a bad one as a checked.cvr.* Violation and vetoes it:
-/// a bad chunk is skipped entirely (nothing it references can be trusted),
-/// a bad gather lane contributes 0 and is never dereferenced, a drain that
-/// would run past the chunk's records is dropped, a staged value whose
-/// record is bad, or was staged from another position, is dropped, and a
-/// bad tail row is not written. The stream loads and row finishes need no
-/// vetting of their own, so those hooks stay NoObserver's.
+/// The bounds guard: the observer under which checked mode runs the pass
+/// (core/CvrChunkLoop.h), for SpMV and SpMM alike. It vets each reference
+/// before the loop makes it, reports a bad one as a checked.cvr.* Violation
+/// and vetoes it: a bad zero row is not cleared, a bad chunk is skipped
+/// entirely (nothing it references can be trusted), a bad column lane
+/// contributes 0 and is never dereferenced, a drain that would run past
+/// the chunk's records is dropped, a retired value whose record is bad, or
+/// was staged from another position, is dropped, and a bad tail row is not
+/// written. The stream loads and row finishes need no vetting
+/// of their own, so those hooks stay NoObserver's.
 class BoundsGuard : public detail::NoObserver {
 public:
   explicit BoundsGuard(std::vector<Violation> &Out) : Out(&Out) {}
@@ -47,6 +49,16 @@ public:
                     "chunk " + std::to_string(Chunk) + ", offset " +
                         std::to_string(Where),
                     std::move(Msg)});
+  }
+
+  /// A row of y the prologue clears must exist.
+  template <class WriteBack>
+  bool zero(const CvrMatrix &M, const WriteBack &, std::int32_t Row) {
+    if (Row >= 0 && Row < M.numRows())
+      return true;
+    report("checked.cvr.zero-row", Row,
+           outside("zeroed row", Row, 0, M.numRows()));
+    return false;
   }
 
   /// Validates the chunk's stream/mask/record/tail extents before the loop
@@ -111,7 +123,7 @@ public:
   }
 
   /// Drops (and reports) each lane whose column falls outside x.
-  unsigned gather(const double *, simd::VecI8 Idx, std::int64_t Elem) {
+  unsigned gather(simd::VecI8 Idx, std::int64_t Elem) {
     std::int32_t Col[W];
     Idx.storeu(Col);
     unsigned Live = simd::AllLanes;
@@ -143,11 +155,13 @@ public:
     return true;
   }
 
-  /// A record must sit where its staged value finished; steal records
-  /// target the chunk's t_result slots, feed records rows of y.
+  /// A record must sit where its staged value finished (a per-record
+  /// retire, Slot -1, reads the record's own lane); steal records target
+  /// the chunk's t_result slots, feed records rows of y.
   bool record(const CvrRecord &R, int Slot) {
     const std::int64_t RecIdx = &R - Recs;
-    const std::int64_t StagedAt = Draining[static_cast<std::size_t>(Slot)];
+    const std::int64_t StagedAt =
+        Slot < 0 ? R.Pos : Draining[static_cast<std::size_t>(Slot)];
     const std::int64_t WbLimit = R.Steal ? W : Rows;
     if (R.Pos < 0 || R.Pos >= PosLimit) {
       report("checked.cvr.rec-pos", RecIdx,
@@ -190,29 +204,18 @@ private:
 
 void cvrSpmvChecked(const CvrMatrix &M, const double *X, double *Y,
                     std::vector<Violation> &Vs) {
-  BoundsGuard Guard(Vs);
-  // Pre-clear y the way the production kernel does: blocked matrices zero
-  // every row (accumulate mode), unblocked matrices only the listed rows.
-  if (M.isBlocked()) {
-    for (std::int32_t R = 0; R < M.numRows(); ++R)
-      Y[R] = 0.0;
-  } else {
-    for (std::int32_t R : M.zeroRows()) {
-      if (R < 0 || R >= M.numRows())
-        Guard.report("checked.cvr.zero-row", R,
-                     outside("zeroed row", R, 0, M.numRows()));
-      else
-        Y[R] = 0.0;
-    }
-  }
-  // Serially, chunk by chunk, so the output is bit-deterministic.
-  for (const CvrChunk &C : M.chunks()) {
-    if (M.isBlocked())
-      detail::runChunkKinds<0>(M, C, X, detail::AccumulateWriteBack{Y},
-                               Guard);
-    else
-      detail::runChunkKinds<0>(M, C, X, detail::StoreWriteBack{Y}, Guard);
-  }
+  detail::runPass<detail::GatherLanes<0>>(M, X, detail::StoreWriteBack{Y},
+                                          detail::AccumulateWriteBack{Y},
+                                          BoundsGuard(Vs));
+}
+
+Status cvrSpmmChecked(const CvrMatrix &M, const double *X, std::size_t LdX,
+                      double *Y, std::size_t LdY, int NumVectors,
+                      std::vector<Violation> &Vs) {
+  Status S = validatePanelArgs(X, LdX, Y, LdY, NumVectors);
+  if (S.ok())
+    detail::runPanels(M, X, LdX, Y, LdY, NumVectors, BoundsGuard(Vs));
+  return S;
 }
 
 } // namespace analysis

@@ -6,24 +6,21 @@
 ///
 /// \file
 /// The one CVR chunk loop (Algorithm 4 on the 8-lane vector of simd/Simd.h,
-/// AVX-512 or emulated) and the Store/Accumulate write-back policies. This
-/// header is private to core/ and analysis/. CvrSpmv.cpp runs and traces
-/// SpMV through the loop; checked mode (analysis/CheckedSpmv.cpp) runs it
-/// under its bounds guard.
+/// AVX-512 or emulated) and the one pass driver, private to core/ and
+/// analysis/. CvrSpmv.cpp runs and traces SpMV through them, CvrSpmm.cpp
+/// runs SpMM, and checked mode (analysis/CheckedSpmv.cpp) runs both under
+/// its bounds guard.
 ///
-/// runChunk is templated on the prefetch distance, the two stream kinds
-/// and two policies. The write-back policy decides how a finished row
-/// leaves the kernel (finish() and traceFinish()); Store and Accumulate
-/// are the only two, since a fused epilogue is a sweep after the loop.
-/// The observer sees every memory reference the loop is about to make (see
-/// NoObserver for the hooks). Three observers exist:
-///
-///  - NoObserver (below), for execution: every veto is a constant true
-///    (all lanes for the gather), so the loop compiles to the plain kernel.
-///  - The trace observer in CvrSpmv.cpp reports each reference to a
-///    MemAccessSink (traceRun).
-///  - The bounds guard in analysis/CheckedSpmv.cpp reports each
-///    out-of-range reference as a checked.cvr.* violation and vetoes it.
+/// runChunk is the skeleton: stream setup, kind widening, step pairs, the
+/// record drain, the steal into t_result, the tail flush and every observer
+/// hook. A lane policy decides how a step's elements meet x (GatherLanes
+/// for SpMV, PanelLanes for SpMM), a write-back how a finished row leaves
+/// (RowWriteBack or PanelWriteBack, storing or, for column-blocked bands,
+/// adding), and an observer sees every memory reference first (NoObserver
+/// for execution, which compiles to the plain kernel; the trace observer
+/// in CvrSpmv.cpp; the bounds guard in analysis/CheckedSpmv.cpp). runPass
+/// is the one pass over a matrix: it clears y, orders the bands and runs
+/// the chunk ranges.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,16 +31,23 @@
 #include "simd/Simd.h"
 #include "support/Annotations.h"
 #include "support/MemSink.h"
+#include "support/ParallelFor.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 
 namespace cvr {
 namespace detail {
 
-/// The Store (Add = false) and Accumulate (Add = true) policies. Every row
-/// other than a chunk-boundary row has exactly one writer within a band, so
-/// a plain store, or a plain add in accumulate mode, suffices.
+/// Lanes per CVR step, and steps per block between two staging drains.
+constexpr int StepLanes = CvrMatrix::lanes();
+constexpr std::int64_t BlockSteps = 64;
+
+/// The Store (Add = false) and Accumulate (Add = true) policies for SpMV.
+/// Every row other than a chunk-boundary row has exactly one writer within
+/// a band, so a plain store, or a plain add in accumulate mode, suffices.
 template <bool Add> struct RowWriteBack {
   double *Y;
 
@@ -58,6 +62,8 @@ template <bool Add> struct RowWriteBack {
     }
   }
 
+  void zero(std::int32_t Row) const { Y[Row] = 0.0; }
+
   void traceFinish(MemAccessSink &Sink, std::int32_t Row, bool Shared) const {
     if (Shared || Add)
       Sink.read(Y + Row, sizeof(double));
@@ -68,28 +74,92 @@ template <bool Add> struct RowWriteBack {
 using StoreWriteBack = RowWriteBack<false>;
 using AccumulateWriteBack = RowWriteBack<true>;
 
+/// Full-width panel: one VecD8 of columns per lane.
+struct Panel8 {
+  using Vec = simd::VecD8;
+  int width() const { return 8; }
+  Vec load(const double *P) const { return Vec::loadu(P); }
+  void store(Vec V, double *P) const { V.storeu(P); }
+};
+
+/// Half-width panel for K ≡ 4 (mod 8) passes.
+struct Panel4 {
+  using Vec = simd::VecD4;
+  int width() const { return 4; }
+  Vec load(const double *P) const { return Vec::loadu(P); }
+  void store(Vec V, double *P) const { V.storeu(P); }
+};
+
+/// Masked-tail panel: any remainder width 1..7 in one masked pass, so a
+/// degenerate K (say 7) never re-streams the matrix per column.
+struct PanelTail {
+  using Vec = simd::VecD8;
+  int Bw;
+  unsigned Mask;
+  explicit PanelTail(int Bw) : Bw(Bw), Mask((1U << Bw) - 1U) {}
+  int width() const { return Bw; }
+  Vec load(const double *P) const { return Vec::maskLoadu(P, Mask); }
+  void store(Vec V, double *P) const { V.maskStoreu(P, Mask); }
+};
+
+/// RowWriteBack widened to panel rows: an exclusive row stores (or adds) a
+/// whole register of columns; a chunk-boundary row spills and adds
+/// element-wise atomically, because the neighbouring chunk writes it too.
+template <class Panel, bool Add> struct PanelWriteBack {
+  double *Y;
+  std::size_t LdY;
+  Panel P;
+
+  double *row(std::int32_t Row) const {
+    return Y + static_cast<std::size_t>(Row) * LdY;
+  }
+
+  CVR_HOT void finish(std::int32_t Row, typename Panel::Vec V,
+                      bool Shared) const {
+    double *YRow = row(Row);
+    if (Shared) {
+      alignas(64) double Buf[8];
+      V.toArray(Buf);
+      for (int J = 0; J < P.width(); ++J) {
+#pragma omp atomic
+        YRow[J] += Buf[J];
+      }
+    } else if (Add) {
+      P.store(P.load(YRow).add(V), YRow);
+    } else {
+      P.store(V, YRow);
+    }
+  }
+
+  void zero(std::int32_t Row) const { std::fill_n(row(Row), P.width(), 0.0); }
+};
+
 /// The execution observer: lets every access through. Its hooks are the
 /// observer interface; a hook that can veto returns whether the loop may go
 /// ahead. Other observers derive from it and hide the hooks they need.
 struct NoObserver {
+  /// runPass is about to clear \p Row of y through \p Out.
+  template <class WriteBack>
+  bool zero(const CvrMatrix &, const WriteBack &, std::int32_t) {
+    return true;
+  }
   /// Entry to chunk \p C; false skips the chunk.
   bool chunk(const CvrMatrix &, const CvrChunk &) { return true; }
   /// Step \p I (the chunk's NumSteps for the trailing records) is about to
-  /// stage the lanes set in its finish-mask byte \p Mask.
+  /// stage the lanes set in its finish-mask byte \p Mask (staging lane
+  /// policies only).
   void retire(std::int64_t, unsigned) {}
   /// Step \p I is about to load its value vector, and at even I the index
   /// vector of the step pair.
   void loads(std::int64_t) {}
-  /// The step whose first stream element is \p Elem is about to gather
-  /// x[Idx[k]]; returns the lanes that may gather (the others read 0).
-  unsigned gather(const double *, simd::VecI8, std::int64_t) {
-    return simd::AllLanes;
-  }
-  /// \p Staged values are about to drain through the records from \p Next
-  /// on; false drops them all.
+  /// The step whose first stream element is \p Elem is about to read x at
+  /// the columns \p Idx; returns the lanes that may (the others read 0).
+  unsigned gather(simd::VecI8, std::int64_t) { return simd::AllLanes; }
+  /// \p Staged retired values are about to drain through the records from
+  /// \p Next on; false drops them all.
   bool drain(const CvrRecord *, int) { return true; }
-  /// Record \p R is about to take staged value \p Slot of the drain; false
-  /// drops the value.
+  /// Record \p R is about to take staged value \p Slot of the drain (-1: a
+  /// per-record retire, which takes the record's own lane); false drops it.
   bool record(const CvrRecord &, int) { return true; }
   /// \p Out is about to finish \p Row.
   template <class WriteBack>
@@ -98,133 +168,273 @@ struct NoObserver {
   bool tail(const std::int32_t *, int) { return true; }
 };
 
-/// One chunk of the 8-lane kernel (Algorithm 4). PfDist > 0 issues
-/// software prefetches of the x gather targets (and the vals/cols streams)
-/// PfDist steps ahead, using the already-streamed column indices; the host
-/// has no AVX-512PF, so the prefetches are scalar.
+/// One chunk's value and column-index streams in their stored kinds. A
+/// NarrowIdx stream holds band-local uint16 deltas (widened and rebased
+/// onto the chunk's band base), a NarrowVal stream fp32 values (widened to
+/// fp64 before the FMA).
+template <bool NarrowIdx, bool NarrowVal> struct ChunkStreams {
+  static constexpr bool NarrowIndices = NarrowIdx;
+  static constexpr bool NarrowValues = NarrowVal;
+
+  ChunkStreams(const CvrMatrix &M, const CvrChunk &C, std::int32_t ColBase)
+      : ColBase(ColBase),
+        Vals(NarrowVal ? nullptr : M.vals() + C.ElemBase),
+        Vals32(NarrowVal ? M.vals32() + C.ElemBase : nullptr),
+        Cols(NarrowIdx ? nullptr : M.colIdx() + C.ElemBase),
+        ColsN(NarrowIdx ? M.colIdx16() + C.ElemBase : nullptr) {}
+
+  /// Column-index double pumping: the sixteen columns of the step pair at
+  /// even step \p I in one load.
+  simd::VecI16 cols16(std::int64_t I) const {
+    return NarrowIdx ? simd::VecI16::loadU16Widen(ColsN + I * StepLanes,
+                                                  ColBase)
+                     : simd::VecI16::loadAligned(Cols + I * StepLanes);
+  }
+  /// The eight values of step \p I.
+  simd::VecD8 vals8(std::int64_t I) const {
+    return NarrowVal ? simd::VecD8::loadF32Widen(Vals32 + I * StepLanes)
+                     : simd::VecD8::loadAligned(Vals + I * StepLanes);
+  }
+  /// The column and value of stream element \p E.
+  std::size_t col(std::int64_t E) const {
+    return NarrowIdx ? static_cast<std::size_t>(ColBase) + ColsN[E]
+                     : static_cast<std::size_t>(Cols[E]);
+  }
+  double val(std::int64_t E) const {
+    return NarrowVal ? static_cast<double>(Vals32[E]) : Vals[E];
+  }
+
+  std::int32_t ColBase;
+  const double *Vals;
+  const float *Vals32;
+  const std::int32_t *Cols;
+  const std::uint16_t *ColsN;
+};
+
+/// The SpMV lane policy: lane k holds one row's partial dot product, and a
+/// step gathers x at its eight columns into one FMA. Each step first moves
+/// the lanes its finish mask names into the staging buffer, which the
+/// skeleton drains, in record order, once per block.
 ///
-/// NarrowIdx streams band-local uint16 deltas (widened + rebased onto the
-/// chunk's band base at load time) and NarrowVal streams fp32 values
-/// (widened to fp64 before the FMA) — the stream-compression axes. The
-/// loop structure — one index load per step pair, one value load and one
-/// gather per step — is identical across all four combinations; only the
-/// load width changes. \p Out is the write-back policy, \p Obs the
-/// observer.
-///
-/// Each step first moves the lanes its finish mask names out of v_out into
-/// a staging buffer, then accumulates. After every block of 64 steps the
-/// staged values, in record order, leave through the block's records:
-/// steal records add to t_result, feed records go through \p Out.finish.
-/// The mask byte past the last step stages the trailing records.
-///
-/// Internal linkage keeps GCC inlining every write-back into the loop, as
-/// for a kernel local to its translation unit.
-template <int PfDist, bool NarrowIdx, bool NarrowVal, class WriteBack,
-          class Observer = NoObserver>
-static CVR_HOT void runChunk(const CvrMatrix &M, const CvrChunk &C,
-                             const double *X, WriteBack Out,
-                             Observer Obs = {}) {
+/// PfDist > 0 issues software prefetches of the x gather targets (and the
+/// value stream) PfDist steps ahead, using the already-streamed column
+/// indices; the host has no AVX-512PF, so the prefetches are scalar.
+template <int PfDist> struct GatherLanes {
   static_assert(PfDist % 2 == 0, "prefetch pairs with the double-pumped "
                                  "column loads, so the distance stays even");
-  constexpr int W = CvrMatrix::lanes();
+  static constexpr int W = StepLanes;
+  static constexpr bool Stages = true;
+  using Input = const double *;
+  using Value = double;
+  /// The staging buffer, on the skeleton's stack so that the accumulator
+  /// and the staged count stay in registers.
+  using Buffer = double[BlockSteps * W];
+
+  GatherLanes(const double *X, Buffer &Stage) : X(X), Stage(Stage) {}
+
+  /// Always inlined: out of line, GCC finds the call free of side effects
+  /// and deletes it.
+  template <class Streams>
+  [[gnu::always_inline]] void prefetch(const Streams &S, std::int64_t I,
+                                       std::int64_t NumSteps) const {
+    if constexpr (PfDist > 0) {
+      if (I + PfDist + 1 < NumSteps) {
+        // Pull the index line two prefetch windows out so the window at
+        // PfDist reads cached indices, then touch the 16 x targets for
+        // the step pair at PfDist and stream the matching value lines.
+        if constexpr (Streams::NarrowIndices) {
+          __builtin_prefetch(S.ColsN + (I + 2 * PfDist) * W, 0, 0);
+          const std::uint16_t *Pc = S.ColsN + (I + PfDist) * W;
+          for (int K = 0; K < 2 * W; ++K)
+            __builtin_prefetch(X + S.ColBase + Pc[K], 0, 1);
+        } else {
+          __builtin_prefetch(S.Cols + (I + 2 * PfDist) * W, 0, 0);
+          const std::int32_t *Pc = S.Cols + (I + PfDist) * W;
+          for (int K = 0; K < 2 * W; ++K)
+            __builtin_prefetch(X + Pc[K], 0, 1);
+        }
+        if constexpr (Streams::NarrowValues) {
+          __builtin_prefetch(S.Vals32 + (I + PfDist) * W, 0, 0);
+          __builtin_prefetch(S.Vals32 + (I + PfDist + 1) * W, 0, 0);
+        } else {
+          __builtin_prefetch(S.Vals + (I + PfDist) * W, 0, 0);
+          __builtin_prefetch(S.Vals + (I + PfDist + 1) * W, 0, 0);
+        }
+      }
+    }
+  }
+
+  /// Step \p I: x at the \p Live lanes of \p Idx times the step's values.
+  template <class Streams>
+  void step(const Streams &S, std::int64_t I, simd::VecI8 Idx,
+            unsigned Live) {
+    simd::VecD8 Xs = Live == simd::AllLanes
+                         ? simd::VecD8::gather(X, Idx)
+                         : simd::VecD8::maskGather(X, Idx, Live);
+    VOut = VOut.fmadd(S.vals8(I), Xs);
+  }
+
+  /// Stages and clears the lanes in \p F.
+  void stage(unsigned F) {
+    Staged += VOut.compressStoreu(Stage + Staged, F);
+    VOut = VOut.clearLanes(F);
+  }
+  double take(const CvrRecord &, int Slot) const { return Stage[Slot]; }
+  static void steal(double &Slot, double V) { Slot += V; }
+
+  const double *X;
+  Buffer &Stage;
+  int Staged = 0;
+  simd::VecD8 VOut = simd::VecD8::zero();
+};
+
+/// The SpMM lane policy: lane k accumulates a whole panel row in a vector
+/// register, fed by one contiguous load of X[col * LdX .. + width) per
+/// element, so there are no gathers. A record takes its lane the moment
+/// the walk reaches it (a finish-mask-staged panel write-back measured
+/// slower).
+template <class Panel> struct PanelLanes {
+  static constexpr int W = StepLanes;
+  static constexpr bool Stages = false;
+  struct Input {
+    const double *X;
+    std::size_t LdX;
+    Panel P;
+  };
+  using Value = typename Panel::Vec;
+  /// Lane k's running panel row.
+  using Buffer = Value[W];
+
+  PanelLanes(const Input &In, Buffer &VOut) : In(In), VOut(VOut) {
+    for (Value &V : VOut)
+      V = Value::zero();
+  }
+
+  template <class Streams>
+  void prefetch(const Streams &, std::int64_t, std::int64_t) const {}
+
+  /// Step \p I: each \p Live lane's value times its panel row of X. Each
+  /// column feeds its own load, so they are read one at a time (Idx holds
+  /// them widened for the observer).
+  template <class Streams>
+  void step(const Streams &S, std::int64_t I, simd::VecI8, unsigned Live) {
+    for (int K = 0; K < W; ++K) {
+      if (!(Live & (1U << K)))
+        continue;
+      const std::int64_t E = I * W + K;
+      VOut[K] = VOut[K].fmadd(Value::broadcast(S.val(E)),
+                              In.P.load(In.X + S.col(E) * In.LdX));
+    }
+  }
+
+  /// Hands out record \p R's lane and clears it.
+  Value take(const CvrRecord &R, int) {
+    const int Off = static_cast<int>(R.Pos & (W - 1));
+    const Value V = VOut[Off];
+    VOut[Off] = Value::zero();
+    return V;
+  }
+  static void steal(Value &Slot, Value V) { Slot = Slot.add(V); }
+
+  Input In;
+  Buffer &VOut;
+};
+
+/// One chunk of the CVR kernel (Algorithm 4). The loop structure (one
+/// index load per step pair, one value load and one x read per step) is the
+/// same for every stream kind; only the load width changes.
+///
+/// A retired value leaves through the chunk's next record: a steal record
+/// adds it to t_result, a feed record finishes its row through \p Out.
+/// Under a staging lane policy each step stages the lanes its finish-mask
+/// byte names, the staged values drain after every block of BlockSteps
+/// steps, and the mask byte past the last step stages the trailing
+/// records. Under a per-record policy each step first drains the records
+/// that finish before it. The tail flush then returns t_result to its rows.
+///
+/// Internal linkage keeps GCC inlining every policy into the loop, as for
+/// a kernel local to its translation unit.
+template <bool NarrowIdx, bool NarrowVal, class Lanes, class WriteBack,
+          class Observer = NoObserver>
+static CVR_HOT void runChunk(const CvrMatrix &M, const CvrChunk &C,
+                             typename Lanes::Input In, WriteBack Out,
+                             Observer Obs = {}) {
+  constexpr int W = StepLanes;
   static_assert(W == simd::DoubleLanes, "one CVR step fills one VecD8");
-  constexpr std::int64_t BlockSteps = 64;
   if (!Obs.chunk(M, C))
     return;
   const auto CI = static_cast<std::size_t>(&C - M.chunks().data());
   const std::int32_t ColBase = M.chunkColBase(CI);
   const std::uint8_t *Masks = M.finishMasks(CI);
-  const double *Vals = NarrowVal ? nullptr : M.vals() + C.ElemBase;
-  const float *Vals32 = NarrowVal ? M.vals32() + C.ElemBase : nullptr;
-  const std::int32_t *Cols = NarrowIdx ? nullptr : M.colIdx() + C.ElemBase;
-  const std::uint16_t *ColsN =
-      NarrowIdx ? M.colIdx16() + C.ElemBase : nullptr;
+  const ChunkStreams<NarrowIdx, NarrowVal> S(M, C, ColBase);
   const CvrRecord *Rec = M.recs() + C.RecBase;
+  const CvrRecord *const RecEnd = M.recs() + C.RecEnd;
+  alignas(64) typename Lanes::Value TResult[W] = {};
+  alignas(64) typename Lanes::Buffer Buf;
+  Lanes L(In, Buf);
 
-  alignas(64) double TResult[W] = {0};
-  alignas(64) double Stage[BlockSteps * W];
-  int Staged = 0;
-  simd::VecD8 VOut = simd::VecD8::zero();
-
-  // Stages and clears the lanes that finish before step I (the lane's dot
-  // product is complete just before the step's elements are consumed).
-  auto Retire = [&](std::int64_t I) {
-    const unsigned F = Masks[I];
-    Obs.retire(I, F);
-    Staged += VOut.compressStoreu(Stage + Staged, F);
-    VOut = VOut.clearLanes(F);
+  // Hands N retired values, in record order, to the records from Rec on.
+  // Out is captured by copy, and Drain by copy below: a closure another
+  // closure refers to stays in memory, and with it what it refers to.
+  auto Drain = [&, Out](int N) {
+    if (Obs.drain(Rec, N)) {
+      for (int K = 0; K < N; ++K, ++Rec) {
+        if (!Obs.record(*Rec, Lanes::Stages ? K : -1))
+          continue;
+        if (Rec->Steal) {
+          Lanes::steal(TResult[Rec->Wb], L.take(*Rec, K));
+        } else {
+          Obs.finish(Out, Rec->Wb, Rec->Shared);
+          Out.finish(Rec->Wb, L.take(*Rec, K), Rec->Shared);
+        }
+      }
+    }
+  };
+  // Retires the lanes that finish before step I (the lane's sum is
+  // complete just before the step's elements are consumed).
+  auto Retire = [&, Drain](std::int64_t I) mutable {
+    if constexpr (Lanes::Stages) {
+      const unsigned F = Masks[I];
+      Obs.retire(I, F);
+      L.stage(F);
+    } else {
+      const std::int64_t Lim = I < C.NumSteps
+                                   ? (I + 1) * W
+                                   : std::numeric_limits<std::int64_t>::max();
+      int N = 0;
+      while (Rec + N < RecEnd && Rec[N].Pos < Lim)
+        ++N;
+      if (N > 0)
+        Drain(N);
+    }
   };
   auto Step = [&](std::int64_t I, simd::VecI8 Idx) {
     Retire(I);
     Obs.loads(I);
-    const unsigned Live = Obs.gather(X, Idx, C.ElemBase + I * W);
-    simd::VecD8 Xs = Live == simd::AllLanes
-                         ? simd::VecD8::gather(X, Idx)
-                         : simd::VecD8::maskGather(X, Idx, Live);
-    simd::VecD8 Vs = NarrowVal ? simd::VecD8::loadF32Widen(Vals32 + I * W)
-                               : simd::VecD8::loadAligned(Vals + I * W);
-    VOut = VOut.fmadd(Vs, Xs);
-  };
-  auto Drain = [&] {
-    if (Obs.drain(Rec, Staged)) {
-      for (int K = 0; K < Staged; ++K, ++Rec) {
-        if (!Obs.record(*Rec, K))
-          continue;
-        if (Rec->Steal) {
-          TResult[Rec->Wb] += Stage[K];
-        } else {
-          Obs.finish(Out, Rec->Wb, Rec->Shared);
-          Out.finish(Rec->Wb, Stage[K], Rec->Shared);
-        }
-      }
-    }
-    Staged = 0;
+    L.step(S, I, Idx, Obs.gather(Idx, C.ElemBase + I * W));
   };
 
   // NumSteps is even (isValid), so steps run in pairs.
   for (std::int64_t I0 = 0; I0 < C.NumSteps; I0 += BlockSteps) {
     const std::int64_t I1 = std::min(C.NumSteps, I0 + BlockSteps);
     for (std::int64_t I = I0; I < I1; I += 2) {
-      if constexpr (PfDist > 0) {
-        if (I + PfDist + 1 < C.NumSteps) {
-          // Pull the index line two prefetch windows out so the window at
-          // PfDist reads cached indices, then touch the 16 x targets for
-          // the step pair at PfDist and stream the matching value lines.
-          if constexpr (NarrowIdx) {
-            __builtin_prefetch(ColsN + (I + 2 * PfDist) * W, 0, 0);
-            const std::uint16_t *Pc = ColsN + (I + PfDist) * W;
-            for (int K = 0; K < 2 * W; ++K)
-              __builtin_prefetch(X + ColBase + Pc[K], 0, 1);
-          } else {
-            __builtin_prefetch(Cols + (I + 2 * PfDist) * W, 0, 0);
-            const std::int32_t *Pc = Cols + (I + PfDist) * W;
-            for (int K = 0; K < 2 * W; ++K)
-              __builtin_prefetch(X + Pc[K], 0, 1);
-          }
-          if constexpr (NarrowVal) {
-            __builtin_prefetch(Vals32 + (I + PfDist) * W, 0, 0);
-            __builtin_prefetch(Vals32 + (I + PfDist + 1) * W, 0, 0);
-          } else {
-            __builtin_prefetch(Vals + (I + PfDist) * W, 0, 0);
-            __builtin_prefetch(Vals + (I + PfDist + 1) * W, 0, 0);
-          }
-        }
-      }
-
-      // Column-index double pumping: one 16-wide load per step pair
-      // (int32 direct, or uint16 widened + rebased onto the band).
-      const simd::VecI16 Cols16 =
-          NarrowIdx ? simd::VecI16::loadU16Widen(ColsN + I * W, ColBase)
-                    : simd::VecI16::loadAligned(Cols + I * W);
+      L.prefetch(S, I, C.NumSteps);
+      const simd::VecI16 Cols16 = S.cols16(I);
       Step(I, Cols16.lo());
       Step(I + 1, Cols16.hi());
     }
-    Drain();
+    if constexpr (Lanes::Stages) {
+      Drain(L.Staged);
+      L.Staged = 0;
+    }
   }
 
   // Trailing records (pieces that finish exactly at the stream end).
   Retire(C.NumSteps);
-  Drain();
+  if constexpr (Lanes::Stages) {
+    Drain(L.Staged);
+    L.Staged = 0;
+  }
 
   // Tail flush: t_result slots back to their rows (Algorithm 4 l.31-33).
   const std::int32_t *Tails = M.tails() + C.TailBase;
@@ -242,16 +452,94 @@ static CVR_HOT void runChunk(const CvrMatrix &M, const CvrChunk &C,
 
 /// Runs chunk \p C through the instantiation that reads \p M's stream
 /// kinds.
-template <int PfDist, class WriteBack, class Observer = NoObserver>
-void runChunkKinds(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                   WriteBack Out, Observer Obs = {}) {
+template <class Lanes, class WriteBack, class Observer>
+void runChunkKinds(const CvrMatrix &M, const CvrChunk &C,
+                   const typename Lanes::Input &In, WriteBack Out,
+                   Observer Obs) {
   const bool NV = M.valueKind() == ValueKind::F32x64;
   if (M.colIndexKind() == ColIndexKind::U16Band)
-    NV ? runChunk<PfDist, true, true>(M, C, X, Out, Obs)
-       : runChunk<PfDist, true, false>(M, C, X, Out, Obs);
+    NV ? runChunk<true, true, Lanes>(M, C, In, Out, Obs)
+       : runChunk<true, false, Lanes>(M, C, In, Out, Obs);
   else
-    NV ? runChunk<PfDist, false, true>(M, C, X, Out, Obs)
-       : runChunk<PfDist, false, false>(M, C, X, Out, Obs);
+    NV ? runChunk<false, true, Lanes>(M, C, In, Out, Obs)
+       : runChunk<false, false, Lanes>(M, C, In, Out, Obs);
+}
+
+/// Runs chunks [Begin, End) across M.runThreads() threads, dynamically
+/// scheduled when there are more chunks than threads (over-decomposition),
+/// so a thread that drew a light chunk picks up the next one. An observer
+/// sees one chunk at a time, in index order.
+template <class Lanes, class WriteBack, class Observer>
+void runChunkRange(const CvrMatrix &M, int Begin, int End,
+                   const typename Lanes::Input &In, WriteBack Out,
+                   Observer Obs) {
+  const CvrChunk *Chunks = M.chunks().data() + Begin;
+  const int N = End - Begin;
+  if constexpr (std::is_same_v<Observer, NoObserver>) {
+    const int Threads = std::min(M.runThreads(), N);
+    auto Body = [&](int T) {
+      runChunkKinds<Lanes>(M, Chunks[T], In, Out, Obs);
+    };
+    if (N > Threads)
+      ompParallelForDynamic(N, Threads, Body);
+    else
+      ompParallelFor(N, Threads, Body);
+  } else {
+    for (int T = 0; T < N; ++T)
+      runChunkKinds<Lanes>(M, Chunks[T], In, Out, Obs);
+  }
+}
+
+/// One pass of the chunk loop over all of \p M, for every caller, writing
+/// back through \p Store or, for a blocked matrix, \p Accumulate.
+///
+/// An unblocked matrix pre-zeroes the rows that accumulate (chunk-boundary
+/// rows) or are never written (empty rows); every other row receives
+/// exactly one plain store. A blocked matrix clears all of y, then each
+/// band adds its partial products. Bands run one after another so x's
+/// working set stays one band wide; chunks within a band run in parallel.
+template <class Lanes, class StoreOut, class AccumulateOut,
+          class Observer = NoObserver>
+void runPass(const CvrMatrix &M, const typename Lanes::Input &In,
+             StoreOut Store, AccumulateOut Accumulate, Observer Obs = {}) {
+  if (M.isBlocked()) {
+    for (std::int32_t R = 0; R < M.numRows(); ++R)
+      if (Obs.zero(M, Accumulate, R))
+        Accumulate.zero(R);
+    for (const CvrBand &B : M.bands())
+      runChunkRange<Lanes>(M, B.ChunkBegin, B.ChunkEnd, In, Accumulate, Obs);
+    return;
+  }
+  for (std::int32_t R : M.zeroRows())
+    if (Obs.zero(M, Store, R))
+      Store.zero(R);
+  runChunkRange<Lanes>(M, 0, M.numChunks(), In, Store, Obs);
+}
+
+/// Y = M * X for \p NumVectors row-major panel columns: one pass per
+/// register block of min(8, K - J0) columns (Panel8, Panel4 for a width-4
+/// remainder, PanelTail otherwise). Returns the number of passes.
+template <class Observer = NoObserver>
+int runPanels(const CvrMatrix &M, const double *X, std::size_t LdX,
+              double *Y, std::size_t LdY, int NumVectors, Observer Obs = {}) {
+  auto Pass = [&](auto P, int J0) {
+    using Panel = decltype(P);
+    runPass<PanelLanes<Panel>>(M, {X + J0, LdX, P},
+                               PanelWriteBack<Panel, false>{Y + J0, LdY, P},
+                               PanelWriteBack<Panel, true>{Y + J0, LdY, P},
+                               Obs);
+  };
+  int Passes = 0;
+  for (int J0 = 0; J0 < NumVectors; J0 += 8, ++Passes) {
+    const int Bw = std::min(8, NumVectors - J0);
+    if (Bw == 8)
+      Pass(Panel8{}, J0);
+    else if (Bw == 4)
+      Pass(Panel4{}, J0);
+    else
+      Pass(PanelTail(Bw), J0);
+  }
+  return Passes;
 }
 
 } // namespace detail

@@ -18,12 +18,9 @@
 /// The kernel streams the matrix ceil(K / 8) times, each pass covering
 /// min(8, K - J0) columns in register accumulators: 8-wide (VecD8), 4-wide
 /// (VecD4) for a width-4 remainder, or a masked tail of any other width
-/// 1..7, so a degenerate K never wastes a full-width pass. Lane semantics
-/// (records, tracker stealing, tails, shared-row atomics, accumulate-mode
-/// bands) are identical to the SpMV kernel with every scalar write-back
-/// widened to a panel row. The panel kernel reads every stream kind (fp32
-/// values and band-local uint16 indices widen in registers, as in SpMV),
-/// so a compressed matrix is streamed once per pass too.
+/// 1..7. Each pass is the SpMV chunk loop (core/CvrChunkLoop.h) under a
+/// panel lane policy, with every scalar write-back widened to a panel row.
+/// The panel loads take no software prefetch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,13 +32,6 @@
 
 namespace cvr {
 
-/// Execution knobs for one SpMM call.
-struct CvrSpmmOptions {
-  /// Software-prefetch distance in stream steps for the X panel rows (and
-  /// the vals stream); snapped to {0, 2, 4, 8} like the SpMV kernel.
-  int PrefetchDistance = 0;
-};
-
 /// Computes Y = A * X for \p NumVectors right-hand sides stored row-major
 /// (element (i, j) at X[i * LdX + j]; LdX, LdY >= NumVectors; X has
 /// numCols rows, Y numRows rows and is overwritten). Rejects invalid panel
@@ -51,8 +41,7 @@ struct CvrSpmmOptions {
 /// accumulate-mode path keeps the exact SpMV semantics).
 [[nodiscard]] Status cvrSpmm(const CvrMatrix &M, const double *X,
                              std::size_t LdX, double *Y, std::size_t LdY,
-                             int NumVectors,
-                             const CvrSpmmOptions &Opts = {});
+                             int NumVectors);
 
 } // namespace cvr
 

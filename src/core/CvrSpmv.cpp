@@ -4,35 +4,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The CVR chunk loop (core/CvrChunkLoop.h) is written once and templated
-// on a write-back policy. The policy decides only how finished lanes leave
-// the kernel:
+// SpMV is one pass of the CVR chunk loop (core/CvrChunkLoop.h) under the
+// gather lane policy, with the Store write-back (one plain store per
+// exclusive row) or, for column-blocked matrices, Accumulate (an add; y is
+// cleared once and the bands run one after another). A chunk-boundary row
+// adds atomically under both, because the neighbouring chunk contributes
+// to it too. Fused epilogues are not a policy: CvrKernel inherits
+// SpmvKernel::runFused, which composes cvrSpmv with one scalar epilogue
+// sweep (DESIGN.md section 12).
 //
-//  - Store: an exclusive row takes one plain store (the plain SpMV).
-//  - Accumulate: an exclusive row adds into y. Column-blocked matrices use
-//    it; they clear y once and run their bands one after another.
-//
-// Under both policies a chunk-boundary row adds atomically, because the
-// neighbouring chunk contributes to it too. A policy provides finish() for
-// one finished row (a feed record or a tail flush) and traceFinish() for
-// the y traffic that finish() causes. Fused epilogues are not a policy:
-// CvrKernel inherits SpmvKernel::runFused, which composes cvrSpmv with one
-// scalar epilogue sweep (DESIGN.md section 12).
-//
-// The loop is also templated on prefetch distance and stream kinds. On
-// AVX-512 or the emulated vector of simd/Simd.h it writes back without a
-// per-step branch: each step compresses the lanes the matrix's derived
-// finish mask names (one byte per step, nnz/8 bytes, never serialized)
-// into a stack staging buffer, and once per 64-step block the staged
-// values go through finish() in record order.
-//
-// The loop takes a second, observer policy: the trace observer below turns
-// it into the serial sweep behind traceRun, and analysis/CheckedSpmv.cpp
-// runs it under a bounds guard for checked mode. CvrSpmm.cpp applies the
-// same scheme to its panel kernel. Chunk over-decomposition runs more
-// chunks than threads under a dynamic schedule. All variants compute the
-// same y; the serving daemon picks the prefetch distance per matrix
-// (serve::Fleet::tuneExec).
+// The gather policy is templated on the prefetch distance, and the loop on
+// the stream kinds. It writes back without a per-step branch: each step
+// compresses the lanes the matrix's derived finish mask names (one byte
+// per step, never serialized) into a stack staging buffer, and once per
+// 64-step block the staged values leave in record order. The trace
+// observer below turns the same pass into the serial sweep behind
+// traceRun. All variants compute the same y; the serving daemon picks the
+// prefetch distance per matrix (serve::Fleet::tuneExec).
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,67 +29,15 @@
 #include "core/CvrChunkLoop.h"
 #include "obs/Telemetry.h"
 #include "obs/Trace.h"
-#include "simd/Simd.h"
-#include "support/Annotations.h"
-#include "support/MemSink.h"
-#include "support/ParallelFor.h"
-
-#include <algorithm>
-#include <cstring>
-#include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace cvr {
 
 namespace {
 
 using detail::AccumulateWriteBack;
-using detail::runChunkKinds;
+using detail::GatherLanes;
+using detail::runPass;
 using detail::StoreWriteBack;
-
-/// Runs one chunk at the prefetch distance \p PfDist, which the callers
-/// snap to the supported set.
-template <class WriteBack>
-void runChunkPf(const CvrMatrix &M, const CvrChunk &C, const double *X,
-                int PfDist, WriteBack Out) {
-  switch (PfDist) {
-  case 2:
-    runChunkKinds<2>(M, C, X, Out);
-    break;
-  case 4:
-    runChunkKinds<4>(M, C, X, Out);
-    break;
-  case 8:
-    runChunkKinds<8>(M, C, X, Out);
-    break;
-  default:
-    runChunkKinds<0>(M, C, X, Out);
-    break;
-  }
-}
-
-/// Runs the chunks [Begin, End) across M.runThreads() threads. With more
-/// chunks than threads (over-decomposition) the schedule turns dynamic so
-/// a thread that drew a light chunk picks up the next one. Every chunk
-/// writes back through \p Out.
-template <class WriteBack>
-void runChunkRange(const CvrMatrix &M, int Begin, int End, const double *X,
-                   int PfDist, WriteBack Out) {
-  const std::vector<CvrChunk> &Chunks = M.chunks();
-  int N = End - Begin;
-  int Threads = std::min(M.runThreads(), N);
-
-  auto Body = [&](int T) {
-    runChunkPf(M, Chunks[Begin + T], X, PfDist, Out);
-  };
-  if (N > Threads)
-    ompParallelForDynamic(N, Threads, Body);
-  else
-    ompParallelFor(N, Threads, Body);
-}
 
 /// The trace observer: the chunk loop under it replays a chunk serially
 /// and reports every memory reference to the sink, under the same
@@ -116,7 +52,15 @@ void runChunkRange(const CvrMatrix &M, int Begin, int End, const double *X,
 /// this file, and tracing must leave the production code as it is.
 class TraceObserver : public detail::NoObserver {
 public:
-  explicit TraceObserver(MemAccessSink &Sink) : Sink(&Sink) {}
+  TraceObserver(MemAccessSink &Sink, const double *X) : Sink(&Sink), X(X) {}
+
+  /// The prologue's clear of y.
+  template <class WriteBack>
+  [[gnu::noinline]] bool zero(const CvrMatrix &, const WriteBack &Out,
+                              std::int32_t Row) {
+    Sink->write(Out.Y + Row, sizeof(double));
+    return true;
+  }
 
   [[gnu::noinline]] bool chunk(const CvrMatrix &M, const CvrChunk &C) {
     IdxB = M.indexBytes();
@@ -144,8 +88,7 @@ public:
     Sink->read(ValsP + I * W * ValB, W * ValB);
   }
 
-  [[gnu::noinline]] unsigned gather(const double *X, simd::VecI8 Idx,
-                                    std::int64_t) {
+  [[gnu::noinline]] unsigned gather(simd::VecI8 Idx, std::int64_t) {
     std::int32_t Cols[W];
     Idx.storeu(Cols);
     for (std::int32_t Col : Cols)
@@ -174,19 +117,11 @@ public:
 private:
   static constexpr std::int64_t W = CvrMatrix::lanes();
   MemAccessSink *Sink;
+  const double *X;
   std::size_t IdxB = 0, ValB = 0;
   const char *ColsP = nullptr, *ValsP = nullptr;
   const std::uint8_t *MaskP = nullptr;
 };
-
-/// The traced counterpart of runChunkRange: every chunk in index order, on
-/// one thread, without prefetches.
-template <class WriteBack>
-void traceChunks(const CvrMatrix &M, MemAccessSink &Sink, const double *X,
-                 WriteBack Out) {
-  for (const CvrChunk &C : M.chunks())
-    runChunkKinds<0>(M, C, X, Out, TraceObserver(Sink));
-}
 
 } // namespace
 
@@ -226,24 +161,20 @@ void cvrSpmv(const CvrMatrix &M, const double *X, double *Y,
              int PrefetchDistance) {
   obs::TraceSpan Span("execute/spmv", "execute");
   recordCvrRunTelemetry(M);
-  int PfDist = snapPrefetchDistance(PrefetchDistance);
-
-  if (M.isBlocked()) {
-    // Accumulate mode: clear all of y once, then add each band's partial
-    // products. Bands run sequentially so x's working set stays one band
-    // wide; chunks within a band run in parallel.
-    std::memset(Y, 0, sizeof(double) * static_cast<std::size_t>(M.numRows()));
-    for (const CvrBand &B : M.bands())
-      runChunkRange(M, B.ChunkBegin, B.ChunkEnd, X, PfDist,
-                    AccumulateWriteBack{Y});
-    return;
+  switch (snapPrefetchDistance(PrefetchDistance)) {
+  case 2:
+    runPass<GatherLanes<2>>(M, X, StoreWriteBack{Y}, AccumulateWriteBack{Y});
+    break;
+  case 4:
+    runPass<GatherLanes<4>>(M, X, StoreWriteBack{Y}, AccumulateWriteBack{Y});
+    break;
+  case 8:
+    runPass<GatherLanes<8>>(M, X, StoreWriteBack{Y}, AccumulateWriteBack{Y});
+    break;
+  default:
+    runPass<GatherLanes<0>>(M, X, StoreWriteBack{Y}, AccumulateWriteBack{Y});
+    break;
   }
-
-  // Pre-zero the rows that accumulate (boundary rows) or are never written
-  // (empty rows); all other rows receive exactly one plain store.
-  for (std::int32_t R : M.zeroRows())
-    Y[R] = 0.0;
-  runChunkRange(M, 0, M.numChunks(), X, PfDist, StoreWriteBack{Y});
 }
 
 CvrKernel::CvrKernel(CvrOptions Opts) : Opts(Opts) {}
@@ -268,20 +199,9 @@ std::size_t CvrKernel::formatBytes() const { return M.formatBytes(); }
 
 bool CvrKernel::traceRun(MemAccessSink &Sink, const double *X,
                          double *Y) const {
-  if (M.isBlocked()) {
-    // The blocked kernel clears all of y before the bands accumulate.
-    for (std::int32_t R = 0; R < M.numRows(); ++R) {
-      Sink.write(Y + R, sizeof(double));
-      Y[R] = 0.0;
-    }
-    traceChunks(M, Sink, X, AccumulateWriteBack{Y});
-    return true;
-  }
-  for (std::int32_t R : M.zeroRows()) {
-    Sink.write(Y + R, sizeof(double));
-    Y[R] = 0.0;
-  }
-  traceChunks(M, Sink, X, StoreWriteBack{Y});
+  // The pass without prefetches, serially, every reference reported.
+  runPass<GatherLanes<0>>(M, X, StoreWriteBack{Y}, AccumulateWriteBack{Y},
+                          TraceObserver(Sink, X));
   return true;
 }
 

@@ -14,10 +14,12 @@
 /// (the `i % 16` trick of Algorithm 4 l.22-26).
 ///
 /// One chunk loop (core/CvrChunkLoop.h) serves every matrix, on AVX-512
-/// or on the emulated vector of simd/Simd.h. It is written once and
-/// instantiated per write-back policy (store, accumulate for blocked
-/// bands). A fused epilogue runs after it as one sweep, as on every
-/// format: SpmvKernel's runFused, runBatchFused and traceRunFused.
+/// or on the emulated vector of simd/Simd.h, and one pass driver runs it
+/// for SpMV, SpMM (core/CvrSpmm.h), traces and checked mode. SpMV
+/// instantiates it per write-back policy (store, accumulate for blocked
+/// bands) and prefetch distance. A fused epilogue runs after it as one
+/// sweep, as on every format: SpmvKernel's runFused, runBatchFused and
+/// traceRunFused.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,10 +52,6 @@ public:
 
   /// The converted matrix the kernel runs (valid after prepare()).
   virtual const CvrMatrix &cvrMatrix() const = 0;
-
-  /// The prefetch distance run() uses; the checked shadow kernel replays
-  /// the same variant.
-  virtual int cvrPrefetchDistance() const { return 0; }
 };
 
 /// SpmvKernel adapter so CVR plugs into the common benchmark harness.
@@ -76,8 +74,8 @@ public:
   std::int64_t preparedCols() const override { return M.numCols(); }
 
   /// Native SpMM path (core/CvrSpmm.h): the CVR stream is read once per
-  /// register block of up to eight panel columns, under the kernel's
-  /// configured prefetch distance.
+  /// register block of up to eight panel columns. The SpMV prefetch
+  /// distance does not apply to it.
   [[nodiscard]] Status runBatch(const double *X, std::size_t LdX, double *Y,
                                 std::size_t LdY,
                                 int NumVectors) const override;
@@ -91,12 +89,7 @@ public:
   /// the locality tracer.
   const CvrMatrix &matrix() const { return M; }
 
-  /// The execution options the kernel was constructed with (the SpMM path
-  /// reads its prefetch distance from here).
-  const CvrOptions &options() const { return Opts; }
-
   const CvrMatrix &cvrMatrix() const override { return M; }
-  int cvrPrefetchDistance() const override { return Opts.PrefetchDistance; }
 
 private:
   CvrOptions Opts;

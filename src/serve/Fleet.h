@@ -26,10 +26,10 @@
 /// Blob entries execute through `CvrViewKernel`, a thin SpmvKernel over a
 /// borrowed CvrMatrix: construction is free, so kernels can be rebuilt on
 /// cache miss without re-reading the blob. The tuned execution state per
-/// entry (best prefetch distance, found by a timed sweep) lives in
+/// entry (best SpMV prefetch distance, found by a timed sweep) lives in
 /// `KernelCache`, an LRU keyed by blob fingerprint: hot matrices keep
 /// their tuned kernels resident, cold ones fall off and re-tune on next
-/// use.
+/// use. SpMM never tunes: the panel kernel takes no prefetch distance.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,8 +55,10 @@ namespace cvr {
 namespace serve {
 
 /// SpmvKernel over a CvrMatrix owned elsewhere (a fleet entry's mapped or
-/// stream-loaded matrix). Holds only a pointer and the execution knobs, so
-/// building one is O(1) — the property the kernel cache relies on.
+/// stream-loaded matrix). Holds only a pointer and the SpMV prefetch
+/// distance, so building one is O(1) — the property the kernel cache
+/// relies on. run() is the chunk loop's SpMV pass at that distance;
+/// runBatch() is its SpMM pass, which takes no prefetch.
 class CvrViewKernel : public SpmvKernel, public CvrMatrixSource {
 public:
   explicit CvrViewKernel(const CvrMatrix &M, int PrefetchDistance = 0)
@@ -83,15 +85,12 @@ public:
   [[nodiscard]] Status runBatch(const double *X, std::size_t LdX, double *Y,
                                 std::size_t LdY,
                                 int NumVectors) const override {
-    CvrSpmmOptions Opts;
-    Opts.PrefetchDistance = Prefetch;
-    return cvrSpmm(*M, X, LdX, Y, LdY, NumVectors, Opts);
+    return cvrSpmm(*M, X, LdX, Y, LdY, NumVectors);
   }
 
   std::size_t formatBytes() const override { return M->formatBytes(); }
 
   const CvrMatrix &cvrMatrix() const override { return *M; }
-  int cvrPrefetchDistance() const override { return Prefetch; }
 
 private:
   const CvrMatrix *M;

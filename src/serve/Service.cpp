@@ -137,7 +137,7 @@ Response Service::handleCompute(const Request &R, const Deadline &D) {
 }
 
 Status Service::pickKernel(const ServedMatrix &Entry, const Deadline &D,
-                           Execution &Out, Response &Resp) {
+                           Execution &Out, Response &Resp, bool Tune) {
   if (Entry.Mode == LoadMode::Prepared) {
     // The ladder already ran at load time; surface its trail per request
     // so every response is self-describing.
@@ -151,12 +151,13 @@ Status Service::pickKernel(const ServedMatrix &Entry, const Deadline &D,
   }
 
   // Blob entry: tuned-exec rung first (cached plan or a timed sweep),
-  // plain view kernel as the floor.
+  // plain view kernel as the floor, and the only rung without Tune.
   ExecPlan Plan;
-  bool Tuned = TheFleet.kernelCache().lookup(Entry.Fingerprint, Plan);
-  if (Tuned) {
+  bool Tuned = false;
+  if (Tune && TheFleet.kernelCache().lookup(Entry.Fingerprint, Plan)) {
     bump("serve.kernel_cache.hit");
-  } else {
+    Tuned = true;
+  } else if (Tune) {
     bump("serve.kernel_cache.miss");
     Status Gate = deadlineCheckpoint(D, "tune");
     if (Gate.ok() && D.remainingSeconds() < Opts.TuneMinRemainingSeconds &&
@@ -215,7 +216,7 @@ Response Service::handleSpmm(const Request &R, const ServedMatrix &Entry,
         std::to_string(Entry.cols()) + " rows x " + std::to_string(K) +
         " columns"));
   Execution E;
-  if (Status S = pickKernel(Entry, D, E, Resp); !S.ok())
+  if (Status S = pickKernel(Entry, D, E, Resp, /*Tune=*/false); !S.ok())
     return errorResponse(S);
   if (Status S = deadlineCheckpoint(D, "execute"); !S.ok()) {
     Response Out = errorResponse(S);

@@ -88,14 +88,17 @@ private:
                        const Deadline &D);
 
   /// Chooses the execution rung for \p Entry under \p D, recording any
-  /// step down in \p Out (shared by all three compute ops).
+  /// step down in \p Out (shared by all three compute ops). \p Tune runs a
+  /// blob entry's tuned-exec rung; Spmm skips it, since the SpMV prefetch
+  /// distance it tunes does not apply to the panel kernel.
   struct Execution {
     std::unique_ptr<SpmvKernel> Owned; ///< View kernel for blob entries.
     const SpmvKernel *K = nullptr;     ///< The kernel to run.
     std::string Variant;
   };
   [[nodiscard]] Status pickKernel(const ServedMatrix &Entry, const Deadline &D,
-                                  Execution &Out, Response &Resp);
+                                  Execution &Out, Response &Resp,
+                                  bool Tune = true);
 
   Fleet &TheFleet;
   ServiceOptions Opts;

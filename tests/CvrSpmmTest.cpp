@@ -52,8 +52,7 @@ std::vector<double> panelColumn(const std::vector<double> &P, std::size_t Ld,
 
 /// Runs cvrSpmm and checks every column against single-vector cvrSpmv.
 void expectSpmmMatchesSpmv(const CsrMatrix &A, int NumVectors, int Threads,
-                           std::size_t ExtraLd, CvrOptions Opts = {},
-                           CvrSpmmOptions SpmmOpts = {}) {
+                           std::size_t ExtraLd, CvrOptions Opts = {}) {
   Opts.NumThreads = Threads;
   CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
 
@@ -64,8 +63,7 @@ void expectSpmmMatchesSpmv(const CsrMatrix &A, int NumVectors, int Threads,
   std::vector<double> X = randomPanel(Cols, NumVectors, LdX, 100);
   std::vector<double> Y(Rows * LdY, -4.0);
 
-  ASSERT_TRUE(
-      cvrSpmm(M, X.data(), LdX, Y.data(), LdY, NumVectors, SpmmOpts).ok());
+  ASSERT_TRUE(cvrSpmm(M, X.data(), LdX, Y.data(), LdY, NumVectors).ok());
 
   for (int J = 0; J < NumVectors; ++J) {
     std::vector<double> Xc = panelColumn(X, LdX, J, Cols);
@@ -111,12 +109,35 @@ TEST(CvrSpmm, MultiThreadSharedRows) {
 }
 
 TEST(CvrSpmm, PrefetchDistanceVariants) {
+  // A kernel's SpMV prefetch distance does not reach its panel kernel:
+  // runBatch matches per-column SpMV at every distance and gives the
+  // distance-0 panel bit for bit (one thread, so no atomic order varies).
   CsrMatrix A = genPowerLaw(300, 300, 6.0, 1.2, 88);
-  for (int Pf : {2, 4, 8}) {
-    CvrSpmmOptions SpmmOpts;
-    SpmmOpts.PrefetchDistance = Pf;
-    expectSpmmMatchesSpmv(A, 6, 2, 0, {}, SpmmOpts);
-  }
+  const int K = 6;
+  const auto Rows = static_cast<std::size_t>(A.numRows());
+  const auto Cols = static_cast<std::size_t>(A.numCols());
+  const std::vector<double> X = randomPanel(Cols, K, K, 100);
+  auto RunBatch = [&](int Pf) {
+    CvrOptions Opts;
+    Opts.NumThreads = 1;
+    Opts.PrefetchDistance = Pf;
+    CvrKernel Kern(Opts);
+    Kern.prepare(A);
+    std::vector<double> Y(Rows * K, -4.0);
+    EXPECT_TRUE(Kern.runBatch(X.data(), K, Y.data(), K, K).ok());
+    for (int J = 0; J < K; ++J) {
+      std::vector<double> Xc = panelColumn(X, K, J, Cols);
+      std::vector<double> Expected(Rows);
+      Kern.run(Xc.data(), Expected.data());
+      EXPECT_LE(maxRelDiff(Expected, panelColumn(Y, K, J, Rows)),
+                SpmvTolerance)
+          << "pf " << Pf << " column " << J;
+    }
+    return Y;
+  };
+  const std::vector<double> Plain = RunBatch(0);
+  for (int Pf : {2, 4, 8})
+    EXPECT_EQ(RunBatch(Pf), Plain) << "pf " << Pf;
 }
 
 TEST(CvrSpmm, BlockedMatrixAccumulatesBands) {

@@ -19,11 +19,13 @@
 #include "analysis/CheckedSpmv.h"
 #include "analysis/Introspect.h"
 #include "analysis/InvariantChecker.h"
+#include "core/CvrSpmm.h"
 #include "core/CvrSpmv.h"
 #include "formats/Csr5.h"
 #include "formats/Esb.h"
 #include "formats/Vhcc.h"
 #include "gen/DatasetSuite.h"
+#include "serve/Fleet.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -547,9 +549,26 @@ void expectMatchesKernelAndReference(const CvrMatrix &M,
       << Where;
 }
 
+/// The guarded panel loop on a clean matrix, at a full panel and a masked
+/// tail: no violations, and every column as cvrSpmm computes it.
+void expectCheckedSpmmClean(const CvrMatrix &M, const std::string &Where) {
+  for (int K : {8, 5}) {
+    const auto Ld = static_cast<std::size_t>(K);
+    std::vector<double> X = test::randomVector(M.numCols() * Ld, 19);
+    std::vector<double> Y(M.numRows() * Ld, -3.0), Want(Y.size(), 0.0);
+    std::vector<Violation> Vs;
+    ASSERT_TRUE(
+        analysis::cvrSpmmChecked(M, X.data(), Ld, Y.data(), Ld, K, Vs).ok());
+    EXPECT_TRUE(Vs.empty()) << Where << analysis::formatViolations(Vs);
+    ASSERT_TRUE(cvrSpmm(M, X.data(), Ld, Want.data(), Ld, K).ok());
+    EXPECT_LE(maxRelDiff(Want, Y), test::SpmvTolerance) << Where << " K " << K;
+  }
+}
+
 TEST(CheckedSpmv, BothShadowsMatchReferenceWhenClean) {
-  // Checked mode runs the kernel's chunk loop for every stream kind; clean
-  // matrices must pass with no violations and match the scalar reference.
+  // Checked mode runs the kernel's chunk loop for every stream kind, SpMV
+  // and SpMM; clean matrices must pass with no violations and match the
+  // scalar reference.
   CsrMatrix A = testMatrix(29);
   std::vector<double> X = test::randomVector(A.numCols(), 5);
   std::vector<double> Ref(A.numRows(), 0.0);
@@ -565,6 +584,7 @@ TEST(CheckedSpmv, BothShadowsMatchReferenceWhenClean) {
     analysis::cvrSpmvChecked(M, X.data(), Y.data(), Vs);
     EXPECT_TRUE(Vs.empty()) << Where << analysis::formatViolations(Vs);
     expectMatchesKernelAndReference(M, X, Ref, Y, Where);
+    expectCheckedSpmmClean(M, Where);
   });
 }
 
@@ -590,13 +610,17 @@ TEST(CheckedSpmv, BlockedShadowsMatchReference) {
     analysis::cvrSpmvChecked(M, X.data(), Y.data(), Vs);
     EXPECT_TRUE(Vs.empty()) << Where << analysis::formatViolations(Vs);
     expectMatchesKernelAndReference(M, X, Ref, Y, Where);
+    expectCheckedSpmmClean(M, Where);
   });
 }
 
 TEST(CheckedSpmv, EveryRuleFires) {
   // Each mutation must be reported under its own rule and no other, for
-  // every stream-kind combination. The rule IDs are the interface
-  // `cvr_tool validate` and the fuzzers report through.
+  // every stream-kind combination, by the SpMV loop and by the SpMM panel
+  // loop at K = 8 and K = 5. The rule IDs are the interface
+  // `cvr_tool validate` and the fuzzers report through. The panel loop
+  // retires per record and never reads the finish masks, so the
+  // finish-mask mutations are invisible to it: it must report nothing.
   CsrMatrix A = testMatrix();
   std::vector<double> X = test::randomVector(A.numCols(), 3);
   CvrOptions Base;
@@ -615,6 +639,26 @@ TEST(CheckedSpmv, EveryRuleFires) {
       expectRule(Vs, Case.Rule);
       for (const Violation &V : Vs)
         EXPECT_EQ(V.Rule, Case.Rule) << analysis::formatViolations(Vs);
+
+      const bool MasksOnly =
+          std::string(Case.Rule) == "checked.cvr.finish-mask";
+      for (int K : {8, 5}) {
+        SCOPED_TRACE("spmm K " + std::to_string(K));
+        const auto Ld = static_cast<std::size_t>(K);
+        std::vector<double> XP = test::randomVector(A.numCols() * Ld, 5);
+        std::vector<double> YP(A.numRows() * Ld, 0.0);
+        std::vector<Violation> SVs;
+        ASSERT_TRUE(analysis::cvrSpmmChecked(M, XP.data(), Ld, YP.data(), Ld,
+                                             K, SVs)
+                        .ok());
+        if (MasksOnly) {
+          EXPECT_TRUE(SVs.empty()) << analysis::formatViolations(SVs);
+          continue;
+        }
+        expectRule(SVs, Case.Rule);
+        for (const Violation &V : SVs)
+          EXPECT_EQ(V.Rule, Case.Rule) << analysis::formatViolations(SVs);
+      }
     }
   });
 }
@@ -642,6 +686,27 @@ TEST(CheckedKernelTest, CheckedVariantsRunClean) {
         << analysis::formatViolations(CK.violations());
     EXPECT_LE(maxRelDiff(Ref, Y), test::SpmvTolerance) << K->name();
   }
+}
+
+TEST(CheckedKernelTest, CvrSpmmRunBatchReportsWildGather) {
+  // A column index of 2^30 would send the native panel loop 8 GiB past X.
+  // Checked runBatch runs the guarded panel loop instead: it reports the
+  // lane and returns, and the per-column reference agrees with it.
+  CsrMatrix A = testMatrix();
+  CvrOptions Opts;
+  Opts.Indices = ColIndexKind::U32;
+  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
+  Introspect::colIdx(M)[4] = 1 << 30;
+  CheckedKernel K(std::make_unique<serve::CvrViewKernel>(M));
+  constexpr int NumVec = 8;
+  std::vector<double> X =
+      test::randomVector(static_cast<std::size_t>(A.numCols()) * NumVec, 7);
+  std::vector<double> Y(static_cast<std::size_t>(A.numRows()) * NumVec);
+  ASSERT_TRUE(K.runBatch(X.data(), NumVec, Y.data(), NumVec, NumVec).ok());
+  expectRule(K.violations(), "checked.cvr.gather");
+  for (const Violation &V : K.violations())
+    EXPECT_EQ(V.Rule, "checked.cvr.gather")
+        << analysis::formatViolations(K.violations());
 }
 
 } // namespace

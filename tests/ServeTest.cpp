@@ -549,6 +549,43 @@ TEST_F(ServeTest, SpmmPanelMatchesReferencePerColumn) {
   }
 }
 
+TEST_F(ServeTest, CvrSpmmRidesTheUntunedViewKernel) {
+  // Spmm runs the panel kernel, which takes no prefetch distance: a first
+  // Spmm on a blob entry neither tunes nor caches a plan and reports the
+  // plain view kernel. A later Multiply still tunes and caches.
+  Service Svc(*TheFleet);
+  const int K = 8;
+  const auto Cols = static_cast<std::size_t>(A.numCols());
+  const auto Rows = static_cast<std::size_t>(A.numRows());
+  Request R;
+  R.Kind = Op::Spmm;
+  R.Matrix = "m";
+  R.NumVectors = K;
+  R.X = test::randomVector(Cols * K, 11);
+
+  Response Resp = Svc.handle(R);
+  ASSERT_EQ(Resp.Code, StatusCode::Ok) << Resp.Message;
+  EXPECT_EQ(Resp.Variant, "CVR[view]");
+  EXPECT_TRUE(Resp.Downgrades.empty());
+  ASSERT_EQ(Resp.Y.size(), Rows * K);
+  std::vector<double> Xc(Cols), Yc(Rows);
+  for (int J = 0; J < K; ++J) {
+    for (std::size_t I = 0; I < Cols; ++I)
+      Xc[I] = R.X[I * K + static_cast<std::size_t>(J)];
+    std::vector<double> Ref = referenceSpmv(A, Xc);
+    for (std::size_t I = 0; I < Rows; ++I)
+      Yc[I] = Resp.Y[I * K + static_cast<std::size_t>(J)];
+    EXPECT_LE(maxRelDiff(Ref, Yc), test::SpmvTolerance) << "column " << J;
+  }
+  EXPECT_EQ(TheFleet->kernelCache().size(), 0u);
+  EXPECT_EQ(TheFleet->kernelCache().misses(), 0);
+
+  Request M = multiplyRequest();
+  expectMatchesReference(M, Svc.handle(M));
+  EXPECT_EQ(TheFleet->kernelCache().size(), 1u);
+  EXPECT_EQ(TheFleet->kernelCache().misses(), 1);
+}
+
 TEST_F(ServeTest, MatrixMarketEntryServesThroughTheLadder) {
   std::string MtxPath = test::uniqueTempPath(".mtx");
   ASSERT_TRUE(writeMatrixMarketFile(MtxPath, A.toCoo()).ok());
