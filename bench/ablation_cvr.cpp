@@ -15,15 +15,17 @@
 //   3. chunk (thread) count sweep: conversion + kernel scaling;
 //   4. feeding order: matrix order (the paper's choice) vs longest-first;
 //   5. value stream: f64 values vs f32 values (ValueKind::F32x64), through
-//      the same kernel.
+//      the same kernel, on an R-MAT whose values are exact in fp32 (an
+//      explicit F32x64 on other values is refused).
 //
 // The lane count is not an axis: omega = 8 for f64 is fixed by the format
 // (CvrMatrix::lanes()). Every configuration's y is compared against the
-// scalar reference; the program exits 1 if any disagrees.
+// scalar reference to 1e-10; the program exits 1 if any disagrees.
 //
 //===----------------------------------------------------------------------===//
 
 #include "benchlib/Equations.h"
+#include "benchlib/SuiteRunner.h"
 #include "core/Cvr.h"
 #include "gen/Generators.h"
 #include "matrix/Reference.h"
@@ -36,7 +38,6 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <vector>
 
 using namespace cvr;
@@ -69,13 +70,9 @@ struct AblationRow {
   double MaxErr; ///< max |y - Ref| / max(1, |Ref|_inf).
 };
 
-/// Agreement bound: f64 values, and the default conversion (which stores
-/// f32 only when that is lossless), must match the reference to round-off;
-/// an explicitly requested f32 value stream rounds each coefficient once to
-/// f32 (the bound the differential fuzzers use for that kind).
-double tolerance(std::optional<ValueKind> VK) {
-  return VK == ValueKind::F32x64 ? 1e-4 : 1e-10;
-}
+/// Agreement bound: every conversion is exact, so every configuration
+/// matches the reference to round-off.
+constexpr double Tolerance = 1e-10;
 
 /// Set when any configuration's y disagrees with the reference.
 bool AnyDisagreement = false;
@@ -98,11 +95,11 @@ AblationRow measure(const Input &In, const CvrOptions &Opts,
   double Sec = Run.seconds() / Iters;
 
   double MaxErr = maxAbsDiff(In.Ref, Y) / In.RefScale;
-  if (!(MaxErr <= tolerance(Opts.Values))) {
+  if (!(MaxErr <= Tolerance)) {
     std::fprintf(stderr,
                  "error: '%s' disagrees with the reference (max error %.3e, "
                  "bound %.0e)\n",
-                 Config.c_str(), MaxErr, tolerance(Opts.Values));
+                 Config.c_str(), MaxErr, Tolerance);
     AnyDisagreement = true;
   }
   return {std::move(Config), PreSec * 1e3,
@@ -174,7 +171,8 @@ int main() {
     F64.Values = ValueKind::F64;
     CvrOptions F32;
     F32.Values = ValueKind::F32x64;
-    section("Ablation 5: f64 vs f32 value stream (R-MAT)", ScaleFree,
+    section("Ablation 5: f64 vs f32 value stream (fp32-exact R-MAT)",
+            Input(roundedToFp32(genRmat(13, 16, 601))),
             {{"f64 values", F64}, {"f32 values (F32x64)", F32}});
   }
 

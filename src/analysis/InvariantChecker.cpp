@@ -154,8 +154,8 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
                     : "u32 matrix carries a stray u16 index stream");
   if (NarrowIdx) {
     // Narrow indices are only representable when every band spans at most
-    // 65536 columns (the u16 delta range); a wider band must have fallen
-    // back to u32 at conversion.
+    // 65536 columns (the u16 delta range); conversion refuses or keeps u32
+    // for a wider band.
     std::int64_t Widest = Cols;
     if (!M.bands().empty()) {
       Widest = 0;
@@ -166,9 +166,6 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
       R.add("cvr.index.narrow", "matrix",
             "u16 band indices with a band " + num(Widest) +
                 " columns wide (limit 65536)");
-    if (M.narrowIndexFallback())
-      R.add("cvr.index.narrow", "matrix",
-            "narrow-index fallback flag set on a u16-band matrix");
   }
   if (ValCount != IdxCount)
     R.add("cvr.stream.sizes", "matrix",

@@ -18,6 +18,12 @@
 
 namespace cvr {
 
+CsrMatrix roundedToFp32(CsrMatrix A) {
+  for (std::int64_t I = 0; I < A.numNonZeros(); ++I)
+    A.vals()[I] = static_cast<float>(A.vals()[I]);
+  return A;
+}
+
 SuiteOptions parseSuiteOptions(int Argc, char **Argv) {
   SuiteOptions Opts;
   for (int I = 1; I < Argc; ++I) {

@@ -110,6 +110,12 @@ SuiteOptions parseSuiteOptions(int Argc, char **Argv);
 double measuredLlcMissRatio(const SpmvKernel &K, const CsrMatrix &A,
                             std::string *Why = nullptr);
 
+/// Rounds every value of \p A to fp32, so an explicit ValueKind::F32x64
+/// conversion of it is exact. Benches and tests that time or check an f32
+/// plan build their inputs with it; stream bytes and traced traffic do not
+/// depend on values.
+CsrMatrix roundedToFp32(CsrMatrix A);
+
 /// Runs every requested format on every suite matrix.
 std::vector<MatrixResult> runSuite(const std::vector<DatasetSpec> &Suite,
                                    const SuiteOptions &Opts);

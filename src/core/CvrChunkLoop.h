@@ -28,6 +28,7 @@
 #define CVR_CORE_CVRCHUNKLOOP_H
 
 #include "core/CvrFormat.h"
+#include "parallel/Partition.h"
 #include "simd/Simd.h"
 #include "support/Annotations.h"
 #include "support/MemSink.h"
@@ -465,8 +466,9 @@ void runChunkKinds(const CvrMatrix &M, const CvrChunk &C,
        : runChunk<false, false, Lanes>(M, C, In, Out, Obs);
 }
 
-/// Runs chunks [Begin, End) across M.runThreads() threads, dynamically
-/// scheduled when there are more chunks than threads (over-decomposition),
+/// Runs chunks [Begin, End) across min(omp_get_max_threads(), chunks)
+/// threads, so the caller, not the blob, sets a run's thread count;
+/// dynamically scheduled when there are more chunks than threads,
 /// so a thread that drew a light chunk picks up the next one. An observer
 /// sees one chunk at a time, in index order.
 template <class Lanes, class WriteBack, class Observer>
@@ -476,7 +478,7 @@ void runChunkRange(const CvrMatrix &M, int Begin, int End,
   const CvrChunk *Chunks = M.chunks().data() + Begin;
   const int N = End - Begin;
   if constexpr (std::is_same_v<Observer, NoObserver>) {
-    const int Threads = std::min(M.runThreads(), N);
+    const int Threads = std::min(defaultThreadCount(), N);
     auto Body = [&](int T) {
       runChunkKinds<Lanes>(M, Chunks[T], In, Out, Obs);
     };

@@ -156,11 +156,9 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
   Span.arg("rows", A.numRows());
   Span.arg("nnz", A.numNonZeros());
 
-  int Threads = Opts.NumThreads > 0 ? Opts.NumThreads : defaultThreadCount();
-  int Mult = std::max(1, Opts.ChunkMultiplier);
-
   detail::ConverterConfig Cfg;
-  Cfg.NumThreads = Threads * Mult; // Chunk count (over-decomposition).
+  Cfg.NumThreads =
+      Opts.NumThreads > 0 ? Opts.NumThreads : defaultThreadCount();
   Cfg.EnableStealing = Opts.EnableStealing;
   Cfg.SortFeedRowsByLength = Opts.SortFeedRows;
 
@@ -168,7 +166,6 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
   M.NumRows = A.numRows();
   M.NumCols = A.numCols();
   M.Nnz = A.numNonZeros();
-  M.ChunkMult = Mult;
 
   // Column blocking: band width in columns, one x element = 8 bytes.
   std::int32_t ColsPerBand = 0;
@@ -272,56 +269,57 @@ Status CvrMatrix::rebuildDerived() {
 
 Status CvrMatrix::compressStreams(std::optional<ValueKind> VK,
                                   std::optional<ColIndexKind> IK) {
+  // Band-local deltas fit uint16 when every band (the whole column range
+  // when unblocked) spans <= 65536 columns.
+  std::int64_t WidestBand = NumCols;
+  if (!Bands.empty()) {
+    WidestBand = 0;
+    for (const CvrBand &B : Bands)
+      WidestBand = std::max<std::int64_t>(WidestBand, B.ColEnd - B.ColBegin);
+  }
+  const bool NarrowIdx = IK != ColIndexKind::U32 && WidestBand <= 65536;
+  if (IK == ColIndexKind::U16Band && !NarrowIdx)
+    return Status::invalidArgument(
+        "CvrOptions asks for U16Band indices, but a column band spans " +
+        std::to_string(WidestBand) + " > 65536 columns");
+  // fp32 exactly when it is lossless for every stored value (pads are 0.0,
+  // which always is).
+  const bool NarrowVals =
+      VK != ValueKind::F64 &&
+      std::all_of(Vals.data(), Vals.data() + Vals.size(), exactInFp32);
+  if (VK == ValueKind::F32x64 && !NarrowVals)
+    return Status::invalidArgument(
+        "CvrOptions asks for F32x64 values, but a value is not exact in fp32");
+
   if (Status S = rebuildDerived(); !S.ok())
     return S;
 
-  if (IK.value_or(ColIndexKind::U16Band) == ColIndexKind::U16Band) {
-    // Eligibility: every band (the whole column range when unblocked)
-    // must span <= 65536 columns so band-local deltas fit uint16.
-    std::int64_t WidestBand = NumCols;
-    if (!Bands.empty()) {
-      WidestBand = 0;
-      for (const CvrBand &B : Bands)
-        WidestBand =
-            std::max<std::int64_t>(WidestBand, B.ColEnd - B.ColBegin);
-    }
-    if (WidestBand > 65536) {
-      // Checked fallback: keep 32-bit indices, and say so when U16Band
-      // was asked for rather than picked.
-      NarrowIdxFallback = IK.has_value();
-    } else {
-      if (!ColIdx16.tryResize(ColIdx.size()).ok())
-        return Status::resourceExhausted(
-            "CVR compression: narrow index stream allocation failed");
-      for (std::size_t CI = 0; CI < Chunks.size(); ++CI) {
-        const CvrChunk &C = Chunks[CI];
-        const std::int32_t Base = ChunkColBase[CI];
-        for (std::int64_t I = C.ElemBase,
-                          E = C.ElemBase + C.NumSteps * lanes();
-             I < E; ++I) {
-          std::int32_t Col = ColIdx[static_cast<std::size_t>(I)];
-          // Pads are (value 0, column 0) in absolute terms; store them as
-          // delta 0 so the widened gather hits the band base, in range.
-          std::int32_t Delta =
-              (Col == 0 && Vals[static_cast<std::size_t>(I)] == 0.0)
-                  ? 0
-                  : Col - Base;
-          assert(Delta >= 0 && Delta <= 65535 &&
-                 "band-local column escaped the uint16 range");
-          ColIdx16[static_cast<std::size_t>(I)] =
-              static_cast<std::uint16_t>(Delta);
-        }
+  if (NarrowIdx) {
+    if (!ColIdx16.tryResize(ColIdx.size()).ok())
+      return Status::resourceExhausted(
+          "CVR compression: narrow index stream allocation failed");
+    for (std::size_t CI = 0; CI < Chunks.size(); ++CI) {
+      const CvrChunk &C = Chunks[CI];
+      const std::int32_t Base = ChunkColBase[CI];
+      for (std::int64_t I = C.ElemBase, E = C.ElemBase + C.NumSteps * lanes();
+           I < E; ++I) {
+        std::int32_t Col = ColIdx[static_cast<std::size_t>(I)];
+        // Pads are (value 0, column 0) in absolute terms; store them as
+        // delta 0 so the widened gather hits the band base, in range.
+        std::int32_t Delta =
+            (Col == 0 && Vals[static_cast<std::size_t>(I)] == 0.0)
+                ? 0
+                : Col - Base;
+        assert(Delta >= 0 && Delta <= 65535 &&
+               "band-local column escaped the uint16 range");
+        ColIdx16[static_cast<std::size_t>(I)] =
+            static_cast<std::uint16_t>(Delta);
       }
-      ColIdx = AlignedBuffer<std::int32_t>();
-      IKind = ColIndexKind::U16Band;
     }
+    ColIdx = AlignedBuffer<std::int32_t>();
+    IKind = ColIndexKind::U16Band;
   }
 
-  // Unset: fp32 exactly when it is lossless for every stored value (pads
-  // are 0.0, which always is).
-  const bool NarrowVals =
-      VK ? *VK == ValueKind::F32x64
-         : std::all_of(Vals.data(), Vals.data() + Vals.size(), exactInFp32);
   if (NarrowVals) {
     if (!Vals32.tryResize(Vals.size()).ok())
       return Status::resourceExhausted(
@@ -332,16 +330,6 @@ Status CvrMatrix::compressStreams(std::optional<ValueKind> VK,
     VKind = ValueKind::F32x64;
   }
   return Status::okStatus();
-}
-
-int CvrMatrix::runThreads() const {
-  std::size_t ChunksPerBand =
-      Bands.empty() ? Chunks.size()
-                    : static_cast<std::size_t>(Bands[0].ChunkEnd -
-                                               Bands[0].ChunkBegin);
-  if (ChunksPerBand == 0)
-    return 1;
-  return std::max(1, static_cast<int>(ChunksPerBand) / std::max(1, ChunkMult));
 }
 
 std::size_t CvrMatrix::formatBytes() const {
@@ -356,8 +344,6 @@ std::size_t CvrMatrix::formatBytes() const {
 }
 
 bool CvrMatrix::isValid() const {
-  if (ChunkMult < 1)
-    return false;
   // Exactly one storage per stream, matching the declared kinds.
   const bool NV = VKind == ValueKind::F32x64;
   const bool NI = IKind == ColIndexKind::U16Band;

@@ -47,10 +47,8 @@ struct Introspect;
 /// Storage precision of the value stream. SpMV is bandwidth-bound, so the
 /// stream bytes — not the FLOPs — set the speed limit (the roofline model
 /// in src/analysis/Roofline.h quantifies this); F32x64 halves the dominant
-/// stream. It is lossless when every value is exact in fp32 (the default
-/// conversion then picks it); an explicit request on other values rounds
-/// them to fp32, which the solvers' iterative-refinement fallback recovers
-/// from.
+/// stream. Every conversion is exact: F32x64 is only ever stored when each
+/// value round-trips through fp32 bit for bit.
 enum class ValueKind : std::uint8_t {
   F64 = 0,    ///< fp64 storage, fp64 accumulation (the paper's layout).
   F32x64 = 1, ///< fp32 storage widened to fp64 accumulation in registers.
@@ -61,10 +59,9 @@ enum class ColIndexKind : std::uint8_t {
   U32 = 0, ///< Absolute int32 columns (the paper's layout).
   /// Band-local uint16 deltas from the owning column band's ColBegin
   /// (band 0 / unblocked matrices use base 0). Requires every band to
-  /// span <= 65536 columns; conversion keeps U32 otherwise (for an
-  /// explicit request CvrMatrix::narrowIndexFallback reports it). Pad
-  /// slots store delta 0, so a pad's widened column is the band base —
-  /// always a safe gather; its value is 0, so it contributes nothing.
+  /// span <= 65536 columns. Pad slots store delta 0, so a pad's widened
+  /// column is the band base — always a safe gather; its value is 0, so it
+  /// contributes nothing.
   U16Band = 1,
 };
 
@@ -75,7 +72,10 @@ const char *colIndexKindName(ColIndexKind K);
 
 /// Conversion options.
 struct CvrOptions {
-  /// Number of thread chunks (<= 0 selects the OpenMP default).
+  /// Number of thread chunks (<= 0 selects the OpenMP default). The
+  /// kernel runs min(omp_get_max_threads(), chunks) threads, dynamically
+  /// scheduled when chunks outnumber threads, so over-decomposition is
+  /// just a larger NumThreads.
   int NumThreads = 0;
 
   /// Tracker stealing for tail balance (Section 4.2 "Tracker Stealing").
@@ -85,12 +85,6 @@ struct CvrOptions {
   /// Feed rows longest-first instead of in matrix order — the sort-first
   /// ablation (quantifies what the paper's O(nnz) no-sort design saves).
   bool SortFeedRows = false;
-
-  /// Chunks per thread (over-decomposition). 1 reproduces the paper's one
-  /// chunk per thread; larger values trade extra boundary rows for dynamic
-  /// load balance on skewed matrices. The kernel derives its thread count
-  /// back from the structure (chunks per band / multiplier).
-  int ChunkMultiplier = 1;
 
   /// x-vector cache blocking: when > 0, the element stream is split into
   /// column bands of about this many bytes of x (ColBlockBytes / 8
@@ -110,16 +104,15 @@ struct CvrOptions {
   /// every value round-trips through fp32 bit for bit and none is an fp32
   /// subnormal (pattern, graph, Laplacian and stencil matrices), F64
   /// otherwise; either way y is bit-identical to an F64 conversion. An
-  /// explicit kind is stored as asked: F32x64 then rounds inexact entries
-  /// (~1e-7 relative), which solvers recover from via iterative refinement
-  /// against an fp64 reference operator.
+  /// explicit F64 forces the paper's layout; an explicit F32x64 on a
+  /// matrix with any other value is refused (INVALID_ARGUMENT).
   std::optional<ValueKind> Values;
 
-  /// Column-index storage width (stream compression axis 2). Both kinds
-  /// are lossless. Unset, the conversion stores U16Band whenever every
-  /// column band spans <= 65536 columns and U32 otherwise; an explicit
-  /// U16Band on a wider band keeps U32 and sets
-  /// CvrMatrix::narrowIndexFallback.
+  /// Column-index storage width (stream compression axis 2). Unset, the
+  /// conversion stores U16Band whenever every column band spans <= 65536
+  /// columns and U32 otherwise. An explicit U32 forces the paper's
+  /// layout; an explicit U16Band on a wider band is refused
+  /// (INVALID_ARGUMENT).
   std::optional<ColIndexKind> Indices;
 };
 
@@ -176,7 +169,8 @@ public:
   /// inputs use tryFromCsr.
   static CvrMatrix fromCsr(const CsrMatrix &A, const CvrOptions &Opts = {});
 
-  /// Recoverable conversion: INVALID_ARGUMENT for unusable options,
+  /// Recoverable conversion: INVALID_ARGUMENT for unusable options
+  /// (including an explicit stream kind the matrix cannot hold exactly),
   /// RESOURCE_EXHAUSTED when stream storage cannot be allocated, INTERNAL
   /// when the converted structure fails its own invariants. The
   /// degradation ladder in formats/Registry falls back to CSR on any
@@ -204,11 +198,6 @@ public:
   ColIndexKind colIndexKind() const { return IKind; }
   const float *vals32() const { return Vals32.data(); }
   const std::uint16_t *colIdx16() const { return ColIdx16.data(); }
-
-  /// True when U16Band indices were explicitly requested but a band
-  /// exceeded the uint16 range, so the conversion kept 32-bit indices (the
-  /// checked fallback the narrow-index axis documents).
-  bool narrowIndexFallback() const { return NarrowIdxFallback; }
 
   /// Bytes per stored element of the value / column-index streams.
   std::size_t valueBytes() const {
@@ -266,15 +255,6 @@ public:
   const std::vector<CvrBand> &bands() const { return Bands; }
   bool isBlocked() const { return !Bands.empty(); }
 
-  /// Chunks each thread owns (the over-decomposition factor used at
-  /// conversion time; >= 1).
-  int chunkMultiplier() const { return ChunkMult; }
-
-  /// Threads the kernel should run with, derived from the structure:
-  /// chunks per band divided by the multiplier. Serialized blobs therefore
-  /// keep their intended parallelism.
-  int runThreads() const;
-
   std::size_t formatBytes() const;
 
   /// Internal invariants (every nonzero emitted exactly once, record
@@ -330,7 +310,6 @@ public:
     std::int32_t *NumRows;
     std::int32_t *NumCols;
     std::int64_t *Nnz;
-    int *ChunkMult;
     ValueKind *VKind;
     ColIndexKind *IKind;
     AlignedBuffer<double> *Vals;
@@ -356,9 +335,9 @@ private:
 
   /// Applies the CvrOptions compression axes to a freshly converted
   /// structure, after rebuilding the derived per-chunk state: narrows
-  /// ColIdx into ColIdx16 when every band fits uint16 (recording the
-  /// fallback when U16Band was asked for and cannot be had) and Vals into
-  /// Vals32 when asked for, or, for an unset kind, when it is lossless.
+  /// ColIdx into ColIdx16 when every band fits uint16 and Vals into Vals32
+  /// when every value is exact in fp32, unless the kind is forced wide.
+  /// INVALID_ARGUMENT when an explicit narrow kind does not fit;
   /// RESOURCE_EXHAUSTED when the narrow streams or the masks cannot be
   /// allocated.
   [[nodiscard]] Status compressStreams(std::optional<ValueKind> VK,
@@ -387,10 +366,8 @@ private:
   std::vector<std::int32_t> ChunkColBase; ///< Derived: per-chunk band base.
   AlignedBuffer<std::uint8_t> FinishMasks; ///< Derived: see finishMasks().
   std::vector<std::int64_t> ChunkMaskBase; ///< Derived: chunk's first mask.
-  int ChunkMult = 1;
   ValueKind VKind = ValueKind::F64;
   ColIndexKind IKind = ColIndexKind::U32;
-  bool NarrowIdxFallback = false; ///< U16Band asked for, band too wide.
 };
 
 } // namespace cvr

@@ -12,7 +12,9 @@
 //           Reserved u8, ChunkMult i32, ValueKind u8, ColIndexKind u8
 //           | u32 crc32c(header bytes)
 //   Lanes must be 8 (CvrMatrix::lanes()); the reserved byte is written 0
-//   and ignored on read.
+//   and ignored on read. ChunkMult is written 1, bounds-checked on read
+//   and otherwise ignored: the caller, not the blob, sets a run's thread
+//   count (blobs from older writers carry their conversion's multiplier).
 //   sections, in order: Chunks, Bands, ZeroRows, Recs, Tails, Vals, ColIdx
 //   each section: u64 count | payload | u32 crc32c(payload)
 //
@@ -185,7 +187,6 @@ template <typename T> void packField(std::string &Buf, const T &V) {
   if (IKindByte > static_cast<std::uint8_t>(ColIndexKind::U16Band))
     return Status::outOfRange("[cvr.blob.bounds] unknown column-index kind " +
                               std::to_string(IKindByte));
-  *F.ChunkMult = Mult;
   *F.VKind = static_cast<ValueKind>(VKindByte);
   *F.IKind = static_cast<ColIndexKind>(IKindByte);
   return Status::okStatus();
@@ -277,7 +278,7 @@ Status CvrMatrix::writeBlob(std::ostream &OS, BlobLayout Layout) const {
   packField(Header, Nnz);
   packField(Header, static_cast<std::int32_t>(lanes()));
   packField(Header, std::uint8_t{0}); // Reserved.
-  packField(Header, static_cast<std::int32_t>(ChunkMult));
+  packField(Header, std::int32_t{1}); // Chunk multiplier (ignored).
   packField(Header, static_cast<std::uint8_t>(VKind));
   packField(Header, static_cast<std::uint8_t>(IKind));
   std::uint32_t HeaderCrc = crc32c(Header.data(), Header.size());
@@ -647,10 +648,10 @@ StatusOr<CvrMatrix> CvrMatrix::decode(Source &Src) {
         "); load it with readBlob, which copies");
 
   CvrMatrix M;
-  BlobFields F{&M.NumRows, &M.NumCols,  &M.Nnz,    &M.ChunkMult,
-               &M.VKind,   &M.IKind,    &M.Vals,   &M.ColIdx,
-               &M.Vals32,  &M.ColIdx16, &M.Recs,   &M.Tails,
-               &M.Chunks,  &M.ZeroRows, &M.Bands};
+  BlobFields F{&M.NumRows, &M.NumCols,  &M.Nnz,    &M.VKind,
+               &M.IKind,   &M.Vals,     &M.ColIdx, &M.Vals32,
+               &M.ColIdx16, &M.Recs,    &M.Tails,  &M.Chunks,
+               &M.ZeroRows, &M.Bands};
   Status S = decodeBody(Src, F, /*Padded=*/V >= MappedVersion);
   if (!S.ok())
     return S;

@@ -248,9 +248,7 @@ int log2Bucket(std::int64_t V) {
 
 } // namespace
 
-#if CVR_TELEMETRY_ENABLED
 bool telemetryEnabled() { return GEnabled.load(std::memory_order_relaxed); }
-#endif
 
 void setTelemetryEnabled(bool On) {
   GEnabled.store(On, std::memory_order_relaxed);

@@ -17,15 +17,12 @@
 ///     buckets merge by int64 summation, which is commutative, so the
 ///     merged totals are deterministic regardless of how work was
 ///     scheduled across threads.
-///   * The whole subsystem is double-gated. Building with
-///     -DCVR_TELEMETRY_ENABLED=0 (cmake option CVR_TELEMETRY=OFF) turns
-///     `telemetryEnabled()` into `constexpr false`, so every instrumented
-///     block dead-strips to nothing — the same pattern FailPoint.h uses.
-///     At runtime the `CVR_TELEMETRY` environment variable (set to `0`,
-///     `off`, or `false`) downgrades every bump to a single relaxed
-///     atomic load.
+///   * The subsystem is gated at runtime: the `CVR_TELEMETRY` environment
+///     variable (set to `0`, `off`, or `false`) or setTelemetryEnabled
+///     downgrades every instrumented block to a single relaxed atomic
+///     load.
 ///
-/// Instrumentation idiom (compiles away entirely when the gate is off):
+/// Instrumentation idiom:
 ///
 ///   if (obs::telemetryEnabled()) {
 ///     static obs::Counter &Runs = obs::counter("spmv.cvr.runs");
@@ -41,10 +38,6 @@
 #include <string>
 #include <vector>
 
-#ifndef CVR_TELEMETRY_ENABLED
-#define CVR_TELEMETRY_ENABLED 1
-#endif
-
 namespace cvr {
 namespace obs {
 
@@ -53,12 +46,8 @@ namespace obs {
 /// larger.
 constexpr int HistogramBuckets = 24;
 
-#if CVR_TELEMETRY_ENABLED
 /// True when metrics should be recorded. One relaxed atomic load.
 bool telemetryEnabled();
-#else
-constexpr bool telemetryEnabled() { return false; }
-#endif
 
 /// Flips the runtime gate (the environment variable sets the initial
 /// value; tools and tests may override it).

@@ -249,10 +249,8 @@ Status validateChromeTrace(const std::string &Json) {
 }
 
 //===----------------------------------------------------------------------===//
-// Collection (compiled out with the telemetry gate).
+// Collection
 //===----------------------------------------------------------------------===//
-
-#if CVR_TELEMETRY_ENABLED
 
 namespace {
 
@@ -448,8 +446,6 @@ TraceSpan::~TraceSpan() {
   B.Events.push_back(E);
   GEventCount.fetch_add(1, std::memory_order_relaxed);
 }
-
-#endif // CVR_TELEMETRY_ENABLED
 
 Status traceStopToFile(const std::string &Path) {
   std::string Json = traceStopToJson();

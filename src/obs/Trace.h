@@ -25,9 +25,6 @@
 /// deterministic for a quiesced process). Span names and categories
 /// must be string literals (the buffers store the pointers).
 ///
-/// Building with -DCVR_TELEMETRY_ENABLED=0 compiles spans down to empty
-/// objects and traceActive() to `constexpr false`.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CVR_OBS_TRACE_H
@@ -37,10 +34,6 @@
 
 #include <cstdint>
 #include <string>
-
-#ifndef CVR_TELEMETRY_ENABLED
-#define CVR_TELEMETRY_ENABLED 1
-#endif
 
 namespace cvr {
 namespace obs {
@@ -52,8 +45,6 @@ namespace obs {
 /// by the trace tests for round-tripping and by `cvr_tool trace` before
 /// it writes anything to disk.
 [[nodiscard]] Status validateChromeTrace(const std::string &Json);
-
-#if CVR_TELEMETRY_ENABLED
 
 /// True while a trace session is collecting (one relaxed atomic load).
 bool traceActive();
@@ -93,24 +84,8 @@ private:
   std::int64_t ArgVals[4];
 };
 
-#else // !CVR_TELEMETRY_ENABLED
-
-constexpr bool traceActive() { return false; }
-inline void traceStart() {}
-inline std::string traceStopToJson() { return "{\"traceEvents\":[]}"; }
-inline std::size_t traceEventCount() { return 0; }
-
-class TraceSpan {
-public:
-  TraceSpan(const char *, const char *) {}
-  void arg(const char *, std::int64_t) {}
-};
-
-#endif // CVR_TELEMETRY_ENABLED
-
 /// Stops the session and writes the JSON to \p Path (Unavailable when
-/// the file cannot be written). With the compile-time gate off this
-/// writes an empty-but-valid trace.
+/// the file cannot be written).
 [[nodiscard]] Status traceStopToFile(const std::string &Path);
 
 } // namespace obs

@@ -42,10 +42,9 @@ struct NnzChunk {
 /// A row denser than nnz/NumThreads is split across several consecutive
 /// chunks, each with FirstRow == LastRow == that row: the row's partials
 /// are combined through the shared-row atomic path (findSharedRows marks
-/// it), so the split is capped only by the chunk count — with
-/// over-decomposition (CvrOptions::ChunkMultiplier) a single dense row can
-/// legitimately occupy NumThreads * Multiplier chunks. Callers must not
-/// assume FirstRow < LastRow or that a row appears in at most two chunks.
+/// it), so the split is capped only by the chunk count: a single dense row
+/// can legitimately occupy every chunk. Callers must not assume
+/// FirstRow < LastRow or that a row appears in at most two chunks.
 std::vector<NnzChunk> partitionByNnz(const CsrMatrix &A, int NumThreads);
 
 /// Marks rows that more than one chunk contributes to (their nnz range

@@ -354,55 +354,6 @@ SolveResult pageRankFused(const SpmvKernel &Kernel,
   return Res;
 }
 
-} // namespace
-
-namespace {
-
-/// Iterative refinement around an inner Krylov solve (SolverOptions::
-/// RefinementKernel): the inner solver runs on the primary (possibly
-/// fp32-valued) kernel to a stall floor, then the exact fp64 residual is
-/// recomputed through \p Ref and a correction solve closes the remaining
-/// gap. Iterations accumulate across passes; the reported residual is
-/// always the full-precision one.
-template <typename SolveFn>
-SolveResult withRefinement(const SpmvKernel &Ref, const std::vector<double> &B,
-                           std::vector<double> &X, const SolverOptions &Opts,
-                           SolveFn Inner) {
-  const std::size_t N = B.size();
-  double BNorm = norm2(B);
-  if (BNorm == 0.0)
-    BNorm = 1.0;
-
-  // An fp32 value stream floors the inner solver's attainable relative
-  // residual near the fp32 epsilon; asking it for more only burns its
-  // iteration cap. The refinement passes close the gap to Tolerance.
-  SolverOptions InnerOpts = Opts;
-  InnerOpts.Tolerance = std::max(Opts.Tolerance, 1e-6);
-  InnerOpts.RefinementKernel = nullptr;
-
-  SolveResult Total = Inner(B, X, InnerOpts);
-
-  std::vector<double> R(N), D(N);
-  for (int Pass = 0; Pass <= Opts.MaxRefinements; ++Pass) {
-    // Exact residual through the full-precision kernel; the inner solve's
-    // own residual is blind to the narrowed coefficients.
-    Ref.run(X.data(), R.data());
-    for (std::size_t I = 0; I < N; ++I)
-      R[I] = B[I] - R[I];
-    Total.Residual = norm2(R) / BNorm;
-    Total.Converged = Total.Residual < Opts.Tolerance;
-    if (Total.Converged || Pass == Opts.MaxRefinements)
-      break;
-    std::fill(D.begin(), D.end(), 0.0);
-    SolveResult C = Inner(R, D, InnerOpts);
-    Total.Iterations += C.Iterations;
-    if (C.Residual == 0.0 && C.Iterations == 0)
-      break; // Degenerate correction; a further pass would repeat it.
-    axpy(1.0, D, X);
-  }
-  return Total;
-}
-
 /// Converged-or-capped exit bookkeeping shared by every public solver.
 SolveResult finishSolve(SolveResult R) {
   if (obs::telemetryEnabled()) {
@@ -422,15 +373,7 @@ SolveResult conjugateGradient(const SpmvKernel &Kernel,
                               const SolverOptions &Opts) {
   assert(X.size() == B.size() && "square system required");
   obs::TraceSpan Span("solve/cg", "solve");
-  auto Inner = [&Kernel](const std::vector<double> &Rhs,
-                         std::vector<double> &Sol,
-                         const SolverOptions &O) {
-    return cgFused(Kernel, Rhs, Sol, O);
-  };
-  if (Opts.RefinementKernel != nullptr && Opts.MaxRefinements > 0)
-    return finishSolve(
-        withRefinement(*Opts.RefinementKernel, B, X, Opts, Inner));
-  return finishSolve(Inner(B, X, Opts));
+  return finishSolve(cgFused(Kernel, B, X, Opts));
 }
 
 SolveResult referenceConjugateGradient(const SpmvKernel &Kernel,
@@ -486,15 +429,7 @@ SolveResult biCgStab(const SpmvKernel &Kernel, const std::vector<double> &B,
                      std::vector<double> &X, const SolverOptions &Opts) {
   assert(X.size() == B.size() && "square system required");
   obs::TraceSpan Span("solve/bicgstab", "solve");
-  auto Inner = [&Kernel](const std::vector<double> &Rhs,
-                         std::vector<double> &Sol,
-                         const SolverOptions &O) {
-    return biCgStabFused(Kernel, Rhs, Sol, O);
-  };
-  if (Opts.RefinementKernel != nullptr && Opts.MaxRefinements > 0)
-    return finishSolve(
-        withRefinement(*Opts.RefinementKernel, B, X, Opts, Inner));
-  return finishSolve(Inner(B, X, Opts));
+  return finishSolve(biCgStabFused(Kernel, B, X, Opts));
 }
 
 SolveResult jacobi(const SpmvKernel &Kernel, const std::vector<double> &Diag,

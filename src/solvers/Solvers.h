@@ -49,20 +49,6 @@ struct SolveResult {
 struct SolverOptions {
   int MaxIterations = 1000;
   double Tolerance = 1e-10; ///< Relative residual target.
-  /// Iterative-refinement backing for reduced-precision kernels (the
-  /// ValueKind::F32x64 value stream, DESIGN.md section 17). When non-null,
-  /// conjugateGradient and biCgStab wrap the solve in outer refinement
-  /// passes: the inner solve runs on the (possibly fp32-valued) primary
-  /// kernel to a stall floor of max(Tolerance, 1e-6), then the true
-  /// residual r = b - A x is recomputed through this full-precision kernel
-  /// and a correction solve A d = r sharpens x. Each pass recovers the
-  /// digits the narrow value stream rounded away, so the refined solve
-  /// reaches the same Tolerance an all-fp64 solve would. Must be prepared
-  /// on the same matrix as the primary kernel; ignored by the other
-  /// solvers.
-  const SpmvKernel *RefinementKernel = nullptr;
-  /// Outer refinement passes allowed when RefinementKernel is set.
-  int MaxRefinements = 4;
 };
 
 /// Conjugate gradient for symmetric positive-definite A: solves A x = b.
@@ -78,8 +64,7 @@ SolveResult conjugateGradient(const SpmvKernel &Kernel,
 /// per iteration followed by five separate vector sweeps (p.Ap, two axpys,
 /// r.r, the direction update), with r kept explicitly. It is the reference
 /// conjugateGradient's fused, implicit-residual recurrence is tested and
-/// benchmarked against, so it has no refinement wrapper and records no
-/// solver telemetry; production callers use conjugateGradient. Same
+/// benchmarked against, so it records no solver telemetry; production callers use conjugateGradient. Same
 /// contract and residual measure as conjugateGradient.
 SolveResult referenceConjugateGradient(const SpmvKernel &Kernel,
                                        const std::vector<double> &B,

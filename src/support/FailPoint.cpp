@@ -65,10 +65,6 @@ void loadEnvOnce() {
 } // namespace
 
 bool shouldFail(const char *Name) {
-#if !CVR_FAILPOINTS_ENABLED
-  (void)Name;
-  return false;
-#else
   loadEnvOnce();
   Registry &R = Registry::instance();
   if (R.ArmedCount.load(std::memory_order_relaxed) == 0)
@@ -88,7 +84,6 @@ bool shouldFail(const char *Name) {
   if (S.Remaining > 0 && --S.Remaining == 0)
     R.refreshArmedCount();
   return true;
-#endif
 }
 
 void arm(const std::string &Name, int Count, int SkipFirst) {

@@ -25,10 +25,6 @@
 /// Example: `CVR_FAILPOINTS="alloc.aligned-buffer=1@2;convert.cvr.fail"`
 /// fails the third allocation once and every CVR conversion.
 ///
-/// Compile-time gate: building with -DCVR_FAILPOINTS_ENABLED=0 (cmake
-/// option CVR_FAILPOINTS=OFF) compiles every site down to `false` with no
-/// atomic load, for builds that must not carry the hooks.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CVR_SUPPORT_FAILPOINT_H
@@ -39,10 +35,6 @@
 #include <cstddef>
 #include <string>
 #include <vector>
-
-#ifndef CVR_FAILPOINTS_ENABLED
-#define CVR_FAILPOINTS_ENABLED 1
-#endif
 
 namespace cvr {
 namespace failpoint {
@@ -97,13 +89,8 @@ void corrupt(const char *Name, void *Data, std::size_t Bytes);
 } // namespace failpoint
 } // namespace cvr
 
-#if CVR_FAILPOINTS_ENABLED
 #define CVR_FAIL_POINT(NAME) (::cvr::failpoint::shouldFail(NAME))
 #define CVR_FAIL_POINT_CORRUPT(NAME, DATA, BYTES)                              \
   (::cvr::failpoint::corrupt(NAME, DATA, BYTES))
-#else
-#define CVR_FAIL_POINT(NAME) (false)
-#define CVR_FAIL_POINT_CORRUPT(NAME, DATA, BYTES) ((void)0)
-#endif
 
 #endif // CVR_SUPPORT_FAILPOINT_H

@@ -8,6 +8,7 @@
 #include "cachesim/LocalityProbe.h"
 
 #include "TestUtil.h"
+#include "benchlib/SuiteRunner.h"
 #include "core/Cvr.h"
 #include "formats/Registry.h"
 #include "gen/Generators.h"
@@ -274,7 +275,7 @@ TEST(CvrTraceTraffic, RegionCountsMatchChunkTable) {
   // Every record and every tail slot is read once, each finished row
   // costs the write-back policy's y traffic, and traceRunFused adds one
   // epilogue sweep over every row.
-  CsrMatrix A = test::randomCsr(60, 60, 0.09, 23);
+  CsrMatrix A = roundedToFp32(test::randomCsr(60, 60, 0.09, 23));
   const std::size_t N = static_cast<std::size_t>(A.numRows());
   std::vector<double> X = randomVector(N, 4);
   std::vector<double> Z = randomVector(N, 6);

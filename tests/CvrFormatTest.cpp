@@ -7,6 +7,7 @@
 #include "core/Cvr.h"
 
 #include "TestUtil.h"
+#include "benchlib/SuiteRunner.h"
 #include "gen/Generators.h"
 #include "matrix/Coo.h"
 #include "matrix/Reference.h"
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 namespace cvr {
@@ -292,7 +294,6 @@ TEST(CvrStreamKinds, IntegerStencilGetsF32ValuesAndU16Indices) {
   CvrMatrix M = CvrMatrix::fromCsr(genStencil27(8, 8, 8));
   EXPECT_EQ(M.valueKind(), ValueKind::F32x64);
   EXPECT_EQ(M.colIndexKind(), ColIndexKind::U16Band);
-  EXPECT_FALSE(M.narrowIndexFallback());
   EXPECT_TRUE(M.isValid());
 }
 
@@ -303,39 +304,54 @@ TEST(CvrStreamKinds, RandomValuesKeepF64) {
 }
 
 TEST(CvrStreamKinds, ColumnsPastU16RangeKeepU32) {
-  CsrMatrix A = wideMatrix(70000);
-  CvrMatrix M = CvrMatrix::fromCsr(A);
-  EXPECT_EQ(M.colIndexKind(), ColIndexKind::U32);
-  // The default asked for no kind, so nothing fell back.
-  EXPECT_FALSE(M.narrowIndexFallback());
-  EXPECT_EQ(M.valueKind(), ValueKind::F32x64);
-
-  // An explicit U16Band request reports the fallback.
+  // 65,536 columns is the widest band a uint16 delta spans.
   CvrOptions Narrow;
   Narrow.Indices = ColIndexKind::U16Band;
-  CvrMatrix N = CvrMatrix::fromCsr(A, Narrow);
-  EXPECT_EQ(N.colIndexKind(), ColIndexKind::U32);
-  EXPECT_TRUE(N.narrowIndexFallback());
+  StatusOr<CvrMatrix> Fits = CvrMatrix::tryFromCsr(wideMatrix(65536), Narrow);
+  ASSERT_TRUE(Fits.ok()) << Fits.status().toString();
+  EXPECT_EQ(Fits->colIndexKind(), ColIndexKind::U16Band);
 
-  // Column bands no wider than 65536 columns narrow again.
-  CvrOptions Blocked;
-  Blocked.ColBlockBytes = 8 * 4096;
-  CvrMatrix B = CvrMatrix::fromCsr(A, Blocked);
-  EXPECT_EQ(B.colIndexKind(), ColIndexKind::U16Band);
-  CvrOptions BlockedWide = f64u32();
-  BlockedWide.ColBlockBytes = Blocked.ColBlockBytes;
-  EXPECT_EQ(spmvOneThread(A, Blocked), spmvOneThread(A, BlockedWide));
+  CsrMatrix A = wideMatrix(65537);
+  CvrMatrix M = CvrMatrix::fromCsr(A);
+  EXPECT_EQ(M.colIndexKind(), ColIndexKind::U32);
+  EXPECT_EQ(M.valueKind(), ValueKind::F32x64);
+
+  // An explicit U16Band request is refused, not silently widened.
+  StatusOr<CvrMatrix> Wide = CvrMatrix::tryFromCsr(A, Narrow);
+  ASSERT_FALSE(Wide.ok());
+  EXPECT_EQ(Wide.status().code(), StatusCode::InvalidArgument);
+
+  // Column bands no wider than 65536 columns narrow again, asked for or
+  // not.
+  for (std::optional<ColIndexKind> IK :
+       {std::optional<ColIndexKind>(), std::optional(ColIndexKind::U16Band)}) {
+    CvrOptions Blocked;
+    Blocked.Indices = IK;
+    Blocked.ColBlockBytes = 8 * 4096;
+    CvrMatrix B = CvrMatrix::fromCsr(A, Blocked);
+    EXPECT_EQ(B.colIndexKind(), ColIndexKind::U16Band);
+    CvrOptions BlockedWide = f64u32();
+    BlockedWide.ColBlockBytes = Blocked.ColBlockBytes;
+    EXPECT_EQ(spmvOneThread(A, Blocked), spmvOneThread(A, BlockedWide));
+  }
 }
 
 TEST(CvrStreamKinds, ValuesFp32CannotHoldKeepF64) {
   const CsrMatrix A = genStencil27(5, 5, 5);
   const double Subnormal = std::ldexp(1.0, -140); // Exact, but subnormal.
   ASSERT_EQ(static_cast<double>(static_cast<float>(Subnormal)), Subnormal);
+  CvrOptions Narrow;
+  Narrow.Values = ValueKind::F32x64;
   for (double V : {0.1, 1e-300, std::nan(""), Subnormal, 1e300}) {
     SCOPED_TRACE(V);
-    CvrMatrix M = CvrMatrix::fromCsr(withValue(A, A.numNonZeros() / 2, V));
+    const CsrMatrix B = withValue(A, A.numNonZeros() / 2, V);
+    CvrMatrix M = CvrMatrix::fromCsr(B);
     EXPECT_EQ(M.valueKind(), ValueKind::F64);
     EXPECT_EQ(M.colIndexKind(), ColIndexKind::U16Band);
+    // An explicit F32x64 request is refused, not rounded.
+    StatusOr<CvrMatrix> R = CvrMatrix::tryFromCsr(B, Narrow);
+    ASSERT_FALSE(R.ok());
+    EXPECT_EQ(R.status().code(), StatusCode::InvalidArgument);
   }
 }
 
@@ -356,10 +372,39 @@ TEST(CvrStreamKinds, DefaultYIsBitIdenticalToF64U32) {
   BlockedDefault.ColBlockBytes = BlockedWide.ColBlockBytes = 2048;
   const CsrMatrix Cases[] = {genStencil27(9, 9, 9),
                              randomCsr(500, 500, 0.02, 9), genRmat(10, 8, 3),
-                             genRoadLattice(30, 1.5, 4)};
+                             genRoadLattice(30, 1.5, 4),
+                             roundedToFp32(randomCsr(500, 500, 0.02, 9))};
   for (const CsrMatrix &A : Cases) {
     EXPECT_EQ(spmvOneThread(A, {}), spmvOneThread(A, Wide));
     EXPECT_EQ(spmvOneThread(A, BlockedDefault), spmvOneThread(A, BlockedWide));
+  }
+
+  // Each explicit narrow kind is honoured with the same y, or refused when
+  // the matrix cannot hold it exactly (the default then keeps F64).
+  const struct {
+    ValueKind V;
+    ColIndexKind I;
+  } Narrow[] = {{ValueKind::F32x64, ColIndexKind::U32},
+                {ValueKind::F64, ColIndexKind::U16Band},
+                {ValueKind::F32x64, ColIndexKind::U16Band}};
+  for (const CsrMatrix &A : Cases) {
+    const bool Exact =
+        CvrMatrix::fromCsr(A).valueKind() == ValueKind::F32x64;
+    for (const auto &K : Narrow) {
+      SCOPED_TRACE(std::string(valueKindName(K.V)) + "/" +
+                   colIndexKindName(K.I));
+      CvrOptions Opts;
+      Opts.Values = K.V;
+      Opts.Indices = K.I;
+      StatusOr<CvrMatrix> M = CvrMatrix::tryFromCsr(A, Opts);
+      if (K.V == ValueKind::F32x64 && !Exact) {
+        ASSERT_FALSE(M.ok());
+        EXPECT_EQ(M.status().code(), StatusCode::InvalidArgument);
+        continue;
+      }
+      ASSERT_TRUE(M.ok()) << M.status().toString();
+      EXPECT_EQ(spmvOneThread(A, Opts), spmvOneThread(A, Wide));
+    }
   }
 }
 

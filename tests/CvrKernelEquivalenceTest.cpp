@@ -113,16 +113,15 @@ TEST_P(CvrFuzz, ExecutionEngineVariantsAgree) {
   Xoshiro256 Rng(Seed ^ 0x5EED);
   int Threads = static_cast<int>(1 + Rng.nextBounded(4));
 
+  test::ScopedOmpThreads Team(Threads);
+
   for (std::int64_t BlockBytes : {std::int64_t(0), std::int64_t(512)}) {
     for (int Mult : {1, 2, 4}) {
       CvrOptions Opts;
-      Opts.NumThreads = Threads;
-      Opts.ChunkMultiplier = Mult;
-      Opts.ColBlockBytes = BlockBytes; // 512 B = 64 columns per band.
+      Opts.NumThreads = Threads * Mult; // Mult chunks per thread.
+      Opts.ColBlockBytes = BlockBytes;  // 512 B = 64 columns per band.
       CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
       ASSERT_TRUE(M.isValid());
-      EXPECT_EQ(M.chunkMultiplier(), Mult);
-      EXPECT_EQ(M.runThreads(), Threads);
       if (BlockBytes > 0 && A.numCols() > 64) {
         EXPECT_TRUE(M.isBlocked());
         EXPECT_TRUE(M.zeroRows().empty());
@@ -159,6 +158,30 @@ TEST_P(CvrFuzz, MaskedWriteBackEdgeShapesMatchGeneric) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CvrFuzz, ::testing::Range(0, 24));
+
+TEST(CvrThreads, CallerSetsTheThreadCount) {
+  // The kernel runs min(omp_get_max_threads(), chunks) threads, whatever
+  // the conversion's chunk count: a 16-chunk matrix runs on one thread,
+  // or on three with the chunks dynamically scheduled, and matches the
+  // reference either way, unblocked and blocked.
+  CsrMatrix A = test::randomCsr(300, 300, 0.03, 16);
+  std::vector<double> X = randomVector(300, 5);
+  std::vector<double> Ref = referenceSpmv(A, X);
+  for (std::int64_t Block : {std::int64_t(0), std::int64_t(512)}) {
+    CvrOptions Opts;
+    Opts.NumThreads = 16;
+    Opts.ColBlockBytes = Block;
+    CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
+    ASSERT_EQ(M.numChunks(), 16 * std::max<int>(1, M.bands().size()));
+    for (int Threads : {1, 3}) {
+      test::ScopedOmpThreads Team(Threads);
+      std::vector<double> Y(300, -1.0);
+      cvrSpmv(M, X.data(), Y.data());
+      EXPECT_LE(maxRelDiff(Ref, Y), SpmvTolerance)
+          << "block " << Block << " threads " << Threads;
+    }
+  }
+}
 
 TEST(CvrLinearity, SpmvIsLinearInX) {
   // A * (a*x1 + x2) == a*(A*x1) + (A*x2) up to rounding — catches dropped

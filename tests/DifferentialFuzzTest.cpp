@@ -26,6 +26,7 @@
 #include "solvers/Solvers.h"
 
 #include "TestUtil.h"
+#include "benchlib/SuiteRunner.h"
 #include "matrix/Coo.h"
 #include "matrix/Reference.h"
 #include "support/Random.h"
@@ -478,24 +479,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FusedTrajectoryFuzz,
 
 //===----------------------------------------------------------------------===//
 // Compressed-stream axis: every ValueKind x ColIndexKind combination, both
-// unblocked and column-blocked, must agree with the scalar reference. The
-// f32x64 value stream rounds each coefficient once to f32 and accumulates
-// in f64, so its agreement bound is single-precision relative, not the f64
-// SpmvTolerance.
+// unblocked and column-blocked, must agree with the scalar reference. Every
+// conversion is exact (an explicit f32x64 needs fp32-exact values, so the
+// fuzz matrices are rounded to fp32 first), so every kind is held to the
+// f64 SpmvTolerance.
 //===----------------------------------------------------------------------===//
-
-/// Agreement bound for a kind combination: f64 values keep the exact f64
-/// differential tolerance; f32 storage admits one f32 rounding per
-/// coefficient (DESIGN.md section 17).
-double kindTolerance(ValueKind VK) {
-  return VK == ValueKind::F32x64 ? 1e-4 : SpmvTolerance;
-}
 
 class CompressedStreamFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
   std::uint64_t Seed = 553000 + GetParam();
-  CsrMatrix A = fuzzMatrix(Seed);
+  CsrMatrix A = roundedToFp32(fuzzMatrix(Seed));
   std::vector<double> X =
       randomVector(static_cast<std::size_t>(A.numCols()), Seed ^ 0xC0DE);
   std::vector<double> Expected = referenceSpmv(A, X);
@@ -505,13 +499,13 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
   // Over-decomposition composes with the compressed streams: the seeds
   // cycle through 1, 2 and 4 chunks per thread.
   const int Mult = 1 << (GetParam() % 3);
+  test::ScopedOmpThreads Team(Threads);
 
   for (std::int64_t BlockBytes : {std::int64_t(0), std::int64_t(1024)}) {
     for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64}) {
       for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
         CvrOptions Opts;
-        Opts.NumThreads = Threads;
-        Opts.ChunkMultiplier = Mult;
+        Opts.NumThreads = Threads * Mult;
         Opts.ColBlockBytes = BlockBytes;
         Opts.Values = VK;
         Opts.Indices = IK;
@@ -524,15 +518,16 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
         ASSERT_TRUE(M.ok()) << Where << ": " << M.status().toString();
         ASSERT_TRUE(M->isValid()) << Where;
 
-        // Every fuzz shape is far below the u16 band ceiling, so a narrow
-        // request must be honored, never silently widened.
+        // Every fuzz shape is far below the u16 band ceiling and holds
+        // fp32-exact values, so each kind is stored as asked.
+        EXPECT_EQ(M->colIndexKind(), IK) << Where;
+        EXPECT_EQ(M->valueKind(), VK) << Where;
         if (IK == ColIndexKind::U16Band) {
-          EXPECT_EQ(M->colIndexKind(), ColIndexKind::U16Band) << Where;
-          EXPECT_FALSE(M->narrowIndexFallback()) << Where;
           EXPECT_EQ(M->colIdx(), nullptr) << Where;
         }
-        if (VK == ValueKind::F32x64)
+        if (VK == ValueKind::F32x64) {
           EXPECT_EQ(M->vals(), nullptr) << Where;
+        }
 
         // Structural sweep: the invariant checker decodes the compressed
         // streams through the same accessors the kernels use.
@@ -544,7 +539,7 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
         for (int Pf : {0, 4}) {
           std::vector<double> Y(static_cast<std::size_t>(A.numRows()), 0.5);
           cvrSpmv(*M, X.data(), Y.data(), Pf);
-          EXPECT_LE(maxRelDiff(Expected, Y), kindTolerance(VK))
+          EXPECT_LE(maxRelDiff(Expected, Y), SpmvTolerance)
               << Where << " pf " << Pf;
         }
 
@@ -567,10 +562,10 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
           FusedEpilogue E = FusedEpilogue::dot(Square, false, Z.data());
           std::vector<double> YF(static_cast<std::size_t>(A.numRows()), 0.5);
           Kern.runFused(X.data(), YF.data(), E);
-          EXPECT_LE(maxRelDiff(Expected, YF), kindTolerance(VK))
+          EXPECT_LE(maxRelDiff(Expected, YF), SpmvTolerance)
               << Where << " fused pf " << Pf;
           EXPECT_LE(std::abs(E.Acc3 - ZDotY),
-                    kindTolerance(VK) * (1.0 + ZDotYAbs))
+                    SpmvTolerance * (1.0 + ZDotYAbs))
               << Where << " fused pf " << Pf;
         }
 
@@ -595,7 +590,7 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
           for (int J = 0; J < K; ++J) {
             for (std::size_t I = 0; I < NR; ++I)
               Yc[I] = YP[I * Ld + static_cast<std::size_t>(J)];
-            EXPECT_LE(maxRelDiff(Ref[J], Yc), kindTolerance(VK))
+            EXPECT_LE(maxRelDiff(Ref[J], Yc), SpmvTolerance)
                 << Where << " " << What << " column " << J;
           }
         };
@@ -632,16 +627,16 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
         EXPECT_EQ(R->colIndexKind(), M->colIndexKind()) << Where;
         std::vector<double> YR(static_cast<std::size_t>(A.numRows()), 0.5);
         cvrSpmv(*R, X.data(), YR.data());
-        EXPECT_LE(maxRelDiff(Expected, YR), kindTolerance(VK)) << Where;
+        EXPECT_LE(maxRelDiff(Expected, YR), SpmvTolerance) << Where;
       }
     }
   }
 }
 
 TEST_P(CompressedStreamFuzz, WideBandFallsBackToU32Checked) {
-  // A band wider than 65536 columns cannot express its deltas in u16; the
-  // converter must fall back to u32 explicitly (flag set, kind unchanged)
-  // and the result must stay correct.
+  // A band wider than 65536 columns cannot express its deltas in u16: the
+  // default conversion keeps u32 and stays correct, and an explicit
+  // U16Band request is refused rather than silently widened.
   std::uint64_t Seed = 554000 + GetParam();
   Xoshiro256 Rng(Seed);
   const std::int32_t Rows = 48;
@@ -658,22 +653,24 @@ TEST_P(CompressedStreamFuzz, WideBandFallsBackToU32Checked) {
 
   CvrOptions Opts;
   Opts.NumThreads = 2;
-  Opts.Indices = ColIndexKind::U16Band;
   StatusOr<CvrMatrix> Wide = CvrMatrix::tryFromCsr(A, Opts);
   ASSERT_TRUE(Wide.ok()) << Wide.status().toString();
   EXPECT_EQ(Wide->colIndexKind(), ColIndexKind::U32);
-  EXPECT_TRUE(Wide->narrowIndexFallback());
   std::vector<double> Y(static_cast<std::size_t>(Rows), 0.5);
   cvrSpmv(*Wide, X.data(), Y.data());
   EXPECT_LE(maxRelDiff(Expected, Y), SpmvTolerance);
 
+  Opts.Indices = ColIndexKind::U16Band;
+  StatusOr<CvrMatrix> Refused = CvrMatrix::tryFromCsr(A, Opts);
+  ASSERT_FALSE(Refused.ok());
+  EXPECT_EQ(Refused.status().code(), StatusCode::InvalidArgument);
+
   // The same matrix under column blocking has narrow bands, so the same
-  // request succeeds without fallback.
+  // request is honoured.
   Opts.ColBlockBytes = 64 * 1024; // 8192-column bands.
   StatusOr<CvrMatrix> Banded = CvrMatrix::tryFromCsr(A, Opts);
   ASSERT_TRUE(Banded.ok()) << Banded.status().toString();
   EXPECT_EQ(Banded->colIndexKind(), ColIndexKind::U16Band);
-  EXPECT_FALSE(Banded->narrowIndexFallback());
   std::vector<double> Yb(static_cast<std::size_t>(Rows), 0.5);
   cvrSpmv(*Banded, X.data(), Yb.data());
   EXPECT_LE(maxRelDiff(Expected, Yb), SpmvTolerance);
@@ -687,7 +684,8 @@ TEST_P(CompressedStreamFuzz, MaskedWriteBackEdgeShapesEveryKind) {
   std::uint64_t Seed = 555000 + GetParam();
   const int Shape = GetParam() % 4;
   const int Threads = 1 + GetParam() / 4 + (Shape == 3 ? 1 : 0);
-  CsrMatrix A = test::writeBackEdgeMatrix(Shape, Threads, Seed);
+  CsrMatrix A =
+      roundedToFp32(test::writeBackEdgeMatrix(Shape, Threads, Seed));
   for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64})
     for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
       CvrOptions Opts;
@@ -695,7 +693,7 @@ TEST_P(CompressedStreamFuzz, MaskedWriteBackEdgeShapesEveryKind) {
       Opts.Values = VK;
       Opts.Indices = IK;
       test::expectWriteBackMatchesReference(
-          A, Opts, kindTolerance(VK),
+          A, Opts, SpmvTolerance,
           "shape " + std::to_string(Shape) + " seed " +
               std::to_string(Seed) + " vk " +
               std::to_string(static_cast<int>(VK)) + " ik " +

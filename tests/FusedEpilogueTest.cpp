@@ -147,10 +147,10 @@ TEST(FusedEpilogue, MatchesComposedEveryOpEveryFormat) {
     // A non-default CVR build: over-decomposed, prefetching, and
     // column-blocked (accumulate-mode run() ahead of the sweep).
     CvrOptions Opts;
-    Opts.NumThreads = Threads;
-    Opts.ChunkMultiplier = 2;
+    Opts.NumThreads = Threads * 2; // Two chunks per thread.
     Opts.PrefetchDistance = 4;
     Opts.ColBlockBytes = 256;
+    test::ScopedOmpThreads Team(Threads);
     CvrKernel Built(Opts);
     Built.prepare(A);
     checkKernelAllOps(Built, A, "CVR/mult2-pf4-block/t" +

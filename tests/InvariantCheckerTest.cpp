@@ -27,6 +27,7 @@
 #include "gen/DatasetSuite.h"
 #include "serve/Fleet.h"
 #include "TestUtil.h"
+#include "benchlib/SuiteRunner.h"
 
 #include <gtest/gtest.h>
 
@@ -85,8 +86,7 @@ TEST(InvariantChecker, CleanBlockedOverDecomposedCvrPasses) {
   // the origin matrix and must find nothing to complain about.
   CsrMatrix A = test::randomCsr(80, 200, 0.06, 13);
   CvrOptions Opts;
-  Opts.NumThreads = 3;
-  Opts.ChunkMultiplier = 2;
+  Opts.NumThreads = 6;      // Six chunks per band.
   Opts.ColBlockBytes = 512; // 64-column bands over 200 columns.
   CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
   ASSERT_TRUE(M.isBlocked());
@@ -520,7 +520,8 @@ std::vector<CheckedRuleCase> checkedRuleCases() {
 }
 
 /// Runs \p Body on a CvrOptions copy of \p Base for every stream-kind
-/// combination, labelled for failure messages.
+/// combination, labelled for failure messages. An explicit F32x64 needs
+/// fp32-exact values (benchlib's roundedToFp32).
 template <class Fn> void forEachKind(const CvrOptions &Base, Fn Body) {
   for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64})
     for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
@@ -532,9 +533,8 @@ template <class Fn> void forEachKind(const CvrOptions &Base, Fn Body) {
     }
 }
 
-/// Checked output \p Y must match cvrSpmv on the same matrix, and the
-/// reference \p Ref up to the stream's storage precision (fp32 values
-/// round each coefficient once).
+/// Checked output \p Y must match cvrSpmv on the same matrix and the
+/// reference \p Ref (every stream kind is exact).
 void expectMatchesKernelAndReference(const CvrMatrix &M,
                                      const std::vector<double> &X,
                                      const std::vector<double> &Ref,
@@ -543,10 +543,7 @@ void expectMatchesKernelAndReference(const CvrMatrix &M,
   std::vector<double> Kernel(Y.size(), 0.0);
   cvrSpmv(M, X.data(), Kernel.data());
   EXPECT_LE(maxRelDiff(Kernel, Y), test::SpmvTolerance) << Where;
-  EXPECT_LE(maxRelDiff(Ref, Y), M.valueKind() == ValueKind::F32x64
-                                    ? 1e-4
-                                    : test::SpmvTolerance)
-      << Where;
+  EXPECT_LE(maxRelDiff(Ref, Y), test::SpmvTolerance) << Where;
 }
 
 /// The guarded panel loop on a clean matrix, at a full panel and a masked
@@ -569,7 +566,7 @@ TEST(CheckedSpmv, BothShadowsMatchReferenceWhenClean) {
   // Checked mode runs the kernel's chunk loop for every stream kind, SpMV
   // and SpMM; clean matrices must pass with no violations and match the
   // scalar reference.
-  CsrMatrix A = testMatrix(29);
+  CsrMatrix A = roundedToFp32(testMatrix(29));
   std::vector<double> X = test::randomVector(A.numCols(), 5);
   std::vector<double> Ref(A.numRows(), 0.0);
   referenceSpmv(A, X.data(), Ref.data());
@@ -592,15 +589,15 @@ TEST(CheckedSpmv, BlockedShadowsMatchReference) {
   // Accumulate-mode coverage: a blocked + over-decomposed matrix must run
   // checked with zero violations and match the scalar reference (checked
   // mode zeroes all of y, then += per band).
-  CsrMatrix A = test::randomCsr(70, 180, 0.07, 41);
+  CsrMatrix A = roundedToFp32(test::randomCsr(70, 180, 0.07, 41));
   std::vector<double> X = test::randomVector(A.numCols(), 17);
   std::vector<double> Ref(A.numRows(), 0.0);
   referenceSpmv(A, X.data(), Ref.data());
 
   CvrOptions Base;
-  Base.NumThreads = 2;
-  Base.ChunkMultiplier = 4;
+  Base.NumThreads = 8; // Four chunks per thread.
   Base.ColBlockBytes = 512;
+  test::ScopedOmpThreads Team(2);
   forEachKind(Base, [&](const CvrOptions &Opts,
                                const std::string &Where) {
     CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
@@ -621,7 +618,7 @@ TEST(CheckedSpmv, EveryRuleFires) {
   // `cvr_tool validate` and the fuzzers report through. The panel loop
   // retires per record and never reads the finish masks, so the
   // finish-mask mutations are invisible to it: it must report nothing.
-  CsrMatrix A = testMatrix();
+  CsrMatrix A = roundedToFp32(testMatrix());
   std::vector<double> X = test::randomVector(A.numCols(), 3);
   CvrOptions Base;
   Base.NumThreads = 3;

@@ -80,8 +80,6 @@ std::string snapshotDigest() {
 }
 
 TEST_F(ObservabilityTest, SnapshotDeterministicAcrossRepeatedRuns) {
-  if (!obs::telemetryEnabled())
-    GTEST_SKIP() << "telemetry compiled out";
   CsrMatrix A = genRmat(10, 8, 7);
 
   convertAndRun(A, 3);
@@ -96,8 +94,6 @@ TEST_F(ObservabilityTest, SnapshotDeterministicAcrossRepeatedRuns) {
 }
 
 TEST_F(ObservabilityTest, ConversionFactsStableAcrossThreadCounts) {
-  if (!obs::telemetryEnabled())
-    GTEST_SKIP() << "telemetry compiled out";
   CsrMatrix A = genStencil27(12, 12, 12);
 
   std::int64_t NnzAtOne = 0;
@@ -117,8 +113,6 @@ TEST_F(ObservabilityTest, ConversionFactsStableAcrossThreadCounts) {
 }
 
 TEST_F(ObservabilityTest, ShardMergeCountsEveryThreadsBumps) {
-  if (!obs::telemetryEnabled())
-    GTEST_SKIP() << "telemetry compiled out";
   constexpr int BumpsPerThread = 10000;
   const int Threads = omp_get_max_threads();
   ompParallelFor(Threads, Threads, [&](int) {
@@ -131,8 +125,6 @@ TEST_F(ObservabilityTest, ShardMergeCountsEveryThreadsBumps) {
 }
 
 TEST_F(ObservabilityTest, RuntimeGateStopsRecording) {
-  if (!obs::telemetryEnabled())
-    GTEST_SKIP() << "telemetry compiled out";
   obs::Counter &C = obs::counter("test.obs.gate");
   C.inc();
   obs::setTelemetryEnabled(false);
@@ -145,8 +137,6 @@ TEST_F(ObservabilityTest, RuntimeGateStopsRecording) {
 }
 
 TEST_F(ObservabilityTest, HistogramBucketsCountAndSum) {
-  if (!obs::telemetryEnabled())
-    GTEST_SKIP() << "telemetry compiled out";
   obs::Histogram &H = obs::histogram("test.obs.hist");
   for (std::int64_t V : {1, 2, 3, 1000, 1000000})
     H.observe(V);
@@ -167,12 +157,6 @@ TEST_F(ObservabilityTest, HistogramBucketsCountAndSum) {
 
 TEST_F(ObservabilityTest, TraceRoundTripsThroughValidator) {
   obs::traceStart();
-  if (!obs::traceActive()) {
-    // Compile-time gate off: sessions never arm, but the (empty) export
-    // must still validate.
-    EXPECT_TRUE(obs::validateChromeTrace(obs::traceStopToJson()).ok());
-    GTEST_SKIP() << "tracing compiled out";
-  }
   {
     obs::TraceSpan Outer("test/outer", "test");
     Outer.arg("rows", 128);
@@ -209,10 +193,6 @@ TEST_F(ObservabilityTest, FusedRunTracesSpmvThenEpilogueSweep) {
   for (const SpmvKernel *K : {static_cast<const SpmvKernel *>(&Cvr),
                               static_cast<const SpmvKernel *>(Esb.get())}) {
     obs::traceStart();
-    if (!obs::traceActive()) {
-      (void)obs::traceStopToJson();
-      GTEST_SKIP() << "tracing compiled out";
-    }
     FusedEpilogue E = FusedEpilogue::dot(true, true);
     K->runFused(X.data(), Y.data(), E);
     EXPECT_GT(E.Acc2, 0.0) << K->name();

@@ -102,12 +102,11 @@ TEST(RaceStress, CvrOverDecomposedBlockedSpmv) {
   // chunk. Under TSan a missing atomic anywhere in that chain is a race.
   CsrMatrix A = longRowMatrix(6, 4096, 512, 321);
   CvrOptions Opts;
-  Opts.NumThreads = 8;
-  Opts.ChunkMultiplier = 4;  // 32 chunks over 6 rows.
+  Opts.NumThreads = 32;      // 32 chunks over 6 rows...
   Opts.ColBlockBytes = 8192; // 1024-column bands over 4096 columns.
+  test::ScopedOmpThreads Team(8); // ...run by 8 threads.
   CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
   ASSERT_TRUE(M.isBlocked());
-  ASSERT_EQ(M.runThreads(), 8);
 
   std::vector<double> X = test::randomVector(A.numCols(), 5);
   std::vector<double> Ref(A.numRows(), 0.0);

@@ -16,6 +16,7 @@
 #include "analysis/Roofline.h"
 
 #include "TestUtil.h"
+#include "benchlib/SuiteRunner.h"
 #include "core/CvrSpmv.h"
 #include "gen/Generators.h"
 
@@ -24,7 +25,9 @@
 namespace cvr {
 namespace {
 
-CsrMatrix testMatrix() { return genRmat(12, 12, 31); }
+/// fp32-exact, so every explicit stream kind converts (stream bytes and
+/// traced traffic do not depend on values).
+CsrMatrix testMatrix() { return roundedToFp32(genRmat(12, 12, 31)); }
 
 CvrMatrix build(const CsrMatrix &A, ValueKind V, ColIndexKind I,
                 std::int64_t BlockBytes = 0) {
@@ -117,7 +120,7 @@ TEST(Roofline, PredictionTracksSimulatedMeasurement) {
   // alpha from the baseline plan's probe, then the alpha-adjusted
   // prediction must land within the 25% band the perf gate enforces --
   // for the baseline and for both compressed stream kinds.
-  CsrMatrix A = genRmat(13, 16, 601);
+  CsrMatrix A = roundedToFp32(genRmat(13, 16, 601));
   CvrMatrix Base = build(A, ValueKind::F64, ColIndexKind::U32);
   CvrKernel K;
   K.prepare(A);

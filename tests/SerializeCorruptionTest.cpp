@@ -18,6 +18,7 @@
 
 #include "TestUtil.h"
 #include "analysis/InvariantChecker.h"
+#include "benchlib/SuiteRunner.h"
 #include "support/AlignedBuffer.h"
 #include "support/Crc32c.h"
 
@@ -271,6 +272,35 @@ TEST(SerializeCorruption, ReservedHeaderByteIsIgnored) {
   EXPECT_EQ(blobOf(*R), blobOf(M));
 }
 
+TEST(SerializeCorruption, MultiplierHeaderFieldIsIgnored) {
+  // Header offset 21 holds the chunk multiplier. Writers store 1 and the
+  // caller, not the blob, sets a run's thread count, so a blob whose field
+  // reads 2 loads the same matrix and gives the same y. The field is still
+  // bounds-checked.
+  const CvrMatrix M = makeCvr();
+  std::string Blob = blobOf(M);
+  const std::int32_t Two = 2;
+  patchHeader(Blob, 21, &Two, sizeof(Two));
+  StatusOr<CvrMatrix> R = readFrom(Blob);
+  ASSERT_TRUE(R.ok()) << R.status().toString();
+  EXPECT_EQ(blobOf(*R), blobOf(M));
+  const std::vector<double> X = test::randomVector(24, 3);
+  std::vector<double> Want(24), Got(24);
+  test::ScopedOmpThreads Serial(1); // One order of the shared-row adds.
+  cvrSpmv(M, X.data(), Want.data());
+  cvrSpmv(*R, X.data(), Got.data());
+  EXPECT_EQ(Got, Want);
+
+  const std::int32_t Zero = 0;
+  patchHeader(Blob, 21, &Zero, sizeof(Zero));
+  R = readFrom(Blob);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.status().code(), StatusCode::OutOfRange);
+  EXPECT_NE(R.status().message().find("chunk multiplier 0"),
+            std::string::npos)
+      << R.status().message();
+}
+
 TEST(SerializeCorruption, InflatedValsCountFailsExactBound) {
   std::string Blob = blobOf(makeCvr());
   std::size_t Off = sectionCountOffset(Blob, 5); // value stream
@@ -299,7 +329,7 @@ TEST(SerializeCorruption, SectionPayloadFlipAttributedToCrc) {
 /// hold at these element widths too — the section CRCs cover the payloads
 /// regardless of the kinds the header declares.
 CvrMatrix makeCompressedCvr() {
-  CsrMatrix A = test::randomCsr(24, 24, 0.2, 7);
+  CsrMatrix A = roundedToFp32(test::randomCsr(24, 24, 0.2, 7));
   CvrOptions Opts;
   Opts.NumThreads = 4;
   Opts.Values = ValueKind::F32x64;

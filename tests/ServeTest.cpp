@@ -349,8 +349,6 @@ TEST_F(ServeTest, ShedRequestsGetResourceExhausted) {
 }
 
 TEST_F(ServeTest, StatsExportsHistogramBucketsThatSumToTheCount) {
-  if (!obs::telemetryEnabled())
-    GTEST_SKIP() << "telemetry compiled out";
   Service Svc(*TheFleet);
   Request R = multiplyRequest();
   expectMatchesReference(R, Svc.handle(R));

@@ -98,107 +98,6 @@ TEST(BiCgStab, SolvesNonSymmetricSystem) {
   EXPECT_LT(maxErr(X, XStar), 1e-5);
 }
 
-/// True relative residual ||b - Ax|| / ||b||, computed with a full-fp64
-/// kernel regardless of what the solver iterated on.
-double trueResidual(const SpmvKernel &Ref, const std::vector<double> &B,
-                    const std::vector<double> &X) {
-  std::vector<double> R(B.size());
-  Ref.run(X.data(), R.data());
-  double Num = 0.0, Den = 0.0;
-  for (std::size_t I = 0; I < B.size(); ++I) {
-    const double D = B[I] - R[I];
-    Num += D * D;
-    Den += B[I] * B[I];
-  }
-  return std::sqrt(Num / Den);
-}
-
-TEST(IterativeRefinement, CgRecoversFp64ResidualOverF32Stream) {
-  // The plain Laplacian's entries (4, -1) are exact in fp32, which would
-  // make the narrow stream lossless; symmetric diagonal scaling by
-  // irrational factors keeps the system SPD while forcing every stored
-  // value to actually round.
-  CsrMatrix Base = genStencil5(24, 24);
-  std::vector<double> Scale(static_cast<std::size_t>(Base.numRows()));
-  for (std::size_t I = 0; I < Scale.size(); ++I)
-    Scale[I] = 1.0 + 0.25 * std::sin(static_cast<double>(I) + 1.0);
-  CooMatrix Coo = Base.toCoo();
-  for (CooEntry &E : Coo.entries())
-    E.Val *= Scale[static_cast<std::size_t>(E.Row)] *
-             Scale[static_cast<std::size_t>(E.Col)];
-  CsrMatrix A = CsrMatrix::fromCoo(Coo);
-  std::vector<double> XStar =
-      randomVector(static_cast<std::size_t>(A.numRows()), 404);
-  std::vector<double> B = referenceSpmv(A, XStar);
-
-  CvrOptions Narrow;
-  Narrow.Values = ValueKind::F32x64;
-  Narrow.Indices = ColIndexKind::U16Band;
-  CvrKernel K(Narrow);
-  K.prepare(A);
-  CvrKernel Ref; // full-precision operator for residuals and corrections
-  Ref.prepare(A);
-
-  // Without refinement the fp32 value stream stalls well short of the
-  // fp64 tolerance: whatever the recurrence claims, the true residual
-  // is bounded below by the rounding of the stored matrix.
-  std::vector<double> XPlain(B.size(), 0.0);
-  SolveResult Plain = conjugateGradient(K, B, XPlain);
-  EXPECT_GT(trueResidual(Ref, B, XPlain), 1e-9);
-  (void)Plain;
-
-  // With refinement the same narrow kernel reaches the same target an
-  // all-fp64 solve does.
-  SolverOptions Opts;
-  Opts.RefinementKernel = &Ref;
-  std::vector<double> X(B.size(), 0.0);
-  SolveResult R = conjugateGradient(K, B, X, Opts);
-  EXPECT_TRUE(R.Converged);
-  EXPECT_LT(R.Residual, Opts.Tolerance);
-  EXPECT_LT(trueResidual(Ref, B, X), Opts.Tolerance);
-  EXPECT_LT(maxErr(X, XStar), 1e-6);
-}
-
-TEST(IterativeRefinement, BiCgStabRecoversFp64ResidualOverF32Stream) {
-  CsrMatrix Base = genBanded(600, 10, 4, 77);
-  CooMatrix Coo = Base.toCoo();
-  for (CooEntry &E : Coo.entries())
-    if (E.Row == E.Col)
-      E.Val += 12.0;
-  CsrMatrix A = CsrMatrix::fromCoo(Coo);
-  std::vector<double> XStar =
-      randomVector(static_cast<std::size_t>(A.numRows()), 5);
-  std::vector<double> B = referenceSpmv(A, XStar);
-
-  CvrOptions Narrow;
-  Narrow.Values = ValueKind::F32x64;
-  CvrKernel K(Narrow);
-  K.prepare(A);
-  CvrKernel Ref;
-  Ref.prepare(A);
-
-  SolverOptions Opts;
-  Opts.RefinementKernel = &Ref;
-  std::vector<double> X(B.size(), 0.0);
-  SolveResult R = biCgStab(K, B, X, Opts);
-  EXPECT_TRUE(R.Converged);
-  EXPECT_LT(trueResidual(Ref, B, X), Opts.Tolerance);
-  EXPECT_LT(maxErr(X, XStar), 1e-6);
-}
-
-TEST(IterativeRefinement, IgnoredWhenDisabled) {
-  SpdSystem Sys(16);
-  CvrKernel K;
-  K.prepare(Sys.A);
-  SolverOptions Opts;
-  Opts.RefinementKernel = &K;
-  Opts.MaxRefinements = 0; // opt-out must behave exactly like no kernel
-  std::vector<double> X(Sys.B.size(), 0.0);
-  SolveResult R = conjugateGradient(K, Sys.B, X, Opts);
-  EXPECT_TRUE(R.Converged);
-  EXPECT_LT(maxErr(X, Sys.XStar), 1e-6);
-}
-
 TEST(Jacobi, ConvergesOnDiagonallyDominantSystem) {
   CsrMatrix Base = genBanded(400, 6, 3, 9);
   CooMatrix Coo = Base.toCoo();

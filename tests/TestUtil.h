@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include <omp.h>
 #include <unistd.h>
 
 namespace cvr {
@@ -47,6 +48,22 @@ inline CsrMatrix randomCsr(std::int32_t Rows, std::int32_t Cols,
         Coo.add(R, C, Rng.nextDouble(-1.0, 1.0));
   return CsrMatrix::fromCoo(Coo);
 }
+
+/// Sets the OpenMP thread count for one scope. The CVR kernel runs
+/// min(omp_get_max_threads(), chunks) threads, so this is how a test runs
+/// a many-chunk matrix over fewer threads.
+class ScopedOmpThreads {
+public:
+  explicit ScopedOmpThreads(int N) : Saved(omp_get_max_threads()) {
+    omp_set_num_threads(N);
+  }
+  ~ScopedOmpThreads() { omp_set_num_threads(Saved); }
+  ScopedOmpThreads(const ScopedOmpThreads &) = delete;
+  ScopedOmpThreads &operator=(const ScopedOmpThreads &) = delete;
+
+private:
+  int Saved;
+};
 
 /// Tolerance for comparing SpMV results; reassociation across lanes and
 /// threads perturbs the last few bits, scaled by row length.

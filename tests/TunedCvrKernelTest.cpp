@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // A CvrKernel built with tuning knobs off their defaults — over-decomposed
-// chunks (ChunkMultiplier), x-vector column blocking (ColBlockBytes) and
+// chunks (more chunks than OpenMP threads), x-vector column blocking (ColBlockBytes) and
 // software prefetch (PrefetchDistance) — must realize the conversion it was
 // asked for and compute the same answer as the scalar reference, on both
 // the single-vector and the batched path.
@@ -35,10 +35,10 @@ TEST(TunedCvrKernel, RunBatchServesUnderTheSpmvPlan) {
   std::vector<double> Y(static_cast<std::size_t>(A.numRows()) * Ld, -2.0);
 
   CvrOptions Opts;
-  Opts.NumThreads = 2;
-  Opts.ChunkMultiplier = 2;
+  Opts.NumThreads = 4; // Two chunks per thread.
   Opts.ColBlockBytes = 512;
   Opts.PrefetchDistance = 4;
+  test::ScopedOmpThreads Team(2);
   CvrKernel K(Opts);
   K.prepare(A);
   ASSERT_TRUE(K.runBatch(X.data(), Ld, Y.data(), Ld, NumVec).ok());
@@ -56,6 +56,7 @@ TEST(TunedCvrKernel, RunBatchServesUnderTheSpmvPlan) {
 }
 
 TEST(TunedCvrKernel, MatchesReferenceOnVariedStructures) {
+  test::ScopedOmpThreads Team(3);
   for (std::uint64_t Seed : {3u, 17u, 99u}) {
     CsrMatrix A = randomCsr(250, 400, 0.04, Seed);
     std::vector<double> X = randomVector(A.numCols(), Seed ^ 0xF0);
@@ -65,8 +66,7 @@ TEST(TunedCvrKernel, MatchesReferenceOnVariedStructures) {
       for (std::int64_t Block : {std::int64_t(0), std::int64_t(1024)}) {
         for (int Pf : {0, 4}) {
           CvrOptions Opts;
-          Opts.NumThreads = 3;
-          Opts.ChunkMultiplier = Mult;
+          Opts.NumThreads = 3 * Mult; // Mult chunks per thread.
           Opts.ColBlockBytes = Block;
           Opts.PrefetchDistance = Pf;
           CvrKernel K(Opts);
@@ -76,8 +76,11 @@ TEST(TunedCvrKernel, MatchesReferenceOnVariedStructures) {
                                     " block " + std::to_string(Block) +
                                     " pf " + std::to_string(Pf);
           // The prepared matrix must realize the requested conversion.
-          EXPECT_EQ(K.cvrMatrix().chunkMultiplier(), Mult) << Where;
-          EXPECT_EQ(K.cvrMatrix().isBlocked(), Block > 0) << Where;
+          const CvrMatrix &M = K.cvrMatrix();
+          EXPECT_EQ(M.numChunks(),
+                    3 * Mult * std::max<int>(1, M.bands().size()))
+              << Where;
+          EXPECT_EQ(M.isBlocked(), Block > 0) << Where;
 
           std::vector<double> Y(static_cast<std::size_t>(A.numRows()), -2.0);
           K.run(X.data(), Y.data());

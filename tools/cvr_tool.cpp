@@ -17,9 +17,6 @@
 //                                             (the run_comparison.sh flow)
 //   cvr_tool locality <matrix.mtx>            simulated L2 miss ratios
 //                                             (the run_locality.sh flow)
-//   cvr_tool roofline <matrix.mtx|suite-name> predicted vs traced DRAM
-//                                             bytes/iteration for the
-//                                             stream-compression plans
 //   cvr_tool validate <matrix.mtx|suite-name|--suite> [--format=F]
 //                                             checked mode: structural
 //                                             invariants + bounds-checked
@@ -57,7 +54,6 @@
 #include "analysis/CheckedKernel.h"
 #include "analysis/CheckedSpmv.h"
 #include "analysis/InvariantChecker.h"
-#include "analysis/Roofline.h"
 #include "benchlib/Equations.h"
 #include "benchlib/Measure.h"
 #include "cachesim/LocalityProbe.h"
@@ -114,10 +110,6 @@ int usage(const char *Prog) {
       "                                        loop of K SpMV sweeps\n"
       "  compare  <matrix.mtx> [-n N]          all formats side by side\n"
       "  locality <matrix.mtx>                 simulated L2 miss ratios\n"
-      "  roofline <matrix.mtx|suite-name> [--block=BYTES] [--threads=T]\n"
-      "           [--scale=X]                  predicted vs traced DRAM\n"
-      "                                        bytes/iteration for every\n"
-      "                                        stream-compression plan\n"
       "  validate <matrix.mtx|suite-name|--suite> [--format=F] [--threads=T]\n"
       "                                        invariant + checked-mode "
       "sweep\n"
@@ -467,105 +459,6 @@ int cmdLocality(const std::string &Path) {
     T.addRow({formatName(F), TextTable::fmt(L.L1MissRatio * 100, 2) + "%",
               TextTable::fmt(L.L2MissRatio * 100, 2) + "%",
               TextTable::fmt(L.MissesPerKnnz, 1)});
-  }
-  T.print(std::cout);
-  return 0;
-}
-
-int cmdRoofline(int Argc, char **Argv) {
-  std::string Target;
-  int Threads = 0;
-  double Scale = 0.25;
-  std::int64_t BlockBytes = 0;
-  for (int I = 2; I < Argc; ++I) {
-    if (std::strncmp(Argv[I], "--threads=", 10) == 0)
-      Threads = std::atoi(Argv[I] + 10);
-    else if (std::strncmp(Argv[I], "--scale=", 8) == 0)
-      Scale = std::atof(Argv[I] + 8);
-    else if (std::strncmp(Argv[I], "--block=", 8) == 0)
-      BlockBytes = std::atoll(Argv[I] + 8);
-    else if (Argv[I][0] != '-')
-      Target = Argv[I];
-    else
-      return usage(Argv[0]);
-  }
-  if (Target.empty())
-    return usage(Argv[0]);
-  CsrMatrix A;
-  if (!loadTargetMatrix(Target, Scale, A))
-    return 1;
-
-  std::vector<double> X = makeX(A.numCols());
-
-  // Alpha comes from the uncompressed plan's probe and is applied to every
-  // plan, so the table shows how the prediction *transfers* to the
-  // compressed streams rather than being re-fit per plan.
-  CvrOptions Base;
-  Base.NumThreads = Threads;
-  Base.ColBlockBytes = BlockBytes;
-  Base.Values = ValueKind::F64; // The default would narrow the streams.
-  Base.Indices = ColIndexKind::U32;
-  double Alpha = 1.0;
-  {
-    CvrKernel K(Base);
-    StatusOr<CvrMatrix> MB = CvrMatrix::tryFromCsr(A, Base);
-    if (MB.ok() && K.prepareStatus(A).ok())
-      Alpha = analysis::alphaFromLocality(probeLocality(K, A, X.data()),
-                                          analysis::predictCvr(*MB),
-                                          A.numNonZeros());
-  }
-  std::printf("%s (%d x %d, %lld nnz%s)  alpha=%.3f\n\n", Target.c_str(),
-              A.numRows(), A.numCols(),
-              static_cast<long long>(A.numNonZeros()),
-              BlockBytes > 0 ? ", blocked" : "", Alpha);
-
-  TextTable T;
-  T.setHeader({"plan", "stream B/nnz", "x B/nnz", "y B/nnz", "pred B/nnz",
-               "meas B/nnz", "pred/meas"});
-  struct Spec {
-    const char *Label;
-    ValueKind V;
-    ColIndexKind I;
-  };
-  const Spec Specs[] = {
-      {"f64/u32", ValueKind::F64, ColIndexKind::U32},
-      {"f64/u16", ValueKind::F64, ColIndexKind::U16Band},
-      {"f32x64/u32", ValueKind::F32x64, ColIndexKind::U32},
-      {"f32x64/u16", ValueKind::F32x64, ColIndexKind::U16Band},
-  };
-  for (const Spec &S : Specs) {
-    CvrOptions P = Base;
-    P.Values = S.V;
-    P.Indices = S.I;
-    StatusOr<CvrMatrix> MB = CvrMatrix::tryFromCsr(A, P);
-    if (!MB.ok()) {
-      std::fprintf(stderr, "error: %s: %s\n", S.Label,
-                   MB.status().toString().c_str());
-      return 1;
-    }
-    if (S.I == ColIndexKind::U16Band && MB->narrowIndexFallback()) {
-      T.addRow({S.Label, "-", "-", "-", "-", "-", "band > u16"});
-      continue;
-    }
-    const analysis::RooflinePrediction RP = analysis::predictCvr(*MB, Alpha);
-    CvrKernel K(P);
-    analysis::MeasuredTraffic MT;
-    if (K.prepareStatus(A).ok())
-      MT = analysis::measureDramTraffic(K, A, X.data());
-    const double Nnz = static_cast<double>(A.numNonZeros());
-    const double Streams =
-        RP.ValueBytes + RP.IndexBytes + RP.RecordBytes + RP.TailBytes;
-    char Ratio[32];
-    std::snprintf(Ratio, sizeof(Ratio), "%.3f",
-                  MT.Supported && MT.DramBytes > 0.0
-                      ? RP.TotalBytes / MT.DramBytes
-                      : 0.0);
-    T.addRow({S.Label, TextTable::fmt(Streams / Nnz, 2),
-              TextTable::fmt(RP.XBytes / Nnz, 2),
-              TextTable::fmt(RP.YBytes / Nnz, 2),
-              TextTable::fmt(RP.BytesPerNnz, 2),
-              TextTable::fmt(MT.Supported ? MT.BytesPerNnz : -1.0, 2),
-              Ratio});
   }
   T.print(std::cout);
   return 0;
@@ -949,11 +842,6 @@ int cmdTrace(int Argc, char **Argv) {
   CsrMatrix A;
   if (!loadTargetMatrix(Target, Scale, A))
     return 1;
-
-  if (!obs::telemetryEnabled())
-    std::fprintf(stderr,
-                 "note: telemetry is disabled (CVR_TELEMETRY=0 or a "
-                 "-DCVR_TELEMETRY=OFF build); the trace will be empty\n");
 
   obs::traceStart();
   {
@@ -1495,8 +1383,6 @@ int main(int Argc, char **Argv) {
     return cmdCompare(Argc, Argv);
   if (Cmd == "locality")
     return cmdLocality(Argv[2]);
-  if (Cmd == "roofline")
-    return cmdRoofline(Argc, Argv);
   if (Cmd == "validate")
     return cmdValidate(Argc, Argv);
   if (Cmd == "trace")
