@@ -1,20 +1,22 @@
-//===- core/CvrConverter.h - Shared CVR conversion engine -------*- C++ -*-===//
+//===- core/CvrConverter.h - The one-pass CVR conversion --------*- C++ -*-===//
 //
 // Part of the CVR reproduction project, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The tracker-based CVR conversion (Section 4.2 / Algorithm 3). It always
-/// emits f64 value streams; CvrMatrix::compressStreams narrows them to the
-/// f32 value kind afterwards. This header is private to core/ — include
-/// CvrFormat.h instead.
+/// The tracker-based CVR conversion (Section 4.2 / Algorithm 3). The caller
+/// picks both stream kinds from the CSR input before converting; every
+/// (column band, nnz chunk) item then converts in one parallel region,
+/// writing its values and column indices directly in those kinds (fp32
+/// values, band-local uint16 deltas) and its tails into their final place.
+/// This header is private to core/ — include CvrFormat.h instead.
 ///
-/// The engine turns one nnz chunk of a CSR matrix into a dense
-/// `steps x lanes` stream: trackers *feed* on the next non-empty row when a
-/// lane drains, *steal* the head of the fullest lane once rows run out, and
-/// every finish event appends a `(pos, wb)` record. See CvrFormat.h for the
-/// full data-model description.
+/// The engine turns one nnz chunk of a band into a dense `steps x lanes`
+/// stream: trackers *feed* on the next non-empty row when a lane drains,
+/// *steal* the head of the fullest lane once rows run out, and every finish
+/// event appends a `(pos, wb)` record. See CvrFormat.h for the full
+/// data-model description.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +32,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 namespace cvr {
@@ -37,7 +40,7 @@ namespace detail {
 
 /// Engine knobs (the conversion subset of CvrOptions).
 struct ConverterConfig {
-  int NumThreads = 0;
+  int NumThreads = 1;
   bool EnableStealing = true;
   /// Feed rows longest-first instead of in matrix order (the sort-first
   /// ablation; the paper deliberately keeps matrix order for O(nnz)
@@ -45,106 +48,142 @@ struct ConverterConfig {
   bool SortFeedRowsByLength = false;
 };
 
-/// Conversion output for one matrix: everything a CvrMatrix stores.
-/// `Ok == false` means an allocation failed mid-conversion (real OOM or
-/// the `alloc.aligned-buffer` fail point); the streams are then
-/// incomplete and must be discarded — CvrMatrix::tryFromCsr turns this
-/// into a RESOURCE_EXHAUSTED Status.
-struct ConvertedStreams {
-  AlignedBuffer<double> Vals;
-  AlignedBuffer<std::int32_t> ColIdx;
-  std::vector<CvrRecord> Recs;
-  AlignedBuffer<std::int32_t> Tails;
-  std::vector<CvrChunk> Chunks;
-  std::vector<std::int32_t> ZeroRows;
-  bool Ok = true;
+/// The rows of one column band as its chunks stream them. Unblocked, they
+/// are the matrix's own rows (Ptr is rowPtr(), Begin and Row are empty). A
+/// blocked band lists only the rows with a nonzero in its columns: band
+/// row K is matrix row Row[K], whose piece of the band starts at CSR index
+/// Begin[K] and holds Ptr[K + 1] - Ptr[K] nonzeros. Ptr counts band-local
+/// nonzeros, so partitionByNnz splits a band as it would a CSR slice.
+struct BandRows {
+  std::int32_t ColBegin = 0;
+  std::int32_t ColEnd = 0;
+  std::int32_t NumRows = 0;
+  const std::int64_t *Ptr = nullptr;
+  std::vector<std::int64_t> PtrStore{0};
+  std::vector<std::int64_t> Begin;
+  std::vector<std::int32_t> Row;
+
+  /// Matrix row of band row \p K.
+  std::int32_t row(std::int32_t K) const { return Row.empty() ? K : Row[K]; }
 };
 
-/// Per-chunk conversion output built locally by each thread and stitched
-/// into the shared streams afterwards.
-struct ChunkBuild {
-  AlignedBuffer<double> Vals;         // Uninitialized growth: every slot is
-  AlignedBuffer<std::int32_t> ColIdx; // overwritten by the emit loop.
+/// Splits \p A's columns into bands of \p ColsPerBand and every row into
+/// its per-band pieces, in one walk of each row's sorted columns.
+inline std::vector<BandRows> splitIntoBands(const CsrMatrix &A,
+                                            std::int32_t ColsPerBand) {
+  const std::int64_t NumBands =
+      (static_cast<std::int64_t>(A.numCols()) + ColsPerBand - 1) / ColsPerBand;
+  std::vector<BandRows> Bands(static_cast<std::size_t>(NumBands));
+  for (std::int64_t B = 0; B < NumBands; ++B) {
+    Bands[B].ColBegin = static_cast<std::int32_t>(B * ColsPerBand);
+    Bands[B].ColEnd = static_cast<std::int32_t>(
+        std::min<std::int64_t>(A.numCols(), (B + 1) * ColsPerBand));
+  }
+  const std::int64_t *RowPtr = A.rowPtr();
+  const std::int32_t *Col = A.colIdx();
+  for (std::int32_t R = 0; R < A.numRows(); ++R)
+    for (std::int64_t I = RowPtr[R], E = RowPtr[R + 1]; I < E;) {
+      BandRows &Band = Bands[static_cast<std::size_t>(Col[I] / ColsPerBand)];
+      std::int64_t J = I + 1;
+      while (J < E && Col[J] < Band.ColEnd)
+        ++J;
+      Band.Row.push_back(R);
+      Band.Begin.push_back(I);
+      Band.PtrStore.push_back(Band.PtrStore.back() + (J - I));
+      I = J;
+    }
+  for (BandRows &Band : Bands) {
+    Band.NumRows = static_cast<std::int32_t>(Band.Row.size());
+    Band.Ptr = Band.PtrStore.data();
+  }
+  return Bands;
+}
+
+/// One item's conversion output, already in the final stream kinds.
+/// `Ok == false` means an allocation failed (real OOM or the
+/// `alloc.aligned-buffer` fail point); the streams are then incomplete.
+/// Cache-line aligned: items sit side by side and convert on different
+/// threads, each updating its own record vector.
+template <typename ValT, typename IdxT> struct alignas(64) ItemStreams {
+  AlignedBuffer<ValT> Vals;
+  AlignedBuffer<IdxT> ColIdx;
   std::vector<CvrRecord> Recs;
-  std::vector<std::int32_t> Tails;
   std::int64_t NumSteps = 0;
-  bool Ok = true; ///< False: allocation failed; streams are incomplete.
+  bool Ok = true;
 };
 
 /// One tracker (the paper's rowID/valID/count triple) plus the bookkeeping
 /// this implementation adds: the result slot a stolen piece belongs to.
 struct Tracker {
-  std::int32_t CurRow = -1; ///< Row being streamed (-1: no piece).
+  std::int32_t CurRow = -1; ///< Band row being streamed (-1: no piece).
   std::int64_t ValId = 0;   ///< Next CSR element index of the piece.
   std::int64_t Count = 0;   ///< Elements left in the piece.
   std::int32_t Slot = -1;   ///< t_result slot (-1 while in feed phase).
   bool Dead = false;        ///< No work left for this lane.
 };
 
-class ChunkConverter {
+template <typename ValT, typename IdxT> class ChunkConverter {
 public:
-  ChunkConverter(const CsrMatrix &A, const NnzChunk &Chunk,
-                 const ConverterConfig &Cfg, ChunkBuild &Out)
-      : A(A), Chunk(Chunk), Cfg(Cfg), Out(Out), Trackers(Lanes) {}
+  /// \p Tails receives the chunk's lanes() tail rows in place.
+  ChunkConverter(const CsrMatrix &A, const BandRows &Rows,
+                 const NnzChunk &Chunk, const ConverterConfig &Cfg,
+                 ItemStreams<ValT, IdxT> &Out, std::int32_t *Tails)
+      : A(A), Ptr(Rows.Ptr),
+        Begin(Rows.Begin.empty() ? nullptr : Rows.Begin.data()),
+        RowOf(Rows.Row.empty() ? nullptr : Rows.Row.data()),
+        IdxBase(std::is_same_v<IdxT, std::uint16_t> ? Rows.ColBegin : 0),
+        Chunk(Chunk), Cfg(Cfg), Out(Out), Tails(Tails), Trackers(Lanes) {}
 
   void convert() {
     if (Chunk.empty())
       return;
     NextRow = Chunk.FirstRow;
-    Out.Tails.assign(Lanes, -1);
 
     if (Cfg.SortFeedRowsByLength) {
       // Sort-first ablation: feed the chunk's non-empty rows by descending
       // clipped length. This is the extra preprocessing the paper avoids.
       for (std::int32_t R = Chunk.FirstRow; R <= Chunk.LastRow; ++R)
-        if (rowEnd(R) - rowBegin(R) > 0)
+        if (clippedLength(R) > 0)
           FeedList.push_back(R);
       std::stable_sort(FeedList.begin(), FeedList.end(),
                        [&](std::int32_t L, std::int32_t R) {
-                         return rowEnd(L) - rowBegin(L) >
-                                rowEnd(R) - rowBegin(R);
+                         return clippedLength(L) > clippedLength(R);
                        });
     }
 
-    // Preallocate for the common case (steps ~= nnz/lanes); the stream
-    // only exceeds this when lanes idle near the chunk end. Allocation
-    // failure (real or injected) marks the build failed instead of
-    // terminating — the caller surfaces it as a Status.
-    std::int64_t Estimate = ((Chunk.size() + Lanes - 1) / Lanes + 4) * Lanes;
-    if (!Out.Vals.tryReserve(static_cast<std::size_t>(Estimate)).ok() ||
-        !Out.ColIdx.tryReserve(static_cast<std::size_t>(Estimate)).ok()) {
-      Out.Ok = false;
+    // Size for the common case (steps ~= nnz/lanes); the stream only
+    // exceeds this when lanes idle near the chunk end.
+    if (!resizeStreams(((Chunk.size() + Lanes - 1) / Lanes + 4) * Lanes))
       return;
-    }
     Out.Recs.reserve(static_cast<std::size_t>(Chunk.LastRow -
                                               Chunk.FirstRow + 1 + 2 * Lanes));
 
+    // Once every lane is dead, an odd step count gets one step of pads:
+    // the kernel loads the column indices of two steps as one 16-index
+    // vector.
     std::int64_t Steps = 0;
     std::int64_t Run;
-    while ((Run = refillLanes(Steps)) > 0)
-      if (!emitRun(Steps, Run)) {
-        Out.Ok = false;
+    while ((Run = refillLanes(Steps)) > 0 || Steps % 2 != 0)
+      if (!emitRun(Steps, std::max<std::int64_t>(Run, 1)))
         return;
-      }
-    // Pad to an even step count: the kernel loads the column indices
-    // of two steps as one 16-index vector.
-    if (Steps % 2 != 0) {
-      if (!emitPadStep()) {
-        Out.Ok = false;
-        return;
-      }
-      ++Steps;
-    }
-    Out.NumSteps = Steps;
+    if (resizeStreams(Steps * Lanes))
+      Out.NumSteps = Steps;
   }
 
 private:
-  /// Effective nnz range of \p Row clipped to the chunk.
-  std::int64_t rowBegin(std::int32_t Row) const {
-    return std::max(A.rowPtr()[Row], Chunk.NnzStart);
+  /// Nonzeros of band row \p Row inside the chunk (<= 0: none).
+  std::int64_t clippedLength(std::int32_t Row) const {
+    return std::min(Ptr[Row + 1], Chunk.NnzEnd) -
+           std::max(Ptr[Row], Chunk.NnzStart);
   }
-  std::int64_t rowEnd(std::int32_t Row) const {
-    return std::min(A.rowPtr()[Row + 1], Chunk.NnzEnd);
+  /// CSR index of band row \p Row's first nonzero inside the chunk.
+  std::int64_t clippedBegin(std::int32_t Row) const {
+    const std::int64_t I = std::max(Ptr[Row], Chunk.NnzStart);
+    return Begin ? Begin[Row] + (I - Ptr[Row]) : I;
+  }
+  /// Matrix row of band row \p Row.
+  std::int32_t matrixRow(std::int32_t Row) const {
+    return RowOf ? RowOf[Row] : Row;
   }
 
   /// Feeds the next non-empty row into lane \p Em; false when rows are
@@ -156,8 +195,7 @@ private:
         return false;
       Row = FeedList[FeedCursor++];
     } else {
-      while (NextRow <= Chunk.LastRow &&
-             rowEnd(NextRow) - rowBegin(NextRow) <= 0)
+      while (NextRow <= Chunk.LastRow && clippedLength(NextRow) <= 0)
         ++NextRow;
       if (NextRow > Chunk.LastRow)
         return false;
@@ -165,8 +203,8 @@ private:
     }
     Tracker &T = Trackers[Em];
     T.CurRow = Row;
-    T.ValId = rowBegin(Row);
-    T.Count = rowEnd(Row) - T.ValId;
+    T.ValId = clippedBegin(Row);
+    T.Count = clippedLength(Row);
     T.Slot = -1;
     return true;
   }
@@ -181,7 +219,7 @@ private:
     R.Pos = Pos;
     if (T.Slot < 0) {
       // Feed phase: the whole row finished inside this lane.
-      R.Wb = T.CurRow;
+      R.Wb = matrixRow(T.CurRow);
       R.Steal = 0;
       R.Shared = static_cast<std::uint8_t>(T.CurRow == Chunk.FirstRow ||
                                            T.CurRow == Chunk.LastRow);
@@ -206,7 +244,7 @@ private:
       Tracker &T = Trackers[K];
       if (T.Count > 0) {
         T.Slot = K;
-        Out.Tails[K] = T.CurRow;
+        Tails[K] = matrixRow(T.CurRow);
       }
     }
   }
@@ -275,16 +313,15 @@ private:
   /// Emits a run of steps in one go: until the next finish event, which by
   /// construction is min(count) = \p Run steps away, every live lane
   /// streams consecutive elements (the gather/store of Algorithm 3
-  /// l.56-60, batched). Dead lanes emit zero pads. Returns false when the
-  /// stream storage cannot grow.
+  /// l.56-60, batched) and dead lanes emit pads (value 0, raw index 0).
+  /// Returns false when the stream storage cannot grow.
   bool emitRun(std::int64_t &Steps, std::int64_t Run) {
-    assert(Run >= 1 && "emitRun requires at least one live lane");
+    assert(Run >= 1 && "emitRun requires at least one step");
 
-    std::size_t Base = Out.Vals.size();
-    if (!Out.Vals.tryResize(Base + static_cast<std::size_t>(Run) * Lanes)
-             .ok() ||
-        !Out.ColIdx.tryResize(Base + static_cast<std::size_t>(Run) * Lanes)
-             .ok())
+    const std::int64_t Base = Steps * Lanes;
+    const std::int64_t Need = Base + Run * Lanes;
+    const auto Have = static_cast<std::int64_t>(Out.Vals.size());
+    if (Need > Have && !resizeStreams(std::max(Need, Have + Have / 2)))
       return false;
 
     // Blocked over steps so the lane-strided stores stay inside L1 even
@@ -293,22 +330,20 @@ private:
     constexpr std::int64_t BlockSteps = 128;
     for (std::int64_t J0 = 0; J0 < Run; J0 += BlockSteps) {
       std::int64_t J1 = std::min(Run, J0 + BlockSteps);
-      double *VOut = Out.Vals.data() + Base + J0 * Lanes;
-      std::int32_t *COut = Out.ColIdx.data() + Base + J0 * Lanes;
+      ValT *VOut = Out.Vals.data() + Base + J0 * Lanes;
+      IdxT *COut = Out.ColIdx.data() + Base + J0 * Lanes;
       for (int K = 0; K < Lanes; ++K) {
         Tracker &T = Trackers[K];
         if (T.Count > 0) {
-          assert(T.ValId + (J1 - J0) <= Chunk.NnzEnd &&
-                 "tracker escaped its chunk");
           const double *VIn = A.vals() + T.ValId + J0;
           const std::int32_t *CIn = A.colIdx() + T.ValId + J0;
           for (std::int64_t J = 0; J < J1 - J0; ++J) {
-            VOut[J * Lanes + K] = VIn[J];
-            COut[J * Lanes + K] = CIn[J];
+            VOut[J * Lanes + K] = static_cast<ValT>(VIn[J]);
+            COut[J * Lanes + K] = static_cast<IdxT>(CIn[J] - IdxBase);
           }
         } else {
           for (std::int64_t J = 0; J < J1 - J0; ++J) {
-            VOut[J * Lanes + K] = 0.0;
+            VOut[J * Lanes + K] = 0;
             COut[J * Lanes + K] = 0;
           }
         }
@@ -324,21 +359,25 @@ private:
     return true;
   }
 
-  bool emitPadStep() {
-    std::size_t Need = Out.Vals.size() + static_cast<std::size_t>(Lanes);
-    if (!Out.Vals.tryReserve(Need).ok() || !Out.ColIdx.tryReserve(Need).ok())
-      return false;
-    for (int K = 0; K < Lanes; ++K) {
-      Out.Vals.push_back(0.0);
-      Out.ColIdx.push_back(0);
-    }
-    return true;
+  /// Sets both streams' length to \p Elems: the stream so far plus room
+  /// to emit into, trimmed to the emitted steps at the end. False, marking
+  /// the output failed, when the storage cannot grow.
+  bool resizeStreams(std::int64_t Elems) {
+    const auto N = static_cast<std::size_t>(Elems);
+    Out.Ok = Out.Vals.tryResize(N).ok() && Out.ColIdx.tryResize(N).ok();
+    return Out.Ok;
   }
 
   const CsrMatrix &A;
+  const std::int64_t *Ptr;
+  const std::int64_t *Begin; ///< Null: CSR index == band-local index.
+  const std::int32_t *RowOf; ///< Null: band row == matrix row.
+  /// U16Band stores deltas from the band's first column; U32 absolute ones.
+  const std::int32_t IdxBase;
   const NnzChunk &Chunk;
   const ConverterConfig &Cfg;
-  ChunkBuild &Out;
+  ItemStreams<ValT, IdxT> &Out;
+  std::int32_t *Tails;
   static constexpr int Lanes = CvrMatrix::lanes();
   std::vector<Tracker> Trackers;
   std::int32_t NextRow = 0;
@@ -347,110 +386,113 @@ private:
   bool TailsTaken = false;
 };
 
-/// Converts all chunks of \p A in parallel and stitches the results.
-inline ConvertedStreams convertToCvrStreams(const CsrMatrix &A,
-                                            const ConverterConfig &Cfg) {
-  int NumThreads = Cfg.NumThreads > 0 ? Cfg.NumThreads : defaultThreadCount();
+/// The stream of \p F that holds elements of type T.
+template <typename T> AlignedBuffer<T> &stream(CvrMatrix::BlobFields F) {
+  if constexpr (std::is_same_v<T, double>)
+    return *F.Vals;
+  else if constexpr (std::is_same_v<T, float>)
+    return *F.Vals32;
+  else if constexpr (std::is_same_v<T, std::int32_t>)
+    return *F.ColIdx;
+  else
+    return *F.ColIdx16;
+}
 
-  ConvertedStreams S;
-  std::vector<NnzChunk> Parts = partitionByNnz(A, NumThreads);
-  std::vector<ChunkBuild> Builds(Parts.size());
+/// Converts \p A into \p F's streams, in the kinds ValT/IdxT: every
+/// (band, chunk) item of \p Bands converts in one parallel region into
+/// its own buffers, which a second parallel region copies into the shared
+/// streams once every item's size is known (a single item moves its
+/// buffers instead). Fills F's streams, records, tails and chunk table;
+/// false when an allocation fails.
+template <typename ValT, typename IdxT>
+bool convertBands(const CsrMatrix &A, const std::vector<BandRows> &Bands,
+                  const ConverterConfig &Cfg, CvrMatrix::BlobFields F) {
+  constexpr int Lanes = CvrMatrix::lanes();
+  const int PerBand = Cfg.NumThreads;
+  const int NumItems = static_cast<int>(Bands.size()) * PerBand;
+  std::vector<NnzChunk> Parts;
+  Parts.reserve(static_cast<std::size_t>(NumItems));
+  for (const BandRows &B : Bands) {
+    std::vector<NnzChunk> P = partitionByNnz(B.Ptr, B.NumRows, PerBand);
+    Parts.insert(Parts.end(), P.begin(), P.end());
+  }
+  if (!F.Tails->tryResize(static_cast<std::size_t>(NumItems) * Lanes, -1)
+           .ok())
+    return false;
 
-  // Each chunk converts independently (the paper converts per-thread in
+  // Thread T handles chunk T of every band: the chunks split each band's
+  // nonzeros evenly, so the threads' shares are even too.
+  auto ForEachItem = [&](auto &&Body) {
+    ompParallelFor(PerBand, PerBand, [&](int T) {
+      for (std::size_t B = 0; B < Bands.size(); ++B)
+        Body(static_cast<int>(B) * PerBand + T);
+    });
+  };
+
+  // Each item converts independently (the paper converts per-thread in
   // parallel; the chunks are also what makes the conversion scalable).
-  // std::vector growth inside a chunk can still throw bad_alloc; it must
-  // not escape the parallel region, so it lands in the same Ok flag the
-  // AlignedBuffer try-paths use.
-  ompParallelFor(static_cast<int>(Parts.size()), NumThreads, [&](int T) {
+  // std::vector growth inside an item can still throw bad_alloc; it must
+  // not escape the parallel region, so it lands in the item's Ok flag.
+  std::vector<ItemStreams<ValT, IdxT>> Items(Parts.size());
+  ForEachItem([&](int I) {
     try {
-      ChunkConverter Conv(A, Parts[T], Cfg, Builds[T]);
-      Conv.convert();
+      ChunkConverter<ValT, IdxT>(A, Bands[I / PerBand], Parts[I], Cfg,
+                                 Items[I],
+                                 F.Tails->data() +
+                                     static_cast<std::size_t>(I) * Lanes)
+          .convert();
     } catch (const std::bad_alloc &) {
-      Builds[T].Ok = false;
+      Items[I].Ok = false;
     }
   });
-  for (const ChunkBuild &B : Builds)
-    if (!B.Ok) {
-      S.Ok = false;
-      return S;
-    }
 
-  // Stitch the per-chunk outputs into contiguous shared streams. With a
-  // single chunk the buffers move without a copy.
-  if (!S.Tails.tryResize(Parts.size() * CvrMatrix::lanes()).ok()) {
-    S.Ok = false;
-    return S;
+  std::int64_t Elems = 0, Recs = 0;
+  F.Chunks->resize(Items.size());
+  for (int I = 0; I < NumItems; ++I) {
+    const ItemStreams<ValT, IdxT> &S = Items[I];
+    if (!S.Ok)
+      return false;
+    const NnzChunk &P = Parts[I];
+    const BandRows &B = Bands[I / PerBand];
+    CvrChunk &C = (*F.Chunks)[I];
+    C.ElemBase = Elems;
+    C.NumSteps = S.NumSteps;
+    C.RecBase = Recs;
+    C.RecEnd = Recs + static_cast<std::int64_t>(S.Recs.size());
+    C.TailBase = static_cast<std::int64_t>(I) * Lanes;
+    C.FirstRow = P.empty() ? -1 : B.row(P.FirstRow);
+    C.LastRow = P.empty() ? -1 : B.row(P.LastRow);
+    Elems += static_cast<std::int64_t>(S.Vals.size());
+    Recs = C.RecEnd;
   }
-  S.Tails.fill(-1);
-  S.Chunks.resize(Parts.size());
 
-  if (Parts.size() == 1) {
-    ChunkBuild &B = Builds[0];
-    CvrChunk &C = S.Chunks[0];
-    C.NumSteps = B.NumSteps;
-    C.RecEnd = static_cast<std::int64_t>(B.Recs.size());
-    C.FirstRow = Parts[0].FirstRow;
-    C.LastRow = Parts[0].LastRow;
-    S.Vals = std::move(B.Vals);
-    S.ColIdx = std::move(B.ColIdx);
-    S.Recs = std::move(B.Recs);
-    for (std::size_t K = 0; K < B.Tails.size(); ++K)
-      S.Tails[K] = B.Tails[K];
+  AlignedBuffer<ValT> &Vals = stream<ValT>(F);
+  AlignedBuffer<IdxT> &ColIdx = stream<IdxT>(F);
+  if (NumItems == 1) {
+    Vals = std::move(Items[0].Vals);
+    ColIdx = std::move(Items[0].ColIdx);
+    *F.Recs = std::move(Items[0].Recs);
   } else {
-    std::int64_t TotalElems = 0, TotalRecs = 0;
-    for (const ChunkBuild &B : Builds) {
-      TotalElems += static_cast<std::int64_t>(B.Vals.size());
-      TotalRecs += static_cast<std::int64_t>(B.Recs.size());
-    }
-    if (!S.Vals.tryResize(static_cast<std::size_t>(TotalElems)).ok() ||
-        !S.ColIdx.tryResize(static_cast<std::size_t>(TotalElems)).ok()) {
-      S.Ok = false;
-      return S;
-    }
-    S.Recs.resize(static_cast<std::size_t>(TotalRecs));
-
-    std::int64_t ElemCursor = 0, RecCursor = 0;
-    for (std::size_t T = 0; T < Parts.size(); ++T) {
-      ChunkBuild &B = Builds[T];
-      CvrChunk &C = S.Chunks[T];
-      C.ElemBase = ElemCursor;
-      C.NumSteps = B.NumSteps;
-      C.RecBase = RecCursor;
-      C.RecEnd = RecCursor + static_cast<std::int64_t>(B.Recs.size());
-      C.TailBase = static_cast<std::int64_t>(T) * CvrMatrix::lanes();
-      C.FirstRow = Parts[T].FirstRow;
-      C.LastRow = Parts[T].LastRow;
-      if (!B.Vals.empty()) {
-        std::memcpy(S.Vals.data() + ElemCursor, B.Vals.data(),
-                    B.Vals.size() * sizeof(double));
-        std::memcpy(S.ColIdx.data() + ElemCursor, B.ColIdx.data(),
-                    B.ColIdx.size() * sizeof(std::int32_t));
+    if (!Vals.tryResize(static_cast<std::size_t>(Elems)).ok() ||
+        !ColIdx.tryResize(static_cast<std::size_t>(Elems)).ok())
+      return false;
+    F.Recs->resize(static_cast<std::size_t>(Recs));
+    ForEachItem([&](int I) {
+      const ItemStreams<ValT, IdxT> &S = Items[I];
+      const CvrChunk &C = (*F.Chunks)[I];
+      if (!S.Vals.empty()) {
+        std::memcpy(Vals.data() + C.ElemBase, S.Vals.data(),
+                    S.Vals.size() * sizeof(ValT));
+        std::memcpy(ColIdx.data() + C.ElemBase, S.ColIdx.data(),
+                    S.ColIdx.size() * sizeof(IdxT));
       }
-      if (!B.Recs.empty())
-        std::memcpy(S.Recs.data() + RecCursor, B.Recs.data(),
-                    B.Recs.size() * sizeof(CvrRecord));
-      for (std::size_t K = 0; K < B.Tails.size(); ++K)
-        S.Tails[C.TailBase + K] = B.Tails[K];
-      ElemCursor += static_cast<std::int64_t>(B.Vals.size());
-      RecCursor += static_cast<std::int64_t>(B.Recs.size());
-    }
+      if (!S.Recs.empty())
+        std::memcpy(F.Recs->data() + C.RecBase, S.Recs.data(),
+                    S.Recs.size() * sizeof(CvrRecord));
+    });
   }
 
-  // Rows the kernel must pre-zero: empty rows (never fed anywhere) and
-  // every chunk boundary row (accumulated with += across chunks).
-  for (std::int32_t R = 0; R < A.numRows(); ++R)
-    if (A.rowLength(R) == 0)
-      S.ZeroRows.push_back(R);
-  for (const CvrChunk &C : S.Chunks) {
-    if (C.FirstRow >= 0)
-      S.ZeroRows.push_back(C.FirstRow);
-    if (C.LastRow >= 0 && C.LastRow != C.FirstRow)
-      S.ZeroRows.push_back(C.LastRow);
-  }
-  std::sort(S.ZeroRows.begin(), S.ZeroRows.end());
-  S.ZeroRows.erase(std::unique(S.ZeroRows.begin(), S.ZeroRows.end()),
-                   S.ZeroRows.end());
-  return S;
+  return true;
 }
 
 } // namespace detail

@@ -13,58 +13,16 @@
 #include "support/FailPoint.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 namespace cvr {
 
 namespace {
-
-/// Appends one conversion's streams onto the accumulated streams, rebasing
-/// every chunk offset. Returns the index of the first appended chunk, or
-/// -1 when the grown streams cannot be allocated (Acc is then stale and
-/// must be discarded).
-std::int32_t appendStreams(detail::ConvertedStreams &Acc,
-                           detail::ConvertedStreams &&S) {
-  auto ChunkBase = static_cast<std::int32_t>(Acc.Chunks.size());
-  auto ElemBase = static_cast<std::int64_t>(Acc.Vals.size());
-  auto RecBase = static_cast<std::int64_t>(Acc.Recs.size());
-  auto TailBase = static_cast<std::int64_t>(Acc.Tails.size());
-
-  if (ChunkBase == 0) {
-    Acc = std::move(S);
-    return 0;
-  }
-
-  if (!Acc.Vals.tryResize(Acc.Vals.size() + S.Vals.size()).ok() ||
-      !Acc.ColIdx.tryResize(Acc.ColIdx.size() + S.ColIdx.size()).ok() ||
-      !Acc.Tails.tryReserve(Acc.Tails.size() + S.Tails.size()).ok())
-    return -1;
-  if (!S.Vals.empty()) {
-    std::memcpy(Acc.Vals.data() + ElemBase, S.Vals.data(),
-                S.Vals.size() * sizeof(double));
-    std::memcpy(Acc.ColIdx.data() + ElemBase, S.ColIdx.data(),
-                S.ColIdx.size() * sizeof(std::int32_t));
-  }
-  Acc.Recs.insert(Acc.Recs.end(), S.Recs.begin(), S.Recs.end());
-  Acc.Tails.resize(Acc.Tails.size() + S.Tails.size());
-  for (std::size_t K = 0; K < S.Tails.size(); ++K)
-    Acc.Tails[TailBase + K] = S.Tails[K];
-
-  for (CvrChunk C : S.Chunks) {
-    C.ElemBase += ElemBase;
-    C.RecBase += RecBase;
-    C.RecEnd += RecBase;
-    C.TailBase += TailBase;
-    Acc.Chunks.push_back(C);
-  }
-  return ChunkBase;
-}
 
 /// Folds the finished structure into the conversion counters. Reading
 /// the built streams after the fact keeps the converter's hot loops
@@ -162,11 +120,6 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
   Cfg.EnableStealing = Opts.EnableStealing;
   Cfg.SortFeedRowsByLength = Opts.SortFeedRows;
 
-  CvrMatrix M;
-  M.NumRows = A.numRows();
-  M.NumCols = A.numCols();
-  M.Nnz = A.numNonZeros();
-
   // Column blocking: band width in columns, one x element = 8 bytes.
   std::int32_t ColsPerBand = 0;
   if (Opts.ColBlockBytes > 0 && A.numCols() > 0) {
@@ -174,65 +127,91 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
     if (W < A.numCols())
       ColsPerBand = static_cast<std::int32_t>(W);
   }
+  const std::int64_t NumBands =
+      ColsPerBand > 0 ? (A.numCols() + std::int64_t{ColsPerBand} - 1) /
+                            ColsPerBand
+                      : 1;
+  if (NumBands * Cfg.NumThreads > std::numeric_limits<std::int32_t>::max())
+    return Status::invalidArgument(
+        "CvrOptions: column bands times chunks exceed the chunk table");
+
+  // Both stream kinds follow from the input, so they are chosen — or an
+  // explicit kind refused — before any work. Band-local deltas fit uint16
+  // when every band (the whole column range when unblocked) spans <= 65536
+  // columns; fp32 holds the stream exactly when it holds every CSR value,
+  // since the stream stores each value once plus 0.0 pads.
+  const std::int64_t WidestBand = ColsPerBand > 0 ? ColsPerBand : A.numCols();
+  const bool NarrowIdx =
+      Opts.Indices != ColIndexKind::U32 && WidestBand <= 65536;
+  if (Opts.Indices == ColIndexKind::U16Band && !NarrowIdx)
+    return Status::invalidArgument(
+        "CvrOptions asks for U16Band indices, but a column band spans " +
+        std::to_string(WidestBand) + " > 65536 columns");
+  const bool NarrowVals =
+      Opts.Values != ValueKind::F64 &&
+      std::all_of(A.vals(), A.vals() + A.numNonZeros(), exactInFp32);
+  if (Opts.Values == ValueKind::F32x64 && !NarrowVals)
+    return Status::invalidArgument(
+        "CvrOptions asks for F32x64 values, but a value is not exact in fp32");
+
+  CvrMatrix M;
+  M.NumRows = A.numRows();
+  M.NumCols = A.numCols();
+  M.Nnz = A.numNonZeros();
+  M.VKind = NarrowVals ? ValueKind::F32x64 : ValueKind::F64;
+  M.IKind = NarrowIdx ? ColIndexKind::U16Band : ColIndexKind::U32;
+
+  std::vector<detail::BandRows> Bands;
+  if (ColsPerBand > 0) {
+    // Blocked matrices run in accumulate mode: the kernel zeroes all of y
+    // up front, so ZeroRows stays empty.
+    Bands = detail::splitIntoBands(A, ColsPerBand);
+    for (std::size_t B = 0; B < Bands.size(); ++B)
+      M.Bands.push_back({Bands[B].ColBegin, Bands[B].ColEnd,
+                         static_cast<std::int32_t>(B) * Cfg.NumThreads,
+                         static_cast<std::int32_t>(B + 1) * Cfg.NumThreads});
+  } else {
+    Bands.resize(1);
+    Bands[0].ColEnd = A.numCols();
+    Bands[0].NumRows = A.numRows();
+    Bands[0].Ptr = A.rowPtr();
+  }
+
+  const auto Convert =
+      NarrowVals ? (NarrowIdx ? detail::convertBands<float, std::uint16_t>
+                              : detail::convertBands<float, std::int32_t>)
+                 : (NarrowIdx ? detail::convertBands<double, std::uint16_t>
+                              : detail::convertBands<double, std::int32_t>);
+  if (!Convert(A, Bands, Cfg, M.fields()))
+    return Status::resourceExhausted(
+        "CVR conversion: stream storage allocation failed");
 
   if (ColsPerBand == 0) {
-    detail::ConvertedStreams S = detail::convertToCvrStreams(A, Cfg);
-    if (!S.Ok)
-      return Status::resourceExhausted(
-          "CVR conversion: stream storage allocation failed");
-    M.Vals = std::move(S.Vals);
-    M.ColIdx = std::move(S.ColIdx);
-    M.Recs = std::move(S.Recs);
-    M.Tails = std::move(S.Tails);
-    M.Chunks = std::move(S.Chunks);
-    M.ZeroRows = std::move(S.ZeroRows);
-    if (!M.isValid())
-      return Status::internal(
-          "CVR conversion produced an inconsistent structure");
-    if (Status CS = M.compressStreams(Opts.Values, Opts.Indices); !CS.ok())
-      return CS;
-    recordConvertTelemetry(M);
-    return M;
+    // Rows the kernel must pre-zero: empty rows (never fed anywhere) and
+    // every chunk boundary row (accumulated with += across chunks).
+    for (std::int32_t R = 0; R < A.numRows(); ++R)
+      if (A.rowLength(R) == 0)
+        M.ZeroRows.push_back(R);
+    for (const CvrChunk &C : M.Chunks) {
+      if (C.FirstRow >= 0)
+        M.ZeroRows.push_back(C.FirstRow);
+      if (C.LastRow >= 0 && C.LastRow != C.FirstRow)
+        M.ZeroRows.push_back(C.LastRow);
+    }
+    std::sort(M.ZeroRows.begin(), M.ZeroRows.end());
+    M.ZeroRows.erase(std::unique(M.ZeroRows.begin(), M.ZeroRows.end()),
+                     M.ZeroRows.end());
   }
-
-  // Blocked build: one independent conversion per column band, stitched
-  // into the shared streams. The per-band CSR slices keep global column
-  // indices, so the kernel gathers from the full x (and the converter's
-  // column-0 pads stay in range). Blocked matrices run in accumulate mode:
-  // the kernel zeroes all of y up front, so ZeroRows stays empty.
-  detail::ConvertedStreams Acc;
-  for (std::int32_t C0 = 0; C0 < A.numCols(); C0 += ColsPerBand) {
-    std::int32_t C1 = std::min(A.numCols(), C0 + ColsPerBand);
-    CsrMatrix Slice = A.columnBand(C0, C1);
-    detail::ConvertedStreams S = detail::convertToCvrStreams(Slice, Cfg);
-    if (!S.Ok)
-      return Status::resourceExhausted(
-          "CVR conversion: band stream allocation failed (band at column " +
-          std::to_string(C0) + ")");
-    std::int32_t ChunkBase = appendStreams(Acc, std::move(S));
-    if (ChunkBase < 0)
-      return Status::resourceExhausted(
-          "CVR conversion: stitching band streams exceeded memory (band at "
-          "column " +
-          std::to_string(C0) + ")");
-    M.Bands.push_back(
-        {C0, C1, ChunkBase, static_cast<std::int32_t>(Acc.Chunks.size())});
-  }
-  M.Vals = std::move(Acc.Vals);
-  M.ColIdx = std::move(Acc.ColIdx);
-  M.Recs = std::move(Acc.Recs);
-  M.Tails = std::move(Acc.Tails);
-  M.Chunks = std::move(Acc.Chunks);
 
   if (!M.isValid())
     return Status::internal(
-        "CVR conversion produced an inconsistent blocked structure");
-  if (Status CS = M.compressStreams(Opts.Values, Opts.Indices); !CS.ok())
-    return CS;
+        "CVR conversion produced an inconsistent structure");
+  if (Status S = M.rebuildDerived(); !S.ok())
+    return S;
   recordConvertTelemetry(M);
   return M;
 } catch (const std::bad_alloc &) {
-  // std::vector growth (records, chunk tables, band slices) can still
+  // std::vector growth (records, chunk tables, band pieces) can still
   // throw; fold it into the same recoverable outcome.
   return Status::resourceExhausted(
       "CVR conversion: auxiliary allocation failed");
@@ -263,71 +242,6 @@ Status CvrMatrix::rebuildDerived() {
           static_cast<std::uint8_t>(1U << (Pos % lanes()));
     }
     Base += static_cast<std::size_t>(C.NumSteps) + 1;
-  }
-  return Status::okStatus();
-}
-
-Status CvrMatrix::compressStreams(std::optional<ValueKind> VK,
-                                  std::optional<ColIndexKind> IK) {
-  // Band-local deltas fit uint16 when every band (the whole column range
-  // when unblocked) spans <= 65536 columns.
-  std::int64_t WidestBand = NumCols;
-  if (!Bands.empty()) {
-    WidestBand = 0;
-    for (const CvrBand &B : Bands)
-      WidestBand = std::max<std::int64_t>(WidestBand, B.ColEnd - B.ColBegin);
-  }
-  const bool NarrowIdx = IK != ColIndexKind::U32 && WidestBand <= 65536;
-  if (IK == ColIndexKind::U16Band && !NarrowIdx)
-    return Status::invalidArgument(
-        "CvrOptions asks for U16Band indices, but a column band spans " +
-        std::to_string(WidestBand) + " > 65536 columns");
-  // fp32 exactly when it is lossless for every stored value (pads are 0.0,
-  // which always is).
-  const bool NarrowVals =
-      VK != ValueKind::F64 &&
-      std::all_of(Vals.data(), Vals.data() + Vals.size(), exactInFp32);
-  if (VK == ValueKind::F32x64 && !NarrowVals)
-    return Status::invalidArgument(
-        "CvrOptions asks for F32x64 values, but a value is not exact in fp32");
-
-  if (Status S = rebuildDerived(); !S.ok())
-    return S;
-
-  if (NarrowIdx) {
-    if (!ColIdx16.tryResize(ColIdx.size()).ok())
-      return Status::resourceExhausted(
-          "CVR compression: narrow index stream allocation failed");
-    for (std::size_t CI = 0; CI < Chunks.size(); ++CI) {
-      const CvrChunk &C = Chunks[CI];
-      const std::int32_t Base = ChunkColBase[CI];
-      for (std::int64_t I = C.ElemBase, E = C.ElemBase + C.NumSteps * lanes();
-           I < E; ++I) {
-        std::int32_t Col = ColIdx[static_cast<std::size_t>(I)];
-        // Pads are (value 0, column 0) in absolute terms; store them as
-        // delta 0 so the widened gather hits the band base, in range.
-        std::int32_t Delta =
-            (Col == 0 && Vals[static_cast<std::size_t>(I)] == 0.0)
-                ? 0
-                : Col - Base;
-        assert(Delta >= 0 && Delta <= 65535 &&
-               "band-local column escaped the uint16 range");
-        ColIdx16[static_cast<std::size_t>(I)] =
-            static_cast<std::uint16_t>(Delta);
-      }
-    }
-    ColIdx = AlignedBuffer<std::int32_t>();
-    IKind = ColIndexKind::U16Band;
-  }
-
-  if (NarrowVals) {
-    if (!Vals32.tryResize(Vals.size()).ok())
-      return Status::resourceExhausted(
-          "CVR compression: fp32 value stream allocation failed");
-    for (std::size_t I = 0; I < Vals.size(); ++I)
-      Vals32[I] = static_cast<float>(Vals[I]);
-    Vals = AlignedBuffer<double>();
-    VKind = ValueKind::F32x64;
   }
   return Status::okStatus();
 }

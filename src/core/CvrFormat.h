@@ -122,6 +122,9 @@ struct CvrRecord {
   std::int32_t Wb;   ///< Feed: destination row. Steal: t_result slot.
   std::uint8_t Steal;  ///< 1 for steal-phase records.
   std::uint8_t Shared; ///< 1 if the destination row needs atomic adds.
+  /// Always zero: blobs store records raw, so no byte of one is left
+  /// undefined.
+  std::uint8_t Pad[2] = {};
 };
 
 /// One column band of a blocked conversion: the chunks in
@@ -303,9 +306,9 @@ public:
            Tails.ownsStorage();
   }
 
-  /// Deserializer plumbing: pointers to the private fields, handed by
-  /// decode() to the section and body decoders in CvrSerialize.cpp. Not
-  /// for general use.
+  /// Builder plumbing: pointers to the private fields, handed by
+  /// tryFromCsr to the converter (CvrConverter.h) and by decode() to the
+  /// section and body decoders in CvrSerialize.cpp. Not for general use.
   struct BlobFields {
     std::int32_t *NumRows;
     std::int32_t *NumCols;
@@ -324,7 +327,6 @@ public:
   };
 
 private:
-  friend class CvrConverter;
   /// Structural views + mutation access for src/analysis (invariant
   /// checker and its mutation tests).
   friend struct analysis::Introspect;
@@ -333,26 +335,23 @@ private:
   std::int32_t NumCols = 0;
   std::int64_t Nnz = 0;
 
-  /// Applies the CvrOptions compression axes to a freshly converted
-  /// structure, after rebuilding the derived per-chunk state: narrows
-  /// ColIdx into ColIdx16 when every band fits uint16 and Vals into Vals32
-  /// when every value is exact in fp32, unless the kind is forced wide.
-  /// INVALID_ARGUMENT when an explicit narrow kind does not fit;
-  /// RESOURCE_EXHAUSTED when the narrow streams or the masks cannot be
-  /// allocated.
-  [[nodiscard]] Status compressStreams(std::optional<ValueKind> VK,
-                                       std::optional<ColIndexKind> IK);
-
   /// The one blob decoder behind readBlob and mapBlob, over a byte source
   /// defined in CvrSerialize.cpp (the only translation unit that
   /// instantiates it).
   template <typename Source>
   [[nodiscard]] static StatusOr<CvrMatrix> decode(Source &Src);
 
-  /// Recomputes ChunkColBase from Bands and the finish masks from Recs.
-  /// Runs once the records pass isValid() (after conversion and after blob
-  /// validation); RESOURCE_EXHAUSTED when the masks cannot be allocated.
+  /// The one builder of the derived state: ChunkColBase from Bands and the
+  /// finish masks from Recs. Runs once the records pass isValid(), after
+  /// conversion and after blob validation alike; RESOURCE_EXHAUSTED when
+  /// the masks cannot be allocated.
   [[nodiscard]] Status rebuildDerived();
+
+  BlobFields fields() {
+    return {&NumRows, &NumCols, &Nnz,    &VKind,    &IKind,
+            &Vals,    &ColIdx,  &Vals32, &ColIdx16, &Recs,
+            &Tails,   &Chunks,  &ZeroRows, &Bands};
+  }
 
   AlignedBuffer<double> Vals;        ///< cvr_vals (F64), chunk-concatenated.
   AlignedBuffer<std::int32_t> ColIdx; ///< cvr_colidx (U32).

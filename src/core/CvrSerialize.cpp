@@ -648,10 +648,7 @@ StatusOr<CvrMatrix> CvrMatrix::decode(Source &Src) {
         "); load it with readBlob, which copies");
 
   CvrMatrix M;
-  BlobFields F{&M.NumRows, &M.NumCols,  &M.Nnz,    &M.VKind,
-               &M.IKind,   &M.Vals,     &M.ColIdx, &M.Vals32,
-               &M.ColIdx16, &M.Recs,    &M.Tails,  &M.Chunks,
-               &M.ZeroRows, &M.Bands};
+  BlobFields F = M.fields();
   Status S = decodeBody(Src, F, /*Padded=*/V >= MappedVersion);
   if (!S.ok())
     return S;

@@ -20,18 +20,26 @@ namespace cvr {
 namespace {
 
 /// Row containing nonzero index \p Nnz (skips empty rows correctly).
-std::int32_t rowOfNnz(const CsrMatrix &A, std::int64_t Nnz) {
-  const std::int64_t *RowPtr = A.rowPtr();
-  const std::int64_t *It =
-      std::upper_bound(RowPtr, RowPtr + A.numRows() + 1, Nnz);
+std::int32_t rowOfNnz(const std::int64_t *RowPtr, std::int32_t NumRows,
+                      std::int64_t Nnz) {
+  const std::int64_t *It = std::upper_bound(RowPtr, RowPtr + NumRows + 1, Nnz);
   return static_cast<std::int32_t>(It - RowPtr) - 1;
+}
+
+std::int32_t rowOfNnz(const CsrMatrix &A, std::int64_t Nnz) {
+  return rowOfNnz(A.rowPtr(), A.numRows(), Nnz);
 }
 
 } // namespace
 
 std::vector<NnzChunk> partitionByNnz(const CsrMatrix &A, int NumThreads) {
+  return partitionByNnz(A.rowPtr(), A.numRows(), NumThreads);
+}
+
+std::vector<NnzChunk> partitionByNnz(const std::int64_t *RowPtr,
+                                     std::int32_t NumRows, int NumThreads) {
   assert(NumThreads > 0 && "need at least one thread");
-  std::int64_t Nnz = A.numNonZeros();
+  std::int64_t Nnz = NumRows == 0 ? 0 : RowPtr[NumRows];
   std::vector<NnzChunk> Chunks(NumThreads);
   for (int T = 0; T < NumThreads; ++T) {
     NnzChunk &C = Chunks[T];
@@ -39,10 +47,10 @@ std::vector<NnzChunk> partitionByNnz(const CsrMatrix &A, int NumThreads) {
     C.NnzEnd = Nnz * (T + 1) / NumThreads;
     if (C.empty())
       continue;
-    C.FirstRow = rowOfNnz(A, C.NnzStart);
-    C.LastRow = rowOfNnz(A, C.NnzEnd - 1);
+    C.FirstRow = rowOfNnz(RowPtr, NumRows, C.NnzStart);
+    C.LastRow = rowOfNnz(RowPtr, NumRows, C.NnzEnd - 1);
     assert(C.FirstRow >= 0 && C.FirstRow <= C.LastRow &&
-           C.LastRow < A.numRows() && "chunk rows out of range");
+           C.LastRow < NumRows && "chunk rows out of range");
   }
   return Chunks;
 }

@@ -47,6 +47,11 @@ struct NnzChunk {
 /// FirstRow < LastRow or that a row appears in at most two chunks.
 std::vector<NnzChunk> partitionByNnz(const CsrMatrix &A, int NumThreads);
 
+/// The same split over a bare row-pointer array of \p NumRows rows
+/// (RowPtr[0] == 0): the CVR converter splits each column band's rows so.
+std::vector<NnzChunk> partitionByNnz(const std::int64_t *RowPtr,
+                                     std::int32_t NumRows, int NumThreads);
+
 /// Marks rows that more than one chunk contributes to (their nnz range
 /// straddles a chunk boundary). Returned vector has one flag per row.
 std::vector<std::uint8_t> findSharedRows(const CsrMatrix &A,

@@ -11,6 +11,7 @@
 #include "gen/Generators.h"
 #include "matrix/Coo.h"
 #include "matrix/Reference.h"
+#include "support/Crc32c.h"
 
 #include <gtest/gtest.h>
 
@@ -446,6 +447,73 @@ TEST(CvrStreamKinds, DefaultBlobRoundTripsThroughBothReaders) {
   ASSERT_TRUE(Map.ok()) << Map.status().toString();
   EXPECT_FALSE(Map->ownsStreams());
   ExpectSame(*Map, "mapBlob");
+}
+
+//===----------------------------------------------------------------------===//
+// Conversion bytes: every plan's blob, pinned
+//===----------------------------------------------------------------------===//
+
+/// Random matrices (one of them fp32-exact), runs of empty rows, a dense
+/// row that 3 and 8 chunks split, and 65,537 columns.
+std::vector<CsrMatrix> pinnedInputs() {
+  std::vector<CsrMatrix> In;
+  In.push_back(randomCsr(200, 300, 0.03, 1));
+  In.push_back(randomCsr(97, 64, 0.2, 2));
+  In.push_back(roundedToFp32(randomCsr(400, 500, 0.01, 3)));
+  CooMatrix Gaps(300, 240);
+  for (std::int32_t R = 0; R < 300; R += 1 + R % 4)
+    for (std::int32_t C = R % 7; C < 240; C += 11 + R % 5)
+      Gaps.add(R, C, 0.5 * (C + 1));
+  In.push_back(CsrMatrix::fromCoo(Gaps));
+  CooMatrix DenseRow(40, 2000);
+  for (std::int32_t R = 0; R < 40; ++R)
+    for (std::int32_t C = R * 37 % 50; C < 2000; C += R == 5 ? 1 : 400)
+      DenseRow.add(R, C, R + C * 0.25);
+  In.push_back(CsrMatrix::fromCoo(DenseRow));
+  In.push_back(wideMatrix(65537));
+  return In;
+}
+
+TEST(CvrFormat, ConversionBytesArePinned) {
+  // The CRC32C of every input's Compact blob, folded per plan over 1, 3
+  // and 8 chunks: a change to the conversion's output, byte for byte,
+  // shows up here. The bytes do not depend on the OpenMP team size.
+  CvrOptions Block512, Block2048, NoSteal, SortFirst;
+  Block512.ColBlockBytes = 512;
+  Block2048.ColBlockBytes = 2048;
+  NoSteal.EnableStealing = false;
+  SortFirst.SortFeedRows = true;
+  const struct {
+    const char *Name;
+    CvrOptions Opts;
+    std::uint32_t Crc;
+  } Plans[] = {{"default", {}, 0x9a837dbbu},
+               {"f64/u32", f64u32(), 0x40d8ea8au},
+               {"512 B bands", Block512, 0x1341d7d6u},
+               {"2 KiB bands", Block2048, 0x38a36afau},
+               {"stealing off", NoSteal, 0xdbc2a55eu},
+               {"sort-first", SortFirst, 0xea7a8294u}};
+  const std::vector<CsrMatrix> Inputs = pinnedInputs();
+  for (const auto &P : Plans) {
+    SCOPED_TRACE(P.Name);
+    std::uint32_t Crc = 0;
+    for (int Chunks : {1, 3, 8})
+      for (std::size_t I = 0; I < Inputs.size(); ++I) {
+        CvrOptions Opts = P.Opts;
+        Opts.NumThreads = Chunks;
+        std::string Bytes[2];
+        for (int Team : {1, 4}) {
+          test::ScopedOmpThreads Omp(Team);
+          std::ostringstream OS;
+          ASSERT_TRUE(CvrMatrix::fromCsr(Inputs[I], Opts).writeBlob(OS).ok());
+          Bytes[Team == 4] = OS.str();
+        }
+        EXPECT_TRUE(Bytes[0] == Bytes[1])
+            << "input " << I << ", " << Chunks << " chunks";
+        Crc = crc32c(Bytes[0].data(), Bytes[0].size(), Crc);
+      }
+    EXPECT_EQ(Crc, P.Crc) << std::hex << "0x" << Crc;
+  }
 }
 
 } // namespace

@@ -213,6 +213,42 @@ TEST_F(FaultToleranceTest, TryFromCsrRejectsBadOptions) {
   EXPECT_EQ(R.status().code(), StatusCode::InvalidArgument);
 }
 
+TEST_F(FaultToleranceTest, EveryConversionAllocationFailureIsRecoverable) {
+  // A blocked plan with several chunks per band allocates per-item
+  // streams, the shared streams, the tails and the finish masks. Failing
+  // any one of them must come back as RESOURCE_EXHAUSTED, never a crash
+  // or a half-built matrix.
+  CsrMatrix A = test::randomCsr(120, 700, 0.05, 17);
+  CvrOptions Opts;
+  Opts.ColBlockBytes = 512;
+  Opts.NumThreads = 3;
+  // Sites count hits only while armed: arm one that never fires.
+  failpoint::arm("alloc.aligned-buffer", 1, 1 << 30);
+  const long Before = failpoint::hitCount("alloc.aligned-buffer");
+  ASSERT_TRUE(CvrMatrix::tryFromCsr(A, Opts).ok());
+  const long Allocations = failpoint::hitCount("alloc.aligned-buffer") - Before;
+  failpoint::disarmAll();
+  ASSERT_GE(Allocations, 2 * 3 * 11); // Two streams per (band, chunk) item.
+
+  std::vector<double> X = test::randomVector(700, 8);
+  for (long K = 0; K <= Allocations; ++K) {
+    ASSERT_TRUE(failpoint::armFromSpec("alloc.aligned-buffer=1@" +
+                                       std::to_string(K))
+                    .ok());
+    StatusOr<CvrMatrix> M = CvrMatrix::tryFromCsr(A, Opts);
+    failpoint::disarmAll();
+    if (K < Allocations) {
+      ASSERT_FALSE(M.ok()) << "allocation " << K;
+      EXPECT_EQ(M.status().code(), StatusCode::ResourceExhausted) << K;
+      continue;
+    }
+    ASSERT_TRUE(M.ok()) << M.status().toString();
+    std::vector<double> Y(120, -1.0);
+    cvrSpmv(*M, X.data(), Y.data());
+    EXPECT_LE(maxRelDiff(referenceSpmv(A, X), Y), test::SpmvTolerance);
+  }
+}
+
 TEST_F(FaultToleranceTest, KernelPrepareStatusCarriesContext) {
   CsrMatrix A = test::randomCsr(16, 16, 0.3, 3);
   CvrKernel K;
