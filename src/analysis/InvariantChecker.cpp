@@ -62,14 +62,8 @@ std::int32_t rowOfNnz(const CsrMatrix &A, std::int64_t I) {
 
 std::string formatViolations(const std::vector<Violation> &Vs) {
   std::string S;
-  for (const Violation &V : Vs) {
-    S += V.Rule;
-    S += " @ ";
-    S += V.Location;
-    S += ": ";
-    S += V.Message;
-    S += '\n';
-  }
+  for (const Violation &V : Vs)
+    S += V.toString() + '\n';
   return S;
 }
 
@@ -125,241 +119,59 @@ std::vector<Violation> InvariantChecker::checkCsr(const CsrMatrix &A) {
 std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
                                                   const CsrMatrix *Origin) {
   std::vector<Violation> Vs;
+  // The rules every reader shares. The cross checks below index through
+  // the chunk ranges, so they run only once the walk has vouched for them.
+  if (!M.checkStructure(Vs, MaxViolations) || !Origin)
+    return Vs;
   Reporter R(Vs);
   constexpr int Lanes = CvrMatrix::lanes();
   const std::int32_t Rows = M.numRows();
-  const std::int32_t Cols = M.numCols();
   const std::vector<CvrChunk> &Chunks = M.chunks();
-  const std::vector<CvrRecord> &Recs = Introspect::recs(M);
-  const AlignedBuffer<double> &Vals = Introspect::vals(M);
-  const AlignedBuffer<std::int32_t> &ColIdx = Introspect::colIdx(M);
-  const AlignedBuffer<std::int32_t> &Tails = Introspect::tails(M);
+  const CvrRecord *Recs = M.recs();
+  const std::int32_t *Tails = M.tails();
   const bool NarrowVal = M.valueKind() == ValueKind::F32x64;
-  const bool NarrowIdx = M.colIndexKind() == ColIndexKind::U16Band;
-  const std::size_t ValCount =
-      NarrowVal ? Introspect::vals32(M).size() : Vals.size();
-  const std::size_t IdxCount =
-      NarrowIdx ? Introspect::colIdx16(M).size() : ColIdx.size();
 
-  // Exactly one storage per stream: the declared kind owns its buffer and
-  // the other representation must be absent (a populated shadow would
-  // desynchronize from the one the kernels execute).
-  if (NarrowVal ? !Vals.empty() : !Introspect::vals32(M).empty())
-    R.add("cvr.value.precision", "matrix",
-          NarrowVal ? "f32x64 matrix still carries an f64 value stream"
-                    : "f64 matrix carries a stray f32 value stream");
-  if (NarrowIdx ? !ColIdx.empty() : !Introspect::colIdx16(M).empty())
-    R.add("cvr.index.narrow", "matrix",
-          NarrowIdx ? "u16-band matrix still carries a u32 index stream"
-                    : "u32 matrix carries a stray u16 index stream");
-  if (NarrowIdx) {
-    // Narrow indices are only representable when every band spans at most
-    // 65536 columns (the u16 delta range); conversion refuses or keeps u32
-    // for a wider band.
-    std::int64_t Widest = Cols;
-    if (!M.bands().empty()) {
-      Widest = 0;
-      for (const CvrBand &B : M.bands())
-        Widest = std::max<std::int64_t>(Widest, B.ColEnd - B.ColBegin);
-    }
-    if (Widest > 65536)
-      R.add("cvr.index.narrow", "matrix",
-            "u16 band indices with a band " + num(Widest) +
-                " columns wide (limit 65536)");
-  }
-  if (ValCount != IdxCount)
-    R.add("cvr.stream.sizes", "matrix",
-          "vals/colIdx length mismatch: " + num(ValCount) + " vs " +
-              num(IdxCount));
-  if (Tails.size() != Chunks.size() * static_cast<std::size_t>(Lanes))
-    R.add("cvr.tail.size", "matrix",
-          "tails length " + num(Tails.size()) + ", expected " +
-              num(Chunks.size() * static_cast<std::size_t>(Lanes)));
-
-  // The chunk list is tiled by column bands — one implicit full-width band
-  // when the matrix is unblocked. Validate the tiling first: everything
-  // below indexes through it.
   std::vector<CvrBand> Bands(M.bands());
-  if (Bands.empty()) {
-    Bands.push_back({0, Cols, 0, static_cast<std::int32_t>(Chunks.size())});
-  } else {
-    std::int32_t PrevCol = 0, PrevChunk = 0;
-    bool Broken = false;
-    for (std::size_t B = 0; B < Bands.size(); ++B) {
-      const CvrBand &Band = Bands[B];
-      if (Band.ColBegin != PrevCol || Band.ColEnd <= Band.ColBegin ||
-          Band.ColEnd > Cols || Band.ChunkBegin != PrevChunk ||
-          Band.ChunkEnd <= Band.ChunkBegin ||
-          Band.ChunkEnd > static_cast<std::int32_t>(Chunks.size())) {
-        R.add("cvr.band.tiling", loc("band %lld", B),
-              "band [cols " + num(Band.ColBegin) + ".." + num(Band.ColEnd) +
-                  ", chunks " + num(Band.ChunkBegin) + ".." +
-                  num(Band.ChunkEnd) + ") does not tile the matrix");
-        Broken = true;
-      }
-      PrevCol = Band.ColEnd;
-      PrevChunk = Band.ChunkEnd;
-    }
-    if (PrevCol != Cols ||
-        PrevChunk != static_cast<std::int32_t>(Chunks.size())) {
-      R.add("cvr.band.tiling", "matrix",
-            "bands end at col " + num(PrevCol) + " / chunk " +
-                num(PrevChunk) + ", expected " + num(Cols) + " / " +
-                num(Chunks.size()));
-      Broken = true;
-    }
-    if (Broken)
-      return Vs; // The per-band clipping below would be nonsense.
-  }
-
-  std::int64_t ElemCursor = 0, RecCursor = 0;
-  for (std::size_t BI = 0; BI < Bands.size() && !R.full(); ++BI) {
-    const CvrBand &Band = Bands[BI];
-
+  if (Bands.empty())
+    Bands.push_back(
+        {0, M.numCols(), 0, static_cast<std::int32_t>(Chunks.size())});
+  for (const CvrBand &Band : Bands) {
     // Recompute the nnz partition the converter used for this band — on
     // the band's column slice of the origin — so the per-chunk checks can
     // clip rows exactly as the conversion did.
     CsrMatrix SliceStorage;
     const CsrMatrix *Src = Origin;
-    if (Origin && M.isBlocked()) {
+    if (M.isBlocked()) {
       SliceStorage = Origin->columnBand(Band.ColBegin, Band.ColEnd);
       Src = &SliceStorage;
     }
-    std::vector<NnzChunk> Parts;
-    if (Src)
-      Parts = partitionByNnz(*Src, Band.ChunkEnd - Band.ChunkBegin);
-
-    // Cross-chunk row ordering restarts with every band: bands sweep the
-    // full row range again for their own column slice.
-    std::int32_t PrevLastRow = -1;
-  for (std::size_t C = static_cast<std::size_t>(Band.ChunkBegin);
-       C < static_cast<std::size_t>(Band.ChunkEnd) && !R.full(); ++C) {
-    const std::size_t PC = C - static_cast<std::size_t>(Band.ChunkBegin);
-    const CvrChunk &Ch = Chunks[C];
-    std::string Where = loc("chunk %lld", static_cast<long long>(C));
-
-    // -- Layout: contiguous element/record/tail ranges. --------------------
-    if (Ch.ElemBase != ElemCursor)
-      R.add("cvr.chunk.layout", Where,
-            "elemBase " + num(Ch.ElemBase) + ", expected " + num(ElemCursor));
-    if (Ch.RecBase != RecCursor || Ch.RecEnd < Ch.RecBase)
-      R.add("cvr.chunk.layout", Where,
-            "record range [" + num(Ch.RecBase) + ", " + num(Ch.RecEnd) +
-                "), expected to start at " + num(RecCursor));
-    if (Ch.TailBase != static_cast<std::int64_t>(C) * Lanes)
-      R.add("cvr.chunk.layout", Where,
-            "tailBase " + num(Ch.TailBase) + ", expected " +
-                num(static_cast<std::int64_t>(C) * Lanes));
-    if (Ch.NumSteps < 0) {
-      R.add("cvr.chunk.layout", Where, "negative step count");
-      return Vs;
-    }
-    if (Ch.NumSteps % 2 != 0)
-      R.add("cvr.chunk.steps-even", Where,
-            "odd step count " + num(Ch.NumSteps) +
-                " (f64 kernel double-pumps column loads)");
-    ElemCursor = Ch.ElemBase + Ch.NumSteps * Lanes;
-    RecCursor = Ch.RecEnd;
-    if (ElemCursor > static_cast<std::int64_t>(ValCount) ||
-        Ch.RecEnd > static_cast<std::int64_t>(Recs.size())) {
-      R.add("cvr.chunk.layout", Where, "chunk extends past its streams");
-      return Vs; // Everything below would read out of bounds.
-    }
-
-    // -- Row span sanity + cross-chunk ordering. ---------------------------
-    if (Ch.FirstRow < -1 || Ch.FirstRow >= Rows || Ch.LastRow < -1 ||
-        Ch.LastRow >= Rows || (Ch.FirstRow >= 0) != (Ch.LastRow >= 0) ||
-        (Ch.FirstRow >= 0 && Ch.FirstRow > Ch.LastRow))
-      R.add("cvr.chunk.rows", Where,
-            "row span [" + num(Ch.FirstRow) + ", " + num(Ch.LastRow) + "]");
-    else if (Ch.FirstRow >= 0) {
-      if (PrevLastRow >= 0 && Ch.FirstRow < PrevLastRow)
-        R.add("cvr.chunk.rows", Where,
-              "first row " + num(Ch.FirstRow) +
-                  " precedes previous chunk's last row " + num(PrevLastRow));
-      PrevLastRow = Ch.LastRow;
-    }
-    if (Origin && PC < Parts.size() &&
-        (Ch.FirstRow != Parts[PC].FirstRow || Ch.LastRow != Parts[PC].LastRow))
-      R.add("cvr.chunk.partition", Where,
-            "row span [" + num(Ch.FirstRow) + ", " + num(Ch.LastRow) +
-                "] differs from the nnz partition's [" +
-                num(Parts[PC].FirstRow) + ", " + num(Parts[PC].LastRow) + "]");
-
-    // -- Column stream bounds (decoded through the declared kind). ---------
-    const std::int64_t BandWidth = Band.ColEnd - Band.ColBegin;
-    for (std::int64_t I = Ch.ElemBase; I < ElemCursor && !R.full(); ++I) {
-      const std::int32_t Raw = M.rawColAt(I);
-      if (NarrowIdx && Raw >= BandWidth)
-        R.add("cvr.index.narrow",
-              loc("chunk %lld, elem %lld", static_cast<long long>(C), I),
-              "u16 delta " + num(Raw) + " outside band width " +
-                  num(BandWidth));
-      const std::int32_t Col = M.colAt(I, Band.ColBegin);
-      if (Col < 0 || Col >= Cols)
-        R.add("cvr.col.range",
-              loc("chunk %lld, elem %lld", static_cast<long long>(C), I),
-              "column " + num(Col) + " outside [0, " + num(Cols) + ")");
-    }
-
-    // -- Records: strictly increasing positions, in-range targets. --------
-    std::int64_t PrevPos = -1;
-    const std::int64_t PosLimit = (Ch.NumSteps + 1) * Lanes;
-    for (std::int64_t I = Ch.RecBase; I < Ch.RecEnd && !R.full(); ++I) {
-      const CvrRecord &Rec = Recs[I];
-      std::string RWhere =
-          loc("chunk %lld, rec %lld", static_cast<long long>(C), I);
-      if (Rec.Pos < 0 || Rec.Pos >= PosLimit)
-        R.add("cvr.rec.pos-range", RWhere,
-              "position " + num(Rec.Pos) + " outside [0, " + num(PosLimit) +
-                  ")");
-      if (Rec.Pos <= PrevPos)
-        R.add("cvr.rec.pos-order", RWhere,
-              "position " + num(Rec.Pos) + " after " + num(PrevPos) +
-                  " (record positions must strictly increase)");
-      PrevPos = Rec.Pos;
-      if (Rec.Steal) {
-        if (Rec.Wb < 0 || Rec.Wb >= Lanes)
-          R.add("cvr.rec.steal.slot", RWhere,
-                "t_result slot " + num(Rec.Wb) + " outside [0, " +
-                    num(Lanes) + ")");
-        else if (Tails[Ch.TailBase + Rec.Wb] < 0)
-          R.add("cvr.rec.steal.slot", RWhere,
-                "steal record targets slot " + num(Rec.Wb) +
-                    " but the tail maps it to no row");
-      } else if (Rec.Wb < 0 || Rec.Wb >= Rows) {
-        R.add("cvr.rec.feed.row", RWhere,
-              "destination row " + num(Rec.Wb) + " outside [0, " + num(Rows) +
-                  ")");
-      }
-    }
-
-    // -- Tails + row-finish accounting. ------------------------------------
-    std::vector<std::int32_t> Finished;
-    for (int K = 0; K < Lanes; ++K) {
-      std::int32_t Row = Tails[Ch.TailBase + K];
-      if (Row < -1 || Row >= Rows)
-        R.add("cvr.tail.row-range",
-              loc("chunk %lld, tail slot %lld", static_cast<long long>(C), K),
-              "row " + num(Row) + " outside [-1, " + num(Rows) + ")");
-      else if (Row >= 0)
-        Finished.push_back(Row);
-    }
-    for (std::int64_t I = Ch.RecBase; I < Ch.RecEnd; ++I)
-      if (!Recs[I].Steal && Recs[I].Wb >= 0 && Recs[I].Wb < Rows)
-        Finished.push_back(Recs[I].Wb);
-    std::sort(Finished.begin(), Finished.end());
-    for (std::size_t I = 1; I < Finished.size() && !R.full(); ++I)
-      if (Finished[I] == Finished[I - 1])
-        R.add("cvr.row.finish-once", Where,
-              "row " + num(Finished[I]) +
-                  " finished more than once in this chunk");
-
-    if (Origin && PC < Parts.size()) {
+    const std::vector<NnzChunk> Parts =
+        partitionByNnz(*Src, Band.ChunkEnd - Band.ChunkBegin);
+    const std::int64_t *RowPtr = Src->rowPtr();
+    for (std::size_t PC = 0; PC < Parts.size() && !R.full(); ++PC) {
+      const std::size_t C = static_cast<std::size_t>(Band.ChunkBegin) + PC;
+      const CvrChunk &Ch = Chunks[C];
       const NnzChunk &P = Parts[PC];
-      const std::int64_t *RowPtr = Src->rowPtr();
-      // Every row with nonzeros inside this chunk must be finished exactly
-      // once (by a feed record or a tail slot); no other row may be.
+      std::string Where = loc("chunk %lld", static_cast<long long>(C));
+
+      if (Ch.FirstRow != P.FirstRow || Ch.LastRow != P.LastRow)
+        R.add("cvr.chunk.partition", Where,
+              "row span [" + num(Ch.FirstRow) + ", " + num(Ch.LastRow) +
+                  "] differs from the nnz partition's [" + num(P.FirstRow) +
+                  ", " + num(P.LastRow) + "]");
+
+      // Every row with nonzeros inside this chunk must be finished (by a
+      // feed record or a tail slot); no other row may be.
+      std::vector<std::int32_t> Finished;
+      for (int K = 0; K < Lanes; ++K)
+        if (Tails[Ch.TailBase + K] >= 0 && Tails[Ch.TailBase + K] < Rows)
+          Finished.push_back(Tails[Ch.TailBase + K]);
+      for (std::int64_t I = Ch.RecBase; I < Ch.RecEnd; ++I)
+        if (!Recs[I].Steal && Recs[I].Wb >= 0 && Recs[I].Wb < Rows)
+          Finished.push_back(Recs[I].Wb);
+      std::sort(Finished.begin(), Finished.end());
+      Finished.erase(std::unique(Finished.begin(), Finished.end()),
+                     Finished.end());
       std::vector<std::int32_t> Expected;
       if (!P.empty())
         for (std::int32_t Row = P.FirstRow; Row <= P.LastRow; ++Row) {
@@ -368,14 +180,14 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
           if (Hi > Lo)
             Expected.push_back(Row);
         }
-      std::vector<std::int32_t> Uniq(Finished);
-      Uniq.erase(std::unique(Uniq.begin(), Uniq.end()), Uniq.end());
-      if (Uniq != Expected) {
+      if (Finished != Expected) {
         std::vector<std::int32_t> Missing, Extra;
-        std::set_difference(Expected.begin(), Expected.end(), Uniq.begin(),
-                            Uniq.end(), std::back_inserter(Missing));
-        std::set_difference(Uniq.begin(), Uniq.end(), Expected.begin(),
-                            Expected.end(), std::back_inserter(Extra));
+        std::set_difference(Expected.begin(), Expected.end(),
+                            Finished.begin(), Finished.end(),
+                            std::back_inserter(Missing));
+        std::set_difference(Finished.begin(), Finished.end(),
+                            Expected.begin(), Expected.end(),
+                            std::back_inserter(Extra));
         for (std::int32_t Row : Missing)
           R.add("cvr.row.unfinished", Where,
                 "row " + num(Row) + " has nonzeros here but is never "
@@ -401,7 +213,8 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
       std::vector<Slot> Stream;
       std::vector<std::pair<std::int32_t, double>> Source;
       Stream.reserve(static_cast<std::size_t>(Ch.NumSteps * Lanes));
-      for (std::int64_t I = Ch.ElemBase; I < ElemCursor; ++I) {
+      for (std::int64_t I = Ch.ElemBase; I < Ch.ElemBase + Ch.NumSteps * Lanes;
+           ++I) {
         const double V = M.valueAt(I);
         Stream.push_back({M.colAt(I, Band.ColBegin), V,
                           M.rawColAt(I) == 0 && V == 0.0});
@@ -441,53 +254,26 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
                   " (= steps*omega - chunk nnz)");
     }
   }
-  }
-  if (!R.full() && ElemCursor != static_cast<std::int64_t>(ValCount))
-    R.add("cvr.stream.sizes", "matrix",
-          "chunks cover " + num(ElemCursor) + " stream slots of " +
-              num(ValCount));
-  if (!R.full() && RecCursor != static_cast<std::int64_t>(Recs.size()))
-    R.add("cvr.stream.sizes", "matrix",
-          "chunks cover " + num(RecCursor) + " records of " +
-              num(Recs.size()));
 
-  // Zero rows: sorted unique, in range; with the origin, exactly the empty
-  // rows plus every chunk boundary row.
-  const std::vector<std::int32_t> &Zero = Introspect::zeroRows(M);
-  for (std::size_t I = 0; I < Zero.size() && !R.full(); ++I) {
-    if (Zero[I] < 0 || Zero[I] >= Rows)
-      R.add("cvr.zero-rows.range", loc("zeroRows[%lld]", I),
-            "row " + num(Zero[I]) + " outside [0, " + num(Rows) + ")");
-    if (I > 0 && Zero[I] <= Zero[I - 1])
-      R.add("cvr.zero-rows.order", loc("zeroRows[%lld]", I),
-            "not sorted/unique at row " + num(Zero[I]));
-  }
-  if (Origin && !R.full()) {
-    if (M.isBlocked()) {
-      // The blocked kernel zeroes all of y before the bands accumulate, so
-      // the list must stay empty (the kernel would double-clear otherwise).
-      if (!Zero.empty())
-        R.add("cvr.zero-rows.coverage", "matrix",
-              "blocked matrix carries " + num(Zero.size()) +
-                  " zeroRows; accumulate mode expects none");
-    } else {
-      std::vector<std::int32_t> Expected;
-      for (std::int32_t Row = 0; Row < Rows; ++Row)
-        if (Origin->rowLength(Row) == 0)
-          Expected.push_back(Row);
-      for (const CvrChunk &Ch : Chunks) {
-        if (Ch.FirstRow >= 0)
-          Expected.push_back(Ch.FirstRow);
-        if (Ch.LastRow >= 0)
-          Expected.push_back(Ch.LastRow);
-      }
-      std::sort(Expected.begin(), Expected.end());
-      Expected.erase(std::unique(Expected.begin(), Expected.end()),
-                     Expected.end());
-      if (Zero != Expected)
-        R.add("cvr.zero-rows.coverage", "matrix",
-              "zeroRows does not equal {empty rows} + {chunk boundary rows}");
+  // Zero rows of an unblocked matrix: exactly the empty rows plus every
+  // chunk boundary row (the walk already holds a blocked list empty).
+  if (!M.isBlocked() && !R.full()) {
+    std::vector<std::int32_t> Expected;
+    for (std::int32_t Row = 0; Row < Rows; ++Row)
+      if (Origin->rowLength(Row) == 0)
+        Expected.push_back(Row);
+    for (const CvrChunk &Ch : Chunks) {
+      if (Ch.FirstRow >= 0)
+        Expected.push_back(Ch.FirstRow);
+      if (Ch.LastRow >= 0)
+        Expected.push_back(Ch.LastRow);
     }
+    std::sort(Expected.begin(), Expected.end());
+    Expected.erase(std::unique(Expected.begin(), Expected.end()),
+                   Expected.end());
+    if (M.zeroRows() != Expected)
+      R.add("cvr.zero-rows.coverage", "matrix",
+            "zeroRows does not equal {empty rows} + {chunk boundary rows}");
   }
   return Vs;
 }
@@ -899,10 +685,13 @@ std::vector<Violation> InvariantChecker::checkKernel(const SpmvKernel &K,
 namespace {
 
 /// Decode errors embed their rule as a leading "[cvr.blob.xxx] " bracket;
-/// lift it out so the violation is attributed like every other rule.
+/// lift it out so the violation is attributed like every other rule. A
+/// structural failure, "[cvr.blob.integrity] <rule> @ <where>: <detail>",
+/// is attributed to the inner structure rule and its location.
 Violation liftBlobViolation(const Status &S) {
   const std::string &Msg = S.message();
   std::string Rule = "cvr.blob.read";
+  std::string Where = "blob";
   std::string Detail = Msg;
   std::size_t Open = Msg.find('[');
   std::size_t Close = Msg.find(']');
@@ -911,7 +700,15 @@ Violation liftBlobViolation(const Status &S) {
     Rule = Msg.substr(Open + 1, Close - Open - 1);
     Detail = Msg.substr(std::min(Msg.size(), Close + 2));
   }
-  return {std::move(Rule), "blob",
+  const std::size_t At = Detail.find(" @ ");
+  const std::size_t Colon = Detail.find(": ", At);
+  if (Rule == "cvr.blob.integrity" && At != std::string::npos &&
+      Colon != std::string::npos) {
+    Rule = Detail.substr(0, At);
+    Where = Detail.substr(At + 3, Colon - At - 3);
+    Detail = Detail.substr(Colon + 2);
+  }
+  return {std::move(Rule), std::move(Where),
           statusCodeName(S.code()) + std::string(": ") + Detail};
 }
 
@@ -921,9 +718,7 @@ std::vector<Violation> InvariantChecker::checkBlob(std::istream &IS) {
   StatusOr<CvrMatrix> R = CvrMatrix::readBlob(IS);
   if (!R.ok())
     return {liftBlobViolation(R.status())};
-  // Decoded fine: the structural rules take over (no Origin — the blob
-  // stands alone, so the cross checks against a source CSR don't apply).
-  return checkCvr(*R, nullptr);
+  return {};
 }
 
 std::vector<Violation> InvariantChecker::checkBlob(const void *Data,
@@ -932,10 +727,9 @@ std::vector<Violation> InvariantChecker::checkBlob(const void *Data,
   StatusOr<CvrMatrix> R = CvrMatrix::mapBlob(Data, Bytes);
   if (!R.ok())
     return {liftBlobViolation(R.status())};
-  std::vector<Violation> Vs = checkCvr(*R, nullptr);
-  if (Vs.empty() && Decoded)
+  if (Decoded)
     *Decoded = std::move(*R);
-  return Vs;
+  return {};
 }
 
 } // namespace analysis

@@ -31,6 +31,8 @@
 #ifndef CVR_ANALYSIS_INVARIANTCHECKER_H
 #define CVR_ANALYSIS_INVARIANTCHECKER_H
 
+#include "core/CvrFormat.h"
+
 #include <cstddef>
 #include <iosfwd>
 #include <string>
@@ -39,7 +41,6 @@
 namespace cvr {
 
 class CsrMatrix;
-class CvrMatrix;
 class Csr5;
 class Esb;
 class Vhcc;
@@ -47,13 +48,9 @@ class SpmvKernel;
 
 namespace analysis {
 
-/// One detected invariant violation, with enough location detail to find
-/// the corrupt field without a debugger.
-struct Violation {
-  std::string Rule;     ///< Stable identifier, e.g. "cvr.rec.pos-order".
-  std::string Location; ///< Where, e.g. "chunk 2, rec 17".
-  std::string Message;  ///< What was expected vs. found.
-};
+/// One detected invariant violation (the core type CvrMatrix's structure
+/// walk reports).
+using Violation = cvr::Violation;
 
 /// Renders violations one per line ("rule @ location: message").
 std::string formatViolations(const std::vector<Violation> &Vs);
@@ -68,8 +65,10 @@ public:
 
   static std::vector<Violation> checkCsr(const CsrMatrix &A);
 
-  /// \p Origin, when given, enables the cross checks against the source
-  /// matrix (element multiset accounting, per-chunk row coverage).
+  /// CvrMatrix::checkStructure, the rules every reader shares. \p Origin,
+  /// when given, adds the cross checks against the source matrix: the nnz
+  /// partition, per-chunk row coverage, element multiset accounting and
+  /// zero-row coverage.
   static std::vector<Violation> checkCvr(const CvrMatrix &M,
                                          const CsrMatrix *Origin = nullptr);
 
@@ -85,22 +84,22 @@ public:
   static std::vector<Violation> checkKernel(const SpmvKernel &K,
                                             const CsrMatrix &A);
 
-  /// Validates a serialized CVR blob end to end: decode (magic, version,
-  /// header/section CRCs, strict count bounds — the "cvr.blob.*" rule
-  /// family, attributed from the bracketed ids CvrMatrix::readBlob embeds
-  /// in its diagnostics) and then the full structural check of the decoded
-  /// matrix. \p IS is consumed.
+  /// Validates a serialized CVR blob end to end with CvrMatrix::readBlob:
+  /// magic, version, header/section CRCs and strict count bounds (the
+  /// "cvr.blob.*" rule family, attributed from the bracketed ids the
+  /// decoder embeds in its diagnostics), then the structure walk, whose
+  /// first broken rule is reported under its own "cvr.*" id. \p IS is
+  /// consumed.
   static std::vector<Violation> checkBlob(std::istream &IS);
 
-  /// The same end-to-end validation over an in-memory blob image, such as
-  /// an mmap'd file. Runs CvrMatrix::mapBlob (all CRC, bound, pad, and
-  /// alignment checks against the image; no pointer trusted before it
-  /// passes) followed by the full structural check. \p Data must be
-  /// 64-byte aligned and hold a BlobLayout::Mapped (v4) blob; anything
-  /// else is reported as a violation, exactly like a corrupt stream.
-  /// When no violation is found and \p Decoded is given, the decoded
-  /// matrix is moved into it — its hot streams alias \p Data — so a
-  /// caller that validates and then serves the image decodes it once.
+  /// The same validation over an in-memory blob image, such as an mmap'd
+  /// file, with CvrMatrix::mapBlob (every check against the image; no
+  /// pointer trusted before it passes). \p Data must be 64-byte aligned
+  /// and hold a BlobLayout::Mapped (v4) blob; anything else is reported as
+  /// a violation, exactly like a corrupt stream. When no violation is
+  /// found and \p Decoded is given, the decoded matrix is moved into it —
+  /// its hot streams alias \p Data — so a caller that validates and then
+  /// serves the image decodes and walks it once.
   static std::vector<Violation> checkBlob(const void *Data, std::size_t Bytes,
                                           CvrMatrix *Decoded = nullptr);
 };

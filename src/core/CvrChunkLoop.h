@@ -415,7 +415,7 @@ static CVR_HOT void runChunk(const CvrMatrix &M, const CvrChunk &C,
     L.step(S, I, Idx, Obs.gather(Idx, C.ElemBase + I * W));
   };
 
-  // NumSteps is even (isValid), so steps run in pairs.
+  // NumSteps is even (checkStructure), so steps run in pairs.
   for (std::int64_t I0 = 0; I0 < C.NumSteps; I0 += BlockSteps) {
     const std::int64_t I1 = std::min(C.NumSteps, I0 + BlockSteps);
     for (std::int64_t I = I0; I < I1; I += 2) {

@@ -203,9 +203,12 @@ StatusOr<CvrMatrix> CvrMatrix::tryFromCsr(const CsrMatrix &A,
                      M.ZeroRows.end());
   }
 
-  if (!M.isValid())
+  std::vector<Violation> Vs;
+  M.checkStructure(Vs, 1);
+  if (!Vs.empty())
     return Status::internal(
-        "CVR conversion produced an inconsistent structure");
+        "CVR conversion produced an inconsistent structure: " +
+        Vs[0].toString());
   if (Status S = M.rebuildDerived(); !S.ok())
     return S;
   recordConvertTelemetry(M);
@@ -257,89 +260,288 @@ std::size_t CvrMatrix::formatBytes() const {
          Bands.size() * sizeof(CvrBand) + FinishMasks.size();
 }
 
-bool CvrMatrix::isValid() const {
-  // Exactly one storage per stream, matching the declared kinds.
+namespace {
+
+std::string num(std::int64_t V) { return std::to_string(V); }
+
+std::string chunkAt(std::int64_t C, const char *What = nullptr,
+                    std::int64_t I = 0) {
+  return "chunk " + num(C) + (What ? ", " + (What + (" " + num(I))) : "");
+}
+
+/// Element slots [Begin, End) of one stream kind: adds the real (non-pad)
+/// ones to \p Real and returns true when some slot's column leaves
+/// [0, Cols) or a real one leaves its band [Lo, Hi). A pad is (value 0,
+/// raw index 0); a raw index is absolute (\p Base 0) or a band-local delta
+/// (\p Base Lo). Columns compare unsigned, so a negative one is out of
+/// range too.
+template <typename V, typename I>
+bool anyColumnOutOfRange(const V *Vals, const I *Idx, std::int64_t Begin,
+                         std::int64_t End, std::uint32_t Base,
+                         std::uint32_t Lo, std::uint32_t Hi,
+                         std::uint32_t Cols, std::int64_t &Real) {
+  // Unsigned flags and counts rather than bools: the loop vectorizes.
+  unsigned Bad = 0;
+  std::uint64_t Count = 0;
+  for (std::int64_t K = Begin; K < End; ++K) {
+    const std::uint32_t Col = Base + static_cast<std::uint32_t>(Idx[K]);
+    const unsigned IsReal = (Idx[K] != 0) | (Vals[K] != 0);
+    Count += IsReal;
+    Bad |= (Col >= Cols) | (IsReal & (Col - Lo >= Hi - Lo));
+  }
+  Real += static_cast<std::int64_t>(Count);
+  return Bad != 0;
+}
+
+} // namespace
+
+bool CvrMatrix::checkStructure(std::vector<Violation> &Out,
+                               std::size_t Cap) const {
+  // Records one violation; true once Out is full and the walk must stop.
+  // Sites build a location and a message only after their rule fires.
+  const auto Fail = [&](const char *Rule, std::string Where,
+                        std::string Msg) {
+    if (Out.size() < Cap)
+      Out.push_back({Rule, std::move(Where), std::move(Msg)});
+    return Out.size() >= Cap;
+  };
+  if (Out.size() >= Cap)
+    return false;
+  constexpr int L = lanes();
   const bool NV = VKind == ValueKind::F32x64;
   const bool NI = IKind == ColIndexKind::U16Band;
-  if (NV ? !Vals.empty() : !Vals32.empty())
+  const std::size_t ValCount = NV ? Vals32.size() : Vals.size();
+  const std::size_t IdxCount = NI ? ColIdx16.size() : ColIdx.size();
+  const auto NumChunks = static_cast<std::int64_t>(Chunks.size());
+  const auto NumRecs = static_cast<std::int64_t>(Recs.size());
+  const auto NumTails = static_cast<std::int64_t>(Tails.size());
+
+  // -- Streams: one storage per stream, of the declared kind (a populated
+  // shadow would desynchronize from the one the kernels run), one length,
+  // nonempty when there are nonzeros, one tail slot per chunk lane.
+  if ((NV ? !Vals.empty() : !Vals32.empty()) &&
+      Fail("cvr.value.precision", "matrix", "stray value stream"))
     return false;
-  if (NI ? !ColIdx.empty() : !ColIdx16.empty())
+  if ((NI ? !ColIdx.empty() : !ColIdx16.empty()) &&
+      Fail("cvr.index.narrow", "matrix", "stray column-index stream"))
     return false;
-  std::size_t ValCount = NV ? Vals32.size() : Vals.size();
-  std::size_t IdxCount = NI ? ColIdx16.size() : ColIdx.size();
-  if (ValCount != IdxCount)
+  if ((ValCount != IdxCount || (ValCount == 0 && Nnz != 0)) &&
+      Fail("cvr.stream.sizes", "matrix",
+           num(ValCount) + " values and " + num(IdxCount) + " indices for " +
+               num(Nnz) + " nonzeros"))
     return false;
-  if (!Bands.empty()) {
-    // Bands tile both the chunk list and the column range, in order, with
-    // one uniform chunk count (one conversion per band).
-    if (ZeroRows.size() != 0)
-      return false; // Blocked kernels zero all of y; the list is unused.
-    std::int32_t PrevCol = 0, PrevChunk = 0;
-    std::int32_t PerBand = Bands[0].ChunkEnd - Bands[0].ChunkBegin;
-    for (const CvrBand &B : Bands) {
-      if (B.ColBegin != PrevCol || B.ColEnd <= B.ColBegin ||
-          B.ColEnd > NumCols)
+  if (NumTails != NumChunks * L &&
+      Fail("cvr.tail.size", "matrix",
+           "tails length " + num(NumTails) + ", expected " +
+               num(NumChunks * L)))
+    return false;
+
+  // -- Bands tile the columns and the chunk list in order, one chunk count
+  // per band; an unblocked matrix is one implicit band. The chunk walk
+  // indexes through the tiling, so a broken one ends the walk.
+  std::vector<CvrBand> Tiles(Bands);
+  if (Tiles.empty())
+    Tiles.push_back({0, NumCols, 0, static_cast<std::int32_t>(NumChunks)});
+  const std::int64_t PerBand =
+      std::int64_t{Tiles[0].ChunkEnd} - Tiles[0].ChunkBegin;
+  std::int64_t PrevCol = 0, PrevChunk = 0, Widest = 0;
+  std::size_t B = 0;
+  for (; B < Tiles.size(); ++B) {
+    const CvrBand &T = Tiles[B];
+    if (!Bands.empty() &&
+        (T.ColBegin != PrevCol || T.ColEnd <= T.ColBegin ||
+         T.ChunkBegin != PrevChunk || T.ChunkEnd <= T.ChunkBegin ||
+         T.ChunkEnd - T.ChunkBegin != PerBand))
+      break;
+    PrevCol = T.ColEnd;
+    PrevChunk = T.ChunkEnd;
+    Widest = std::max<std::int64_t>(Widest, T.ColEnd - T.ColBegin);
+  }
+  if (B < Tiles.size() || PrevCol != NumCols || PrevChunk != NumChunks) {
+    Fail("cvr.band.tiling", "band " + num(B),
+         "the bands before it tile cols [0, " + num(PrevCol) +
+             ") and chunks [0, " + num(PrevChunk) + ") of " + num(NumCols) +
+             " and " + num(NumChunks) + ", in equal chunk counts");
+    return false;
+  }
+  // Narrow indices are band-local u16 deltas.
+  if (NI && Widest > 65536 &&
+      Fail("cvr.index.narrow", "matrix",
+           "u16 indices in a band " + num(Widest) + " columns wide"))
+    return false;
+
+  const auto Elems = static_cast<std::int64_t>(std::min(ValCount, IdxCount));
+  std::int64_t ElemCursor = 0, RecCursor = 0, Real = 0;
+  std::vector<std::int32_t> Finished;
+  std::vector<std::uint64_t> Seen;
+  for (const CvrBand &T : Tiles) {
+    // Row order restarts with every band: each sweeps the rows again.
+    std::int32_t PrevLastRow = -1;
+    for (std::int64_t C = T.ChunkBegin; C < T.ChunkEnd; ++C) {
+      const CvrChunk &Ch = Chunks[static_cast<std::size_t>(C)];
+
+      // -- Layout: element, record and tail ranges contiguous from 0 and
+      // inside their streams. Everything below indexes through them.
+      if (Ch.ElemBase != ElemCursor || Ch.NumSteps < 0 ||
+          Ch.NumSteps > (Elems - ElemCursor) / L || Ch.RecBase != RecCursor ||
+          Ch.RecEnd < Ch.RecBase || Ch.RecEnd > NumRecs ||
+          Ch.TailBase != C * L || Ch.TailBase + L > NumTails) {
+        Fail("cvr.chunk.layout", chunkAt(C),
+             "elements " + num(Ch.ElemBase) + " + " + num(Ch.NumSteps) +
+                 " steps, records [" + num(Ch.RecBase) + ", " +
+                 num(Ch.RecEnd) + "), tails at " + num(Ch.TailBase) +
+                 ": not contiguous inside the streams");
         return false;
-      if (B.ChunkBegin != PrevChunk || B.ChunkEnd <= B.ChunkBegin ||
-          B.ChunkEnd - B.ChunkBegin != PerBand)
+      }
+      if (Ch.NumSteps % 2 != 0 &&
+          Fail("cvr.chunk.steps-even", chunkAt(C),
+               "odd step count " + num(Ch.NumSteps)))
         return false;
-      PrevCol = B.ColEnd;
-      PrevChunk = B.ChunkEnd;
+
+      // -- Row span: both -1 (no rows) or an ordered range inside the
+      // matrix, not before the previous chunk's last row.
+      const bool NoRows = Ch.FirstRow == -1 && Ch.LastRow == -1;
+      if (!NoRows && (Ch.FirstRow < 0 || Ch.FirstRow > Ch.LastRow ||
+                      Ch.LastRow >= NumRows || Ch.FirstRow < PrevLastRow) &&
+          Fail("cvr.chunk.rows", chunkAt(C),
+               "row span [" + num(Ch.FirstRow) + ", " + num(Ch.LastRow) +
+                   "] after row " + num(PrevLastRow)))
+        return false;
+      PrevLastRow = NoRows ? PrevLastRow : Ch.LastRow;
+
+      // -- Columns: every slot inside the matrix, every real one inside
+      // its band. One pass per stream kind; a second pass names the slot.
+      const std::int64_t E = Ch.ElemBase + Ch.NumSteps * L;
+      const std::int64_t Base = NI ? T.ColBegin : 0;
+      const auto Scan = [&](const auto *V, const auto *Ix) {
+        const auto U = [](std::int64_t X) {
+          return static_cast<std::uint32_t>(X);
+        };
+        return anyColumnOutOfRange(V, Ix, Ch.ElemBase, E, U(Base),
+                                   U(T.ColBegin), U(T.ColEnd), U(NumCols),
+                                   Real);
+      };
+      const bool BadCols =
+          NV ? (NI ? Scan(Vals32.data(), ColIdx16.data())
+                   : Scan(Vals32.data(), ColIdx.data()))
+             : (NI ? Scan(Vals.data(), ColIdx16.data())
+                   : Scan(Vals.data(), ColIdx.data()));
+      for (std::int64_t I = Ch.ElemBase; BadCols && I < E; ++I) {
+        // A pad's column only has to lie inside the matrix.
+        const std::int64_t Col = Base + rawColAt(I);
+        const bool IsReal = rawColAt(I) != 0 || valueAt(I) != 0.0;
+        const std::int64_t Lo = IsReal ? T.ColBegin : 0;
+        const std::int64_t Hi = IsReal ? T.ColEnd : NumCols;
+        if ((Col < Lo || Col >= Hi) &&
+            Fail("cvr.col.range", chunkAt(C, "elem", I),
+                 "column " + num(Col) + " outside [" + num(Lo) + ", " +
+                     num(Hi) + ")"))
+          return false;
+      }
+
+      // -- Records: strictly increasing positions below the trailing step
+      // (each owns one finish-mask bit); steal records target a t_result
+      // slot the tail maps to a row, feed records a row of y.
+      Finished.clear();
+      const std::int64_t PosLimit = (Ch.NumSteps + 1) * L;
+      std::int64_t PrevPos = -1;
+      for (std::int64_t I = Ch.RecBase; I < Ch.RecEnd; ++I) {
+        const CvrRecord &Rec = Recs[static_cast<std::size_t>(I)];
+        if (Rec.Pos < 0 || Rec.Pos >= PosLimit || Rec.Pos <= PrevPos) {
+          if (Fail(Rec.Pos < 0 || Rec.Pos >= PosLimit ? "cvr.rec.pos-range"
+                                                      : "cvr.rec.pos-order",
+                   chunkAt(C, "rec", I),
+                   "position " + num(Rec.Pos) + " after " + num(PrevPos) +
+                       "; positions must strictly increase below " +
+                       num(PosLimit)))
+            return false;
+        }
+        PrevPos = Rec.Pos;
+        const bool Steal = Rec.Steal != 0;
+        if (Steal ? Rec.Wb < 0 || Rec.Wb >= L ||
+                        Tails[Ch.TailBase + Rec.Wb] < 0
+                  : Rec.Wb < 0 || Rec.Wb >= NumRows) {
+          if (Fail(Steal ? "cvr.rec.steal.slot" : "cvr.rec.feed.row",
+                   chunkAt(C, "rec", I),
+                   (Steal ? "t_result slot " : "destination row ") +
+                       num(Rec.Wb) + (Steal ? " names no tail row"
+                                            : " outside the matrix")))
+            return false;
+        } else if (!Steal) {
+          Finished.push_back(Rec.Wb);
+        }
+      }
+
+      // -- Tails: each slot maps to a row of y or to -1 (unused).
+      for (int K = 0; K < L; ++K) {
+        const std::int32_t Row = Tails[Ch.TailBase + K];
+        if ((Row < -1 || Row >= NumRows) &&
+            Fail("cvr.tail.row-range", chunkAt(C, "tail slot", K),
+                 "row " + num(Row) + " outside [-1, " + num(NumRows) + ")"))
+          return false;
+        if (Row >= 0 && Row < NumRows)
+          Finished.push_back(Row);
+      }
+
+      // -- Each row finishes once per chunk, by a feed record or a tail
+      // slot: a bitmap over the rows' span when they are dense, else a
+      // sort, so a hostile span commissions no memory.
+      if (Finished.size() > 1) {
+        const auto [Lo, Hi] =
+            std::minmax_element(Finished.begin(), Finished.end());
+        const std::int32_t Min = *Lo;
+        const auto Words = static_cast<std::size_t>(*Hi - Min) / 64 + 1;
+        const bool Dense = Words <= Finished.size();
+        Seen.assign(Dense ? Words : 0, 0);
+        if (!Dense)
+          std::sort(Finished.begin(), Finished.end());
+        for (std::size_t I = 0; I < Finished.size(); ++I) {
+          const auto Bit = static_cast<std::size_t>(Finished[I] - Min);
+          const std::uint64_t Mask = std::uint64_t{1} << (Bit % 64);
+          const bool Again = Dense ? (Seen[Bit / 64] & Mask) != 0
+                                   : I > 0 && Finished[I] == Finished[I - 1];
+          if (Dense)
+            Seen[Bit / 64] |= Mask;
+          if (Again && Fail("cvr.row.finish-once", chunkAt(C),
+                            "row " + num(Finished[I]) +
+                                " finished more than once"))
+            return false;
+        }
+      }
+      ElemCursor = E;
+      RecCursor = Ch.RecEnd;
     }
-    if (PrevCol != NumCols ||
-        PrevChunk != static_cast<std::int32_t>(Chunks.size()))
+  }
+  if ((ElemCursor != static_cast<std::int64_t>(ValCount) ||
+       RecCursor != NumRecs) &&
+      Fail("cvr.stream.sizes", "matrix",
+           "chunks cover " + num(ElemCursor) + " of " + num(ValCount) +
+               " stream slots and " + num(RecCursor) + " of " +
+               num(NumRecs) + " records"))
+    return false;
+
+  // -- Zero rows: sorted, unique and inside the matrix; none when blocked,
+  // since the blocked kernel zeroes all of y.
+  if (!Bands.empty() && !ZeroRows.empty() &&
+      Fail("cvr.zero-rows.coverage", "matrix",
+           "a blocked matrix carries " + num(ZeroRows.size()) + " zero rows"))
+    return false;
+  for (std::size_t I = 0; I < ZeroRows.size(); ++I) {
+    const bool Range = ZeroRows[I] < 0 || ZeroRows[I] >= NumRows;
+    if ((Range || (I > 0 && ZeroRows[I] <= ZeroRows[I - 1])) &&
+        Fail(Range ? "cvr.zero-rows.range" : "cvr.zero-rows.order",
+             "zeroRows[" + num(I) + "]",
+             "row " + num(ZeroRows[I]) + " out of range or order"))
       return false;
   }
 
-  std::int64_t RealElems = 0;
-  for (std::size_t CI = 0; CI < Chunks.size(); ++CI) {
-    const CvrChunk &C = Chunks[CI];
-    // The band owning this chunk bounds its real columns; unblocked
-    // matrices use the full column range.
-    std::int32_t ColLo = 0, ColHi = NumCols;
-    for (const CvrBand &B : Bands)
-      if (static_cast<std::int32_t>(CI) >= B.ChunkBegin &&
-          static_cast<std::int32_t>(CI) < B.ChunkEnd) {
-        ColLo = B.ColBegin;
-        ColHi = B.ColEnd;
-        break;
-      }
-    if (C.NumSteps % 2 != 0)
-      return false;
-    std::int64_t Prev = -1;
-    for (std::int64_t R = C.RecBase; R < C.RecEnd; ++R) {
-      const CvrRecord &Rec = Recs[R];
-      // One record per lane and step, in position order, none past the
-      // trailing step: each maps to its own finish-mask bit.
-      if (Rec.Pos <= Prev || Rec.Pos >= (C.NumSteps + 1) * lanes())
-        return false;
-      Prev = Rec.Pos;
-      if (Rec.Steal) {
-        if (Rec.Wb < 0 || Rec.Wb >= lanes())
-          return false;
-        if (Tails[C.TailBase + Rec.Wb] < 0)
-          return false; // Steal slot without a tail row.
-      } else if (Rec.Wb < 0 || Rec.Wb >= NumRows) {
-        return false;
-      }
-    }
-    for (std::int64_t I = C.ElemBase, E = C.ElemBase + C.NumSteps * lanes();
-         I < E; ++I) {
-      // Pads are (value 0, raw column 0) — raw is the absolute column for
-      // U32 and the band-local delta for U16Band; count everything else.
-      std::int32_t Raw = rawColAt(I);
-      double V = valueAt(I);
-      if (Raw != 0 || V != 0.0) {
-        std::int32_t Col = NI ? ColLo + Raw : Raw;
-        if (Col < ColLo || Col >= ColHi)
-          return false; // Real element escaped its column band.
-        ++RealElems;
-      }
-    }
-  }
-  // Every nonzero appears exactly once, except that genuine (0, col 0)
-  // entries are indistinguishable from pads, so allow RealElems <= Nnz.
-  return RealElems <= Nnz;
+  // -- Every nonzero is stored once. A genuine (0.0, raw index 0) entry
+  // looks like a pad, so the bound is one-sided.
+  if (Real > Nnz && Fail("cvr.elem.count", "matrix",
+                         num(Real) + " real stream elements for " +
+                             num(Nnz) + " nonzeros"))
+    return false;
+  return true;
 }
 
 } // namespace cvr

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace cvr {
@@ -149,6 +150,20 @@ struct CvrChunk {
   std::int32_t LastRow = -1;  ///< Last row touched (possibly partial).
 };
 
+/// One broken structural rule, with enough location detail to find the
+/// corrupt field without a debugger. Every structure checker in the
+/// project reports these (analysis::Violation is this type).
+struct Violation {
+  std::string Rule;     ///< Stable identifier, e.g. "cvr.rec.pos-order".
+  std::string Location; ///< Where, e.g. "chunk 2, rec 17".
+  std::string Message;  ///< What was expected vs. found.
+
+  /// "rule @ location: message".
+  std::string toString() const {
+    return Rule + " @ " + Location + ": " + Message;
+  }
+};
+
 /// On-disk arrangement of a serialized CVR blob.
 enum class BlobLayout {
   /// Version-3 stream layout: sections packed back to back. Smallest
@@ -260,10 +275,20 @@ public:
 
   std::size_t formatBytes() const;
 
-  /// Internal invariants (every nonzero emitted exactly once, record
-  /// positions strictly increasing within [0, (NumSteps + 1) * lanes()),
-  /// tails consistent); used by tests and asserts.
-  bool isValid() const;
+  /// The structural rules every reader relies on, as one serial walk:
+  /// the kernels scatter through records and tails and stream through
+  /// chunk ranges unchecked, so conversion (tryFromCsr), blob decoding
+  /// (readBlob and mapBlob) and analysis::InvariantChecker::checkCvr all
+  /// run this. It covers stream kinds and sizes, the band tiling,
+  /// contiguous in-bounds chunk ranges, row spans, column ranges, record
+  /// positions and targets, tail rows, rows finished once per chunk, the
+  /// zero-row list, and at most Nnz real stream elements, under the dotted
+  /// "cvr.*" rule ids DESIGN.md section 9 lists. Appends each broken
+  /// rule to \p Out and stops once \p Out holds \p Cap entries; never
+  /// indexes out of range, whatever the fields hold. Returns true when
+  /// every chunk's element, record and tail range was verified inside its
+  /// stream, so a caller may index through them.
+  bool checkStructure(std::vector<Violation> &Out, std::size_t Cap) const;
 
   /// Writes the converted matrix as a versioned little-endian blob, so
   /// one conversion can be amortized across process runs: format v3
@@ -279,17 +304,18 @@ public:
   /// INVALID_ARGUMENT under cvr.blob.version. Messages carry a stable
   /// bracketed rule id ("[cvr.blob.section-crc] ..."), the same ids
   /// analysis::InvariantChecker::checkBlob reports. DATA_LOSS for corrupt
-  /// or truncated bytes, OUT_OF_RANGE for counts that fail the strict
-  /// bounds validation, RESOURCE_EXHAUSTED when a validated section does
-  /// not fit in memory.
+  /// or truncated bytes and for a decoded matrix that breaks a
+  /// checkStructure() rule ("[cvr.blob.integrity] <rule> @ ..."),
+  /// OUT_OF_RANGE for counts that fail the strict bounds validation,
+  /// RESOURCE_EXHAUSTED when a validated section does not fit in memory.
   [[nodiscard]] static StatusOr<CvrMatrix> readBlob(std::istream &IS);
 
   /// Zero-copy decode of a Mapped (v4) blob held in memory — typically a
   /// PROT_READ mmap of a blob file. It runs the decoder readBlob runs, so
   /// the same bytes fail with the same code and rule id, and every check
   /// (magic, version, header/section CRC32C, strict count bounds, pad-zero
-  /// checks, the full structural invariants) runs against the mapped
-  /// bytes before any pointer is trusted. The value, column-index, and
+  /// checks, checkStructure()) runs against the mapped bytes before any
+  /// pointer is trusted. The value, column-index, and
   /// tail streams of the returned matrix then alias [Data, Data + Bytes)
   /// (no copy; the mapping must outlive the matrix and stay readable;
   /// each aliased payload must sit at a 64-byte-aligned offset); the small
@@ -342,7 +368,7 @@ private:
   [[nodiscard]] static StatusOr<CvrMatrix> decode(Source &Src);
 
   /// The one builder of the derived state: ChunkColBase from Bands and the
-  /// finish masks from Recs. Runs once the records pass isValid(), after
+  /// finish masks from Recs. Runs once checkStructure() passes, after
   /// conversion and after blob validation alike; RESOURCE_EXHAUSTED when
   /// the masks cannot be allocated.
   [[nodiscard]] Status rebuildDerived();

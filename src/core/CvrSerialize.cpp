@@ -57,6 +57,9 @@
 //       (after a 64-byte alignment check) and the small metadata tables
 //       are copied.
 //
+// Once every section is in, decode runs CvrMatrix::checkStructure, the
+// one structure walk conversion and analysis::InvariantChecker share; a
+// broken rule is DATA_LOSS "[cvr.blob.integrity] <rule> @ <where>: ...".
 // So readBlob and mapBlob reject the same bytes with the same code and
 // rule id. The serialize.read.short fail point sits in the stream source,
 // and serialize.read.bitflip corrupts owned payloads before their CRC; a
@@ -571,58 +574,6 @@ template <typename Source>
                              MaxStreamElems, ExactElems);
 }
 
-/// Post-decode validation: every offset a kernel dereferences through must
-/// land inside its array before isValid() (which indexes freely) runs.
-[[nodiscard]] Status validateDecoded(const CvrMatrix &M,
-                                     const CvrMatrix::BlobFields &F) {
-  const std::size_t ValsLen = *F.VKind == ValueKind::F32x64
-                                  ? F.Vals32->size()
-                                  : F.Vals->size();
-  const std::size_t ColIdxLen = *F.IKind == ColIndexKind::U16Band
-                                    ? F.ColIdx16->size()
-                                    : F.ColIdx->size();
-  const std::size_t TailsLen = F.Tails->size();
-  const std::size_t RecsLen = F.Recs->size();
-  if (ValsLen == 0 && M.numNonZeros() != 0)
-    return Status::outOfRange(
-        "[cvr.blob.bounds] empty streams for a nonzero-bearing matrix");
-  if (ValsLen != ColIdxLen)
-    return Status::outOfRange(
-        "[cvr.blob.bounds] value and column-index streams disagree in "
-        "length");
-  if (TailsLen != M.chunks().size() * static_cast<std::size_t>(M.lanes()))
-    return Status::outOfRange(
-        "[cvr.blob.bounds] tail table length does not equal chunks * lanes");
-  auto Elems = static_cast<std::int64_t>(ValsLen);
-  auto NumRecs = static_cast<std::int64_t>(RecsLen);
-  for (const CvrChunk &C : M.chunks()) {
-    if (C.ElemBase < 0 || C.NumSteps < 0 ||
-        C.NumSteps > Elems / M.lanes() ||
-        C.ElemBase > Elems - C.NumSteps * M.lanes())
-      return Status::outOfRange(
-          "[cvr.blob.bounds] chunk element range escapes the stream");
-    if (C.RecBase < 0 || C.RecBase > C.RecEnd || C.RecEnd > NumRecs)
-      return Status::outOfRange(
-          "[cvr.blob.bounds] chunk record range escapes the record stream");
-    if (C.TailBase < 0 ||
-        C.TailBase + M.lanes() > static_cast<std::int64_t>(TailsLen))
-      return Status::outOfRange(
-          "[cvr.blob.bounds] chunk tail range escapes the tail table");
-    if (C.FirstRow >= M.numRows() || C.LastRow >= M.numRows())
-      return Status::outOfRange(
-          "[cvr.blob.bounds] chunk row bounds escape the matrix");
-  }
-  for (std::int32_t R : M.zeroRows())
-    if (R < 0 || R >= M.numRows())
-      return Status::outOfRange(
-          "[cvr.blob.bounds] zero-row entry escapes the matrix");
-  if (!M.isValid())
-    return Status::dataLoss(
-        "[cvr.blob.integrity] blob decodes but violates the CVR structural "
-        "invariants (pads, record order and range, or tail consistency)");
-  return Status::okStatus();
-}
-
 } // namespace
 
 template <typename Source>
@@ -652,7 +603,13 @@ StatusOr<CvrMatrix> CvrMatrix::decode(Source &Src) {
   Status S = decodeBody(Src, F, /*Padded=*/V >= MappedVersion);
   if (!S.ok())
     return S;
-  if (!(S = validateDecoded(M, F)).ok() || !(S = M.rebuildDerived()).ok())
+  // The kernels index through the decoded tables unchecked, so the blob
+  // must pass the structure walk that every reader shares.
+  std::vector<Violation> Vs;
+  M.checkStructure(Vs, 1);
+  if (!Vs.empty())
+    return Status::dataLoss("[cvr.blob.integrity] " + Vs[0].toString());
+  if (!(S = M.rebuildDerived()).ok())
     return S;
   return M;
 }

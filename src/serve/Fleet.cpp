@@ -162,9 +162,9 @@ Status Fleet::addBlob(const std::string &Name, const std::string &Path) {
         blobVersionOf(MapOr->data(), MapOr->size()) == 4) {
       io::MmapFile Map = std::move(*MapOr);
       // One decode, validated before any pointer is trusted: checkBlob
-      // runs mapBlob (every CRC, bound and pad check against the mapped
-      // bytes) and the structural rules on its result, and hands the
-      // decoded matrix over only if both pass. It runs under the SIGBUS
+      // runs mapBlob (every CRC, bound, pad and structure check against
+      // the mapped bytes) and hands the decoded matrix over only if all
+      // pass. It runs under the SIGBUS
       // guard, so a file truncated between fstat and here reports
       // DATA_LOSS instead of killing the daemon.
       Status V = io::withSigbusGuard(Path.c_str(), [&] {

@@ -15,8 +15,9 @@
 ///    alias the mapping, is adopted only if every blob and structural
 ///    check passes. A blob that is not the Mapped (v4) layout, or a mmap
 ///    that keeps failing after bounded retries (`serve.mmap` drills this),
-///    falls back to the copying stream reader; the fallback is recorded as the entry's load
-///    mode, visible in /stats and the List response.
+///    falls back to the copying stream reader, which runs the same checks;
+///    the fallback is recorded as the entry's load mode, visible in /stats
+///    and the List response.
 ///  * **Matrix Market sources** (.mtx) run the full
 ///    formats/Registry::prepareKernel degradation ladder at load time
 ///    (CVR -> CSR), so the daemon can serve matrices for

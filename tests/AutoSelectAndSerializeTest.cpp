@@ -71,7 +71,7 @@ TEST(CvrSerialize, RoundTripPreservesResults) {
   EXPECT_EQ(Loaded.numCols(), M.numCols());
   EXPECT_EQ(Loaded.numNonZeros(), M.numNonZeros());
   EXPECT_EQ(Loaded.numChunks(), M.numChunks());
-  EXPECT_TRUE(Loaded.isValid());
+  EXPECT_TRUE(test::structureClean(Loaded));
 
   std::vector<double> X =
       randomVector(static_cast<std::size_t>(A.numCols()), 9);
@@ -102,7 +102,7 @@ TEST(CvrSerialize, RoundTripPreservesBlockedOverDecomposedStructure) {
   StatusOr<CvrMatrix> R = CvrMatrix::readBlob(Blob);
   ASSERT_TRUE(R.ok()) << R.status().toString();
   const CvrMatrix &Loaded = *R;
-  EXPECT_TRUE(Loaded.isValid());
+  EXPECT_TRUE(test::structureClean(Loaded));
   ASSERT_EQ(Loaded.lanes(), M.lanes());
   ASSERT_EQ(Loaded.valueKind(), M.valueKind());
   ASSERT_EQ(Loaded.colIndexKind(), M.colIndexKind());
@@ -201,7 +201,7 @@ TEST(CvrSerialize, RejectsCorruptedChunkOffsets) {
     std::stringstream In(Mutated);
     StatusOr<CvrMatrix> R = CvrMatrix::readBlob(In);
     if (R.ok()) {
-      EXPECT_TRUE(R->isValid());
+      EXPECT_TRUE(test::structureClean(*R));
     }
   }
 }

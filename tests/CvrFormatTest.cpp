@@ -32,7 +32,7 @@ using test::SpmvTolerance;
 void expectCvrMatchesReference(const CsrMatrix &A, const CvrOptions &Opts,
                                const char *What) {
   CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
-  EXPECT_TRUE(M.isValid()) << What;
+  EXPECT_TRUE(test::structureClean(M)) << What;
   std::vector<double> X =
       randomVector(static_cast<std::size_t>(A.numCols()), 42);
   std::vector<double> Expected = referenceSpmv(A, X);
@@ -45,7 +45,7 @@ TEST(CvrFormat, EmptyMatrix) {
   CsrMatrix A = CsrMatrix::emptyOfShape(0, 0);
   CvrMatrix M = CvrMatrix::fromCsr(A);
   EXPECT_EQ(M.numNonZeros(), 0);
-  EXPECT_TRUE(M.isValid());
+  EXPECT_TRUE(test::structureClean(M));
 }
 
 TEST(CvrFormat, AllRowsEmpty) {
@@ -127,7 +127,7 @@ TEST(CvrFormat, RecordsSortedAndTailsConsistent) {
   CvrOptions Opts;
   Opts.NumThreads = 4;
   CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
-  ASSERT_TRUE(M.isValid());
+  ASSERT_TRUE(test::structureClean(M));
   EXPECT_EQ(M.numChunks(), 4);
   for (const CvrChunk &C : M.chunks()) {
     std::int64_t Prev = -1;
@@ -295,7 +295,7 @@ TEST(CvrStreamKinds, IntegerStencilGetsF32ValuesAndU16Indices) {
   CvrMatrix M = CvrMatrix::fromCsr(genStencil27(8, 8, 8));
   EXPECT_EQ(M.valueKind(), ValueKind::F32x64);
   EXPECT_EQ(M.colIndexKind(), ColIndexKind::U16Band);
-  EXPECT_TRUE(M.isValid());
+  EXPECT_TRUE(test::structureClean(M));
 }
 
 TEST(CvrStreamKinds, RandomValuesKeepF64) {

@@ -516,7 +516,7 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
             std::to_string(static_cast<int>(VK)) + " ik " +
             std::to_string(static_cast<int>(IK));
         ASSERT_TRUE(M.ok()) << Where << ": " << M.status().toString();
-        ASSERT_TRUE(M->isValid()) << Where;
+        ASSERT_TRUE(test::structureClean(*M)) << Where;
 
         // Every fuzz shape is far below the u16 band ceiling and holds
         // fp32-exact values, so each kind is stored as asked.

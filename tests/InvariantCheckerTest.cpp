@@ -34,6 +34,7 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <sstream>
 #include <type_traits>
 #include <utility>
 
@@ -92,17 +93,6 @@ TEST(InvariantChecker, CleanBlockedOverDecomposedCvrPasses) {
   ASSERT_TRUE(M.isBlocked());
   std::vector<Violation> Vs = InvariantChecker::checkCvr(M, &A);
   EXPECT_TRUE(Vs.empty()) << analysis::formatViolations(Vs);
-}
-
-TEST(InvariantCheckerMutation, CvrBandTilingBroken) {
-  CsrMatrix A = test::randomCsr(80, 200, 0.06, 13);
-  CvrOptions Opts;
-  Opts.NumThreads = 2;
-  Opts.ColBlockBytes = 512;
-  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
-  ASSERT_TRUE(M.isBlocked());
-  Introspect::bands(M)[1].ColBegin += 8; // Gap between bands 0 and 1.
-  expectRule(InvariantChecker::checkCvr(M, &A), "cvr.band.tiling");
 }
 
 TEST(InvariantChecker, CleanCsr5Passes) {
@@ -174,56 +164,112 @@ TEST(InvariantCheckerMutation, CsrColumnOutOfRange) {
 // CVR mutations (the satellite's "swap two CVR records" included).
 //===----------------------------------------------------------------------===//
 
-TEST(InvariantCheckerMutation, CvrSwappedRecords) {
-  CsrMatrix A = testMatrix();
+/// One corrupted field that CvrMatrix::checkStructure alone must catch,
+/// with no origin matrix: the rules conversion, the blob decoder and the
+/// checker share. Mutate returns false when the conversion has no site
+/// for it.
+struct CvrMutation {
+  const char *Name;
+  const char *Rule;
+  CsrMatrix A;
   CvrOptions Opts;
-  Opts.NumThreads = 2;
-  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
-  std::vector<CvrRecord> &Recs = Introspect::recs(M);
+  std::function<bool(CvrMatrix &)> Mutate;
+};
 
-  // Swap the first in-chunk pair with distinct positions.
-  bool Swapped = false;
-  for (const CvrChunk &C : M.chunks()) {
-    for (std::int64_t I = C.RecBase; I + 1 < C.RecEnd; ++I)
-      if (Recs[I].Pos != Recs[I + 1].Pos) {
-        std::swap(Recs[I], Recs[I + 1]);
-        Swapped = true;
-        break;
-      }
-    if (Swapped)
-      break;
-  }
-  ASSERT_TRUE(Swapped) << "test matrix produced no swappable record pair";
-  expectRule(InvariantChecker::checkCvr(M, &A), "cvr.rec.pos-order");
+std::vector<CvrMutation> cvrMutations() {
+  CvrOptions TwoChunks;
+  TwoChunks.NumThreads = 2;
+  CvrOptions Blocked = TwoChunks;
+  Blocked.ColBlockBytes = 512; // 64-column bands over 200 columns.
+  CvrOptions U32;
+  U32.Indices = ColIndexKind::U32; // A negative absolute column.
+  return {
+      {"band-tiling", "cvr.band.tiling", test::randomCsr(80, 200, 0.06, 13),
+       Blocked,
+       [](CvrMatrix &M) {
+         if (M.bands().size() < 2)
+           return false;
+         Introspect::bands(M)[1].ColBegin += 8; // Gap between bands 0, 1.
+         return true;
+       }},
+      {"swapped-records", "cvr.rec.pos-order", testMatrix(), TwoChunks,
+       [](CvrMatrix &M) {
+         // Swap the first in-chunk pair with distinct positions.
+         std::vector<CvrRecord> &Recs = Introspect::recs(M);
+         for (const CvrChunk &C : M.chunks())
+           for (std::int64_t I = C.RecBase; I + 1 < C.RecEnd; ++I)
+             if (Recs[I].Pos != Recs[I + 1].Pos) {
+               std::swap(Recs[I], Recs[I + 1]);
+               return true;
+             }
+         return false;
+       }},
+      {"duplicate-position", "cvr.rec.pos-order", testMatrix(), TwoChunks,
+       [](CvrMatrix &M) {
+         // Two records at one position would share a finish-mask bit.
+         std::vector<CvrRecord> &Recs = Introspect::recs(M);
+         for (const CvrChunk &C : M.chunks())
+           if (C.RecEnd - C.RecBase >= 2) {
+             Recs[C.RecBase + 1].Pos = Recs[C.RecBase].Pos;
+             return true;
+           }
+         return false;
+       }},
+      {"column-range", "cvr.col.range", testMatrix(), U32,
+       [](CvrMatrix &M) {
+         Introspect::colIdx(M)[3] = -2;
+         return true;
+       }},
+      {"tail-row-range", "cvr.tail.row-range", testMatrix(), CvrOptions{},
+       [](CvrMatrix &M) {
+         AlignedBuffer<std::int32_t> &Tails = Introspect::tails(M);
+         std::size_t Victim = 0;
+         while (Victim + 1 < Tails.size() && Tails[Victim] < 0)
+           ++Victim;
+         Tails[Victim] = M.numRows() + 100;
+         return true;
+       }},
+  };
+}
+
+/// Converts the case's matrix and applies its mutation.
+CvrMatrix mutatedCvr(const CvrMutation &Case) {
+  CvrMatrix M = CvrMatrix::fromCsr(Case.A, Case.Opts);
+  EXPECT_TRUE(Case.Mutate(M)) << Case.Name << ": matrix has no site";
+  return M;
+}
+
+/// The named mutation must be reported under its rule by checkCvr with the
+/// origin's cross checks on.
+void expectCvrMutationCaught(const std::string &Name) {
+  for (const CvrMutation &Case : cvrMutations())
+    if (Name == Case.Name) {
+      CvrMatrix M = mutatedCvr(Case);
+      expectRule(InvariantChecker::checkCvr(M, &Case.A), Case.Rule);
+      EXPECT_FALSE(test::structureClean(M));
+      return;
+    }
+  FAIL() << "no CVR mutation named " << Name;
+}
+
+TEST(InvariantCheckerMutation, CvrBandTilingBroken) {
+  expectCvrMutationCaught("band-tiling");
+}
+
+TEST(InvariantCheckerMutation, CvrSwappedRecords) {
+  expectCvrMutationCaught("swapped-records");
 }
 
 TEST(InvariantCheckerMutation, CvrDuplicateRecordPosition) {
-  // Two records at one position would share a finish-mask bit: the order
-  // rule is strict, and the structural check agrees.
-  CsrMatrix A = testMatrix();
-  CvrOptions Opts;
-  Opts.NumThreads = 2;
-  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
-  std::vector<CvrRecord> &Recs = Introspect::recs(M);
-  bool Duplicated = false;
-  for (const CvrChunk &C : M.chunks())
-    if (C.RecEnd - C.RecBase >= 2) {
-      Recs[C.RecBase + 1].Pos = Recs[C.RecBase].Pos;
-      Duplicated = true;
-      break;
-    }
-  ASSERT_TRUE(Duplicated) << "test matrix produced no chunk with two records";
-  expectRule(InvariantChecker::checkCvr(M, &A), "cvr.rec.pos-order");
-  EXPECT_FALSE(M.isValid());
+  expectCvrMutationCaught("duplicate-position");
 }
 
 TEST(InvariantCheckerMutation, CvrColumnOutOfRange) {
-  CsrMatrix A = testMatrix();
-  CvrOptions Opts;
-  Opts.Indices = ColIndexKind::U32; // A negative absolute column.
-  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
-  Introspect::colIdx(M)[3] = -2;
-  expectRule(InvariantChecker::checkCvr(M, &A), "cvr.col.range");
+  expectCvrMutationCaught("column-range");
+}
+
+TEST(InvariantCheckerMutation, CvrTailRowOutOfRange) {
+  expectCvrMutationCaught("tail-row-range");
 }
 
 TEST(InvariantCheckerMutation, CvrStolenValueCorrupted) {
@@ -237,18 +283,29 @@ TEST(InvariantCheckerMutation, CvrStolenValueCorrupted) {
       << analysis::formatViolations(Vs);
 }
 
-TEST(InvariantCheckerMutation, CvrTailRowOutOfRange) {
-  CsrMatrix A = testMatrix();
-  CvrMatrix M = CvrMatrix::fromCsr(A, {});
-  AlignedBuffer<std::int32_t> &Tails = Introspect::tails(M);
-  std::size_t Victim = 0;
-  for (std::size_t I = 0; I < Tails.size(); ++I)
-    if (Tails[I] >= 0) {
-      Victim = I;
-      break;
+TEST(InvariantCheckerMutation, BlobDecoderRejectsUnderTheCheckersRule) {
+  // The decoder runs the checker's structure walk: a blob of any mutated
+  // matrix is DATA_LOSS under the rule checkCvr reports first, in either
+  // layout.
+  for (const CvrMutation &Case : cvrMutations()) {
+    SCOPED_TRACE(Case.Name);
+    CvrMatrix M = mutatedCvr(Case);
+    std::vector<Violation> Vs = InvariantChecker::checkCvr(M);
+    ASSERT_FALSE(Vs.empty());
+    EXPECT_EQ(Vs[0].Rule, Case.Rule) << analysis::formatViolations(Vs);
+    for (BlobLayout Layout : {BlobLayout::Compact, BlobLayout::Mapped}) {
+      std::ostringstream OS;
+      ASSERT_TRUE(M.writeBlob(OS, Layout).ok());
+      std::istringstream IS(OS.str());
+      StatusOr<CvrMatrix> R = CvrMatrix::readBlob(IS);
+      ASSERT_FALSE(R.ok());
+      EXPECT_EQ(R.status().code(), StatusCode::DataLoss);
+      EXPECT_NE(R.status().message().find("[cvr.blob.integrity] " +
+                                          Vs[0].Rule + " @ "),
+                std::string::npos)
+          << R.status().message();
     }
-  Tails[Victim] = M.numRows() + 100;
-  expectRule(InvariantChecker::checkCvr(M, &A), "cvr.tail.row-range");
+  }
 }
 
 //===----------------------------------------------------------------------===//

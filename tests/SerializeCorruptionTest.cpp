@@ -122,7 +122,7 @@ TEST(SerializeCorruption, RoundTripV3Identical) {
   ASSERT_TRUE(R.ok()) << R.status().toString();
   EXPECT_EQ(R->numRows(), M.numRows());
   EXPECT_EQ(R->numNonZeros(), M.numNonZeros());
-  EXPECT_TRUE(R->isValid());
+  EXPECT_TRUE(test::structureClean(*R));
   EXPECT_EQ(blobOf(*R), Blob); // byte-for-byte stable
 }
 
@@ -347,7 +347,7 @@ TEST(SerializeCorruption, CompressedRoundTripKeepsKinds) {
   EXPECT_EQ(R->valueKind(), ValueKind::F32x64);
   EXPECT_EQ(R->colIndexKind(), ColIndexKind::U16Band);
   EXPECT_EQ(R->numNonZeros(), M.numNonZeros());
-  EXPECT_TRUE(R->isValid());
+  EXPECT_TRUE(test::structureClean(*R));
   EXPECT_EQ(blobOf(*R), Blob); // byte-for-byte stable
 }
 
@@ -505,6 +505,39 @@ TEST(SerializeCorruption, RecordPositionsOffTheMaskRejectedByBothReaders) {
           << Case.What << ": " << R.status().message();
     }
     EXPECT_TRUE(readersAgree(Mapped, /*MustReject=*/true)) << Case.What;
+  }
+}
+
+TEST(SerializeCorruption, ResealedMetadataFlipsNeverLeaveTheStreams) {
+  // A flip whose section CRC is re-sealed reaches the structure walk
+  // directly. For every bit of the chunk table, zero rows, records and
+  // tails, readBlob must reject the blob or return a matrix the kernel runs
+  // without leaving x, y or its streams, which the ASan/UBSan build checks.
+  for (bool Compressed : {false, true}) {
+    const CvrMatrix M = Compressed ? makeCompressedCvr() : makeCvr();
+    const std::string Blob = blobOf(M);
+    const std::vector<double> X(static_cast<std::size_t>(M.numCols()), 1.0);
+    std::vector<double> Y(static_cast<std::size_t>(M.numRows()));
+    int Accepted = 0;
+    for (int Section = 0; Section < 5; ++Section) {
+      const std::size_t Payload = sectionCountOffset(Blob, Section) + 8;
+      const std::size_t Bytes =
+          getU64(Blob, Payload - 8) * SectionElemSize[Section];
+      for (std::size_t Bit = 0; Bit < Bytes * 8; ++Bit) {
+        std::string Mut = Blob;
+        Mut[Payload + Bit / 8] ^= static_cast<char>(1 << (Bit % 8));
+        const std::uint32_t Crc = crc32c(Mut.data() + Payload, Bytes);
+        std::memcpy(&Mut[Payload + Bytes], &Crc, sizeof(Crc));
+        StatusOr<CvrMatrix> R = readFrom(Mut);
+        if (!R.ok())
+          continue;
+        ++Accepted;
+        cvrSpmv(*R, X.data(), Y.data());
+      }
+    }
+    // Some flips are benign (the Shared flag, record pad bytes), so the
+    // kernel did run on accepted mutants.
+    EXPECT_GT(Accepted, 0) << "compressed=" << Compressed;
   }
 }
 

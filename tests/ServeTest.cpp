@@ -603,57 +603,116 @@ TEST_F(ServeTest, MatrixMarketEntryServesThroughTheLadder) {
   expectMatchesReference(R, Svc.handle(R));
 }
 
-TEST_F(ServeTest, MappedBlobFailingOnlyStructuralRulesIsRejected) {
-  // The fleet decodes a mapped blob once (mapBlob) and runs the structural
-  // checker on the result. This blob is CRC-consistent and passes every
-  // decode-time check, but a chunk's tail range, although in bounds, is
-  // not at chunk x lanes — a rule only checkCvr enforces.
+/// Rewrites \p Len bytes at \p Off of blob section \p Section's payload
+/// (0 chunk table, 1 bands, 2 zero rows, 3 records, 4 tails) and re-seals
+/// the section's CRC32C, so the structure rules, not a checksum, see the
+/// edit.
+void patchSection(std::string &Blob, bool Mapped, int Section,
+                  std::size_t Off, const void *Bytes, std::size_t Len) {
+  const std::size_t ElemBytes[] = {sizeof(CvrChunk), sizeof(CvrBand),
+                                   sizeof(std::int32_t), sizeof(CvrRecord),
+                                   sizeof(std::int32_t)};
+  // The first section's u64 count follows magic, version, the 27-byte
+  // header and its CRC; a Mapped section has a u8 pad length and that many
+  // pad bytes before its payload.
+  std::size_t At = 39;
+  for (int I = 0;; ++I) {
+    std::uint64_t Count = 0;
+    std::memcpy(&Count, &Blob[At], sizeof(Count));
+    At += sizeof(Count);
+    if (Mapped)
+      At += 1 + static_cast<unsigned char>(Blob[At]);
+    const std::size_t Payload = Count * ElemBytes[I];
+    if (I == Section) {
+      std::memcpy(&Blob[At + Off], Bytes, Len);
+      const std::uint32_t Crc = crc32c(Blob.data() + At, Payload);
+      std::memcpy(&Blob[At + Payload], &Crc, sizeof(Crc));
+      return;
+    }
+    At += Payload + sizeof(std::uint32_t);
+  }
+}
+
+TEST_F(ServeTest, StructurallyCorruptBlobRejectedByEveryReader) {
+  // CRC-consistent blobs of a real conversion, each breaking one structure
+  // rule: a live tail slot naming a row past y (cvrSpmv would write
+  // y[numRows + 100]), and chunk 0's tail range moved onto chunk 1's, in
+  // bounds but not at chunk x lanes. Every reader runs the same structure
+  // walk, so each rejects both, DATA_LOSS naming the rule: readBlob,
+  // mapBlob, both checkBlob overloads, and the fleet, whose Compact (v3)
+  // load takes the copying stream path.
   CvrOptions Opts;
   Opts.NumThreads = 4;
-  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
+  const CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
   ASSERT_GE(M.numChunks(), 2);
-  std::ostringstream OS;
-  ASSERT_TRUE(M.writeBlob(OS, BlobLayout::Mapped).ok());
-  const std::string Good = OS.str();
+  std::size_t Slot = 0;
+  while (Slot < M.chunks().size() * M.lanes() && M.tails()[Slot] < 0)
+    ++Slot;
+  ASSERT_LT(Slot, M.chunks().size() * M.lanes()) << "no tail slot in use";
+  const std::int32_t WildRow = M.numRows() + 100;
+  const std::int64_t ShiftedBase = M.lanes();
+  const struct {
+    const char *Rule;
+    int Section;
+    std::size_t Off;
+    const void *Bytes;
+    std::size_t Len;
+  } Cases[] = {
+      {"cvr.tail.row-range", 4, Slot * sizeof(std::int32_t), &WildRow,
+       sizeof(WildRow)},
+      {"cvr.chunk.layout", 0, offsetof(CvrChunk, TailBase), &ShiftedBase,
+       sizeof(ShiftedBase)},
+  };
 
-  // Mapped layout: the chunk table's u64 count sits after magic, version,
-  // the 27-byte header and its CRC (offset 39); then a u8 pad length, the
-  // pad, the payload, and the payload's CRC32C.
-  const std::size_t CountOff = 39;
-  const std::size_t PayloadOff =
-      CountOff + 9 + static_cast<unsigned char>(Good[CountOff + 8]);
-  const std::size_t PayloadBytes =
-      static_cast<std::size_t>(M.numChunks()) * sizeof(CvrChunk);
-  const std::int64_t MaxTailBase =
-      static_cast<std::int64_t>(M.numChunks() - 1) * M.lanes();
+  for (const auto &Case : Cases)
+    for (BlobLayout Layout : {BlobLayout::Compact, BlobLayout::Mapped}) {
+      const bool Mapped = Layout == BlobLayout::Mapped;
+      SCOPED_TRACE(std::string(Case.Rule) + (Mapped ? " mapped" : " compact"));
+      std::ostringstream OS;
+      ASSERT_TRUE(M.writeBlob(OS, Layout).ok());
+      std::string Blob = OS.str();
+      patchSection(Blob, Mapped, Case.Section, Case.Off, Case.Bytes,
+                   Case.Len);
+      auto ExpectRejected = [&](const Status &S, const char *Reader) {
+        EXPECT_EQ(S.code(), StatusCode::DataLoss) << Reader << ": "
+                                                  << S.toString();
+        EXPECT_NE(S.message().find(Case.Rule), std::string::npos)
+            << Reader << ": " << S.toString();
+      };
+      auto ExpectViolation = [&](const std::vector<analysis::Violation> &Vs,
+                                 const char *Reader) {
+        ASSERT_EQ(Vs.size(), 1u) << Reader;
+        EXPECT_EQ(Vs[0].Rule, Case.Rule) << Reader;
+        EXPECT_EQ(Vs[0].Message.rfind("DATA_LOSS: ", 0), 0u) << Reader;
+      };
 
-  // Move chunk 0's tail range to the first in-bounds base the decoder
-  // still accepts (validateStructure and isValid both run inside it).
-  std::string Bad;
-  for (std::int64_t Base = 1; Base <= MaxTailBase && Bad.empty(); ++Base) {
-    std::string B = Good;
-    std::memcpy(&B[PayloadOff + offsetof(CvrChunk, TailBase)], &Base,
-                sizeof(Base));
-    std::uint32_t Crc = crc32c(B.data() + PayloadOff, PayloadBytes);
-    std::memcpy(&B[PayloadOff + PayloadBytes], &Crc, sizeof(Crc));
-    std::istringstream IS(B);
-    if (CvrMatrix::readBlob(IS).ok())
-      Bad = B;
-  }
-  ASSERT_FALSE(Bad.empty()) << "no in-bounds tail base survives decoding";
+      std::istringstream IS(Blob);
+      ExpectRejected(CvrMatrix::readBlob(IS).status(), "readBlob");
+      std::istringstream CheckIS(Blob);
+      ExpectViolation(analysis::InvariantChecker::checkBlob(CheckIS),
+                      "checkBlob(stream)");
+      AlignedBuffer<char> Img(Blob.size());
+      std::memcpy(Img.data(), Blob.data(), Blob.size());
+      StatusOr<CvrMatrix> View = CvrMatrix::mapBlob(Img.data(), Blob.size());
+      if (Mapped) {
+        ExpectRejected(View.status(), "mapBlob");
+        ExpectViolation(
+            analysis::InvariantChecker::checkBlob(Img.data(), Blob.size()),
+            "checkBlob(image)");
+      } else {
+        // The Compact layout cannot be mapped; the fleet streams it.
+        EXPECT_EQ(View.status().code(), StatusCode::FailedPrecondition);
+      }
 
-  std::string BadPath = test::uniqueTempPath(".bad.cvr");
-  {
-    std::ofstream Out(BadPath, std::ios::binary);
-    Out.write(Bad.data(), static_cast<std::streamsize>(Bad.size()));
-  }
-  Status S = TheFleet->addBlob("bad", BadPath);
-  (void)std::remove(BadPath.c_str());
-  ASSERT_FALSE(S.ok());
-  EXPECT_EQ(S.code(), StatusCode::DataLoss) << S.toString();
-  EXPECT_NE(S.message().find("cvr.chunk.layout"), std::string::npos)
-      << S.toString();
-  EXPECT_EQ(TheFleet->find("bad"), nullptr);
+      const std::string BadPath = test::uniqueTempPath(".bad.cvr");
+      {
+        std::ofstream Out(BadPath, std::ios::binary);
+        Out.write(Blob.data(), static_cast<std::streamsize>(Blob.size()));
+      }
+      ExpectRejected(TheFleet->addBlob("bad", BadPath), "Fleet::addBlob");
+      (void)std::remove(BadPath.c_str());
+      EXPECT_EQ(TheFleet->find("bad"), nullptr);
+    }
 }
 
 //===----------------------------------------------------------------------===//

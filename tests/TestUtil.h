@@ -69,6 +69,20 @@ private:
 /// threads perturbs the last few bits, scaled by row length.
 inline constexpr double SpmvTolerance = 1e-10;
 
+/// Success when CvrMatrix::checkStructure, the walk conversion, the blob
+/// decoder and the invariant checker share, reports nothing; the
+/// violations otherwise.
+inline ::testing::AssertionResult structureClean(const CvrMatrix &M) {
+  std::vector<Violation> Vs;
+  M.checkStructure(Vs, 64);
+  if (Vs.empty())
+    return ::testing::AssertionSuccess();
+  ::testing::AssertionResult Failure = ::testing::AssertionFailure();
+  for (const Violation &V : Vs)
+    Failure << V.toString() << '\n';
+  return Failure;
+}
+
 /// y = A x with the epilogue \p E applied, evaluated plainly: referenceSpmv,
 /// then the op table of formats/FusedEpilogue.h one row at a time in index
 /// order, every accumulator a single running sum. Zeroes E's accumulators
@@ -201,7 +215,7 @@ inline void expectWriteBackMatchesReference(const CsrMatrix &A,
   for (std::int64_t Block : {std::int64_t(0), std::int64_t(A.numCols()) * 3}) {
     Opts.ColBlockBytes = Block;
     const CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
-    ASSERT_TRUE(M.isValid()) << Where;
+    ASSERT_TRUE(structureClean(M)) << Where;
 
     std::vector<double> YK(N, 0.5), YC(N, -0.5);
     std::vector<analysis::Violation> Vs;
