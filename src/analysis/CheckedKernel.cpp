@@ -6,12 +6,10 @@
 
 #include "analysis/CheckedKernel.h"
 
-#include "analysis/CheckedSpmv.h"
 #include "core/CvrSpmv.h"
 #include "matrix/Reference.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 namespace cvr {
@@ -30,15 +28,21 @@ void CheckedKernel::prepare(const CsrMatrix &A) {
   Vs.insert(Vs.end(), Found.begin(), Found.end());
 }
 
+bool CheckedKernel::structureSound() const {
+  // Any CVR-backed kernel (CvrKernel, serve::CvrViewKernel). A local list,
+  // because the walk stops at once when its output is already full.
+  const auto *Cvr = dynamic_cast<const CvrMatrixSource *>(Inner.get());
+  if (!Cvr)
+    return true;
+  std::vector<Violation> Found;
+  Cvr->cvrMatrix().checkStructure(Found, InvariantChecker::MaxViolations);
+  Vs.insert(Vs.end(), Found.begin(), Found.end());
+  return Found.empty();
+}
+
 void CheckedKernel::run(const double *X, double *Y) const {
-  // Any CVR-backed kernel (CvrKernel, serve::CvrViewKernel) runs the guarded
-  // pass; its prefetch distance is irrelevant there (prefetching never
-  // changes results).
-  if (const auto *Cvr = dynamic_cast<const CvrMatrixSource *>(Inner.get())) {
-    cvrSpmvChecked(Cvr->cvrMatrix(), X, Y, Vs);
-    return;
-  }
-  Inner->run(X, Y);
+  if (structureSound())
+    Inner->run(X, Y);
 }
 
 namespace {
@@ -55,12 +59,10 @@ bool fusedClose(double A, double B, double RelTol) {
 
 Status CheckedKernel::runBatch(const double *X, std::size_t LdX, double *Y,
                                std::size_t LdY, int NumVectors) const {
-  // The path under test, which validates the arguments: CVR runs the panel
-  // kernel under the bounds guard, other formats their own runBatch.
-  const auto *Cvr = dynamic_cast<const CvrMatrixSource *>(Inner.get());
-  Status S = Cvr ? cvrSpmmChecked(Cvr->cvrMatrix(), X, LdX, Y, LdY,
-                                  NumVectors, Vs)
-                 : Inner->runBatch(X, LdX, Y, LdY, NumVectors);
+  if (!structureSound())
+    return Status::okStatus(); // Reported; y stays as it was.
+  // The path under test, which validates the arguments.
+  Status S = Inner->runBatch(X, LdX, Y, LdY, NumVectors);
   if (!S.ok())
     return S;
   const std::int64_t Rows = Inner->preparedRows();
@@ -68,7 +70,7 @@ Status CheckedKernel::runBatch(const double *X, std::size_t LdX, double *Y,
   if (Rows < 0 || Cols < 0)
     return S; // Nothing to check against; the inner call accepted it.
 
-  // Reference: each panel column through the checked single-vector path.
+  // Reference: each panel column through the inner kernel's SpMV.
   std::vector<double> Xc(static_cast<std::size_t>(Cols));
   std::vector<double> YRef(static_cast<std::size_t>(Rows));
   constexpr double RowTol = 1.0e-10;
@@ -77,10 +79,7 @@ Status CheckedKernel::runBatch(const double *X, std::size_t LdX, double *Y,
     for (std::int64_t I = 0; I < Cols; ++I)
       Xc[static_cast<std::size_t>(I)] =
           X[static_cast<std::size_t>(I) * LdX + J];
-    if (Cvr)
-      cvrSpmvChecked(Cvr->cvrMatrix(), Xc.data(), YRef.data(), Vs);
-    else
-      Inner->run(Xc.data(), YRef.data());
+    Inner->run(Xc.data(), YRef.data());
     for (std::int64_t R = 0; R < Rows; ++R) {
       double Got = Y[static_cast<std::size_t>(R) * LdY + J];
       double Want = YRef[static_cast<std::size_t>(R)];
@@ -100,14 +99,16 @@ Status CheckedKernel::runBatch(const double *X, std::size_t LdX, double *Y,
 
 void CheckedKernel::runFused(const double *X, double *Y,
                              FusedEpilogue &E) const {
+  if (!structureSound())
+    return; // Reported; y and the epilogue's outputs stay as they were.
   std::int64_t N = Inner->preparedRows();
   if (N < 0) {
     Inner->runFused(X, Y, E);
     return;
   }
-  // Reference: the checked run (cvrSpmvChecked for CVR) composed with the
-  // epilogue sweep, side outputs redirected into scratch so the path under
-  // test's writes stay authoritative.
+  // Reference: the inner kernel's run composed with the epilogue sweep,
+  // side outputs redirected into scratch so the path under test's writes
+  // stay authoritative.
   std::vector<double> YRef(static_cast<std::size_t>(N), 0.0);
   std::vector<double> RScratch, XScratch;
   FusedEpilogue ERef = E;
@@ -119,10 +120,7 @@ void CheckedKernel::runFused(const double *X, double *Y,
     XScratch.resize(static_cast<std::size_t>(N));
     ERef.XNew = XScratch.data();
   }
-  if (const auto *Cvr = dynamic_cast<const CvrMatrixSource *>(Inner.get()))
-    cvrSpmvChecked(Cvr->cvrMatrix(), X, YRef.data(), Vs);
-  else
-    Inner->run(X, YRef.data());
+  Inner->run(X, YRef.data());
   applyEpilogueScalar(ERef, X, YRef.data(), N);
 
   // The path under test.
@@ -185,16 +183,6 @@ std::unique_ptr<SpmvKernel> makeCheckedKernel(FormatId F, int NumThreads) {
   return std::make_unique<CheckedKernel>(makeKernel(F, NumThreads));
 }
 
-bool checkedModeRequested() {
-  const char *Env = std::getenv("CVR_CHECKED");
-  return Env && Env[0] != '\0' && !(Env[0] == '0' && Env[1] == '\0');
-}
-
-std::vector<KernelVariant> variantsRespectingEnv(FormatId F, int NumThreads) {
-  return checkedModeRequested() ? checkedVariantsOf(F, NumThreads)
-                                : variantsOf(F, NumThreads);
-}
-
 std::vector<VariantReport> validateMatrix(const CsrMatrix &A,
                                           const FormatId *Only,
                                           int NumThreads, double Tol) {
@@ -227,7 +215,6 @@ std::vector<VariantReport> validateMatrix(const CsrMatrix &A,
                             -7.5e306); // Poison exposes unwritten rows.
       if (A.numRows() > 0)
         K->run(X.data(), Y.data());
-      Rep.Runtime = CK->violations();
       Rep.MaxRelDiff = maxRelDiff(Ref, Y);
       Rep.DiffOk = Rep.MaxRelDiff <= Tol && std::isfinite(Rep.MaxRelDiff);
       Reports.push_back(std::move(Rep));

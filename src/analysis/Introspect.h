@@ -85,47 +85,19 @@ struct VhccView {
 /// Friend-of-every-format accessor bundle (see file comment).
 struct Introspect {
   // --- CvrMatrix --------------------------------------------------------
-  static const std::vector<CvrRecord> &recs(const CvrMatrix &M) {
-    return M.Recs;
-  }
   static std::vector<CvrRecord> &recs(CvrMatrix &M) { return M.Recs; }
-  static const AlignedBuffer<double> &vals(const CvrMatrix &M) {
-    return M.Vals;
-  }
   static AlignedBuffer<double> &vals(CvrMatrix &M) { return M.Vals; }
-  static const AlignedBuffer<std::int32_t> &colIdx(const CvrMatrix &M) {
-    return M.ColIdx;
-  }
   static AlignedBuffer<std::int32_t> &colIdx(CvrMatrix &M) { return M.ColIdx; }
-  static const AlignedBuffer<float> &vals32(const CvrMatrix &M) {
-    return M.Vals32;
-  }
   static AlignedBuffer<float> &vals32(CvrMatrix &M) { return M.Vals32; }
-  static const AlignedBuffer<std::uint16_t> &colIdx16(const CvrMatrix &M) {
-    return M.ColIdx16;
-  }
   static AlignedBuffer<std::uint16_t> &colIdx16(CvrMatrix &M) {
     return M.ColIdx16;
   }
-  static const AlignedBuffer<std::int32_t> &tails(const CvrMatrix &M) {
-    return M.Tails;
-  }
   static AlignedBuffer<std::int32_t> &tails(CvrMatrix &M) { return M.Tails; }
   static std::vector<CvrChunk> &chunks(CvrMatrix &M) { return M.Chunks; }
-  static const std::vector<std::int32_t> &zeroRows(const CvrMatrix &M) {
-    return M.ZeroRows;
-  }
   static std::vector<std::int32_t> &zeroRows(CvrMatrix &M) {
     return M.ZeroRows;
   }
   static std::vector<CvrBand> &bands(CvrMatrix &M) { return M.Bands; }
-  /// The derived finish masks of every chunk (see CvrMatrix::finishMasks).
-  static const AlignedBuffer<std::uint8_t> &finishMasks(const CvrMatrix &M) {
-    return M.FinishMasks;
-  }
-  static AlignedBuffer<std::uint8_t> &finishMasks(CvrMatrix &M) {
-    return M.FinishMasks;
-  }
 
   // --- CsrMatrix --------------------------------------------------------
   static AlignedBuffer<std::int32_t> &csrColIdx(CsrMatrix &A) {

@@ -129,7 +129,6 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
   const std::vector<CvrChunk> &Chunks = M.chunks();
   const CvrRecord *Recs = M.recs();
   const std::int32_t *Tails = M.tails();
-  const bool NarrowVal = M.valueKind() == ValueKind::F32x64;
 
   std::vector<CvrBand> Bands(M.bands());
   if (Bands.empty())
@@ -200,8 +199,8 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
       // Element accounting: the dense steps x omega stream must hold the
       // chunk's nonzeros exactly once, with zero-value pads (raw column 0:
       // absolute 0 for u32, the band base for u16 deltas) covering the
-      // slack (steps * omega - chunk nnz). Narrow value streams round each
-      // coefficient through f32 once, so the source is compared rounded.
+      // slack (steps * omega - chunk nnz). Every stored value is exact, so
+      // the source compares as it is.
       struct Slot {
         std::int32_t Col;
         double Val;
@@ -221,10 +220,7 @@ std::vector<Violation> InvariantChecker::checkCvr(const CvrMatrix &M,
       }
       Source.reserve(static_cast<std::size_t>(P.size()));
       for (std::int64_t I = P.NnzStart; I < P.NnzEnd; ++I)
-        Source.emplace_back(Src->colIdx()[I],
-                            NarrowVal ? static_cast<double>(
-                                            static_cast<float>(Src->vals()[I]))
-                                      : Src->vals()[I]);
+        Source.emplace_back(Src->colIdx()[I], Src->vals()[I]);
       std::sort(Stream.begin(), Stream.end());
       std::sort(Source.begin(), Source.end());
       std::size_t SI = 0;

@@ -6,10 +6,9 @@
 ///
 /// \file
 /// The one CVR chunk loop (Algorithm 4 on the 8-lane vector of simd/Simd.h,
-/// AVX-512 or emulated) and the one pass driver, private to core/ and
-/// analysis/. CvrSpmv.cpp runs and traces SpMV through them, CvrSpmm.cpp
-/// runs SpMM, and checked mode (analysis/CheckedSpmv.cpp) runs both under
-/// its bounds guard.
+/// AVX-512 or emulated) and the one pass driver, private to core/.
+/// CvrSpmv.cpp runs and traces SpMV through them, and CvrSpmm.cpp runs
+/// SpMM.
 ///
 /// runChunk is the skeleton: stream setup, kind widening, step pairs, the
 /// record drain, the steal into t_result, the tail flush and every observer
@@ -17,10 +16,11 @@
 /// for SpMV, PanelLanes for SpMM), a write-back how a finished row leaves
 /// (RowWriteBack or PanelWriteBack, storing or, for column-blocked bands,
 /// adding), and an observer sees every memory reference first (NoObserver
-/// for execution, which compiles to the plain kernel; the trace observer
-/// in CvrSpmv.cpp; the bounds guard in analysis/CheckedSpmv.cpp). runPass
-/// is the one pass over a matrix: it clears y, orders the bands and runs
-/// the chunk ranges.
+/// for execution, which compiles to the plain kernel; the trace observer in
+/// CvrSpmv.cpp). An observer only watches: like the paper's kernel, the
+/// loop reads and writes through rec and tail unchecked, because every
+/// CvrMatrix has passed CvrMatrix::checkStructure. runPass is the one pass
+/// over a matrix: it clears y, orders the bands and runs the chunk ranges.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -135,17 +135,14 @@ template <class Panel, bool Add> struct PanelWriteBack {
   void zero(std::int32_t Row) const { std::fill_n(row(Row), P.width(), 0.0); }
 };
 
-/// The execution observer: lets every access through. Its hooks are the
-/// observer interface; a hook that can veto returns whether the loop may go
-/// ahead. Other observers derive from it and hide the hooks they need.
+/// The execution observer: does nothing. Its hooks are the observer
+/// interface; other observers derive from it and hide the hooks they need.
 struct NoObserver {
   /// runPass is about to clear \p Row of y through \p Out.
   template <class WriteBack>
-  bool zero(const CvrMatrix &, const WriteBack &, std::int32_t) {
-    return true;
-  }
-  /// Entry to chunk \p C; false skips the chunk.
-  bool chunk(const CvrMatrix &, const CvrChunk &) { return true; }
+  void zero(const CvrMatrix &, const WriteBack &, std::int32_t) {}
+  /// Entry to chunk \p C.
+  void chunk(const CvrMatrix &, const CvrChunk &) {}
   /// Step \p I (the chunk's NumSteps for the trailing records) is about to
   /// stage the lanes set in its finish-mask byte \p Mask (staging lane
   /// policies only).
@@ -154,19 +151,16 @@ struct NoObserver {
   /// vector of the step pair.
   void loads(std::int64_t) {}
   /// The step whose first stream element is \p Elem is about to read x at
-  /// the columns \p Idx; returns the lanes that may (the others read 0).
-  unsigned gather(simd::VecI8, std::int64_t) { return simd::AllLanes; }
-  /// \p Staged retired values are about to drain through the records from
-  /// \p Next on; false drops them all.
-  bool drain(const CvrRecord *, int) { return true; }
+  /// the columns \p Idx.
+  void gather(simd::VecI8, std::int64_t) {}
   /// Record \p R is about to take staged value \p Slot of the drain (-1: a
-  /// per-record retire, which takes the record's own lane); false drops it.
-  bool record(const CvrRecord &, int) { return true; }
+  /// per-record retire, which takes the record's own lane).
+  void record(const CvrRecord &, int) {}
   /// \p Out is about to finish \p Row.
   template <class WriteBack>
   void finish(const WriteBack &, std::int32_t, bool) {}
-  /// Tail slot \p K, at \p Slot, is about to be read; false skips it.
-  bool tail(const std::int32_t *, int) { return true; }
+  /// Tail slot \p K, at \p Slot, is about to be read.
+  void tail(const std::int32_t *, int) {}
 };
 
 /// One chunk's value and column-index streams in their stored kinds. A
@@ -265,14 +259,10 @@ template <int PfDist> struct GatherLanes {
     }
   }
 
-  /// Step \p I: x at the \p Live lanes of \p Idx times the step's values.
+  /// Step \p I: x at the columns \p Idx times the step's values.
   template <class Streams>
-  void step(const Streams &S, std::int64_t I, simd::VecI8 Idx,
-            unsigned Live) {
-    simd::VecD8 Xs = Live == simd::AllLanes
-                         ? simd::VecD8::gather(X, Idx)
-                         : simd::VecD8::maskGather(X, Idx, Live);
-    VOut = VOut.fmadd(S.vals8(I), Xs);
+  void step(const Streams &S, std::int64_t I, simd::VecI8 Idx) {
+    VOut = VOut.fmadd(S.vals8(I), simd::VecD8::gather(X, Idx));
   }
 
   /// Stages and clears the lanes in \p F.
@@ -314,14 +304,12 @@ template <class Panel> struct PanelLanes {
   template <class Streams>
   void prefetch(const Streams &, std::int64_t, std::int64_t) const {}
 
-  /// Step \p I: each \p Live lane's value times its panel row of X. Each
-  /// column feeds its own load, so they are read one at a time (Idx holds
-  /// them widened for the observer).
+  /// Step \p I: each lane's value times its panel row of X. Each column
+  /// feeds its own load, so they are read one at a time (Idx holds them
+  /// widened for the observer).
   template <class Streams>
-  void step(const Streams &S, std::int64_t I, simd::VecI8, unsigned Live) {
+  void step(const Streams &S, std::int64_t I, simd::VecI8) {
     for (int K = 0; K < W; ++K) {
-      if (!(Live & (1U << K)))
-        continue;
       const std::int64_t E = I * W + K;
       VOut[K] = VOut[K].fmadd(Value::broadcast(S.val(E)),
                               In.P.load(In.X + S.col(E) * In.LdX));
@@ -362,8 +350,7 @@ static CVR_HOT void runChunk(const CvrMatrix &M, const CvrChunk &C,
                              Observer Obs = {}) {
   constexpr int W = StepLanes;
   static_assert(W == simd::DoubleLanes, "one CVR step fills one VecD8");
-  if (!Obs.chunk(M, C))
-    return;
+  Obs.chunk(M, C);
   const auto CI = static_cast<std::size_t>(&C - M.chunks().data());
   const std::int32_t ColBase = M.chunkColBase(CI);
   const std::uint8_t *Masks = M.finishMasks(CI);
@@ -378,16 +365,13 @@ static CVR_HOT void runChunk(const CvrMatrix &M, const CvrChunk &C,
   // Out is captured by copy, and Drain by copy below: a closure another
   // closure refers to stays in memory, and with it what it refers to.
   auto Drain = [&, Out](int N) {
-    if (Obs.drain(Rec, N)) {
-      for (int K = 0; K < N; ++K, ++Rec) {
-        if (!Obs.record(*Rec, Lanes::Stages ? K : -1))
-          continue;
-        if (Rec->Steal) {
-          Lanes::steal(TResult[Rec->Wb], L.take(*Rec, K));
-        } else {
-          Obs.finish(Out, Rec->Wb, Rec->Shared);
-          Out.finish(Rec->Wb, L.take(*Rec, K), Rec->Shared);
-        }
+    for (int K = 0; K < N; ++K, ++Rec) {
+      Obs.record(*Rec, Lanes::Stages ? K : -1);
+      if (Rec->Steal) {
+        Lanes::steal(TResult[Rec->Wb], L.take(*Rec, K));
+      } else {
+        Obs.finish(Out, Rec->Wb, Rec->Shared);
+        Out.finish(Rec->Wb, L.take(*Rec, K), Rec->Shared);
       }
     }
   };
@@ -412,7 +396,8 @@ static CVR_HOT void runChunk(const CvrMatrix &M, const CvrChunk &C,
   auto Step = [&](std::int64_t I, simd::VecI8 Idx) {
     Retire(I);
     Obs.loads(I);
-    L.step(S, I, Idx, Obs.gather(Idx, C.ElemBase + I * W));
+    Obs.gather(Idx, C.ElemBase + I * W);
+    L.step(S, I, Idx);
   };
 
   // NumSteps is even (checkStructure), so steps run in pairs.
@@ -440,8 +425,7 @@ static CVR_HOT void runChunk(const CvrMatrix &M, const CvrChunk &C,
   // Tail flush: t_result slots back to their rows (Algorithm 4 l.31-33).
   const std::int32_t *Tails = M.tails() + C.TailBase;
   for (int K = 0; K < W; ++K) {
-    if (!Obs.tail(Tails + K, K))
-      continue;
+    Obs.tail(Tails + K, K);
     const std::int32_t Row = Tails[K];
     if (Row < 0)
       continue;
@@ -505,16 +489,18 @@ template <class Lanes, class StoreOut, class AccumulateOut,
 void runPass(const CvrMatrix &M, const typename Lanes::Input &In,
              StoreOut Store, AccumulateOut Accumulate, Observer Obs = {}) {
   if (M.isBlocked()) {
-    for (std::int32_t R = 0; R < M.numRows(); ++R)
-      if (Obs.zero(M, Accumulate, R))
-        Accumulate.zero(R);
+    for (std::int32_t R = 0; R < M.numRows(); ++R) {
+      Obs.zero(M, Accumulate, R);
+      Accumulate.zero(R);
+    }
     for (const CvrBand &B : M.bands())
       runChunkRange<Lanes>(M, B.ChunkBegin, B.ChunkEnd, In, Accumulate, Obs);
     return;
   }
-  for (std::int32_t R : M.zeroRows())
-    if (Obs.zero(M, Store, R))
-      Store.zero(R);
+  for (std::int32_t R : M.zeroRows()) {
+    Obs.zero(M, Store, R);
+    Store.zero(R);
+  }
   runChunkRange<Lanes>(M, 0, M.numChunks(), In, Store, Obs);
 }
 

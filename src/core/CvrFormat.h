@@ -244,7 +244,7 @@ public:
   }
 
   /// Kind-independent element decode for the cold paths (validation,
-  /// tracing, shadow kernels). \p Base is the owning chunk's
+  /// the roofline model). \p Base is the owning chunk's
   /// chunkColBase().
   double valueAt(std::int64_t I) const {
     return VKind == ValueKind::F32x64 ? static_cast<double>(Vals32[I])

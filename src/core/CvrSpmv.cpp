@@ -45,7 +45,7 @@ using detail::StoreWriteBack;
 /// kernel. Records are reported as the drain reads them. Stream element
 /// widths follow the kinds: the compressed streams read 2-byte index
 /// deltas and 4-byte fp32 values, which is exactly the traffic reduction
-/// the roofline model predicts. Drains need no report of their own.
+/// the roofline model predicts.
 ///
 /// The hooks stay out of line: inlined, they would swell the traced
 /// instantiations enough to change how GCC inlines the executing kernels in
@@ -56,13 +56,12 @@ public:
 
   /// The prologue's clear of y.
   template <class WriteBack>
-  [[gnu::noinline]] bool zero(const CvrMatrix &, const WriteBack &Out,
+  [[gnu::noinline]] void zero(const CvrMatrix &, const WriteBack &Out,
                               std::int32_t Row) {
     Sink->write(Out.Y + Row, sizeof(double));
-    return true;
   }
 
-  [[gnu::noinline]] bool chunk(const CvrMatrix &M, const CvrChunk &C) {
+  [[gnu::noinline]] void chunk(const CvrMatrix &M, const CvrChunk &C) {
     IdxB = M.indexBytes();
     ValB = M.valueBytes();
     ColsP = M.colIndexKind() == ColIndexKind::U16Band
@@ -72,7 +71,6 @@ public:
                 ? reinterpret_cast<const char *>(M.vals32() + C.ElemBase)
                 : reinterpret_cast<const char *>(M.vals() + C.ElemBase);
     MaskP = M.finishMasks(static_cast<std::size_t>(&C - M.chunks().data()));
-    return true;
   }
 
   /// One finish-mask byte per step, plus the trailing one.
@@ -88,19 +86,17 @@ public:
     Sink->read(ValsP + I * W * ValB, W * ValB);
   }
 
-  [[gnu::noinline]] unsigned gather(simd::VecI8 Idx, std::int64_t) {
+  [[gnu::noinline]] void gather(simd::VecI8 Idx, std::int64_t) {
     std::int32_t Cols[W];
     Idx.storeu(Cols);
     for (std::int32_t Col : Cols)
       Sink->read(X + Col, sizeof(double));
-    return simd::AllLanes;
   }
 
   /// A steal record's t_result slot lives in registers/stack: the record
   /// read is its only traffic.
-  [[gnu::noinline]] bool record(const CvrRecord &R, int) {
+  [[gnu::noinline]] void record(const CvrRecord &R, int) {
     Sink->read(&R, sizeof(CvrRecord));
-    return true;
   }
 
   template <class WriteBack>
@@ -109,9 +105,8 @@ public:
     Out.traceFinish(*Sink, Row, Shared);
   }
 
-  [[gnu::noinline]] bool tail(const std::int32_t *Slot, int) {
+  [[gnu::noinline]] void tail(const std::int32_t *Slot, int) {
     Sink->read(Slot, sizeof(std::int32_t));
-    return true;
   }
 
 private:

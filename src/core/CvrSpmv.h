@@ -15,7 +15,7 @@
 ///
 /// One chunk loop (core/CvrChunkLoop.h) serves every matrix, on AVX-512
 /// or on the emulated vector of simd/Simd.h, and one pass driver runs it
-/// for SpMV, SpMM (core/CvrSpmm.h), traces and checked mode. SpMV
+/// for SpMV, SpMM (core/CvrSpmm.h) and traces. SpMV
 /// instantiates it per write-back policy (store, accumulate for blocked
 /// bands) and prefetch distance. A fused epilogue runs after it as one
 /// sweep, as on every format: SpmvKernel's runFused, runBatchFused and

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A thin SIMD abstraction with exactly the operations the paper's kernels
-/// need: aligned load/store, 8-way index gather (plain and masked), fused
+/// need: aligned load/store, 8-way index gather, fused
 /// multiply-add, lane spill, masked lane compress and clear, and horizontal
 /// reduction. When the translation unit is compiled with AVX-512F the
 /// operations map 1:1 onto 512-bit intrinsics (VecD8 is a __m512d);
@@ -16,8 +16,8 @@
 ///
 /// The lane count is fixed at 8 because the paper evaluates double-precision
 /// SpMV, where omega = 512 / 64 = 8 on KNL. The CVR chunk loop in
-/// core/CvrChunkLoop.h is written against these types only, so executing,
-/// tracing and checked runs all go through one of the two tiers.
+/// core/CvrChunkLoop.h is written against these types only, so executing
+/// and tracing runs both go through one of the two tiers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,9 +40,6 @@ namespace simd {
 /// Number of double-precision lanes in one vector register (the paper's
 /// omega for f64).
 inline constexpr int DoubleLanes = 8;
-
-/// The lane mask that selects all DoubleLanes lanes.
-inline constexpr unsigned AllLanes = 0xFFU;
 
 /// Asserts 64-byte alignment provenance on a pointer. The two consumers:
 /// the compiler (via __builtin_assume_aligned, which licenses aligned
@@ -133,15 +130,6 @@ struct VecD8 {
   /// Gathers Base[Idx[k]] for each of the 8 lanes.
   static VecD8 gather(const double *Base, VecI8 Idx) {
     return {_mm512_i32gather_pd(Idx.Reg, Base, 8)};
-  }
-
-  /// Masked gather: lane k gathers Base[Idx[k]] when bit k of \p Mask is
-  /// set and is zero otherwise. Masked-off lanes are never dereferenced,
-  /// so checked mode can drop an out-of-range index without faulting.
-  static VecD8 maskGather(const double *Base, VecI8 Idx, unsigned Mask) {
-    return {_mm512_mask_i32gather_pd(_mm512_setzero_pd(),
-                                     static_cast<__mmask8>(Mask), Idx.Reg,
-                                     Base, 8)};
   }
 
   /// Stores 8 doubles to 64-byte aligned memory.
@@ -302,14 +290,6 @@ struct VecD8 {
     VecD8 V;
     for (int K = 0; K < 8; ++K)
       V.Lane[K] = Base[Idx.Lane[K]];
-    return V;
-  }
-
-  static VecD8 maskGather(const double *Base, VecI8 Idx, unsigned Mask) {
-    VecD8 V{};
-    for (int K = 0; K < 8; ++K)
-      if (Mask & (1U << K))
-        V.Lane[K] = Base[Idx.Lane[K]];
     return V;
   }
 

@@ -6,13 +6,10 @@
 //
 // Property tests pinning the CVR kernel to the scalar references across
 // randomized sparsity structures: the product must match scalar CSR up to
-// floating-point reassociation, and checked mode, which runs the same
-// chunk loop under its bounds guard, must agree with the kernel to the
-// last few ulps and report nothing.
+// floating-point reassociation.
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/CheckedSpmv.h"
 #include "core/Cvr.h"
 
 #include "TestUtil.h"
@@ -70,17 +67,8 @@ TEST_P(CvrFuzz, AvxGenericAndReferenceAgree) {
   CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
 
   std::vector<double> YV(static_cast<std::size_t>(A.numRows()), 1.0);
-  std::vector<double> YC(static_cast<std::size_t>(A.numRows()), 2.0);
-  std::vector<analysis::Violation> Vs;
   cvrSpmv(M, X.data(), YV.data());
-  analysis::cvrSpmvChecked(M, X.data(), YC.data(), Vs);
-
   EXPECT_LE(maxRelDiff(Expected, YV), SpmvTolerance) << "kernel";
-  EXPECT_TRUE(Vs.empty()) << analysis::formatViolations(Vs);
-  // Same loop, stream and per-lane accumulation order; only the order of
-  // the boundary rows' atomic adds may differ.
-  EXPECT_LE(maxRelDiff(YV, YC), 1e-13)
-      << "checked mode diverged from the kernel beyond rounding";
 }
 
 TEST_P(CvrFuzz, RepeatedRunsAreIdempotent) {

@@ -14,7 +14,7 @@
 //     reproduce the parallel runFused results bit for bit for a fixed
 //     configuration, the checked mode's differential fused verification
 //     must come up clean on a correct kernel, and it must name the row a
-//     faulty run() got wrong.
+//     faulty runFused() got wrong.
 //
 //===----------------------------------------------------------------------===//
 
@@ -227,8 +227,8 @@ TEST(FusedEpilogue, TraceReplayMatchesExecutionBitForBit) {
 }
 
 TEST(FusedEpilogue, CheckedModeVerifiesFusedPath) {
-  // CheckedKernel re-derives every fused result from the checked run plus
-  // the sweep; a clean production path must produce zero violations, and
+  // CheckedKernel re-derives every fused result from the inner kernel's run
+  // plus the sweep; a clean production path must produce zero violations, and
   // must still match referenceEpilogue under the decorator.
   CsrMatrix A = genStencil5(15, 15);
   for (FormatId F : {FormatId::Mkl, FormatId::Cvr}) {
@@ -242,15 +242,15 @@ TEST(FusedEpilogue, CheckedModeVerifiesFusedPath) {
   }
 }
 
-/// A CVR kernel whose run() gets row \p BadRow wrong, as a write-back bug
-/// would. Checked mode's reference runs the bounds-checked shadow over the
-/// same matrix instead, so only the path under test sees the fault.
+/// A CVR kernel whose runFused() gets row \p BadRow wrong, as a fused
+/// write-back bug would. Checked mode's reference is the kernel's run()
+/// plus the scalar sweep, so only the path under test sees the fault.
 class PerturbedCvrKernel final : public CvrKernel {
 public:
   explicit PerturbedCvrKernel(std::int32_t BadRow) : BadRow(BadRow) {}
 
-  void run(const double *X, double *Y) const override {
-    CvrKernel::run(X, Y);
+  void runFused(const double *X, double *Y, FusedEpilogue &E) const override {
+    CvrKernel::runFused(X, Y, E);
     Y[BadRow] += 1.0;
   }
 

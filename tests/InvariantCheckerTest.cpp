@@ -11,16 +11,15 @@
 //  * targeted mutations — one corrupted field per test, injected through
 //    analysis::Introspect — are caught and attributed to the *named* rule,
 //    which is the property `cvr_tool validate` and the fuzz harness rely on
-//    to tell conversion bugs from kernel bugs.
+//    to tell conversion bugs from kernel bugs. A CVR mutation is caught by
+//    every reader of the structure: the walk itself, checkCvr, the blob
+//    decoder in both layouts, and checked mode, which refuses to run it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CheckedKernel.h"
-#include "analysis/CheckedSpmv.h"
 #include "analysis/Introspect.h"
 #include "analysis/InvariantChecker.h"
-#include "core/CvrSpmm.h"
-#include "core/CvrSpmv.h"
 #include "formats/Csr5.h"
 #include "formats/Esb.h"
 #include "formats/Vhcc.h"
@@ -32,10 +31,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
+#include <cstring>
 #include <functional>
 #include <sstream>
-#include <type_traits>
 #include <utility>
 
 namespace cvr {
@@ -123,8 +121,8 @@ TEST(InvariantChecker, CleanVhccPasses) {
 }
 
 // The acceptance sweep in miniature: every variant of every format over a
-// representative suite matrix must pass structure, checked execution, and
-// the differential compare. (cvr_tool validate runs the same driver over
+// representative suite matrix must pass structure and the differential
+// compare. (cvr_tool validate runs the same driver over
 // the full generator suite.)
 TEST(InvariantChecker, CheckedSweepOverSmokeSuite) {
   for (const DatasetSpec &Spec : smokeSuite(/*SizeScale=*/0.1)) {
@@ -134,9 +132,6 @@ TEST(InvariantChecker, CheckedSweepOverSmokeSuite) {
       EXPECT_TRUE(Rep.Structure.empty())
           << Spec.Name << " / " << Rep.Variant << " structure:\n"
           << analysis::formatViolations(Rep.Structure);
-      EXPECT_TRUE(Rep.Runtime.empty())
-          << Spec.Name << " / " << Rep.Variant << " runtime:\n"
-          << analysis::formatViolations(Rep.Runtime);
       EXPECT_TRUE(Rep.DiffOk) << Spec.Name << " / " << Rep.Variant
                               << " maxRelDiff=" << Rep.MaxRelDiff;
     }
@@ -165,24 +160,37 @@ TEST(InvariantCheckerMutation, CsrColumnOutOfRange) {
 //===----------------------------------------------------------------------===//
 
 /// One corrupted field that CvrMatrix::checkStructure alone must catch,
-/// with no origin matrix: the rules conversion, the blob decoder and the
-/// checker share. Mutate returns false when the conversion has no site
-/// for it.
+/// with no origin matrix: the rules conversion, the blob decoder, the
+/// checker and checked mode share. Mutate returns false when the
+/// conversion has no site for it.
 struct CvrMutation {
   const char *Name;
   const char *Rule;
   CsrMatrix A;
   CvrOptions Opts;
   std::function<bool(CvrMatrix &)> Mutate;
+  /// The decoder's own bracketed rule when a section count bound rejects
+  /// the blob before the structure walk runs; null when the walk does.
+  const char *BlobRule = nullptr;
 };
+
+/// The first record of \p M that is (\p Steal) or is not a steal record.
+CvrRecord *firstRecord(CvrMatrix &M, bool Steal) {
+  for (CvrRecord &R : Introspect::recs(M))
+    if ((R.Steal != 0) == Steal)
+      return &R;
+  return nullptr;
+}
 
 std::vector<CvrMutation> cvrMutations() {
   CvrOptions TwoChunks;
   TwoChunks.NumThreads = 2;
   CvrOptions Blocked = TwoChunks;
   Blocked.ColBlockBytes = 512; // 64-column bands over 200 columns.
-  CvrOptions U32;
-  U32.Indices = ColIndexKind::U32; // A negative absolute column.
+  CvrOptions U32 = TwoChunks;
+  U32.Indices = ColIndexKind::U32; // Absolute columns.
+  CvrOptions U16 = TwoChunks;
+  U16.Indices = ColIndexKind::U16Band; // Band-local deltas.
   return {
       {"band-tiling", "cvr.band.tiling", test::randomCsr(80, 200, 0.06, 13),
        Blocked,
@@ -191,6 +199,13 @@ std::vector<CvrMutation> cvrMutations() {
            return false;
          Introspect::bands(M)[1].ColBegin += 8; // Gap between bands 0, 1.
          return true;
+       }},
+      {"chunk-layout", "cvr.chunk.layout", testMatrix(), TwoChunks,
+       [](CvrMatrix &M) {
+         // Chunk 0's elements far past the end of both streams.
+         CvrChunk &C = Introspect::chunks(M).front();
+         C.ElemBase = static_cast<std::int64_t>(M.numNonZeros()) * 64;
+         return C.NumSteps > 0;
        }},
       {"swapped-records", "cvr.rec.pos-order", testMatrix(), TwoChunks,
        [](CvrMatrix &M) {
@@ -215,9 +230,38 @@ std::vector<CvrMutation> cvrMutations() {
            }
          return false;
        }},
+      {"record-position-range", "cvr.rec.pos-range", testMatrix(), TwoChunks,
+       [](CvrMatrix &M) {
+         if (Introspect::recs(M).empty())
+           return false;
+         Introspect::recs(M).front().Pos = -1;
+         return true;
+       }},
+      {"steal-slot", "cvr.rec.steal.slot", testMatrix(), TwoChunks,
+       [](CvrMatrix &M) {
+         // Past the chunk's t_result slots.
+         CvrRecord *R = firstRecord(M, /*Steal=*/true);
+         if (R)
+           R->Wb = M.lanes() + 3;
+         return R != nullptr;
+       }},
+      {"feed-row", "cvr.rec.feed.row", testMatrix(), TwoChunks,
+       [](CvrMatrix &M) {
+         // A feed record that would store past y.
+         CvrRecord *R = firstRecord(M, /*Steal=*/false);
+         if (R)
+           R->Wb = M.numRows() + 50;
+         return R != nullptr;
+       }},
       {"column-range", "cvr.col.range", testMatrix(), U32,
        [](CvrMatrix &M) {
-         Introspect::colIdx(M)[3] = -2;
+         Introspect::colIdx(M)[3] = -2; // A negative absolute column.
+         return true;
+       }},
+      {"wild-column-u16", "cvr.col.range", testMatrix(), U16,
+       [](CvrMatrix &M) {
+         // A gather 65535 columns past band base 0.
+         Introspect::colIdx16(M)[4] = 65535;
          return true;
        }},
       {"tail-row-range", "cvr.tail.row-range", testMatrix(), CvrOptions{},
@@ -226,7 +270,39 @@ std::vector<CvrMutation> cvrMutations() {
          std::size_t Victim = 0;
          while (Victim + 1 < Tails.size() && Tails[Victim] < 0)
            ++Victim;
-         Tails[Victim] = M.numRows() + 100;
+         Tails[Victim] = M.numRows() + 7;
+         return true;
+       }},
+      {"tail-below-unused", "cvr.tail.row-range", testMatrix(), TwoChunks,
+       [](CvrMatrix &M) {
+         // Below the -1 unused marker, in a slot no steal record names (a
+         // named slot must hold a row, which the record rule checks).
+         const CvrChunk &C = M.chunks().front();
+         for (int K = 0; K < M.lanes(); ++K) {
+           bool Named = false;
+           for (std::int64_t I = C.RecBase; I < C.RecEnd; ++I)
+             Named |= M.recs()[I].Steal != 0 && M.recs()[I].Wb == K;
+           if (!Named) {
+             Introspect::tails(M)[C.TailBase + K] = -5;
+             return true;
+           }
+         }
+         return false;
+       }},
+      {"truncated-index-stream", "cvr.stream.sizes", testMatrix(), U32,
+       [](CvrMatrix &M) {
+         // One step shorter than the value stream.
+         AlignedBuffer<std::int32_t> &Idx = Introspect::colIdx(M);
+         AlignedBuffer<std::int32_t> Short(Idx.size() -
+                                           static_cast<std::size_t>(M.lanes()));
+         std::copy(Idx.data(), Idx.data() + Short.size(), Short.data());
+         Idx = std::move(Short);
+         return true;
+       },
+       "cvr.blob.bounds"},
+      {"zero-row-past-y", "cvr.zero-rows.range", testMatrix(), TwoChunks,
+       [](CvrMatrix &M) {
+         Introspect::zeroRows(M).push_back(M.numRows() + 3);
          return true;
        }},
   };
@@ -239,14 +315,72 @@ CvrMatrix mutatedCvr(const CvrMutation &Case) {
   return M;
 }
 
-/// The named mutation must be reported under its rule by checkCvr with the
-/// origin's cross checks on.
+/// EXPECTs that \p Vs leads with \p Rule.
+void expectFirstRule(const std::vector<Violation> &Vs, const std::string &Rule,
+                     const std::string &Reader) {
+  ASSERT_FALSE(Vs.empty()) << Reader << " found nothing";
+  EXPECT_EQ(Vs[0].Rule, Rule) << Reader << ":\n"
+                              << analysis::formatViolations(Vs);
+}
+
+/// Checked mode over the mutated \p M: SpMV, SpMM at a full panel and a
+/// masked tail, and a fused run must each report the rule and leave the
+/// poisoned y (and the epilogue's outputs) exactly as they were.
+void expectCheckedKernelRefuses(const CvrMatrix &M, const std::string &Rule) {
+  CheckedKernel K(std::make_unique<serve::CvrViewKernel>(M));
+  constexpr double Poison = -7.5e306;
+  const auto Rows = static_cast<std::size_t>(M.numRows());
+  const auto Cols = static_cast<std::size_t>(M.numCols());
+  auto Untouched = [&](const std::vector<double> &V, const char *What) {
+    const std::vector<double> Want(V.size(), Poison);
+    EXPECT_EQ(std::memcmp(V.data(), Want.data(), V.size() * sizeof(double)),
+              0)
+        << What << " was written";
+  };
+
+  std::vector<double> X = test::randomVector(Cols, 3);
+  std::vector<double> Y(Rows, Poison);
+  K.run(X.data(), Y.data());
+  expectFirstRule(K.violations(), Rule, "checked spmv");
+  Untouched(Y, "spmv y");
+
+  for (int NumVec : {8, 5}) {
+    K.clearViolations();
+    const auto Ld = static_cast<std::size_t>(NumVec);
+    std::vector<double> XP = test::randomVector(Cols * Ld, 5);
+    std::vector<double> YP(Rows * Ld, Poison);
+    ASSERT_TRUE(K.runBatch(XP.data(), Ld, YP.data(), Ld, NumVec).ok());
+    expectFirstRule(K.violations(), Rule,
+                    "checked spmm K " + std::to_string(NumVec));
+    Untouched(YP, "spmm y");
+  }
+
+  K.clearViolations();
+  std::vector<double> B = test::randomVector(Rows, 7);
+  std::vector<double> R(Rows, Poison);
+  FusedEpilogue E = FusedEpilogue::residualNorm(B.data(), R.data());
+  std::fill(Y.begin(), Y.end(), Poison);
+  K.runFused(X.data(), Y.data(), E);
+  expectFirstRule(K.violations(), Rule, "checked fused");
+  Untouched(Y, "fused y");
+  Untouched(R, "fused residual");
+  EXPECT_EQ(E.Acc1, 0.0);
+}
+
+/// The named mutation must lead the report of the structure walk, of
+/// checkCvr with the origin's cross checks on, and of checked mode (the
+/// blob decoder runs the whole table in
+/// BlobDecoderRejectsUnderTheCheckersRule).
 void expectCvrMutationCaught(const std::string &Name) {
   for (const CvrMutation &Case : cvrMutations())
     if (Name == Case.Name) {
       CvrMatrix M = mutatedCvr(Case);
-      expectRule(InvariantChecker::checkCvr(M, &Case.A), Case.Rule);
-      EXPECT_FALSE(test::structureClean(M));
+      std::vector<Violation> Vs;
+      M.checkStructure(Vs, InvariantChecker::MaxViolations);
+      expectFirstRule(Vs, Case.Rule, "checkStructure");
+      expectFirstRule(InvariantChecker::checkCvr(M, &Case.A), Case.Rule,
+                      "checkCvr");
+      expectCheckedKernelRefuses(M, Case.Rule);
       return;
     }
   FAIL() << "no CVR mutation named " << Name;
@@ -254,6 +388,10 @@ void expectCvrMutationCaught(const std::string &Name) {
 
 TEST(InvariantCheckerMutation, CvrBandTilingBroken) {
   expectCvrMutationCaught("band-tiling");
+}
+
+TEST(InvariantCheckerMutation, CvrChunkLayoutBroken) {
+  expectCvrMutationCaught("chunk-layout");
 }
 
 TEST(InvariantCheckerMutation, CvrSwappedRecords) {
@@ -264,12 +402,40 @@ TEST(InvariantCheckerMutation, CvrDuplicateRecordPosition) {
   expectCvrMutationCaught("duplicate-position");
 }
 
+TEST(InvariantCheckerMutation, CvrRecordPositionOutOfRange) {
+  expectCvrMutationCaught("record-position-range");
+}
+
+TEST(InvariantCheckerMutation, CvrStealSlotOutOfRange) {
+  expectCvrMutationCaught("steal-slot");
+}
+
+TEST(InvariantCheckerMutation, CvrFeedRowOutOfRange) {
+  expectCvrMutationCaught("feed-row");
+}
+
 TEST(InvariantCheckerMutation, CvrColumnOutOfRange) {
   expectCvrMutationCaught("column-range");
 }
 
+TEST(InvariantCheckerMutation, CvrWildColumnU16) {
+  expectCvrMutationCaught("wild-column-u16");
+}
+
 TEST(InvariantCheckerMutation, CvrTailRowOutOfRange) {
   expectCvrMutationCaught("tail-row-range");
+}
+
+TEST(InvariantCheckerMutation, CvrTailRowBelowUnusedMarker) {
+  expectCvrMutationCaught("tail-below-unused");
+}
+
+TEST(InvariantCheckerMutation, CvrTruncatedIndexStream) {
+  expectCvrMutationCaught("truncated-index-stream");
+}
+
+TEST(InvariantCheckerMutation, CvrZeroRowPastY) {
+  expectCvrMutationCaught("zero-row-past-y");
 }
 
 TEST(InvariantCheckerMutation, CvrStolenValueCorrupted) {
@@ -286,7 +452,7 @@ TEST(InvariantCheckerMutation, CvrStolenValueCorrupted) {
 TEST(InvariantCheckerMutation, BlobDecoderRejectsUnderTheCheckersRule) {
   // The decoder runs the checker's structure walk: a blob of any mutated
   // matrix is DATA_LOSS under the rule checkCvr reports first, in either
-  // layout.
+  // layout, unless a section count bound rejects it before the walk.
   for (const CvrMutation &Case : cvrMutations()) {
     SCOPED_TRACE(Case.Name);
     CvrMatrix M = mutatedCvr(Case);
@@ -299,6 +465,13 @@ TEST(InvariantCheckerMutation, BlobDecoderRejectsUnderTheCheckersRule) {
       std::istringstream IS(OS.str());
       StatusOr<CvrMatrix> R = CvrMatrix::readBlob(IS);
       ASSERT_FALSE(R.ok());
+      if (Case.BlobRule) {
+        EXPECT_NE(R.status().message().find("[" + std::string(Case.BlobRule) +
+                                            "] "),
+                  std::string::npos)
+            << R.status().message();
+        continue;
+      }
       EXPECT_EQ(R.status().code(), StatusCode::DataLoss);
       EXPECT_NE(R.status().message().find("[cvr.blob.integrity] " +
                                           Vs[0].Rule + " @ "),
@@ -423,299 +596,8 @@ TEST(InvariantCheckerMutation, VhccLocalRowJump) {
 }
 
 //===----------------------------------------------------------------------===//
-// Checked kernels: runtime attribution of corrupt streams.
+// Checked kernels.
 //===----------------------------------------------------------------------===//
-
-TEST(CheckedSpmv, CatchesGatherOutOfRange) {
-  CsrMatrix A = testMatrix();
-  CvrOptions Opts;
-  Opts.Indices = ColIndexKind::U32; // Mutates the absolute index stream.
-  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
-  Introspect::colIdx(M)[4] = A.numCols() + 1000; // Would gather wild.
-  std::vector<double> X = test::randomVector(A.numCols(), 3);
-  std::vector<double> Y(A.numRows(), 0.0);
-  std::vector<Violation> Vs;
-  analysis::cvrSpmvChecked(M, X.data(), Y.data(), Vs);
-  expectRule(Vs, "checked.cvr.gather");
-}
-
-TEST(CheckedSpmv, CatchesScatterOutOfRange) {
-  CsrMatrix A = testMatrix();
-  CvrOptions Opts;
-  Opts.NumThreads = 2;
-  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
-  std::vector<CvrRecord> &Recs = Introspect::recs(M);
-  bool Mutated = false;
-  for (CvrRecord &R : Recs)
-    if (!R.Steal) {
-      R.Wb = M.numRows() + 50; // Feed record scatters past y.
-      Mutated = true;
-      break;
-    }
-  ASSERT_TRUE(Mutated);
-  std::vector<double> X = test::randomVector(A.numCols(), 3);
-  std::vector<double> Y(A.numRows(), 0.0);
-  std::vector<Violation> Vs;
-  analysis::cvrSpmvChecked(M, X.data(), Y.data(), Vs);
-  expectRule(Vs, "checked.cvr.scatter");
-}
-
-/// One Introspect mutation per checked.cvr.* rule. Mutate returns false
-/// when the matrix has no site for it (e.g. no steal record).
-struct CheckedRuleCase {
-  const char *Rule;
-  std::function<bool(CvrMatrix &)> Mutate;
-};
-
-std::vector<CheckedRuleCase> checkedRuleCases() {
-  auto FirstRecord = [](CvrMatrix &M, auto Pred) -> CvrRecord * {
-    for (CvrRecord &R : Introspect::recs(M))
-      if (Pred(R))
-        return &R;
-    return nullptr;
-  };
-  return {
-      {"checked.cvr.chunk",
-       [](CvrMatrix &M) {
-         CvrChunk &C = Introspect::chunks(M).front();
-         C.ElemBase = static_cast<std::int64_t>(M.numNonZeros()) * 64;
-         return C.NumSteps > 0;
-       }},
-      {"checked.cvr.rec-pos",
-       [&](CvrMatrix &M) {
-         CvrRecord *R = FirstRecord(M, [](const CvrRecord &) { return true; });
-         if (R)
-           R->Pos = -1;
-         return R != nullptr;
-       }},
-      {"checked.cvr.tresult",
-       [&](CvrMatrix &M) {
-         CvrRecord *R =
-             FirstRecord(M, [](const CvrRecord &R) { return R.Steal != 0; });
-         if (R)
-           R->Wb = M.lanes() + 3;
-         return R != nullptr;
-       }},
-      {"checked.cvr.scatter",
-       [&](CvrMatrix &M) {
-         CvrRecord *R =
-             FirstRecord(M, [](const CvrRecord &R) { return R.Steal == 0; });
-         if (R)
-           R->Wb = M.numRows() + 50;
-         return R != nullptr;
-       }},
-      {"checked.cvr.gather",
-       [](CvrMatrix &M) {
-         if (M.colIndexKind() == ColIndexKind::U16Band)
-           Introspect::colIdx16(M)[4] = 65535; // Band base 0 + 65535.
-         else
-           Introspect::colIdx(M)[4] = M.numCols() + 1000;
-         return true;
-       }},
-      {"checked.cvr.tail",
-       [](CvrMatrix &M) {
-         Introspect::tails(M)[0] = M.numRows() + 7;
-         return true;
-       }},
-      {"checked.cvr.tail",
-       [](CvrMatrix &M) {
-         // Below the -1 unused marker: unless reported, the slot's
-         // t_result is dropped silently.
-         Introspect::tails(M)[1] = -5;
-         return true;
-       }},
-      {"checked.cvr.finish-mask",
-       [](CvrMatrix &M) {
-         // Flip one bit of chunk 0's trailing mask byte. Clearing its highest
-         // lane leaves that lane's record undrained; setting a bit in an
-         // empty byte stages a value with no record, so the drain would run
-         // past the chunk's records. The earlier drains stay in step.
-         std::uint8_t &Trail = Introspect::finishMasks(
-             M)[static_cast<std::size_t>(M.chunks().front().NumSteps)];
-         Trail ^= Trail ? 1U << (std::bit_width(unsigned{Trail}) - 1) : 1U;
-         return true;
-       }},
-      {"checked.cvr.finish-mask",
-       [](CvrMatrix &M) {
-         // Move chunk 0's first mid-stream finish bit to a free lane of the
-         // same step: the counts still agree, but a record now drains the
-         // value staged from another position.
-         AlignedBuffer<std::uint8_t> &Masks = Introspect::finishMasks(M);
-         for (std::int64_t I = 0; I < M.chunks().front().NumSteps; ++I) {
-           const unsigned B = Masks[static_cast<std::size_t>(I)];
-           if (B != 0 && B != 0xFFU) {
-             Masks[static_cast<std::size_t>(I)] ^=
-                 (1U << std::countr_zero(B)) |
-                 (1U << std::countr_zero(~B & 0xFFU));
-             return true;
-           }
-         }
-         return false;
-       }},
-      {"checked.cvr.chunk",
-       [](CvrMatrix &M) {
-         // Index stream one step shorter than the value stream: the last
-         // chunk's element range must be checked against both.
-         auto Truncate = [&](auto &Buf) {
-           std::remove_reference_t<decltype(Buf)> Short(
-               Buf.size() - static_cast<std::size_t>(M.lanes()));
-           std::copy(Buf.data(), Buf.data() + Short.size(), Short.data());
-           Buf = std::move(Short);
-         };
-         if (M.colIndexKind() == ColIndexKind::U16Band)
-           Truncate(Introspect::colIdx16(M));
-         else
-           Truncate(Introspect::colIdx(M));
-         return true;
-       }},
-      {"checked.cvr.zero-row",
-       [](CvrMatrix &M) {
-         Introspect::zeroRows(M).push_back(M.numRows() + 3);
-         return true;
-       }},
-  };
-}
-
-/// Runs \p Body on a CvrOptions copy of \p Base for every stream-kind
-/// combination, labelled for failure messages. An explicit F32x64 needs
-/// fp32-exact values (benchlib's roundedToFp32).
-template <class Fn> void forEachKind(const CvrOptions &Base, Fn Body) {
-  for (ValueKind VK : {ValueKind::F64, ValueKind::F32x64})
-    for (ColIndexKind IK : {ColIndexKind::U32, ColIndexKind::U16Band}) {
-      CvrOptions Opts = Base;
-      Opts.Values = VK;
-      Opts.Indices = IK;
-      Body(Opts, "vk " + std::to_string(static_cast<int>(VK)) + " ik " +
-                     std::to_string(static_cast<int>(IK)));
-    }
-}
-
-/// Checked output \p Y must match cvrSpmv on the same matrix and the
-/// reference \p Ref (every stream kind is exact).
-void expectMatchesKernelAndReference(const CvrMatrix &M,
-                                     const std::vector<double> &X,
-                                     const std::vector<double> &Ref,
-                                     const std::vector<double> &Y,
-                                     const std::string &Where) {
-  std::vector<double> Kernel(Y.size(), 0.0);
-  cvrSpmv(M, X.data(), Kernel.data());
-  EXPECT_LE(maxRelDiff(Kernel, Y), test::SpmvTolerance) << Where;
-  EXPECT_LE(maxRelDiff(Ref, Y), test::SpmvTolerance) << Where;
-}
-
-/// The guarded panel loop on a clean matrix, at a full panel and a masked
-/// tail: no violations, and every column as cvrSpmm computes it.
-void expectCheckedSpmmClean(const CvrMatrix &M, const std::string &Where) {
-  for (int K : {8, 5}) {
-    const auto Ld = static_cast<std::size_t>(K);
-    std::vector<double> X = test::randomVector(M.numCols() * Ld, 19);
-    std::vector<double> Y(M.numRows() * Ld, -3.0), Want(Y.size(), 0.0);
-    std::vector<Violation> Vs;
-    ASSERT_TRUE(
-        analysis::cvrSpmmChecked(M, X.data(), Ld, Y.data(), Ld, K, Vs).ok());
-    EXPECT_TRUE(Vs.empty()) << Where << analysis::formatViolations(Vs);
-    ASSERT_TRUE(cvrSpmm(M, X.data(), Ld, Want.data(), Ld, K).ok());
-    EXPECT_LE(maxRelDiff(Want, Y), test::SpmvTolerance) << Where << " K " << K;
-  }
-}
-
-TEST(CheckedSpmv, BothShadowsMatchReferenceWhenClean) {
-  // Checked mode runs the kernel's chunk loop for every stream kind, SpMV
-  // and SpMM; clean matrices must pass with no violations and match the
-  // scalar reference.
-  CsrMatrix A = roundedToFp32(testMatrix(29));
-  std::vector<double> X = test::randomVector(A.numCols(), 5);
-  std::vector<double> Ref(A.numRows(), 0.0);
-  referenceSpmv(A, X.data(), Ref.data());
-
-  CvrOptions Base;
-  Base.NumThreads = 3;
-  forEachKind(Base, [&](const CvrOptions &Opts,
-                               const std::string &Where) {
-    CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
-    std::vector<double> Y(A.numRows(), -1.0);
-    std::vector<Violation> Vs;
-    analysis::cvrSpmvChecked(M, X.data(), Y.data(), Vs);
-    EXPECT_TRUE(Vs.empty()) << Where << analysis::formatViolations(Vs);
-    expectMatchesKernelAndReference(M, X, Ref, Y, Where);
-    expectCheckedSpmmClean(M, Where);
-  });
-}
-
-TEST(CheckedSpmv, BlockedShadowsMatchReference) {
-  // Accumulate-mode coverage: a blocked + over-decomposed matrix must run
-  // checked with zero violations and match the scalar reference (checked
-  // mode zeroes all of y, then += per band).
-  CsrMatrix A = roundedToFp32(test::randomCsr(70, 180, 0.07, 41));
-  std::vector<double> X = test::randomVector(A.numCols(), 17);
-  std::vector<double> Ref(A.numRows(), 0.0);
-  referenceSpmv(A, X.data(), Ref.data());
-
-  CvrOptions Base;
-  Base.NumThreads = 8; // Four chunks per thread.
-  Base.ColBlockBytes = 512;
-  test::ScopedOmpThreads Team(2);
-  forEachKind(Base, [&](const CvrOptions &Opts,
-                               const std::string &Where) {
-    CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
-    ASSERT_TRUE(M.isBlocked()) << Where;
-    std::vector<double> Y(A.numRows(), -4.0);
-    std::vector<Violation> Vs;
-    analysis::cvrSpmvChecked(M, X.data(), Y.data(), Vs);
-    EXPECT_TRUE(Vs.empty()) << Where << analysis::formatViolations(Vs);
-    expectMatchesKernelAndReference(M, X, Ref, Y, Where);
-    expectCheckedSpmmClean(M, Where);
-  });
-}
-
-TEST(CheckedSpmv, EveryRuleFires) {
-  // Each mutation must be reported under its own rule and no other, for
-  // every stream-kind combination, by the SpMV loop and by the SpMM panel
-  // loop at K = 8 and K = 5. The rule IDs are the interface
-  // `cvr_tool validate` and the fuzzers report through. The panel loop
-  // retires per record and never reads the finish masks, so the
-  // finish-mask mutations are invisible to it: it must report nothing.
-  CsrMatrix A = roundedToFp32(testMatrix());
-  std::vector<double> X = test::randomVector(A.numCols(), 3);
-  CvrOptions Base;
-  Base.NumThreads = 3;
-  forEachKind(Base, [&](const CvrOptions &Opts,
-                               const std::string &Where) {
-    const CvrMatrix Clean = CvrMatrix::fromCsr(A, Opts);
-    ASSERT_EQ(Clean.colIndexKind(), Opts.Indices) << Where;
-    for (const CheckedRuleCase &Case : checkedRuleCases()) {
-      SCOPED_TRACE(std::string(Case.Rule) + " " + Where);
-      CvrMatrix M = Clean;
-      ASSERT_TRUE(Case.Mutate(M)) << "matrix has no site for the rule";
-      std::vector<double> Y(A.numRows(), 0.0);
-      std::vector<Violation> Vs;
-      analysis::cvrSpmvChecked(M, X.data(), Y.data(), Vs);
-      expectRule(Vs, Case.Rule);
-      for (const Violation &V : Vs)
-        EXPECT_EQ(V.Rule, Case.Rule) << analysis::formatViolations(Vs);
-
-      const bool MasksOnly =
-          std::string(Case.Rule) == "checked.cvr.finish-mask";
-      for (int K : {8, 5}) {
-        SCOPED_TRACE("spmm K " + std::to_string(K));
-        const auto Ld = static_cast<std::size_t>(K);
-        std::vector<double> XP = test::randomVector(A.numCols() * Ld, 5);
-        std::vector<double> YP(A.numRows() * Ld, 0.0);
-        std::vector<Violation> SVs;
-        ASSERT_TRUE(analysis::cvrSpmmChecked(M, XP.data(), Ld, YP.data(), Ld,
-                                             K, SVs)
-                        .ok());
-        if (MasksOnly) {
-          EXPECT_TRUE(SVs.empty()) << analysis::formatViolations(SVs);
-          continue;
-        }
-        expectRule(SVs, Case.Rule);
-        for (const Violation &V : SVs)
-          EXPECT_EQ(V.Rule, Case.Rule) << analysis::formatViolations(SVs);
-      }
-    }
-  });
-}
 
 // Registry plumbing: every checked variant carries the +checked suffix and
 // runs clean end to end on a well-formed matrix.
@@ -742,10 +624,25 @@ TEST(CheckedKernelTest, CheckedVariantsRunClean) {
   }
 }
 
+TEST(CheckedSpmv, CatchesGatherOutOfRange) {
+  // A u32 column past the end of x: checked SpMV refuses to gather it and
+  // names the column rule.
+  CsrMatrix A = testMatrix();
+  CvrOptions Opts;
+  Opts.Indices = ColIndexKind::U32; // Mutates the absolute index stream.
+  CvrMatrix M = CvrMatrix::fromCsr(A, Opts);
+  Introspect::colIdx(M)[4] = A.numCols() + 1000;
+  CheckedKernel K(std::make_unique<serve::CvrViewKernel>(M));
+  std::vector<double> X = test::randomVector(A.numCols(), 3);
+  std::vector<double> Y(A.numRows(), 0.0);
+  K.run(X.data(), Y.data());
+  expectRule(K.violations(), "cvr.col.range");
+}
+
 TEST(CheckedKernelTest, CvrSpmmRunBatchReportsWildGather) {
   // A column index of 2^30 would send the native panel loop 8 GiB past X.
-  // Checked runBatch runs the guarded panel loop instead: it reports the
-  // lane and returns, and the per-column reference agrees with it.
+  // Checked runBatch walks the structure first: it reports the column and
+  // returns without running the panel loop.
   CsrMatrix A = testMatrix();
   CvrOptions Opts;
   Opts.Indices = ColIndexKind::U32;
@@ -757,9 +654,9 @@ TEST(CheckedKernelTest, CvrSpmmRunBatchReportsWildGather) {
       test::randomVector(static_cast<std::size_t>(A.numCols()) * NumVec, 7);
   std::vector<double> Y(static_cast<std::size_t>(A.numRows()) * NumVec);
   ASSERT_TRUE(K.runBatch(X.data(), NumVec, Y.data(), NumVec, NumVec).ok());
-  expectRule(K.violations(), "checked.cvr.gather");
+  expectRule(K.violations(), "cvr.col.range");
   for (const Violation &V : K.violations())
-    EXPECT_EQ(V.Rule, "checked.cvr.gather")
+    EXPECT_EQ(V.Rule, "cvr.col.range")
         << analysis::formatViolations(K.violations());
 }
 

@@ -42,6 +42,11 @@ TEST(Simd, GatherPicksIndexedElements) {
   alignas(64) std::int32_t Idx[16] = {0, 31, 2, 29, 4, 27, 6, 25,
                                       1, 3, 5, 7, 9, 11, 13, 15};
   VecI16 Cols = VecI16::loadAligned(Idx);
+  // The halves spill back as loaded (the trace observer reads them so).
+  std::int32_t Spilled[8];
+  Cols.hi().storeu(Spilled);
+  for (int K = 0; K < 8; ++K)
+    EXPECT_EQ(Spilled[K], Idx[8 + K]) << "lane " << K;
   alignas(64) double Out[8];
   VecD8::gather(Base, Cols.lo()).storeAligned(Out);
   EXPECT_EQ(Out[0], 100.0);
@@ -50,27 +55,6 @@ TEST(Simd, GatherPicksIndexedElements) {
   VecD8::gather(Base, Cols.hi()).storeAligned(Out);
   EXPECT_EQ(Out[0], 101.0);
   EXPECT_EQ(Out[7], 115.0);
-}
-
-TEST(Simd, MaskGatherZeroesAndSkipsMaskedLanes) {
-  alignas(64) double Base[8];
-  for (int I = 0; I < 8; ++I)
-    Base[I] = 100.0 + I;
-  // Masked-off lanes hold wild indices: they must read zero without being
-  // dereferenced (the sanitized runs would flag the load).
-  alignas(64) std::int32_t Idx[16] = {7, 1 << 28, 5, -(1 << 28), 3, 2, 1, 0,
-                                      0, 0, 0, 0, 0, 0, 0, 0};
-  const simd::VecI8 Cols = VecI16::loadAligned(Idx).lo();
-  std::int32_t Spilled[8];
-  Cols.storeu(Spilled);
-  for (int K = 0; K < 8; ++K)
-    EXPECT_EQ(Spilled[K], Idx[K]) << "lane " << K;
-  const unsigned Mask = 0xF5U; // Lanes 1 and 3 off.
-  alignas(64) double Out[8];
-  VecD8::maskGather(Base, Cols, Mask).storeAligned(Out);
-  for (int K = 0; K < 8; ++K)
-    EXPECT_EQ(Out[K], (Mask & (1U << K)) ? Base[Idx[K]] : 0.0)
-        << "lane " << K;
 }
 
 TEST(Simd, FmaddMatchesScalar) {

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/AlignedBuffer.h"
+#include "support/Crc32c.h"
 #include "support/PrefixSum.h"
 #include "support/Random.h"
 #include "support/Stats.h"
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 namespace cvr {
 namespace {
@@ -214,6 +216,49 @@ TEST(TextTable, FmtInfinity) {
   EXPECT_EQ(TextTable::fmt(std::numeric_limits<double>::infinity()), "inf");
   EXPECT_EQ(TextTable::fmt(1.23456, 2), "1.23");
   EXPECT_EQ(TextTable::fmt(2.0, 0), "2");
+}
+
+// --- CRC-32C ----------------------------------------------------------------
+
+/// The definition, one byte at a time and each byte one bit at a time, as
+/// the reference the slicing-by-8 loop must reproduce.
+std::uint32_t bytewiseCrc32c(const unsigned char *P, std::size_t Bytes,
+                            std::uint32_t Seed) {
+  std::uint32_t C = ~Seed;
+  for (std::size_t I = 0; I < Bytes; ++I) {
+    C ^= P[I];
+    for (int K = 0; K < 8; ++K)
+      C = (C & 1) ? (0x82F63B78u ^ (C >> 1)) : (C >> 1);
+  }
+  return ~C;
+}
+
+TEST(Crc32c, CheckValue) {
+  // The catalogued CRC-32C check value of the nine ASCII digits.
+  EXPECT_EQ(crc32c("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(crc32c("", 0), 0u);
+}
+
+TEST(Crc32c, MatchesBytewiseReference) {
+  // Random lengths straddling the eight-byte rounds, random start offsets
+  // (so the rounds meet every alignment), random seeds, and a split point
+  // where the first call's result seeds the second.
+  Xoshiro256 Rng(0xC3C3);
+  std::vector<unsigned char> Buf(512 + 8);
+  for (unsigned char &B : Buf)
+    B = static_cast<unsigned char>(Rng.next());
+  for (int Trial = 0; Trial < 500; ++Trial) {
+    const std::size_t Off = Rng.nextBounded(8);
+    const std::size_t Len = Rng.nextBounded(513);
+    const auto Seed = static_cast<std::uint32_t>(Rng.next());
+    const unsigned char *P = Buf.data() + Off;
+    const std::uint32_t Want = bytewiseCrc32c(P, Len, Seed);
+    EXPECT_EQ(crc32c(P, Len, Seed), Want)
+        << "offset " << Off << " length " << Len;
+    const std::size_t Split = Rng.nextBounded(Len + 1);
+    EXPECT_EQ(crc32c(P + Split, Len - Split, crc32c(P, Split, Seed)), Want)
+        << "offset " << Off << " length " << Len << " split " << Split;
+  }
 }
 
 } // namespace

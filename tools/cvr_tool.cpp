@@ -19,9 +19,9 @@
 //                                             (the run_locality.sh flow)
 //   cvr_tool validate <matrix.mtx|suite-name|--suite> [--format=F]
 //                                             checked mode: structural
-//                                             invariants + bounds-checked
-//                                             execution + differential
-//                                             compare, every variant
+//                                             invariants + execution +
+//                                             differential compare, every
+//                                             variant
 //   cvr_tool solve    <matrix.mtx|suite-name> [--solver=S]
 //                                             iterative solvers (CG,
 //                                             BiCGSTAB, Jacobi, power,
@@ -52,7 +52,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CheckedKernel.h"
-#include "analysis/CheckedSpmv.h"
 #include "analysis/InvariantChecker.h"
 #include "benchlib/Equations.h"
 #include "benchlib/Measure.h"
@@ -283,21 +282,6 @@ int cmdSpmv(int Argc, char **Argv) {
   std::vector<double> X = makeX(M.numCols());
   std::vector<double> Y(static_cast<std::size_t>(M.numRows()), 0.0);
 
-  // CVR_CHECKED=1 in the environment routes every iteration through the
-  // bounds-checked shadow kernels instead of the production kernel.
-  if (analysis::checkedModeRequested()) {
-    std::printf("[checked mode]          CVR_CHECKED set; shadow kernels\n");
-    std::vector<analysis::Violation> Vs;
-    for (int I = 0; I < Iterations; ++I)
-      analysis::cvrSpmvChecked(M, X.data(), Y.data(), Vs);
-    if (!Vs.empty()) {
-      std::printf("%s", analysis::formatViolations(Vs).c_str());
-      return 1;
-    }
-    std::printf("[checked mode]          %d iterations clean\n", Iterations);
-    return 0;
-  }
-
   cvrSpmv(M, X.data(), Y.data()); // warm-up
   Timer Run;
   for (int I = 0; I < Iterations; ++I)
@@ -491,9 +475,6 @@ int validateOne(const std::string &Label, const CsrMatrix &A,
     if (!Rep.Structure.empty())
       std::printf("    structure (conversion bug):\n%s",
                   analysis::formatViolations(Rep.Structure).c_str());
-    if (!Rep.Runtime.empty())
-      std::printf("    runtime (kernel addressing bug):\n%s",
-                  analysis::formatViolations(Rep.Runtime).c_str());
     if (!Rep.DiffOk)
       std::printf("    differential: maxRelDiff %.3e vs reference\n",
                   Rep.MaxRelDiff);
