@@ -37,10 +37,12 @@
 // over.
 //
 // The section order is deliberate: the chunk table arrives first, so every
-// later count has a strict structural bound before its allocation happens
-// (Tails == Chunks * Lanes exactly, Vals/ColIdx == sum of NumSteps * Lanes
-// exactly, Bands <= Chunks, ZeroRows <= NumRows). A corrupt or hostile
-// count is rejected with OUT_OF_RANGE instead of commissioning memory.
+// later count has a structural upper bound before its allocation happens
+// (Tails <= Chunks * Lanes, Vals/ColIdx <= sum of NumSteps * Lanes,
+// Bands <= Chunks, ZeroRows <= NumRows). A count over its bound is
+// rejected with OUT_OF_RANGE instead of commissioning memory; a count
+// under it is the structure walk's to judge (cvr.tail.size,
+// cvr.stream.sizes).
 //
 // One decoder, two byte sources. CvrMatrix::decode parses both versions;
 // decodeSection is the only code that knows a section's count bounds, pad
@@ -136,14 +138,6 @@ template <typename T> void packField(std::string &Buf, const T &V) {
   return truncated(std::string("the ") + Name + " " + Part);
 }
 
-[[nodiscard]] Status countMismatch(const char *Name, std::uint64_t N,
-                                   std::int64_t Exact) {
-  return Status::outOfRange(
-      std::string("[cvr.blob.bounds] ") + Name + " count " +
-      std::to_string(N) + " does not match the structural requirement of " +
-      std::to_string(Exact));
-}
-
 [[nodiscard]] Status countOverBound(const char *Name, std::uint64_t N,
                                     std::uint64_t MaxElems) {
   return Status::outOfRange(std::string("[cvr.blob.bounds] ") + Name +
@@ -195,9 +189,9 @@ template <typename T> void packField(std::string &Buf, const T &V) {
   return Status::okStatus();
 }
 
-/// Exact/maximum counts the chunk table induces for the later sections.
+/// Maximum counts the chunk table induces for the later sections.
 struct SectionBudget {
-  std::uint64_t TotalElems = 0; ///< Exact Vals/ColIdx length.
+  std::uint64_t TotalElems = 0; ///< Vals/ColIdx length the chunks cover.
   std::uint64_t MaxRecs = 0;    ///< Upper bound on the record stream.
 };
 
@@ -463,21 +457,18 @@ template <typename Source, typename T> bool readPod(Source &Src, T &V) {
 // Decoding
 //===----------------------------------------------------------------------===//
 
-/// Decodes one v3/v4 section into \p Out. The count must satisfy the
-/// structural bound \p MaxElems (and equal \p ExactElems when >= 0) before
-/// any payload is located or allocated; a \p Padded (v4) section's pad
-/// must be shorter than the alignment and all zero; the payload must match
-/// its CRC32C before the source adopts it.
+/// Decodes one v3/v4 section into \p Out. The count must not exceed the
+/// structural bound \p MaxElems before any payload is located or
+/// allocated; a \p Padded (v4) section's pad must be shorter than the
+/// alignment and all zero; the payload must match its CRC32C before the
+/// source adopts it.
 template <typename Source, typename Container>
 [[nodiscard]] Status decodeSection(Source &Src, Container &Out,
                                    const char *Name, bool Padded,
-                                   std::uint64_t MaxElems,
-                                   std::int64_t ExactElems = -1) {
+                                   std::uint64_t MaxElems) {
   std::uint64_t N = 0;
   if (!readPod(Src, N))
     return truncated(Name, "section count");
-  if (ExactElems >= 0 && N != static_cast<std::uint64_t>(ExactElems))
-    return countMismatch(Name, N, ExactElems);
   if (N > MaxElems)
     return countOverBound(Name, N, MaxElems);
   if (Padded) {
@@ -535,7 +526,7 @@ template <typename Source>
   if (!S.ok())
     return S;
 
-  // Chunk table first: it induces the exact bounds for everything after.
+  // Chunk table first: it induces the bounds for everything after.
   if (!(S = decodeSection(Src, *F.Chunks, "chunk table", Padded, MaxChunks))
            .ok())
     return S;
@@ -554,24 +545,22 @@ template <typename Source>
   if (!(S = decodeSection(Src, *F.Recs, "record stream", Padded, B.MaxRecs))
            .ok())
     return S;
-  if (!(S = decodeSection(Src, *F.Tails, "tail table", Padded, MaxStreamElems,
-                          static_cast<std::int64_t>(NumChunks) *
-                              CvrMatrix::lanes()))
+  if (!(S = decodeSection(Src, *F.Tails, "tail table", Padded,
+                          NumChunks * CvrMatrix::lanes()))
            .ok())
     return S;
-  const auto ExactElems = static_cast<std::int64_t>(B.TotalElems);
   S = *F.VKind == ValueKind::F32x64
           ? decodeSection(Src, *F.Vals32, "value stream", Padded,
-                          MaxStreamElems, ExactElems)
+                          B.TotalElems)
           : decodeSection(Src, *F.Vals, "value stream", Padded,
-                          MaxStreamElems, ExactElems);
+                          B.TotalElems);
   if (!S.ok())
     return S;
   return *F.IKind == ColIndexKind::U16Band
              ? decodeSection(Src, *F.ColIdx16, "column-index stream", Padded,
-                             MaxStreamElems, ExactElems)
+                             B.TotalElems)
              : decodeSection(Src, *F.ColIdx, "column-index stream", Padded,
-                             MaxStreamElems, ExactElems);
+                             B.TotalElems);
 }
 
 } // namespace

@@ -6,8 +6,8 @@
 //
 // SpMM is the CVR chunk loop (core/CvrChunkLoop.h) under the panel lane
 // policy, one pass per register block of up to eight columns (runPanels).
-// A fused batch epilogue is one sweep after the kernel: CvrKernel inherits
-// SpmvKernel::runBatchFused.
+// The batched solvers apply their per-column updates after it, in their
+// own sweep over the panel.
 //
 //===----------------------------------------------------------------------===//
 

@@ -18,8 +18,7 @@
 /// for SpMV, SpMM (core/CvrSpmm.h) and traces. SpMV
 /// instantiates it per write-back policy (store, accumulate for blocked
 /// bands) and prefetch distance. A fused epilogue runs after it as one
-/// sweep, as on every format: SpmvKernel's runFused, runBatchFused and
-/// traceRunFused.
+/// sweep, as on every format: SpmvKernel's runFused and traceRunFused.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,14 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The SpMV epilogue sweep (formats/FusedEpilogue.h) and its SpMM panel
-// counterpart (formats/BatchEpilogue.h). Both run one loop per op, with
-// the op's optional terms as template flags, so no row branches on the
-// request.
+// The SpMV epilogue sweep (formats/FusedEpilogue.h): one loop per op,
+// with the op's optional terms as template flags, so no row branches on
+// the request.
 //
 //===----------------------------------------------------------------------===//
 
-#include "formats/BatchEpilogue.h"
 #include "formats/FusedEpilogue.h"
 
 #include "support/MemSink.h"
@@ -19,7 +17,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstddef>
 #include <type_traits>
 
 namespace cvr {
@@ -49,21 +46,6 @@ void dotSweep(FusedEpilogue &E, const double *X, const double *Y,
   E.Acc1 = A1;
   E.Acc2 = A2;
   E.Acc3 = A3;
-}
-
-template <bool YDotY>
-void axpbySweep(FusedEpilogue &E, double *Y, std::int64_t N) {
-  const double Alpha = E.Alpha, Beta = E.Beta;
-  const double *Z = E.Z;
-  double A1 = 0.0;
-#pragma omp simd reduction(+ : A1)
-  for (std::int64_t R = 0; R < N; ++R) {
-    const double V = Alpha * Y[R] + Beta * Z[R];
-    Y[R] = V;
-    if constexpr (YDotY)
-      A1 += V * V;
-  }
-  E.Acc1 = A1;
 }
 
 template <bool WriteR>
@@ -112,126 +94,6 @@ void dampSweep(FusedEpilogue &E, double *Y, std::int64_t N) {
   E.Acc2 = A2;
 }
 
-// Batch sweeps: one loop per op over the panel's rows in index order, with
-// an inner `omp simd` loop over a block of its columns. Column J's
-// accumulator is a lane of its block, so each column sums in row order
-// whatever the panel width.
-
-/// Calls \p Row(R, J0, Bw, A1, A2) for every row R in index order, one
-/// block of Bw <= 8 columns starting at J0 at a time. The block's
-/// accumulators are locals, so they stay in registers across the rows;
-/// then they land in E.Acc1/E.Acc2 where those are non-null.
-template <class RowFn>
-void sweepColumnBlocks(const FusedBatchEpilogue &E, std::size_t Rows,
-                       RowFn Row) {
-  for (int J0 = 0; J0 < E.NumVectors; J0 += 8) {
-    const int Bw = std::min(8, E.NumVectors - J0);
-    double A1[8] = {}, A2[8] = {};
-    for (std::size_t R = 0; R < Rows; ++R)
-      Row(R, J0, Bw, A1, A2);
-    for (int J = 0; J < Bw; ++J) {
-      if (E.Acc1)
-        E.Acc1[J0 + J] = A1[J];
-      if (E.Acc2)
-        E.Acc2[J0 + J] = A2[J];
-    }
-  }
-}
-
-template <bool YDotY, bool ZDotY>
-void batchDotSweep(const FusedBatchEpilogue &E, const double *Y,
-                   std::size_t LdY, std::size_t Rows) {
-  sweepColumnBlocks(E, Rows, [&](std::size_t R, int J0, int Bw, double *A1,
-                                 double *A2) {
-    const double *YR = Y + R * LdY + J0;
-    const double *ZR = ZDotY ? E.Z + R * E.LdZ + J0 : nullptr;
-#pragma omp simd
-    for (int J = 0; J < Bw; ++J) {
-      if constexpr (YDotY)
-        A1[J] += YR[J] * YR[J];
-      if constexpr (ZDotY)
-        A2[J] += ZR[J] * YR[J];
-    }
-  });
-}
-
-template <bool YDotY>
-void batchAxpbySweep(const FusedBatchEpilogue &E, double *Y, std::size_t LdY,
-                     std::size_t Rows) {
-  const double Alpha = E.Alpha, Beta = E.Beta;
-  sweepColumnBlocks(E, Rows, [&](std::size_t R, int J0, int Bw, double *A1,
-                                 double *) {
-    double *YR = Y + R * LdY + J0;
-    const double *ZR = E.Z + R * E.LdZ + J0;
-#pragma omp simd
-    for (int J = 0; J < Bw; ++J) {
-      const double V = Alpha * YR[J] + Beta * ZR[J];
-      YR[J] = V;
-      if constexpr (YDotY)
-        A1[J] += V * V;
-    }
-  });
-}
-
-template <bool WriteR>
-void batchResidualSweep(const FusedBatchEpilogue &E, const double *Y,
-                        std::size_t LdY, std::size_t Rows) {
-  sweepColumnBlocks(E, Rows, [&](std::size_t R, int J0, int Bw, double *A1,
-                                 double *) {
-    const double *YR = Y + R * LdY + J0;
-    const double *BR = E.B + R * E.LdB + J0;
-    double *RR = WriteR ? E.ROut + R * E.LdROut + J0 : nullptr;
-#pragma omp simd
-    for (int J = 0; J < Bw; ++J) {
-      const double Res = BR[J] - YR[J];
-      A1[J] += Res * Res;
-      if constexpr (WriteR)
-        RR[J] = Res;
-    }
-  });
-}
-
-void batchJacobiSweep(const FusedBatchEpilogue &E, const double *Y,
-                      std::size_t LdY, std::size_t Rows) {
-  sweepColumnBlocks(E, Rows, [&](std::size_t R, int J0, int Bw, double *A1,
-                                 double *) {
-    assert(E.D[R] != 0.0 && "JacobiStep requires a nonzero diagonal");
-    const double InvD = 1.0 / E.D[R];
-    const double *YR = Y + R * LdY + J0;
-    const double *BR = E.B + R * E.LdB + J0;
-    const double *XoR = E.Xold + R * E.LdXold + J0;
-    double *XnR = E.XNew + R * E.LdXNew + J0;
-#pragma omp simd
-    for (int J = 0; J < Bw; ++J) {
-      const double Xn = XoR[J] + (BR[J] - YR[J]) * InvD;
-      const double Step = std::fabs(Xn - XoR[J]);
-      XnR[J] = Xn;
-      // std::max's selection, on values so the loop vectorizes.
-      A1[J] = A1[J] < Step ? Step : A1[J];
-    }
-  });
-}
-
-template <bool HasZ, bool Delta>
-void batchDampSweep(const FusedBatchEpilogue &E, double *Y, std::size_t LdY,
-                    std::size_t Rows) {
-  const double Damp = E.Damp, Beta = E.Beta;
-  sweepColumnBlocks(E, Rows, [&](std::size_t R, int J0, int Bw, double *A1,
-                                 double *A2) {
-    double *YR = Y + R * LdY + J0;
-    const double *ZR = HasZ ? E.Z + R * E.LdZ + J0 : nullptr;
-    const double *PR = Delta ? E.Prev + R * E.LdPrev + J0 : nullptr;
-#pragma omp simd
-    for (int J = 0; J < Bw; ++J) {
-      const double V = Damp * YR[J] + (HasZ ? Beta * ZR[J] : 0.0);
-      YR[J] = V;
-      A1[J] += V;
-      if constexpr (Delta)
-        A2[J] += std::fabs(V - PR[J]);
-    }
-  });
-}
-
 /// Calls \p F with std::true_type or std::false_type, turning a request
 /// flag into a template argument.
 template <class Fn> void withFlag(bool Flag, Fn F) {
@@ -253,9 +115,6 @@ void traceRowOperands(MemAccessSink &Sink, const FusedEpilogue &E,
       Sink.read(X + Row, sizeof(double));
     if (E.Z)
       Sink.read(E.Z + Row, sizeof(double));
-    break;
-  case EpilogueOp::Axpby:
-    Sink.read(E.Z + Row, sizeof(double));
     break;
   case EpilogueOp::ResidualNorm:
     Sink.read(E.B + Row, sizeof(double));
@@ -292,10 +151,6 @@ void applyEpilogueScalar(FusedEpilogue &E, const double *X, double *Y,
       });
     });
     return;
-  case EpilogueOp::Axpby:
-    withFlag(E.WantYDotY,
-             [&](auto YY) { axpbySweep<YY()>(E, Y, N); });
-    return;
   case EpilogueOp::ResidualNorm:
     withFlag(E.ROut != nullptr,
              [&](auto WriteR) { residualSweep<WriteR()>(E, Y, N); });
@@ -325,47 +180,6 @@ void traceEpilogueScalar(MemAccessSink &Sink, FusedEpilogue &E,
   // The sweep itself, so the replay's values are the execution's bit for
   // bit.
   applyEpilogueScalar(E, X, Y, N);
-}
-
-void applyBatchEpilogueScalar(FusedBatchEpilogue &E, double *Y,
-                              std::size_t LdY, std::int64_t NumRows) {
-  for (int J = 0; J < E.NumVectors; ++J) {
-    if (E.Acc1)
-      E.Acc1[J] = 0.0;
-    if (E.Acc2)
-      E.Acc2[J] = 0.0;
-  }
-  const auto Rows = static_cast<std::size_t>(NumRows);
-  switch (E.Op) {
-  case EpilogueOp::None:
-    return;
-  case EpilogueOp::Dot:
-    withFlag(E.WantYDotY, [&](auto YY) {
-      withFlag(E.Z != nullptr, [&](auto ZY) {
-        batchDotSweep<YY(), ZY()>(E, Y, LdY, Rows);
-      });
-    });
-    return;
-  case EpilogueOp::Axpby:
-    withFlag(E.WantYDotY,
-             [&](auto YY) { batchAxpbySweep<YY()>(E, Y, LdY, Rows); });
-    return;
-  case EpilogueOp::ResidualNorm:
-    withFlag(E.ROut != nullptr, [&](auto WriteR) {
-      batchResidualSweep<WriteR()>(E, Y, LdY, Rows);
-    });
-    return;
-  case EpilogueOp::JacobiStep:
-    batchJacobiSweep(E, Y, LdY, Rows);
-    return;
-  case EpilogueOp::DampScale:
-    withFlag(E.Z != nullptr, [&](auto HasZ) {
-      withFlag(E.Prev != nullptr, [&](auto Delta) {
-        batchDampSweep<HasZ(), Delta()>(E, Y, LdY, Rows);
-      });
-    });
-    return;
-  }
 }
 
 } // namespace cvr

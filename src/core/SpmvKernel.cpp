@@ -67,22 +67,6 @@ Status SpmvKernel::runBatch(const double *X, std::size_t LdX, double *Y,
   return Status::okStatus();
 }
 
-Status SpmvKernel::runBatchFused(const double *X, std::size_t LdX, double *Y,
-                                 std::size_t LdY, int NumVectors,
-                                 FusedBatchEpilogue &E) const {
-  if (E.Op != EpilogueOp::None && E.NumVectors != NumVectors)
-    return Status::invalidArgument(
-        "batch epilogue covers " + std::to_string(E.NumVectors) +
-        " columns but the runBatchFused call has " +
-        std::to_string(NumVectors));
-  Status S = runBatch(X, LdX, Y, LdY, NumVectors);
-  if (!S.ok())
-    return S;
-  obs::TraceSpan Span("execute/fused-epilogue", "execute");
-  applyBatchEpilogueScalar(E, Y, LdY, preparedRows());
-  return Status::okStatus();
-}
-
 void SpmvKernel::runFused(const double *X, double *Y,
                           FusedEpilogue &E) const {
   std::int64_t N = preparedRows();

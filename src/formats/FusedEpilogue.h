@@ -37,7 +37,6 @@ class MemAccessSink;
 enum class EpilogueOp : std::uint8_t {
   None,         ///< Plain y = A x (runFused degenerates to run).
   Dot,          ///< Accumulate x.y / y.y / z.y as requested; y unchanged.
-  Axpby,        ///< y <- Alpha * y + Beta * Z; optionally accumulate y.y.
   ResidualNorm, ///< Accumulate ||B - y||^2; optionally write ROut = B - y.
   JacobiStep,   ///< XNew <- Xold + (B - y) / D; accumulate max |XNew - Xold|.
   DampScale,    ///< y <- Damp * y + Add; accumulate sum(y) and, with Prev,
@@ -52,7 +51,6 @@ enum class EpilogueOp : std::uint8_t {
 ///
 ///   Dot:          Acc1 = x.y (WantXDotY), Acc2 = y.y (WantYDotY),
 ///                 Acc3 = Z.y (Z non-null)
-///   Axpby:        Acc1 = y.y after the transform (WantYDotY)
 ///   ResidualNorm: Acc1 = ||B - y||^2
 ///   JacobiStep:   Acc1 = max_i |XNew_i - Xold_i| (infinity norm)
 ///   DampScale:    Acc1 = sum(y) after the transform,
@@ -61,11 +59,9 @@ struct FusedEpilogue {
   EpilogueOp Op = EpilogueOp::None;
 
   bool WantXDotY = false;      ///< Dot: accumulate x.y (square matrices).
-  bool WantYDotY = false;      ///< Dot / Axpby: accumulate y.y.
-  const double *Z = nullptr;   ///< Dot: z.y operand. Axpby: added vector.
+  bool WantYDotY = false;      ///< Dot: accumulate y.y.
+  const double *Z = nullptr;   ///< Dot: z.y operand.
 
-  double Alpha = 1.0;          ///< Axpby: scale on y.
-  double Beta = 0.0;           ///< Axpby: scale on Z.
   double Damp = 1.0;           ///< DampScale: scale on y.
   double Add = 0.0;            ///< DampScale: added constant.
 
@@ -89,16 +85,6 @@ struct FusedEpilogue {
     E.WantXDotY = XDotY;
     E.WantYDotY = YDotY;
     E.Z = Z;
-    return E;
-  }
-  static FusedEpilogue axpby(double Alpha, double Beta, const double *Z,
-                             bool YDotY = false) {
-    FusedEpilogue E;
-    E.Op = EpilogueOp::Axpby;
-    E.Alpha = Alpha;
-    E.Beta = Beta;
-    E.Z = Z;
-    E.WantYDotY = YDotY;
     return E;
   }
   static FusedEpilogue residualNorm(const double *B,
@@ -130,9 +116,7 @@ struct FusedEpilogue {
   }
 
   /// True when the op rewrites y in place.
-  bool transformsY() const {
-    return Op == EpilogueOp::Axpby || Op == EpilogueOp::DampScale;
-  }
+  bool transformsY() const { return Op == EpilogueOp::DampScale; }
 };
 
 /// The epilogue sweep: one pass over Y[0..N) applying \p E, one vectorized

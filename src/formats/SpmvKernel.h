@@ -17,7 +17,6 @@
 #ifndef CVR_FORMATS_SPMVKERNEL_H
 #define CVR_FORMATS_SPMVKERNEL_H
 
-#include "formats/BatchEpilogue.h"
 #include "formats/FusedEpilogue.h"
 #include "matrix/Csr.h"
 #include "support/MemSink.h"
@@ -75,16 +74,6 @@ public:
   [[nodiscard]] virtual Status runBatch(const double *X, std::size_t LdX,
                                         double *Y, std::size_t LdY,
                                         int NumVectors) const;
-
-  /// Fused SpMM: runBatch plus the per-column epilogue \p E (see
-  /// BatchEpilogue.h; E.NumVectors must equal \p NumVectors, and the
-  /// accumulator outputs land in E.Acc1/E.Acc2). Every kernel composes
-  /// runBatch() with one batch-epilogue sweep, traced as the
-  /// execute/fused-epilogue span.
-  [[nodiscard]] virtual Status runBatchFused(const double *X,
-                                             std::size_t LdX, double *Y,
-                                             std::size_t LdY, int NumVectors,
-                                             FusedBatchEpilogue &E) const;
 
   /// Computes y = A * x and applies \p E to every finished y element (see
   /// FusedEpilogue.h for the op catalog): run() followed by one

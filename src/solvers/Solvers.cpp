@@ -4,12 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every solver has one formulation: it pushes the post-SpMV vector work
-// into SpmvKernel::runFused and merges the sweeps that remain. The one
-// textbook formulation kept is referenceConjugateGradient, the unfused CG
-// the fused trajectories are tested and benchmarked against. No solver
-// allocates inside its iteration loop — every vector is sized before the
-// loop and the fused epilogue descriptors live on the stack.
+// Every solver has one formulation. The single-vector solvers push the
+// post-SpMV vector work into SpmvKernel::runFused and merge the sweeps that
+// remain; the batched solvers follow each runBatch with their own sweep
+// over the panel. The one textbook formulation kept is
+// referenceConjugateGradient, the unfused CG the fused trajectories are
+// tested and benchmarked against. No solver allocates inside its iteration
+// loop — every vector is sized before the loop and the fused epilogue
+// descriptors live on the stack.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,7 @@
 #include "obs/Trace.h"
 #include "support/Annotations.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <string>
@@ -548,6 +551,8 @@ StatusOr<BatchSolveResult> jacobiBatch(const SpmvKernel &Kernel,
         "jacobiBatch panel strides (LdB=" + std::to_string(LdB) +
         ", LdX=" + std::to_string(LdX) + ") must cover NumVectors=" +
         std::to_string(NumVectors));
+  if (std::find(Diag.begin(), Diag.end(), 0.0) != Diag.end())
+    return Status::invalidArgument("jacobiBatch needs a nonzero diagonal");
   const std::size_t N = Diag.size();
 
   obs::TraceSpan Span("solve/jacobi-batch", "solve");
@@ -567,15 +572,25 @@ StatusOr<BatchSolveResult> jacobiBatch(const SpmvKernel &Kernel,
       Cur[I * K + J] = X[I * LdX + J];
 
   for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
-    // The whole update rides the SpMM write-back: next iterate and
-    // per-column infinity-norm step sizes, no post-sweep.
-    FusedBatchEpilogue E = FusedBatchEpilogue::jacobiStep(
-        NumVectors, B, LdB, Diag.data(), Cur.data(), K, Next.data(), K,
-        Deltas.data());
-    Status RS =
-        Kernel.runBatchFused(Cur.data(), K, Ax.data(), K, NumVectors, E);
+    Status RS = Kernel.runBatch(Cur.data(), K, Ax.data(), K, NumVectors);
     if (!RS.ok())
       return RS;
+    // Next iterate and each column's infinity-norm step, one sweep over
+    // the panel: every column's max runs over the rows in index order.
+    std::fill(Deltas.begin(), Deltas.end(), 0.0);
+    for (std::size_t I = 0; I < N; ++I) {
+      const double InvD = 1.0 / Diag[I];
+      const double *BR = B + I * LdB, *YR = &Ax[I * K], *XoR = &Cur[I * K];
+      double *XnR = &Next[I * K];
+#pragma omp simd
+      for (std::size_t J = 0; J < K; ++J) {
+        const double Xn = XoR[J] + (BR[J] - YR[J]) * InvD;
+        const double Step = std::fabs(Xn - XoR[J]);
+        XnR[J] = Xn;
+        // std::max's selection, on values so the loop vectorizes.
+        Deltas[J] = Deltas[J] < Step ? Step : Deltas[J];
+      }
+    }
     Res.Iterations = Iter + 1;
     Cur.swap(Next);
     if (updateBatchColumns(Res, Deltas.data(), Done, Iter, Opts.Tolerance))
@@ -646,14 +661,22 @@ StatusOr<BatchSolveResult> pageRankBatch(const SpmvKernel &Kernel,
   const double Beta = 1.0 - Damping;
 
   for (int Iter = 0; Iter < Opts.MaxIterations; ++Iter) {
-    // Damp-and-teleport scaling and the per-column rank-mass sums ride
-    // the SpMM; only the leak redistribution below remains.
-    FusedBatchEpilogue E = FusedBatchEpilogue::dampScale(
-        NumVectors, Damping, Beta, P.data(), K, Sums.data());
-    Status RS =
-        Kernel.runBatchFused(Cur.data(), K, Next.data(), K, NumVectors, E);
+    Status RS = Kernel.runBatch(Cur.data(), K, Next.data(), K, NumVectors);
     if (!RS.ok())
       return RS;
+    // Damp and teleport, summing each column's rank mass over the rows in
+    // index order.
+    std::fill(Sums.begin(), Sums.end(), 0.0);
+    for (std::size_t I = 0; I < N; ++I) {
+      double *YR = &Next[I * K];
+      const double *PR = &P[I * K];
+#pragma omp simd
+      for (std::size_t J = 0; J < K; ++J) {
+        const double V = Damping * YR[J] + Beta * PR[J];
+        YR[J] = V;
+        Sums[J] += V;
+      }
+    }
     // Dangling vertices leak rank mass; per column, redistribute it along
     // that column's personalization and measure the L1 step in the same
     // sweep.

@@ -117,11 +117,11 @@ struct BatchSolveResult {
 /// Batched Jacobi: NumVectors right-hand sides over one prepared kernel.
 /// Panels are row-major like SpmvKernel::runBatch — element (i, j) of B at
 /// B[i * LdB + j] — with \p X holding the initial guesses on entry and the
-/// solutions on exit. Each sweep is one fused SpMM carrying the whole
-/// update (next iterate + per-column infinity-norm step sizes), so the
-/// matrix streams once per register block of columns instead of once per
-/// system. INVALID_ARGUMENT for bad panels; any kernel batch failure
-/// propagates.
+/// solutions on exit. Each sweep is one SpMM followed by one pass over
+/// the panel that writes the next iterate and each column's
+/// infinity-norm step, so the matrix streams once per register block of
+/// columns instead of once per system. INVALID_ARGUMENT for bad panels or
+/// a zero on the diagonal; any kernel batch failure propagates.
 [[nodiscard]] StatusOr<BatchSolveResult>
 jacobiBatch(const SpmvKernel &Kernel, const std::vector<double> &Diag,
             const double *B, std::size_t LdB, double *X, std::size_t LdX,
@@ -132,10 +132,10 @@ jacobiBatch(const SpmvKernel &Kernel, const std::vector<double> &Diag,
 /// (\p Personalization row-major with LdP, columns normalized internally;
 /// nullptr means every column teleports uniformly, i.e. classic PageRank).
 /// \p Ranks (row-major, LdR) is overwritten with the converged ranks. Each
-/// sweep fuses the damp-and-teleport scaling and the per-column rank-mass
-/// sums into one SpMM; the per-column leak redistribution (proportional to
-/// the personalization) remains as the single post-sweep. Residual per
-/// column is its L1 rank change.
+/// sweep is one SpMM, one pass applying the damp-and-teleport scaling and
+/// summing each column's rank mass, and one pass redistributing each
+/// column's leak along its personalization. Residual per column is its L1
+/// rank change.
 [[nodiscard]] StatusOr<BatchSolveResult>
 pageRankBatch(const SpmvKernel &Kernel, double *Ranks, std::size_t LdR,
               const double *Personalization, std::size_t LdP, int NumVectors,

@@ -371,15 +371,15 @@ TEST(CvrTraceTraffic, RegionCountsMatchChunkTable) {
         ASSERT_TRUE(K.traceRun(Plain, X.data(), Y.data()));
         ExpectTraffic(Plain, Want, "traceRun");
 
-        // traceRunFused with y <- 2y + 3z: traceRun's traffic, then one
-        // epilogue sweep that re-reads each row of y, reads its z operand
-        // and stores the transformed value.
+        // traceRunFused with y <- 2y + 3 against the previous iterate z:
+        // traceRun's traffic, then one epilogue sweep that re-reads each
+        // row of y, reads its z operand and stores the transformed value.
         Want[YVec].read(D, N);
         Want[ZVec].read(D, N);
         Want[YVec].write(D, N);
         std::fill(Y.begin(), Y.end(), 0.0);
         RegionSink Fused = Regions(Y);
-        FusedEpilogue E = FusedEpilogue::axpby(2.0, 3.0, Z.data());
+        FusedEpilogue E = FusedEpilogue::dampScale(2.0, 3.0, Z.data());
         ASSERT_TRUE(K.traceRunFused(Fused, X.data(), Y.data(), E));
         ExpectTraffic(Fused, Want, "traceRunFused");
       }

@@ -235,206 +235,6 @@ TEST(CvrSpmm, RejectsBadPanelArguments) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fused batch epilogues
-//===----------------------------------------------------------------------===//
-
-/// Shared fixture state: a matrix, its prepared CVR kernel, and row-major
-/// panels. The tests run the kernel's runBatchFused (cvrSpmm plus the
-/// batch-epilogue sweep) and check its panels against YPlain with the
-/// epilogue recomputed by hand. Each column's accumulators must equal, bit
-/// for bit, the row-order sum (or max) over the panels the call wrote.
-struct FusedPanels {
-  CsrMatrix A;
-  CvrKernel Kern;
-  std::size_t Rows, Cols;
-  int K;
-  std::size_t LdX, LdY;
-  std::vector<double> X;
-  std::vector<double> YPlain; ///< Unfused SpMM result, same panel shape.
-
-  FusedPanels(CsrMatrix In, int NumVectors, int Threads = 2,
-              CvrOptions Opts = {})
-      : A(std::move(In)), Kern((Opts.NumThreads = Threads, Opts)),
-        Rows(static_cast<std::size_t>(A.numRows())),
-        Cols(static_cast<std::size_t>(A.numCols())), K(NumVectors),
-        LdX(static_cast<std::size_t>(K) + 2),
-        LdY(static_cast<std::size_t>(K) + 5),
-        X(randomPanel(Cols, K, LdX, 400)), YPlain(Rows * LdY, 0.0) {
-    Kern.prepare(A);
-    EXPECT_TRUE(
-        cvrSpmm(Kern.matrix(), X.data(), LdX, YPlain.data(), LdY, K).ok());
-  }
-
-  Status runBatchFused(double *Y, FusedBatchEpilogue &E) const {
-    return Kern.runBatchFused(X.data(), LdX, Y, LdY, K, E);
-  }
-};
-
-TEST(CvrSpmmFused, DotPerColumn) {
-  // The panel kernel on absolute 32-bit and on band-local 16-bit indices.
-  CvrOptions Wide, Narrow;
-  Wide.Indices = ColIndexKind::U32;
-  Narrow.Indices = ColIndexKind::U16Band;
-  for (const CvrOptions &Opts : {Wide, Narrow}) {
-    SCOPED_TRACE(std::string("ik ") + colIndexKindName(*Opts.Indices));
-    FusedPanels P(genPowerLaw(350, 350, 5.0, 1.2, 91), 6, 2, Opts);
-    std::vector<double> Z = randomPanel(P.Rows, P.K, P.K, 500);
-    std::vector<double> Acc1(P.K, -1.0), Acc2(P.K, -1.0);
-    std::vector<double> Y(P.Rows * P.LdY);
-    FusedBatchEpilogue E = FusedBatchEpilogue::dot(
-        P.K, /*WantYDotY=*/true, Acc1.data(), Z.data(), P.K, Acc2.data());
-    ASSERT_TRUE(P.runBatchFused(Y.data(), E).ok());
-    for (int J = 0; J < P.K; ++J) {
-      double YdY = 0.0, ZdY = 0.0;
-      for (std::size_t I = 0; I < P.Rows; ++I) {
-        double Yi = P.YPlain[I * P.LdY + J];
-        // Shared boundary rows use atomic adds, so two runs may reassociate.
-        EXPECT_NEAR(Y[I * P.LdY + J], Yi, 1e-12 * (1.0 + std::abs(Yi)));
-        YdY += Y[I * P.LdY + J] * Y[I * P.LdY + J];
-        ZdY += Z[I * P.K + J] * Y[I * P.LdY + J];
-      }
-      EXPECT_EQ(Acc1[J], YdY);
-      EXPECT_EQ(Acc2[J], ZdY);
-    }
-  }
-}
-
-TEST(CvrSpmmFused, AxpbyTransformsEveryColumn) {
-  FusedPanels P(genRmat(9, 8, 92), 5);
-  std::vector<double> Z = randomPanel(P.Rows, P.K, P.K, 600);
-  std::vector<double> Acc1(P.K, -1.0);
-  std::vector<double> Y(P.Rows * P.LdY);
-  const double Alpha = 0.75, Beta = -1.25;
-  FusedBatchEpilogue E = FusedBatchEpilogue::axpby(P.K, Alpha, Beta, Z.data(),
-                                                   P.K, Acc1.data());
-  ASSERT_TRUE(P.runBatchFused(Y.data(), E).ok());
-  for (int J = 0; J < P.K; ++J) {
-    double Norm = 0.0;
-    for (std::size_t I = 0; I < P.Rows; ++I) {
-      double Want = Alpha * P.YPlain[I * P.LdY + J] + Beta * Z[I * P.K + J];
-      EXPECT_NEAR(Y[I * P.LdY + J], Want, 1e-12 * (1.0 + std::abs(Want)));
-      Norm += Y[I * P.LdY + J] * Y[I * P.LdY + J];
-    }
-    EXPECT_EQ(Acc1[J], Norm);
-  }
-}
-
-TEST(CvrSpmmFused, ResidualNormPerColumn) {
-  FusedPanels P(genCircuit(320, 4.0, 5, 93), 7);
-  std::vector<double> B = randomPanel(P.Rows, P.K, P.K, 700);
-  std::vector<double> Acc1(P.K, -1.0);
-  std::vector<double> R(P.Rows * P.K, 0.0);
-  std::vector<double> Y(P.Rows * P.LdY);
-  FusedBatchEpilogue E = FusedBatchEpilogue::residualNorm(
-      P.K, B.data(), P.K, Acc1.data(), R.data(), P.K);
-  ASSERT_TRUE(P.runBatchFused(Y.data(), E).ok());
-  for (int J = 0; J < P.K; ++J) {
-    double Norm = 0.0;
-    for (std::size_t I = 0; I < P.Rows; ++I) {
-      double Want = B[I * P.K + J] - P.YPlain[I * P.LdY + J];
-      EXPECT_NEAR(R[I * P.K + J], Want, 1e-12 * (1.0 + std::abs(Want)));
-      Norm += R[I * P.K + J] * R[I * P.K + J];
-    }
-    EXPECT_EQ(Acc1[J], Norm);
-  }
-}
-
-TEST(CvrSpmmFused, JacobiStepPerColumn) {
-  FusedPanels P(genCircuit(280, 3.0, 4, 94), 4);
-  std::vector<double> B = randomPanel(P.Rows, P.K, P.K, 800);
-  std::vector<double> Xold = randomPanel(P.Rows, P.K, P.K, 900);
-  std::vector<double> XNew(P.Rows * P.K, 0.0);
-  std::vector<double> D = randomVector(P.Rows, 1000);
-  for (double &V : D)
-    V += (V >= 0 ? 2.0 : -2.0); // Keep the diagonal away from zero.
-  std::vector<double> Acc1(P.K, -1.0);
-  std::vector<double> Y(P.Rows * P.LdY);
-  FusedBatchEpilogue E = FusedBatchEpilogue::jacobiStep(
-      P.K, B.data(), P.K, D.data(), Xold.data(), P.K, XNew.data(), P.K,
-      Acc1.data());
-  ASSERT_TRUE(P.runBatchFused(Y.data(), E).ok());
-  for (int J = 0; J < P.K; ++J) {
-    double MaxDx = 0.0;
-    for (std::size_t I = 0; I < P.Rows; ++I) {
-      double Dx =
-          (B[I * P.K + J] - P.YPlain[I * P.LdY + J]) / D[I];
-      double Want = Xold[I * P.K + J] + Dx;
-      EXPECT_NEAR(XNew[I * P.K + J], Want, 1e-11 * (1.0 + std::abs(Want)));
-      MaxDx = std::max(MaxDx, std::abs(XNew[I * P.K + J] - Xold[I * P.K + J]));
-    }
-    EXPECT_EQ(Acc1[J], MaxDx);
-  }
-}
-
-TEST(CvrSpmmFused, DampScalePerColumn) {
-  FusedPanels P(genPowerLaw(260, 260, 5.0, 1.3, 95), 3);
-  std::vector<double> Z = randomPanel(P.Rows, P.K, P.K, 1100);
-  std::vector<double> Prev = randomPanel(P.Rows, P.K, P.K, 1200);
-  std::vector<double> Acc1(P.K, -1.0), Acc2(P.K, -1.0);
-  std::vector<double> Y(P.Rows * P.LdY);
-  const double Damp = 0.85, Beta = 0.15;
-  FusedBatchEpilogue E = FusedBatchEpilogue::dampScale(
-      P.K, Damp, Beta, Z.data(), P.K, Acc1.data(), Prev.data(), P.K,
-      Acc2.data());
-  ASSERT_TRUE(P.runBatchFused(Y.data(), E).ok());
-  for (int J = 0; J < P.K; ++J) {
-    double Sum = 0.0, Delta = 0.0;
-    for (std::size_t I = 0; I < P.Rows; ++I) {
-      double Want = Damp * P.YPlain[I * P.LdY + J] + Beta * Z[I * P.K + J];
-      EXPECT_NEAR(Y[I * P.LdY + J], Want, 1e-12 * (1.0 + std::abs(Want)));
-      Sum += Y[I * P.LdY + J];
-      Delta += std::abs(Y[I * P.LdY + J] - Prev[I * P.K + J]);
-    }
-    EXPECT_EQ(Acc1[J], Sum);
-    EXPECT_EQ(Acc2[J], Delta);
-  }
-}
-
-TEST(CvrSpmmFused, BlockedMatrixComposesEpilogue) {
-  // Blocked conversions accumulate across bands, and narrow indices
-  // rebase onto the chunk's band; the epilogue sweep after either must
-  // give the panel kernel's semantics exactly.
-  CvrOptions Blocked, Narrow;
-  Blocked.ColBlockBytes = 512;
-  Blocked.Indices = ColIndexKind::U32;
-  Narrow.ColBlockBytes = 512;
-  Narrow.Indices = ColIndexKind::U16Band;
-  for (const CvrOptions &Opts : {Blocked, Narrow}) {
-    SCOPED_TRACE("block " + std::to_string(Opts.ColBlockBytes) + " ik " +
-                 colIndexKindName(*Opts.Indices));
-    FusedPanels P(genPowerLaw(300, 300, 6.0, 1.2, 96), 5, 2, Opts);
-    std::vector<double> Acc1(P.K, -1.0);
-    std::vector<double> Y(P.Rows * P.LdY);
-    FusedBatchEpilogue E =
-        FusedBatchEpilogue::dot(P.K, /*WantYDotY=*/true, Acc1.data());
-    ASSERT_TRUE(P.runBatchFused(Y.data(), E).ok());
-    for (int J = 0; J < P.K; ++J) {
-      double YdY = 0.0;
-      for (std::size_t I = 0; I < P.Rows; ++I) {
-        double Yi = P.YPlain[I * P.LdY + J];
-        // Shared boundary rows use atomic adds, so two runs may reassociate.
-        EXPECT_NEAR(Y[I * P.LdY + J], Yi, 1e-12 * (1.0 + std::abs(Yi)));
-        YdY += Y[I * P.LdY + J] * Y[I * P.LdY + J];
-      }
-      EXPECT_EQ(Acc1[J], YdY);
-    }
-  }
-}
-
-TEST(CvrSpmmFused, RejectsMismatchedEpilogueWidth) {
-  CsrMatrix A = genRmat(7, 6, 97);
-  CvrKernel Kern;
-  Kern.prepare(A);
-  std::vector<double> X(static_cast<std::size_t>(A.numCols()) * 4);
-  std::vector<double> Y(static_cast<std::size_t>(A.numRows()) * 4);
-  std::vector<double> Acc1(3);
-  FusedBatchEpilogue E =
-      FusedBatchEpilogue::dot(3, /*WantYDotY=*/true, Acc1.data());
-  EXPECT_EQ(Kern.runBatchFused(X.data(), 4, Y.data(), 4, 4, E).code(),
-            StatusCode::InvalidArgument);
-}
-
-//===----------------------------------------------------------------------===//
 // Kernel-interface batch surface
 //===----------------------------------------------------------------------===//
 

@@ -244,9 +244,8 @@ FusedEpilogue fuzzEpilogue(Xoshiro256 &Rng, const std::vector<double> &Z,
   case 0:
     return FusedEpilogue::dot(true, true, Z.data());
   case 1:
-    return FusedEpilogue::axpby(Rng.nextDouble(-2.0, 2.0),
-                                Rng.nextDouble(-2.0, 2.0), Z.data(),
-                                /*YDotY=*/true);
+    return FusedEpilogue::dampScale(Rng.nextDouble(0.1, 0.95),
+                                    Rng.nextDouble(-0.5, 0.5));
   case 2:
     return FusedEpilogue::residualNorm(B.data(), ROut.data());
   case 3:
@@ -558,8 +557,8 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
         }
 
         // Batched SpMM (compressed streams compose it from per-column SpMV)
-        // and fused SpMM with a Dot epilogue, on a K=5 panel whose padded
-        // leading dimension leaves three junk columns per row.
+        // on a K=5 panel whose padded leading dimension leaves three junk
+        // columns per row.
         const int K = 5;
         const std::size_t Ld = 8;
         const std::size_t NC = static_cast<std::size_t>(A.numCols());
@@ -586,24 +585,6 @@ TEST_P(CompressedStreamFuzz, EveryKindCombinationMatchesReference) {
         ASSERT_TRUE(cvrSpmm(*M, XP.data(), Ld, YP.data(), Ld, K).ok())
             << Where;
         ExpectPanel(YP, "spmm");
-
-        std::vector<double> Acc(K, -1.0);
-        FusedBatchEpilogue BE =
-            FusedBatchEpilogue::dot(K, /*YDotY=*/true, Acc.data());
-        std::vector<double> YPF(NR * Ld, 0.5);
-        CvrKernel Kern(Opts);
-        ASSERT_TRUE(Kern.prepareStatus(A).ok()) << Where;
-        ASSERT_TRUE(
-            Kern.runBatchFused(XP.data(), Ld, YPF.data(), Ld, K, BE).ok())
-            << Where;
-        ExpectPanel(YPF, "spmm fused");
-        for (int J = 0; J < K; ++J) {
-          double YdY = 0.0;
-          for (std::size_t I = 0; I < NR; ++I)
-            YdY += YPF[I * Ld + J] * YPF[I * Ld + J];
-          EXPECT_NEAR(Acc[J], YdY, 1e-9 * (1.0 + YdY))
-              << Where << " spmm fused column " << J;
-        }
 
         // Serialization: both layouts round-trip the compressed streams.
         std::ostringstream OS;

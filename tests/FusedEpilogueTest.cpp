@@ -87,10 +87,7 @@ allEpilogues(const Operands &Ops, std::vector<double> &XNew,
                   FusedEpilogue::dot(true, true, Ops.Z.data()));
   Es.emplace_back("dot(y.y)", FusedEpilogue::dot(false, true));
   Es.emplace_back("dot(z.y)", FusedEpilogue::dot(false, false, Ops.Z.data()));
-  Es.emplace_back("axpby", FusedEpilogue::axpby(0.75, -1.25, Ops.Z.data(),
-                                                /*YDotY=*/true));
-  Es.emplace_back("axpby(no y.y)",
-                  FusedEpilogue::axpby(0.75, -1.25, Ops.Z.data()));
+  Es.emplace_back("dot(x.y)", FusedEpilogue::dot(true, false));
   Es.emplace_back("residualNorm",
                   FusedEpilogue::residualNorm(Ops.B.data(), ROut.data()));
   Es.emplace_back("residualNorm(no r)",
@@ -269,7 +266,7 @@ TEST(FusedEpilogue, CheckedModeReportsPerturbedFusedRow) {
       << analysis::formatViolations(K.violations());
 
   std::vector<double> Y(N, 0.0);
-  FusedEpilogue E = FusedEpilogue::axpby(0.5, 2.0, Ops.Z.data());
+  FusedEpilogue E = FusedEpilogue::dampScale(0.5, 2.0, Ops.Z.data());
   K.runFused(Ops.X.data(), Y.data(), E);
 
   std::vector<std::string> YRows;

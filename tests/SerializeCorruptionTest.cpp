@@ -308,8 +308,10 @@ TEST(SerializeCorruption, InflatedValsCountFailsExactBound) {
   StatusOr<CvrMatrix> R = readFrom(Blob);
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.status().code(), StatusCode::OutOfRange);
-  EXPECT_NE(R.status().message().find("structural requirement"),
-            std::string::npos);
+  EXPECT_NE(R.status().message().find(
+                "[cvr.blob.bounds] value stream count"),
+            std::string::npos)
+      << R.status().message();
 }
 
 TEST(SerializeCorruption, SectionPayloadFlipAttributedToCrc) {

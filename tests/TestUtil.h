@@ -105,11 +105,6 @@ inline std::vector<double> referenceEpilogue(const CsrMatrix &A,
       if (E.Z)
         A3 += E.Z[R] * V;
       break;
-    case EpilogueOp::Axpby:
-      Y[R] = E.Alpha * V + E.Beta * E.Z[R];
-      if (E.WantYDotY)
-        A1 += Y[R] * Y[R];
-      break;
     case EpilogueOp::ResidualNorm:
       A1 += (E.B[R] - V) * (E.B[R] - V);
       if (E.ROut)
